@@ -20,13 +20,16 @@ from typing import Dict, List, Optional, Sequence
 from .complexes import (
     ChainMap,
     Complex,
+    Equation,
     HomLayout,
     TensorLayout,
+    Term,
     cone,
     constrained_subcomplex,
     direct_sum,
     element_action,
     hom_complex,
+    naturality_subcomplex,
     quotient_complex,
     shift_complex,
     subcomplex,
@@ -82,9 +85,6 @@ class Module:
                 pos = lay.position((dm, df), (i, j))
                 out = out + comp.col(pos).scale(field.mul(mv, fv))
         return out
-
-    def cohomology_dims(self) -> Dict:
-        return {a: self.at(a).cohomology().as_dict() for a in self.cat.objects}
 
     def is_acyclic(self) -> bool:
         return all(self.at(a).is_acyclic() for a in self.cat.objects)
@@ -299,49 +299,14 @@ class ModuleHomComplex:
         self.source = source
         self.target = target
         cat = source.cat
-        field = cat.field
         self.layouts = {a: hom_complex(source.at(a), target.at(a)) for a in cat.objects}
-        ambient, injs, projs = direct_sum([self.layouts[a].complex for a in cat.objects])
-        self.ambient = ambient
-        self.injs = dict(zip(cat.objects, injs))
-        self.projs = dict(zip(cat.objects, projs))
-        constraints: Dict[int, Mat] = {}
-        for n in ambient.degrees():
-            rows: List[List] = []
-            dim_n = ambient.dim(n)
-            images: List[List] = [[] for _ in range(dim_n)]
-            for col in range(dim_n):
-                vec = Mat.basis_column(field, dim_n, col)
-                fams = {a: self.layouts[a].family_from_vector(
-                    n, self.projs[a].component(n) @ vec) for a in cat.objects}
-                out: List = []
-                for x in cat.objects:
-                    for y in cat.objects:
-                        for df, f in cat.hom_basis(x, y):
-                            rho_s = source.act_by(x, y, df, f)
-                            rho_t = target.act_by(x, y, df, f)
-                            for deg in source.at(y).degrees():
-                                tdim = target.at(x).dim(deg + df + n)
-                                if tdim == 0 or source.at(y).dim(deg) == 0:
-                                    continue
-                                phi_x = fams[x].get(deg + df)
-                                lhs = Mat.zero(field, tdim, source.at(y).dim(deg))
-                                if phi_x is not None and deg in rho_s:
-                                    lhs = phi_x @ rho_s[deg]
-                                phi_y = fams[y].get(deg)
-                                rhs = Mat.zero(field, tdim, source.at(y).dim(deg))
-                                step = rho_t.get(deg + n)
-                                if phi_y is not None and step is not None:
-                                    rhs = step @ phi_y
-                                delta = lhs - rhs
-                                out.extend(v for row in delta.entries for v in row)
-                images[col] = out
-            if images and images[0]:
-                constraints[n] = Mat(field, len(images[0]), dim_n,
-                                     [[images[c][r] for c in range(dim_n)] for r in range(len(images[0]))])
-        sub, incl = constrained_subcomplex(ambient, constraints, name=name)
-        self.complex = sub
-        self.inclusion = incl
+        # phi_x o (- . f) = (- . f) o phi_y: the map never crosses f, so no sign
+        equations = [Equation(source.at(y), target.at(x), (
+                         Term(x, right=(df, source.act_by(x, y, df, f))),
+                         Term(y, left=(df, target.act_by(x, y, df, f)), sign=-1)))
+                     for x in cat.objects for y in cat.objects for df, f in cat.hom_basis(x, y)]
+        (self.ambient, self.injs, self.projs, self.complex,
+         self.inclusion) = naturality_subcomplex(self.layouts, equations, name=name)
 
     def module_map_from_cocycle(self, degree: int, vec: Mat) -> ModuleMap:
         amb = self.inclusion.component(degree) @ vec
@@ -729,16 +694,8 @@ def compose_bimodules(f: "Bimodule", g: "Bimodule", check: bool = True) -> "Bimo
         for b in bcat.objects:
             lay_src = TensorLayout([f.at(a1, b), g.at(b, c)])
             lay_tgt = TensorLayout([f.at(a2, b), g.at(b, c)])
-            # extract block: ambient is the direct sum over b of diagonal comps
-            block = None
-            for bb, inj in src.injections.items():
-                if bb == b:
-                    # project by solving: injections are coordinate inclusions
-                    pass
-            # ambient ordering matches bcat.objects; use slice via injections
-            inj = src.injections[b]
-            # coordinates: inj is a coordinate inclusion, so transpose acts as projection
-            proj = inj.component(deg).transpose()
+            # the injections are coordinate inclusions, so their transposes project
+            proj = src.injections[b].component(deg).transpose()
             block = proj @ amb_vec
             if block.is_zero():
                 continue
@@ -1044,83 +1001,25 @@ class BimoduleHomComplex:
         self.source = source
         self.target = target
         acat, bcat = source.acat, source.bcat
-        field = source.field
         pairs = [(a, b) for a in acat.objects for b in bcat.objects]
         self.pairs = pairs
         self.layouts = {p: hom_complex(source.at(*p), target.at(*p)) for p in pairs}
-        ambient, injs, projs = direct_sum([self.layouts[p].complex for p in pairs])
-        self.ambient = ambient
-        self.injs = dict(zip(pairs, injs))
-        self.projs = dict(zip(pairs, projs))
-        constraints: Dict[int, Mat] = {}
-        for n in ambient.degrees():
-            dim_n = ambient.dim(n)
-            cols: List[List] = []
-            for col in range(dim_n):
-                vec = Mat.basis_column(field, dim_n, col)
-                fams = {p: self.layouts[p].family_from_vector(n, self.projs[p].component(n) @ vec)
-                        for p in pairs}
-                out: List = []
-                # naturality in the lower (acat) index
-                for a1 in acat.objects:
-                    for a2 in acat.objects:
-                        for df, f in acat.hom_basis(a1, a2):
-                            for b in bcat.objects:
-                                lam_s = source.lact_family(a1, a2, b, df, f)
-                                lam_t = target.lact_family(a1, a2, b, df, f)
-                                for deg in source.at(a1, b).degrees():
-                                    tdim = target.at(a2, b).dim(deg + df + n)
-                                    sdim = source.at(a1, b).dim(deg)
-                                    if tdim == 0 or sdim == 0:
-                                        continue
-                                    phi2 = fams[(a2, b)].get(deg + df)
-                                    lhs = Mat.zero(field, tdim, sdim)
-                                    if phi2 is not None and deg in lam_s:
-                                        lhs = phi2 @ lam_s[deg]
-                                    phi1 = fams[(a1, b)].get(deg)
-                                    rhs = Mat.zero(field, tdim, sdim)
-                                    step = lam_t.get(deg + n)
-                                    if phi1 is not None and step is not None:
-                                        rhs = step @ phi1
-                                    if (n % 2) and (df % 2):
-                                        rhs = -rhs
-                                    delta = lhs - rhs
-                                    out.extend(v for row in delta.entries for v in row)
-                # naturality in the upper (bcat) index
-                for a in acat.objects:
-                    for b1 in bcat.objects:
-                        for b2 in bcat.objects:
-                            for df, f in bcat.hom_basis(b1, b2):
-                                rho_s = source.ract_family(a, b1, b2, df, f)
-                                rho_t = target.ract_family(a, b1, b2, df, f)
-                                for deg in source.at(a, b2).degrees():
-                                    tdim = target.at(a, b1).dim(deg + df + n)
-                                    sdim = source.at(a, b2).dim(deg)
-                                    if tdim == 0 or sdim == 0:
-                                        continue
-                                    phi1 = fams[(a, b1)].get(deg + df)
-                                    lhs = Mat.zero(field, tdim, sdim)
-                                    if phi1 is not None and deg in rho_s:
-                                        lhs = phi1 @ rho_s[deg]
-                                    phi2 = fams[(a, b2)].get(deg)
-                                    rhs = Mat.zero(field, tdim, sdim)
-                                    step = rho_t.get(deg + n)
-                                    if phi2 is not None and step is not None:
-                                        rhs = step @ phi2
-                                    delta = lhs - rhs
-                                    out.extend(v for row in delta.entries for v in row)
-                cols.append(out)
-            if cols and cols[0]:
-                constraints[n] = Mat(field, len(cols[0]), dim_n,
-                                     [[cols[c][r] for c in range(dim_n)] for r in range(len(cols[0]))])
-        sub, incl = constrained_subcomplex(ambient, constraints, name=name)
-        self.complex = sub
-        self.inclusion = incl
-
-    def family_of(self, degree: int, vec: Mat) -> Dict:
-        amb = self.inclusion.component(degree) @ vec
-        return {p: self.layouts[p].family_from_vector(degree, self.projs[p].component(degree) @ amb)
-                for p in self.pairs}
+        # lower index: phi_{A2,B} o (f . -) = (-1)^{n|f|} (f . -) o phi_{A1,B}
+        self.equations = [
+            Equation(source.at(a1, b), target.at(a2, b), (
+                Term((a2, b), right=(df, source.lact_family(a1, a2, b, df, f))),
+                Term((a1, b), left=(df, target.lact_family(a1, a2, b, df, f)), sign=-1, twist=df)))
+            for a1 in acat.objects for a2 in acat.objects for df, f in acat.hom_basis(a1, a2)
+            for b in bcat.objects]
+        # upper index: phi_{A,B1} o (- . f) = (- . f) o phi_{A,B2}
+        self.equations += [
+            Equation(source.at(a, b2), target.at(a, b1), (
+                Term((a, b1), right=(df, source.ract_family(a, b1, b2, df, f))),
+                Term((a, b2), left=(df, target.ract_family(a, b1, b2, df, f)), sign=-1)))
+            for a in acat.objects for b1 in bcat.objects for b2 in bcat.objects
+            for df, f in bcat.hom_basis(b1, b2)]
+        (self.ambient, self.injs, self.projs, self.complex,
+         self.inclusion) = naturality_subcomplex(self.layouts, self.equations, name=name)
 
 
 def bimodule_hom_complex(source: "Bimodule", target: "Bimodule") -> BimoduleHomComplex:

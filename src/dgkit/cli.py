@@ -15,7 +15,7 @@ import click
 from . import __version__
 from .bimodules import coend_of, compose_bimodules, dual_of, end_of
 from .changeofrings import coextension_adjunction_check, extend_scalars_cat
-from .complexes import cone, truncate_ge, truncate_le
+from .complexes import cone, degree_cap, truncate_ge, truncate_le
 from .deform import check_hlc, deform_category, factorize
 from .derived import DegreeWindow, derived_hom, derived_tensor, tstruct_truncate
 from .errors import DgkitError, ScenarioError, ValidationError, WindowCertificationError
@@ -25,8 +25,11 @@ from .verify import run_paper_suite
 
 def _window_from(scn: Scenario, entry: Dict, override: Optional[str]) -> DegreeWindow:
     if override:
-        lo, hi = override.split(":")
-        return DegreeWindow(int(lo), int(hi))
+        try:
+            lo, hi = (int(part) for part in override.split(":"))
+        except ValueError:
+            raise ScenarioError(f"expected lo:hi integers, got {override!r}", "--window") from None
+        return DegreeWindow(lo, hi)
     wname = entry.get("window")
     if wname:
         if wname not in scn.windows:
@@ -209,6 +212,11 @@ def _run_scenario_command(command: str, scenario: str, window: Optional[str],
 @click.version_option(__version__)
 def main():
     """Exact-arithmetic toolkit for small dg-categories."""
+    try:
+        degree_cap()
+    except ScenarioError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
 
 
 def _register(command: str):

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DegreeCapError, ShapeError, ValidationError
+from .errors import DegreeCapError, ScenarioError, ShapeError, ValidationError
 from .fields import Field, same_field
-from .matrix import Mat, extend_columns_to_basis
+from .matrix import Mat, extend_columns_to_basis, kron
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -31,7 +31,12 @@ DEFAULT_DEGREE_CAP = 16
 def degree_cap() -> int:
     """Support bound for graded objects; override with DGKIT_DEGREE_CAP."""
     raw = os.environ.get("DGKIT_DEGREE_CAP")
-    return int(raw) if raw else DEFAULT_DEGREE_CAP
+    if not raw:
+        return DEFAULT_DEGREE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioError(f"must be an integer, got {raw!r}", "DGKIT_DEGREE_CAP") from None
 
 
 class GradedSpace:
@@ -137,9 +142,6 @@ class Complex:
         if mat is None:
             return Mat.zero(self.field, self.dim(deg + 1), self.dim(deg))
         return mat
-
-    def is_zero_complex(self) -> bool:
-        return not self.spaces.dims
 
     def __eq__(self, other):
         if not isinstance(other, Complex):
@@ -375,13 +377,6 @@ def shift_complex(cx: Complex, k: int) -> Complex:
     return Complex(cx.field, dims, diffs, name=f"{cx.name}[{k}]")
 
 
-def shift_map(f: ChainMap, k: int) -> ChainMap:
-    src = shift_complex(f.source, k)
-    tgt = shift_complex(f.target, k)
-    comps = {deg - k: mat for deg, mat in f.components.items()}
-    return ChainMap(src, tgt, f.degree, comps)
-
-
 def direct_sum(summands: Sequence[Complex]):
     """Returns (sum, injections, projections)."""
     if not summands:
@@ -574,16 +569,87 @@ def constrained_subcomplex(ambient: Complex, constraints: Dict[int, Mat], name: 
     return subcomplex(ambient, cols, name=name)
 
 
-def transport_through_iso(f: ChainMap, iso: ChainMap, new_source: Complex) -> ChainMap:
-    """f o iso^{-1} for a degreewise invertible iso sharing f's source."""
-    from .matrix import invert
-    comps = {}
-    for deg in new_source.degrees():
-        inv = invert(iso.component(deg))
-        mat = f.component(deg) @ inv
-        if not mat.is_zero():
-            comps[deg] = mat
-    return ChainMap(new_source, f.target, f.degree, comps)
+class Term(NamedTuple):
+    """``sign * (-1)^(twist * n) * left o phi[slot] o right`` for phi of degree n;
+    ``left`` and ``right`` are action families ``(degree, {i: Mat out of
+    degree i})``, and None is the identity."""
+
+    slot: Hashable
+    left: Optional[Tuple[int, Dict[int, Mat]]] = None
+    right: Optional[Tuple[int, Dict[int, Mat]]] = None
+    sign: int = 1
+    twist: int = 0
+
+
+class Equation(NamedTuple):
+    """The sum of ``terms`` vanishes as a map domain -> codomain."""
+
+    domain: Complex
+    codomain: Complex
+    terms: Sequence[Term]
+
+
+def _family_degree(family) -> int:
+    return family[0] if family is not None else 0
+
+
+def naturality_subcomplex(layouts: Dict[Hashable, HomLayout], equations: Sequence[Equation],
+                          name: str = "sub"):
+    """Families phi = (phi_slot) in the product of the slot hom-complexes, in
+    the order of ``layouts``, that satisfy every equation.
+
+    On phi of degree n and degree i of the domain, a term is the map
+    ``sign * (-1)^(twist * n) * left_{j+n} o phi[slot]_j o right_i`` with
+    j = i + deg(right), from domain^i to codomain^{i+n+deg(left)+deg(right)}.
+    Matrices are vectorised row-major, as in HomLayout (entry (r, t) of a
+    matrix with c columns sits at r * c + t), so vec(L X R) = kron(L, R^t)
+    vec(X), and each term writes that block once, straight into the degree-n
+    constraint matrix.
+
+    Returns (ambient, injections, projections, sub, inclusion), with the
+    injections and projections keyed by slot.
+    """
+    slots = list(layouts)
+    ambient, injs, projs = direct_sum([layouts[s].complex for s in slots])
+    field = ambient.field
+    constraints = {}
+    for n in ambient.degrees():
+        dim_n = ambient.dim(n)
+        offsets = dict(zip(slots, itertools.accumulate((layouts[s].complex.dim(n) for s in slots),
+                                                       initial=0)))
+        grid: List[List] = []
+        for eq in equations:
+            shift = n + _family_degree(eq.terms[0].left) + _family_degree(eq.terms[0].right)
+            for i in eq.domain.degrees():
+                p, q = eq.domain.dim(i), eq.codomain.dim(i + shift)
+                if q == 0:
+                    continue
+                top = len(grid)
+                grid.extend([field.zero()] * dim_n for _ in range(q * p))
+                for term in eq.terms:
+                    lay = layouts[term.slot]
+                    j = i + _family_degree(term.right)
+                    tdim = lay.target.dim(j + n)
+                    if lay.source.dim(j) == 0 or tdim == 0:
+                        continue
+                    right = Mat.identity(field, p) if term.right is None else term.right[1].get(i)
+                    left = Mat.identity(field, tdim) if term.left is None else term.left[1].get(j + n)
+                    if right is None or left is None:
+                        continue
+                    block = kron(left, right.transpose())
+                    if block.rows != q * p:
+                        raise ShapeError(f"{name}: a term on slot {term.slot!r} misses its codomain")
+                    col0 = offsets[term.slot] + lay.block_offset(n, j)[0]
+                    negate = (term.sign < 0) != bool(term.twist * n % 2)
+                    for r, row in enumerate(block.entries):
+                        out = grid[top + r]
+                        for c, v in enumerate(row):
+                            if not field.is_zero(v):
+                                out[col0 + c] = field.add(out[col0 + c], field.neg(v) if negate else v)
+        if grid:
+            constraints[n] = Mat(field, len(grid), dim_n, grid)
+    sub, incl = constrained_subcomplex(ambient, constraints, name=name)
+    return ambient, dict(zip(slots, injs)), dict(zip(slots, projs)), sub, incl
 
 
 def truncate_le(cx: Complex, n: int):
@@ -830,10 +896,6 @@ class TensorLayout:
             return Mat.column(self.field, col)
 
         return target, self.map_from_entries(target.complex, 0, entry)
-
-
-def tensor2(a: Complex, b: Complex) -> TensorLayout:
-    return TensorLayout([a, b])
 
 
 def tensor_field(a: Complex, b: Complex) -> Complex:

@@ -55,9 +55,6 @@ class WindowedResolution:
     floor: int
     cone_cohomology: Dict
 
-    def stage_count(self) -> int:
-        return len(self.generators)
-
 
 def _attach_generators(cat: DgCategory, P: Module, f: ModuleMap, M: Module,
                        gens: List[Tuple[object, int, Mat, Mat]]):
@@ -531,14 +528,6 @@ def ring_as_module(ring: DgRing, cat: Optional[DgCategory] = None) -> Module:
     """R as a right module over itself (the free rank-1 module)."""
     cat = cat or one_object_category(ring)
     return Module.representable(cat, cat.objects[0], name=ring.name)
-
-
-def module_from_complex_with_action(ring: DgRing, cx: Complex, act: ChainMap,
-                                    cat: Optional[DgCategory] = None,
-                                    name: str = "M") -> Module:
-    cat = cat or one_object_category(ring)
-    obj = cat.objects[0]
-    return Module(cat, {obj: cx}, {(obj, obj): act}, name=name)
 
 
 def restricted_ground_module(theta: DgRingMorphism,

@@ -114,10 +114,6 @@ class DgCategory:
         """Per-degree matrices of r * (-) on hom(a,b)."""
         return element_action(self.action[(a, b)], self.action_layouts[(a, b)], 0, rdeg, rvec)
 
-    def precompose_with(self, a, b, c, df: int, f: Mat) -> Dict[int, Mat]:
-        """(-) o f as per-degree matrices hom(b,c) -> hom(a,c)."""
-        return element_action(self.comp[(a, b, c)], self.comp_layouts[(a, b, c)], 1, df, f)
-
     def postcompose_with(self, a, b, c, dg: int, g: Mat) -> Dict[int, Mat]:
         """g o (-) as per-degree matrices hom(a,b) -> hom(a,c)."""
         return element_action(self.comp[(a, b, c)], self.comp_layouts[(a, b, c)], 0, dg, g)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence
 
-from .complexes import ChainMap, Complex, TensorLayout, element_action, subcomplex, quotient_complex
+from .complexes import ChainMap, Complex, TensorLayout, subcomplex, quotient_complex
 from .errors import ValidationError
 from .fields import Field
 from .matrix import Mat
@@ -75,10 +75,6 @@ class DgRing:
 
     def mul_basis(self, dx: int, i: int, dy: int, j: int) -> Mat:
         return self.mul(dx, self.basis_vector(dx, i), dy, self.basis_vector(dy, j))
-
-    def left_multiplication(self, deg: int, vec: Mat) -> Dict[int, Mat]:
-        """Per-degree matrices of x * (-); a chain map family when x is a cocycle."""
-        return element_action(self.mult, self.square, 0, deg, vec)
 
     # -- invariants -----------------------------------------------------------
 

@@ -39,9 +39,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def from_int(self, n: int):
         raise NotImplementedError
 
@@ -187,10 +184,13 @@ def field_from_spec(spec) -> Field:
         return spec
     if spec == "Q":
         return QQ
-    if isinstance(spec, str) and spec.startswith("Fp:"):
-        return GF(int(spec.split(":", 1)[1]))
-    if isinstance(spec, dict) and set(spec) == {"Fp"}:
-        return GF(int(spec["Fp"]))
+    try:
+        if isinstance(spec, str) and spec.startswith("Fp:"):
+            return GF(int(spec.split(":", 1)[1]))
+        if isinstance(spec, dict) and set(spec) == {"Fp"}:
+            return GF(int(spec["Fp"]))
+    except (TypeError, ValueError):
+        pass
     raise DgkitError(f"unrecognized field spec {spec!r}")
 
 

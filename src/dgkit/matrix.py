@@ -269,9 +269,6 @@ class Mat:
                 return None, y
         raise AssertionError("solve failed but no certificate row found")
 
-    def column_space_contains(self, b: "Mat") -> bool:
-        return self.solve(b) is not None
-
 
 def rank_kernel_image(m: Mat):
     """(rank, kernel basis, image basis); rank + kernel-dim == cols exactly."""

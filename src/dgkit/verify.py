@@ -35,7 +35,18 @@ from .changeofrings import (
     restrict_category,
     transitivity_check,
 )
-from .complexes import ChainMap, Complex, TensorLayout, cone, hom_complex, truncate_ge, truncate_le
+from .complexes import (
+    ChainMap,
+    Complex,
+    Equation,
+    TensorLayout,
+    Term,
+    cone,
+    hom_complex,
+    naturality_subcomplex,
+    truncate_ge,
+    truncate_le,
+)
 from .deform import check_hlc, deform_category, factorize
 from .derived import (
     DegreeWindow,
@@ -347,47 +358,14 @@ def _end_hom_compatibility(rng) -> bool:
     v, _ = random_complex(rng, QQ, lo=-2, hi=0, pieces=2)
     res = end_of(t)
     lhs = hom_complex(v, res.complex).complex
-    # the end of A |-> Hom(V, T(A,A)): assemble the constrained subcomplex
-    field = QQ
+    # the end of A |-> Hom(V, T(A,A)); the end twist and the right-pairing
+    # swap cancel: L(f) o psi_A = R(f) o psi_A' with no sign
     homs = {a: hom_complex(v, t.at(a, a)) for a in cat.objects}
-    from .complexes import direct_sum, constrained_subcomplex
-    ambient, injs, projs = direct_sum([homs[a].complex for a in cat.objects])
-    proj_map = dict(zip(cat.objects, projs))
-    constraints = {}
-    for n in ambient.degrees():
-        dim_n = ambient.dim(n)
-        cols = []
-        for col in range(dim_n):
-            vec = Mat.basis_column(field, dim_n, col)
-            out = []
-            for a in cat.objects:
-                for a2 in cat.objects:
-                    for df, f in cat.hom_basis(a, a2):
-                        lam = t.lact_family(a, a2, a, df, f)
-                        rho = t.ract_family(a2, a, a2, df, f)
-                        fam_a = homs[a].family_from_vector(n, proj_map[a].component(n) @ vec)
-                        fam_a2 = homs[a2].family_from_vector(n, proj_map[a2].component(n) @ vec)
-                        for i in v.degrees():
-                            tdim = t.at(a2, a).dim(i + n + df)
-                            if tdim == 0 or v.dim(i) == 0:
-                                continue
-                            psi_a = fam_a.get(i)
-                            lhs_m = Mat.zero(field, tdim, v.dim(i))
-                            if psi_a is not None and (i + n) in lam:
-                                lhs_m = lam[i + n] @ psi_a
-                            psi_a2 = fam_a2.get(i)
-                            rhs_m = Mat.zero(field, tdim, v.dim(i))
-                            if psi_a2 is not None and (i + n) in rho:
-                                rhs_m = rho[i + n] @ psi_a2
-                            # the end twist and the right-pairing swap cancel:
-                            # L(f) o psi_A = R(f) o psi_A' with no sign
-                            delta = lhs_m - rhs_m
-                            out.extend(x for row in delta.entries for x in row)
-            cols.append(out)
-        if cols and cols[0]:
-            constraints[n] = Mat(field, len(cols[0]), dim_n,
-                                 [[cols[c][r] for c in range(dim_n)] for r in range(len(cols[0]))])
-    rhs, _ = constrained_subcomplex(ambient, constraints, name="endhom")
+    equations = [Equation(v, t.at(a2, a), (
+                     Term(a, left=(df, t.lact_family(a, a2, a, df, f))),
+                     Term(a2, left=(df, t.ract_family(a2, a, a2, df, f)), sign=-1)))
+                 for a in cat.objects for a2 in cat.objects for df, f in cat.hom_basis(a, a2)]
+    *_, rhs, _ = naturality_subcomplex(homs, equations, name="endhom")
     return all(lhs.dim(n) == rhs.dim(n) for n in set(lhs.degrees()) | set(rhs.degrees()))
 
 

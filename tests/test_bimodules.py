@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from dgkit.fields import QQ
+from dgkit.fields import GF, QQ
 from dgkit.dgring import DgRing, make_dual_numbers
 from dgkit.dgcat import DgFunctor, one_object_category, truncate_cat
 from dgkit.bimodules import (
     Bimodule,
+    BimoduleHomComplex,
     Module,
     ModuleMap,
     cone_module,
@@ -24,6 +25,7 @@ from dgkit.bimodules import (
     yoneda_map_from_cocycle,
 )
 from dgkit.instances import (
+    exterior_extension_ring,
     outer_representable_bimodule,
     random_module,
     random_nonpositive_category,
@@ -182,6 +184,30 @@ def test_representable_module_hom_is_yoneda():
             # graded Yoneda: Hom(h_b, h_a) = hom(b, a) as complexes
             assert {d: mhc.complex.dim(d) for d in mhc.complex.degrees()} == \
                 {d: cat.hom(b, a).dim(d) for d in cat.hom(b, a).degrees()}
+    # and against random targets: Hom(h_b, M) = M(b), degree by degree
+    for field in (QQ, GF(7)):
+        for _ in range(8):
+            cat = random_nonpositive_category(rng, field, n_objects=rng.choice([1, 2]))
+            m = random_module(rng, cat)
+            for b in cat.objects:
+                mhc = module_hom_complex(Module.representable(cat, b), m)
+                assert mhc.complex.spaces == m.at(b).spaces
+
+
+def test_bimodule_hom_from_diagonal_is_end():
+    """Yoneda for ends: maps diag -> T are the end of T, degree by degree.
+    On k[e]/e^2 (x) Lambda(f), both odd, the Koszul sign of the left action
+    decides the degree -1 part."""
+    rng = random.Random(233)
+    for field in (QQ, GF(7)):
+        exterior = one_object_category(exterior_extension_ring(make_dual_numbers(2, -1, field)[0]))
+        cases = [(exterior, Bimodule.diagonal(exterior))]
+        for _ in range(6):
+            cat = random_nonpositive_category(rng, field, n_objects=rng.choice([1, 2]))
+            cases.append((cat, random_square_bimodule(rng, cat)))
+        for cat, t in cases:
+            hom = BimoduleHomComplex(Bimodule.diagonal(cat), t)
+            assert hom.complex.spaces == end_of(t).complex.spaces
 
 
 def test_compose_with_diagonal_is_co_yoneda():

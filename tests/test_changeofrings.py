@@ -7,6 +7,7 @@ import pytest
 from dgkit.fields import QQ
 from dgkit.dgring import DgRing, DgRingMorphism, ideal_power, make_dual_numbers, quotient
 from dgkit.dgcat import DgCategory, one_object_category
+from dgkit import changeofrings
 from dgkit.bimodules import Bimodule, Module
 from dgkit.changeofrings import (
     coextension_adjunction_check,
@@ -192,11 +193,12 @@ def test_transitivity_on_eps3_chain():
     assert verdict.all_pass
 
 
-def test_coextension_adjunction_one_object_S():
+def coextension_instance():
+    """S = k[e]/e^2 with |e| = -1 as a one-object category, b over the ground
+    field, and g(*,*) = S with left action by multiplication."""
     ring, aug = dual_numbers_setup(2, -1)
     a_s = one_object_category(ring)       # A = one-object S-linear (here S = ring)
     b_r = one_object_category(DgRing.ground_field(QQ))
-    # g over (a_s, b_r): g(*,*) = ring itself, left action by multiplication
     comps = {("*", "*"): ring.underlying}
     lact = {("*", "*", "*"): ring.mult}
     lay = TensorLayout([ring.underlying, b_r.hom("*", "*")])
@@ -210,9 +212,25 @@ def test_coextension_adjunction_one_object_S():
         return Mat.column(QQ, col)
 
     ract = {("*", "*", "*"): lay.map_from_entries(ring.underlying, 0, entry)}
-    g = Bimodule(a_s, b_r, comps, lact, ract, name="gR")
-    pair = coextension_adjunction_check(a_s, b_r, g)
+    return a_s, b_r, Bimodule(a_s, b_r, comps, lact, ract, name="gR")
+
+
+def test_coextension_adjunction_one_object_S():
+    pair = coextension_adjunction_check(*coextension_instance())
     assert pair.all_pass
+
+
+def test_coextension_round_trip_sees_a_changed_right_action(monkeypatch):
+    a_s, b_r, g = coextension_instance()
+    real = changeofrings.coextension_object
+
+    def doubled_right_action(*args, **kwargs):
+        x = real(*args, **kwargs)
+        ract = {key: cm.scale(QQ.from_int(2)) for key, cm in x.ract.items()}
+        return Bimodule(x.acat, x.bcat, x.components, x.lact, ract, name=x.name, check=False)
+
+    monkeypatch.setattr(changeofrings, "coextension_object", doubled_right_action)
+    assert coextension_adjunction_check(a_s, b_r, g).round_trip_strict is False
 
 
 def test_coextension_tensor_and_cotensor():

@@ -11,7 +11,9 @@ from dgkit.matrix import Mat
 from dgkit.complexes import (
     ChainMap,
     Complex,
+    Equation,
     TensorLayout,
+    Term,
     composition_map,
     cone,
     curry,
@@ -20,6 +22,7 @@ from dgkit.complexes import (
     evaluation_map,
     hom_complex,
     insert_factor,
+    naturality_subcomplex,
     shift_complex,
     truncate_ge,
     truncate_le,
@@ -335,3 +338,30 @@ def test_direct_sum_roundtrip():
     for d, v in list(ha.items()) + list(hb.items()):
         expect[d] = expect.get(d, 0) + v
     assert total.cohomology().as_dict() == {d: v for d, v in expect.items() if v}
+
+
+@pytest.mark.parametrize("target_degree, twist", [(0, 0), (1, 0), (1, 1)])
+def test_naturality_subcomplex_matches_sympy_solution_count(target_degree, twist):
+    """phi o A - (-1)^(twist n) B o phi = 0 on Hom(V, W), V in degree 0 and W
+    in the given degree, against sympy's solution of the same system."""
+    import sympy
+
+    rng = random.Random(31 + target_degree + twist)
+    pairs = [(Mat.identity(QQ, 2), Mat.identity(QQ, 1))]   # the twist decides: 2 solutions or none
+    for _ in range(6):
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        pairs.append((Mat.from_function(QQ, p, p, lambda i, j: QQ.from_int(rng.randint(-1, 1))),
+                      Mat.from_function(QQ, q, q, lambda i, j: QQ.from_int(rng.randint(-1, 1)))))
+    for a, b in pairs:
+        p, q = a.rows, b.rows
+        v = Complex.concentrated(QQ, 0, p)
+        w = Complex.concentrated(QQ, target_degree, q)
+        eq = Equation(v, w, (Term("phi", right=(0, {0: a})),
+                             Term("phi", left=(0, {target_degree: b}), sign=-1, twist=twist)))
+        _, _, _, sub, _ = naturality_subcomplex({"phi": hom_complex(v, w)}, [eq])
+        phi = sympy.Matrix(q, p, sympy.symbols(f"x0:{p * q}"))
+        sign = -1 if twist and target_degree % 2 else 1
+        system = phi * sympy.Matrix(a.entries) - sign * sympy.Matrix(b.entries) * phi
+        solution, = sympy.linsolve(list(system), list(phi))
+        free = set().union(*(sympy.sympify(e).free_symbols for e in solution))
+        assert sub.dim(target_degree) == len(free)

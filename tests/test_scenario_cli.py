@@ -1,11 +1,16 @@
 """Scenario loading, the bundled corpus, CLI dispatch and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import dgkit
 from dgkit.cli import main
 from dgkit.dgring import make_dual_numbers
 from dgkit.errors import ScenarioError
@@ -114,3 +119,18 @@ def test_degree_cap_env(monkeypatch):
     with pytest.raises(ScenarioError):
         load_scenario_dict({"field": "Q",
                             "complexes": {"deep": {"dims": {"-9": 1}}}})
+
+
+@pytest.mark.parametrize("args, env", [
+    (["cohomology", "--scenario", bundled("cohomology_basic.json"), "--field", "Fp:x"], {}),
+    (["derived-tensor", "--scenario", bundled("coend_examples.json"), "--window", "5"], {}),
+    (["derived-tensor", "--scenario", bundled("coend_examples.json"), "--window", "a:b"], {}),
+    (["cohomology", "--scenario", bundled("cohomology_basic.json")], {"DGKIT_DEGREE_CAP": "x"}),
+], ids=["field", "window-one-part", "window-not-integers", "degree-cap-env"])
+def test_cli_bad_input_exits_2_without_traceback(args, env):
+    package_root = str(Path(dgkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "dgkit.cli", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_root, **env})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
