@@ -14,6 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -21,18 +22,20 @@ from .complexes import (
     ChainMap,
     Complex,
     Equation,
-    HomLayout,
     TensorLayout,
     Term,
+    associativity_defect,
     cone,
     constrained_subcomplex,
     direct_sum,
     element_action,
     hom_complex,
+    morphism_defect,
     naturality_subcomplex,
+    pair_elements,
     quotient_complex,
     shift_complex,
-    subcomplex,
+    unit_defect,
 )
 from .dgcat import DgCategory, DgFunctor, opposite
 from .errors import ValidationError
@@ -72,51 +75,26 @@ class Module:
         return element_action(self.act[(x, y)], self.act_layouts[(x, y)], 1, df, fvec)
 
     def apply_action(self, x, y, dm: int, m: Mat, df: int, f: Mat) -> Mat:
-        field = self.field
-        out = Mat.zero(field, self.at(x).dim(dm + df), 1)
-        comp = self.act[(x, y)].component(dm + df)
-        lay = self.act_layouts[(x, y)]
-        for i, mv in enumerate(m.column_values(0)):
-            if field.is_zero(mv):
-                continue
-            for j, fv in enumerate(f.column_values(0)):
-                if field.is_zero(fv):
-                    continue
-                pos = lay.position((dm, df), (i, j))
-                out = out + comp.col(pos).scale(field.mul(mv, fv))
-        return out
+        return pair_elements(self.act[(x, y)], self.act_layouts[(x, y)], dm, m, df, f)
+
+    def act_pair(self, x, y):
+        """The action M(y) @ hom(x,y) -> M(x) with its source layout."""
+        return self.act_layouts[(x, y)], self.act[(x, y)]
 
     def is_acyclic(self) -> bool:
         return all(self.at(a).is_acyclic() for a in self.cat.objects)
 
     def _check(self):
         cat = self.cat
-        field = self.field
         for a in cat.objects:
-            fam = self.act_by(a, a, 0, cat.id_vector(a))
-            for deg in self.at(a).degrees():
-                if fam.get(deg) != Mat.identity(field, self.at(a).dim(deg)):
-                    raise ValidationError(f"{self.name}: action not unital at {a}")
-        for z in cat.objects:
-            for y in cat.objects:
-                for x in cat.objects:
-                    for df, f in cat.hom_basis(y, z):
-                        rho_f = self.act_by(y, z, df, f)
-                        for dg, g in cat.hom_basis(x, y):
-                            rho_g = self.act_by(x, y, dg, g)
-                            fg = cat.compose_elements(x, y, z, df, f, dg, g)
-                            rho_fg = self.act_by(x, z, df + dg, fg)
-                            for deg in self.at(z).degrees():
-                                step = rho_f.get(deg)
-                                if step is None:
-                                    continue
-                                two = rho_g.get(deg + df, Mat.zero(field, self.at(x).dim(deg + df + dg),
-                                                                   self.at(y).dim(deg + df))) @ step
-                                direct = rho_fg.get(deg, Mat.zero(field, self.at(x).dim(deg + df + dg),
-                                                                  self.at(z).dim(deg)))
-                                if two != direct:
-                                    raise ValidationError(
-                                        f"{self.name}: action not associative via hom({x},{y}),hom({y},{z})")
+            if unit_defect(self.act_pair(a, a), cat.id_vector(a), 1) is not None:
+                raise ValidationError(f"{self.name}: action not unital at {a}")
+        for z, y, x in itertools.product(cat.objects, repeat=3):
+            # (m . f) . g = m . (f o g) for m in M(z), f in hom(y,z), g in hom(x,y)
+            if associativity_defect(self.act_pair(x, y), self.act_pair(y, z),
+                                    self.act_pair(x, z), cat.comp_pair(x, y, z)) is not None:
+                raise ValidationError(
+                    f"{self.name}: action not associative via hom({x},{y}),hom({y},{z})")
 
     # -- constructors -----------------------------------------------------
 
@@ -214,22 +192,10 @@ class ModuleMap:
 
     def _check(self):
         cat = self.source.cat
-        field = cat.field
-        k = self.degree
-        for x in cat.objects:
-            for y in cat.objects:
-                for df, f in cat.hom_basis(x, y):
-                    rho_s = self.source.act_by(x, y, df, f)
-                    rho_t = self.target.act_by(x, y, df, f)
-                    for deg in self.source.at(y).degrees():
-                        lhs_in = rho_s.get(deg, Mat.zero(field, self.source.at(x).dim(deg + df),
-                                                         self.source.at(y).dim(deg)))
-                        lhs = self.at(x).component(deg + df) @ lhs_in
-                        rhs_step = self.at(y).component(deg)
-                        rhs = rho_t.get(deg + k, Mat.zero(field, self.target.at(x).dim(deg + df + k),
-                                                          self.target.at(y).dim(deg + k))) @ rhs_step
-                        if lhs != rhs:
-                            raise ValidationError("module map does not respect the action")
+        for x, y in itertools.product(cat.objects, repeat=2):
+            if morphism_defect(self.source.act_pair(x, y), self.target.act_pair(x, y), self.at(x),
+                               self.at(y), ChainMap.identity(cat.hom(x, y))) is not None:
+                raise ValidationError("module map does not respect the action")
 
     def is_quasi_iso(self) -> bool:
         return all(self.at(a).is_quasi_iso() for a in self.source.cat.objects)
@@ -383,34 +349,10 @@ class Bimodule:
     # -- elementwise action helpers ---------------------------------------
 
     def lact_apply(self, a1, a2, b, df: int, f: Mat, dx: int, x: Mat) -> Mat:
-        field = self.field
-        lay = self.lact_layouts[(a1, a2, b)]
-        comp = self.lact[(a1, a2, b)].component(df + dx)
-        out = Mat.zero(field, self.at(a2, b).dim(df + dx), 1)
-        for i, fv in enumerate(f.column_values(0)):
-            if field.is_zero(fv):
-                continue
-            for j, xv in enumerate(x.column_values(0)):
-                if field.is_zero(xv):
-                    continue
-                pos = lay.position((df, dx), (i, j))
-                out = out + comp.col(pos).scale(field.mul(fv, xv))
-        return out
+        return pair_elements(self.lact[(a1, a2, b)], self.lact_layouts[(a1, a2, b)], df, f, dx, x)
 
     def ract_apply(self, a, b1, b2, dx: int, x: Mat, df: int, f: Mat) -> Mat:
-        field = self.field
-        lay = self.ract_layouts[(a, b1, b2)]
-        comp = self.ract[(a, b1, b2)].component(dx + df)
-        out = Mat.zero(field, self.at(a, b1).dim(dx + df), 1)
-        for i, xv in enumerate(x.column_values(0)):
-            if field.is_zero(xv):
-                continue
-            for j, fv in enumerate(f.column_values(0)):
-                if field.is_zero(fv):
-                    continue
-                pos = lay.position((dx, df), (i, j))
-                out = out + comp.col(pos).scale(field.mul(xv, fv))
-        return out
+        return pair_elements(self.ract[(a, b1, b2)], self.ract_layouts[(a, b1, b2)], dx, x, df, f)
 
     def lact_family(self, a1, a2, b, df: int, f: Mat) -> Dict[int, Mat]:
         return element_action(self.lact[(a1, a2, b)], self.lact_layouts[(a1, a2, b)], 0, df, f)
@@ -426,69 +368,34 @@ class Bimodule:
 
     # -- invariants ---------------------------------------------------------
 
+    def _lact_pair(self, a1, a2, b):
+        return self.lact_layouts[(a1, a2, b)], self.lact[(a1, a2, b)]
+
+    def _ract_pair(self, a, b1, b2):
+        return self.ract_layouts[(a, b1, b2)], self.ract[(a, b1, b2)]
+
     def _check(self):
-        field = self.field
-        for a in self.acat.objects:
-            for b in self.bcat.objects:
-                fam = self.lact_family(a, a, b, 0, self.acat.id_vector(a))
-                for deg in self.at(a, b).degrees():
-                    if fam.get(deg) != Mat.identity(field, self.at(a, b).dim(deg)):
-                        raise ValidationError(f"{self.name}: left action not unital at ({a},{b})")
-                fam = self.ract_family(a, b, b, 0, self.bcat.id_vector(b))
-                for deg in self.at(a, b).degrees():
-                    if fam.get(deg) != Mat.identity(field, self.at(a, b).dim(deg)):
-                        raise ValidationError(f"{self.name}: right action not unital at ({a},{b})")
-        # left associativity
-        for a1 in self.acat.objects:
-            for a2 in self.acat.objects:
-                for a3 in self.acat.objects:
-                    for b in self.bcat.objects:
-                        for d2, f2 in self.acat.hom_basis(a2, a3):
-                            for d1, f1 in self.acat.hom_basis(a1, a2):
-                                f21 = self.acat.compose_elements(a1, a2, a3, d2, f2, d1, f1)
-                                for dx in self.at(a1, b).degrees():
-                                    for i in range(self.at(a1, b).dim(dx)):
-                                        x = Mat.basis_column(field, self.at(a1, b).dim(dx), i)
-                                        one = self.lact_apply(a1, a2, b, d1, f1, dx, x)
-                                        two = self.lact_apply(a2, a3, b, d2, f2, d1 + dx, one)
-                                        direct = self.lact_apply(a1, a3, b, d2 + d1, f21, dx, x)
-                                        if two != direct:
-                                            raise ValidationError(
-                                                f"{self.name}: left action not associative")
-        # right associativity
-        for a in self.acat.objects:
-            for b3 in self.bcat.objects:
-                for b2 in self.bcat.objects:
-                    for b1 in self.bcat.objects:
-                        for d2, f2 in self.bcat.hom_basis(b2, b3):
-                            for d1, f1 in self.bcat.hom_basis(b1, b2):
-                                f21 = self.bcat.compose_elements(b1, b2, b3, d2, f2, d1, f1)
-                                for dx in self.at(a, b3).degrees():
-                                    for i in range(self.at(a, b3).dim(dx)):
-                                        x = Mat.basis_column(field, self.at(a, b3).dim(dx), i)
-                                        one = self.ract_apply(a, b2, b3, dx, x, d2, f2)
-                                        two = self.ract_apply(a, b1, b2, dx + d2, one, d1, f1)
-                                        direct = self.ract_apply(a, b1, b3, dx, x, d2 + d1, f21)
-                                        if two != direct:
-                                            raise ValidationError(
-                                                f"{self.name}: right action not associative")
-        # the two actions commute
-        for a1 in self.acat.objects:
-            for a2 in self.acat.objects:
-                for b1 in self.bcat.objects:
-                    for b2 in self.bcat.objects:
-                        for da, fa in self.acat.hom_basis(a1, a2):
-                            for db, fb in self.bcat.hom_basis(b1, b2):
-                                for dx in self.at(a1, b2).degrees():
-                                    for i in range(self.at(a1, b2).dim(dx)):
-                                        x = Mat.basis_column(field, self.at(a1, b2).dim(dx), i)
-                                        ax = self.lact_apply(a1, a2, b2, da, fa, dx, x)
-                                        axb = self.ract_apply(a2, b1, b2, da + dx, ax, db, fb)
-                                        xb = self.ract_apply(a1, b1, b2, dx, x, db, fb)
-                                        a_xb = self.lact_apply(a1, a2, b1, da, fa, dx + db, xb)
-                                        if axb != a_xb:
-                                            raise ValidationError(
-                                                f"{self.name}: actions do not commute")
+        acat, bcat = self.acat, self.bcat
+        for a, b in itertools.product(acat.objects, bcat.objects):
+            if unit_defect(self._lact_pair(a, a, b), acat.id_vector(a), 0) is not None:
+                raise ValidationError(f"{self.name}: left action not unital at ({a},{b})")
+            if unit_defect(self._ract_pair(a, b, b), bcat.id_vector(b), 1) is not None:
+                raise ValidationError(f"{self.name}: right action not unital at ({a},{b})")
+        # (f2 o f1) . x = f2 . (f1 . x) for f2 in hom(a2,a3), f1 in hom(a1,a2), x in T(a1,b)
+        for a1, a2, a3, b in itertools.product(acat.objects, acat.objects, acat.objects, bcat.objects):
+            if associativity_defect(self._lact_pair(a1, a3, b), acat.comp_pair(a1, a2, a3),
+                                    self._lact_pair(a2, a3, b), self._lact_pair(a1, a2, b)) is not None:
+                raise ValidationError(f"{self.name}: left action not associative")
+        # (x . f2) . f1 = x . (f2 o f1) for x in T(a,b3), f2 in hom(b2,b3), f1 in hom(b1,b2)
+        for a, b3, b2, b1 in itertools.product(acat.objects, bcat.objects, bcat.objects, bcat.objects):
+            if associativity_defect(self._ract_pair(a, b1, b2), self._ract_pair(a, b2, b3),
+                                    self._ract_pair(a, b1, b3), bcat.comp_pair(b1, b2, b3)) is not None:
+                raise ValidationError(f"{self.name}: right action not associative")
+        # (f . x) . g = f . (x . g) for f in hom(a1,a2), x in T(a1,b2), g in hom(b1,b2)
+        for a1, a2, b1, b2 in itertools.product(acat.objects, acat.objects, bcat.objects, bcat.objects):
+            if associativity_defect(self._ract_pair(a2, b1, b2), self._lact_pair(a1, a2, b2),
+                                    self._lact_pair(a1, a2, b1), self._ract_pair(a1, b1, b2)) is not None:
+                raise ValidationError(f"{self.name}: actions do not commute")
 
     @staticmethod
     def diagonal(cat: DgCategory, name: Optional[str] = None) -> "Bimodule":

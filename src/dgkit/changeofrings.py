@@ -16,7 +16,6 @@ from .bimodules import (
     Bimodule,
     BimoduleHomComplex,
     Module,
-    ModuleMap,
     bimodule_hom_complex,
     find_quasi_representative,
     module_hom_complex,
@@ -28,12 +27,11 @@ from .complexes import (
     Equation,
     TensorLayout,
     Term,
-    element_action,
     naturality_subcomplex,
     quotient_complex,
 )
 from .dgcat import DgCategory, DgFunctor, one_object_category
-from .dgring import DgRing, DgRingMorphism
+from .dgring import DgRingMorphism
 from .errors import ValidationError
 from .matrix import Mat
 

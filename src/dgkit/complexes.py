@@ -23,7 +23,7 @@ from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequenc
 
 from .errors import DegreeCapError, ScenarioError, ShapeError, ValidationError
 from .fields import Field, same_field
-from .matrix import Mat, extend_columns_to_basis, kron
+from .matrix import Mat, extend_columns_to_basis, kron, kron_product
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -784,6 +784,20 @@ class TensorLayout:
                 return combo, tuple(reversed(idx))
         raise ShapeError(f"position {position} out of range in degree {n}")
 
+    def block(self, pairing: ChainMap, combo: Tuple[int, ...]) -> Mat:
+        """The columns of ``pairing`` (a map out of this tensor) on the block
+        ``combo``, row-major over the factors; a zero matrix of that shape when
+        the block or its target is empty."""
+        n = sum(combo)
+        rows = pairing.target.dim(n + pairing.degree)
+        size = 1
+        for c, d in zip(self.factors, combo):
+            size *= c.dim(d)
+        if rows == 0 or size == 0:
+            return Mat.zero(self.field, rows, size)
+        off, _ = self.block_offset(combo)
+        return pairing.component(n).take_columns(range(off, off + size))
+
     @property
     def complex(self) -> Complex:
         if self._complex is None:
@@ -896,6 +910,108 @@ class TensorLayout:
             return Mat.column(self.field, col)
 
         return target, self.map_from_entries(target.complex, 0, entry)
+
+
+def pair_elements(pairing: ChainMap, lay: TensorLayout, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
+    """pairing(x tensor y) for homogeneous x of degree dx and y of degree dy,
+    summed over their nonzero coefficients."""
+    field = lay.field
+    comp = pairing.component(dx + dy)
+    xs = [(i, v) for i, v in enumerate(x.column_values(0)) if not field.is_zero(v)]
+    ys = [(j, v) for j, v in enumerate(y.column_values(0)) if not field.is_zero(v)]
+    acc = [field.zero()] * comp.rows
+    if xs and ys:
+        off, _ = lay.block_offset((dx, dy))
+        ydim = lay.factors[1].dim(dy)
+        for i, xv in xs:
+            for j, yv in ys:
+                coeff = field.mul(xv, yv)
+                pos = off + i * ydim + j
+                for r, row in enumerate(comp.entries):
+                    if not field.is_zero(row[pos]):
+                        acc[r] = field.add(acc[r], field.mul(coeff, row[pos]))
+    return Mat.column(field, acc)
+
+
+# -- structure laws ---------------------------------------------------------------
+#
+# A structure map (composition, an action, a ring product) is passed with the
+# layout of its source as a (layout, pairing) pair.  Each law is an equality
+# of two block composites per degree tuple; a defect is reported as the
+# (degree tuple, factor indices) of the first basis tensor on which it fails.
+
+
+def first_difference(lhs: Mat, rhs: Mat) -> Optional[int]:
+    """Index of the first column where lhs and rhs differ, or None."""
+    if lhs == rhs:
+        return None
+    diff = lhs - rhs
+    zero = lhs.field.is_zero
+    return next(c for c in range(diff.cols) if any(not zero(row[c]) for row in diff.entries))
+
+
+def unit_defect(pair, unit: Mat, slot: int):
+    """First basis vector v of the other factor with mu(e tensor v) != v
+    (slot 0) or mu(v tensor e) != v (slot 1), for e of degree 0."""
+    lay, mu = pair
+    field = lay.field
+    other = lay.factors[1 - slot]
+    for d in other.degrees():
+        eye = Mat.identity(field, other.dim(d))
+        combo, factors = ((0, d), (unit, eye)) if slot == 0 else ((d, 0), (eye, unit))
+        col = first_difference(kron_product(lay.block(mu, combo), *factors), eye)
+        if col is not None:
+            return d, col
+    return None
+
+
+def associativity_defect(outer_left, inner_left, outer_right, inner_right):
+    """First basis tensor x (x) y (x) z on which
+    mu1(mu2(x (x) y) (x) z) != mu3(x (x) mu4(y (x) z)), i.e. where the blocks
+    mu1 . kron(mu2, 1) and mu3 . kron(1, mu4) differ; the four pairs are
+    (mu1, mu2, mu3, mu4), all of degree 0."""
+    (l1, m1), (l2, m2), (l3, m3), (l4, m4) = outer_left, inner_left, outer_right, inner_right
+    triple = TensorLayout([l2.factors[0], l2.factors[1], l4.factors[1]])
+    x, _, z = triple.factors
+    for n in sorted(triple.dims()):
+        if m1.target.dim(n) == 0:
+            continue
+        for (dx, dy, dz), off, _ in triple.blocks(n):
+            lhs = kron_product(l1.block(m1, (dx + dy, dz)), l2.block(m2, (dx, dy)),
+                               Mat.identity(triple.field, z.dim(dz)))
+            rhs = kron_product(l3.block(m3, (dx, dy + dz)), Mat.identity(triple.field, x.dim(dx)),
+                               l4.block(m4, (dy, dz)))
+            col = first_difference(lhs, rhs)
+            if col is not None:
+                return triple.decompose(n, off + col)
+    return None
+
+
+def morphism_defect(source, target, outer: ChainMap, first: ChainMap, second: ChainMap):
+    """First basis tensor x (x) y of the source pairing mu on which
+    outer(mu(x (x) y)) != mu'(first(x) (x) second(y)), i.e. where the blocks
+    outer . mu and mu' . kron(first, second) differ; ``second`` has degree 0,
+    so no Koszul sign arises."""
+    (lay, mu), (tlay, tmu) = source, target
+    for n in sorted(lay.dims()):
+        for (dx, dy), off, _ in lay.blocks(n):
+            lhs = outer.component(n) @ lay.block(mu, (dx, dy))
+            rhs = kron_product(tlay.block(tmu, (dx + first.degree, dy)),
+                               first.component(dx), second.component(dy))
+            col = first_difference(lhs, rhs)
+            if col is not None:
+                return lay.decompose(n, off + col)
+    return None
+
+
+def swap_leading_factors(m: Mat, p: int, q: int) -> Mat:
+    """m precomposed with the unsigned swap of the two leading tensor factors:
+    the columns of m, indexed row-major by (j, i, k) with j < q and i < p,
+    reordered to (i, j, k).  The Koszul sign is the caller's
+    ``permutation_sign``."""
+    rest = m.cols // (p * q) if p * q else 0
+    return m.take_columns([(j * p + i) * rest + k
+                           for i in range(p) for j in range(q) for k in range(rest)])
 
 
 def tensor_field(a: Complex, b: Complex) -> Complex:

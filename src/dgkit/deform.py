@@ -18,8 +18,6 @@ from .complexes import ChainMap, TensorLayout
 from .dgcat import DgCategory, H0Category, h0_category, h0_ring, one_object_category
 from .dgring import (
     AssumptionReport,
-    DgIdeal,
-    DgRing,
     DgRingMorphism,
     check_setup_assumptions,
     ideal_power,

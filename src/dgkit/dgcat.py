@@ -4,26 +4,33 @@ tensor products.
 
 Composition is stored as one chain map hom(B,C) @ hom(A,B) -> hom(A,C) per
 object triple; its chain-map property is the Leibniz rule.  Identity,
-associativity, and compatibility of the base action are checked on basis
-elements at construction.
+associativity, and compatibility of the base action are checked at
+construction, each once per degree block as an equation of block composites
+(see the structure laws in ``complexes``).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Optional, Sequence, Tuple
 
 from .complexes import (
     ChainMap,
     Complex,
     TensorLayout,
+    associativity_defect,
     element_action,
+    morphism_defect,
+    pair_elements,
+    permutation_sign,
     regroup,
-    subcomplex,
+    swap_leading_factors,
     truncate_le,
+    unit_defect,
 )
 from .dgring import DgRing, DgRingMorphism
 from .errors import ValidationError
-from .matrix import Mat
+from .matrix import Mat, kron_product
 
 
 class DgCategory:
@@ -95,20 +102,15 @@ class DgCategory:
 
     def compose_elements(self, a, b, c, dg: int, g: Mat, df: int, f: Mat) -> Mat:
         """Composite g o f of homogeneous elements g in hom(b,c), f in hom(a,b)."""
-        field = self.field
-        lay = self.comp_layouts[(a, b, c)]
-        cm = self.comp[(a, b, c)]
-        out = Mat.zero(field, self.hom(a, c).dim(dg + df), 1)
-        comp_mat = cm.component(dg + df)
-        for i, gv in enumerate(g.column_values(0)):
-            if field.is_zero(gv):
-                continue
-            for j, fv in enumerate(f.column_values(0)):
-                if field.is_zero(fv):
-                    continue
-                pos = lay.position((dg, df), (i, j))
-                out = out + comp_mat.col(pos).scale(field.mul(gv, fv))
-        return out
+        return pair_elements(self.comp[(a, b, c)], self.comp_layouts[(a, b, c)], dg, g, df, f)
+
+    def comp_pair(self, a, b, c):
+        """Composition hom(b,c) @ hom(a,b) -> hom(a,c) with its source layout."""
+        return self.comp_layouts[(a, b, c)], self.comp[(a, b, c)]
+
+    def action_pair(self, a, b):
+        """Base action on hom(a,b) with its source layout."""
+        return self.action_layouts[(a, b)], self.action[(a, b)]
 
     def act_element(self, a, b, rdeg: int, rvec: Mat) -> Dict[int, Mat]:
         """Per-degree matrices of r * (-) on hom(a,b)."""
@@ -145,84 +147,45 @@ class DgCategory:
                 raise ValidationError(f"{name}: identity at {a} is not closed")
         for a in self.objects:
             for b in self.objects:
-                for deg, f in self.hom_basis(a, b):
-                    if self.compose_elements(a, b, b, 0, self.ids[b], deg, f) != f:
-                        raise ValidationError(f"{name}: left identity fails on hom({a},{b})")
-                    if self.compose_elements(a, a, b, deg, f, 0, self.ids[a]) != f:
-                        raise ValidationError(f"{name}: right identity fails on hom({a},{b})")
-        for a in self.objects:
-            for b in self.objects:
-                for c in self.objects:
-                    for d in self.objects:
-                        for dh, h in self.hom_basis(c, d):
-                            for dg, g in self.hom_basis(b, c):
-                                hg = self.compose_elements(b, c, d, dh, h, dg, g)
-                                for df, f in self.hom_basis(a, b):
-                                    left = self.compose_elements(a, b, d, dh + dg, hg, df, f)
-                                    gf = self.compose_elements(a, b, c, dg, g, df, f)
-                                    right = self.compose_elements(a, c, d, dh, h, dg + df, gf)
-                                    if left != right:
-                                        raise ValidationError(
-                                            f"{name}: associativity fails on triple "
-                                            f"hom({c},{d}) x hom({b},{c}) x hom({a},{b})")
+                if unit_defect(self.comp_pair(a, b, b), self.ids[b], 0) is not None:
+                    raise ValidationError(f"{name}: left identity fails on hom({a},{b})")
+                if unit_defect(self.comp_pair(a, a, b), self.ids[a], 1) is not None:
+                    raise ValidationError(f"{name}: right identity fails on hom({a},{b})")
+        for a, b, c, d in itertools.product(self.objects, repeat=4):
+            if associativity_defect(self.comp_pair(a, b, d), self.comp_pair(b, c, d),
+                                    self.comp_pair(a, c, d), self.comp_pair(a, b, c)) is not None:
+                raise ValidationError(f"{name}: associativity fails on triple "
+                                      f"hom({c},{d}) x hom({b},{c}) x hom({a},{b})")
         self._check_action()
 
     def _check_action(self):
         name = self.name
-        field = self.field
-        unit = self.base.unit
+        base = self.base
         for a in self.objects:
             for b in self.objects:
-                fam_unit = self.act_element(a, b, 0, unit)
-                for deg in self.hom(a, b).degrees():
-                    if fam_unit.get(deg) != Mat.identity(field, self.hom(a, b).dim(deg)):
-                        raise ValidationError(f"{name}: base action not unital on hom({a},{b})")
-        for dr, i in self.base.basis():
-            r = self.base.basis_vector(dr, i)
-            for ds, j in self.base.basis():
-                s = self.base.basis_vector(ds, j)
-                rs = self.base.mul(dr, r, ds, s)
-                for a in self.objects:
-                    for b in self.objects:
-                        fam_r = self.act_element(a, b, dr, r)
-                        fam_s = self.act_element(a, b, ds, s)
-                        fam_rs = self.act_element(a, b, dr + ds, rs)
-                        for deg in self.hom(a, b).degrees():
-                            via = fam_r.get(deg + ds, Mat.zero(field, self.hom(a, b).dim(deg + ds + dr),
-                                                               self.hom(a, b).dim(deg + ds))) @ \
-                                fam_s.get(deg, Mat.zero(field, self.hom(a, b).dim(deg + ds),
-                                                        self.hom(a, b).dim(deg)))
-                            direct = fam_rs.get(deg, Mat.zero(field, self.hom(a, b).dim(deg + dr + ds),
-                                                              self.hom(a, b).dim(deg)))
-                            if via != direct:
-                                raise ValidationError(
-                                    f"{name}: base action not associative on hom({a},{b})")
-        # centrality against composition on basis elements
-        for dr, i in self.base.basis():
-            r = self.base.basis_vector(dr, i)
-            for a in self.objects:
-                for b in self.objects:
-                    for c in self.objects:
-                        for dg, g in self.hom_basis(b, c):
-                            rg_fam = self.act_element(b, c, dr, r)
-                            rg = rg_fam[dg] @ g if dg in rg_fam else Mat.zero(field, self.hom(b, c).dim(dg + dr), 1)
-                            for df, f in self.hom_basis(a, b):
-                                rf_fam = self.act_element(a, b, dr, r)
-                                rf = rf_fam[df] @ f if df in rf_fam else Mat.zero(field, self.hom(a, b).dim(df + dr), 1)
-                                gf = self.compose_elements(a, b, c, dg, g, df, f)
-                                r_gf_fam = self.act_element(a, c, dr, r)
-                                r_gf = r_gf_fam[dg + df] @ gf if (dg + df) in r_gf_fam else \
-                                    Mat.zero(field, self.hom(a, c).dim(dg + df + dr), 1)
-                                left = self.compose_elements(a, b, c, dg + dr, rg, df, f)
-                                if left != r_gf:
-                                    raise ValidationError(
-                                        f"{self.name}: action not central (left) on hom({a},{b},{c})")
-                                right = self.compose_elements(a, b, c, dg, g, df + dr, rf)
-                                if dr % 2 and dg % 2:
-                                    right = -right
-                                if right != r_gf:
-                                    raise ValidationError(
-                                        f"{self.name}: action not central (right) on hom({a},{b},{c})")
+                act = self.action_pair(a, b)
+                if unit_defect(act, base.unit, 0) is not None:
+                    raise ValidationError(f"{name}: base action not unital on hom({a},{b})")
+                if associativity_defect(act, (base.square, base.mult), act, act) is not None:
+                    raise ValidationError(f"{name}: base action not associative on hom({a},{b})")
+        # centrality against composition: on r (x) g (x) f, (r.g) o f and
+        # (-1)^{|r||g|} g o (r.f) both equal r.(g o f)
+        for a, b, c in itertools.product(self.objects, repeat=3):
+            comp, act_ac = self.comp_pair(a, b, c), self.action_pair(a, c)
+            if associativity_defect(comp, self.action_pair(b, c), act_ac, comp) is not None:
+                raise ValidationError(f"{name}: action not central (left) on hom({a},{b},{c})")
+            (clay, cm), (alay, am), (olay, om) = comp, self.action_pair(a, b), act_ac
+            triple = TensorLayout([base.underlying, self.hom(b, c), self.hom(a, b)])
+            for n in sorted(triple.dims()):
+                for (dr, dg, df), _, _ in triple.blocks(n):
+                    eye_g = Mat.identity(self.field, self.hom(b, c).dim(dg))
+                    eye_r = Mat.identity(self.field, base.dim(dr))
+                    # g o (r.f) on g (x) r (x) f, then reindexed to r (x) g (x) f
+                    g_rf = kron_product(clay.block(cm, (dg, dr + df)), eye_g, alay.block(am, (dr, df)))
+                    g_rf = swap_leading_factors(g_rf, eye_r.rows, eye_g.rows)
+                    r_gf = kron_product(olay.block(om, (dr, dg + df)), eye_r, clay.block(cm, (dg, df)))
+                    if (-g_rf if permutation_sign((dr, dg, df), (1, 0, 2)) < 0 else g_rf) != r_gf:
+                        raise ValidationError(f"{name}: action not central (right) on hom({a},{b},{c})")
 
     # -- constructors ---------------------------------------------------------
 
@@ -230,7 +193,6 @@ class DgCategory:
     def from_ring(ring: DgRing, obj="*", name: Optional[str] = None) -> "DgCategory":
         """The one-object category whose endomorphisms are the ring."""
         cx = ring.underlying
-        lay = TensorLayout([cx, cx])
         comp = {(obj, obj, obj): ring.mult}
         action = {(obj, obj): ring.mult}
         return DgCategory(ring, [obj], {(obj, obj): cx}, comp, {obj: ring.unit},
@@ -269,37 +231,17 @@ class DgFunctor:
             img = self.apply_hom(a, a, 0, s.id_vector(a))
             if img != t.id_vector(fa):
                 raise ValidationError(f"{self.name}: identities not preserved at {a}")
-        for a in s.objects:
-            for b in s.objects:
-                for c in s.objects:
-                    for dg, g in s.hom_basis(b, c):
-                        for df, f in s.hom_basis(a, b):
-                            gf = s.compose_elements(a, b, c, dg, g, df, f)
-                            lhs = self.apply_hom(a, c, dg + df, gf)
-                            rhs = t.compose_elements(
-                                self.obj_map[a], self.obj_map[b], self.obj_map[c],
-                                dg, self.apply_hom(b, c, dg, g),
-                                df, self.apply_hom(a, b, df, f))
-                            if lhs != rhs:
-                                raise ValidationError(
-                                    f"{self.name}: composition not preserved on hom({a},{b})xhom({b},{c})")
+        for a, b, c in itertools.product(s.objects, repeat=3):
+            fa, fb, fc = self.obj_map[a], self.obj_map[b], self.obj_map[c]
+            if morphism_defect(s.comp_pair(a, b, c), t.comp_pair(fa, fb, fc), self.hom_map(a, c),
+                               self.hom_map(b, c), self.hom_map(a, b)) is not None:
+                raise ValidationError(f"{self.name}: composition not preserved on hom({a},{b})xhom({b},{c})")
         # linearity over the base (or over a base-ring morphism)
-        base = self.base_change
-        for dr, i in s.base.basis():
-            r = s.base.basis_vector(dr, i)
-            r_t = base.apply(dr, r) if base is not None else r
-            for a in s.objects:
-                for b in s.objects:
-                    fa, fb = self.obj_map[a], self.obj_map[b]
-                    for df, f in s.hom_basis(a, b):
-                        fam = s.act_element(a, b, dr, r)
-                        rf = fam[df] @ f if df in fam else Mat.zero(s.field, s.hom(a, b).dim(df + dr), 1)
-                        lhs = self.apply_hom(a, b, df + dr, rf)
-                        fam_t = t.act_element(fa, fb, dr, r_t)
-                        img = self.apply_hom(a, b, df, f)
-                        rhs = fam_t[df] @ img if df in fam_t else Mat.zero(t.field, t.hom(fa, fb).dim(df + dr), 1)
-                        if lhs != rhs:
-                            raise ValidationError(f"{self.name}: not linear over the base on hom({a},{b})")
+        base = self.base_change.map if self.base_change is not None else ChainMap.identity(s.base.underlying)
+        for a, b in itertools.product(s.objects, repeat=2):
+            if morphism_defect(s.action_pair(a, b), t.action_pair(self.obj_map[a], self.obj_map[b]),
+                               self.hom_map(a, b), base, self.hom_map(a, b)) is not None:
+                raise ValidationError(f"{self.name}: not linear over the base on hom({a},{b})")
 
     @staticmethod
     def identity(cat: DgCategory) -> "DgFunctor":

@@ -5,7 +5,7 @@ A ring is presented by a flat basis list (one degree per basis element, all
 degrees <= 0), a unit vector in degree 0, and a multiplication tensor given
 as a chain map out of the graded tensor square.  The chain-map property of
 that tensor *is* the Leibniz rule, so it is enforced by construction; unit,
-associativity and graded commutativity are checked on basis elements.
+associativity and graded commutativity are checked once per degree block.
 """
 
 from __future__ import annotations
@@ -13,10 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence
 
-from .complexes import ChainMap, Complex, TensorLayout, subcomplex, quotient_complex
+from .complexes import (
+    ChainMap,
+    Complex,
+    TensorLayout,
+    associativity_defect,
+    first_difference,
+    morphism_defect,
+    pair_elements,
+    permutation_sign,
+    quotient_complex,
+    subcomplex,
+    swap_leading_factors,
+    unit_defect,
+)
 from .errors import ValidationError
 from .fields import Field
-from .matrix import Mat
+from .matrix import Mat, kron_product
 
 
 class DgRing:
@@ -59,19 +72,7 @@ class DgRing:
 
     def mul(self, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
         """Product of two homogeneous elements; returns a vector in degree dx+dy."""
-        field = self.field
-        out_dim = self.dim(dx + dy)
-        acc = Mat.zero(field, out_dim, 1)
-        comp = self.mult.component(dx + dy)
-        for i, xv in enumerate(x.column_values(0)):
-            if field.is_zero(xv):
-                continue
-            for j, yv in enumerate(y.column_values(0)):
-                if field.is_zero(yv):
-                    continue
-                pos = self.square.position((dx, dy), (i, j))
-                acc = acc + comp.col(pos).scale(field.mul(xv, yv))
-        return acc
+        return pair_elements(self.mult, self.square, dx, x, dy, y)
 
     def mul_basis(self, dx: int, i: int, dy: int, j: int) -> Mat:
         return self.mul(dx, self.basis_vector(dx, i), dy, self.basis_vector(dy, j))
@@ -88,32 +89,24 @@ class DgRing:
             raise ValidationError(f"{name}: unit must be a nonzero degree-0 vector")
         if not (self.underlying.diff(0) @ self.unit).is_zero():
             raise ValidationError(f"{name}: unit is not closed")
-        for deg, i in self.basis():
-            e = self.basis_vector(deg, i)
-            if self.mul(0, self.unit, deg, e) != e:
-                raise ValidationError(f"{name}: left unit fails on basis element {self.label(deg, i)}")
-            if self.mul(deg, e, 0, self.unit) != e:
-                raise ValidationError(f"{name}: right unit fails on basis element {self.label(deg, i)}")
-        basis = list(self.basis())
-        for dx, i in basis:
-            x = self.basis_vector(dx, i)
-            for dy, j in basis:
-                y = self.basis_vector(dy, j)
-                xy = self.mul(dx, x, dy, y)
-                yx = self.mul(dy, y, dx, x)
-                if dx % 2 and dy % 2:
-                    yx = -yx
-                if xy != yx:
+        sq, pair = self.square, (self.square, self.mult)
+        for slot, side in ((0, "left"), (1, "right")):
+            defect = unit_defect(pair, self.unit, slot)
+            if defect is not None:
+                raise ValidationError(f"{name}: {side} unit fails on basis element {self.label(*defect)}")
+        for n in sorted(sq.dims()):
+            for (dx, dy), off, _ in sq.blocks(n):
+                yx = swap_leading_factors(sq.block(self.mult, (dy, dx)), self.dim(dx), self.dim(dy))
+                col = first_difference(sq.block(self.mult, (dx, dy)),
+                                       -yx if permutation_sign((dx, dy), (1, 0)) < 0 else yx)
+                if col is not None:
+                    _, (i, j) = sq.decompose(n, off + col)
                     raise ValidationError(
                         f"{name}: graded commutativity fails on ({self.label(dx, i)}, {self.label(dy, j)})")
-                for dz, k in basis:
-                    z = self.basis_vector(dz, k)
-                    left = self.mul(dx + dy, xy, dz, z)
-                    right = self.mul(dx, x, dy + dz, self.mul(dy, y, dz, z))
-                    if left != right:
-                        raise ValidationError(
-                            f"{name}: associativity fails on "
-                            f"({self.label(dx, i)}, {self.label(dy, j)}, {self.label(dz, k)})")
+        defect = associativity_defect(pair, pair, pair, pair)
+        if defect is not None:
+            labels = ", ".join(self.label(d, i) for d, i in zip(*defect))
+            raise ValidationError(f"{name}: associativity fails on ({labels})")
         # Leibniz holds automatically: mult is a chain map out of the tensor
         # square, whose differential carries the Koszul sign.
 
@@ -210,18 +203,11 @@ class DgRingMorphism:
     def _check(self):
         if self.map.component(0) @ self.source.unit != self.target.unit:
             raise ValidationError(f"{self.name}: morphism is not unital")
-        for dx, i in self.source.basis():
-            x = self.source.basis_vector(dx, i)
-            fx = self.map.component(dx) @ x
-            for dy, j in self.source.basis():
-                y = self.source.basis_vector(dy, j)
-                fy = self.map.component(dy) @ y
-                lhs = self.map.component(dx + dy) @ self.source.mul(dx, x, dy, y)
-                rhs = self.target.mul(dx, fx, dy, fy)
-                if lhs != rhs:
-                    raise ValidationError(
-                        f"{self.name}: morphism not multiplicative on "
-                        f"({self.source.label(dx, i)}, {self.source.label(dy, j)})")
+        src, tgt = self.source, self.target
+        defect = morphism_defect((src.square, src.mult), (tgt.square, tgt.mult), self.map, self.map, self.map)
+        if defect is not None:
+            labels = ", ".join(src.label(d, i) for d, i in zip(*defect))
+            raise ValidationError(f"{self.name}: morphism not multiplicative on ({labels})")
 
     def apply(self, deg: int, vec: Mat) -> Mat:
         return self.map.component(deg) @ vec
@@ -274,19 +260,19 @@ class DgIdeal:
             cols = self.inclusion.component(deg)
             if cols.rank() != cols.cols:
                 raise ValidationError(f"{self.name}: inclusion not injective in degree {deg}")
-        # closure under the ring action, on basis pairs
-        for dr, i in amb.basis():
-            r = amb.basis_vector(dr, i)
+        # closure under the ring action: per (dr, dx), the products of every
+        # ring basis element with every ideal basis element lie in the ideal
+        for dr in amb.degrees():
             for dx in self.sub.degrees():
-                for j in range(self.sub.dim(dx)):
-                    x = self.inclusion.component(dx) @ Mat.basis_column(amb.field, self.sub.dim(dx), j)
-                    prod = amb.mul(dr, r, dx, x)
-                    if prod.is_zero():
-                        continue
-                    span = self.inclusion.component(dr + dx)
-                    if span.cols == 0 or span.solve(prod) is None:
-                        raise ValidationError(
-                            f"{self.name}: not closed under multiplication by {amb.label(dr, i)}")
+                prods = kron_product(amb.square.block(amb.mult, (dr, dx)),
+                                     Mat.identity(amb.field, amb.dim(dr)), self.inclusion.component(dx))
+                span = self.inclusion.component(dr + dx)
+                rank = span.rank()
+                if span.hstack(prods).rank() == rank:
+                    continue
+                col = next(c for c in range(prods.cols) if span.hstack(prods.col(c)).rank() > rank)
+                raise ValidationError(f"{self.name}: not closed under multiplication by "
+                                      f"{amb.label(dr, col // self.sub.dim(dx))}")
 
     def dim(self, deg: int) -> int:
         return self.sub.dim(deg)

@@ -311,7 +311,7 @@ def trivial_action_module(rng: random.Random, cat, lo: int = -3, pieces: int = 3
 def random_module(rng: random.Random, cat, allow_cone: bool = True):
     """Sums of shifted representables and trivial-action pieces, optionally
     twisted by a cone of a random module map."""
-    from .bimodules import (Module, ModuleMap, cone_module, direct_sum_modules,
+    from .bimodules import (Module, cone_module, direct_sum_modules,
                             module_hom_complex, shift_module)
     choices = []
     n = rng.randint(1, 2)
@@ -783,7 +783,7 @@ def random_ring_module(rng: random.Random, theta, max_summands: int = 2,
 def random_h0_surjective_map(rng: random.Random, theta):
     """A module map V -> V' over theta.source with surjective H^0, as
     (V, V', ModuleMap): a projection off a direct summand."""
-    from .bimodules import ModuleMap, direct_sum_modules
+    from .bimodules import direct_sum_modules
     target = random_ring_module(rng, theta, allow_cone=False)
     extra = random_ring_module(rng, theta, max_summands=1, allow_cone=False)
     total, injs, projs = direct_sum_modules([target, extra])

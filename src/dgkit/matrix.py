@@ -312,3 +312,27 @@ def kron(a: Mat, b: Mat) -> Mat:
                 for l in range(b.cols):
                     out[i * b.rows + k][j * b.cols + l] = fld.mul(aij, b.entries[k][l])
     return Mat(fld, rows, cols, out)
+
+
+def kron_product(a: Mat, b: Mat, c: Mat) -> Mat:
+    """a @ kron(b, c) without forming the Kronecker product: the columns of a
+    come in b.rows groups of c.rows, and group i adds b[i][j] * (a_i @ c) to
+    column group j of the result."""
+    fld = same_field(a.field, b.field, c.field)
+    if a.cols != b.rows * c.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by a kron of "
+                         f"{b.rows}x{b.cols} and {c.rows}x{c.cols}")
+    width = c.cols
+    out = [[fld.zero()] * (b.cols * width) for _ in range(a.rows)]
+    for i, brow in enumerate(b.entries):
+        coeffs = [(j * width, v) for j, v in enumerate(brow) if not fld.is_zero(v)]
+        if not coeffs:
+            continue
+        part = a.take_columns(range(i * c.rows, (i + 1) * c.rows)) @ c
+        for orow, prow in zip(out, part.entries):
+            for l, pv in enumerate(prow):
+                if fld.is_zero(pv):
+                    continue
+                for off, v in coeffs:
+                    orow[off + l] = fld.add(orow[off + l], fld.mul(v, pv))
+    return Mat(fld, a.rows, b.cols * width, out)

@@ -17,9 +17,7 @@ from typing import Dict, List, Optional
 from .bimodules import (
     Bimodule,
     Module,
-    bimodule_hom_complex,
     coend_of,
-    compose_bimodules,
     direct_sum_bimodules,
     dual_of,
     end_of,
@@ -30,7 +28,6 @@ from .changeofrings import (
     coextension_adjunction_check,
     coextension_cotensor_check,
     coextension_tensor_check,
-    extend_scalars_cat,
     extension_adjunction_check,
     restrict_category,
     transitivity_check,
@@ -58,7 +55,7 @@ from .derived import (
     ring_as_module,
     tstruct_truncate,
 )
-from .dgcat import DgCategory, one_object_category, opposite, tensor_cat
+from .dgcat import one_object_category, opposite, tensor_cat
 from .dgring import DgRing, DgRingMorphism, check_setup_assumptions, make_dual_numbers
 from .errors import ValidationError
 from .fields import QQ, Field
@@ -66,12 +63,9 @@ from .instances import (
     acyclic_trivial_bimodule,
     exterior_one_object_category,
     cross_representable_bimodule,
-    exterior_extension_ring,
     free_arrow_category,
-    outer_representable_bimodule,
     random_h0_surjective_map,
     random_module,
-    random_nonpositive_category,
     random_ring_module,
     random_square_bimodule,
     small_random_category,

@@ -134,3 +134,35 @@ def test_cli_bad_input_exits_2_without_traceback(args, env):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+NON_ASSOCIATIVE_RING = {
+    "S": {"table": {"basis": [{"degree": 0, "label": "1"}, {"degree": 0, "label": "x"},
+                              {"degree": 0, "label": "y"}],
+                    "unit": 0,
+                    "mult": {"0,0": {"0": "1"}, "0,1": {"1": "1"}, "1,0": {"1": "1"},
+                             "0,2": {"2": "1"}, "2,0": {"2": "1"},
+                             "1,1": {"2": "1"}, "2,2": {"2": "1"}}}},
+}
+NON_MULTIPLICATIVE_MORPHISM = {
+    "R": {"dual_numbers": {"n": 2, "eps_degree": 0}},
+}
+
+
+@pytest.mark.parametrize("rings, morphisms, message", [
+    (NON_ASSOCIATIVE_RING, {}, "error: rings.S: S: associativity fails on (x, x, y)"),
+    (NON_MULTIPLICATIVE_MORPHISM,
+     {"bad": {"source": "R", "target": "R", "components": {"0": [["1", "1"], ["0", "0"]]}}},
+     "error: morphisms.bad: bad: morphism not multiplicative on (e, e)"),
+], ids=["non-associative-table", "non-multiplicative-morphism"])
+def test_cli_broken_law_exits_2_naming_basis_labels(tmp_path, rings, morphisms, message):
+    doc = {"field": "Q", "rings": rings, "morphisms": morphisms,
+           "commands": [{"run": "cohomology", "ring": next(iter(rings))}]}
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    package_root = str(Path(dgkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "dgkit.cli", "cohomology", "--scenario", str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == message
