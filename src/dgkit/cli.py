@@ -32,9 +32,7 @@ def _window_from(scn: Scenario, entry: Dict, override: Optional[str]) -> DegreeW
         return DegreeWindow(lo, hi)
     wname = entry.get("window")
     if wname:
-        if wname not in scn.windows:
-            raise ScenarioError(f"unknown window {wname!r}", "commands")
-        return scn.windows[wname]
+        return scn.resolve("windows", wname, "commands")
     return DegreeWindow(-4, 0)
 
 
@@ -42,12 +40,16 @@ def run(command: str, scn: Scenario, entry: Dict, window_override: Optional[str]
     """Dispatch one scenario command entry to its owning module."""
     out: Dict = {"command": command}
     if command == "cohomology":
-        cx = scn.resolve("complexes", entry["complex"], "commands")
+        cx = scn.resolve("complexes", entry.get("complex"), "commands")
         out["dims"] = {str(d): v for d, v in cx.cohomology().as_dict().items()}
         out["passed"] = True
     elif command == "truncate":
-        cx = scn.resolve("complexes", entry["complex"], "commands")
-        n = int(entry.get("n", 0))
+        cx = scn.resolve("complexes", entry.get("complex"), "commands")
+        try:
+            n = int(entry.get("n", 0))
+        except (TypeError, ValueError):
+            raise ScenarioError(f"truncation degree must be an integer, got {entry.get('n')!r}",
+                                "commands") from None
         if entry.get("kind", "le") == "le":
             t, comparison = truncate_le(cx, n)
         else:
@@ -55,48 +57,48 @@ def run(command: str, scn: Scenario, entry: Dict, window_override: Optional[str]
         out["dims"] = {str(d): v for d, v in t.cohomology().as_dict().items()}
         out["passed"] = True
     elif command == "cone":
-        f = scn.resolve("maps", entry["map"], "commands")
+        f = scn.resolve("maps", entry.get("map"), "commands")
         c, incl, proj = cone(f)
         out["dims"] = {str(d): v for d, v in c.cohomology().as_dict().items()}
         out["passed"] = True
     elif command in ("end", "coend"):
-        t = scn.resolve("bimodules", entry["bimodule"], "commands")
+        t = scn.resolve("bimodules", entry.get("bimodule"), "commands")
         res = end_of(t) if command == "end" else coend_of(t)
         out["dims"] = {str(d): res.complex.dim(d) for d in res.complex.degrees()}
         out["passed"] = True
     elif command == "compose":
-        f = scn.resolve("bimodules", entry["first"], "commands")
-        g = scn.resolve("bimodules", entry["second"], "commands")
+        f = scn.resolve("bimodules", entry.get("first"), "commands")
+        g = scn.resolve("bimodules", entry.get("second"), "commands")
         comp = compose_bimodules(f, g)
         out["components"] = {f"{a},{b}": {str(d): comp.at(a, b).dim(d)
                                           for d in comp.at(a, b).degrees()}
                              for a in comp.acat.objects for b in comp.bcat.objects}
         out["passed"] = True
     elif command == "dual":
-        f = scn.resolve("bimodules", entry["bimodule"], "commands")
+        f = scn.resolve("bimodules", entry.get("bimodule"), "commands")
         d = dual_of(f)
         out["components"] = {f"{a},{b}": {str(k): v for k, v in
                                           d.at(a, b).cohomology().as_dict().items()}
                              for a in d.acat.objects for b in d.bcat.objects}
         out["passed"] = True
     elif command == "derived-tensor":
-        m = scn.resolve("modules", entry["left"], "commands")
-        n = scn.resolve("modules", entry["right"], "commands")
+        m = scn.resolve("modules", entry.get("left"), "commands")
+        n = scn.resolve("modules", entry.get("right"), "commands")
         w = _window_from(scn, entry, window_override)
         rep = derived_tensor(m, n, w)
         out["dims"] = rep.as_dict()
         out["window"] = w.as_dict()
         out["passed"] = True
     elif command == "derived-hom":
-        m = scn.resolve("modules", entry["source"], "commands")
-        n = scn.resolve("modules", entry["target"], "commands")
+        m = scn.resolve("modules", entry.get("source"), "commands")
+        n = scn.resolve("modules", entry.get("target"), "commands")
         w = _window_from(scn, entry, window_override)
         rep = derived_hom(m, n, w)
         out["dims"] = rep.as_dict()
         out["window"] = w.as_dict()
         out["passed"] = True
     elif command == "tstruct":
-        m = scn.resolve("modules", entry["module"], "commands")
+        m = scn.resolve("modules", entry.get("module"), "commands")
         rep = tstruct_truncate(m)
         out["triangle_distinguished"] = rep.triangle_is_distinguished
         out["aisle_le_dims"] = {str(a): {str(d): v for d, v in
@@ -107,36 +109,36 @@ def run(command: str, scn: Scenario, entry: Dict, window_override: Optional[str]
                                 for a in m.cat.objects}
         out["passed"] = rep.triangle_is_distinguished
     elif command == "coextend-check":
-        acat = scn.resolve("categories", entry["acat"], "commands")
-        bcat = scn.resolve("categories", entry["bcat"], "commands")
-        g = scn.resolve("bimodules", entry["bimodule"], "commands")
+        acat = scn.resolve("categories", entry.get("acat"), "commands")
+        bcat = scn.resolve("categories", entry.get("bcat"), "commands")
+        g = scn.resolve("bimodules", entry.get("bimodule"), "commands")
         pair = coextension_adjunction_check(acat, bcat, g)
         out["round_trip_strict"] = pair.round_trip_strict
         out["hom_spaces_equal"] = pair.hom_spaces_equal
         out["morphism_action_s_linear"] = pair.morphism_action_s_linear
         out["passed"] = pair.all_pass
     elif command == "extend":
-        cat = scn.resolve("categories", entry["category"], "commands")
-        theta = scn.resolve("morphisms", entry["morphism"], "commands")
+        cat = scn.resolve("categories", entry.get("category"), "commands")
+        theta = scn.resolve("morphisms", entry.get("morphism"), "commands")
         ext = extend_scalars_cat(cat, theta)
         out["hom_dims"] = {f"{a},{b}": {str(d): ext.category.hom(a, b).dim(d)
                                         for d in ext.category.hom(a, b).degrees()}
                            for a in cat.objects for b in cat.objects}
         out["passed"] = True
     elif command == "factorize":
-        theta = scn.resolve("morphisms", entry["morphism"], "commands")
+        theta = scn.resolve("morphisms", entry.get("morphism"), "commands")
         chain = factorize(theta)
         out["report"] = chain.as_dict()
         out["passed"] = chain.all_pass
     elif command == "deform":
-        cat = scn.resolve("categories", entry["category"], "commands")
-        theta = scn.resolve("morphisms", entry["morphism"], "commands")
+        cat = scn.resolve("categories", entry.get("category"), "commands")
+        theta = scn.resolve("morphisms", entry.get("morphism"), "commands")
         w = _window_from(scn, entry, window_override)
         ext, report = deform_category(cat, theta, w)
         out["report"] = report.as_dict()
         out["passed"] = report.all_pass
     elif command == "check-hlc":
-        cat = scn.resolve("categories", entry["category"], "commands")
+        cat = scn.resolve("categories", entry.get("category"), "commands")
         verdict = check_hlc(cat)
         out["report"] = verdict.as_dict()
         out["passed"] = verdict.all_pass

@@ -238,6 +238,13 @@ class CohomologyReport:
         return {d: v for d, v in sorted(self.dims.items()) if v}
 
 
+def _product(a: Optional[Mat], b: Optional[Mat]) -> Optional[Mat]:
+    """a @ b, or None when either factor is structurally absent."""
+    if a is None or b is None:
+        return None
+    return a @ b
+
+
 class ChainMap:
     """Graded map of complexes commuting with d up to (-1)^degree."""
 
@@ -266,13 +273,20 @@ class ChainMap:
             self._check_commutes()
 
     def _check_commutes(self):
-        sign = -1 if self.degree % 2 else 1
+        """d f = (-1)^degree f d in every degree.  A product with a
+        structurally absent factor (zero differential or component) is
+        skipped, and the other side must then be zero."""
+        comps, d_target, d_source = self.components, self.target.d, self.source.d
         for deg in self.source.degrees():
-            left = self.target.diff(deg + self.degree) @ self.component(deg)
-            right = self.component(deg + 1) @ self.source.diff(deg)
-            if sign < 0:
-                right = -right
-            if left != right:
+            left = _product(d_target.get(deg + self.degree), comps.get(deg))
+            right = _product(comps.get(deg + 1), d_source.get(deg))
+            if left is None:
+                ok = right is None or right.is_zero()
+            elif right is None:
+                ok = left.is_zero()
+            else:
+                ok = left == (-right if self.degree % 2 else right)
+            if not ok:
                 raise ValidationError(
                     f"chain map does not commute with differentials at degree {deg}")
 

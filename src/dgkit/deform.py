@@ -311,6 +311,55 @@ def _is_commutative(n, mult, field):
     return True
 
 
+def _algebra_mul(n, mult, field, x, y):
+    """x * y for column vectors x, y in the algebra with structure constants mult."""
+    out = Mat.zero(field, n, 1)
+    for i, xv in enumerate(x.column_values(0)):
+        if field.is_zero(xv):
+            continue
+        for j, yv in enumerate(y.column_values(0)):
+            if field.is_zero(yv):
+                continue
+            out = out + mult[(i, j)].scale(field.mul(xv, yv))
+    return out
+
+
+def _algebra_power(n, mult, unit, field, x, k: int):
+    """x^k by repeated squaring."""
+    result = unit
+    while k:
+        if k & 1:
+            result = _algebra_mul(n, mult, field, result, x)
+        x = _algebra_mul(n, mult, field, x, x)
+        k >>= 1
+    return result
+
+
+def _nontrivial_idempotents_fp(n, mult, unit, field):
+    """Idempotents of a commutative algebra A over F_p, decided exactly.
+
+    The Berlekamp subalgebra {x : x^p = x}, the kernel of the F_p-linear map
+    Frobenius - id, has dimension equal to the number of local factors of A
+    (Berlekamp 1967), so A has a nontrivial idempotent iff that dimension
+    exceeds 1.  A non-scalar x in it takes at least two values in F_p across
+    the factors; for a value c, the Lagrange indicator polynomial of c on F_p,
+    1 - (t - c)^(p-1), sends x to the idempotent that is 1 exactly on the
+    factors where x is c.  Returns a one-element witness list or []."""
+    p = field.char
+    frob = Mat.from_columns(field, n, [
+        (_algebra_power(n, mult, unit, field, e, p) - e).column_values(0)
+        for e in (Mat.basis_column(field, n, i) for i in range(n))])
+    fixed = frob.kernel_basis()
+    if fixed.cols <= 1:
+        return []
+    x = next(fixed.col(j) for j in range(fixed.cols) if fixed.col(j).hstack(unit).rank() == 2)
+    for c in range(p):
+        e = unit - _algebra_power(n, mult, unit, field, x - unit.scale(c), p - 1)
+        if not e.is_zero() and e != unit and _algebra_mul(n, mult, field, e, e) == e:
+            return [e]
+    raise AssertionError("a non-scalar Frobenius-fixed element takes no value in F_p")
+
+
 def _nontrivial_idempotents_commutative(n, mult, unit, field):
     """Idempotents of a commutative algebra over Q via minimal-polynomial
     factorization (sympy does the factoring); returns a possibly empty list."""
@@ -318,23 +367,12 @@ def _nontrivial_idempotents_commutative(n, mult, unit, field):
         return []
     import sympy
 
-    def mul_vec(x, y):
-        out = Mat.zero(field, n, 1)
-        for i, xv in enumerate(x.column_values(0)):
-            if field.is_zero(xv):
-                continue
-            for j, yv in enumerate(y.column_values(0)):
-                if field.is_zero(yv):
-                    continue
-                out = out + mult[(i, j)].scale(field.mul(xv, yv))
-        return out
-
     found = []
     for gen in range(n):
         x = Mat.basis_column(field, n, gen)
         powers = [unit, x]
         while True:
-            nxt = mul_vec(powers[-1], x)
+            nxt = _algebra_mul(n, mult, field, powers[-1], x)
             powers.append(nxt)
             stack = Mat.from_columns(field, n, [p.column_values(0) for p in powers])
             if stack.rank() < stack.cols:
@@ -364,9 +402,9 @@ def _nontrivial_idempotents_commutative(n, mult, unit, field):
             k = mono[0]
             term = unit
             for _ in range(k):
-                term = mul_vec(term, x)
+                term = _algebra_mul(n, mult, field, term, x)
             acc = acc + term.scale(field.parse(str(Fraction(str(coeff)))))
-        if mul_vec(acc, acc) == acc and not acc.is_zero() and acc != unit:
+        if _algebra_mul(n, mult, field, acc, acc) == acc and not acc.is_zero() and acc != unit:
             found.append(acc)
     return found
 
@@ -402,10 +440,10 @@ def h0_structure_verdict(cat: DgCategory,
             knote = (f"H^0(End({a})) is noncommutative; idempotent discovery is "
                      "implemented for commutative desk instances only")
             continue
-        if field.char != 0:
-            knote = f"idempotent factorization over F_p skipped for End({a}); dims recorded"
-            continue
-        idems = _nontrivial_idempotents_commutative(n, mult, unit, field)
+        if field.char:
+            idems = _nontrivial_idempotents_fp(n, mult, unit, field)
+        else:
+            idems = _nontrivial_idempotents_commutative(n, mult, unit, field)
         for e in idems:
             witnesses.append((a, e))
             # an unsplit nontrivial idempotent breaks Karoubianness at desk scale

@@ -1,8 +1,10 @@
 """Exact scalar fields: the rationals and prime fields F_p.
 
-Elements are plain Python values (``fractions.Fraction`` for Q, canonical
-``int`` representatives ``0..p-1`` for F_p); a ``Field`` instance supplies
-the arithmetic.  All operations are exact by construction.
+Elements are plain Python values: over Q an ``int`` or a
+``fractions.Fraction`` (a ``Fraction`` appears only where a division produces
+one; the two compare and hash equal), over F_p the canonical ``int``
+representatives ``0..p-1``.  A ``Field`` instance supplies the arithmetic.
+All operations are exact by construction.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class Field:
         """Encoding used in scenario files and reports; round-trips exactly."""
         raise NotImplementedError
 
-    def pivot_weight(self, a) -> int:
-        """Size heuristic used to pick small pivots; smaller is better."""
-        return 1
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.tag == other.tag
 
@@ -72,10 +70,10 @@ class RationalField(Field):
     tag = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
         return a + b
@@ -92,19 +90,22 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / Fraction(a)
+        return _normal(1 / Fraction(a))
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def is_zero(self, a):
         return a == 0
 
     def parse(self, text):
         if isinstance(text, int):
-            return Fraction(text)
+            return int(text)
         if isinstance(text, str):
-            return Fraction(text)
+            try:
+                return _normal(Fraction(text))
+            except (ValueError, ZeroDivisionError):
+                pass
         raise DgkitError(f"cannot parse rational from {text!r}")
 
     def render(self, a):
@@ -113,9 +114,11 @@ class RationalField(Field):
             return str(a.numerator)
         return f"{a.numerator}/{a.denominator}"
 
-    def pivot_weight(self, a):
-        a = Fraction(a)
-        return abs(a.numerator).bit_length() + a.denominator.bit_length()
+
+
+def _normal(q: Fraction):
+    """A rational as an ``int`` when its denominator is 1."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class PrimeField(Field):
@@ -160,7 +163,10 @@ class PrimeField(Field):
         if isinstance(text, int):
             return text % self.p
         if isinstance(text, str):
-            return int(text, 10) % self.p
+            try:
+                return int(text, 10) % self.p
+            except ValueError:
+                pass
         raise DgkitError(f"cannot parse F_{self.p} element from {text!r}")
 
     def render(self, a):
@@ -197,6 +203,6 @@ def field_from_spec(spec) -> Field:
 def same_field(*fields: Field) -> Field:
     first = fields[0]
     for f in fields[1:]:
-        if f != first:
+        if f is not first and f != first:
             raise FieldMismatchError(f"mixed fields {first} and {f}")
     return first

@@ -2,14 +2,31 @@
 
 Everything downstream (kernels, cokernels, (co)ends, resolutions) reduces to
 ``Mat.rref``.  Vectors are columns; a matrix acts on the left.
+
+Entries are plain Python numbers: ``int`` or ``Fraction`` over Q, and the
+canonical residues ``0..p-1`` over F_p.  The public constructor ``Mat(...)``
+checks the shape and is the one place where F_p entries from outside (``-1``,
+``p + 3``) are reduced to their residues.  So the kernel (products,
+elimination, Kronecker products, zero and equality tests) runs on the native
+``+ - *`` operators and truthiness, with one ``% p`` per computed entry over
+F_p and no ``Field`` call per entry.  Results the kernel has already shaped
+and reduced are wrapped by the unchecked internal constructor ``Mat._wrap``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ShapeError
 from .fields import Field, same_field
+
+
+def _canonical(p: int, rows) -> tuple:
+    """Rows as a tuple of tuples, reduced mod p when p is nonzero."""
+    if p:
+        return tuple(tuple(a % p for a in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 class Mat:
@@ -20,7 +37,7 @@ class Mat:
     def __init__(self, field: Field, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative shape {rows}x{cols}")
-        ents = tuple(tuple(row) for row in entries)
+        ents = _canonical(field.char, entries)
         if len(ents) != rows or any(len(r) != cols for r in ents):
             raise ShapeError(f"entry grid does not match shape {rows}x{cols}")
         self.field = field
@@ -29,17 +46,33 @@ class Mat:
         self.entries = ents
         self._rref = None
 
+    @staticmethod
+    def _wrap(field: Field, rows: int, cols: int, entries: tuple) -> "Mat":
+        """Unchecked constructor: ``entries`` is already a tuple of ``rows``
+        tuples of ``cols`` canonical entries."""
+        m = object.__new__(Mat)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._rref = None
+        return m
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def zero(field: Field, rows: int, cols: int) -> "Mat":
-        z = field.zero()
-        return Mat(field, rows, cols, [[z] * cols for _ in range(rows)])
+        """The zero matrix of a shape; one shared immutable instance per shape."""
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"negative shape {rows}x{cols}")
+        return Mat._wrap(field, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        z, o = field.zero(), field.one()
-        return Mat(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        if n < 0:
+            raise ShapeError(f"negative shape {n}x{n}")
+        return Mat._wrap(field, n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @staticmethod
     def from_function(field: Field, rows: int, cols: int, fn: Callable[[int, int], object]) -> "Mat":
@@ -51,9 +84,9 @@ class Mat:
 
     @staticmethod
     def basis_column(field: Field, n: int, i: int) -> "Mat":
-        col = [field.zero()] * n
-        col[i] = field.one()
-        return Mat(field, n, 1, [[v] for v in col])
+        col = [0] * n
+        col[i] = 1
+        return Mat._wrap(field, n, 1, tuple((v,) for v in col))
 
     @staticmethod
     def from_columns(field: Field, n: int, columns: Iterable[Sequence]) -> "Mat":
@@ -69,66 +102,60 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
-        add = self.field.add
         return Mat(self.field, self.rows, self.cols,
-                   [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+                   [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
-        sub = self.field.sub
         return Mat(self.field, self.rows, self.cols,
-                   [[sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+                   [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Mat":
-        neg = self.field.neg
-        return Mat(self.field, self.rows, self.cols, [[neg(a) for a in row] for row in self.entries])
+        return Mat(self.field, self.rows, self.cols, [[-a for a in row] for row in self.entries])
 
     def scale(self, c) -> "Mat":
-        mul = self.field.mul
-        return Mat(self.field, self.rows, self.cols, [[mul(c, a) for a in row] for row in self.entries])
+        return Mat(self.field, self.rows, self.cols, [[c * a for a in row] for row in self.entries])
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """Row-sparse product: zero entries of either factor are skipped."""
         same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        fld = self.field
-        z = fld.zero()
+        n = other.cols
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
-        ot = [tuple(other.entries[k][j] for k in range(other.rows)) for j in range(other.cols)]
         for row in self.entries:
-            out_row = []
-            for col in ot:
-                acc = z
-                for a, b in zip(row, col):
-                    if not fld.is_zero(a) and not fld.is_zero(b):
-                        acc = fld.add(acc, fld.mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Mat(fld, self.rows, other.cols, out)
+            acc = [0] * n
+            for a, brow in zip(row, sparse):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            out.append(acc)
+        return Mat._wrap(self.field, self.rows, n, _canonical(self.field.char, out))
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows,
-                   [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        ents = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Mat._wrap(self.field, self.cols, self.rows, ents)
 
     def hstack(self, other: "Mat") -> "Mat":
         same_field(self.field, other.field)
         if self.rows != other.rows:
             raise ShapeError("hstack row mismatch")
-        return Mat(self.field, self.rows, self.cols + other.cols,
-                   [ra + rb for ra, rb in zip(self.entries, other.entries)])
+        return Mat._wrap(self.field, self.rows, self.cols + other.cols,
+                         tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
 
     def vstack(self, other: "Mat") -> "Mat":
         same_field(self.field, other.field)
         if self.cols != other.cols:
             raise ShapeError("vstack col mismatch")
-        return Mat(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
+        return Mat._wrap(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def take_columns(self, indices: Sequence[int]) -> "Mat":
-        return Mat(self.field, self.rows, len(indices),
-                   [[row[j] for j in indices] for row in self.entries])
+        return Mat._wrap(self.field, self.rows, len(indices),
+                         tuple(tuple(row[j] for j in indices) for row in self.entries))
 
     def take_rows(self, indices: Sequence[int]) -> "Mat":
-        return Mat(self.field, len(indices), self.cols, [self.entries[i] for i in indices])
+        return Mat._wrap(self.field, len(indices), self.cols, tuple(self.entries[i] for i in indices))
 
     def col(self, j: int) -> "Mat":
         return self.take_columns([j])
@@ -137,19 +164,14 @@ class Mat:
         return [row[j] for row in self.entries]
 
     def is_zero(self) -> bool:
-        z = self.field.is_zero
-        return all(z(a) for row in self.entries for a in row)
+        return not any(map(any, self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         if other.field != self.field or other.rows != self.rows or other.cols != self.cols:
             return False
-        z = self.field.is_zero
-        sub = self.field.sub
-        return all(z(sub(a, b))
-                   for ra, rb in zip(self.entries, other.entries)
-                   for a, b in zip(ra, rb))
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash((self.field, self.rows, self.cols))
@@ -164,24 +186,33 @@ class Mat:
         """Reduced row echelon form with transformation: returns (R, T, pivots)
         satisfying T @ self == R, T invertible, pivots = list of (row, col).
 
-        Pivot choice uses the field's magnitude heuristic to keep rational
-        coefficients small.
+        The pivot of a column is its first nonzero entry at or below the
+        current row; over Q, the first of least size (numerator plus
+        denominator bit length), which keeps rational coefficients small.
         """
         if self._rref is not None:
             return self._rref
         fld = self.field
+        p = fld.char
+        m = self.rows
         R = [list(row) for row in self.entries]
-        T = [list(row) for row in Mat.identity(fld, self.rows).entries]
+        T = [[0] * m for _ in range(m)]
+        for i in range(m):
+            T[i][i] = 1
         pivots = []
         r = 0
         for c in range(self.cols):
-            if r >= self.rows:
+            if r >= m:
                 break
             best = None
             best_w = None
-            for i in range(r, self.rows):
-                if not fld.is_zero(R[i][c]):
-                    w = fld.pivot_weight(R[i][c])
+            for i in range(r, m):
+                a = R[i][c]
+                if a:
+                    if p:
+                        best = i
+                        break
+                    w = abs(a.numerator).bit_length() + a.denominator.bit_length()
                     if best is None or w < best_w:
                         best, best_w = i, w
             if best is None:
@@ -190,16 +221,34 @@ class Mat:
                 R[r], R[best] = R[best], R[r]
                 T[r], T[best] = T[best], T[r]
             pv = fld.inv(R[r][c])
-            R[r] = [fld.mul(pv, a) for a in R[r]]
-            T[r] = [fld.mul(pv, a) for a in T[r]]
-            for i in range(self.rows):
-                if i != r and not fld.is_zero(R[i][c]):
-                    factor = R[i][c]
-                    R[i] = [fld.sub(a, fld.mul(factor, b)) for a, b in zip(R[i], R[r])]
-                    T[i] = [fld.sub(a, fld.mul(factor, b)) for a, b in zip(T[i], T[r])]
+            if pv != 1:
+                if p:
+                    R[r] = [pv * a % p for a in R[r]]
+                    T[r] = [pv * a % p for a in T[r]]
+                else:
+                    R[r] = [pv * a for a in R[r]]
+                    T[r] = [pv * a for a in T[r]]
+            r_nz = [(j, a) for j, a in enumerate(R[r]) if a]
+            t_nz = [(j, a) for j, a in enumerate(T[r]) if a]
+            for i in range(m):
+                factor = R[i][c]
+                if i == r or not factor:
+                    continue
+                ri, ti = R[i], T[i]
+                if p:
+                    for j, a in r_nz:
+                        ri[j] = (ri[j] - factor * a) % p
+                    for j, a in t_nz:
+                        ti[j] = (ti[j] - factor * a) % p
+                else:
+                    for j, a in r_nz:
+                        ri[j] -= factor * a
+                    for j, a in t_nz:
+                        ti[j] -= factor * a
             pivots.append((r, c))
             r += 1
-        result = (Mat(fld, self.rows, self.cols, R), Mat(fld, self.rows, self.rows, T), tuple(pivots))
+        result = (Mat._wrap(fld, m, self.cols, tuple(map(tuple, R))),
+                  Mat._wrap(fld, m, m, tuple(map(tuple, T))), tuple(pivots))
         self._rref = result
         return result
 
@@ -300,18 +349,15 @@ def invert(m: Mat) -> Mat:
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product in row-major vec convention: vec(A X B^t) = (A kron B) vec(X)."""
     fld = same_field(a.field, b.field)
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[fld.zero()] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.entries[i][j]
-            if fld.is_zero(aij):
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    out[i * b.rows + k][j * b.cols + l] = fld.mul(aij, b.entries[k][l])
-    return Mat(fld, rows, cols, out)
+    zeros = [0] * b.cols
+    out = []
+    for arow in a.entries:
+        for brow in b.entries:
+            row = []
+            for x in arow:
+                row.extend([x * y for y in brow] if x else zeros)
+            out.append(row)
+    return Mat._wrap(fld, a.rows * b.rows, a.cols * b.cols, _canonical(fld.char, out))
 
 
 def kron_product(a: Mat, b: Mat, c: Mat) -> Mat:
@@ -323,16 +369,15 @@ def kron_product(a: Mat, b: Mat, c: Mat) -> Mat:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by a kron of "
                          f"{b.rows}x{b.cols} and {c.rows}x{c.cols}")
     width = c.cols
-    out = [[fld.zero()] * (b.cols * width) for _ in range(a.rows)]
+    out = [[0] * (b.cols * width) for _ in range(a.rows)]
     for i, brow in enumerate(b.entries):
-        coeffs = [(j * width, v) for j, v in enumerate(brow) if not fld.is_zero(v)]
+        coeffs = [(j * width, v) for j, v in enumerate(brow) if v]
         if not coeffs:
             continue
         part = a.take_columns(range(i * c.rows, (i + 1) * c.rows)) @ c
         for orow, prow in zip(out, part.entries):
             for l, pv in enumerate(prow):
-                if fld.is_zero(pv):
-                    continue
-                for off, v in coeffs:
-                    orow[off + l] = fld.add(orow[off + l], fld.mul(v, pv))
-    return Mat(fld, a.rows, b.cols * width, out)
+                if pv:
+                    for off, v in coeffs:
+                        orow[off + l] += v * pv
+    return Mat._wrap(fld, a.rows, b.cols * width, _canonical(fld.char, out))

@@ -43,10 +43,10 @@ class Scenario:
     commands: List[Dict] = dc_field(default_factory=list)
 
     def resolve(self, table: str, name: str, location: str):
-        pool = getattr(self, table)
-        if name not in pool:
-            raise ScenarioError(f"unknown {table[:-1]} {name!r}", location)
-        return pool[name]
+        try:
+            return getattr(self, table)[name]
+        except (KeyError, TypeError):
+            raise ScenarioError(f"unknown {table[:-1]} {name!r}", location) from None
 
 
 def _parse_matrix(field: Field, rows_spec, rows: int, cols: int, location: str) -> Mat:
@@ -60,7 +60,8 @@ def _parse_matrix(field: Field, rows_spec, rows: int, cols: int, location: str) 
     return Mat(field, rows, cols, entries)
 
 
-def _parse_complex(field: Field, spec, location: str, name: str) -> Complex:
+def _build_complex(scn: Scenario, name: str, spec, location: str) -> Complex:
+    field = scn.field
     dims_spec = spec.get("dims", {})
     try:
         dims = {int(k): int(v) for k, v in dims_spec.items()}
@@ -198,6 +199,21 @@ def _build_bimodule(scn: Scenario, name: str, spec, location: str) -> Bimodule:
     raise ScenarioError("unrecognized bimodule declaration", location)
 
 
+def _build_map(scn: Scenario, name: str, spec, location: str) -> ChainMap:
+    src = scn.resolve("complexes", spec["source"], location)
+    tgt = scn.resolve("complexes", spec["target"], location)
+    degree = int(spec.get("degree", 0))
+    comps = {}
+    for k, m in spec.get("components", {}).items():
+        deg = int(k)
+        comps[deg] = _parse_matrix(scn.field, m, tgt.dim(deg + degree), src.dim(deg),
+                                   f"{location}.components.{k}")
+    try:
+        return ChainMap(src, tgt, degree, comps)
+    except ValidationError as exc:
+        raise ScenarioError(str(exc), location)
+
+
 def load_scenario_dict(doc: Dict, source_name: str = "<dict>") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object", source_name)
@@ -206,31 +222,18 @@ def load_scenario_dict(doc: Dict, source_name: str = "<dict>") -> Scenario:
     except DgkitError as exc:
         raise ScenarioError(str(exc), "field")
     scn = Scenario(field=field)
-    for name, spec in doc.get("rings", {}).items():
-        scn.rings[name] = _build_ring(scn, name, spec, f"rings.{name}")
-    for name, spec in doc.get("morphisms", {}).items():
-        scn.morphisms[name] = _build_morphism(scn, name, spec, f"morphisms.{name}")
-    for name, spec in doc.get("complexes", {}).items():
-        scn.complexes[name] = _parse_complex(field, spec, f"complexes.{name}", name)
-    for name, spec in doc.get("maps", {}).items():
-        src = scn.resolve("complexes", spec["source"], f"maps.{name}")
-        tgt = scn.resolve("complexes", spec["target"], f"maps.{name}")
-        degree = int(spec.get("degree", 0))
-        comps = {}
-        for k, m in spec.get("components", {}).items():
-            deg = int(k)
-            comps[deg] = _parse_matrix(field, m, tgt.dim(deg + degree), src.dim(deg),
-                                       f"maps.{name}.components.{k}")
-        try:
-            scn.maps[name] = ChainMap(src, tgt, degree, comps)
-        except ValidationError as exc:
-            raise ScenarioError(str(exc), f"maps.{name}")
-    for name, spec in doc.get("categories", {}).items():
-        scn.categories[name] = _build_category(scn, name, spec, f"categories.{name}")
-    for name, spec in doc.get("modules", {}).items():
-        scn.modules[name] = _build_module(scn, name, spec, f"modules.{name}")
-    for name, spec in doc.get("bimodules", {}).items():
-        scn.bimodules[name] = _build_bimodule(scn, name, spec, f"bimodules.{name}")
+    for table, build in (("rings", _build_ring), ("morphisms", _build_morphism),
+                         ("complexes", _build_complex), ("maps", _build_map),
+                         ("categories", _build_category), ("modules", _build_module),
+                         ("bimodules", _build_bimodule)):
+        for name, spec in doc.get(table, {}).items():
+            location = f"{table}.{name}"
+            try:
+                getattr(scn, table)[name] = build(scn, name, spec, location)
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                # a missing key, or a value of the wrong type or form
+                raise ScenarioError(f"malformed declaration ({type(exc).__name__}: {exc})",
+                                    location) from None
     for name, spec in doc.get("windows", {}).items():
         try:
             scn.windows[name] = DegreeWindow(int(spec["lo"]), int(spec["hi"]),

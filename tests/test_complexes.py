@@ -49,6 +49,22 @@ def test_d_squared_enforced():
         Complex(QQ, {0: 1, 1: 1, 2: 1}, {0: bad, 1: bad})
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_chain_map_checks_the_side_opposite_an_absent_factor(field):
+    one = Mat.identity(field, 1)
+    point = Complex(field, {0: 1}, {})
+    arrow = Complex(field, {0: 1, 1: 1}, {0: one})
+    top = Complex(field, {1: 1}, {})
+    # d f != 0 while f d vanishes for want of a differential, and the mirror
+    with pytest.raises(ValidationError):
+        ChainMap(point, arrow, 0, {0: one})
+    with pytest.raises(ValidationError):
+        ChainMap(arrow, top, 0, {1: one})
+    # both sides structurally absent, or both present and equal up to sign
+    ChainMap(arrow, point, 0, {0: one})
+    ChainMap(arrow, arrow, 0, {0: one, 1: one})
+
+
 def test_zero_complex_cohomology():
     assert Complex.zero(QQ).cohomology().as_dict() == {}
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from dgkit.fields import QQ
+from dgkit.fields import GF, QQ
 from dgkit.dgring import DgRingMorphism, make_dual_numbers
-from dgkit.dgcat import one_object_category
+from dgkit.dgcat import h0_category, one_object_category
 from dgkit.deform import (
     check_hlc,
     deform_category,
@@ -120,6 +120,33 @@ def test_h0_structure_split_algebra_detects_idempotent():
     verdict = h0_structure_verdict(cat)
     assert not verdict.karoubian
     assert verdict.idempotent_witnesses
+
+
+def split_algebra_category(field):
+    """One object whose endomorphisms are k[v]/(v^2 - 1) in degree 0: k x k
+    when 2 is invertible (basis u = e1 + e2, the unit, and v = e1 - e2), the
+    local ring k[v]/(v + 1)^2 over F_2."""
+    def mult(i, j):
+        return {0: field.one()} if i == j else {1: field.one()}
+    return one_object_category(DgRing.from_table(field, [0, 0], ["u", "v"], 0, mult, name="kxk"))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(101)], ids=str)
+def test_check_hlc_split_algebra_fails_with_idempotent_witness(field):
+    cat = split_algebra_category(field)
+    verdict = check_hlc(cat)
+    assert not verdict.all_pass
+    assert verdict.as_dict()["h0_karoubian"] is False
+    [(obj, e)] = verdict.h0_structure.idempotent_witnesses
+    h0 = h0_category(cat)
+    assert h0.compose(obj, obj, obj, e, e) == e
+    assert not e.is_zero() and e != h0.ids[obj]
+
+
+def test_check_hlc_local_algebra_over_f2_has_no_idempotent():
+    verdict = check_hlc(split_algebra_category(GF(2)))
+    assert verdict.h0_structure.karoubian
+    assert not verdict.h0_structure.idempotent_witnesses
 
 
 def test_deform_one_object_dual_numbers():

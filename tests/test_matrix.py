@@ -148,3 +148,148 @@ def test_rank_plus_nullity_property(rows):
     rank, ker, img = rank_kernel_image(m)
     assert rank + ker.cols == 3
     assert (m @ ker).is_zero()
+
+
+# -- sympy oracle: Q through sympy.Matrix, GF(p) through DomainMatrix -------------
+
+@st.composite
+def grids(draw, entry, zero):
+    """A grid of at most 10x20 with about 60% zeros, a drawn right-hand side,
+    and whether to solve for a vector of the image instead."""
+    rows = draw(st.integers(1, 10))
+    cols = draw(st.integers(1, 20))
+    cell = st.tuples(st.integers(0, 9), zero, entry).map(lambda t: t[1] if t[0] < 6 else t[2])
+    grid = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    rhs = draw(st.lists(cell, min_size=rows, max_size=rows))
+    return grid, rhs, draw(st.booleans())
+
+
+Q_ENTRY = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+Q_ZERO = st.sampled_from([0, Fraction(0)])
+
+
+def reference_rref(m: Mat):
+    """Elementwise Gauss-Jordan through the Field methods, with the kernel's
+    pivot rule: the first nonzero entry, over Q the first of least
+    numerator-plus-denominator bit length."""
+    fld = m.field
+    R = [list(row) for row in m.entries]
+    T = [[fld.one() if i == j else fld.zero() for j in range(m.rows)] for i in range(m.rows)]
+    pivots = []
+    r = 0
+    def size(a):
+        a = Fraction(a)
+        return abs(a.numerator).bit_length() + a.denominator.bit_length()
+
+    for c in range(m.cols):
+        if r >= m.rows:
+            break
+        candidates = [i for i in range(r, m.rows) if not fld.is_zero(R[i][c])]
+        if not candidates:
+            continue
+        best = candidates[0] if fld.char else min(candidates, key=lambda i: size(R[i][c]))
+        R[r], R[best], T[r], T[best] = R[best], R[r], T[best], T[r]
+        pv = fld.inv(R[r][c])
+        R[r] = [fld.mul(pv, a) for a in R[r]]
+        T[r] = [fld.mul(pv, a) for a in T[r]]
+        for i in range(m.rows):
+            if i != r and not fld.is_zero(R[i][c]):
+                f = R[i][c]
+                R[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(R[i], R[r])]
+                T[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(T[i], T[r])]
+        pivots.append((r, c))
+        r += 1
+    return Mat(fld, m.rows, m.cols, R), Mat(fld, m.rows, m.rows, T), tuple(pivots)
+
+
+def assert_matches_oracle(m: Mat, rref_ref, pivots_ref, null_ref, rhs: Mat, solvable: bool):
+    R, T, pivots = m.rref()
+    assert T @ m == R
+    assert (R, T, pivots) == reference_rref(m)
+    assert [list(row) for row in R.entries] == rref_ref
+    assert [c for _, c in pivots] == list(pivots_ref)
+    assert [r for r, _ in pivots] == list(range(len(pivots)))
+    assert m.rank() == len(pivots_ref)
+    ker = m.kernel_basis()
+    assert ker.cols == len(null_ref) == m.cols - m.rank()
+    assert (m @ ker).is_zero() and ker.rank() == ker.cols
+    if null_ref:
+        assert ker.hstack(Mat.from_columns(m.field, m.cols, null_ref)).rank() == ker.cols
+    x = m.solve(rhs)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert m @ x == rhs
+
+
+def image_or_drawn_rhs(m: Mat, rhs, use_image: bool) -> Mat:
+    if use_image:
+        return m @ Mat.from_columns(m.field, m.cols, [[(3 * j + 1) % 5 - 2 for j in range(m.cols)]])
+    return Mat.column(m.field, rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids(Q_ENTRY, Q_ZERO))
+def test_kernel_matches_sympy_over_q(case):
+    import sympy
+
+    grid, rhs, use_image = case
+    m = Mat(QQ, len(grid), len(grid[0]), grid)
+    b = image_or_drawn_rhs(m, rhs, use_image)
+
+    def to_sympy(mat):
+        return sympy.Matrix(mat.rows, mat.cols, [sympy.Rational(v.numerator, v.denominator)
+                                                 for row in mat.entries for v in row])
+
+    a = to_sympy(m)
+    rref_ref, pivots_ref = a.rref()
+    rref_ref = [[Fraction(int(v.p), int(v.q)) for v in rref_ref.row(i)] for i in range(m.rows)]
+    null_ref = [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in a.nullspace()]
+    solvable = a.rank() == a.row_join(to_sympy(b)).rank()
+    assert_matches_oracle(m, rref_ref, pivots_ref, null_ref, b, solvable)
+
+
+@st.composite
+def fp_cases(draw):
+    p = draw(st.sampled_from([2, 7, 101]))
+    entry = st.one_of(st.sampled_from([-1, p, 2 * p + 3]), st.integers(-2 * p, 3 * p))
+    zero = st.sampled_from([0, p, -p, 2 * p])
+    return p, draw(grids(entry, zero))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fp_cases())
+def test_kernel_matches_sympy_domain_matrix_over_gf_p(case):
+    from sympy import GF as SymGF
+    from sympy.polys.matrices import DomainMatrix
+
+    p, (grid, rhs, use_image) = case
+    fld = GF(p)
+    m = Mat(fld, len(grid), len(grid[0]), grid)
+    assert all(0 <= v < p for row in m.entries for v in row)
+    assert m == Mat(fld, m.rows, m.cols, [[v % p for v in row] for row in grid])
+    b = image_or_drawn_rhs(m, rhs, use_image)
+    k = SymGF(p)
+
+    def to_domain(mat):
+        return DomainMatrix([[k(v) for v in row] for row in mat.entries], (mat.rows, mat.cols), k)
+
+    a = to_domain(m)
+    rref_ref, pivots_ref = a.rref()
+    rref_ref = [[int(v) % p for v in row] for row in rref_ref.to_list()]
+    null_ref = [[int(v) % p for v in row] for row in a.nullspace().to_list()]
+    solvable = a.rank() == a.hstack(to_domain(b)).rank()
+    assert_matches_oracle(m, rref_ref, pivots_ref, null_ref, b, solvable)
+
+
+# -- the Q representation boundary: int and the equal Fraction are interchangeable --
+
+@pytest.mark.parametrize("value, fraction", [(0, Fraction(0)), (3, Fraction(3)),
+                                             (-2, Fraction(-4, 2)), (5, Fraction(10, 2))])
+def test_int_and_equal_fraction_are_interchangeable(value, fraction):
+    assert QQ.render(value) == QQ.render(fraction)
+    a = Mat(QQ, 2, 2, [[value, 0], [Fraction(1, 2), value]])
+    b = Mat(QQ, 2, 2, [[fraction, Fraction(0)], [Fraction(1, 2), fraction]])
+    assert a == b and b == a
+    assert not a.is_zero() and not b.is_zero()
+    assert Mat(QQ, 1, 1, [[value]]).is_zero() == Mat(QQ, 1, 1, [[fraction]]).is_zero() == (value == 0)
+    assert repr(a) == repr(b)

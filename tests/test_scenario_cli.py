@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import dgkit
 from dgkit.cli import main
@@ -47,6 +49,22 @@ def test_bundled_dual_numbers_n3_matches_constructor():
     for dx, i in ring.basis():
         for dy, j in ring.basis():
             assert ring.mul_basis(dx, i, dy, j) == reference.mul_basis(dx, i, dy, j)
+
+
+def test_fractional_entries_round_trip_through_parse_and_render():
+    def doc(entries):
+        return {"field": "Q", "complexes": {"C": {"dims": {"-1": 2, "0": 2}, "d": {"-1": entries}}},
+                "commands": [{"run": "cohomology", "complex": "C"}]}
+
+    written = [["1/2", "4/2"], ["0", "-3/6"]]
+    first = load_scenario_dict(doc(written)).complexes["C"].diff(-1)
+    rendered = [[QQ.render(v) for v in row] for row in first.entries]
+    assert rendered == [["1/2", "2"], ["0", "-1/2"]]
+    again = load_scenario_dict(doc(rendered)).complexes["C"].diff(-1)
+    assert again == first
+    assert [[QQ.render(v) for v in row] for row in again.entries] == rendered
+    assert [[QQ.parse(v) for v in row] for row in written] == [[QQ.parse(v) for v in row] for row in rendered]
+    assert type(QQ.parse("4/2")) is int
 
 
 def test_bundled_corpus_loads():
@@ -166,3 +184,90 @@ def test_cli_broken_law_exits_2_naming_basis_labels(tmp_path, rings, morphisms, 
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip() == message
+
+
+# -- the exit-code contract under malformed input ------------------------------------
+
+CORPUS = {name: json.loads(Path(bundled(name)).read_text()) for name in (
+    "cohomology_basic.json", "coend_examples.json", "deform_dual_numbers.json",
+    "dual_numbers_n3.json", "gap_category.json")}
+JUNK = st.sampled_from([None, True, -1, 0, 2.5, "x", "1/0", "", [], {}, [[]], {"0": "x"}])
+
+
+def json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from json_paths(value, path + (i,))
+
+
+@st.composite
+def scenario_texts(draw, doc):
+    """The document intact, truncated, with one value replaced by junk, or with one key dropped."""
+    text = json.dumps(doc)
+    kind = draw(st.sampled_from(["intact", "truncated", "mistyped", "dropped"]))
+    if kind == "truncated":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    paths = [p for p in json_paths(doc) if p]
+    if kind == "intact" or not paths:
+        return text
+    path = draw(st.sampled_from(paths))
+    doc = json.loads(text)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "mistyped":
+        parent[path[-1]] = draw(JUNK)
+    elif isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent.pop(path[-1])
+    return json.dumps(doc)
+
+
+@st.composite
+def cli_invocations(draw):
+    name = draw(st.sampled_from(sorted(CORPUS)))
+    doc = CORPUS[name]
+    command = draw(st.sampled_from(sorted({c["run"] for c in doc["commands"]})))
+    args = [command, "--format", "json"]
+    field = draw(st.one_of(st.none(), st.sampled_from(
+        ["Q", "Fp:7", "Fp:2", "Fp:x", "Fp:4", "Fp:", "Fp:-5", "Fp:1", "R", "{}"]), st.text(max_size=5)))
+    if field is not None:
+        args += ["--field", field]
+    window = draw(st.one_of(st.none(), st.sampled_from(["5", "a:b", "0:-2", "1:2:3", ":", "", "-1.5:0"]),
+                            st.tuples(st.integers(-3, 1), st.integers(-2, 1)).map("{0[0]}:{0[1]}".format)))
+    if window is not None:
+        args += ["--window", window]
+    cap = draw(st.sampled_from([None, "x", "", "-1", "0", "2", "16", "1e3"]))
+    return args, draw(scenario_texts(doc)), {} if cap is None else {"DGKIT_DEGREE_CAP": cap}
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_invocations())
+@example((["cohomology", "--format", "json"], json.dumps(
+    {"field": "Q", "complexes": {"C": {"dims": {"0": 1, "1": 1}, "d": {"0": [["1/0"]]}}},
+     "commands": [{"run": "cohomology", "complex": "C"}]}), {}))
+@example((["factorize", "--format", "json"], json.dumps(
+    {"field": "Q", "rings": {"R": {"table": {"unit": 0}}}, "commands": []}), {}))
+@example((["check-hlc", "--format", "json"], json.dumps(
+    {"field": "Q", "categories": {"gap": {"weak_cokernel_gap": True}}, "commands": [{"run": "check-hlc"}]}), {}))
+def test_cli_fuzz_keeps_exit_code_contract(invocation):
+    args, text, env = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        result = CliRunner().invoke(main, [*args, "--scenario", path], env=env)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        assert result.stderr.startswith("error: ")
+    else:
+        report = json.loads(result.stdout)
+        failed = [r for r in report["results"] if not r["passed"]]
+        assert report["passed"] == (result.exit_code == 0) == (not failed)
