@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .complexes import (
+    BalancedTensor,
     ChainMap,
     Complex,
     Equation,
@@ -29,12 +30,16 @@ from .complexes import (
     constrained_subcomplex,
     direct_sum,
     element_action,
+    factor_action,
     hom_complex,
+    lifted_map,
     morphism_defect,
     naturality_subcomplex,
+    pair_action,
     pair_elements,
-    quotient_complex,
+    quotient_by_relations,
     shift_complex,
+    swapped,
     unit_defect,
 )
 from .dgcat import DgCategory, DgFunctor, opposite
@@ -368,33 +373,33 @@ class Bimodule:
 
     # -- invariants ---------------------------------------------------------
 
-    def _lact_pair(self, a1, a2, b):
+    def lact_pair(self, a1, a2, b):
         return self.lact_layouts[(a1, a2, b)], self.lact[(a1, a2, b)]
 
-    def _ract_pair(self, a, b1, b2):
+    def ract_pair(self, a, b1, b2):
         return self.ract_layouts[(a, b1, b2)], self.ract[(a, b1, b2)]
 
     def _check(self):
         acat, bcat = self.acat, self.bcat
         for a, b in itertools.product(acat.objects, bcat.objects):
-            if unit_defect(self._lact_pair(a, a, b), acat.id_vector(a), 0) is not None:
+            if unit_defect(self.lact_pair(a, a, b), acat.id_vector(a), 0) is not None:
                 raise ValidationError(f"{self.name}: left action not unital at ({a},{b})")
-            if unit_defect(self._ract_pair(a, b, b), bcat.id_vector(b), 1) is not None:
+            if unit_defect(self.ract_pair(a, b, b), bcat.id_vector(b), 1) is not None:
                 raise ValidationError(f"{self.name}: right action not unital at ({a},{b})")
         # (f2 o f1) . x = f2 . (f1 . x) for f2 in hom(a2,a3), f1 in hom(a1,a2), x in T(a1,b)
         for a1, a2, a3, b in itertools.product(acat.objects, acat.objects, acat.objects, bcat.objects):
-            if associativity_defect(self._lact_pair(a1, a3, b), acat.comp_pair(a1, a2, a3),
-                                    self._lact_pair(a2, a3, b), self._lact_pair(a1, a2, b)) is not None:
+            if associativity_defect(self.lact_pair(a1, a3, b), acat.comp_pair(a1, a2, a3),
+                                    self.lact_pair(a2, a3, b), self.lact_pair(a1, a2, b)) is not None:
                 raise ValidationError(f"{self.name}: left action not associative")
         # (x . f2) . f1 = x . (f2 o f1) for x in T(a,b3), f2 in hom(b2,b3), f1 in hom(b1,b2)
         for a, b3, b2, b1 in itertools.product(acat.objects, bcat.objects, bcat.objects, bcat.objects):
-            if associativity_defect(self._ract_pair(a, b1, b2), self._ract_pair(a, b2, b3),
-                                    self._ract_pair(a, b1, b3), bcat.comp_pair(b1, b2, b3)) is not None:
+            if associativity_defect(self.ract_pair(a, b1, b2), self.ract_pair(a, b2, b3),
+                                    self.ract_pair(a, b1, b3), bcat.comp_pair(b1, b2, b3)) is not None:
                 raise ValidationError(f"{self.name}: right action not associative")
         # (f . x) . g = f . (x . g) for f in hom(a1,a2), x in T(a1,b2), g in hom(b1,b2)
         for a1, a2, b1, b2 in itertools.product(acat.objects, acat.objects, bcat.objects, bcat.objects):
-            if associativity_defect(self._ract_pair(a2, b1, b2), self._lact_pair(a1, a2, b2),
-                                    self._lact_pair(a1, a2, b1), self._ract_pair(a1, b1, b2)) is not None:
+            if associativity_defect(self.ract_pair(a2, b1, b2), self.lact_pair(a1, a2, b2),
+                                    self.lact_pair(a1, a2, b1), self.ract_pair(a1, b1, b2)) is not None:
                 raise ValidationError(f"{self.name}: actions do not commute")
 
     @staticmethod
@@ -477,35 +482,25 @@ def end_of(t: Bimodule) -> EndResult:
 
 
 def coend_of(t: Bimodule) -> CoendResult:
-    """Cokernel of f (x) x |-> f.x - (-1)^{|f||x|} x.f on the diagonal sum."""
+    """Cokernel of f (x) x |-> f.x - (-1)^{|f||x|} x.f on the diagonal sum:
+    per (f: a2 -> a1, degree tuple) the block inj_a1 . lambda - inj_a2 . rho
+    . tau, with the swap tau and its sign from ``swapped``."""
     _square(t)
     cat = t.acat
-    field = t.field
     ambient, injs, projs = direct_sum([t.at(a, a) for a in cat.objects])
     injections = dict(zip(cat.objects, injs))
-    killed: Dict[int, List] = {}
-    for a1 in cat.objects:
-        for a2 in cat.objects:
-            # f: a2 -> a1 paired with x in T(a2, a1)
-            for df, f in cat.hom_basis(a2, a1):
-                src = t.at(a2, a1)
-                for dx in src.degrees():
-                    for i in range(src.dim(dx)):
-                        x = Mat.basis_column(field, src.dim(dx), i)
-                        fx = t.lact_apply(a2, a1, a1, df, f, dx, x)
-                        xf = t.ract_apply(a2, a2, a1, dx, x, df, f)
-                        vec = injections[a1].component(df + dx) @ fx - \
-                            (injections[a2].component(df + dx) @ xf).scale(
-                                field.from_int(-1 if (df % 2 and dx % 2) else 1))
-                        if not vec.is_zero():
-                            killed.setdefault(df + dx, []).append(vec.column_values(0))
-    killed_mats = {}
-    for deg, vecs in killed.items():
-        killed_mats[deg] = Mat.from_columns(field, ambient.dim(deg), vecs).image_basis()
-    quot, proj, sections = quotient_complex(ambient, killed_mats, name=f"coend({t.name})")
+    relations: Dict[int, List[Mat]] = {}
+    for a1, a2 in itertools.product(cat.objects, repeat=2):
+        lact = pair_action(t.lact_pair(a2, a1, a1))
+        ract = swapped(pair_action(t.ract_pair(a2, a2, a1)))
+        for df, dx in itertools.product(cat.hom(a2, a1).degrees(), t.at(a2, a1).degrees()):
+            n = df + dx
+            relations.setdefault(n, []).append(injections[a1].component(n) @ lact.block((df, dx)) -
+                                               injections[a2].component(n) @ ract.block((df, dx)))
+    quot, proj, sections = quotient_by_relations(ambient, relations, name=f"coend({t.name})")
     # the defining relations die in the quotient
-    for deg, mat in killed_mats.items():
-        if not (proj.component(deg) @ mat).is_zero():
+    for n, blocks in relations.items():
+        if any(not (proj.component(n) @ rel).is_zero() for rel in blocks):
             raise ValidationError("coend projection does not kill the relation span")
     return CoendResult(quot, proj, ambient, injections, sections)
 
@@ -513,65 +508,33 @@ def coend_of(t: Bimodule) -> CoendResult:
 # -- composition of bimodules -----------------------------------------------------
 
 
+def tensor_bimodule(acat: DgCategory, bcat: DgCategory, parts: Dict, left, left_slot: int,
+                    right, right_slot: int, name: str = "T", check: bool = True) -> "Bimodule":
+    """The bimodule whose component at (A, B) is the binary tensor
+    ``parts[(A, B)]``, plain or balanced: acat acts on its factor
+    ``left_slot`` through the left action ``left(a1, a2)``, bcat on its factor
+    ``right_slot`` through the right action ``right(b1, b2)``, each descended
+    through the sections of a balanced part (see ``factor_action``)."""
+    plain = {key: p.layout if isinstance(p, BalancedTensor) else p for key, p in parts.items()}
+    lact = {(a1, a2, b): lifted_map([acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
+                                    factor_action(left(a1, a2), left_slot, plain[(a2, b)]))
+            for a1, a2, b in itertools.product(acat.objects, acat.objects, bcat.objects)}
+    ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat.hom(b1, b2)], parts[(a, b1)],
+                                    factor_action(right(b1, b2), right_slot, plain[(a, b1)], left=False))
+            for a, b1, b2 in itertools.product(acat.objects, bcat.objects, bcat.objects)}
+    comps = {key: p.complex for key, p in parts.items()}
+    return Bimodule(acat, bcat, comps, lact, ract, name=name, check=check)
+
+
 def _integrand_over_middle(f: "Bimodule", g: "Bimodule", a, c) -> Bimodule:
-    """The square bcat-bimodule B, B' |-> f(a, B') (x) g(B, c)."""
+    """The square bcat-bimodule B, B' |-> f(a, B') (x) g(B, c): B acts on the
+    g factor from the left, B' on the f factor from the right."""
     bcat = f.bcat
-    field = f.field
-    lays = {}
-    comps = {}
-    for b in bcat.objects:        # lower index via g
-        for b2 in bcat.objects:   # upper index via f
-            lay = TensorLayout([f.at(a, b2), g.at(b, c)])
-            lays[(b, b2)] = lay
-            comps[(b, b2)] = lay.complex
-    lact = {}
-    ract = {}
-    for b1 in bcat.objects:
-        for b2 in bcat.objects:
-            for bu in bcat.objects:
-                lay = TensorLayout([bcat.hom(b1, b2), comps[(b1, bu)]])
-
-                def entry(combo, idx, b1=b1, b2=b2, bu=bu):
-                    dh, dfg = combo
-                    h = Mat.basis_column(field, bcat.hom(b1, b2).dim(dh), idx[0])
-                    (dF, dG), (iF, iG) = lays[(b1, bu)].decompose(dfg, idx[1])
-                    gpart = Mat.basis_column(field, g.at(b1, c).dim(dG), iG)
-                    acted = g.lact_apply(b1, b2, c, dh, h, dG, gpart)
-                    out_lay = lays[(b2, bu)]
-                    col = [field.zero()] * out_lay.complex.dim(dh + dfg)
-                    sign = -1 if (dh % 2 and dF % 2) else 1
-                    for k, v in enumerate(acted.column_values(0)):
-                        if field.is_zero(v):
-                            continue
-                        pos = out_lay.position((dF, dG + dh), (iF, k))
-                        col[pos] = v if sign > 0 else field.neg(v)
-                    return Mat.column(field, col)
-
-                lact[(b1, b2, bu)] = lay.map_from_entries(comps[(b2, bu)], 0, entry)
-    for bl in bcat.objects:
-        for b1 in bcat.objects:
-            for b2 in bcat.objects:
-                lay = TensorLayout([comps[(bl, b2)], bcat.hom(b1, b2)])
-
-                def entry(combo, idx, bl=bl, b1=b1, b2=b2):
-                    dfg, dh = combo
-                    (dF, dG), (iF, iG) = lays[(bl, b2)].decompose(dfg, idx[0])
-                    h = Mat.basis_column(field, bcat.hom(b1, b2).dim(dh), idx[1])
-                    fpart = Mat.basis_column(field, f.at(a, b2).dim(dF), iF)
-                    acted = f.ract_apply(a, b1, b2, dF, fpart, dh, h)
-                    out_lay = lays[(bl, b1)]
-                    col = [field.zero()] * out_lay.complex.dim(dfg + dh)
-                    sign = -1 if (dh % 2 and dG % 2) else 1
-                    for k, v in enumerate(acted.column_values(0)):
-                        if field.is_zero(v):
-                            continue
-                        pos = out_lay.position((dF + dh, dG), (k, iG))
-                        col[pos] = v if sign > 0 else field.neg(v)
-                    return Mat.column(field, col)
-
-                ract[(bl, b1, b2)] = lay.map_from_entries(comps[(bl, b1)], 0, entry)
-    return Bimodule(bcat, bcat, comps, lact, ract, name=f"{f.name}(x){g.name}@({a},{c})",
-                    check=False)
+    lays = {(b, b2): TensorLayout([f.at(a, b2), g.at(b, c)])
+            for b in bcat.objects for b2 in bcat.objects}
+    return tensor_bimodule(bcat, bcat, lays, lambda b1, b2: pair_action(g.lact_pair(b1, b2, c)), 1,
+                           lambda b1, b2: pair_action(f.ract_pair(a, b1, b2)), 0,
+                           name=f"{f.name}(x){g.name}@({a},{c})", check=False)
 
 
 def compose_bimodules(f: "Bimodule", g: "Bimodule", check: bool = True) -> "Bimodule":

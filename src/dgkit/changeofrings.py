@@ -10,6 +10,7 @@ so adjunction identities can be checked as literal matrix equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bimodules import (
@@ -20,20 +21,29 @@ from .bimodules import (
     find_quasi_representative,
     module_hom_complex,
     restrict_bimodule,
+    tensor_bimodule,
 )
 from .complexes import (
+    Action,
     ChainMap,
     Complex,
     Equation,
     TensorLayout,
     Term,
+    balanced_tensor,
+    factor_action,
+    lifted_block,
+    lifted_map,
     naturality_subcomplex,
-    quotient_complex,
+    pair_action,
+    permutation_sign,
+    reorder_factors,
+    swapped,
 )
 from .dgcat import DgCategory, DgFunctor, one_object_category
 from .dgring import DgRingMorphism
 from .errors import ValidationError
-from .matrix import Mat
+from .matrix import Mat, kron, kron_product
 
 
 # -- restriction --------------------------------------------------------------------
@@ -104,47 +114,11 @@ def lax_monoidal_comparison(a: DgCategory, b: DgCategory, theta: DgRingMorphism)
     projections a_R (x)_R b_R -> a (x)_S b (built on demand)."""
     if not theta.source.is_ground_field():
         raise ValidationError("the lax comparison is materialized over ground-field bases")
-    s = theta.target
-    field = s.field
     out = {}
-    for (x, y) in [(x, y) for x in a.objects for y in a.objects]:
-        for (u, v) in [(u, v) for u in b.objects for v in b.objects]:
-            lay = TensorLayout([a.hom(x, y), b.hom(u, v)])
-            killed: Dict[int, List] = {}
-            # relations (s.f) (x) g - (-1)^{|s||f|} f (x) (s.g)
-            for ds, i in s.basis():
-                svec = s.basis_vector(ds, i)
-                fam_a = a.act_element(x, y, ds, svec)
-                fam_b = b.act_element(u, v, ds, svec)
-                for da in a.hom(x, y).degrees():
-                    for ia in range(a.hom(x, y).dim(da)):
-                        f = Mat.basis_column(field, a.hom(x, y).dim(da), ia)
-                        sf = fam_a[da] @ f if da in fam_a else None
-                        for db in b.hom(u, v).degrees():
-                            for ib in range(b.hom(u, v).dim(db)):
-                                g = Mat.basis_column(field, b.hom(u, v).dim(db), ib)
-                                sg = fam_b[db] @ g if db in fam_b else None
-                                deg = ds + da + db
-                                col = [field.zero()] * lay.complex.dim(deg)
-                                if sf is not None:
-                                    for k, vv in enumerate(sf.column_values(0)):
-                                        if not field.is_zero(vv):
-                                            pos = lay.position((da + ds, db), (k, ib))
-                                            col[pos] = field.add(col[pos], vv)
-                                if sg is not None:
-                                    sign = -1 if (ds % 2 and da % 2) else 1
-                                    for k, vv in enumerate(sg.column_values(0)):
-                                        if field.is_zero(vv):
-                                            continue
-                                        pos = lay.position((da, db + ds), (ia, k))
-                                        val = vv if sign > 0 else field.neg(vv)
-                                        col[pos] = field.sub(col[pos], val)
-                                if any(not field.is_zero(vv) for vv in col):
-                                    killed.setdefault(deg, []).append(col)
-            killed_mats = {d: Mat.from_columns(field, lay.complex.dim(d), cols).image_basis()
-                           for d, cols in killed.items()}
-            quot, proj, _ = quotient_complex(lay.complex, killed_mats)
-            out[((x, u), (y, v))] = proj
+    for x, y, u, v in itertools.product(a.objects, a.objects, b.objects, b.objects):
+        # relations (f.s) (x) g - f (x) (s.g), f.s = (-1)^{|s||f|} s.f
+        out[((x, u), (y, v))] = balanced_tensor(swapped(pair_action(a.action_pair(x, y))),
+                                                pair_action(b.action_pair(u, v))).projection
     return out
 
 
@@ -153,24 +127,45 @@ def lax_monoidal_comparison(a: DgCategory, b: DgCategory, theta: DgRingMorphism)
 
 @dataclass
 class ScalarExtension:
-    """S (x)_R a with the exact quotient data kept for later checks."""
+    """S (x)_R a with the balanced tensors of its homs kept for later checks."""
 
     source: DgCategory
     theta: DgRingMorphism
     category: DgCategory
-    layouts: Dict          # (a,b) -> TensorLayout([S, hom(a,b)])
-    projections: Dict      # (a,b) -> ChainMap(plain -> extended hom)
-    sections: Dict         # (a,b) -> degree -> Mat
+    tensors: Dict          # (a,b) -> BalancedTensor S (x)_R hom(a,b)
     inclusion: DgFunctor   # a -> S (x)_R a over theta
 
-    def lift(self, a, b, deg: int, vec: Mat) -> Mat:
-        sect = self.sections[(a, b)].get(deg)
-        if sect is None:
-            raise ValidationError("no section at this degree")
-        return sect @ vec
 
-    def project(self, a, b, deg: int, vec: Mat) -> Mat:
-        return self.projections[(a, b)].component(deg) @ vec
+def _right_action_through(theta: DgRingMorphism) -> Action:
+    """S as a right R-module through theta: s . r = s theta(r)."""
+    s = theta.target
+
+    def block(combo):
+        ds, dr = combo
+        return kron_product(s.square.block(s.mult, combo), Mat.identity(s.field, s.dim(ds)),
+                            theta.map.component(dr))
+
+    return Action((s.underlying, theta.source.underlying), block)
+
+
+def _unit_insertion(unit: Mat, plain: TensorLayout):
+    """Flat blocks of x |-> 1 (x) x into the plain tensor S (x) hom."""
+    return lambda flat: plain.place((0,) + flat, kron(unit, Mat.identity(unit.field, plain.factors[1].dim(flat[0]))))
+
+
+def _extended_composition(cat: DgCategory, ring_s, plain: TensorLayout, a, b, c):
+    """Flat blocks of (s (x) g)(t (x) f) = (-1)^{|g||t|} st (x) gf."""
+    mult, comp = pair_action((ring_s.square, ring_s.mult)), pair_action(cat.comp_pair(a, b, c))
+    perm = (0, 2, 1, 3)
+
+    def block(flat):
+        ds, dg, dt, df = flat
+        dims = (ring_s.dim(ds), cat.hom(b, c).dim(dg), ring_s.dim(dt), cat.hom(a, b).dim(df))
+        out = reorder_factors(kron(mult.block((ds, dt)), comp.block((dg, df))), dims, perm)
+        out = plain.place((ds + dt, dg + df), out)
+        return -out if permutation_sign(flat, perm) < 0 else out
+
+    return block
 
 
 def extend_scalars_cat(cat: DgCategory, theta: DgRingMorphism) -> ScalarExtension:
@@ -179,139 +174,25 @@ def extend_scalars_cat(cat: DgCategory, theta: DgRingMorphism) -> ScalarExtensio
     if cat.base != theta.source:
         raise ValidationError("category base does not match the morphism source")
     ring_s = theta.target
-    ring_r = theta.source
-    field = cat.field
-    layouts = {}
-    projections = {}
-    sections = {}
-    homs = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            lay = TensorLayout([ring_s.underlying, cat.hom(a, b)])
-            layouts[(a, b)] = lay
-            killed: Dict[int, List] = {}
-            for ds, i in ring_s.basis():
-                svec = ring_s.basis_vector(ds, i)
-                for dr, j in ring_r.basis():
-                    rvec = ring_r.basis_vector(dr, j)
-                    s_r = ring_s.mul(ds, svec, dr, theta.apply(dr, rvec))
-                    fam = cat.act_element(a, b, dr, rvec)
-                    for dx in cat.hom(a, b).degrees():
-                        for ix in range(cat.hom(a, b).dim(dx)):
-                            x = Mat.basis_column(field, cat.hom(a, b).dim(dx), ix)
-                            rx = fam[dx] @ x if dx in fam else None
-                            deg = ds + dr + dx
-                            col = [field.zero()] * lay.complex.dim(deg)
-                            for k, v in enumerate(s_r.column_values(0)):
-                                if not field.is_zero(v):
-                                    pos = lay.position((ds + dr, dx), (k, ix))
-                                    col[pos] = field.add(col[pos], v)
-                            if rx is not None:
-                                for k, v in enumerate(rx.column_values(0)):
-                                    if not field.is_zero(v):
-                                        pos = lay.position((ds, dx + dr), (i, k))
-                                        col[pos] = field.sub(col[pos], v)
-                            if any(not field.is_zero(v) for v in col):
-                                killed.setdefault(deg, []).append(col)
-            killed_mats = {d: Mat.from_columns(field, lay.complex.dim(d), cols).image_basis()
-                           for d, cols in killed.items()}
-            quot, proj, sect = quotient_complex(lay.complex, killed_mats,
-                                                name=f"S(x){cat.name}({a},{b})")
-            homs[(a, b)] = quot
-            projections[(a, b)] = proj
-            sections[(a, b)] = sect
-
-    def plain_element(a, b, ds, svec, dx, xvec) -> Mat:
-        lay = layouts[(a, b)]
-        col = [field.zero()] * lay.complex.dim(ds + dx)
-        for i, sv in enumerate(svec.column_values(0)):
-            if field.is_zero(sv):
-                continue
-            for j, xv in enumerate(xvec.column_values(0)):
-                if field.is_zero(xv):
-                    continue
-                pos = lay.position((ds, dx), (i, j))
-                col[pos] = field.add(col[pos], field.mul(sv, xv))
-        return Mat.column(field, col)
-
-    ids = {}
-    for a in cat.objects:
-        ids[a] = projections[(a, a)].component(0) @ plain_element(
-            a, a, 0, ring_s.unit, 0, cat.id_vector(a))
-    comp = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            for c in cat.objects:
-                lay = TensorLayout([homs[(b, c)], homs[(a, b)]])
-
-                def entry(combo, idx, a=a, b=b, c=c):
-                    dg, df = combo
-                    glift = sections[(b, c)][dg].col(idx[0])
-                    flift = sections[(a, b)][df].col(idx[1])
-                    out = Mat.zero(field, homs[(a, c)].dim(dg + df), 1)
-                    glay = layouts[(b, c)]
-                    flay = layouts[(a, b)]
-                    for gp, gv in enumerate(glift.column_values(0)):
-                        if field.is_zero(gv):
-                            continue
-                        (ds, dx), (si, xi) = glay.decompose(dg, gp)
-                        for fp, fv in enumerate(flift.column_values(0)):
-                            if field.is_zero(fv):
-                                continue
-                            (dt, dy), (ti, yi) = flay.decompose(df, fp)
-                            coeff = field.mul(gv, fv)
-                            if (dx % 2) and (dt % 2):
-                                coeff = field.neg(coeff)
-                            st = ring_s.mul(ds, Mat.basis_column(field, ring_s.dim(ds), si),
-                                            dt, Mat.basis_column(field, ring_s.dim(dt), ti))
-                            xy = cat.compose_elements(
-                                a, b, c, dx, Mat.basis_column(field, cat.hom(b, c).dim(dx), xi),
-                                dy, Mat.basis_column(field, cat.hom(a, b).dim(dy), yi))
-                            plain = plain_element(a, c, ds + dt, st, dx + dy, xy)
-                            out = out + (projections[(a, c)].component(dg + df) @ plain).scale(coeff)
-                    return out
-
-                comp[(a, b, c)] = lay.map_from_entries(homs[(a, c)], 0, entry)
-    action = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            lay = TensorLayout([ring_s.underlying, homs[(a, b)]])
-
-            def entry(combo, idx, a=a, b=b):
-                ds, dq = combo
-                svec = Mat.basis_column(field, ring_s.dim(ds), idx[0])
-                lift = sections[(a, b)][dq].col(idx[1])
-                out = Mat.zero(field, homs[(a, b)].dim(ds + dq), 1)
-                lay0 = layouts[(a, b)]
-                for p, v in enumerate(lift.column_values(0)):
-                    if field.is_zero(v):
-                        continue
-                    (dt, dx), (ti, xi) = lay0.decompose(dq, p)
-                    st = ring_s.mul(ds, svec, dt, Mat.basis_column(field, ring_s.dim(dt), ti))
-                    plain = plain_element(a, b, ds + dt, st, dx,
-                                          Mat.basis_column(field, cat.hom(a, b).dim(dx), xi))
-                    out = out + (projections[(a, b)].component(ds + dq) @ plain).scale(v)
-                return out
-
-            action[(a, b)] = lay.map_from_entries(homs[(a, b)], 0, entry)
+    pairs = list(itertools.product(cat.objects, repeat=2))
+    tensors = {(a, b): balanced_tensor(_right_action_through(theta), pair_action(cat.action_pair(a, b)),
+                                       name=f"S(x){cat.name}({a},{b})") for a, b in pairs}
+    homs = {key: t.complex for key, t in tensors.items()}
+    ids = {a: tensors[(a, a)].projection.component(0) @
+           tensors[(a, a)].layout.place((0, 0), kron(ring_s.unit, cat.id_vector(a))) for a in cat.objects}
+    comp = {(a, b, c): lifted_map([tensors[(b, c)], tensors[(a, b)]], tensors[(a, c)],
+                                  _extended_composition(cat, ring_s, tensors[(a, c)].layout, a, b, c))
+            for a, b, c in itertools.product(cat.objects, repeat=3)}
+    mult = pair_action((ring_s.square, ring_s.mult))
+    action = {key: lifted_map([ring_s.underlying, t], t, factor_action(mult, 0, t.layout))
+              for key, t in tensors.items()}
     ecat = DgCategory(ring_s, cat.objects, homs, comp, ids, action=action,
                       name=f"{ring_s.name}(x){cat.name}")
-    incl_maps = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            cm = {}
-            for dx in cat.hom(a, b).degrees():
-                cols = []
-                for ix in range(cat.hom(a, b).dim(dx)):
-                    plain = plain_element(a, b, 0, ring_s.unit, dx,
-                                          Mat.basis_column(field, cat.hom(a, b).dim(dx), ix))
-                    cols.append((projections[(a, b)].component(dx) @ plain).column_values(0))
-                if homs[(a, b)].dim(dx):
-                    cm[dx] = Mat.from_columns(field, homs[(a, b)].dim(dx), cols)
-            incl_maps[(a, b)] = ChainMap(cat.hom(a, b), homs[(a, b)], 0, cm)
+    incl_maps = {key: lifted_map([cat.hom(*key)], t, _unit_insertion(ring_s.unit, t.layout))
+                 for key, t in tensors.items()}
     incl = DgFunctor(cat, ecat, {a: a for a in cat.objects}, incl_maps,
                      base_change=theta, name=f"unit_{theta.name}")
-    return ScalarExtension(cat, theta, ecat, layouts, projections, sections, incl)
+    return ScalarExtension(cat, theta, ecat, tensors, incl)
 
 
 # -- the strict extension adjunction ---------------------------------------------------
@@ -322,41 +203,31 @@ def extension_left_action(f: Bimodule, ext: ScalarExtension, b_s: DgCategory):
     (a, b_R), using the S-linearity of b: (s (x) t).x =
     (-1)^{|s|(|t|+|x|)} (t.x).(s 1_B)."""
     field = f.field
+    ring_s = ext.theta.target
 
-    def s_unit(bobj, ds, svec):
-        fam = b_s.act_element(bobj, bobj, ds, svec)
-        return fam[0] @ b_s.id_vector(bobj) if 0 in fam else \
-            Mat.zero(field, b_s.hom(bobj, bobj).dim(ds), 1)
+    def flat_blocks(a1, a2, bobj):
+        t_on_x = pair_action(f.lact_pair(a1, a2, bobj))
+        (ulay, uact), (rlay, ract) = b_s.action_pair(bobj, bobj), f.ract_pair(a2, bobj, bobj)
 
-    ecat = ext.category
-    lact = {}
-    for a1 in ecat.objects:
-        for a2 in ecat.objects:
-            for bobj in f.bcat.objects:
-                lay = TensorLayout([ecat.hom(a1, a2), f.at(a1, bobj)])
+        def by_unit(combo):
+            # y . (s 1_B), the units s 1_B as the columns of one block
+            dy, ds = combo
+            units = kron_product(ulay.block(uact, (ds, 0)), Mat.identity(field, ring_s.dim(ds)),
+                                 b_s.id_vector(bobj))
+            return kron_product(rlay.block(ract, combo), Mat.identity(field, f.at(a2, bobj).dim(dy)), units)
 
-                def entry(combo, idx, a1=a1, a2=a2, bobj=bobj):
-                    dq, dx = combo
-                    lift = ext.sections[(a1, a2)][dq].col(idx[0])
-                    x = Mat.basis_column(field, f.at(a1, bobj).dim(dx), idx[1])
-                    lay0 = ext.layouts[(a1, a2)]
-                    out = Mat.zero(field, f.at(a2, bobj).dim(dq + dx), 1)
-                    for p, v in enumerate(lift.column_values(0)):
-                        if field.is_zero(v):
-                            continue
-                        (ds, dt), (si, ti) = lay0.decompose(dq, p)
-                        tvec = Mat.basis_column(field, ext.source.hom(a1, a2).dim(dt), ti)
-                        tx = f.lact_apply(a1, a2, bobj, dt, tvec, dx, x)
-                        svec = Mat.basis_column(field, ext.theta.target.dim(ds), si)
-                        s1 = s_unit(bobj, ds, svec)
-                        stx = f.ract_apply(a2, bobj, bobj, dt + dx, tx, ds, s1)
-                        if (ds % 2) and ((dt + dx) % 2):
-                            stx = -stx
-                        out = out + stx.scale(v)
-                    return out
+        s_first = swapped(Action((f.at(a2, bobj), ring_s.underlying), by_unit))
 
-                lact[(a1, a2, bobj)] = lay.map_from_entries(f.at(a2, bobj), 0, entry)
-    return lact
+        def block(flat):
+            ds, dt, dx = flat
+            return kron_product(s_first.block((ds, dt + dx)), Mat.identity(field, ring_s.dim(ds)),
+                                t_on_x.block((dt, dx)))
+
+        return block
+
+    return {(a1, a2, bobj): lifted_map([ext.tensors[(a1, a2)], f.at(a1, bobj)], f.at(a2, bobj),
+                                       flat_blocks(a1, a2, bobj))
+            for a1, a2 in itertools.product(ext.category.objects, repeat=2) for bobj in f.bcat.objects}
 
 
 @dataclass
@@ -439,86 +310,29 @@ def transitivity_check(theta12: DgRingMorphism, theta23: DgRingMorphism,
     stage1 = extend_scalars_cat(a_cat, theta12)
     stage2 = extend_scalars_cat(stage1.category, theta23)
     field = a_cat.field
-    r2 = theta12.target
     r3 = theta23.target
+    by_r2 = _right_action_through(theta23)
     ok = True
     for a in a_cat.objects:
         for b in a_cat.objects:
-            dcx = direct.category.hom(a, b)
-            scx = stage2.category.hom(a, b)
-            fwd = {}
-            for deg in dcx.degrees():
-                cols = []
-                for i in range(dcx.dim(deg)):
-                    lift = direct.sections[(a, b)][deg].col(i)
-                    out = Mat.zero(field, scx.dim(deg), 1)
-                    lay = direct.layouts[(a, b)]
-                    for p, v in enumerate(lift.column_values(0)):
-                        if field.is_zero(v):
-                            continue
-                        (dg, dx), (gi, xi) = lay.decompose(deg, p)
-                        # g (x) f |-> g (x) (1 (x) f)
-                        inner_plain_lay = stage1.layouts[(a, b)]
-                        inner_col = [field.zero()] * inner_plain_lay.complex.dim(dx)
-                        pos = inner_plain_lay.position((0, dx), (0, xi))
-                        # unit coordinate of R2 in degree 0
-                        unit_vals = r2.unit.column_values(0)
-                        for ui, uv in enumerate(unit_vals):
-                            if field.is_zero(uv):
-                                continue
-                            pos = inner_plain_lay.position((0, dx), (ui, xi))
-                            inner_col[pos] = uv
-                        inner = stage1.projections[(a, b)].component(dx) @ \
-                            Mat.column(field, inner_col)
-                        outer_lay = stage2.layouts[(a, b)]
-                        outer_col = [field.zero()] * outer_lay.complex.dim(deg)
-                        for k, w in enumerate(inner.column_values(0)):
-                            if field.is_zero(w):
-                                continue
-                            pos = outer_lay.position((dg, dx), (gi, k))
-                            outer_col[pos] = w
-                        out = out + (stage2.projections[(a, b)].component(deg) @
-                                     Mat.column(field, outer_col)).scale(v)
-                    cols.append(out.column_values(0))
-                if dcx.dim(deg) and scx.dim(deg):
-                    fwd[deg] = Mat.from_columns(field, scx.dim(deg), cols)
-            bwd = {}
-            for deg in scx.degrees():
-                cols = []
-                for i in range(scx.dim(deg)):
-                    lift = stage2.sections[(a, b)][deg].col(i)
-                    out = Mat.zero(field, dcx.dim(deg), 1)
-                    lay = stage2.layouts[(a, b)]
-                    for p, v in enumerate(lift.column_values(0)):
-                        if field.is_zero(v):
-                            continue
-                        (dg, dmid), (gi, mi) = lay.decompose(deg, p)
-                        midlift = stage1.sections[(a, b)][dmid].col(mi)
-                        lay1 = stage1.layouts[(a, b)]
-                        for q, w in enumerate(midlift.column_values(0)):
-                            if field.is_zero(w):
-                                continue
-                            (dr2, dx), (ri, xi) = lay1.decompose(dmid, q)
-                            # g (x) (r2 (x) f) |-> g theta23(r2) (x) f
-                            gvec = Mat.basis_column(field, r3.dim(dg), gi)
-                            gr = r3.mul(dg, gvec, dr2,
-                                        theta23.apply(dr2, Mat.basis_column(field, r2.dim(dr2), ri)))
-                            dlay = direct.layouts[(a, b)]
-                            dcol = [field.zero()] * dlay.complex.dim(deg)
-                            for k, u in enumerate(gr.column_values(0)):
-                                if field.is_zero(u):
-                                    continue
-                                pos = dlay.position((dg + dr2, dx), (k, xi))
-                                dcol[pos] = u
-                            out = out + (direct.projections[(a, b)].component(deg) @
-                                         Mat.column(field, dcol)).scale(field.mul(v, w))
-                    cols.append(out.column_values(0))
-                if scx.dim(deg) and dcx.dim(deg):
-                    bwd[deg] = Mat.from_columns(field, dcx.dim(deg), cols)
-            fmap = ChainMap(dcx, scx, 0, fwd)
-            bmap = ChainMap(scx, dcx, 0, bwd)
-            if bmap.compose(fmap) != ChainMap.identity(dcx) or \
-                    fmap.compose(bmap) != ChainMap.identity(scx):
+            dt, st, st1 = direct.tensors[(a, b)], stage2.tensors[(a, b)], stage1.tensors[(a, b)]
+            incl = stage1.inclusion.hom_map(a, b)
+
+            def forward(flat):
+                # g (x) f |-> g (x) (1 (x) f)
+                dg, dx = flat
+                return st.layout.place(flat, kron(Mat.identity(field, r3.dim(dg)), incl.component(dx)))
+
+            def plain_backward(flat):
+                # g (x) r2 (x) f |-> g theta23(r2) (x) f
+                dg, dr2, dx = flat
+                return dt.layout.place((dg + dr2, dx), kron(by_r2.block((dg, dr2)),
+                                                            Mat.identity(field, a_cat.hom(a, b).dim(dx))))
+
+            fmap = lifted_map([dt], st, forward)
+            bmap = lifted_map([st], dt, lambda flat: lifted_block([r3.underlying, st1], flat, plain_backward))
+            if bmap.compose(fmap) != ChainMap.identity(dt.complex) or \
+                    fmap.compose(bmap) != ChainMap.identity(st.complex):
                 ok = False
     return TransitivityVerdict(direct, stage1, stage2, ok)
 
@@ -657,105 +471,21 @@ def s_module_of_component(x: Bimodule, b, scat: DgCategory) -> Module:
 
 def tensor_over_s(v: Module, f: Bimodule) -> Bimodule:
     """V (x)_S F for a right S-module V and an (S, b)-bimodule F."""
+    return _tensor_over_s(v, f)[0]
+
+
+def _tensor_over_s(v: Module, f: Bimodule):
+    """V (x)_S F with the balanced tensor V (x)_S F(sobj, b) of each b: S acts
+    on the V factor from the left, b on the F factor from the right."""
     scat = f.acat
     sobj = scat.objects[0]
-    field = f.field
-    ring_s = scat.base
-    comps = {}
-    lays = {}
-    projs = {}
-    sects = {}
-    for b in f.bcat.objects:
-        lay = TensorLayout([v.at(sobj), f.at(sobj, b)])
-        lays[b] = lay
-        killed: Dict[int, List] = {}
-        for dv in v.at(sobj).degrees():
-            for i in range(v.at(sobj).dim(dv)):
-                vv = Mat.basis_column(field, v.at(sobj).dim(dv), i)
-                for ds, si in ring_s.basis():
-                    svec = ring_s.basis_vector(ds, si)
-                    vs = v.apply_action(sobj, sobj, dv, vv, ds, svec)
-                    for dx in f.at(sobj, b).degrees():
-                        for j in range(f.at(sobj, b).dim(dx)):
-                            xv = Mat.basis_column(field, f.at(sobj, b).dim(dx), j)
-                            sx = f.lact_apply(sobj, sobj, b, ds, svec, dx, xv)
-                            deg = dv + ds + dx
-                            col = [field.zero()] * lay.complex.dim(deg)
-                            for k, w in enumerate(vs.column_values(0)):
-                                if not field.is_zero(w):
-                                    pos = lay.position((dv + ds, dx), (k, j))
-                                    col[pos] = field.add(col[pos], w)
-                            for k, w in enumerate(sx.column_values(0)):
-                                if not field.is_zero(w):
-                                    pos = lay.position((dv, dx + ds), (i, k))
-                                    col[pos] = field.sub(col[pos], w)
-                            if any(not field.is_zero(w) for w in col):
-                                killed.setdefault(deg, []).append(col)
-        killed_mats = {d: Mat.from_columns(field, lay.complex.dim(d), cols).image_basis()
-                       for d, cols in killed.items()}
-        quot, proj, sect = quotient_complex(lay.complex, killed_mats, name=f"V(x)S{f.name}({b})")
-        comps[(sobj, b)] = quot
-        projs[b] = proj
-        sects[b] = sect
-    lact = {}
-    ract = {}
-    for b in f.bcat.objects:
-        lay = TensorLayout([scat.hom(sobj, sobj), comps[(sobj, b)]])
-
-        def entry(combo, idx, b=b):
-            ds, dq = combo
-            svec = Mat.basis_column(field, ring_s.dim(ds), idx[0])
-            lift = sects[b][dq].col(idx[1])
-            lay0 = lays[b]
-            out = Mat.zero(field, comps[(sobj, b)].dim(ds + dq), 1)
-            for p, w in enumerate(lift.column_values(0)):
-                if field.is_zero(w):
-                    continue
-                (dv, dx), (vi, xi) = lay0.decompose(dq, p)
-                vv = Mat.basis_column(field, v.at(sobj).dim(dv), vi)
-                # left action on the V factor: s.v = (-1)^{|s||v|} v.s
-                sv = v.apply_action(sobj, sobj, dv, vv, ds, svec)
-                if (ds % 2) and (dv % 2):
-                    sv = -sv
-                col = [field.zero()] * lay0.complex.dim(ds + dq)
-                for k, u in enumerate(sv.column_values(0)):
-                    if not field.is_zero(u):
-                        pos = lay0.position((dv + ds, dx), (k, xi))
-                        col[pos] = u
-                out = out + (projs[b].component(ds + dq) @ Mat.column(field, col)).scale(w)
-            return out
-
-        lact[(sobj, sobj, b)] = lay.map_from_entries(comps[(sobj, b)], 0, entry)
-    for b1 in f.bcat.objects:
-        for b2 in f.bcat.objects:
-            lay = TensorLayout([comps[(sobj, b2)], f.bcat.hom(b1, b2)])
-
-            def entry(combo, idx, b1=b1, b2=b2):
-                dq, db = combo
-                bvec = Mat.basis_column(field, f.bcat.hom(b1, b2).dim(db), idx[1])
-                lift = sects[b2][dq].col(idx[0])
-                lay0 = lays[b2]
-                out = Mat.zero(field, comps[(sobj, b1)].dim(dq + db), 1)
-                for p, w in enumerate(lift.column_values(0)):
-                    if field.is_zero(w):
-                        continue
-                    (dv, dx), (vi, xi) = lay0.decompose(dq, p)
-                    xv = Mat.basis_column(field, f.at(sobj, b2).dim(dx), xi)
-                    xb = f.ract_apply(sobj, b1, b2, dx, xv, db, bvec)
-                    col = [field.zero()] * lays[b1].complex.dim(dq + db)
-                    for k, u in enumerate(xb.column_values(0)):
-                        if not field.is_zero(u):
-                            pos = lays[b1].position((dv, dx + db), (vi, k))
-                            col[pos] = u
-                    out = out + (projs[b1].component(dq + db) @ Mat.column(field, col)).scale(w)
-                return out
-
-            ract[(sobj, b1, b2)] = lay.map_from_entries(comps[(sobj, b1)], 0, entry)
-    out = Bimodule(scat, f.bcat, comps, lact, ract, name=f"{v.name}(x)S{f.name}")
-    out._tensor_projs = projs
-    out._tensor_lays = lays
-    out._tensor_sects = sects
-    return out
+    v_act = pair_action(v.act_pair(sobj, sobj))
+    tensors = {b: balanced_tensor(v_act, pair_action(f.lact_pair(sobj, sobj, b)), name=f"V(x)S{f.name}({b})")
+               for b in f.bcat.objects}
+    out = tensor_bimodule(scat, f.bcat, {(sobj, b): t for b, t in tensors.items()},
+                          lambda a1, a2: swapped(v_act), 0,
+                          lambda b1, b2: pair_action(f.ract_pair(sobj, b1, b2)), 1, name=f"{v.name}(x)S{f.name}")
+    return out, tensors
 
 
 def hom_bimodule_as_s_module(f: Bimodule, g: Bimodule, scat: DgCategory) -> Tuple[Module, BimoduleHomComplex]:
@@ -804,7 +534,7 @@ def coextension_tensor_check(v: Module, f: Bimodule, g: Bimodule) -> bool:
     scat = f.acat
     sobj = scat.objects[0]
     field = f.field
-    vf = tensor_over_s(v, f)
+    vf, tensors = _tensor_over_s(v, f)
     lhs = bimodule_hom_complex(vf, g)
     hmod, hc = hom_bimodule_as_s_module(f, g, scat)
     rhs = module_hom_complex(v, hmod)
@@ -830,8 +560,7 @@ def coextension_tensor_check(v: Module, f: Bimodule, g: Bimodule) -> bool:
                 for vi in range(v.at(sobj).dim(dv)):
                     inner_fam = {}
                     for b in f.bcat.objects:
-                        lay0 = vf._tensor_lays[b]
-                        proj0 = vf._tensor_projs[b]
+                        lay0, proj0 = tensors[b].layout, tensors[b].projection
                         for dx in f.at(sobj, b).degrees():
                             rows = g.at(sobj, b).dim(dx + dv + n)
                             cols_m = f.at(sobj, b).dim(dx)

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegreeCapError, ScenarioError, ShapeError, ValidationError
 from .fields import Field, same_field
-from .matrix import Mat, extend_columns_to_basis, kron, kron_product
+from .matrix import Mat, concat_columns, extend_columns_to_basis, kron, kron_product
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -740,30 +741,26 @@ class TensorLayout:
             raise ShapeError("tensor of no factors; use Complex.one_dim")
         self.factors = list(factors)
         self.field = same_field(*[c.field for c in factors])
-        self._blocks: Dict[int, List[Tuple[Tuple[int, ...], int, int]]] = {}
+        blocks: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
         degs = [c.degrees() for c in self.factors]
         if all(degs):
             for combo in itertools.product(*degs):
-                n = sum(combo)
                 size = 1
                 for c, d in zip(self.factors, combo):
                     size *= c.dim(d)
                 if size:
-                    self._blocks.setdefault(n, []).append((combo, size))
-        blocks = {}
-        for n, lst in self._blocks.items():
+                    blocks.setdefault(sum(combo), []).append((combo, size))
+        self._blocks: Dict[int, List[Tuple[Tuple[int, ...], int, int]]] = {}
+        self._dims: Dict[int, int] = {}
+        for n, lst in blocks.items():
             lst.sort(key=lambda t: t[0])
-            acc = 0
-            entries = []
-            for combo, size in lst:
-                entries.append((combo, acc, size))
-                acc += size
-            blocks[n] = entries
-        self._blocks = blocks
+            starts = itertools.accumulate((size for _, size in lst), initial=0)
+            self._blocks[n] = [(combo, off, size) for (combo, size), off in zip(lst, starts)]
+            self._dims[n] = sum(size for _, size in lst)
         self._complex: Optional[Complex] = None
 
     def dims(self) -> Dict[int, int]:
-        return {n: sum(size for _, _, size in blocks) for n, blocks in self._blocks.items()}
+        return dict(self._dims)
 
     def blocks(self, n: int) -> List[Tuple[Tuple[int, ...], int, int]]:
         return self._blocks.get(n, [])
@@ -781,10 +778,6 @@ class TensorLayout:
         for c, d, i in zip(self.factors, combo, indices):
             pos = pos * c.dim(d) + i
         return off + pos
-
-    def iter_block_indices(self, combo: Tuple[int, ...]):
-        ranges = [range(c.dim(d)) for c, d in zip(self.factors, combo)]
-        return itertools.product(*ranges)
 
     def decompose(self, n: int, position: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Inverse of ``position``: block degree tuple and factor indices."""
@@ -812,118 +805,110 @@ class TensorLayout:
         off, _ = self.block_offset(combo)
         return pairing.component(n).take_columns(range(off, off + size))
 
+    def place(self, combo: Tuple[int, ...], mat: Mat) -> Mat:
+        """``mat``, whose rows index the block ``combo``, as a matrix into the
+        whole degree ``sum(combo)``; zero when the block is empty."""
+        total = self._dims.get(sum(combo), 0)
+        if mat.rows == 0:
+            return Mat.zero(self.field, total, mat.cols)
+        off, _ = self.block_offset(combo)
+        zero = (0,) * mat.cols
+        return Mat._wrap(self.field, total, mat.cols,
+                         (zero,) * off + mat.entries + (zero,) * (total - off - mat.rows))
+
+    def _components(self, rows_of, block_fn) -> Dict[int, Mat]:
+        """Per degree n with ``rows_of(n)`` rows, the blocks ``block_fn(combo)``
+        side by side (a zero block for None)."""
+        comps = {}
+        for n in sorted(self._blocks):
+            rows = rows_of(n)
+            if rows == 0:
+                continue
+            parts = []
+            for combo, _, size in self._blocks[n]:
+                mat = block_fn(combo)
+                parts.append(Mat.zero(self.field, rows, size) if mat is None else mat)
+            comps[n] = concat_columns(self.field, rows, parts)
+        return comps
+
     @property
     def complex(self) -> Complex:
+        """d on a block is the signed sum over the factors of
+        kron(1, ..., d_j, ..., 1), with the sign (-1)^(degrees before slot j)."""
         if self._complex is None:
             field = self.field
-            dims = self.dims()
-            diffs = {}
-            for n in sorted(dims):
-                rows = dims.get(n + 1, 0)
-                cols = dims[n]
-                if rows == 0 or cols == 0:
-                    continue
-                grid = [[field.zero()] * cols for _ in range(rows)]
-                for combo, off, _ in self.blocks(n):
-                    for j, factor in enumerate(self.factors):
-                        dmat = factor.diff(combo[j])
-                        if dmat.is_zero():
-                            continue
-                        tcombo = tuple(d + (1 if t == j else 0) for t, d in enumerate(combo))
-                        if any(self.factors[t].dim(tcombo[t]) == 0 for t in range(len(self.factors))):
-                            continue
-                        sign = sum(combo[:j]) % 2
-                        for idx in self.iter_block_indices(combo):
-                            src = self.position(combo, idx)
-                            col = dmat.col(idx[j])
-                            for i2 in range(dmat.rows):
-                                v = col.entries[i2][0]
-                                if field.is_zero(v):
-                                    continue
-                                tidx = tuple(i2 if t == j else idx[t] for t in range(len(idx)))
-                                dst = self.position(tcombo, tidx)
-                                val = field.neg(v) if sign else v
-                                grid[dst][src] = field.add(grid[dst][src], val)
-                diffs[n] = Mat(field, rows, cols, grid)
-            self._complex = Complex(field, dims, diffs, name="(" + "@".join(c.name for c in self.factors) + ")")
+
+            def block(combo):
+                out = None
+                for j, factor in enumerate(self.factors):
+                    dmat = factor.d.get(combo[j])
+                    if dmat is None:
+                        continue
+                    term = reduce(kron, [dmat if t == j else Mat.identity(field, c.dim(combo[t]))
+                                         for t, c in enumerate(self.factors)])
+                    term = self.place(combo[:j] + (combo[j] + 1,) + combo[j + 1:], term)
+                    if sum(combo[:j]) % 2:
+                        term = -term
+                    out = term if out is None else out + term
+                return out
+
+            diffs = self._components(lambda n: self._dims.get(n + 1, 0), block)
+            self._complex = Complex(field, self.dims(), diffs,
+                                    name="(" + "@".join(c.name for c in self.factors) + ")")
         return self._complex
 
     # -- map builders ---------------------------------------------------------
+
+    def map_from_blocks(self, target: Complex, degree: int, block_fn, check=True) -> ChainMap:
+        """Build a chain map out of the tensor blockwise: block_fn(combo)
+        returns its matrix on the block ``combo`` (rows in target at degree
+        sum(combo)+degree, columns row-major over the factors), or None for
+        zero."""
+        comps = self._components(lambda n: target.dim(n + degree), block_fn)
+        return ChainMap(self.complex, target, degree, comps, check=check)
 
     def map_from_entries(self, target: Complex, degree: int, entry_fn, check=True) -> ChainMap:
         """Build a chain map out of the tensor: entry_fn(combo, indices) returns
         the image vector (Mat column in target at degree sum(combo)+degree), or None."""
         field = self.field
-        comps: Dict[int, Mat] = {}
-        dims = self.dims()
-        for n in sorted(dims):
-            rows = target.dim(n + degree)
-            cols = dims[n]
-            if rows == 0 or cols == 0:
-                continue
-            grid = [[field.zero()] * cols for _ in range(rows)]
-            for combo, off, _ in self.blocks(n):
-                for idx in self.iter_block_indices(combo):
-                    vec = entry_fn(combo, idx)
-                    if vec is None:
-                        continue
-                    src = self.position(combo, idx)
-                    for i in range(rows):
-                        v = vec.entries[i][0]
-                        if not field.is_zero(v):
-                            grid[i][src] = field.add(grid[i][src], v)
-            comps[n] = Mat(field, rows, cols, grid)
-        return ChainMap(self.complex, target, degree, comps, check=check)
+
+        def block(combo):
+            rows = target.dim(sum(combo) + degree)
+            ranges = [range(c.dim(d)) for c, d in zip(self.factors, combo)]
+            zero = Mat.zero(field, rows, 1)
+            cols = [entry_fn(combo, idx) or zero for idx in itertools.product(*ranges)]
+            return concat_columns(field, rows, cols)
+
+        return self.map_from_blocks(target, degree, block, check=check)
 
     def tensor_map(self, target_layout: "TensorLayout", maps: Sequence[ChainMap]) -> ChainMap:
-        """f_1 tensor ... tensor f_k with the Koszul sign convention."""
+        """f_1 tensor ... tensor f_k with the Koszul sign convention: on a block,
+        the signed kron of the components."""
         if len(maps) != len(self.factors):
             raise ShapeError("tensor_map factor count mismatch")
-        field = self.field
-        total_deg = sum(f.degree for f in maps)
         mdegs = [f.degree for f in maps]
 
-        def entry(combo, idx):
-            sign = _koszul_sign_for_maps(mdegs, combo)
-            tcombo = tuple(d + f.degree for d, f in zip(combo, maps))
-            if any(target_layout.factors[t].dim(tcombo[t]) == 0 for t in range(len(maps))):
+        def block(combo):
+            comps = [f.components.get(d) for f, d in zip(maps, combo)]
+            if any(c is None for c in comps):
                 return None
-            cols = [maps[t].component(combo[t]).col(idx[t]) for t in range(len(maps))]
-            out = Mat.zero(field, target_layout.complex.dim(sum(tcombo)), 1)
-            vals = [c.column_values(0) for c in cols]
-            grid = out.entries
-            result = [field.zero()] * out.rows
-            for tidx in itertools.product(*[range(len(v)) for v in vals]):
-                coeff = field.one()
-                zero = False
-                for t, i2 in enumerate(tidx):
-                    v = vals[t][i2]
-                    if field.is_zero(v):
-                        zero = True
-                        break
-                    coeff = field.mul(coeff, v)
-                if zero:
-                    continue
-                pos = target_layout.position(tcombo, tidx)
-                result[pos] = field.add(result[pos], coeff if sign > 0 else field.neg(coeff))
-            return Mat.column(field, result)
+            out = target_layout.place(tuple(d + m for d, m in zip(combo, mdegs)), reduce(kron, comps))
+            return -out if _koszul_sign_for_maps(mdegs, combo) < 0 else out
 
-        return self.map_from_entries(target_layout.complex, total_deg, entry)
+        return self.map_from_blocks(target_layout.complex, sum(mdegs), block)
 
     def permute(self, perm: Sequence[int]) -> Tuple["TensorLayout", ChainMap]:
         """Reorder tensor factors with the Koszul sign; perm[i] = source slot at position i."""
         target = TensorLayout([self.factors[p] for p in perm])
 
-        def entry(combo, idx):
-            sign = permutation_sign(combo, perm)
+        def block(combo):
             tcombo = tuple(combo[p] for p in perm)
-            tidx = tuple(idx[p] for p in perm)
-            pos = target.position(tcombo, tidx)
-            col = [self.field.zero()] * target.complex.dim(sum(combo))
-            col[pos] = self.field.one() if sign > 0 else self.field.neg(self.field.one())
-            return Mat.column(self.field, col)
+            dims = [c.dim(d) for c, d in zip(self.factors, combo)]
+            out = target.place(tcombo, reorder_factors(Mat.identity(self.field, target.block_offset(tcombo)[1]),
+                                                       dims, perm))
+            return -out if permutation_sign(combo, perm) < 0 else out
 
-        return target, self.map_from_entries(target.complex, 0, entry)
+        return target, self.map_from_blocks(target.complex, 0, block)
 
 
 def pair_elements(pairing: ChainMap, lay: TensorLayout, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
@@ -1018,14 +1003,188 @@ def morphism_defect(source, target, outer: ChainMap, first: ChainMap, second: Ch
     return None
 
 
+def reorder_factors(m: Mat, dims: Sequence[int], perm: Sequence[int]) -> Mat:
+    """m precomposed with the unsigned reordering of tensor factors: the
+    columns of m are indexed row-major by the factors in the order ``perm``
+    (position i holds factor perm[i], of size dims[perm[i]]); the result's
+    columns are indexed row-major in the order 0, 1, ...  The Koszul sign is
+    the caller's ``permutation_sign``."""
+    strides = [0] * len(dims)
+    acc = 1
+    for p in reversed(perm):
+        strides[p] = acc
+        acc *= dims[p]
+    return m.take_columns([sum(i * s for i, s in zip(multi, strides))
+                           for multi in itertools.product(*map(range, dims))])
+
+
 def swap_leading_factors(m: Mat, p: int, q: int) -> Mat:
     """m precomposed with the unsigned swap of the two leading tensor factors:
     the columns of m, indexed row-major by (j, i, k) with j < q and i < p,
     reordered to (i, j, k).  The Koszul sign is the caller's
     ``permutation_sign``."""
     rest = m.cols // (p * q) if p * q else 0
-    return m.take_columns([(j * p + i) * rest + k
-                           for i in range(p) for j in range(q) for k in range(rest)])
+    return reorder_factors(m, (p, q, rest), (1, 0, 2))
+
+
+# -- actions on tensor factors and the balanced tensor --------------------------------
+#
+# An action is given by its blocks, as for the structure laws.  Every map out
+# of a tensor of plain complexes, plain tensors and balanced tensors is
+# written once on the flat degree tuples and then lifted through the sections
+# (``lifted_map``); a map into a balanced tensor ends with its projection.
+
+
+class Action(NamedTuple):
+    """The blocks of a degree-0 action: ``block(combo)`` is its matrix on the
+    degree tuple ``combo`` of ``factors``, the acting factor first for a left
+    action and last for a right one."""
+
+    factors: Tuple[Complex, Complex]
+    block: Callable[[Tuple[int, int]], Mat]
+
+
+def pair_action(pair) -> Action:
+    """The action of a (layout, pairing) pair."""
+    lay, pairing = pair
+    return Action(tuple(lay.factors), lambda combo: lay.block(pairing, combo))
+
+
+def swapped(action: Action) -> Action:
+    """The action from the other side, b (x) a |-> (-1)^{|a||b|} act(a (x) b):
+    a right action as a left one, or a left one as a right one."""
+    a, b = action.factors
+
+    def block(combo):
+        db, da = combo
+        out = swap_leading_factors(action.block((da, db)), b.dim(db), a.dim(da))
+        return -out if permutation_sign((da, db), (1, 0)) < 0 else out
+
+    return Action((b, a), block)
+
+
+def factor_action(action: Action, slot: int, target: "TensorLayout", left: bool = True):
+    """The flat blocks of an action on factor ``slot`` of a binary tensor,
+    into the plain tensor ``target``: h (x) a (x) b |-> (h.a) (x) b or
+    (-1)^{|h||a|} a (x) (h.b) for a left action, and a (x) b (x) h |->
+    (-1)^{|b||h|} (a.h) (x) b or a (x) (b.h) for a right one.  For
+    ``lifted_map`` with the parts [H, source] (left) or [source, H] (right)."""
+    a, b = target.factors
+    h = action.factors[0 if left else 1]
+
+    def block(flat):
+        if left:
+            dh, da, db = flat
+            if slot == 0:
+                return target.place((dh + da, db), kron(action.block((dh, da)), Mat.identity(b.field, b.dim(db))))
+            out = swap_leading_factors(kron(Mat.identity(a.field, a.dim(da)), action.block((dh, db))),
+                                       h.dim(dh), a.dim(da))
+            out, sign = target.place((da, dh + db), out), permutation_sign((dh, da), (1, 0))
+        else:
+            da, db, dh = flat
+            if slot == 1:
+                return target.place((da, db + dh), kron(Mat.identity(a.field, a.dim(da)), action.block((db, dh))))
+            dims = (action.factors[0].dim(da), b.dim(db), h.dim(dh))
+            out = reorder_factors(kron(action.block((da, dh)), Mat.identity(b.field, b.dim(db))), dims, (0, 2, 1))
+            out, sign = target.place((da + dh, db), out), permutation_sign((db, dh), (1, 0))
+        return -out if sign < 0 else out
+
+    return block
+
+
+class BalancedTensor(NamedTuple):
+    """X (x)_R Y: the quotient of the plain tensor ``layout`` = X (x) Y by the
+    relations (x.r) (x) y - x (x) (r.y), with the projection from the plain
+    tensor and degreewise linear sections of it."""
+
+    complex: Complex
+    layout: "TensorLayout"
+    projection: ChainMap
+    sections: Dict[int, Mat]
+
+
+def balanced_tensor(right: Action, left: Action, name: str = "bal") -> BalancedTensor:
+    """X (x)_R Y for a right R-action on X and a left R-action on Y.  The
+    relations on the degree tuple (dx, dr, dy) are the one block
+    place(kron(rho, 1_Y)) - place(kron(1_X, lambda)); the quotient depends only
+    on their span."""
+    x, ring = right.factors
+    y = left.factors[1]
+    lay = TensorLayout([x, y])
+    field = lay.field
+    relations: Dict[int, List[Mat]] = {}
+    for dx, dr, dy in itertools.product(x.degrees(), ring.degrees(), y.degrees()):
+        if not lay.complex.dim(dx + dr + dy):
+            continue
+        pushed = lay.place((dx + dr, dy), kron(right.block((dx, dr)), Mat.identity(field, y.dim(dy))))
+        pulled = lay.place((dx, dr + dy), kron(Mat.identity(field, x.dim(dx)), left.block((dr, dy))))
+        relations.setdefault(dx + dr + dy, []).append(pushed - pulled)
+    quot, proj, sections = quotient_by_relations(lay.complex, relations, name=name)
+    return BalancedTensor(quot, lay, proj, sections)
+
+
+def quotient_by_relations(cx: Complex, relations: Dict[int, List[Mat]], name: str = "quot"):
+    """``quotient_complex`` by the span of the columns of the relation blocks."""
+    killed = {n: concat_columns(cx.field, cx.dim(n), blocks) for n, blocks in relations.items()}
+    return quotient_complex(cx, killed, name=name)
+
+
+Part = Union[Complex, "TensorLayout", BalancedTensor]
+
+
+def _lifts(part: Part, deg: int):
+    """(flat degree tuple, lift) for each plain block under degree ``deg`` of a
+    tensor factor that a lift reaches: the identity of a plain complex, the
+    rows of the identity of a plain tensor, the nonzero rows blocks of the
+    section of a balanced tensor."""
+    if isinstance(part, Complex):
+        return [((deg,), Mat.identity(part.field, part.dim(deg)))]
+    if isinstance(part, BalancedTensor):
+        lay, lift = part.layout, part.sections[deg]
+    else:
+        lay, lift = part, Mat.identity(part.field, part.complex.dim(deg))
+    rows = [(combo, lift.take_rows(range(off, off + size))) for combo, off, size in lay.blocks(deg)]
+    return [(combo, rows) for combo, rows in rows if not rows.is_zero()]
+
+
+def lifted_block(parts: Sequence[Part], combo: Tuple[int, ...], flat_block) -> Optional[Mat]:
+    """The block on ``combo`` of the map out of the tensor of ``parts`` that is
+    ``flat_block`` on the flat degree tuples: the sum over the flat blocks
+    under ``combo`` of flat_block(flat) @ kron(lifts); None when all vanish."""
+    out = None
+    for choice in itertools.product(*(_lifts(p, d) for p, d in zip(parts, combo))):
+        flat = flat_block(sum((c for c, _ in choice), ()))
+        if flat is None:
+            continue
+        lifts = [lift for _, lift in choice]
+        term = kron_product(flat, *lifts) if len(lifts) == 2 else flat @ lifts[0]
+        out = term if out is None else out + term
+    return out
+
+
+def _complex_of(part: Part) -> Complex:
+    return part if isinstance(part, Complex) else part.complex
+
+
+def lifted_map(parts: Sequence[Part], target: Part, flat_block, degree: int = 0) -> ChainMap:
+    """The chain map out of the tensor of one or two ``parts`` into
+    ``target`` that is ``flat_block`` on the flat degree tuples: projection of
+    a balanced target o flat map o lift through the sections of the balanced
+    parts.  ``flat_block(flat)`` has its rows in the plain target (the layout
+    of a balanced one) at degree sum(flat) + degree, or is None for zero."""
+    sources = [_complex_of(p) for p in parts]
+    tcx = _complex_of(target)
+
+    def block(combo):
+        out = lifted_block(parts, combo, flat_block)
+        if out is None or not isinstance(target, BalancedTensor):
+            return out
+        return target.projection.component(sum(combo) + degree) @ out
+
+    if len(parts) == 1:
+        comps = {d: block((d,)) for d in sources[0].degrees() if tcx.dim(d + degree)}
+        return ChainMap(sources[0], tcx, degree, {d: m for d, m in comps.items() if m is not None})
+    return TensorLayout(sources).map_from_blocks(tcx, degree, block)
 
 
 def tensor_field(a: Complex, b: Complex) -> Complex:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bimodules import Module
 from .changeofrings import ScalarExtension, extend_scalars_cat, transitivity_check
-from .complexes import ChainMap, TensorLayout
+from .complexes import ChainMap, TensorLayout, lifted_block, lifted_map, pair_action
 from .dgcat import DgCategory, H0Category, h0_category, h0_ring, one_object_category
 from .dgring import (
     AssumptionReport,
@@ -23,9 +23,9 @@ from .dgring import (
     ideal_power,
     quotient,
 )
-from .derived import DegreeWindow, derived_tensor, is_hfp
+from .derived import DegreeWindow, balanced_tensor_ring, derived_tensor, is_hfp
 from .errors import ValidationError
-from .matrix import Mat
+from .matrix import Mat, kron, kron_product
 
 
 # -- factorization ------------------------------------------------------------------
@@ -622,11 +622,6 @@ def hom_as_right_module(cat: DgCategory, a, b,
     return Module(rcat, {robj: v}, {(robj, robj): act}, name=f"hom({a},{b})_{ring.name}")
 
 
-def _balanced_quotient(left: Module, right: Module):
-    from .derived import balanced_tensor_ring
-    return balanced_tensor_ring(left, right)
-
-
 @dataclass
 class StepDeformationVerdict:
     step_name: str
@@ -713,30 +708,14 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
             if v.total_dim() == 0:
                 continue
             v_mod = hom_as_right_module(i_cat, a, b, rcat)
-            tensor_iv, proj_iv, lay_iv, sect_iv = _balanced_quotient(ideal_r, v_mod)
+            t_iv = balanced_tensor_ring(ideal_r, v_mod)
+            tensor_iv = t_iv.complex
             nonpos = nonpos and all(d <= 0 for d in tensor_iv.cohomology().support())
             # SES maps: iota: I (x)_R V -> V (apply the ideal element), pi = unit insert
             incl_comp = step.kernel_ideal().inclusion
-            iota_comps = {}
-            for deg in tensor_iv.degrees():
-                cols = []
-                for jx in range(tensor_iv.dim(deg)):
-                    lift = sect_iv[deg].col(jx)
-                    acc = Mat.zero(field, v.dim(deg), 1)
-                    for p, w in enumerate(lift.column_values(0)):
-                        if field.is_zero(w):
-                            continue
-                        (dx, dv), (xi, vi) = lay_iv.decompose(deg, p)
-                        x = incl_comp.component(dx) @ Mat.basis_column(field,
-                                                                       ideal_r.at(rcat.objects[0]).dim(dx), xi)
-                        fam = i_cat.act_element(a, b, dx, x)
-                        vvec = Mat.basis_column(field, v.dim(dv), vi)
-                        term = fam[dv] @ vvec if dv in fam else Mat.zero(field, v.dim(deg), 1)
-                        acc = acc + term.scale(w)
-                    cols.append(acc.column_values(0))
-                if v.dim(deg):
-                    iota_comps[deg] = Mat.from_columns(field, v.dim(deg), cols)
-            iota = ChainMap(tensor_iv, v, 0, iota_comps)
+            act = pair_action(i_cat.action_pair(a, b))
+            iota = lifted_map([t_iv], v, lambda flat: kron_product(
+                act.block(flat), incl_comp.component(flat[0]), Mat.identity(field, v.dim(flat[1]))))
             pi = ext.inclusion.hom_map(a, b)
             j_hom = j_cat.hom(a, b)
             for deg in set(v.degrees()) | set(tensor_iv.degrees()) | set(j_hom.degrees()):
@@ -758,63 +737,26 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
                 if lhs != iota.cohomology_map(deg).rank() + pi.cohomology_map(deg).rank():
                     les_ok = False
             # (b) tensor lift: I (x)_R V <-> I (x)_S (S (x)_R V)
-            j_mod = hom_as_right_module(j_cat, a, b, scat)
-            tensor_sj, proj_sj, lay_sj, sect_sj = _balanced_quotient(ideal_s, j_mod)
-            fwd = {}
-            for deg in tensor_iv.degrees():
-                cols = []
-                for jx in range(tensor_iv.dim(deg)):
-                    lift = sect_iv[deg].col(jx)
-                    acc = Mat.zero(field, tensor_sj.dim(deg), 1)
-                    for p, w in enumerate(lift.column_values(0)):
-                        if field.is_zero(w):
-                            continue
-                        (dx, dv), (xi, vi) = lay_iv.decompose(deg, p)
-                        # x (x) v |-> x (x) (1 (x) v)
-                        one_v = pi.component(dv) @ Mat.basis_column(field, v.dim(dv), vi)
-                        col = [field.zero()] * lay_sj.complex.dim(deg)
-                        for k, u in enumerate(one_v.column_values(0)):
-                            if not field.is_zero(u):
-                                pos = lay_sj.position((dx, dv), (xi, k))
-                                col[pos] = u
-                        acc = acc + (proj_sj.component(deg) @ Mat.column(field, col)).scale(w)
-                    cols.append(acc.column_values(0))
-                if tensor_sj.dim(deg):
-                    fwd[deg] = Mat.from_columns(field, tensor_sj.dim(deg), cols)
-            bwd = {}
-            for deg in tensor_sj.degrees():
-                cols = []
-                for jx in range(tensor_sj.dim(deg)):
-                    lift = sect_sj[deg].col(jx)
-                    acc = Mat.zero(field, tensor_iv.dim(deg), 1)
-                    for p, w in enumerate(lift.column_values(0)):
-                        if field.is_zero(w):
-                            continue
-                        (dx, dq), (xi, qi) = lay_sj.decompose(deg, p)
-                        # x (x) (s (x) v) |-> x s (x) v
-                        jlift = ext.sections[(a, b)][dq].col(qi)
-                        lay_plain = ext.layouts[(a, b)]
-                        for q, u in enumerate(jlift.column_values(0)):
-                            if field.is_zero(u):
-                                continue
-                            (ds, dv), (si, vi) = lay_plain.decompose(dq, q)
-                            xs = ideal_s.apply_action(scat.objects[0], scat.objects[0], dx,
-                                                      Mat.basis_column(field, ideal_s.at(scat.objects[0]).dim(dx), xi),
-                                                      ds, Mat.basis_column(field, s_ring.dim(ds), si))
-                            col = [field.zero()] * lay_iv.complex.dim(deg)
-                            for k, y in enumerate(xs.column_values(0)):
-                                if not field.is_zero(y):
-                                    pos = lay_iv.position((dx + ds, dv), (k, vi))
-                                    col[pos] = y
-                            acc = acc + (proj_iv.component(deg) @ Mat.column(field, col)).scale(
-                                field.mul(w, u))
-                    cols.append(acc.column_values(0))
-                if tensor_iv.dim(deg):
-                    bwd[deg] = Mat.from_columns(field, tensor_iv.dim(deg), cols)
-            fmap = ChainMap(tensor_iv, tensor_sj, 0, fwd)
-            bmap = ChainMap(tensor_sj, tensor_iv, 0, bwd)
+            t_sj = balanced_tensor_ring(ideal_s, hom_as_right_module(j_cat, a, b, scat))
+            x_by_s = pair_action(ideal_s.act_pair(scat.objects[0], scat.objects[0]))
+
+            def forward(flat):
+                # x (x) v |-> x (x) (1 (x) v)
+                dx, dv = flat
+                return t_sj.layout.place(flat, kron(Mat.identity(field, ideal_r.at(rcat.objects[0]).dim(dx)),
+                                                    pi.component(dv)))
+
+            def plain_backward(flat):
+                # x (x) s (x) v |-> x s (x) v
+                dx, ds, dv = flat
+                return t_iv.layout.place((dx + ds, dv), kron(x_by_s.block((dx, ds)),
+                                                             Mat.identity(field, v.dim(dv))))
+
+            fmap = lifted_map([t_iv], t_sj, forward)
+            bmap = lifted_map([t_sj], t_iv, lambda flat: lifted_block(
+                [ideal_s.at(scat.objects[0]), ext.tensors[(a, b)]], flat, plain_backward))
             if bmap.compose(fmap) != ChainMap.identity(tensor_iv) or \
-                    fmap.compose(bmap) != ChainMap.identity(tensor_sj):
+                    fmap.compose(bmap) != ChainMap.identity(t_sj.complex):
                 lift_ok = False
             # (c) H^0 comparison
             if not _h0_comparison_bijective(i_cat, a, b, step, ext):
@@ -891,21 +833,12 @@ def _h0_comparison_bijective(i_cat: DgCategory, a, b, step: DgRingMorphism,
         return False
     # the explicit map on representatives must be surjective with the relations in its kernel
     cols = []
-    lay = ext.layouts[(a, b)]
+    tensor = ext.tensors[(a, b)]
     for i_s in range(ns):
         svec = h0s.rep(0).col(i_s)
         for iv in range(nv):
-            fvec = h0v.rep(0).col(iv)
-            col = [field.zero()] * lay.complex.dim(0)
-            for si, sv in enumerate(svec.column_values(0)):
-                if field.is_zero(sv):
-                    continue
-                for fi, fv in enumerate(fvec.column_values(0)):
-                    if field.is_zero(fv):
-                        continue
-                    pos = lay.position((0, 0), (si, fi))
-                    col[pos] = field.add(col[pos], field.mul(sv, fv))
-            cls = h0j.class_of(0, ext.projections[(a, b)].component(0) @ Mat.column(field, col))
+            plain = tensor.layout.place((0, 0), kron(svec, h0v.rep(0).col(iv)))
+            cls = h0j.class_of(0, tensor.projection.component(0) @ plain)
             cols.append(cls.column_values(0))
     themap = Mat.from_columns(field, h0j.dim(0), cols)
     if themap.rank() != h0j.dim(0):

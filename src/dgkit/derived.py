@@ -15,7 +15,16 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .bimodules import Module, ModuleMap, cone_module, module_hom_complex
-from .complexes import ChainMap, Complex, TensorLayout, element_action, quotient_complex
+from .complexes import (
+    BalancedTensor,
+    ChainMap,
+    Complex,
+    TensorLayout,
+    balanced_tensor,
+    element_action,
+    pair_action,
+    swapped,
+)
 from .dgcat import DgCategory, one_object_category
 from .dgring import DgRing, DgRingMorphism
 from .errors import ValidationError, WindowCertificationError
@@ -251,57 +260,15 @@ def _ring_of(module: Module) -> DgRing:
     return cat.base
 
 
-def left_action_vector(module: Module, obj, dr: int, r: Mat, dx: int, x: Mat) -> Mat:
-    """Left action derived from the right action over a commutative base:
-    r . x = (-1)^{|r||x|} x . r."""
-    out = module.apply_action(obj, obj, dx, x, dr, r)
-    if (dr % 2) and (dx % 2):
-        out = -out
-    return out
-
-
-def balanced_tensor_ring(p: Module, n: Module):
-    """P (x)_R N for one-object modules over the same ring-category; returns
-    (complex, projection from the plain tensor, layout)."""
-    catp = p.cat
-    obj = catp.objects[0]
+def balanced_tensor_ring(p: Module, n: Module) -> BalancedTensor:
+    """P (x)_R N for one-object modules over the same ring-category, N's right
+    action turned into the left one r.x = (-1)^{|r||x|} x.r."""
     ring = _ring_of(p)
     if _ring_of(n) != ring:
         raise ValidationError("tensor factors live over different rings")
-    field = ring.field
-    P, N = p.at(obj), n.at(list(n.cat.objects)[0])
-    nobj = list(n.cat.objects)[0]
-    lay = TensorLayout([P, N])
-    killed: Dict[int, List] = {}
-    for dp in P.degrees():
-        for i in range(P.dim(dp)):
-            pv = Mat.basis_column(field, P.dim(dp), i)
-            for dr, ri in ring.basis():
-                rv = ring.basis_vector(dr, ri)
-                pr = p.apply_action(obj, obj, dp, pv, dr, rv)
-                for dx in N.degrees():
-                    for j in range(N.dim(dx)):
-                        xv = Mat.basis_column(field, N.dim(dx), j)
-                        rx = left_action_vector(n, nobj, dr, rv, dx, xv)
-                        deg = dp + dr + dx
-                        col = [field.zero()] * lay.complex.dim(deg)
-                        for k, v in enumerate(pr.column_values(0)):
-                            if field.is_zero(v):
-                                continue
-                            pos = lay.position((dp + dr, dx), (k, j))
-                            col[pos] = field.add(col[pos], v)
-                        for k, v in enumerate(rx.column_values(0)):
-                            if field.is_zero(v):
-                                continue
-                            pos = lay.position((dp, dx + dr), (i, k))
-                            col[pos] = field.sub(col[pos], v)
-                        if any(not field.is_zero(v) for v in col):
-                            killed.setdefault(deg, []).append(col)
-    killed_mats = {d: Mat.from_columns(field, lay.complex.dim(d), cols).image_basis()
-                   for d, cols in killed.items()}
-    quot, proj, sections = quotient_complex(lay.complex, killed_mats,
-                                            name=f"{p.name}(x)R{n.name}")
-    return quot, proj, lay, sections
+    obj, nobj = p.cat.objects[0], n.cat.objects[0]
+    return balanced_tensor(pair_action(p.act_pair(obj, obj)), swapped(pair_action(n.act_pair(nobj, nobj))),
+                           name=f"{p.name}(x)R{n.name}")
 
 
 @dataclass
@@ -349,10 +316,10 @@ def derived_tensor(m: Module, n: Module, window: DegreeWindow,
     floor = window.lo - max(other_hi, 0) - 2 - window.guard
     if resolve == "left":
         res = resolve_module(m, floor, generator_cap)
-        quot, _, _, _ = balanced_tensor_ring(res.module, n)
+        quot = balanced_tensor_ring(res.module, n).complex
     else:
         res = resolve_module(n, floor, generator_cap)
-        quot, _, _, _ = balanced_tensor_ring(m, res.module)
+        quot = balanced_tensor_ring(m, res.module).complex
     h = quot.cohomology().as_dict()
     dims = {d: h.get(d, 0) for d in window.degrees()}
     return DerivedReport(dims, window, res, quot)

@@ -8,12 +8,21 @@ matrices look generic, and the cohomology is known by construction.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import ChainMap, Complex, hom_complex
+from .complexes import (
+    ChainMap,
+    Complex,
+    TensorLayout,
+    balanced_tensor,
+    hom_complex,
+    pair_action,
+    swapped,
+)
 from .fields import Field
-from .matrix import Mat, invert
+from .matrix import Mat, invert, kron
 
 
 def random_scalar(rng: random.Random, field: Field, span: int = 4):
@@ -132,7 +141,6 @@ def _discrete_category(rng: random.Random, field: Field, n_objects: int,
         for b in objects:
             for c in objects:
                 lay_factors = [homs[(b, c)], homs[(a, b)]]
-                from .complexes import TensorLayout
                 lay = TensorLayout(lay_factors)
 
                 def entry(combo, idx, a=a, b=b, c=c):
@@ -158,7 +166,6 @@ def _path_category(rng: random.Random, field: Field, n_objects: int, max_arrows:
     <= 0; zero differential, genuinely nonzero compositions."""
     from .dgcat import DgCategory
     from .dgring import DgRing
-    from .complexes import TensorLayout
 
     base = DgRing.ground_field(field)
     objects = [f"X{i}" for i in range(n_objects)]
@@ -287,7 +294,6 @@ def trivial_action_module(rng: random.Random, cat, lo: int = -3, pieces: int = 3
              for a in cat.objects}
     lams = {a: unit_functional(cat, a) for a in cat.objects}
     action = {}
-    from .complexes import TensorLayout
     for x in cat.objects:
         for y in cat.objects:
             lay = TensorLayout([comps[y], cat.hom(x, y)])
@@ -339,111 +345,46 @@ def random_module(rng: random.Random, cat, allow_cone: bool = True):
 
 def outer_representable_bimodule(cat, x, y, name=None):
     """T(A, B) = hom(B, x) (x) hom(y, A) with composition actions."""
+    from .bimodules import tensor_bimodule
+    lays = {(a, b): TensorLayout([cat.hom(b, x), cat.hom(y, a)]) for a in cat.objects for b in cat.objects}
+    return tensor_bimodule(cat, cat, lays, lambda a1, a2: pair_action(cat.comp_pair(y, a1, a2)), 1,
+                           lambda b1, b2: pair_action(cat.comp_pair(b1, b2, x)), 0,
+                           name=name or f"h^{x}(x)h_{y}")
+
+
+def _trivial_actions_bimodule(cat, comps, name):
+    """Identity-character actions on both sides: only the degree-0 part of
+    End(a) acts, each component by the unit functional of a times 1."""
     from .bimodules import Bimodule
-    from .complexes import TensorLayout
     field = cat.field
-    lays = {}
-    comps = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            lay = TensorLayout([cat.hom(b, x), cat.hom(y, a)])
-            lays[(a, b)] = lay
-            comps[(a, b)] = lay.complex
+    lams = {a: unit_functional(cat, a) for a in cat.objects}
+
+    def by_character(a1, a2, lay, slot):
+        def block(combo):
+            dh, dx = combo[slot], combo[1 - slot]
+            if a1 != a2 or dh != 0:
+                return None
+            eye = Mat.identity(field, lay.factors[1 - slot].dim(dx))
+            return kron(lams[a1], eye) if slot == 0 else kron(eye, lams[a1])
+        return block
+
     lact = {}
+    for a1, a2, b in itertools.product(cat.objects, repeat=3):
+        lay = TensorLayout([cat.hom(a1, a2), comps[(a1, b)]])
+        lact[(a1, a2, b)] = lay.map_from_blocks(comps[(a2, b)], 0, by_character(a1, a2, lay, 0))
     ract = {}
-    for a1 in cat.objects:
-        for a2 in cat.objects:
-            for b in cat.objects:
-                lay = TensorLayout([cat.hom(a1, a2), comps[(a1, b)]])
-
-                def entry(combo, idx, a1=a1, a2=a2, b=b):
-                    dh, dx = combo
-                    h = Mat.basis_column(field, cat.hom(a1, a2).dim(dh), idx[0])
-                    (du, dv), (iu, iv) = lays[(a1, b)].decompose(dx, idx[1])
-                    v = Mat.basis_column(field, cat.hom(y, a1).dim(dv), iv)
-                    hv = cat.compose_elements(y, a1, a2, dh, h, dv, v)
-                    out_lay = lays[(a2, b)]
-                    col = [field.zero()] * out_lay.complex.dim(dh + dx)
-                    sign = -1 if (dh % 2 and du % 2) else 1
-                    for k, w in enumerate(hv.column_values(0)):
-                        if field.is_zero(w):
-                            continue
-                        pos = out_lay.position((du, dv + dh), (iu, k))
-                        col[pos] = w if sign > 0 else field.neg(w)
-                    return Mat.column(field, col)
-
-                lact[(a1, a2, b)] = lay.map_from_entries(comps[(a2, b)], 0, entry)
-    for a in cat.objects:
-        for b1 in cat.objects:
-            for b2 in cat.objects:
-                lay = TensorLayout([comps[(a, b2)], cat.hom(b1, b2)])
-
-                def entry(combo, idx, a=a, b1=b1, b2=b2):
-                    dx, dh = combo
-                    (du, dv), (iu, iv) = lays[(a, b2)].decompose(dx, idx[0])
-                    h = Mat.basis_column(field, cat.hom(b1, b2).dim(dh), idx[1])
-                    u = Mat.basis_column(field, cat.hom(b2, x).dim(du), iu)
-                    uh = cat.compose_elements(b1, b2, x, du, u, dh, h)
-                    out_lay = lays[(a, b1)]
-                    col = [field.zero()] * out_lay.complex.dim(dx + dh)
-                    sign = -1 if (dh % 2 and dv % 2) else 1
-                    for k, w in enumerate(uh.column_values(0)):
-                        if field.is_zero(w):
-                            continue
-                        pos = out_lay.position((du + dh, dv), (k, iv))
-                        col[pos] = w if sign > 0 else field.neg(w)
-                    return Mat.column(field, col)
-
-                ract[(a, b1, b2)] = lay.map_from_entries(comps[(a, b1)], 0, entry)
-    return Bimodule(cat, cat, comps, lact, ract, name=name or f"h^{x}(x)h_{y}")
+    for a, b1, b2 in itertools.product(cat.objects, repeat=3):
+        lay = TensorLayout([comps[(a, b2)], cat.hom(b1, b2)])
+        ract[(a, b1, b2)] = lay.map_from_blocks(comps[(a, b1)], 0, by_character(b1, b2, lay, 1))
+    return Bimodule(cat, cat, comps, lact, ract, name=name)
 
 
 def trivial_action_bimodule(rng: random.Random, cat, pieces: int = 2, name="trivT"):
     """Random components, identity-character actions on both sides."""
-    from .bimodules import Bimodule
-    from .complexes import TensorLayout
-    field = cat.field
-    comps = {(a, b): random_complex(rng, field, lo=-2, hi=0,
+    comps = {(a, b): random_complex(rng, cat.field, lo=-2, hi=0,
                                     pieces=rng.randint(0, pieces))[0]
              for a in cat.objects for b in cat.objects}
-    lams = {a: unit_functional(cat, a) for a in cat.objects}
-    lact = {}
-    ract = {}
-    for a1 in cat.objects:
-        for a2 in cat.objects:
-            for b in cat.objects:
-                lay = TensorLayout([cat.hom(a1, a2), comps[(a1, b)]])
-
-                def entry(combo, idx, a1=a1, a2=a2, b=b):
-                    dh, dx = combo
-                    if a1 != a2 or dh != 0:
-                        return None
-                    coeff = lams[a1].entries[0][idx[0]]
-                    if field.is_zero(coeff):
-                        return None
-                    col = [field.zero()] * comps[(a1, b)].dim(dx)
-                    col[idx[1]] = coeff
-                    return Mat.column(field, col)
-
-                lact[(a1, a2, b)] = lay.map_from_entries(comps[(a2, b)], 0, entry)
-    for a in cat.objects:
-        for b1 in cat.objects:
-            for b2 in cat.objects:
-                lay = TensorLayout([comps[(a, b2)], cat.hom(b1, b2)])
-
-                def entry(combo, idx, a=a, b1=b1, b2=b2):
-                    dx, dh = combo
-                    if b1 != b2 or dh != 0:
-                        return None
-                    coeff = lams[b1].entries[0][idx[1]]
-                    if field.is_zero(coeff):
-                        return None
-                    col = [field.zero()] * comps[(a, b1)].dim(dx)
-                    col[idx[0]] = coeff
-                    return Mat.column(field, col)
-
-                ract[(a, b1, b2)] = lay.map_from_entries(comps[(a, b1)], 0, entry)
-    return Bimodule(cat, cat, comps, lact, ract, name=name)
+    return _trivial_actions_bimodule(cat, comps, name)
 
 
 def random_square_bimodule(rng: random.Random, cat):
@@ -623,62 +564,18 @@ def small_random_category(rng: random.Random, field: Field, n_objects: int,
 def cross_representable_bimodule(acat, bcat, a0, b0, name=None):
     """T(A, B) = acat(a0, A) (x) bcat(B, b0): covariant below through
     postcomposition, contravariant above through precomposition."""
-    from .bimodules import Bimodule
-    from .complexes import TensorLayout
-    field = acat.field
-    lays = {}
-    comps = {}
-    for a in acat.objects:
-        for b in bcat.objects:
-            lay = TensorLayout([acat.hom(a0, a), bcat.hom(b, b0)])
-            lays[(a, b)] = lay
-            comps[(a, b)] = lay.complex
-    lact = {}
-    ract = {}
-    for a1 in acat.objects:
-        for a2 in acat.objects:
-            for b in bcat.objects:
-                lay = TensorLayout([acat.hom(a1, a2), comps[(a1, b)]])
+    lays = {(a, b): TensorLayout([acat.hom(a0, a), bcat.hom(b, b0)])
+            for a in acat.objects for b in bcat.objects}
+    return _cross_bimodule(acat, bcat, a0, b0, lays, name or f"h^{a0}xh_{b0}")
 
-                def entry(combo, idx, a1=a1, a2=a2, b=b):
-                    dh, dx = combo
-                    h = Mat.basis_column(field, acat.hom(a1, a2).dim(dh), idx[0])
-                    (du, dv), (iu, iv) = lays[(a1, b)].decompose(dx, idx[1])
-                    u = Mat.basis_column(field, acat.hom(a0, a1).dim(du), iu)
-                    hu = acat.compose_elements(a0, a1, a2, dh, h, du, u)
-                    out_lay = lays[(a2, b)]
-                    col = [field.zero()] * out_lay.complex.dim(dh + dx)
-                    for k, w in enumerate(hu.column_values(0)):
-                        if field.is_zero(w):
-                            continue
-                        pos = out_lay.position((du + dh, dv), (k, iv))
-                        col[pos] = w
-                    return Mat.column(field, col)
 
-                lact[(a1, a2, b)] = lay.map_from_entries(comps[(a2, b)], 0, entry)
-    for a in acat.objects:
-        for b1 in bcat.objects:
-            for b2 in bcat.objects:
-                lay = TensorLayout([comps[(a, b2)], bcat.hom(b1, b2)])
-
-                def entry(combo, idx, a=a, b1=b1, b2=b2):
-                    dx, dh = combo
-                    (du, dv), (iu, iv) = lays[(a, b2)].decompose(dx, idx[0])
-                    h = Mat.basis_column(field, bcat.hom(b1, b2).dim(dh), idx[1])
-                    v = Mat.basis_column(field, bcat.hom(b2, b0).dim(dv), iv)
-                    vh = bcat.compose_elements(b1, b2, b0, dv, v, dh, h)
-                    out_lay = lays[(a, b1)]
-                    col = [field.zero()] * out_lay.complex.dim(dx + dh)
-                    # h composes into the rightmost factor: no Koszul crossing
-                    for k, w in enumerate(vh.column_values(0)):
-                        if field.is_zero(w):
-                            continue
-                        pos = out_lay.position((du, dv + dh), (iu, k))
-                        col[pos] = w
-                    return Mat.column(field, col)
-
-                ract[(a, b1, b2)] = lay.map_from_entries(comps[(a, b1)], 0, entry)
-    return Bimodule(acat, bcat, comps, lact, ract, name=name or f"h^{a0}xh_{b0}")
+def _cross_bimodule(acat, bcat, a0, b0, parts, name):
+    """acat acts on the acat(a0, A) factor by postcomposition, bcat on the
+    bcat(B, b0) factor by precomposition; h composes into the outer factor
+    on each side, so no Koszul crossing arises."""
+    from .bimodules import tensor_bimodule
+    return tensor_bimodule(acat, bcat, parts, lambda a1, a2: pair_action(acat.comp_pair(a0, a1, a2)), 0,
+                           lambda b1, b2: pair_action(bcat.comp_pair(b1, b2, b0)), 1, name=name)
 
 
 def random_acyclic_complex(rng: random.Random, field: Field, lo: int = -2,
@@ -707,52 +604,12 @@ def random_acyclic_complex(rng: random.Random, field: Field, lo: int = -2,
 
 def acyclic_trivial_bimodule(rng: random.Random, cat, name="acyc"):
     """Trivial-action bimodule whose components are acyclic complexes."""
-    from .bimodules import Bimodule
-    from .complexes import TensorLayout
-    field = cat.field
     comps = {}
     for a in cat.objects:
         for b in cat.objects:
-            comps[(a, b)] = random_acyclic_complex(rng, field, lo=-2, hi=0,
+            comps[(a, b)] = random_acyclic_complex(rng, cat.field, lo=-2, hi=0,
                                                    pieces=rng.randint(1, 2))
-    lams = {a: unit_functional(cat, a) for a in cat.objects}
-    lact = {}
-    ract = {}
-    for a1 in cat.objects:
-        for a2 in cat.objects:
-            for b in cat.objects:
-                lay = TensorLayout([cat.hom(a1, a2), comps[(a1, b)]])
-
-                def entry(combo, idx, a1=a1, a2=a2, b=b):
-                    dh, dx = combo
-                    if a1 != a2 or dh != 0:
-                        return None
-                    coeff = lams[a1].entries[0][idx[0]]
-                    if field.is_zero(coeff):
-                        return None
-                    col = [field.zero()] * comps[(a1, b)].dim(dx)
-                    col[idx[1]] = coeff
-                    return Mat.column(field, col)
-
-                lact[(a1, a2, b)] = lay.map_from_entries(comps[(a2, b)], 0, entry)
-    for a in cat.objects:
-        for b1 in cat.objects:
-            for b2 in cat.objects:
-                lay = TensorLayout([comps[(a, b2)], cat.hom(b1, b2)])
-
-                def entry(combo, idx, a=a, b1=b1, b2=b2):
-                    dx, dh = combo
-                    if b1 != b2 or dh != 0:
-                        return None
-                    coeff = lams[b1].entries[0][idx[1]]
-                    if field.is_zero(coeff):
-                        return None
-                    col = [field.zero()] * comps[(a, b1)].dim(dx)
-                    col[idx[0]] = coeff
-                    return Mat.column(field, col)
-
-                ract[(a, b1, b2)] = lay.map_from_entries(comps[(a, b1)], 0, entry)
-    return Bimodule(cat, cat, comps, lact, ract, name=name)
+    return _trivial_actions_bimodule(cat, comps, name)
 
 
 def random_ring_module(rng: random.Random, theta, max_summands: int = 2,
@@ -794,119 +651,16 @@ def balanced_cross_bimodule(a_cat, b_r, a0, b0, name=None):
     """T(A, B) = a(a0, A) (x)_R b(B, b0): the R-balanced cross representable,
     a genuine object of the R-linear bimodule category (both R-actions agree
     through the balancing)."""
-    from .bimodules import Bimodule
-    from .complexes import TensorLayout, quotient_complex
-    ring = a_cat.base
-    field = a_cat.field
-    lays = {}
-    comps = {}
-    projs = {}
-    sects = {}
-    for a in a_cat.objects:
-        for b in b_r.objects:
-            lay = TensorLayout([a_cat.hom(a0, a), b_r.hom(b, b0)])
-            lays[(a, b)] = lay
-            killed = {}
-            for dr, ri in ring.basis():
-                rvec = ring.basis_vector(dr, ri)
-                fam_a = a_cat.act_element(a0, a, dr, rvec)
-                fam_b = b_r.act_element(b, b0, dr, rvec)
-                for dx in a_cat.hom(a0, a).degrees():
-                    for xi in range(a_cat.hom(a0, a).dim(dx)):
-                        x = Mat.basis_column(field, a_cat.hom(a0, a).dim(dx), xi)
-                        # x.r = (-1)^{|r||x|} r.x
-                        xr = fam_a[dx] @ x if dx in fam_a else None
-                        if xr is not None and (dr % 2) and (dx % 2):
-                            xr = -xr
-                        for dy in b_r.hom(b, b0).degrees():
-                            for yi in range(b_r.hom(b, b0).dim(dy)):
-                                y = Mat.basis_column(field, b_r.hom(b, b0).dim(dy), yi)
-                                ry = fam_b[dy] @ y if dy in fam_b else None
-                                deg = dr + dx + dy
-                                col = [field.zero()] * lay.complex.dim(deg)
-                                if xr is not None:
-                                    for k, w in enumerate(xr.column_values(0)):
-                                        if not field.is_zero(w):
-                                            pos = lay.position((dx + dr, dy), (k, yi))
-                                            col[pos] = field.add(col[pos], w)
-                                if ry is not None:
-                                    for k, w in enumerate(ry.column_values(0)):
-                                        if not field.is_zero(w):
-                                            pos = lay.position((dx, dy + dr), (xi, k))
-                                            col[pos] = field.sub(col[pos], w)
-                                if any(not field.is_zero(w) for w in col):
-                                    killed.setdefault(deg, []).append(col)
-            killed_mats = {d: Mat.from_columns(field, lay.complex.dim(d), cols).image_basis()
-                           for d, cols in killed.items()}
-            quot, proj, sect = quotient_complex(lay.complex, killed_mats,
-                                                name=f"bal({a},{b})")
-            comps[(a, b)] = quot
-            projs[(a, b)] = proj
-            sects[(a, b)] = sect
-    lact = {}
-    ract = {}
-    for a1 in a_cat.objects:
-        for a2 in a_cat.objects:
-            for b in b_r.objects:
-                lay = TensorLayout([a_cat.hom(a1, a2), comps[(a1, b)]])
-
-                def entry(combo, idx, a1=a1, a2=a2, b=b):
-                    dh, dq = combo
-                    h = Mat.basis_column(field, a_cat.hom(a1, a2).dim(dh), idx[0])
-                    lift = sects[(a1, b)][dq].col(idx[1])
-                    lay0 = lays[(a1, b)]
-                    out = Mat.zero(field, comps[(a2, b)].dim(dh + dq), 1)
-                    for p, w in enumerate(lift.column_values(0)):
-                        if field.is_zero(w):
-                            continue
-                        (du, dv), (iu, iv) = lay0.decompose(dq, p)
-                        u = Mat.basis_column(field, a_cat.hom(a0, a1).dim(du), iu)
-                        hu = a_cat.compose_elements(a0, a1, a2, dh, h, du, u)
-                        col = [field.zero()] * lays[(a2, b)].complex.dim(dh + dq)
-                        for k, ww in enumerate(hu.column_values(0)):
-                            if not field.is_zero(ww):
-                                pos = lays[(a2, b)].position((du + dh, dv), (k, iv))
-                                col[pos] = ww
-                        out = out + (projs[(a2, b)].component(dh + dq) @
-                                     Mat.column(field, col)).scale(w)
-                    return out
-
-                lact[(a1, a2, b)] = lay.map_from_entries(comps[(a2, b)], 0, entry)
-    for a in a_cat.objects:
-        for b1 in b_r.objects:
-            for b2 in b_r.objects:
-                lay = TensorLayout([comps[(a, b2)], b_r.hom(b1, b2)])
-
-                def entry(combo, idx, a=a, b1=b1, b2=b2):
-                    dq, dh = combo
-                    h = Mat.basis_column(field, b_r.hom(b1, b2).dim(dh), idx[1])
-                    lift = sects[(a, b2)][dq].col(idx[0])
-                    lay0 = lays[(a, b2)]
-                    out = Mat.zero(field, comps[(a, b1)].dim(dq + dh), 1)
-                    for p, w in enumerate(lift.column_values(0)):
-                        if field.is_zero(w):
-                            continue
-                        (du, dv), (iu, iv) = lay0.decompose(dq, p)
-                        v = Mat.basis_column(field, b_r.hom(b2, b0).dim(dv), iv)
-                        vh = b_r.compose_elements(b1, b2, b0, dv, v, dh, h)
-                        col = [field.zero()] * lays[(a, b1)].complex.dim(dq + dh)
-                        for k, ww in enumerate(vh.column_values(0)):
-                            if not field.is_zero(ww):
-                                pos = lays[(a, b1)].position((du, dv + dh), (iu, k))
-                                col[pos] = ww
-                        out = out + (projs[(a, b1)].component(dq + dh) @
-                                     Mat.column(field, col)).scale(w)
-                    return out
-
-                ract[(a, b1, b2)] = lay.map_from_entries(comps[(a, b1)], 0, entry)
-    return Bimodule(a_cat, b_r, comps, lact, ract, name=name or f"h^{a0}(x)Rh_{b0}")
+    parts = {(a, b): balanced_tensor(swapped(pair_action(a_cat.action_pair(a0, a))),
+                                     pair_action(b_r.action_pair(b, b0)), name=f"bal({a},{b})")
+             for a in a_cat.objects for b in b_r.objects}
+    return _cross_bimodule(a_cat, b_r, a0, b0, parts, name or f"h^{a0}(x)Rh_{b0}")
 
 
 def exterior_one_object_category(ring, gen_degree: int = -1):
     """One object with End = R (+) R.f viewed as an R-linear category; the
     third bundled deformation instance."""
     from .dgcat import DgCategory
-    from .complexes import TensorLayout
     ext_ring = exterior_extension_ring(ring, gen_degree)
     field = ring.field
     cx = ext_ring.underlying

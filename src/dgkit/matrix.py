@@ -16,6 +16,7 @@ and reduced are wrapped by the unchecked internal constructor ``Mat._wrap``.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ShapeError
@@ -344,6 +345,14 @@ def invert(m: Mat) -> Mat:
     if len(pivots) != m.rows:
         raise ShapeError("matrix is singular")
     return T
+
+
+def concat_columns(field: Field, rows: int, parts: Sequence[Mat]) -> Mat:
+    """The matrices of ``parts``, each with ``rows`` rows, side by side."""
+    if not parts or not rows:
+        return Mat.zero(field, rows, sum(p.cols for p in parts))
+    return Mat._wrap(field, rows, sum(p.cols for p in parts),
+                     tuple(tuple(chain.from_iterable(row)) for row in zip(*(p.entries for p in parts))))
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -23,6 +23,7 @@ from .bimodules import (
     end_of,
     find_quasi_representative,
     module_hom_complex,
+    tensor_bimodule,
 )
 from .changeofrings import (
     coextension_adjunction_check,
@@ -40,7 +41,10 @@ from .complexes import (
     Term,
     cone,
     hom_complex,
+    lifted_map,
     naturality_subcomplex,
+    pair_action,
+    swapped,
     truncate_ge,
     truncate_le,
 )
@@ -71,7 +75,7 @@ from .instances import (
     small_random_category,
     weak_cokernel_gap_category,
 )
-from .matrix import Mat
+from .matrix import Mat, kron
 
 SEED = 20260809
 
@@ -383,61 +387,13 @@ def check_co_yoneda(count: int = 20) -> CheckResult:
         gop = random_module(rng, opcat, allow_cone=False)
         x = rng.choice(cat.objects)
         field = QQ
-        # integrand T(B, B') = hom(B', x) (x) G(B)
-        lays = {}
-        comps = {}
-        for bl in cat.objects:
-            for bu in cat.objects:
-                lay = TensorLayout([cat.hom(bu, x), gop.at(bl)])
-                lays[(bl, bu)] = lay
-                comps[(bl, bu)] = lay.complex
-        lact = {}
-        ract = {}
-        for b1 in cat.objects:
-            for b2 in cat.objects:
-                for bu in cat.objects:
-                    lay = TensorLayout([cat.hom(b1, b2), comps[(b1, bu)]])
-
-                    def entry(combo, idx, b1=b1, b2=b2, bu=bu):
-                        dh, dx = combo
-                        h = Mat.basis_column(field, cat.hom(b1, b2).dim(dh), idx[0])
-                        (du, dw), (iu, iw) = lays[(b1, bu)].decompose(dx, idx[1])
-                        w = Mat.basis_column(field, gop.at(b1).dim(dw), iw)
-                        hw = _left_module_action(gop, b1, b2, dh, h, dw, w)
-                        out_lay = lays[(b2, bu)]
-                        col = [field.zero()] * out_lay.complex.dim(dh + dx)
-                        sign = -1 if (dh % 2 and du % 2) else 1
-                        for k, val in enumerate(hw.column_values(0)):
-                            if field.is_zero(val):
-                                continue
-                            pos = out_lay.position((du, dw + dh), (iu, k))
-                            col[pos] = val if sign > 0 else field.neg(val)
-                        return Mat.column(field, col)
-
-                    lact[(b1, b2, bu)] = lay.map_from_entries(comps[(b2, bu)], 0, entry)
-        for bl in cat.objects:
-            for b1 in cat.objects:
-                for b2 in cat.objects:
-                    lay = TensorLayout([comps[(bl, b2)], cat.hom(b1, b2)])
-
-                    def entry(combo, idx, bl=bl, b1=b1, b2=b2):
-                        dx, dh = combo
-                        (du, dw), (iu, iw) = lays[(bl, b2)].decompose(dx, idx[0])
-                        h = Mat.basis_column(field, cat.hom(b1, b2).dim(dh), idx[1])
-                        u = Mat.basis_column(field, cat.hom(b2, x).dim(du), iu)
-                        uh = cat.compose_elements(b1, b2, x, du, u, dh, h)
-                        out_lay = lays[(bl, b1)]
-                        col = [field.zero()] * out_lay.complex.dim(dx + dh)
-                        sign = -1 if (dh % 2 and dw % 2) else 1
-                        for k, val in enumerate(uh.column_values(0)):
-                            if field.is_zero(val):
-                                continue
-                            pos = out_lay.position((du + dh, dw), (k, iw))
-                            col[pos] = val if sign > 0 else field.neg(val)
-                        return Mat.column(field, col)
-
-                    ract[(bl, b1, b2)] = lay.map_from_entries(comps[(bl, b1)], 0, entry)
-        t = Bimodule(cat, cat, comps, lact, ract, name="coY")
+        # integrand T(B, B') = hom(B', x) (x) G(B): B acts on G from the left
+        # (its right action over the opposite, swapped), B' on hom(B', x)
+        # from the right by composition
+        lays = {(bl, bu): TensorLayout([cat.hom(bu, x), gop.at(bl)])
+                for bl in cat.objects for bu in cat.objects}
+        t = tensor_bimodule(cat, cat, lays, lambda b1, b2: swapped(pair_action(gop.act_pair(b2, b1))), 1,
+                            lambda b1, b2: pair_action(cat.comp_pair(b1, b2, x)), 0, name="coY")
         res = coend_of(t)
         # evaluation certificate: u (x) w |-> u . w in G(x)
         ev_comps = {}
@@ -673,36 +629,20 @@ def check_derived_tensor_laws(pairs: int = 30) -> CheckResult:
 def _h0_surjectivity_propagates(fmap, wmod) -> bool:
     """H^0(f (x) 1) surjective for H^0-surjective f, by resolving the other
     factor and transporting f through the balanced quotient."""
-    field = wmod.field
     res = resolve_module(wmod, -4)
-    p = res.module
-    src, s_proj, s_lay, s_sect = balanced_tensor_ring(fmap.source, p)
-    tgt, t_proj, t_lay, t_sect = balanced_tensor_ring(fmap.target, p)
-    obj = fmap.source.cat.objects[0]
-    comps = {}
-    for deg in src.degrees():
-        cols = []
-        for j in range(src.dim(deg)):
-            lift = s_sect[deg].col(j)
-            acc = Mat.zero(field, tgt.dim(deg), 1)
-            for pi, v in enumerate(lift.column_values(0)):
-                if field.is_zero(v):
-                    continue
-                (dv, dp), (vi, pii) = s_lay.decompose(deg, pi)
-                img = fmap.at(obj).component(dv) @ Mat.basis_column(
-                    field, fmap.source.at(obj).dim(dv), vi)
-                col = [field.zero()] * t_lay.complex.dim(deg)
-                for k, u in enumerate(img.column_values(0)):
-                    if not field.is_zero(u):
-                        pos = t_lay.position((dv, dp), (k, pii))
-                        col[pos] = u
-                acc = acc + (t_proj.component(deg) @ Mat.column(field, col)).scale(v)
-            cols.append(acc.column_values(0))
-        if tgt.dim(deg) and src.dim(deg):
-            comps[deg] = Mat.from_columns(field, tgt.dim(deg), cols)
-    induced = ChainMap(src, tgt, 0, comps)
+    src = balanced_tensor_ring(fmap.source, res.module)
+    tgt = balanced_tensor_ring(fmap.target, res.module)
+    f = fmap.at(fmap.source.cat.objects[0])
+    p = res.module.at(res.module.cat.objects[0])
+
+    def plain(flat):
+        # v (x) q |-> f(v) (x) q
+        dv, dq = flat
+        return tgt.layout.place(flat, kron(f.component(dv), Mat.identity(wmod.field, p.dim(dq))))
+
+    induced = lifted_map([src], tgt, plain)
     h0 = induced.cohomology_map(0)
-    return h0.rank() == tgt.cohomology().dim(0)
+    return h0.rank() == tgt.complex.cohomology().dim(0)
 
 
 def _h0_tensor_comparison(v: Module, u: Module, ring: DgRing) -> bool:
@@ -712,7 +652,8 @@ def _h0_tensor_comparison(v: Module, u: Module, ring: DgRing) -> bool:
     obj = v.cat.objects[0]
     res = resolve_module(v, -4)
     p = res.module
-    quot, q_proj, q_lay, _ = balanced_tensor_ring(p, u)
+    tensor = balanced_tensor_ring(p, u)
+    quot, q_proj, q_lay = tensor.complex, tensor.projection, tensor.layout
     h0v = v.at(obj).cohomology()
     h0u = u.at(list(u.cat.objects)[0]).cohomology()
     h0r = ring.underlying.cohomology()
