@@ -32,6 +32,7 @@ from .complexes import (
     element_action,
     factor_action,
     hom_complex,
+    lifted_block,
     lifted_map,
     morphism_defect,
     naturality_subcomplex,
@@ -44,7 +45,7 @@ from .complexes import (
 )
 from .dgcat import DgCategory, DgFunctor, opposite
 from .errors import ValidationError
-from .matrix import Mat
+from .matrix import Mat, kron_product
 
 
 class Module:
@@ -541,110 +542,48 @@ def compose_bimodules(f: "Bimodule", g: "Bimodule", check: bool = True) -> "Bimo
     """Componentwise coend over the shared middle category.
 
     f is a bimodule over (acat, bcat), g over (bcat, ccat); the result lives
-    over (acat, ccat) with the outer actions descended to the coends.
+    over (acat, ccat) with the outer actions descended to the coends: acat
+    acts on the f factor and ccat on the g factor of each summand
+    f(a, B) (x) g(B, c) of a coend's ambient.
     """
     if f.bcat.objects != g.acat.objects:
         raise ValidationError("bimodule composition needs a shared middle category")
     acat, bcat, ccat = f.acat, f.bcat, g.bcat
-    field = f.field
-    coends = {}
-    integrands = {}
-    for a in acat.objects:
-        for c in ccat.objects:
-            t = _integrand_over_middle(f, g, a, c)
-            integrands[(a, c)] = t
-            coends[(a, c)] = coend_of(t)
-    comps = {(a, c): coends[(a, c)].complex for a in acat.objects for c in ccat.objects}
+    coends = {(a, c): coend_of(_integrand_over_middle(f, g, a, c))
+              for a in acat.objects for c in ccat.objects}
+    comps = {key: res.complex for key, res in coends.items()}
+    lays = {(a, b, c): TensorLayout([f.at(a, b), g.at(b, c)])
+            for a in acat.objects for b in bcat.objects for c in ccat.objects}
 
-    def ambient_lact(a1, a2, c, dh, h, deg, amb_vec):
-        """a . (x (x) y) = (a.x) (x) y blockwise on the coend ambient."""
-        src = coends[(a1, c)]
-        tgt = coends[(a2, c)]
-        out = Mat.zero(field, tgt.ambient.dim(dh + deg), 1)
-        for b in bcat.objects:
-            lay_src = TensorLayout([f.at(a1, b), g.at(b, c)])
-            lay_tgt = TensorLayout([f.at(a2, b), g.at(b, c)])
-            # the injections are coordinate inclusions, so their transposes project
-            proj = src.injections[b].component(deg).transpose()
-            block = proj @ amb_vec
-            if block.is_zero():
-                continue
-            col = [field.zero()] * lay_tgt.complex.dim(dh + deg)
-            for pos, v in enumerate(block.column_values(0)):
-                if field.is_zero(v):
+    def descended(h, src, tgt, actions, left):
+        """h acting on every summand, lifted through the sections of the
+        source coend and projected to the target one; the injections are
+        coordinate inclusions, so their transposes project."""
+        def block(combo):
+            dh, dq = combo if left else combo[::-1]
+            eye = Mat.identity(h.field, h.dim(dh))
+            out = None
+            for b in bcat.objects:
+                plain_src = lays[(src[0], b, src[1])]
+                flat = factor_action(actions[b], 0 if left else 1, lays[(tgt[0], b, tgt[1])], left)
+                plain = lifted_block([h, plain_src] if left else [plain_src, h], combo, flat)
+                if plain is None:
                     continue
-                (dF, dG), (iF, iG) = lay_src.decompose(deg, pos)
-                x = Mat.basis_column(field, f.at(a1, b).dim(dF), iF)
-                ax = f.lact_apply(a1, a2, b, dh, h, dF, x)
-                for k, w in enumerate(ax.column_values(0)):
-                    if field.is_zero(w):
-                        continue
-                    tpos = lay_tgt.position((dF + dh, dG), (k, iG))
-                    col[tpos] = field.add(col[tpos], field.mul(v, w))
-            out = out + tgt.injections[b].component(dh + deg) @ Mat.column(field, col)
-        return out
+                lift = coends[src].injections[b].component(dq).transpose() @ coends[src].sections[dq]
+                plain = kron_product(plain, eye, lift) if left else kron_product(plain, lift, eye)
+                term = coends[tgt].injections[b].component(dh + dq) @ plain
+                out = term if out is None else out + term
+            return None if out is None else coends[tgt].projection.component(dh + dq) @ out
+        return block
 
-    def ambient_ract(a, c1, c2, deg, amb_vec, dh, h):
-        src = coends[(a, c2)]
-        tgt = coends[(a, c1)]
-        out = Mat.zero(field, tgt.ambient.dim(deg + dh), 1)
-        for b in bcat.objects:
-            lay_src = TensorLayout([f.at(a, b), g.at(b, c2)])
-            lay_tgt = TensorLayout([f.at(a, b), g.at(b, c1)])
-            inj = src.injections[b]
-            proj = inj.component(deg).transpose()
-            block = proj @ amb_vec
-            if block.is_zero():
-                continue
-            col = [field.zero()] * lay_tgt.complex.dim(deg + dh)
-            for pos, v in enumerate(block.column_values(0)):
-                if field.is_zero(v):
-                    continue
-                (dF, dG), (iF, iG) = lay_src.decompose(deg, pos)
-                y = Mat.basis_column(field, g.at(b, c2).dim(dG), iG)
-                yb = g.ract_apply(b, c1, c2, dG, y, dh, h)
-                for k, w in enumerate(yb.column_values(0)):
-                    if field.is_zero(w):
-                        continue
-                    tpos = lay_tgt.position((dF, dG + dh), (iF, k))
-                    col[tpos] = field.add(col[tpos], field.mul(v, w))
-            out = out + tgt.injections[b].component(deg + dh) @ Mat.column(field, col)
-        return out
-
-    lact = {}
-    ract = {}
-    for a1 in acat.objects:
-        for a2 in acat.objects:
-            for c in ccat.objects:
-                lay = TensorLayout([acat.hom(a1, a2), comps[(a1, c)]])
-
-                def entry(combo, idx, a1=a1, a2=a2, c=c):
-                    dh, dq = combo
-                    h = Mat.basis_column(field, acat.hom(a1, a2).dim(dh), idx[0])
-                    section = coends[(a1, c)].sections.get(dq)
-                    if section is None:
-                        return None
-                    amb = section.col(idx[1])
-                    out_amb = ambient_lact(a1, a2, c, dh, h, dq, amb)
-                    return coends[(a2, c)].projection.component(dh + dq) @ out_amb
-
-                lact[(a1, a2, c)] = lay.map_from_entries(comps[(a2, c)], 0, entry)
-    for a in acat.objects:
-        for c1 in ccat.objects:
-            for c2 in ccat.objects:
-                lay = TensorLayout([comps[(a, c2)], ccat.hom(c1, c2)])
-
-                def entry(combo, idx, a=a, c1=c1, c2=c2):
-                    dq, dh = combo
-                    h = Mat.basis_column(field, ccat.hom(c1, c2).dim(dh), idx[1])
-                    section = coends[(a, c2)].sections.get(dq)
-                    if section is None:
-                        return None
-                    amb = section.col(idx[0])
-                    out_amb = ambient_ract(a, c1, c2, dq, amb, dh, h)
-                    return coends[(a, c1)].projection.component(dq + dh) @ out_amb
-
-                ract[(a, c1, c2)] = lay.map_from_entries(comps[(a, c1)], 0, entry)
+    lact = {(a1, a2, c): TensorLayout([acat.hom(a1, a2), comps[(a1, c)]]).map_from_blocks(
+        comps[(a2, c)], 0, descended(acat.hom(a1, a2), (a1, c), (a2, c),
+                                     {b: pair_action(f.lact_pair(a1, a2, b)) for b in bcat.objects}, True))
+        for a1, a2, c in itertools.product(acat.objects, acat.objects, ccat.objects)}
+    ract = {(a, c1, c2): TensorLayout([comps[(a, c2)], ccat.hom(c1, c2)]).map_from_blocks(
+        comps[(a, c1)], 0, descended(ccat.hom(c1, c2), (a, c2), (a, c1),
+                                     {b: pair_action(g.ract_pair(b, c1, c2)) for b in bcat.objects}, False))
+        for a, c1, c2 in itertools.product(acat.objects, ccat.objects, ccat.objects)}
     return Bimodule(acat, ccat, comps, lact, ract, name=f"({g.name}o{f.name})", check=check)
 
 
