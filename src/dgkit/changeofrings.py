@@ -150,12 +150,15 @@ def _right_action_through(theta: DgRingMorphism) -> Action:
 
 def _unit_insertion(unit: Mat, plain: TensorLayout):
     """Flat blocks of x |-> 1 (x) x into the plain tensor S (x) hom."""
-    return lambda flat: plain.place((0,) + flat, kron(unit, Mat.identity(unit.field, plain.factors[1].dim(flat[0]))))
+    hom = plain.factors[1]
+    return lambda flat: plain.place((0,) + flat, kron(unit, Mat.identity(unit.field, hom.dim(flat[0]))))
 
 
-def _extended_composition(cat: DgCategory, ring_s, plain: TensorLayout, a, b, c):
-    """Flat blocks of (s (x) g)(t (x) f) = (-1)^{|g||t|} st (x) gf."""
-    mult, comp = pair_action((ring_s.square, ring_s.mult)), pair_action(cat.comp_pair(a, b, c))
+def _extended_composition(mult: Action, cat: DgCategory, plain: TensorLayout, a, b, c):
+    """Flat blocks of (s (x) g)(t (x) f) = (-1)^{|g||t|} st (x) gf, for the
+    ring multiplication ``mult``."""
+    comp = pair_action(cat.comp_pair(a, b, c))
+    ring_s = mult.factors[0]
     perm = (0, 2, 1, 3)
 
     def block(flat):
@@ -174,16 +177,16 @@ def extend_scalars_cat(cat: DgCategory, theta: DgRingMorphism) -> ScalarExtensio
     if cat.base != theta.source:
         raise ValidationError("category base does not match the morphism source")
     ring_s = theta.target
-    pairs = list(itertools.product(cat.objects, repeat=2))
+    mult = pair_action((ring_s.square, ring_s.mult))
     tensors = {(a, b): balanced_tensor(_right_action_through(theta), pair_action(cat.action_pair(a, b)),
-                                       name=f"S(x){cat.name}({a},{b})") for a, b in pairs}
+                                       name=f"S(x){cat.name}({a},{b})")
+               for a, b in itertools.product(cat.objects, repeat=2)}
     homs = {key: t.complex for key, t in tensors.items()}
     ids = {a: tensors[(a, a)].projection.component(0) @
            tensors[(a, a)].layout.place((0, 0), kron(ring_s.unit, cat.id_vector(a))) for a in cat.objects}
     comp = {(a, b, c): lifted_map([tensors[(b, c)], tensors[(a, b)]], tensors[(a, c)],
-                                  _extended_composition(cat, ring_s, tensors[(a, c)].layout, a, b, c))
+                                  _extended_composition(mult, cat, tensors[(a, c)].layout, a, b, c))
             for a, b, c in itertools.product(cat.objects, repeat=3)}
-    mult = pair_action((ring_s.square, ring_s.mult))
     action = {key: lifted_map([ring_s.underlying, t], t, factor_action(mult, 0, t.layout))
               for key, t in tensors.items()}
     ecat = DgCategory(ring_s, cat.objects, homs, comp, ids, action=action,
@@ -484,7 +487,8 @@ def _tensor_over_s(v: Module, f: Bimodule):
                for b in f.bcat.objects}
     out = tensor_bimodule(scat, f.bcat, {(sobj, b): t for b, t in tensors.items()},
                           lambda a1, a2: swapped(v_act), 0,
-                          lambda b1, b2: pair_action(f.ract_pair(sobj, b1, b2)), 1, name=f"{v.name}(x)S{f.name}")
+                          lambda b1, b2: pair_action(f.ract_pair(sobj, b1, b2)), 1,
+                          name=f"{v.name}(x)S{f.name}")
     return out, tensors
 
 

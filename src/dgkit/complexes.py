@@ -875,9 +875,8 @@ class TensorLayout:
         def block(combo):
             rows = target.dim(sum(combo) + degree)
             ranges = [range(c.dim(d)) for c, d in zip(self.factors, combo)]
-            zero = Mat.zero(field, rows, 1)
-            cols = [entry_fn(combo, idx) or zero for idx in itertools.product(*ranges)]
-            return concat_columns(field, rows, cols)
+            cols = [entry_fn(combo, idx) for idx in itertools.product(*ranges)]
+            return concat_columns(field, rows, [Mat.zero(field, rows, 1) if c is None else c for c in cols])
 
         return self.map_from_blocks(target, degree, block, check=check)
 
@@ -904,8 +903,8 @@ class TensorLayout:
         def block(combo):
             tcombo = tuple(combo[p] for p in perm)
             dims = [c.dim(d) for c, d in zip(self.factors, combo)]
-            out = target.place(tcombo, reorder_factors(Mat.identity(self.field, target.block_offset(tcombo)[1]),
-                                                       dims, perm))
+            eye = Mat.identity(self.field, target.block_offset(tcombo)[1])
+            out = target.place(tcombo, reorder_factors(eye, dims, perm))
             return -out if permutation_sign(combo, perm) < 0 else out
 
         return target, self.map_from_blocks(target.complex, 0, block)
@@ -1071,21 +1070,22 @@ def factor_action(action: Action, slot: int, target: "TensorLayout", left: bool 
     ``lifted_map`` with the parts [H, source] (left) or [source, H] (right)."""
     a, b = target.factors
     h = action.factors[0 if left else 1]
+    field = target.field
 
     def block(flat):
         if left:
             dh, da, db = flat
             if slot == 0:
-                return target.place((dh + da, db), kron(action.block((dh, da)), Mat.identity(b.field, b.dim(db))))
-            out = swap_leading_factors(kron(Mat.identity(a.field, a.dim(da)), action.block((dh, db))),
+                return target.place((dh + da, db), kron(action.block((dh, da)), Mat.identity(field, b.dim(db))))
+            out = swap_leading_factors(kron(Mat.identity(field, a.dim(da)), action.block((dh, db))),
                                        h.dim(dh), a.dim(da))
             out, sign = target.place((da, dh + db), out), permutation_sign((dh, da), (1, 0))
         else:
             da, db, dh = flat
             if slot == 1:
-                return target.place((da, db + dh), kron(Mat.identity(a.field, a.dim(da)), action.block((db, dh))))
+                return target.place((da, db + dh), kron(Mat.identity(field, a.dim(da)), action.block((db, dh))))
             dims = (action.factors[0].dim(da), b.dim(db), h.dim(dh))
-            out = reorder_factors(kron(action.block((da, dh)), Mat.identity(b.field, b.dim(db))), dims, (0, 2, 1))
+            out = reorder_factors(kron(action.block((da, dh)), Mat.identity(field, b.dim(db))), dims, (0, 2, 1))
             out, sign = target.place((da + dh, db), out), permutation_sign((db, dh), (1, 0))
         return -out if sign < 0 else out
 
