@@ -751,16 +751,25 @@ class TensorLayout:
                 if size:
                     blocks.setdefault(sum(combo), []).append((combo, size))
         self._blocks: Dict[int, List[Tuple[Tuple[int, ...], int, int]]] = {}
-        self._dims: Dict[int, int] = {}
         for n, lst in blocks.items():
             lst.sort(key=lambda t: t[0])
-            starts = itertools.accumulate((size for _, size in lst), initial=0)
-            self._blocks[n] = [(combo, off, size) for (combo, size), off in zip(lst, starts)]
-            self._dims[n] = sum(size for _, size in lst)
+            off = 0
+            entries = []
+            for combo, size in lst:
+                entries.append((combo, off, size))
+                off += size
+            self._blocks[n] = entries
         self._complex: Optional[Complex] = None
 
+    def dim(self, n: int) -> int:
+        blocks = self._blocks.get(n)
+        if not blocks:
+            return 0
+        _, off, size = blocks[-1]
+        return off + size
+
     def dims(self) -> Dict[int, int]:
-        return dict(self._dims)
+        return {n: self.dim(n) for n in self._blocks}
 
     def blocks(self, n: int) -> List[Tuple[Tuple[int, ...], int, int]]:
         return self._blocks.get(n, [])
@@ -808,13 +817,17 @@ class TensorLayout:
     def place(self, combo: Tuple[int, ...], mat: Mat) -> Mat:
         """``mat``, whose rows index the block ``combo``, as a matrix into the
         whole degree ``sum(combo)``; zero when the block is empty."""
-        total = self._dims.get(sum(combo), 0)
-        if mat.rows == 0:
-            return Mat.zero(self.field, total, mat.cols)
-        off, _ = self.block_offset(combo)
-        zero = (0,) * mat.cols
-        return Mat._wrap(self.field, total, mat.cols,
-                         (zero,) * off + mat.entries + (zero,) * (total - off - mat.rows))
+        return self._stack(sum(combo), mat.cols, [(combo, mat)])
+
+    def _stack(self, n: int, cols: int, pieces) -> Mat:
+        """The (combo, mat) pieces, on distinct blocks of degree n, as one
+        matrix into the whole degree."""
+        rows = [(0,) * cols] * self.dim(n)
+        for combo, mat in pieces:
+            if mat.rows:
+                off, _ = self.block_offset(combo)
+                rows[off:off + mat.rows] = mat.entries
+        return Mat._wrap(self.field, len(rows), cols, tuple(rows))
 
     def _components(self, rows_of, block_fn) -> Dict[int, Mat]:
         """Per degree n with ``rows_of(n)`` rows, the blocks ``block_fn(combo)``
@@ -839,20 +852,20 @@ class TensorLayout:
             field = self.field
 
             def block(combo):
-                out = None
+                # the terms land on distinct target blocks
+                pieces = []
                 for j, factor in enumerate(self.factors):
                     dmat = factor.d.get(combo[j])
                     if dmat is None:
                         continue
+                    if sum(combo[:j]) % 2:
+                        dmat = -dmat
                     term = reduce(kron, [dmat if t == j else Mat.identity(field, c.dim(combo[t]))
                                          for t, c in enumerate(self.factors)])
-                    term = self.place(combo[:j] + (combo[j] + 1,) + combo[j + 1:], term)
-                    if sum(combo[:j]) % 2:
-                        term = -term
-                    out = term if out is None else out + term
-                return out
+                    pieces.append((combo[:j] + (combo[j] + 1,) + combo[j + 1:], term))
+                return self._stack(sum(combo) + 1, self.block_offset(combo)[1], pieces) if pieces else None
 
-            diffs = self._components(lambda n: self._dims.get(n + 1, 0), block)
+            diffs = self._components(lambda n: self.dim(n + 1), block)
             self._complex = Complex(field, self.dims(), diffs,
                                     name="(" + "@".join(c.name for c in self.factors) + ")")
         return self._complex
@@ -873,10 +886,11 @@ class TensorLayout:
         field = self.field
 
         def block(combo):
-            rows = target.dim(sum(combo) + degree)
+            zero = (0,) * target.dim(sum(combo) + degree)
             ranges = [range(c.dim(d)) for c, d in zip(self.factors, combo)]
             cols = [entry_fn(combo, idx) for idx in itertools.product(*ranges)]
-            return concat_columns(field, rows, [Mat.zero(field, rows, 1) if c is None else c for c in cols])
+            cols = [zero if c is None else next(zip(*c.entries)) for c in cols]
+            return Mat._wrap(field, len(zero), len(cols), tuple(zip(*cols)))
 
         return self.map_from_blocks(target, degree, block, check=check)
 

@@ -70,7 +70,9 @@ class Mat:
         return Mat._wrap(field, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def identity(field: Field, n: int) -> "Mat":
+        """The identity of a size; one shared immutable instance per size."""
         if n < 0:
             raise ShapeError(f"negative shape {n}x{n}")
         return Mat._wrap(field, n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
@@ -349,6 +351,8 @@ def invert(m: Mat) -> Mat:
 
 def concat_columns(field: Field, rows: int, parts: Sequence[Mat]) -> Mat:
     """The matrices of ``parts``, each with ``rows`` rows, side by side."""
+    if len(parts) == 1:
+        return parts[0]
     if not parts or not rows:
         return Mat.zero(field, rows, sum(p.cols for p in parts))
     return Mat._wrap(field, rows, sum(p.cols for p in parts),
