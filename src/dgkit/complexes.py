@@ -1180,12 +1180,12 @@ def _complex_of(part: Part) -> Complex:
     return part if isinstance(part, Complex) else part.complex
 
 
-def lifted_map(parts: Sequence[Part], target: Part, flat_block, degree: int = 0) -> ChainMap:
-    """The chain map out of the tensor of one or two ``parts`` into
+def lifted_map(parts: Sequence[Part], target: Part, flat_block) -> ChainMap:
+    """The degree-0 chain map out of the tensor of one or two ``parts`` into
     ``target`` that is ``flat_block`` on the flat degree tuples: projection of
     a balanced target o flat map o lift through the sections of the balanced
     parts.  ``flat_block(flat)`` has its rows in the plain target (the layout
-    of a balanced one) at degree sum(flat) + degree, or is None for zero."""
+    of a balanced one) at degree sum(flat), or is None for zero."""
     sources = [_complex_of(p) for p in parts]
     tcx = _complex_of(target)
 
@@ -1193,12 +1193,12 @@ def lifted_map(parts: Sequence[Part], target: Part, flat_block, degree: int = 0)
         out = lifted_block(parts, combo, flat_block)
         if out is None or not isinstance(target, BalancedTensor):
             return out
-        return target.projection.component(sum(combo) + degree) @ out
+        return target.projection.component(sum(combo)) @ out
 
     if len(parts) == 1:
-        comps = {d: block((d,)) for d in sources[0].degrees() if tcx.dim(d + degree)}
-        return ChainMap(sources[0], tcx, degree, {d: m for d, m in comps.items() if m is not None})
-    return TensorLayout(sources).map_from_blocks(tcx, degree, block)
+        comps = {d: block((d,)) for d in sources[0].degrees() if tcx.dim(d)}
+        return ChainMap(sources[0], tcx, 0, {d: m for d, m in comps.items() if m is not None})
+    return TensorLayout(sources).map_from_blocks(tcx, 0, block)
 
 
 def tensor_field(a: Complex, b: Complex) -> Complex:
