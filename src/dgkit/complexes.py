@@ -1149,16 +1149,16 @@ Part = Union[Complex, "TensorLayout", BalancedTensor]
 def _lifts(part: Part, deg: int):
     """(flat degree tuple, lift) for each plain block under degree ``deg`` of a
     tensor factor that a lift reaches: the identity of a plain complex, the
-    rows of the identity of a plain tensor, the nonzero rows blocks of the
-    section of a balanced tensor."""
+    row blocks of the identity of a plain tensor, the nonzero row blocks of
+    the section of a balanced tensor."""
     if isinstance(part, Complex):
         return [((deg,), Mat.identity(part.field, part.dim(deg)))]
     if isinstance(part, BalancedTensor):
         lay, lift = part.layout, part.sections[deg]
     else:
         lay, lift = part, Mat.identity(part.field, part.complex.dim(deg))
-    rows = [(combo, lift.take_rows(range(off, off + size))) for combo, off, size in lay.blocks(deg)]
-    return [(combo, rows) for combo, rows in rows if not rows.is_zero()]
+    pieces = [(combo, lift.take_rows(range(off, off + size))) for combo, off, size in lay.blocks(deg)]
+    return [(combo, rows) for combo, rows in pieces if not rows.is_zero()]
 
 
 def lifted_block(parts: Sequence[Part], combo: Tuple[int, ...], flat_block) -> Optional[Mat]:
