@@ -23,6 +23,8 @@ from .complexes import (
     ChainMap,
     Complex,
     Equation,
+    Piece,
+    Retract,
     TensorLayout,
     Term,
     associativity_defect,
@@ -32,20 +34,24 @@ from .complexes import (
     element_action,
     factor_action,
     hom_complex,
-    lifted_block,
     lifted_map,
     morphism_defect,
     naturality_subcomplex,
     pair_action,
     pair_elements,
+    permutation_sign,
     quotient_by_relations,
     shift_complex,
+    sub_retract,
+    sum_retract,
+    swap_leading_factors,
     swapped,
+    transposed,
     unit_defect,
 )
 from .dgcat import DgCategory, DgFunctor, opposite
 from .errors import ValidationError
-from .matrix import Mat, kron_product
+from .matrix import Mat, block_matrix, concat_columns, kron
 
 
 class Module:
@@ -115,62 +121,33 @@ class Module:
         return Module(cat, {}, {}, name="0", check=False)
 
 
+def module_on(cat: DgCategory, parts: Dict, summands: Sequence[Module], name: str) -> Module:
+    """The module on the complexes of ``parts``, retracts whose piece i
+    carries summands[i]: the action by hom(x, y) is
+    sum_i out_i o act_i o kron(in_i, 1) over the blocks of the summands'
+    actions."""
+    action = {(x, y): lifted_map([parts[y], cat.hom(x, y)], parts[x],
+                                 [pair_action(m.act_pair(x, y)).block for m in summands])
+              for x, y in itertools.product(cat.objects, repeat=2)}
+    return Module(cat, {a: p.complex for a, p in parts.items()}, action, name=name, check=False)
+
+
 def shift_module(m: Module, k: int) -> Module:
     """Degree shift; viewing M[k] as k[k] (x) M the action needs no sign."""
-    comps = {a: shift_complex(m.at(a), k) for a in m.cat.objects}
-    action = {}
-    field = m.field
-    for x in m.cat.objects:
-        for y in m.cat.objects:
-            lay = TensorLayout([comps[y], m.cat.hom(x, y)])
-
-            def entry(combo, idx, x=x, y=y):
-                dm, df = combo
-                src = Mat.basis_column(field, m.at(y).dim(dm + k), idx[0])
-                f = Mat.basis_column(field, m.cat.hom(x, y).dim(df), idx[1])
-                return m.apply_action(x, y, dm + k, src, df, f)
-
-            action[(x, y)] = lay.map_from_entries(comps[x], 0, entry)
-    return Module(m.cat, comps, action, name=f"{m.name}[{k}]", check=False)
+    parts = {a: Retract(shift_complex(m.at(a), k), (Piece(m.at(a), k),)) for a in m.cat.objects}
+    return module_on(m.cat, parts, [m], name=f"{m.name}[{k}]")
 
 
 def direct_sum_modules(summands: Sequence[Module]):
     """Returns (sum, injections, projections) as ModuleMaps."""
     cat = summands[0].cat
-    comps = {}
-    inj_c = {a: [] for a in cat.objects}
-    proj_c = {a: [] for a in cat.objects}
-    for a in cat.objects:
-        total, injs, projs = direct_sum([m.at(a) for m in summands])
-        comps[a] = total
-        for i in range(len(summands)):
-            inj_c[a].append(injs[i])
-            proj_c[a].append(projs[i])
-    action = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            lay = TensorLayout([comps[y], cat.hom(x, y)])
-            field = cat.field
-
-            def entry(combo, idx, x=x, y=y):
-                dm, df = combo
-                vec = Mat.basis_column(field, comps[y].dim(dm), idx[0])
-                f = Mat.basis_column(field, cat.hom(x, y).dim(df), idx[1])
-                out = Mat.zero(field, comps[x].dim(dm + df), 1)
-                for i, m in enumerate(summands):
-                    part = proj_c[y][i].component(dm) @ vec
-                    acted = m.apply_action(x, y, dm, part, df, f)
-                    out = out + inj_c[x][i].component(dm + df) @ acted
-                return out
-
-            action[(x, y)] = lay.map_from_entries(comps[x], 0, entry)
-    total = Module(cat, comps, action, name="(+)".join(m.name for m in summands), check=False)
-    injections = [ModuleMap(summands[i], total, 0,
-                            {a: inj_c[a][i] for a in cat.objects}, check=False)
-                  for i in range(len(summands))]
-    projections = [ModuleMap(total, summands[i], 0,
-                             {a: proj_c[a][i] for a in cat.objects}, check=False)
-                   for i in range(len(summands))]
+    sums = {a: sum_retract([m.at(a) for m in summands]) for a in cat.objects}
+    total = module_on(cat, {a: s[0] for a, s in sums.items()}, summands,
+                       name="(+)".join(m.name for m in summands))
+    injections = [ModuleMap(m, total, 0, {a: s[1][i] for a, s in sums.items()}, check=False)
+                  for i, m in enumerate(summands)]
+    projections = [ModuleMap(total, m, 0, {a: s[2][i] for a, s in sums.items()}, check=False)
+                   for i, m in enumerate(summands)]
     return total, injections, projections
 
 
@@ -221,45 +198,14 @@ def cone_module(phi: ModuleMap):
     if phi.degree != 0:
         raise ValidationError("module cones need degree-0 maps")
     cat = phi.source.cat
-    field = cat.field
-    comps = {}
-    incl_c = {}
-    proj_c = {}
-    for a in cat.objects:
-        c, incl, proj = cone(phi.at(a))
-        comps[a] = c
-        incl_c[a] = incl
-        proj_c[a] = proj
-    action = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            lay = TensorLayout([comps[y], cat.hom(x, y)])
-
-            def entry(combo, idx, x=x, y=y):
-                dm, df = combo
-                tgt_dim_y = phi.target.at(y).dim(dm)
-                f = Mat.basis_column(field, cat.hom(x, y).dim(df), idx[1])
-                if idx[0] < tgt_dim_y:
-                    part = Mat.basis_column(field, tgt_dim_y, idx[0])
-                    acted = phi.target.apply_action(x, y, dm, part, df, f)
-                    lifted = [field.zero()] * comps[x].dim(dm + df)
-                    for i, v in enumerate(acted.column_values(0)):
-                        lifted[i] = v
-                    return Mat.column(field, lifted)
-                src_idx = idx[0] - tgt_dim_y
-                part = Mat.basis_column(field, phi.source.at(y).dim(dm + 1), src_idx)
-                acted = phi.source.apply_action(x, y, dm + 1, part, df, f)
-                lifted = [field.zero()] * comps[x].dim(dm + df)
-                off = phi.target.at(x).dim(dm + df)
-                for i, v in enumerate(acted.column_values(0)):
-                    lifted[off + i] = v
-                return Mat.column(field, lifted)
-
-            action[(x, y)] = lay.map_from_entries(comps[x], 0, entry)
-    c = Module(cat, comps, action, name=f"cone({phi.source.name}->{phi.target.name})", check=False)
-    incl = ModuleMap(phi.target, c, 0, incl_c, check=False)
-    shifted = shift_module(phi.source, 1)
-    proj = ModuleMap(c, shifted, 0, proj_c, check=False)
+    cones = {a: cone(phi.at(a)) for a in cat.objects}
+    # cone^d = target^d + source^(d+1): the source piece sits one degree up
+    parts = {a: Retract(c, (Piece(phi.target.at(a), 0, transposed(incl.components), incl.components),
+                            Piece(phi.source.at(a), 1, proj.components, transposed(proj.components))))
+             for a, (c, incl, proj) in cones.items()}
+    c = module_on(cat, parts, [phi.target, phi.source], name=f"cone({phi.source.name}->{phi.target.name})")
+    incl = ModuleMap(phi.target, c, 0, {a: v[1] for a, v in cones.items()}, check=False)
+    proj = ModuleMap(c, shift_module(phi.source, 1), 0, {a: v[2] for a, v in cones.items()}, check=False)
     return c, incl, proj
 
 
@@ -439,6 +385,17 @@ class CoendResult:
     injections: Dict             # object -> ChainMap(T(A,A) -> ambient)
     sections: Dict               # degree -> Mat (linear lifts)
 
+    def through(self, plains: Dict) -> Retract:
+        """The coend through its summands, piece A on ``plains[A]``, the
+        plain form of T(A, A): lifted by the sections and projected onto the
+        summand, and back by the injection and the projection.  The
+        injections are coordinate inclusions, so their transposes project."""
+        return Retract(self.complex, tuple(
+            Piece(plains[a], 0,
+                  {d: inj.component(d).transpose() @ s for d, s in self.sections.items()},
+                  {d: p @ inj.component(d) for d, p in self.projection.components.items()})
+            for a, inj in self.injections.items()))
+
 
 def _square(t: Bimodule):
     if t.acat is not t.bcat and t.acat.objects != t.bcat.objects:
@@ -551,136 +508,109 @@ def compose_bimodules(f: "Bimodule", g: "Bimodule", check: bool = True) -> "Bimo
     acat, bcat, ccat = f.acat, f.bcat, g.bcat
     coends = {(a, c): coend_of(_integrand_over_middle(f, g, a, c))
               for a in acat.objects for c in ccat.objects}
-    comps = {key: res.complex for key, res in coends.items()}
     lays = {(a, b, c): TensorLayout([f.at(a, b), g.at(b, c)])
             for a in acat.objects for b in bcat.objects for c in ccat.objects}
-
-    def descended(h, src, tgt, actions, left):
-        """h acting on every summand, lifted through the sections of the
-        source coend and projected to the target one; the injections are
-        coordinate inclusions, so their transposes project."""
-        def block(combo):
-            dh, dq = combo if left else combo[::-1]
-            eye = Mat.identity(h.field, h.dim(dh))
-            out = None
-            for b in bcat.objects:
-                plain_src = lays[(src[0], b, src[1])]
-                flat = factor_action(actions[b], 0 if left else 1, lays[(tgt[0], b, tgt[1])], left)
-                plain = lifted_block([h, plain_src] if left else [plain_src, h], combo, flat)
-                if plain is None:
-                    continue
-                lift = coends[src].injections[b].component(dq).transpose() @ coends[src].sections[dq]
-                plain = kron_product(plain, eye, lift) if left else kron_product(plain, lift, eye)
-                term = coends[tgt].injections[b].component(dh + dq) @ plain
-                out = term if out is None else out + term
-            return None if out is None else coends[tgt].projection.component(dh + dq) @ out
-        return block
-
-    lact = {(a1, a2, c): TensorLayout([acat.hom(a1, a2), comps[(a1, c)]]).map_from_blocks(
-        comps[(a2, c)], 0, descended(acat.hom(a1, a2), (a1, c), (a2, c),
-                                     {b: pair_action(f.lact_pair(a1, a2, b)) for b in bcat.objects}, True))
+    parts = {(a, c): res.through({b: lays[(a, b, c)] for b in bcat.objects}) for (a, c), res in coends.items()}
+    lact = {(a1, a2, c): lifted_map([acat.hom(a1, a2), parts[(a1, c)]], parts[(a2, c)], [
+        factor_action(pair_action(f.lact_pair(a1, a2, b)), 0, lays[(a2, b, c)]) for b in bcat.objects])
         for a1, a2, c in itertools.product(acat.objects, acat.objects, ccat.objects)}
-    ract = {(a, c1, c2): TensorLayout([comps[(a, c2)], ccat.hom(c1, c2)]).map_from_blocks(
-        comps[(a, c1)], 0, descended(ccat.hom(c1, c2), (a, c2), (a, c1),
-                                     {b: pair_action(g.ract_pair(b, c1, c2)) for b in bcat.objects}, False))
+    ract = {(a, c1, c2): lifted_map([parts[(a, c2)], ccat.hom(c1, c2)], parts[(a, c1)], [
+        factor_action(pair_action(g.ract_pair(b, c1, c2)), 1, lays[(a, b, c1)], left=False) for b in bcat.objects])
         for a, c1, c2 in itertools.product(acat.objects, ccat.objects, ccat.objects)}
+    comps = {key: p.complex for key, p in parts.items()}
     return Bimodule(acat, ccat, comps, lact, ract, name=f"({g.name}o{f.name})", check=check)
 
 
 # -- duality ---------------------------------------------------------------------
 
 
+def _slotwise(src: ModuleHomComplex, tgt: ModuleHomComplex, m: int, n: int, source_degree, block) -> Mat:
+    """The map from degree m of the ambient of ``src`` to degree n of that of
+    ``tgt`` that sends, in each slot x, the hom block of source degree
+    source_degree(i) to the hom block of source degree i by block(x, i),
+    and is zero elsewhere."""
+    cols, col_of = [], {}
+    for x, lay in src.layouts.items():
+        for j, _, size in lay.blocks(m):
+            col_of[(x, j)] = len(cols)
+            cols.append(size)
+    rows, placed = [], {}
+    for x, lay in tgt.layouts.items():
+        for i, _, size in lay.blocks(n):
+            col = col_of.get((x, source_degree(i)))
+            if col is not None:
+                placed[(len(rows), col)] = block(x, i)
+            rows.append(size)
+    return block_matrix(src.ambient.field, rows, cols, placed)
+
+
 def dual_of(f: "Bimodule") -> "Bimodule":
     """Component at (A, B) is the complex of right-module maps f_A -> h_B;
-    the result is a bimodule over the opposite categories."""
+    the result is a bimodule over the opposite categories.  Both actions act
+    slotwise on the ambient families, psi |-> psi o (a . -) and
+    psi |-> (- o b) o psi with the sign of moving the acting element past
+    psi; vec(L X R) = kron(L, R^t) vec(X) writes each slot block."""
     acat_op = opposite(f.acat)
     bcat_op = opposite(f.bcat)
     field = f.field
     modules = {a: f.module_at(a) for a in f.acat.objects}
     reps = {b: Module.representable(f.bcat, b) for b in f.bcat.objects}
-    mhcs = {}
-    comps = {}
-    for a in f.acat.objects:
-        for b in f.bcat.objects:
-            mhc = ModuleHomComplex(modules[a], reps[b], name=f"dual({f.name})@({a},{b})")
-            mhcs[(a, b)] = mhc
-            comps[(a, b)] = mhc.complex
+    mhcs = {(a, b): ModuleHomComplex(modules[a], reps[b], name=f"dual({f.name})@({a},{b})")
+            for a in f.acat.objects for b in f.bcat.objects}
+    parts = {key: sub_retract(m.complex, m.inclusion) for key, m in mhcs.items()}
 
-    def express(a, b, degree, ambient_vec):
-        incl = mhcs[(a, b)].inclusion.component(degree)
-        sol = incl.solve(ambient_vec)
-        if sol is None:
-            raise ValidationError("dual action left the naturality subcomplex")
-        return sol
+    def precomposed(a1, a2, b):
+        # acat_op.hom(a1,a2) = f.acat.hom(a2,a1): an element a: A2 -> A1
+        src, tgt = mhcs[(a1, b)], mhcs[(a2, b)]
 
-    lact = {}
-    ract = {}
-    for a1 in f.acat.objects:
-        for a2 in f.acat.objects:
-            for b in f.bcat.objects:
-                lay = TensorLayout([acat_op.hom(a1, a2), comps[(a1, b)]])
-                # acat_op.hom(a1,a2) = f.acat.hom(a2,a1): an element a: A2 -> A1
+        def block(flat):
+            da, dpsi = flat
+            n = da + dpsi
+            acts = {x: pair_action(f.lact_pair(a2, a1, x)).block for x in f.bcat.objects}
 
-                def entry(combo, idx, a1=a1, a2=a2, b=b):
-                    da, dpsi = combo
-                    avec = Mat.basis_column(field, f.acat.hom(a2, a1).dim(da), idx[0])
-                    src_mhc = mhcs[(a1, b)]
-                    tgt_mhc = mhcs[(a2, b)]
-                    psi_amb = src_mhc.inclusion.component(dpsi) @ \
-                        Mat.basis_column(field, comps[(a1, b)].dim(dpsi), idx[1])
-                    out_amb = Mat.zero(field, tgt_mhc.ambient.dim(da + dpsi), 1)
-                    for x in f.bcat.objects:
-                        lam_x = f.lact_family(a2, a1, x, da, avec)
-                        psi_x = src_mhc.layouts[x].family_from_vector(
-                            dpsi, src_mhc.projs[x].component(dpsi) @ psi_amb)
-                        fam = {}
-                        for i, mat in lam_x.items():
-                            top = psi_x.get(i + da)
-                            if top is None:
-                                continue
-                            prod = top @ mat
-                            if not prod.is_zero():
-                                fam[i] = prod
-                        vec = tgt_mhc.layouts[x].vector_from_family(da + dpsi, fam)
-                        out_amb = out_amb + tgt_mhc.injs[x].component(da + dpsi) @ vec
-                    if (da % 2) and (dpsi % 2):
-                        out_amb = -out_amb
-                    return express(a2, b, da + dpsi, out_amb)
+            def by(k):
+                def one(x, i):
+                    size = f.at(a2, x).dim(i)
+                    lam = acts[x]((da, i)).take_columns(range(k * size, (k + 1) * size))
+                    return kron(Mat.identity(field, reps[b].at(x).dim(i + n)), lam.transpose())
+                return one
 
-                lact[(a1, a2, b)] = lay.map_from_entries(comps[(a2, b)], 0, entry)
-    for a in f.acat.objects:
-        for b1 in f.bcat.objects:
-            for b2 in f.bcat.objects:
-                lay = TensorLayout([comps[(a, b2)], bcat_op.hom(b1, b2)])
-                # bcat_op.hom(b1,b2) = f.bcat.hom(b2,b1): an element b: B2 -> B1
+            out = concat_columns(field, tgt.ambient.dim(n),
+                                 [_slotwise(src, tgt, dpsi, n, lambda i: i + da, by(k))
+                                  for k in range(f.acat.hom(a2, a1).dim(da))])
+            return -out if permutation_sign((da, dpsi), (1, 0)) < 0 else out
+        return block
 
-                def entry(combo, idx, a=a, b1=b1, b2=b2):
-                    dpsi, db = combo
-                    bvec = Mat.basis_column(field, f.bcat.hom(b2, b1).dim(db), idx[1])
-                    src_mhc = mhcs[(a, b2)]
-                    tgt_mhc = mhcs[(a, b1)]
-                    psi_amb = src_mhc.inclusion.component(dpsi) @ \
-                        Mat.basis_column(field, comps[(a, b2)].dim(dpsi), idx[0])
-                    out_amb = Mat.zero(field, tgt_mhc.ambient.dim(dpsi + db), 1)
-                    for x in f.bcat.objects:
-                        pc_x = f.bcat.postcompose_with(x, b2, b1, db, bvec)
-                        psi_x = src_mhc.layouts[x].family_from_vector(
-                            dpsi, src_mhc.projs[x].component(dpsi) @ psi_amb)
-                        fam = {}
-                        for i, mat in psi_x.items():
-                            top = pc_x.get(i + dpsi)
-                            if top is None:
-                                continue
-                            prod = top @ mat
-                            if not prod.is_zero():
-                                fam[i] = prod
-                        vec = tgt_mhc.layouts[x].vector_from_family(dpsi + db, fam)
-                        out_amb = out_amb + tgt_mhc.injs[x].component(dpsi + db) @ vec
-                    if (dpsi % 2) and (db % 2):
-                        out_amb = -out_amb
-                    return express(a, b1, dpsi + db, out_amb)
+    def postcomposed(a, b1, b2):
+        # bcat_op.hom(b1,b2) = f.bcat.hom(b2,b1): an element b: B2 -> B1
+        src, tgt = mhcs[(a, b2)], mhcs[(a, b1)]
 
-                ract[(a, b1, b2)] = lay.map_from_entries(comps[(a, b1)], 0, entry)
+        def block(flat):
+            dpsi, db = flat
+            n = dpsi + db
+            acts = {x: pair_action(f.bcat.comp_pair(x, b2, b1)).block for x in f.bcat.objects}
+            count = f.bcat.hom(b2, b1).dim(db)
+
+            def by(k):
+                def one(x, i):
+                    size = reps[b2].at(x).dim(i + dpsi)
+                    post = acts[x]((db, i + dpsi)).take_columns(range(k * size, (k + 1) * size))
+                    return kron(post, Mat.identity(field, f.at(a, x).dim(i)))
+                return one
+
+            out = concat_columns(field, tgt.ambient.dim(n),
+                                 [_slotwise(src, tgt, dpsi, n, lambda i: i, by(k)) for k in range(count)])
+            out = swap_leading_factors(out, src.ambient.dim(dpsi), count)
+            return -out if permutation_sign((dpsi, db), (1, 0)) < 0 else out
+        return block
+
+    lact = {(a1, a2, b): lifted_map([acat_op.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
+                                    precomposed(a1, a2, b))
+            for a1, a2, b in itertools.product(f.acat.objects, f.acat.objects, f.bcat.objects)}
+    ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat_op.hom(b1, b2)], parts[(a, b1)],
+                                    postcomposed(a, b1, b2))
+            for a, b1, b2 in itertools.product(f.acat.objects, f.bcat.objects, f.bcat.objects)}
+    comps = {key: p.complex for key, p in parts.items()}
     return Bimodule(acat_op, bcat_op, comps, lact, ract, name=f"dual({f.name})")
 
 
@@ -741,60 +671,36 @@ def find_quasi_representative(f: "Bimodule", a) -> Optional[QuasiRepWitness]:
 # -- restriction -------------------------------------------------------------------
 
 
+def _through(functor_map: ChainMap) -> Retract:
+    """A hom complex read through a functor's map into its image's hom."""
+    return Retract(functor_map.source, (Piece(functor_map.target, 0, functor_map.components),))
+
+
 def restrict_bimodule(f: "Bimodule", along: DgFunctor, side: str = "lower") -> "Bimodule":
-    """Reindex one side along a strict dg-functor."""
-    field = f.field
+    """Reindex one side along a strict dg-functor: the reindexed action is
+    the old one precomposed with kron(F, 1) or kron(1, F)."""
+    F = along.obj_map
     if side == "lower":
         if along.target.objects != f.acat.objects:
             raise ValidationError("restriction functor must land in the lower category")
         acat = along.source
-        comps = {(a, b): f.at(along.obj_map[a], b)
-                 for a in acat.objects for b in f.bcat.objects}
-        lact = {}
-        ract = {}
-        for a1 in acat.objects:
-            for a2 in acat.objects:
-                for b in f.bcat.objects:
-                    lay = TensorLayout([acat.hom(a1, a2), comps[(a1, b)]])
-
-                    def entry(combo, idx, a1=a1, a2=a2, b=b):
-                        dh, dx = combo
-                        h = along.apply_hom(a1, a2, dh,
-                                            Mat.basis_column(field, acat.hom(a1, a2).dim(dh), idx[0]))
-                        x = Mat.basis_column(field, comps[(a1, b)].dim(dx), idx[1])
-                        return f.lact_apply(along.obj_map[a1], along.obj_map[a2], b, dh, h, dx, x)
-
-                    lact[(a1, a2, b)] = lay.map_from_entries(comps[(a2, b)], 0, entry)
-        for a in acat.objects:
-            for b1 in f.bcat.objects:
-                for b2 in f.bcat.objects:
-                    ract[(a, b1, b2)] = f.ract[(along.obj_map[a], b1, b2)]
+        comps = {(a, b): f.at(F[a], b) for a in acat.objects for b in f.bcat.objects}
+        lact = {(a1, a2, b): lifted_map([_through(along.hom_map(a1, a2)), comps[(a1, b)]], comps[(a2, b)],
+                                        pair_action(f.lact_pair(F[a1], F[a2], b)).block)
+                for a1, a2, b in itertools.product(acat.objects, acat.objects, f.bcat.objects)}
+        ract = {(a, b1, b2): f.ract[(F[a], b1, b2)]
+                for a, b1, b2 in itertools.product(acat.objects, f.bcat.objects, f.bcat.objects)}
         return Bimodule(acat, f.bcat, comps, lact, ract, name=f"{f.name}|{along.name}")
     if side == "upper":
         if along.target.objects != f.bcat.objects:
             raise ValidationError("restriction functor must land in the upper category")
         bcat = along.source
-        comps = {(a, b): f.at(a, along.obj_map[b])
-                 for a in f.acat.objects for b in bcat.objects}
-        lact = {}
-        ract = {}
-        for a1 in f.acat.objects:
-            for a2 in f.acat.objects:
-                for b in bcat.objects:
-                    lact[(a1, a2, b)] = f.lact[(a1, a2, along.obj_map[b])]
-        for a in f.acat.objects:
-            for b1 in bcat.objects:
-                for b2 in bcat.objects:
-                    lay = TensorLayout([comps[(a, b2)], bcat.hom(b1, b2)])
-
-                    def entry(combo, idx, a=a, b1=b1, b2=b2):
-                        dx, dh = combo
-                        x = Mat.basis_column(field, comps[(a, b2)].dim(dx), idx[0])
-                        h = along.apply_hom(b1, b2, dh,
-                                            Mat.basis_column(field, bcat.hom(b1, b2).dim(dh), idx[1]))
-                        return f.ract_apply(a, along.obj_map[b1], along.obj_map[b2], dx, x, dh, h)
-
-                    ract[(a, b1, b2)] = lay.map_from_entries(comps[(a, b1)], 0, entry)
+        comps = {(a, b): f.at(a, F[b]) for a in f.acat.objects for b in bcat.objects}
+        lact = {(a1, a2, b): f.lact[(a1, a2, F[b])]
+                for a1, a2, b in itertools.product(f.acat.objects, f.acat.objects, bcat.objects)}
+        ract = {(a, b1, b2): lifted_map([comps[(a, b2)], _through(along.hom_map(b1, b2))], comps[(a, b1)],
+                                        pair_action(f.ract_pair(a, F[b1], F[b2])).block)
+                for a, b1, b2 in itertools.product(f.acat.objects, bcat.objects, bcat.objects)}
         return Bimodule(f.acat, bcat, comps, lact, ract, name=f"{f.name}|{along.name}")
     raise ValidationError("side must be 'lower' or 'upper'")
 
@@ -839,55 +745,14 @@ def direct_sum_bimodules(summands: Sequence["Bimodule"]) -> "Bimodule":
     """Componentwise direct sum with block-diagonal actions."""
     first = summands[0]
     acat, bcat = first.acat, first.bcat
-    field = first.field
-    comps = {}
-    injs = {}
-    projs = {}
-    for a in acat.objects:
-        for b in bcat.objects:
-            total, inj, proj = direct_sum([s.at(a, b) for s in summands])
-            comps[(a, b)] = total
-            injs[(a, b)] = inj
-            projs[(a, b)] = proj
-    lact = {}
-    ract = {}
-    for a1 in acat.objects:
-        for a2 in acat.objects:
-            for b in bcat.objects:
-                lay = TensorLayout([acat.hom(a1, a2), comps[(a1, b)]])
-
-                def entry(combo, idx, a1=a1, a2=a2, b=b):
-                    dh, dx = combo
-                    h = Mat.basis_column(field, acat.hom(a1, a2).dim(dh), idx[0])
-                    vec = Mat.basis_column(field, comps[(a1, b)].dim(dx), idx[1])
-                    out = Mat.zero(field, comps[(a2, b)].dim(dh + dx), 1)
-                    for i, s in enumerate(summands):
-                        part = projs[(a1, b)][i].component(dx) @ vec
-                        if part.is_zero():
-                            continue
-                        acted = s.lact_apply(a1, a2, b, dh, h, dx, part)
-                        out = out + injs[(a2, b)][i].component(dh + dx) @ acted
-                    return out
-
-                lact[(a1, a2, b)] = lay.map_from_entries(comps[(a2, b)], 0, entry)
-    for a in acat.objects:
-        for b1 in bcat.objects:
-            for b2 in bcat.objects:
-                lay = TensorLayout([comps[(a, b2)], bcat.hom(b1, b2)])
-
-                def entry(combo, idx, a=a, b1=b1, b2=b2):
-                    dx, dh = combo
-                    vec = Mat.basis_column(field, comps[(a, b2)].dim(dx), idx[0])
-                    h = Mat.basis_column(field, bcat.hom(b1, b2).dim(dh), idx[1])
-                    out = Mat.zero(field, comps[(a, b1)].dim(dx + dh), 1)
-                    for i, s in enumerate(summands):
-                        part = projs[(a, b2)][i].component(dx) @ vec
-                        if part.is_zero():
-                            continue
-                        acted = s.ract_apply(a, b1, b2, dx, part, dh, h)
-                        out = out + injs[(a, b1)][i].component(dx + dh) @ acted
-                    return out
-
-                ract[(a, b1, b2)] = lay.map_from_entries(comps[(a, b1)], 0, entry)
+    parts = {(a, b): sum_retract([s.at(a, b) for s in summands])[0]
+             for a in acat.objects for b in bcat.objects}
+    lact = {(a1, a2, b): lifted_map([acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
+                                    [pair_action(s.lact_pair(a1, a2, b)).block for s in summands])
+            for a1, a2, b in itertools.product(acat.objects, acat.objects, bcat.objects)}
+    ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat.hom(b1, b2)], parts[(a, b1)],
+                                    [pair_action(s.ract_pair(a, b1, b2)).block for s in summands])
+            for a, b1, b2 in itertools.product(acat.objects, bcat.objects, bcat.objects)}
+    comps = {key: p.complex for key, p in parts.items()}
     return Bimodule(acat, bcat, comps, lact, ract,
                     name="(+)".join(s.name for s in summands), check=False)

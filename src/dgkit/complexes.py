@@ -24,7 +24,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optiona
 
 from .errors import DegreeCapError, ScenarioError, ShapeError, ValidationError
 from .fields import Field, same_field
-from .matrix import Mat, concat_columns, extend_columns_to_basis, kron, kron_product
+from .matrix import Mat, block_matrix, concat_columns, extend_columns_to_basis, kron, kron_product, left_inverse
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -392,105 +392,51 @@ def shift_complex(cx: Complex, k: int) -> Complex:
     return Complex(cx.field, dims, diffs, name=f"{cx.name}[{k}]")
 
 
-def direct_sum(summands: Sequence[Complex]):
-    """Returns (sum, injections, projections)."""
+def twisted_sum(summands: Sequence[Complex], twist=None, name: Optional[str] = None):
+    """The degreewise direct sum of ``summands`` with the block differential
+    diag(d_i) plus ``twist(deg)``, a dict {(i, j): block from summand j in
+    degree deg to summand i in degree deg + 1}.  Returns (sum, injections,
+    projections): per summand, its coordinate maps as {degree: Mat}."""
     if not summands:
         raise ShapeError("direct sum of nothing; use Complex.zero")
     field = same_field(*[c.field for c in summands])
     degs = sorted({d for c in summands for d in c.degrees()})
-    dims = {d: sum(c.dim(d) for c in summands) for d in degs}
-    per_degree_offsets = {}
-    for d in degs:
-        offs = []
-        acc = 0
-        for c in summands:
-            offs.append(acc)
-            acc += c.dim(d)
-        per_degree_offsets[d] = offs
-
+    sizes = {d: [c.dim(d) for c in summands] for d in degs + [d + 1 for d in degs]}
     diffs = {}
     for d in degs:
-        rows = dims.get(d + 1, 0)
-        cols = dims[d]
-        if rows == 0 or cols == 0:
-            continue
-        block = [[field.zero()] * cols for _ in range(rows)]
-        for idx, c in enumerate(summands):
-            mat = c.diff(d)
-            ro = per_degree_offsets.get(d + 1, [0] * len(summands))[idx] if d + 1 in per_degree_offsets else 0
-            co = per_degree_offsets[d][idx]
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    block[ro + i][co + j] = mat.entries[i][j]
-        diffs[d] = Mat(field, rows, cols, block)
-    total = Complex(field, dims, diffs, name="+".join(c.name for c in summands))
-
-    injections = []
-    projections = []
-    for idx, c in enumerate(summands):
-        inj = {}
-        proj = {}
-        for d in c.degrees():
-            off = per_degree_offsets[d][idx]
-            n, m = total.dim(d), c.dim(d)
-            inj[d] = Mat.from_function(field, n, m,
-                                       lambda i, j, off=off: field.one() if i == j + off else field.zero())
-        for d in degs:
-            off = per_degree_offsets[d][idx]
-            n, m = total.dim(d), c.dim(d)
+        blocks = {(i, i): c.d[d] for i, c in enumerate(summands) if d in c.d}
+        if twist is not None:
+            blocks.update(twist(d))
+        if blocks:
+            diffs[d] = block_matrix(field, sizes[d + 1], sizes[d], blocks)
+    total = Complex(field, {d: sum(sizes[d]) for d in degs}, diffs,
+                    name=name or "+".join(c.name for c in summands))
+    injections = [{} for _ in summands]
+    projections = [{} for _ in summands]
+    for d in degs:
+        eye = Mat.identity(field, total.dim(d))
+        for i, (off, m) in enumerate(zip(itertools.accumulate(sizes[d], initial=0), sizes[d])):
             if m:
-                proj[d] = Mat.from_function(field, m, n,
-                                            lambda i, j, off=off: field.one() if j == i + off else field.zero())
-        injections.append(ChainMap(c, total, 0, inj))
-        projections.append(ChainMap(total, c, 0, proj))
+                injections[i][d] = eye.take_columns(range(off, off + m))
+                projections[i][d] = eye.take_rows(range(off, off + m))
     return total, injections, projections
+
+
+def direct_sum(summands: Sequence[Complex]):
+    """Returns (sum, injections, projections)."""
+    total, injs, projs = twisted_sum(summands)
+    return (total, [ChainMap(c, total, 0, inj) for c, inj in zip(summands, injs)],
+            [ChainMap(total, c, 0, proj) for c, proj in zip(summands, projs)])
 
 
 def cone(f: ChainMap):
     """Mapping cone of a degree-0 map; returns (cone, include_target, project_to_shifted_source)."""
     if f.degree != 0:
         raise ValidationError("cone requires a degree-0 chain map")
-    X, Y = f.source, f.target
-    field = X.field
-    degs = sorted(set(Y.degrees()) | {d - 1 for d in X.degrees()})
-    dims = {d: Y.dim(d) + X.dim(d + 1) for d in degs}
-    diffs = {}
-    for d in degs:
-        rows = dims.get(d + 1, 0)
-        cols = dims.get(d, 0)
-        if rows == 0 or cols == 0:
-            continue
-        ydim, xdim = Y.dim(d), X.dim(d + 1)
-        ydim1, xdim1 = Y.dim(d + 1), X.dim(d + 2)
-        block = [[field.zero()] * cols for _ in range(rows)]
-        dy = Y.diff(d)
-        fx = f.component(d + 1)
-        dx = X.diff(d + 1)
-        for i in range(ydim1):
-            for j in range(ydim):
-                block[i][j] = dy.entries[i][j]
-            for j in range(xdim):
-                block[i][ydim + j] = fx.entries[i][j]
-        for i in range(xdim1):
-            for j in range(xdim):
-                block[ydim1 + i][ydim + j] = field.neg(dx.entries[i][j])
-        diffs[d] = Mat(field, rows, cols, block)
-    C = Complex(field, dims, diffs, name=f"cone({f.source.name}->{f.target.name})")
-    incl = {}
-    for d in Y.degrees():
-        n, m = C.dim(d), Y.dim(d)
-        incl[d] = Mat.from_function(field, n, m,
-                                    lambda i, j: field.one() if i == j else field.zero())
-    proj = {}
-    shifted = shift_complex(X, 1)
-    for d in degs:
-        m = X.dim(d + 1)
-        if m:
-            n = C.dim(d)
-            ydim = Y.dim(d)
-            proj[d] = Mat.from_function(field, m, n,
-                                        lambda i, j, ydim=ydim: field.one() if j == i + ydim else field.zero())
-    return C, ChainMap(Y, C, 0, incl), ChainMap(C, shifted, 0, proj)
+    shifted = shift_complex(f.source, 1)
+    c, injs, projs = twisted_sum([f.target, shifted], lambda d: {(0, 1): f.component(d + 1)},
+                                 name=f"cone({f.source.name}->{f.target.name})")
+    return c, ChainMap(f.target, c, 0, injs[0]), ChainMap(c, shifted, 0, projs[1])
 
 
 # -- smart truncations ---------------------------------------------------------
@@ -692,6 +638,13 @@ def truncate_ge(cx: Complex, n: int):
     Returns (truncated, comparison) with comparison the canonical projection
     from ``cx``.
     """
+    quot, proj, _ = truncation_quotient(cx, n)
+    return quot, proj
+
+
+def truncation_quotient(cx: Complex, n: int):
+    """``truncate_ge`` with the sections of its projection: (truncated,
+    projection, sections) as returned by ``quotient_complex``."""
     field = cx.field
     killed = {}
     for deg in cx.degrees():
@@ -701,8 +654,7 @@ def truncate_ge(cx: Complex, n: int):
             img = cx.diff(n - 1).image_basis()
             if img.cols:
                 killed[deg] = img
-    quot, proj, _ = quotient_complex(cx, killed, name=f"tge{n}({cx.name})")
-    return quot, proj
+    return quotient_complex(cx, killed, name=f"tge{n}({cx.name})")
 
 
 # -- tensor layout --------------------------------------------------------------
@@ -925,24 +877,9 @@ class TensorLayout:
 
 
 def pair_elements(pairing: ChainMap, lay: TensorLayout, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
-    """pairing(x tensor y) for homogeneous x of degree dx and y of degree dy,
-    summed over their nonzero coefficients."""
-    field = lay.field
-    comp = pairing.component(dx + dy)
-    xs = [(i, v) for i, v in enumerate(x.column_values(0)) if not field.is_zero(v)]
-    ys = [(j, v) for j, v in enumerate(y.column_values(0)) if not field.is_zero(v)]
-    acc = [field.zero()] * comp.rows
-    if xs and ys:
-        off, _ = lay.block_offset((dx, dy))
-        ydim = lay.factors[1].dim(dy)
-        for i, xv in xs:
-            for j, yv in ys:
-                coeff = field.mul(xv, yv)
-                pos = off + i * ydim + j
-                for r, row in enumerate(comp.entries):
-                    if not field.is_zero(row[pos]):
-                        acc[r] = field.add(acc[r], field.mul(coeff, row[pos]))
-    return Mat.column(field, acc)
+    """pairing(x tensor y) for homogeneous x of degree dx and y of degree dy:
+    the block of (dx, dy) applied to kron(x, y)."""
+    return kron_product(lay.block(pairing, (dx, dy)), x, y)
 
 
 # -- structure laws ---------------------------------------------------------------
@@ -1040,12 +977,13 @@ def swap_leading_factors(m: Mat, p: int, q: int) -> Mat:
     return reorder_factors(m, (p, q, rest), (1, 0, 2))
 
 
-# -- actions on tensor factors and the balanced tensor --------------------------------
+# -- actions on tensor factors, the balanced tensor and the retract transfer ----------
 #
 # An action is given by its blocks, as for the structure laws.  Every map out
-# of a tensor of plain complexes, plain tensors and balanced tensors is
-# written once on the flat degree tuples and then lifted through the sections
-# (``lifted_map``); a map into a balanced tensor ends with its projection.
+# of a tensor of parts (plain complexes, plain tensors, balanced tensors and
+# other retracts: direct sums, shifts, subcomplexes, quotients) into another
+# part is written once on the flat degree tuples of their plain pieces and
+# then transferred along the retracts (``lifted_map``): out o plain o kron(in).
 
 
 class Action(NamedTuple):
@@ -1143,36 +1081,128 @@ def quotient_by_relations(cx: Complex, relations: Dict[int, List[Mat]], name: st
     return quotient_complex(cx, killed, name=name)
 
 
-Part = Union[Complex, "TensorLayout", BalancedTensor]
+class Piece(NamedTuple):
+    """One plain piece of a complex: degree d of the complex goes to degree
+    d + ``shift`` of ``plain`` by ``inward[d]`` and comes back by
+    ``outward[d]``; None is the identity and a missing degree is zero.
+    ``sub`` marks an inclusion of a subcomplex with a retraction: a map into
+    the piece must land in the image of ``inward``, and that is checked."""
+
+    plain: Union[Complex, "TensorLayout"]
+    shift: int = 0
+    inward: Optional[Dict[int, Mat]] = None
+    outward: Optional[Dict[int, Mat]] = None
+    sub: bool = False
 
 
-def _lifts(part: Part, deg: int):
-    """(flat degree tuple, lift) for each plain block under degree ``deg`` of a
-    tensor factor that a lift reaches: the identity of a plain complex, the
-    row blocks of the identity of a plain tensor, the nonzero row blocks of
-    the section of a balanced tensor."""
-    if isinstance(part, Complex):
-        return [((deg,), Mat.identity(part.field, part.dim(deg)))]
+class Retract(NamedTuple):
+    """``complex`` written through plain pieces, sum_i out_i o in_i = 1: a
+    direct sum (per summand its projection in, its injection out), a shift
+    (the identity, shifted), a subcomplex (inclusion in, a retraction out) or
+    a quotient (section in, projection out).  A source part needs only
+    ``inward``, which may be any degree-0 map into the plain piece."""
+
+    complex: Complex
+    pieces: Tuple[Piece, ...]
+
+
+def sub_retract(sub: Complex, inclusion: ChainMap) -> Retract:
+    """A subcomplex through its ambient, retracted by a left inverse of the
+    inclusion computed once per degree."""
+    out = {d: left_inverse(m) for d, m in inclusion.components.items()}
+    return Retract(sub, (Piece(inclusion.target, 0, inclusion.components, out, sub=True),))
+
+
+def quotient_retract(quot: Complex, projection: ChainMap, sections: Dict[int, Mat]) -> Retract:
+    """A quotient through its ambient: lifted by the sections, projected back."""
+    return Retract(quot, (Piece(projection.source, 0, sections, projection.components),))
+
+
+def sum_retract(summands: Sequence[Complex]):
+    """``direct_sum`` with the sum as a Retract whose piece i is summand i:
+    (retract, injections, projections)."""
+    total, injs, projs = direct_sum(summands)
+    pieces = tuple(Piece(c, 0, p.components, i.components) for c, i, p in zip(summands, injs, projs))
+    return Retract(total, pieces), injs, projs
+
+
+def transposed(components: Dict[int, Mat]) -> Dict[int, Mat]:
+    """The coordinate projections of coordinate injections, or back."""
+    return {d: m.transpose() for d, m in components.items()}
+
+
+Part = Union[Complex, "TensorLayout", BalancedTensor, Retract]
+
+
+def _piece(part: Part, index: int) -> Piece:
+    """Piece ``index`` of a part; a part of one piece serves every index."""
     if isinstance(part, BalancedTensor):
-        lay, lift = part.layout, part.sections[deg]
-    else:
-        lay, lift = part, Mat.identity(part.field, part.complex.dim(deg))
-    pieces = [(combo, lift.take_rows(range(off, off + size))) for combo, off, size in lay.blocks(deg)]
-    return [(combo, rows) for combo, rows in pieces if not rows.is_zero()]
+        return Piece(part.layout, 0, part.sections, part.projection.components)
+    if not isinstance(part, Retract):
+        return Piece(part)
+    return part.pieces[index if len(part.pieces) > 1 else 0]
 
 
-def lifted_block(parts: Sequence[Part], combo: Tuple[int, ...], flat_block) -> Optional[Mat]:
+def _lifts(piece: Piece, deg: int):
+    """(flat degree tuple, lift) for each plain block under degree ``deg``
+    that the inward map reaches: a plain complex is one block, whose lift
+    None is the identity; a plain tensor has the nonzero row blocks of the
+    lift, one per degree tuple."""
+    pdeg = deg + piece.shift
+    lift = None
+    if piece.inward is not None:
+        lift = piece.inward.get(deg)
+        if lift is None:
+            return []
+    if isinstance(piece.plain, Complex):
+        return [((pdeg,), lift)]
+    lay = piece.plain
+    if lift is None:
+        lift = Mat.identity(lay.field, lay.dim(pdeg))
+    rows = [(combo, lift.take_rows(range(off, off + size))) for combo, off, size in lay.blocks(pdeg)]
+    return [(combo, r) for combo, r in rows if not r.is_zero()]
+
+
+def _lifted(flat: Mat, lifts) -> Mat:
+    """flat @ kron(lifts), a None lift standing for the identity."""
+    if len(lifts) == 1:
+        return flat if lifts[0] is None else flat @ lifts[0]
+    a, b = lifts
+    if a is None and b is None:
+        return flat
+    if a is None:
+        a = Mat.identity(flat.field, flat.cols // b.rows)
+    elif b is None:
+        b = Mat.identity(flat.field, flat.cols // a.rows)
+    return kron_product(flat, a, b)
+
+
+def lifted_block(parts: Sequence[Part], combo: Tuple[int, ...], flat_block, index: int = 0) -> Optional[Mat]:
     """The block on ``combo`` of the map out of the tensor of ``parts`` that is
-    ``flat_block`` on the flat degree tuples: the sum over the flat blocks
-    under ``combo`` of flat_block(flat) @ kron(lifts); None when all vanish."""
+    ``flat_block`` on the flat degree tuples of their pieces ``index``: the
+    sum over the flat blocks under ``combo`` of flat_block(flat) @
+    kron(lifts); None when all vanish."""
+    pieces = [_piece(p, index) for p in parts]
     out = None
-    for choice in itertools.product(*(_lifts(p, d) for p, d in zip(parts, combo))):
+    for choice in itertools.product(*(_lifts(p, d) for p, d in zip(pieces, combo))):
         flat = flat_block(sum((c for c, _ in choice), ()))
         if flat is None:
             continue
-        lifts = [lift for _, lift in choice]
-        term = kron_product(flat, *lifts) if len(lifts) == 2 else flat @ lifts[0]
+        term = _lifted(flat, [lift for _, lift in choice])
         out = term if out is None else out + term
+    return out
+
+
+def _outward(piece: Piece, n: int, plain: Mat, rows: int) -> Optional[Mat]:
+    """The out map, onto ``rows`` dimensions, of degree n of a target piece,
+    None for the identity, for a map ``plain`` into the piece; into a
+    subcomplex, checked once per block as in o out o plain == plain."""
+    if piece.outward is None:
+        return None
+    field = plain.field
+    out = piece.outward.get(n, Mat.zero(field, rows, plain.rows))
+    if piece.sub and piece.inward.get(n, Mat.zero(field, plain.rows, 0)) @ (out @ plain) != plain:
+        raise ValidationError(f"a map into a subcomplex leaves it in degree {n}")
     return out
 
 
@@ -1182,23 +1212,38 @@ def _complex_of(part: Part) -> Complex:
 
 def lifted_map(parts: Sequence[Part], target: Part, flat_block) -> ChainMap:
     """The degree-0 chain map out of the tensor of one or two ``parts`` into
-    ``target`` that is ``flat_block`` on the flat degree tuples: projection of
-    a balanced target o flat map o lift through the sections of the balanced
-    parts.  ``flat_block(flat)`` has its rows in the plain target (the layout
-    of a balanced one) at degree sum(flat), or is None for zero."""
+    ``target``: sum_i out_i o plain_i o kron(in_i) over the pieces i, where
+    ``flat_block`` is the plain map plain_i on the flat degree tuples, or a
+    list of them, one per piece.  The i-th pieces of the target and of every
+    part of several pieces belong together; a part of one piece serves every
+    i.  ``flat_block(flat)`` has its rows in the plain piece of the target
+    at degree sum(flat) plus its shift, or is None for zero.  A map into a
+    subcomplex is also checked in the degrees where the subcomplex is zero."""
+    plains = flat_block if isinstance(flat_block, list) else [flat_block]
     sources = [_complex_of(p) for p in parts]
     tcx = _complex_of(target)
 
     def block(combo):
-        out = lifted_block(parts, combo, flat_block)
-        if out is None or not isinstance(target, BalancedTensor):
-            return out
-        return target.projection.component(sum(combo)) @ out
+        n = sum(combo)
+        terms = [(i, lifted_block(parts, combo, plain, i)) for i, plain in enumerate(plains)]
+        pairs = [(_outward(_piece(target, i), n, t, tcx.dim(n)), t) for i, t in terms if t is not None]
+        if len(pairs) <= 1:
+            return next((t if out is None else out @ t for out, t in pairs), None)
+        # sum_i out_i o t_i as the one product [out_1 ... out_k] @ [t_1; ...; t_k]
+        outs = [Mat.identity(t.field, t.rows) if out is None else out for out, t in pairs]
+        return concat_columns(tcx.field, tcx.dim(n), outs) @ reduce(Mat.vstack, [t for _, t in pairs])
 
+    checked = any(_piece(target, i).sub for i in range(len(plains)))
     if len(parts) == 1:
-        comps = {d: block((d,)) for d in sources[0].degrees() if tcx.dim(d)}
+        comps = {d: block((d,)) for d in sources[0].degrees() if tcx.dim(d) or checked}
         return ChainMap(sources[0], tcx, 0, {d: m for d, m in comps.items() if m is not None})
-    return TensorLayout(sources).map_from_blocks(tcx, 0, block)
+    lay = TensorLayout(sources)
+    if checked:
+        for n in lay.dims():
+            if not tcx.dim(n):
+                for combo, _, _ in lay.blocks(n):
+                    block(combo)
+    return lay.map_from_blocks(tcx, 0, block)
 
 
 def tensor_field(a: Complex, b: Complex) -> Complex:
@@ -1489,7 +1534,9 @@ def curry(f: ChainMap, lay: TensorLayout) -> ChainMap:
 
 def element_action(pairing: ChainMap, lay: TensorLayout, slot: int,
                    deg: int, vector: Mat) -> Dict[int, Mat]:
-    """Partial evaluation of a pairing at a fixed element in the given slot.
+    """Partial evaluation of a pairing at a fixed element in the given slot:
+    per degree b of the other factor, the block of (deg, b) applied to
+    kron(v, 1) (slot 0), or of (b, deg) applied to kron(1, v) (slot 1).
 
     Returns the raw per-degree matrix family of the induced map on the other
     factor (a chain map only when the element is a closed even-degree cycle;
@@ -1497,28 +1544,12 @@ def element_action(pairing: ChainMap, lay: TensorLayout, slot: int,
     """
     if len(lay.factors) != 2:
         raise ShapeError("element_action expects a binary tensor source")
-    field = lay.field
     other = lay.factors[1 - slot]
-    target = pairing.target
     fam = {}
     for b in other.degrees():
-        odim = other.dim(b)
-        total = deg + b
-        tdim = target.dim(total + pairing.degree)
-        if odim == 0:
-            continue
-        cols = []
-        for oi in range(odim):
-            acc = [field.zero()] * tdim
-            for vi, v in enumerate(vector.column_values(0)):
-                if field.is_zero(v):
-                    continue
-                combo = (deg, b) if slot == 0 else (b, deg)
-                idx = (vi, oi) if slot == 0 else (oi, vi)
-                pos = lay.position(combo, idx)
-                img = pairing.component(total).col(pos)
-                for r in range(tdim):
-                    acc[r] = field.add(acc[r], field.mul(v, img.entries[r][0]))
-            cols.append(acc)
-        fam[b] = Mat.from_columns(field, tdim, cols)
+        eye = Mat.identity(lay.field, other.dim(b))
+        if slot == 0:
+            fam[b] = kron_product(lay.block(pairing, (deg, b)), vector, eye)
+        else:
+            fam[b] = kron_product(lay.block(pairing, (b, deg)), eye, vector)
     return fam

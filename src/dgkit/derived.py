@@ -14,21 +14,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .bimodules import Module, ModuleMap, cone_module, module_hom_complex
+from .bimodules import Module, ModuleMap, module_on, module_hom_complex
 from .complexes import (
     BalancedTensor,
     ChainMap,
     Complex,
+    Piece,
+    Retract,
     TensorLayout,
     balanced_tensor,
+    cone,
     element_action,
     pair_action,
+    quotient_retract,
+    shift_complex,
+    sub_retract,
     swapped,
+    truncate_le,
+    truncation_quotient,
+    twisted_sum,
 )
 from .dgcat import DgCategory, one_object_category
 from .dgring import DgRing, DgRingMorphism
 from .errors import ValidationError, WindowCertificationError
-from .matrix import Mat
+from .matrix import Mat, block_matrix
 
 
 @dataclass(frozen=True)
@@ -71,128 +80,32 @@ def _attach_generators(cat: DgCategory, P: Module, f: ModuleMap, M: Module,
 
     Each generator is (obj, degree n, m_part in M(obj)^n, p_part in P(obj)^{n+1})
     with d(m) = -f(p) and d(p) = 0; the new summand hom(-, obj)[-n] maps into
-    P by b |-> -p.b and into M by b |-> m.b.
+    P by b |-> -p.b and into M by b |-> m.b.  Each new component is the
+    direct sum of the old one and the shifted representables, twisted by
+    the blocks of -p.b, and the representables act by composition.
     """
-    field = cat.field
-    new_comps: Dict = {}
-    offsets: Dict = {}
-    for z in cat.objects:
-        dims = {d: P.at(z).dim(d) for d in P.at(z).degrees()}
-        offs = []
-        for (x, n, _, _) in gens:
-            h = cat.hom(z, x)
-            block_offs = {}
-            for d in h.degrees():
-                deg = d + n
-                block_offs[d] = dims.get(deg, 0)
-                dims[deg] = dims.get(deg, 0) + h.dim(d)
-            offs.append(block_offs)
-        offsets[z] = offs
-        diffs: Dict[int, List[List]] = {}
-        for d in sorted(dims):
-            rows = dims.get(d + 1, 0)
-            cols = dims[d]
-            if rows == 0 or cols == 0:
-                continue
-            grid = [[field.zero()] * cols for _ in range(rows)]
-            pd = P.at(z).diff(d)
-            for i in range(pd.rows):
-                for j in range(pd.cols):
-                    grid[i][j] = pd.entries[i][j]
-            for gi, (x, n, m_part, p_part) in enumerate(gens):
-                h = cat.hom(z, x)
-                hd = d - n
-                if h.dim(hd) == 0:
-                    continue
-                coff = offs[gi][hd]
-                # internal differential of the shifted representable: (-1)^n d_h
-                hdiff = h.diff(hd)
-                if h.dim(hd + 1):
-                    roff = offs[gi][hd + 1]
-                    for i in range(hdiff.rows):
-                        for j in range(hdiff.cols):
-                            v = hdiff.entries[i][j]
-                            if n % 2:
-                                v = field.neg(v)
-                            grid[roff + i][coff + j] = v
-                # twist into the old P part: b |-> -p.b
-                if not p_part.is_zero():
-                    fam = element_action(P.act[(z, x)], P.act_layouts[(z, x)], 0, n + 1, p_part)
-                    tw = fam.get(hd)
-                    if tw is not None:
-                        for i in range(tw.rows):
-                            for j in range(tw.cols):
-                                grid[i][coff + j] = field.sub(grid[i][coff + j], tw.entries[i][j])
-            diffs[d] = Mat(field, rows, cols, grid)
-        new_comps[z] = Complex(field, dims, diffs, name=f"P({z})")
-    # action: block lower-triangular, representable blocks act by composition
-    action = {}
-    for z in cat.objects:
-        for y in cat.objects:
-            lay = TensorLayout([new_comps[y], cat.hom(z, y)])
-
-            def entry(combo, idx, z=z, y=y):
-                dq, dg = combo
-                g = Mat.basis_column(field, cat.hom(z, y).dim(dg), idx[1])
-                old_dim = P.at(y).dim(dq)
-                out = Mat.zero(field, new_comps[z].dim(dq + dg), 1)
-                if idx[0] < old_dim:
-                    q = Mat.basis_column(field, P.at(y).dim(dq), idx[0])
-                    acted = P.apply_action(z, y, dq, q, dg, g)
-                    for i, v in enumerate(acted.column_values(0)):
-                        if not field.is_zero(v):
-                            out = out + Mat.basis_column(field, out.rows, i).scale(v)
-                    return out
-                for gi, (x, n, _, _) in enumerate(gens):
-                    h = cat.hom(y, x)
-                    hd = dq - n
-                    if h.dim(hd) == 0:
-                        continue
-                    boff = offsets[y][gi][hd]
-                    if boff <= idx[0] < boff + h.dim(hd):
-                        bidx = idx[0] - boff
-                        if cat.hom(z, x).dim(hd + dg) == 0:
-                            return out
-                        b = Mat.basis_column(field, h.dim(hd), bidx)
-                        bg = cat.compose_elements(z, y, x, hd, b, dg, g)
-                        toff = offsets[z][gi][hd + dg]
-                        for i, v in enumerate(bg.column_values(0)):
-                            if not field.is_zero(v):
-                                out = out + Mat.basis_column(field, out.rows, toff + i).scale(v)
-                        return out
-                return out
-
-            action[(z, y)] = lay.map_from_entries(new_comps[z], 0, entry)
-    P2 = Module(cat, new_comps, action, name="P", check=False)
-    # comparison map: old part as before, generator blocks by b |-> m.b
+    reps = {x: Module.representable(cat, x) for x, _, _, _ in gens}
+    parts = {}
     comps = {}
     for z in cat.objects:
-        grids = {}
-        for d in new_comps[z].degrees():
-            rows = M.at(z).dim(d)
-            cols = new_comps[z].dim(d)
-            if rows == 0 or cols == 0:
-                continue
-            grid = [[field.zero()] * cols for _ in range(rows)]
-            old = f.at(z).component(d)
-            for i in range(old.rows):
-                for j in range(old.cols):
-                    grid[i][j] = old.entries[i][j]
-            for gi, (x, n, m_part, _) in enumerate(gens):
-                h = cat.hom(z, x)
-                hd = d - n
-                if h.dim(hd) == 0 or m_part.is_zero():
-                    continue
-                fam = element_action(M.act[(z, x)], M.act_layouts[(z, x)], 0, n, m_part)
-                blk = fam.get(hd)
-                if blk is None:
-                    continue
-                coff = offsets[z][gi][hd]
-                for i in range(blk.rows):
-                    for j in range(blk.cols):
-                        grid[i][coff + j] = blk.entries[i][j]
-            grids[d] = Mat(field, rows, cols, grid)
-        comps[z] = ChainMap(new_comps[z], M.at(z), 0, grids)
+        plains = [(P.at(z), 0)] + [(cat.hom(z, x), -n) for x, n, _, _ in gens]
+        summands = [shift_complex(plain, shift) if shift else plain for plain, shift in plains]
+        # per generator, b |-> p.b into the old part and b |-> m.b into M
+        twists = [element_action(P.act[(z, x)], P.act_layouts[(z, x)], 0, n + 1, p) for x, n, _, p in gens]
+        hits = [element_action(M.act[(z, x)], M.act_layouts[(z, x)], 0, n, m) for x, n, m, _ in gens]
+
+        def generator_blocks(fams, d):
+            return {(0, g + 1): fam[d - n] for g, ((_, n, _, _), fam) in enumerate(zip(gens, fams)) if d - n in fam}
+
+        new, injs, projs = twisted_sum(
+            summands, lambda d: {key: -blk for key, blk in generator_blocks(twists, d).items()}, name=f"P({z})")
+        parts[z] = Retract(new, tuple(Piece(plain, shift, proj, inj)
+                                      for (plain, shift), inj, proj in zip(plains, injs, projs)))
+        comps[z] = ChainMap(new, M.at(z), 0, {
+            d: block_matrix(cat.field, [M.at(z).dim(d)], [c.dim(d) for c in summands],
+                            {(0, 0): f.at(z).component(d), **generator_blocks(hits, d)})
+            for d in new.degrees()})
+    P2 = module_on(cat, parts, [P] + [reps[x] for x, _, _, _ in gens], name="P")
     f2 = ModuleMap(P2, M, 0, comps)
     return P2, f2
 
@@ -206,22 +119,15 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     f = ModuleMap.zero(P, m)
     generators: List[Tuple[object, int]] = []
     while True:
-        cone_mod, _, _ = cone_module(f)
-        worst = None
-        cone_h = {}
-        for z in cat.objects:
-            h = cone_mod.at(z).cohomology()
-            cone_h[z] = h.as_dict()
-            for d, v in h.as_dict().items():
-                if v and d >= floor and (worst is None or d > worst):
-                    worst = d
+        cones = {z: cone(f.at(z))[0].cohomology() for z in cat.objects}
+        cone_h = {z: h.as_dict() for z, h in cones.items()}
+        worst = max((d for h in cone_h.values() for d, v in h.items() if v and d >= floor), default=None)
         if worst is None:
             return WindowedResolution(m, P, f, generators, floor,
                                       {z: dict(v) for z, v in cone_h.items()})
         gens = []
         for z in cat.objects:
-            h = cone_mod.at(z).cohomology()
-            reps = h.rep(worst)
+            reps = cones[z].rep(worst)
             m_dim = m.at(z).dim(worst)
             for j in range(reps.cols):
                 vec = reps.col(j)
@@ -354,95 +260,30 @@ class TStructureReport:
 def tstruct_truncate(m: Module) -> TStructureReport:
     """Objectwise smart truncation triangle tau_le0 -> M -> tau_ge1 for a
     module over a strictly nonpositive category."""
-    from .complexes import truncate_ge, truncate_le
-
     cat = m.cat
     if not cat.is_strictly_nonpositive():
         raise ValidationError(
             "the natural t-structure needs a strictly nonpositive base: positive-degree "
             "homs would carry the aisle out of itself under the action")
-    field = cat.field
-    le_comps = {}
-    le_incl = {}
-    ge_comps = {}
-    ge_proj = {}
-    ge_sections = {}
-    for a in cat.objects:
-        sub, incl = truncate_le(m.at(a), 0)
-        le_comps[a] = sub
-        le_incl[a] = incl
-        quot, proj = truncate_ge(m.at(a), 1)
-        ge_comps[a] = quot
-        ge_proj[a] = proj
-    # tau_le action: restrict through the inclusions
-    le_action = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            lay = TensorLayout([le_comps[y], cat.hom(x, y)])
-
-            def entry(combo, idx, x=x, y=y):
-                dm, df = combo
-                vec = le_incl[y].component(dm) @ Mat.basis_column(field, le_comps[y].dim(dm), idx[0])
-                f = Mat.basis_column(field, cat.hom(x, y).dim(df), idx[1])
-                out = m.apply_action(x, y, dm, vec, df, f)
-                cols = le_incl[x].component(dm + df)
-                if cols.cols == 0:
-                    if out.is_zero():
-                        return None
-                    raise ValidationError("aisle not closed under the action")
-                sol = cols.solve(out)
-                if sol is None:
-                    raise ValidationError("aisle not closed under the action")
-                return sol
-
-            le_action[(x, y)] = lay.map_from_entries(le_comps[x], 0, entry)
-    tau_le = Module(cat, le_comps, le_action, name=f"tle0({m.name})", check=False)
-    # tau_ge action: induced on the quotient
-    ge_action = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            lay = TensorLayout([ge_comps[y], cat.hom(x, y)])
-
-            def entry(combo, idx, x=x, y=y):
-                dm, df = combo
-                # lift a quotient basis vector: any solution of proj . v = e
-                proj = ge_proj[y].component(dm)
-                lift = proj.solve(Mat.basis_column(field, ge_comps[y].dim(dm), idx[0]))
-                if lift is None:
-                    raise ValidationError("truncation projection is not onto")
-                f = Mat.basis_column(field, cat.hom(x, y).dim(df), idx[1])
-                out = m.apply_action(x, y, dm, lift, df, f)
-                return ge_proj[x].component(dm + df) @ out
-
-            ge_action[(x, y)] = lay.map_from_entries(ge_comps[x], 0, entry)
-    tau_ge = Module(cat, ge_comps, ge_action, name=f"tge1({m.name})", check=False)
-    counit = ModuleMap(tau_le, m, 0, le_incl)
-    unit = ModuleMap(m, tau_ge, 0, ge_proj)
-    # distinguished triangle: cone(counit) -> tau_ge is a quasi-iso
-    cone_mod, _, _ = cone_module(counit)
+    les = {a: truncate_le(m.at(a), 0) for a in cat.objects}
+    ges = {a: truncation_quotient(m.at(a), 1) for a in cat.objects}
+    # tau_le acts through the inclusions, checked to stay in the aisle;
+    # tau_ge acts as induced on the quotients
+    tau_le = module_on(cat, {a: sub_retract(*le) for a, le in les.items()}, [m], name=f"tle0({m.name})")
+    tau_ge = module_on(cat, {a: quotient_retract(*ge) for a, ge in ges.items()}, [m], name=f"tge1({m.name})")
+    counit = ModuleMap(tau_le, m, 0, {a: incl for a, (_, incl) in les.items()})
+    unit = ModuleMap(m, tau_ge, 0, {a: proj for a, (_, proj, _) in ges.items()})
+    # distinguished triangle: cone(counit) -> tau_ge, (eta, 0) on m + tau_le[1], is a quasi-iso
     comparison_h = {}
-    ok = True
     for a in cat.objects:
-        comps = {}
-        for d in cone_mod.at(a).degrees():
-            rows = tau_ge.at(a).dim(d)
-            cols = cone_mod.at(a).dim(d)
-            if rows == 0 or cols == 0:
-                continue
-            m_dim = m.at(a).dim(d)
-            grid = [[field.zero()] * cols for _ in range(rows)]
-            eta = unit.at(a).component(d)
-            for i in range(rows):
-                for j in range(m_dim):
-                    grid[i][j] = eta.entries[i][j]
-            comps[d] = Mat(field, rows, cols, grid)
-        cmp_map = ChainMap(cone_mod.at(a), tau_ge.at(a), 0, comps)
-        from .complexes import cone as _cone
-        c, _, _ = _cone(cmp_map)
-        h = c.cohomology().as_dict()
-        comparison_h[a] = h
-        if h:
-            ok = False
+        c, _, _ = cone(counit.at(a))
+        eta = unit.at(a)
+        cmp_map = ChainMap(c, tau_ge.at(a), 0, {
+            d: block_matrix(cat.field, [tau_ge.at(a).dim(d)], [m.at(a).dim(d), tau_le.at(a).dim(d + 1)],
+                            {(0, 0): eta.component(d)})
+            for d in c.degrees()})
+        comparison_h[a] = cone(cmp_map)[0].cohomology().as_dict()
+    ok = not any(comparison_h.values())
     return TStructureReport(tau_le, tau_ge, counit, unit, ok, comparison_h)
 
 

@@ -154,6 +154,9 @@ class Mat:
         return Mat._wrap(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def take_columns(self, indices: Sequence[int]) -> "Mat":
+        if isinstance(indices, range) and indices.step == 1:
+            lo, hi = indices.start, indices.stop
+            return Mat._wrap(self.field, self.rows, len(indices), tuple(row[lo:hi] for row in self.entries))
         return Mat._wrap(self.field, self.rows, len(indices),
                          tuple(tuple(row[j] for j in indices) for row in self.entries))
 
@@ -359,6 +362,42 @@ def concat_columns(field: Field, rows: int, parts: Sequence[Mat]) -> Mat:
                      tuple(tuple(chain.from_iterable(row)) for row in zip(*(p.entries for p in parts))))
 
 
+def block_matrix(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int], blocks) -> Mat:
+    """The matrix partitioned into row blocks of ``row_sizes`` and column
+    blocks of ``col_sizes`` whose block (i, j) is ``blocks[(i, j)]``, zero
+    where absent."""
+    rows = []
+    for i, r in enumerate(row_sizes):
+        if not r:
+            continue
+        parts = []
+        for j, c in enumerate(col_sizes):
+            m = blocks.get((i, j))
+            if m is None:
+                m = Mat.zero(field, r, c)
+            elif (m.rows, m.cols) != (r, c):
+                raise ShapeError(f"block ({i}, {j}) has shape {m.rows}x{m.cols}, expected {r}x{c}")
+            parts.append(m)
+        rows.extend(concat_columns(field, r, parts).entries)
+    return Mat._wrap(field, len(rows), sum(col_sizes), tuple(rows))
+
+
+def left_inverse(m: Mat) -> Mat:
+    """A left inverse of a matrix with independent columns: the inverse of
+    its first square block of independent rows, read off those rows."""
+    rows = m.transpose().pivot_columns()
+    if len(rows) != m.cols:
+        raise ShapeError("left inverse of dependent columns")
+    inv = invert(m.take_rows(rows)).entries
+    out = []
+    for line in inv:
+        row = [0] * m.rows
+        for r, v in zip(rows, line):
+            row[r] = v
+        out.append(tuple(row))
+    return Mat._wrap(m.field, m.cols, m.rows, tuple(out))
+
+
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product in row-major vec convention: vec(A X B^t) = (A kron B) vec(X)."""
     fld = same_field(a.field, b.field)
@@ -376,18 +415,21 @@ def kron(a: Mat, b: Mat) -> Mat:
 def kron_product(a: Mat, b: Mat, c: Mat) -> Mat:
     """a @ kron(b, c) without forming the Kronecker product: the columns of a
     come in b.rows groups of c.rows, and group i adds b[i][j] * (a_i @ c) to
-    column group j of the result."""
+    column group j of the result (a_i itself when c is the shared identity)."""
     fld = same_field(a.field, b.field, c.field)
     if a.cols != b.rows * c.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by a kron of "
                          f"{b.rows}x{b.cols} and {c.rows}x{c.cols}")
     width = c.cols
+    plain = c is Mat.identity(fld, c.rows)
     out = [[0] * (b.cols * width) for _ in range(a.rows)]
     for i, brow in enumerate(b.entries):
         coeffs = [(j * width, v) for j, v in enumerate(brow) if v]
         if not coeffs:
             continue
-        part = a.take_columns(range(i * c.rows, (i + 1) * c.rows)) @ c
+        part = a.take_columns(range(i * c.rows, (i + 1) * c.rows))
+        if not plain:
+            part = part @ c
         for orow, prow in zip(out, part.entries):
             for l, pv in enumerate(prow):
                 if pv:

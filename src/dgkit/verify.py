@@ -10,7 +10,6 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional
@@ -42,7 +41,6 @@ from .complexes import (
     Term,
     cone,
     hom_complex,
-    lifted_block,
     lifted_map,
     naturality_subcomplex,
     pair_action,
@@ -389,15 +387,10 @@ def check_co_yoneda(count: int = 20) -> CheckResult:
                             lambda b1, b2: pair_action(cat.comp_pair(b1, b2, x)), 0, name="coY")
         res = coend_of(t)
         # evaluation certificate: u (x) w |-> u . w in G(x) on each summand,
-        # lifted through the sections (the injections' transposes project)
-        ev_comps = {}
-        for deg, b in itertools.product(res.complex.degrees(), cat.objects):
-            plain = lifted_block([lays[(b, b)]], (deg,), swapped(pair_action(gop.act_pair(x, b))).block)
-            if plain is not None and gop.at(x).dim(deg):
-                term = plain @ res.injections[b].component(deg).transpose() @ res.sections[deg]
-                ev_comps[deg] = ev_comps[deg] + term if deg in ev_comps else term
+        # lifted through the sections
         try:
-            ev = ChainMap(res.complex, gop.at(x), 0, ev_comps)
+            ev = lifted_map([res.through({b: lays[(b, b)] for b in cat.objects})], gop.at(x),
+                            [swapped(pair_action(gop.act_pair(x, b))).block for b in cat.objects])
         except ValidationError:
             failures.append(trial)
             continue

@@ -48,3 +48,75 @@ def test_package_modules_import_only_what_they_use():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# The functions that still build a map one basis tensor at a time through
+# TensorLayout.map_from_entries: table constructors, the coextension sites of
+# changeofrings, deform, regroup and _scalar_action.  The list may shrink as
+# sites move onto blocks; it must not grow.
+MAP_FROM_ENTRIES_CALLERS = {
+    ("changeofrings", "coextension_object"),
+    ("changeofrings", "cotensor_over_s"),
+    ("changeofrings", "heart_coextension_check"),
+    ("changeofrings", "hom_bimodule_as_s_module"),
+    ("changeofrings", "restrict_category"),
+    ("changeofrings", "restrict_ring_module"),
+    ("changeofrings", "s_module_of_component"),
+    ("changeofrings", "s_vs_r_module_comparison"),
+    ("changeofrings", "truncate_bimodule_le0"),
+    ("complexes", "composition_map"),
+    ("complexes", "evaluation_map"),
+    ("complexes", "regroup"),
+    ("deform", "hom_as_right_module"),
+    ("deform", "ideal_as_R_module"),
+    ("deform", "ideal_as_S_module"),
+    ("derived", "restricted_ground_module"),
+    ("dgcat", "DgCategory._scalar_action"),
+    ("dgcat", "h0_as_degree0_category"),
+    ("dgcat", "h0_ring"),
+    ("dgcat", "truncate_cat"),
+    ("dgring", "DgRing.from_table"),
+    ("dgring", "quotient"),
+    ("instances", "_discrete_category"),
+    ("instances", "_path_category"),
+    ("instances", "exterior_one_object_category"),
+    ("instances", "free_arrow_category"),
+    ("instances", "trivial_action_module"),
+    ("instances", "weak_cokernel_gap_category"),
+}
+
+
+def callers_of(source: str, attribute: str):
+    """The top-level functions, or Class.method, that call ``.attribute(...)``
+    somewhere in their body, nested functions included."""
+    found = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, ast.FunctionDef):
+                walk(child, child.name)
+            elif owner is None and isinstance(child, ast.ClassDef):
+                for item in child.body:
+                    if isinstance(item, ast.FunctionDef):
+                        walk(item, f"{child.name}.{item.name}")
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == attribute):
+                    found.add(owner)
+                walk(child, owner)
+
+    walk(ast.parse(source), None)
+    return found
+
+
+def test_callers_are_found():
+    src = ("class A:\n    def m(self, lay):\n        def inner():\n            return lay.f()\n        return inner\n"
+           "def g(lay):\n    return lay.f()\n\ndef h(lay):\n    return lay.other()\n")
+    assert callers_of(src, "f") == {"A.m", "g"}
+
+
+def test_map_from_entries_callers_only_shrink():
+    found = {(path.stem, owner) for path in sorted(PACKAGE.glob("*.py"))
+             for owner in callers_of(path.read_text(), "map_from_entries")}
+    assert found - MAP_FROM_ENTRIES_CALLERS == set(), "new per-basis map builders; build from blocks instead"
+    assert MAP_FROM_ENTRIES_CALLERS - found == set(), "stale allowlist entries; delete them"
