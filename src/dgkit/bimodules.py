@@ -28,7 +28,7 @@ from .complexes import (
     TensorLayout,
     Term,
     associativity_defect,
-    cone,
+    cone_retract,
     constrained_subcomplex,
     direct_sum,
     element_action,
@@ -46,7 +46,7 @@ from .complexes import (
     sum_retract,
     swap_leading_factors,
     swapped,
-    transposed,
+    twisted_sum,
     unit_defect,
 )
 from .dgcat import DgCategory, DgFunctor, opposite
@@ -198,14 +198,14 @@ def cone_module(phi: ModuleMap):
     if phi.degree != 0:
         raise ValidationError("module cones need degree-0 maps")
     cat = phi.source.cat
-    cones = {a: cone(phi.at(a)) for a in cat.objects}
     # cone^d = target^d + source^(d+1): the source piece sits one degree up
-    parts = {a: Retract(c, (Piece(phi.target.at(a), 0, transposed(incl.components), incl.components),
-                            Piece(phi.source.at(a), 1, proj.components, transposed(proj.components))))
-             for a, (c, incl, proj) in cones.items()}
-    c = module_on(cat, parts, [phi.target, phi.source], name=f"cone({phi.source.name}->{phi.target.name})")
-    incl = ModuleMap(phi.target, c, 0, {a: v[1] for a, v in cones.items()}, check=False)
-    proj = ModuleMap(c, shift_module(phi.source, 1), 0, {a: v[2] for a, v in cones.items()}, check=False)
+    cones = {a: cone_retract(phi.at(a)) for a in cat.objects}
+    c = module_on(cat, cones, [phi.target, phi.source], name=f"cone({phi.source.name}->{phi.target.name})")
+    shifted = shift_module(phi.source, 1)
+    incl = ModuleMap(phi.target, c, 0, {a: ChainMap(phi.target.at(a), r.complex, 0, r.pieces[0].outward)
+                                        for a, r in cones.items()}, check=False)
+    proj = ModuleMap(c, shifted, 0, {a: ChainMap(r.complex, shifted.at(a), 0, r.pieces[1].inward)
+                                     for a, r in cones.items()}, check=False)
     return c, incl, proj
 
 
@@ -475,10 +475,10 @@ def tensor_bimodule(acat: DgCategory, bcat: DgCategory, parts: Dict, left, left_
     through the sections of a balanced part (see ``factor_action``)."""
     plain = {key: p.layout if isinstance(p, BalancedTensor) else p for key, p in parts.items()}
     lact = {(a1, a2, b): lifted_map([acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
-                                    factor_action(left(a1, a2), left_slot, plain[(a2, b)]))
+                                    [factor_action(left(a1, a2), left_slot, plain[(a2, b)])])
             for a1, a2, b in itertools.product(acat.objects, acat.objects, bcat.objects)}
     ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat.hom(b1, b2)], parts[(a, b1)],
-                                    factor_action(right(b1, b2), right_slot, plain[(a, b1)], left=False))
+                                    [factor_action(right(b1, b2), right_slot, plain[(a, b1)], left=False)])
             for a, b1, b2 in itertools.product(acat.objects, bcat.objects, bcat.objects)}
     comps = {key: p.complex for key, p in parts.items()}
     return Bimodule(acat, bcat, comps, lact, ract, name=name, check=check)
@@ -605,10 +605,10 @@ def dual_of(f: "Bimodule") -> "Bimodule":
         return block
 
     lact = {(a1, a2, b): lifted_map([acat_op.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
-                                    precomposed(a1, a2, b))
+                                    [precomposed(a1, a2, b)])
             for a1, a2, b in itertools.product(f.acat.objects, f.acat.objects, f.bcat.objects)}
     ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat_op.hom(b1, b2)], parts[(a, b1)],
-                                    postcomposed(a, b1, b2))
+                                    [postcomposed(a, b1, b2)])
             for a, b1, b2 in itertools.product(f.acat.objects, f.bcat.objects, f.bcat.objects)}
     comps = {key: p.complex for key, p in parts.items()}
     return Bimodule(acat_op, bcat_op, comps, lact, ract, name=f"dual({f.name})")
@@ -657,8 +657,7 @@ def find_quasi_representative(f: "Bimodule", a) -> Optional[QuasiRepWitness]:
             certs = {}
             ok = True
             for x in bcat.objects:
-                c, _, _ = cone(cmp_map.at(x))
-                h = c.cohomology().as_dict()
+                h = cone_retract(cmp_map.at(x)).complex.cohomology().as_dict()
                 certs[x] = h
                 if h:
                     ok = False
@@ -686,7 +685,7 @@ def restrict_bimodule(f: "Bimodule", along: DgFunctor, side: str = "lower") -> "
         acat = along.source
         comps = {(a, b): f.at(F[a], b) for a in acat.objects for b in f.bcat.objects}
         lact = {(a1, a2, b): lifted_map([_through(along.hom_map(a1, a2)), comps[(a1, b)]], comps[(a2, b)],
-                                        pair_action(f.lact_pair(F[a1], F[a2], b)).block)
+                                        [pair_action(f.lact_pair(F[a1], F[a2], b)).block])
                 for a1, a2, b in itertools.product(acat.objects, acat.objects, f.bcat.objects)}
         ract = {(a, b1, b2): f.ract[(F[a], b1, b2)]
                 for a, b1, b2 in itertools.product(acat.objects, f.bcat.objects, f.bcat.objects)}
@@ -699,7 +698,7 @@ def restrict_bimodule(f: "Bimodule", along: DgFunctor, side: str = "lower") -> "
         lact = {(a1, a2, b): f.lact[(a1, a2, F[b])]
                 for a1, a2, b in itertools.product(f.acat.objects, f.acat.objects, bcat.objects)}
         ract = {(a, b1, b2): lifted_map([comps[(a, b2)], _through(along.hom_map(b1, b2))], comps[(a, b1)],
-                                        pair_action(f.ract_pair(a, F[b1], F[b2])).block)
+                                        [pair_action(f.ract_pair(a, F[b1], F[b2])).block])
                 for a, b1, b2 in itertools.product(f.acat.objects, bcat.objects, bcat.objects)}
         return Bimodule(f.acat, bcat, comps, lact, ract, name=f"{f.name}|{along.name}")
     raise ValidationError("side must be 'lower' or 'upper'")
@@ -745,7 +744,7 @@ def direct_sum_bimodules(summands: Sequence["Bimodule"]) -> "Bimodule":
     """Componentwise direct sum with block-diagonal actions."""
     first = summands[0]
     acat, bcat = first.acat, first.bcat
-    parts = {(a, b): sum_retract([s.at(a, b) for s in summands])[0]
+    parts = {(a, b): twisted_sum([(s.at(a, b), 0) for s in summands])
              for a in acat.objects for b in bcat.objects}
     lact = {(a1, a2, b): lifted_map([acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
                                     [pair_action(s.lact_pair(a1, a2, b)).block for s in summands])

@@ -185,13 +185,13 @@ def extend_scalars_cat(cat: DgCategory, theta: DgRingMorphism) -> ScalarExtensio
     ids = {a: tensors[(a, a)].projection.component(0) @
            tensors[(a, a)].layout.place((0, 0), kron(ring_s.unit, cat.id_vector(a))) for a in cat.objects}
     comp = {(a, b, c): lifted_map([tensors[(b, c)], tensors[(a, b)]], tensors[(a, c)],
-                                  _extended_composition(mult, cat, tensors[(a, c)].layout, a, b, c))
+                                  [_extended_composition(mult, cat, tensors[(a, c)].layout, a, b, c)])
             for a, b, c in itertools.product(cat.objects, repeat=3)}
-    action = {key: lifted_map([ring_s.underlying, t], t, factor_action(mult, 0, t.layout))
+    action = {key: lifted_map([ring_s.underlying, t], t, [factor_action(mult, 0, t.layout)])
               for key, t in tensors.items()}
     ecat = DgCategory(ring_s, cat.objects, homs, comp, ids, action=action,
                       name=f"{ring_s.name}(x){cat.name}")
-    incl_maps = {key: lifted_map([cat.hom(*key)], t, _unit_insertion(ring_s.unit, t.layout))
+    incl_maps = {key: lifted_map([cat.hom(*key)], t, [_unit_insertion(ring_s.unit, t.layout)])
                  for key, t in tensors.items()}
     incl = DgFunctor(cat, ecat, {a: a for a in cat.objects}, incl_maps,
                      base_change=theta, name=f"unit_{theta.name}")
@@ -229,7 +229,7 @@ def extension_left_action(f: Bimodule, ext: ScalarExtension, b_s: DgCategory):
         return block
 
     return {(a1, a2, bobj): lifted_map([ext.tensors[(a1, a2)], f.at(a1, bobj)], f.at(a2, bobj),
-                                       flat_blocks(a1, a2, bobj))
+                                       [flat_blocks(a1, a2, bobj)])
             for a1, a2 in itertools.product(ext.category.objects, repeat=2) for bobj in f.bcat.objects}
 
 
@@ -332,8 +332,8 @@ def transitivity_check(theta12: DgRingMorphism, theta23: DgRingMorphism,
                 return dt.layout.place((dg + dr2, dx), kron(by_r2.block((dg, dr2)),
                                                             Mat.identity(field, a_cat.hom(a, b).dim(dx))))
 
-            fmap = lifted_map([dt], st, forward)
-            bmap = lifted_map([st], dt, lambda flat: lifted_block([r3.underlying, st1], flat, plain_backward))
+            fmap = lifted_map([dt], st, [forward])
+            bmap = lifted_map([st], dt, [lambda flat: lifted_block([r3.underlying, st1], flat, plain_backward)])
             if bmap.compose(fmap) != ChainMap.identity(dt.complex) or \
                     fmap.compose(bmap) != ChainMap.identity(st.complex):
                 ok = False

@@ -368,7 +368,7 @@ class ChainMap:
 
     def is_quasi_iso(self) -> bool:
         if self.degree == 0:
-            return cone(self)[0].is_acyclic()
+            return cone_retract(self).complex.is_acyclic()
         degs = set(self.source.degrees()) | set(d - self.degree for d in self.target.degrees())
         for deg in degs:
             m = self.cohomology_map(deg)
@@ -392,25 +392,27 @@ def shift_complex(cx: Complex, k: int) -> Complex:
     return Complex(cx.field, dims, diffs, name=f"{cx.name}[{k}]")
 
 
-def twisted_sum(summands: Sequence[Complex], twist=None, name: Optional[str] = None):
-    """The degreewise direct sum of ``summands`` with the block differential
-    diag(d_i) plus ``twist(deg)``, a dict {(i, j): block from summand j in
-    degree deg to summand i in degree deg + 1}.  Returns (sum, injections,
-    projections): per summand, its coordinate maps as {degree: Mat}."""
+def twisted_sum(summands: Sequence[Tuple[Complex, int]], twist=None, name: Optional[str] = None) -> "Retract":
+    """The degreewise direct sum of the shifted complexes plain[shift], one
+    per (plain, shift) in ``summands``, with the block differential diag(d_i)
+    plus ``twist(deg)``, a dict {(i, j): block from summand j in degree deg
+    to summand i in degree deg + 1}.  Returns the sum as a Retract whose
+    piece i is summand i: its coordinate projection in, its injection out."""
     if not summands:
         raise ShapeError("direct sum of nothing; use Complex.zero")
-    field = same_field(*[c.field for c in summands])
-    degs = sorted({d for c in summands for d in c.degrees()})
-    sizes = {d: [c.dim(d) for c in summands] for d in degs + [d + 1 for d in degs]}
+    shifted = [shift_complex(c, k) if k else c for c, k in summands]
+    field = same_field(*[c.field for c in shifted])
+    degs = sorted({d for c in shifted for d in c.degrees()})
+    sizes = {d: [c.dim(d) for c in shifted] for d in degs + [d + 1 for d in degs]}
     diffs = {}
     for d in degs:
-        blocks = {(i, i): c.d[d] for i, c in enumerate(summands) if d in c.d}
+        blocks = {(i, i): c.d[d] for i, c in enumerate(shifted) if d in c.d}
         if twist is not None:
             blocks.update(twist(d))
         if blocks:
             diffs[d] = block_matrix(field, sizes[d + 1], sizes[d], blocks)
     total = Complex(field, {d: sum(sizes[d]) for d in degs}, diffs,
-                    name=name or "+".join(c.name for c in summands))
+                    name=name or "+".join(c.name for c in shifted))
     injections = [{} for _ in summands]
     projections = [{} for _ in summands]
     for d in degs:
@@ -419,24 +421,40 @@ def twisted_sum(summands: Sequence[Complex], twist=None, name: Optional[str] = N
             if m:
                 injections[i][d] = eye.take_columns(range(off, off + m))
                 projections[i][d] = eye.take_rows(range(off, off + m))
-    return total, injections, projections
+    return Retract(total, tuple(Piece(c, k, proj, inj)
+                                for (c, k), inj, proj in zip(summands, injections, projections)))
+
+
+def sum_retract(summands: Sequence[Complex]):
+    """The direct sum as a Retract whose piece i is summand i, with the
+    injections and projections as chain maps: (retract, injections,
+    projections)."""
+    total = twisted_sum([(c, 0) for c in summands])
+    return (total, [ChainMap(c, total.complex, 0, p.outward) for c, p in zip(summands, total.pieces)],
+            [ChainMap(total.complex, c, 0, p.inward) for c, p in zip(summands, total.pieces)])
 
 
 def direct_sum(summands: Sequence[Complex]):
     """Returns (sum, injections, projections)."""
-    total, injs, projs = twisted_sum(summands)
-    return (total, [ChainMap(c, total, 0, inj) for c, inj in zip(summands, injs)],
-            [ChainMap(total, c, 0, proj) for c, proj in zip(summands, projs)])
+    total, injs, projs = sum_retract(summands)
+    return total.complex, injs, projs
+
+
+def cone_retract(f: ChainMap) -> "Retract":
+    """Mapping cone of a degree-0 map as a Retract: piece 0 is the target,
+    piece 1 the source one degree up."""
+    if f.degree != 0:
+        raise ValidationError("cone requires a degree-0 chain map")
+    return twisted_sum([(f.target, 0), (f.source, 1)], lambda d: {(0, 1): f.component(d + 1)},
+                       name=f"cone({f.source.name}->{f.target.name})")
 
 
 def cone(f: ChainMap):
     """Mapping cone of a degree-0 map; returns (cone, include_target, project_to_shifted_source)."""
-    if f.degree != 0:
-        raise ValidationError("cone requires a degree-0 chain map")
-    shifted = shift_complex(f.source, 1)
-    c, injs, projs = twisted_sum([f.target, shifted], lambda d: {(0, 1): f.component(d + 1)},
-                                 name=f"cone({f.source.name}->{f.target.name})")
-    return c, ChainMap(f.target, c, 0, injs[0]), ChainMap(c, shifted, 0, projs[1])
+    c = cone_retract(f)
+    target, source = c.pieces
+    return (c.complex, ChainMap(f.target, c.complex, 0, target.outward),
+            ChainMap(c.complex, shift_complex(f.source, 1), 0, source.inward))
 
 
 # -- smart truncations ---------------------------------------------------------
@@ -1054,6 +1072,11 @@ class BalancedTensor(NamedTuple):
     projection: ChainMap
     sections: Dict[int, Mat]
 
+    @property
+    def pieces(self) -> Tuple["Piece", ...]:
+        """Its one piece as a quotient of the plain tensor."""
+        return quotient_retract(self.complex, self.projection, self.sections, self.layout).pieces
+
 
 def balanced_tensor(right: Action, left: Action, name: str = "bal") -> BalancedTensor:
     """X (x)_R Y for a right R-action on X and a left R-action on Y.  The
@@ -1113,34 +1136,21 @@ def sub_retract(sub: Complex, inclusion: ChainMap) -> Retract:
     return Retract(sub, (Piece(inclusion.target, 0, inclusion.components, out, sub=True),))
 
 
-def quotient_retract(quot: Complex, projection: ChainMap, sections: Dict[int, Mat]) -> Retract:
-    """A quotient through its ambient: lifted by the sections, projected back."""
-    return Retract(quot, (Piece(projection.source, 0, sections, projection.components),))
+def quotient_retract(quot: Complex, projection: ChainMap, sections: Dict[int, Mat],
+                     plain: Optional[Union[Complex, "TensorLayout"]] = None) -> Retract:
+    """A quotient through its ambient, or through ``plain``, the ambient as
+    a tensor layout: lifted by the sections, projected back."""
+    return Retract(quot, (Piece(projection.source if plain is None else plain, 0, sections,
+                                projection.components),))
 
 
-def sum_retract(summands: Sequence[Complex]):
-    """``direct_sum`` with the sum as a Retract whose piece i is summand i:
-    (retract, injections, projections)."""
-    total, injs, projs = direct_sum(summands)
-    pieces = tuple(Piece(c, 0, p.components, i.components) for c, i, p in zip(summands, injs, projs))
-    return Retract(total, pieces), injs, projs
-
-
-def transposed(components: Dict[int, Mat]) -> Dict[int, Mat]:
-    """The coordinate projections of coordinate injections, or back."""
-    return {d: m.transpose() for d, m in components.items()}
-
-
-Part = Union[Complex, "TensorLayout", BalancedTensor, Retract]
+# a plain complex or tensor, or a retract (a balanced tensor is a quotient retract)
+Part = Union[Complex, "TensorLayout", Retract, BalancedTensor]
 
 
 def _piece(part: Part, index: int) -> Piece:
-    """Piece ``index`` of a part; a part of one piece serves every index."""
-    if isinstance(part, BalancedTensor):
-        return Piece(part.layout, 0, part.sections, part.projection.components)
-    if not isinstance(part, Retract):
-        return Piece(part)
-    return part.pieces[index if len(part.pieces) > 1 else 0]
+    """Piece ``index`` of a retract; a plain part is its own piece at every index."""
+    return Piece(part) if isinstance(part, (Complex, TensorLayout)) else part.pieces[index]
 
 
 def _lifts(piece: Piece, deg: int):
@@ -1210,16 +1220,14 @@ def _complex_of(part: Part) -> Complex:
     return part if isinstance(part, Complex) else part.complex
 
 
-def lifted_map(parts: Sequence[Part], target: Part, flat_block) -> ChainMap:
+def lifted_map(parts: Sequence[Part], target: Part, plains: Sequence[Callable]) -> ChainMap:
     """The degree-0 chain map out of the tensor of one or two ``parts`` into
     ``target``: sum_i out_i o plain_i o kron(in_i) over the pieces i, where
-    ``flat_block`` is the plain map plain_i on the flat degree tuples, or a
-    list of them, one per piece.  The i-th pieces of the target and of every
-    part of several pieces belong together; a part of one piece serves every
-    i.  ``flat_block(flat)`` has its rows in the plain piece of the target
+    ``plains[i]`` is the plain map plain_i on the flat degree tuples.  The
+    i-th pieces of the target and of every retract part belong together.
+    ``plains[i](flat)`` has its rows in the i-th plain piece of the target
     at degree sum(flat) plus its shift, or is None for zero.  A map into a
     subcomplex is also checked in the degrees where the subcomplex is zero."""
-    plains = flat_block if isinstance(flat_block, list) else [flat_block]
     sources = [_complex_of(p) for p in parts]
     tcx = _complex_of(target)
 

@@ -714,8 +714,8 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
             # SES maps: iota: I (x)_R V -> V (apply the ideal element), pi = unit insert
             incl_comp = step.kernel_ideal().inclusion
             act = pair_action(i_cat.action_pair(a, b))
-            iota = lifted_map([t_iv], v, lambda flat: kron_product(
-                act.block(flat), incl_comp.component(flat[0]), Mat.identity(field, v.dim(flat[1]))))
+            iota = lifted_map([t_iv], v, [lambda flat: kron_product(
+                act.block(flat), incl_comp.component(flat[0]), Mat.identity(field, v.dim(flat[1])))])
             pi = ext.inclusion.hom_map(a, b)
             j_hom = j_cat.hom(a, b)
             for deg in set(v.degrees()) | set(tensor_iv.degrees()) | set(j_hom.degrees()):
@@ -752,9 +752,9 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
                 return t_iv.layout.place((dx + ds, dv), kron(x_by_s.block((dx, ds)),
                                                              Mat.identity(field, v.dim(dv))))
 
-            fmap = lifted_map([t_iv], t_sj, forward)
-            bmap = lifted_map([t_sj], t_iv, lambda flat: lifted_block(
-                [ideal_s.at(scat.objects[0]), ext.tensors[(a, b)]], flat, plain_backward))
+            fmap = lifted_map([t_iv], t_sj, [forward])
+            bmap = lifted_map([t_sj], t_iv, [lambda flat: lifted_block(
+                [ideal_s.at(scat.objects[0]), ext.tensors[(a, b)]], flat, plain_backward)])
             if bmap.compose(fmap) != ChainMap.identity(tensor_iv) or \
                     fmap.compose(bmap) != ChainMap.identity(t_sj.complex):
                 lift_ok = False

@@ -19,15 +19,12 @@ from .complexes import (
     BalancedTensor,
     ChainMap,
     Complex,
-    Piece,
-    Retract,
     TensorLayout,
     balanced_tensor,
-    cone,
+    cone_retract,
     element_action,
     pair_action,
     quotient_retract,
-    shift_complex,
     sub_retract,
     swapped,
     truncate_le,
@@ -89,7 +86,6 @@ def _attach_generators(cat: DgCategory, P: Module, f: ModuleMap, M: Module,
     comps = {}
     for z in cat.objects:
         plains = [(P.at(z), 0)] + [(cat.hom(z, x), -n) for x, n, _, _ in gens]
-        summands = [shift_complex(plain, shift) if shift else plain for plain, shift in plains]
         # per generator, b |-> p.b into the old part and b |-> m.b into M
         twists = [element_action(P.act[(z, x)], P.act_layouts[(z, x)], 0, n + 1, p) for x, n, _, p in gens]
         hits = [element_action(M.act[(z, x)], M.act_layouts[(z, x)], 0, n, m) for x, n, m, _ in gens]
@@ -97,14 +93,12 @@ def _attach_generators(cat: DgCategory, P: Module, f: ModuleMap, M: Module,
         def generator_blocks(fams, d):
             return {(0, g + 1): fam[d - n] for g, ((_, n, _, _), fam) in enumerate(zip(gens, fams)) if d - n in fam}
 
-        new, injs, projs = twisted_sum(
-            summands, lambda d: {key: -blk for key, blk in generator_blocks(twists, d).items()}, name=f"P({z})")
-        parts[z] = Retract(new, tuple(Piece(plain, shift, proj, inj)
-                                      for (plain, shift), inj, proj in zip(plains, injs, projs)))
-        comps[z] = ChainMap(new, M.at(z), 0, {
-            d: block_matrix(cat.field, [M.at(z).dim(d)], [c.dim(d) for c in summands],
+        parts[z] = twisted_sum(
+            plains, lambda d: {key: -blk for key, blk in generator_blocks(twists, d).items()}, name=f"P({z})")
+        comps[z] = ChainMap(parts[z].complex, M.at(z), 0, {
+            d: block_matrix(cat.field, [M.at(z).dim(d)], [plain.dim(d + shift) for plain, shift in plains],
                             {(0, 0): f.at(z).component(d), **generator_blocks(hits, d)})
-            for d in new.degrees()})
+            for d in parts[z].complex.degrees()})
     P2 = module_on(cat, parts, [P] + [reps[x] for x, _, _, _ in gens], name="P")
     f2 = ModuleMap(P2, M, 0, comps)
     return P2, f2
@@ -119,7 +113,7 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     f = ModuleMap.zero(P, m)
     generators: List[Tuple[object, int]] = []
     while True:
-        cones = {z: cone(f.at(z))[0].cohomology() for z in cat.objects}
+        cones = {z: cone_retract(f.at(z)).complex.cohomology() for z in cat.objects}
         cone_h = {z: h.as_dict() for z, h in cones.items()}
         worst = max((d for h in cone_h.values() for d, v in h.items() if v and d >= floor), default=None)
         if worst is None:
@@ -276,13 +270,13 @@ def tstruct_truncate(m: Module) -> TStructureReport:
     # distinguished triangle: cone(counit) -> tau_ge, (eta, 0) on m + tau_le[1], is a quasi-iso
     comparison_h = {}
     for a in cat.objects:
-        c, _, _ = cone(counit.at(a))
+        c = cone_retract(counit.at(a)).complex
         eta = unit.at(a)
         cmp_map = ChainMap(c, tau_ge.at(a), 0, {
             d: block_matrix(cat.field, [tau_ge.at(a).dim(d)], [m.at(a).dim(d), tau_le.at(a).dim(d + 1)],
                             {(0, 0): eta.component(d)})
             for d in c.degrees()})
-        comparison_h[a] = cone(cmp_map)[0].cohomology().as_dict()
+        comparison_h[a] = cone_retract(cmp_map).complex.cohomology().as_dict()
     ok = not any(comparison_h.values())
     return TStructureReport(tau_le, tau_ge, counit, unit, ok, comparison_h)
 

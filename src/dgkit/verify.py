@@ -39,7 +39,7 @@ from .complexes import (
     Equation,
     TensorLayout,
     Term,
-    cone,
+    cone_retract,
     hom_complex,
     lifted_map,
     naturality_subcomplex,
@@ -419,7 +419,7 @@ def check_truncation_suite(count: int = 50) -> CheckResult:
             failures.append((trial, "support"))
         # triangle tau_le -> cx -> tau_ge(n+1) distinguished via cone comparison
         ge, proj = truncate_ge(cx, n + 1)
-        c, _, _ = cone(incl)
+        c = cone_retract(incl).complex
         comps = {}
         for deg in c.degrees():
             rows = ge.dim(deg)
@@ -609,7 +609,7 @@ def _h0_surjectivity_propagates(fmap, wmod) -> bool:
         dv, dq = flat
         return tgt.layout.place(flat, kron(f.component(dv), Mat.identity(wmod.field, p.dim(dq))))
 
-    induced = lifted_map([src], tgt, plain)
+    induced = lifted_map([src], tgt, [plain])
     h0 = induced.cohomology_map(0)
     return h0.rank() == tgt.complex.cohomology().dim(0)
 

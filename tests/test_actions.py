@@ -618,19 +618,19 @@ def test_a_map_leaving_the_target_subcomplex_raises(field):
     sub, incl, keep, swap = escaping_instance(field)
     target = sub_retract(sub, incl)
     # into the subcomplex: the result is incl^-1 o plain o incl, checked
-    kept = lifted_map([target], target, lambda flat: keep.component(flat[0]))
+    kept = lifted_map([target], target, [lambda flat: keep.component(flat[0])])
     assert kept == ChainMap.identity(sub)
     with pytest.raises(ValidationError, match="leaves it"):
-        lifted_map([target], target, lambda flat: swap.component(flat[0]))
+        lifted_map([target], target, [lambda flat: swap.component(flat[0])])
     # two parts, acting by the ground field in degree 0: the swap escapes
     ground = Complex.one_dim(field)
     with pytest.raises(ValidationError, match="leaves it"):
-        lifted_map([target, ground], target, lambda flat: swap.component(flat[0]))
+        lifted_map([target, ground], target, [lambda flat: swap.component(flat[0])])
     # where the subcomplex is zero, a nonzero plain map escapes too
     top = Complex(field, {0: 1}, {})
     zero_sub, zero_incl = subcomplex(top, {})
     with pytest.raises(ValidationError, match="leaves it"):
-        lifted_map([top], sub_retract(zero_sub, zero_incl), lambda flat: Mat.identity(field, 1))
+        lifted_map([top], sub_retract(zero_sub, zero_incl), [lambda flat: Mat.identity(field, 1)])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
@@ -642,5 +642,5 @@ def test_transfers_into_a_truncation_agree_with_solving(field):
         # a chain map keeps the smart truncation, so f o incl factors through it
         f = random_chain_map(rng, c, c)
         plain = {d: f.component(d) @ incl.component(d) for d in sub.degrees()}
-        got = lifted_map([sub], sub_retract(sub, incl), lambda flat: plain[flat[0]])
+        got = lifted_map([sub], sub_retract(sub, incl), [lambda flat: plain[flat[0]]])
         assert got == ChainMap(sub, sub, 0, {d: incl.component(d).solve(m) for d, m in plain.items()})
