@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .complexes import (
+    Action,
     BalancedTensor,
     ChainMap,
     Complex,
@@ -40,18 +41,20 @@ from .complexes import (
     pair_action,
     pair_elements,
     permutation_sign,
+    postcomposition,
     quotient_by_relations,
     shift_complex,
+    slotwise,
     sub_retract,
     sum_retract,
-    swap_leading_factors,
     swapped,
+    through,
     twisted_sum,
     unit_defect,
 )
 from .dgcat import DgCategory, DgFunctor, opposite
 from .errors import ValidationError
-from .matrix import Mat, block_matrix, concat_columns, kron
+from .matrix import Mat, concat_columns, kron
 
 
 class Module:
@@ -524,26 +527,6 @@ def compose_bimodules(f: "Bimodule", g: "Bimodule", check: bool = True) -> "Bimo
 # -- duality ---------------------------------------------------------------------
 
 
-def _slotwise(src: ModuleHomComplex, tgt: ModuleHomComplex, m: int, n: int, source_degree, block) -> Mat:
-    """The map from degree m of the ambient of ``src`` to degree n of that of
-    ``tgt`` that sends, in each slot x, the hom block of source degree
-    source_degree(i) to the hom block of source degree i by block(x, i),
-    and is zero elsewhere."""
-    cols, col_of = [], {}
-    for x, lay in src.layouts.items():
-        for j, _, size in lay.blocks(m):
-            col_of[(x, j)] = len(cols)
-            cols.append(size)
-    rows, placed = [], {}
-    for x, lay in tgt.layouts.items():
-        for i, _, size in lay.blocks(n):
-            col = col_of.get((x, source_degree(i)))
-            if col is not None:
-                placed[(len(rows), col)] = block(x, i)
-            rows.append(size)
-    return block_matrix(src.ambient.field, rows, cols, placed)
-
-
 def dual_of(f: "Bimodule") -> "Bimodule":
     """Component at (A, B) is the complex of right-module maps f_A -> h_B;
     the result is a bimodule over the opposite categories.  Both actions act
@@ -576,33 +559,16 @@ def dual_of(f: "Bimodule") -> "Bimodule":
                 return one
 
             out = concat_columns(field, tgt.ambient.dim(n),
-                                 [_slotwise(src, tgt, dpsi, n, lambda i: i + da, by(k))
+                                 [slotwise(src, tgt, dpsi, n, lambda i: i + da, by(k))
                                   for k in range(f.acat.hom(a2, a1).dim(da))])
             return -out if permutation_sign((da, dpsi), (1, 0)) < 0 else out
         return block
 
     def postcomposed(a, b1, b2):
         # bcat_op.hom(b1,b2) = f.bcat.hom(b2,b1): an element b: B2 -> B1
-        src, tgt = mhcs[(a, b2)], mhcs[(a, b1)]
-
-        def block(flat):
-            dpsi, db = flat
-            n = dpsi + db
-            acts = {x: pair_action(f.bcat.comp_pair(x, b2, b1)).block for x in f.bcat.objects}
-            count = f.bcat.hom(b2, b1).dim(db)
-
-            def by(k):
-                def one(x, i):
-                    size = reps[b2].at(x).dim(i + dpsi)
-                    post = acts[x]((db, i + dpsi)).take_columns(range(k * size, (k + 1) * size))
-                    return kron(post, Mat.identity(field, f.at(a, x).dim(i)))
-                return one
-
-            out = concat_columns(field, tgt.ambient.dim(n),
-                                 [_slotwise(src, tgt, dpsi, n, lambda i: i, by(k)) for k in range(count)])
-            out = swap_leading_factors(out, src.ambient.dim(dpsi), count)
-            return -out if permutation_sign((dpsi, db), (1, 0)) < 0 else out
-        return block
+        by_b = postcomposition(mhcs[(a, b2)], mhcs[(a, b1)], f.bcat.hom(b2, b1),
+                               lambda x, db, j: pair_action(f.bcat.comp_pair(x, b2, b1)).block((db, j)))
+        return swapped(Action((f.bcat.hom(b2, b1), mhcs[(a, b2)].ambient), by_b)).block
 
     lact = {(a1, a2, b): lifted_map([acat_op.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
                                     [precomposed(a1, a2, b)])
@@ -670,11 +636,6 @@ def find_quasi_representative(f: "Bimodule", a) -> Optional[QuasiRepWitness]:
 # -- restriction -------------------------------------------------------------------
 
 
-def _through(functor_map: ChainMap) -> Retract:
-    """A hom complex read through a functor's map into its image's hom."""
-    return Retract(functor_map.source, (Piece(functor_map.target, 0, functor_map.components),))
-
-
 def restrict_bimodule(f: "Bimodule", along: DgFunctor, side: str = "lower") -> "Bimodule":
     """Reindex one side along a strict dg-functor: the reindexed action is
     the old one precomposed with kron(F, 1) or kron(1, F)."""
@@ -684,7 +645,7 @@ def restrict_bimodule(f: "Bimodule", along: DgFunctor, side: str = "lower") -> "
             raise ValidationError("restriction functor must land in the lower category")
         acat = along.source
         comps = {(a, b): f.at(F[a], b) for a in acat.objects for b in f.bcat.objects}
-        lact = {(a1, a2, b): lifted_map([_through(along.hom_map(a1, a2)), comps[(a1, b)]], comps[(a2, b)],
+        lact = {(a1, a2, b): lifted_map([through(along.hom_map(a1, a2)), comps[(a1, b)]], comps[(a2, b)],
                                         [pair_action(f.lact_pair(F[a1], F[a2], b)).block])
                 for a1, a2, b in itertools.product(acat.objects, acat.objects, f.bcat.objects)}
         ract = {(a, b1, b2): f.ract[(F[a], b1, b2)]
@@ -697,7 +658,7 @@ def restrict_bimodule(f: "Bimodule", along: DgFunctor, side: str = "lower") -> "
         comps = {(a, b): f.at(a, F[b]) for a in f.acat.objects for b in bcat.objects}
         lact = {(a1, a2, b): f.lact[(a1, a2, F[b])]
                 for a1, a2, b in itertools.product(f.acat.objects, f.acat.objects, bcat.objects)}
-        ract = {(a, b1, b2): lifted_map([comps[(a, b2)], _through(along.hom_map(b1, b2))], comps[(a, b1)],
+        ract = {(a, b1, b2): lifted_map([comps[(a, b2)], through(along.hom_map(b1, b2))], comps[(a, b1)],
                                         [pair_action(f.ract_pair(a, F[b1], F[b2])).block])
                 for a, b1, b2 in itertools.product(f.acat.objects, bcat.objects, bcat.objects)}
         return Bimodule(f.acat, bcat, comps, lact, ract, name=f"{f.name}|{along.name}")

@@ -32,18 +32,25 @@ from .complexes import (
     Term,
     balanced_tensor,
     factor_action,
+    hom_complex,
+    hom_postcompose,
     lifted_block,
     lifted_map,
     naturality_subcomplex,
     pair_action,
     permutation_sign,
+    postcomposition,
     reorder_factors,
+    sub_retract,
+    swap_leading_factors,
     swapped,
+    through,
+    truncate_le,
 )
 from .dgcat import DgCategory, DgFunctor, one_object_category
 from .dgring import DgRingMorphism
 from .errors import ValidationError
-from .matrix import Mat, kron, kron_product
+from .matrix import Mat, block_matrix, kron, kron_product
 
 
 # -- restriction --------------------------------------------------------------------
@@ -54,23 +61,9 @@ def restrict_category(cat: DgCategory, theta: DgRingMorphism) -> DgCategory:
     with theta.  Cohomology is untouched."""
     if cat.base != theta.target:
         raise ValidationError("category is not linear over the morphism target")
-    field = cat.field
-    action = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            lay = TensorLayout([theta.source.underlying, cat.hom(a, b)])
-
-            def entry(combo, idx, a=a, b=b):
-                dr, dx = combo
-                r = Mat.basis_column(field, theta.source.dim(dr), idx[0])
-                s = theta.apply(dr, r)
-                fam = cat.act_element(a, b, dr, s)
-                step = fam.get(dx)
-                if step is None:
-                    return None
-                return step.col(idx[1])
-
-            action[(a, b)] = lay.map_from_entries(cat.hom(a, b), 0, entry)
+    action = {(a, b): lifted_map([through(theta.map), cat.hom(a, b)], cat.hom(a, b),
+                                 [pair_action(cat.action_pair(a, b)).block])
+              for a, b in itertools.product(cat.objects, repeat=2)}
     return DgCategory(theta.source, cat.objects, cat.homs, cat.comp, cat.ids,
                       action=action, name=f"({cat.name})_{theta.source.name}", check=False)
 
@@ -85,16 +78,7 @@ def restrict_ring_module(m: Module, theta: DgRingMorphism,
     sobj = scat.objects[0]
     rcat = rcat or one_object_category(theta.source)
     robj = rcat.objects[0]
-    field = theta.source.field
-    lay = TensorLayout([m.at(sobj), theta.source.underlying])
-
-    def entry(combo, idx):
-        dx, dr = combo
-        x = Mat.basis_column(field, m.at(sobj).dim(dx), idx[0])
-        r = theta.apply(dr, Mat.basis_column(field, theta.source.dim(dr), idx[1]))
-        return m.apply_action(sobj, sobj, dx, x, dr, r)
-
-    act = lay.map_from_entries(m.at(sobj), 0, entry)
+    act = lifted_map([m.at(sobj), through(theta.map)], m.at(sobj), [pair_action(m.act_pair(sobj, sobj)).block])
     return Module(rcat, {robj: m.at(sobj)}, {(robj, robj): act},
                   name=f"({m.name})_{theta.source.name}")
 
@@ -343,13 +327,12 @@ def transitivity_check(theta12: DgRingMorphism, theta23: DgRingMorphism,
 # -- coextension: S-linear structures on bimodules out of the S point ---------------
 
 
-def s_unit_vector(cat: DgCategory, a, ds: int, svec: Mat) -> Mat:
-    """s . 1_a inside an S-linear category."""
-    fam = cat.act_element(a, a, ds, svec)
-    step = fam.get(0)
-    if step is None:
-        return Mat.zero(cat.field, cat.hom(a, a).dim(ds), 1)
-    return step @ cat.id_vector(a)
+def _unit_map(cat: DgCategory, a) -> ChainMap:
+    """s |-> s . 1_a, the chain map from the base into End(a)."""
+    lay, act = cat.action_pair(a, a)
+    return ChainMap(cat.base.underlying, cat.hom(a, a), 0, {
+        ds: kron_product(lay.block(act, (ds, 0)), Mat.identity(cat.field, cat.base.dim(ds)), cat.id_vector(a))
+        for ds in cat.base.degrees()})
 
 
 def coextension_object(a_s: DgCategory, b_r: DgCategory, g: Bimodule, a,
@@ -358,20 +341,10 @@ def coextension_object(a_s: DgCategory, b_r: DgCategory, g: Bimodule, a,
     through s . 1_a."""
     scat = scat or one_object_category(a_s.base)
     sobj = scat.objects[0]
-    field = g.field
+    unit = through(_unit_map(a_s, a))
     comps = {(sobj, b): g.at(a, b) for b in b_r.objects}
-    lact = {}
-    for b in b_r.objects:
-        lay = TensorLayout([scat.hom(sobj, sobj), g.at(a, b)])
-
-        def entry(combo, idx, b=b):
-            ds, dx = combo
-            svec = Mat.basis_column(field, a_s.base.dim(ds), idx[0])
-            s1 = s_unit_vector(a_s, a, ds, svec)
-            x = Mat.basis_column(field, g.at(a, b).dim(dx), idx[1])
-            return g.lact_apply(a, a, b, ds, s1, dx, x)
-
-        lact[(sobj, sobj, b)] = lay.map_from_entries(g.at(a, b), 0, entry)
+    lact = {(sobj, sobj, b): lifted_map([unit, g.at(a, b)], g.at(a, b), [pair_action(g.lact_pair(a, a, b)).block])
+            for b in b_r.objects}
     ract = {(sobj, b1, b2): g.ract[(a, b1, b2)] for b1 in b_r.objects for b2 in b_r.objects}
     return Bimodule(scat, b_r, comps, lact, ract, name=f"l({g.name})({a})")
 
@@ -398,6 +371,7 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
     scat = one_object_category(a_s.base)
     sobj = scat.objects[0]
     objectwise = {a: coextension_object(a_s, b_r, g, a, scat) for a in a_s.objects}
+    units = {a: _unit_map(a_s, a) for a in a_s.objects}
     s_basis = [(ds, a_s.base.basis_vector(ds, si)) for ds, si in a_s.base.basis()]
     # r(l(g)) = g strictly: each l(g)(a) shares g's components and right
     # actions, and s acts on it as s . 1_a acts through g
@@ -411,7 +385,7 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
                     strict = False
             for ds, svec in s_basis:
                 if x.lact_family(sobj, sobj, b, ds, svec) != \
-                        g.lact_family(a, a, b, ds, s_unit_vector(a_s, a, ds, svec)):
+                        g.lact_family(a, a, b, ds, units[a].component(ds) @ svec):
                     strict = False
     probe = g_probe if g_probe is not None else g
     lower = bimodule_hom_complex(g, probe)
@@ -438,13 +412,9 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
         for a2 in a_s.objects:
             for da, avec in a_s.hom_basis(a1, a2):
                 for ds, svec in s_basis:
-                    s_at_src = s_unit_vector(a_s, a1, ds, svec)
-                    s_at_tgt = s_unit_vector(a_s, a2, ds, svec)
-                    sa = a_s.compose_elements(a1, a2, a2, ds, s_at_tgt, da, avec)
-                    as_ = a_s.compose_elements(a1, a1, a2, da, avec, ds, s_at_src)
-                    if (ds % 2) and (da % 2):
-                        as_ = -as_
-                    if sa != as_:
+                    sa = a_s.compose_elements(a1, a2, a2, ds, units[a2].component(ds) @ svec, da, avec)
+                    as_ = a_s.compose_elements(a1, a1, a2, da, avec, ds, units[a1].component(ds) @ svec)
+                    if sa != (-as_ if permutation_sign((da, ds), (1, 0)) < 0 else as_):
                         s_linear = False
     return CoextensionPair(objectwise, scat, strict, equal, s_linear)
 
@@ -455,20 +425,9 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
 def s_module_of_component(x: Bimodule, b, scat: DgCategory) -> Module:
     """x(sobj, b) as a right S-module via the bimodule's own left S-action."""
     sobj = scat.objects[0]
-    field = x.field
     cx = x.at(sobj, b)
-    lay = TensorLayout([cx, scat.hom(sobj, sobj)])
-
-    def entry(combo, idx):
-        dx, ds = combo
-        xv = Mat.basis_column(field, cx.dim(dx), idx[0])
-        sv = Mat.basis_column(field, scat.base.dim(ds), idx[1])
-        out = x.lact_apply(sobj, sobj, b, ds, sv, dx, xv)
-        if (ds % 2) and (dx % 2):
-            out = -out
-        return out
-
-    act = lay.map_from_entries(cx, 0, entry)
+    # x . s = (-1)^{|s||x|} s . x
+    act = lifted_map([cx, scat.hom(sobj, sobj)], cx, [swapped(pair_action(x.lact_pair(sobj, sobj, b))).block])
     return Module(scat, {sobj: cx}, {(sobj, sobj): act}, name=f"{x.name}({b})")
 
 
@@ -493,48 +452,25 @@ def _tensor_over_s(v: Module, f: Bimodule):
 
 
 def hom_bimodule_as_s_module(f: Bimodule, g: Bimodule, scat: DgCategory) -> Tuple[Module, BimoduleHomComplex]:
-    """The bimodule hom complex C(F, G) with the S-action (s phi) = sigma_s o phi."""
+    """The bimodule hom complex C(F, G) with the S-action (s phi) = sigma_s o phi,
+    written slotwise on the ambient and read as a right action,
+    phi . s = (-1)^{|s||phi|} s phi."""
     sobj = scat.objects[0]
-    field = f.field
     hc = bimodule_hom_complex(f, g)
-    cx = hc.complex
-    lay = TensorLayout([cx, scat.hom(sobj, sobj)])
-
-    def entry(combo, idx):
-        n, ds = combo
-        svec = Mat.basis_column(field, scat.base.dim(ds), idx[1])
-        amb = hc.inclusion.component(n) @ Mat.basis_column(field, cx.dim(n), idx[0])
-        out_amb = Mat.zero(field, hc.ambient.dim(n + ds), 1)
-        for p in hc.pairs:
-            a, b = p
-            fam = hc.layouts[p].family_from_vector(n, hc.projs[p].component(n) @ amb)
-            sig = g.lact_family(sobj, sobj, b, ds, svec)
-            out_fam = {}
-            for i, mat in fam.items():
-                step = sig.get(i + n)
-                if step is None:
-                    continue
-                prod = step @ mat
-                if not prod.is_zero():
-                    out_fam[i] = prod
-            vec = hc.layouts[p].vector_from_family(n + ds, out_fam)
-            out_amb = out_amb + hc.injs[p].component(n + ds) @ vec
-        # right action from the left one
-        if (ds % 2) and (n % 2):
-            out_amb = -out_amb
-        sol = hc.inclusion.component(n + ds).solve(out_amb)
-        if sol is None:
-            raise ValidationError("S-action left the bimodule-hom subcomplex")
-        return sol
-
-    act = lay.map_from_entries(cx, 0, entry)
-    mod = Module(scat, {sobj: cx}, {(sobj, sobj): act}, name=f"C({f.name},{g.name})")
+    ring_s = scat.hom(sobj, sobj)
+    by_s = postcomposition(hc, hc, ring_s, lambda p, ds, j: pair_action(g.lact_pair(sobj, sobj, p[1])).block((ds, j)))
+    part = sub_retract(hc.complex, hc.inclusion)
+    act = lifted_map([part, ring_s], part, [swapped(Action((ring_s, hc.ambient), by_s)).block])
+    mod = Module(scat, {sobj: hc.complex}, {(sobj, sobj): act}, name=f"C({f.name},{g.name})")
     return mod, hc
 
 
 def coextension_tensor_check(v: Module, f: Bimodule, g: Bimodule) -> bool:
     """eq-style tensor adjunction: C(V (x)_S F, G) = Hom_S(V, C(F, G)) as
-    computed complexes, via the explicit currying map."""
+    computed complexes, via the explicit currying map Phi |-> (v |-> (x |->
+    Phi([v (x) x]))): precomposed slotwise with the balanced projection,
+    reindexed from Hom(V (x) F, G) to Hom(V, Hom(F, G)), and retracted into
+    Hom_S(V, C(F, G)); it must land there and be bijective in every degree."""
     scat = f.acat
     sobj = scat.objects[0]
     field = f.field
@@ -545,141 +481,67 @@ def coextension_tensor_check(v: Module, f: Bimodule, g: Bimodule) -> bool:
     for n in set(lhs.complex.degrees()) | set(rhs.complex.degrees()):
         if lhs.complex.dim(n) != rhs.complex.dim(n):
             return False
+    vcx = v.at(sobj)
+    plain = hom_complex(vcx, hc.ambient)
+
+    def curried(flat):
+        n, = flat
+        rows, row_of = [], {}
+        for dv, _, _ in plain.blocks(n):
+            for p, lay in hc.layouts.items():
+                for dx, _, size in lay.blocks(dv + n):
+                    row_of[(dv, p, dx)] = len(rows)
+                    rows.append(size * vcx.dim(dv))
+        cols, placed = [], {}
+        for p, lay in lhs.layouts.items():
+            tensor = tensors[p[1]]
+            for j, _, size in lay.blocks(n):
+                gdim = lay.target.dim(j + n)
+                for (dv, dx), off, width in tensor.layout.blocks(j):
+                    # vec(Phi) |-> vec(Phi o pi) on the block V^dv (x) F^dx,
+                    # entry (r, (v, x)) moved to ((r, x), v)
+                    pi = tensor.projection.component(j).take_columns(range(off, off + width))
+                    reindex = reorder_factors(Mat.identity(field, gdim * width),
+                                              (gdim, vcx.dim(dv), width // vcx.dim(dv)), (0, 2, 1))
+                    placed[(row_of[(dv, p, dx)], len(cols))] = kron_product(reindex, Mat.identity(field, gdim),
+                                                                             pi.transpose())
+                cols.append(size)
+        return block_matrix(field, rows, cols, placed)
+
+    # Hom_S(V, C(F, G)) inside Hom(V, ambient of C(F, G)), through both inclusions
+    into = hom_postcompose(vcx, hc.inclusion).compose(rhs.inclusion)
+    try:
+        currying = lifted_map([sub_retract(lhs.complex, lhs.inclusion)], sub_retract(rhs.complex, into), [curried])
+    except ValidationError:
+        return False
     # currying on each degree must be a bijection
-    for n in lhs.complex.degrees():
-        dim_n = lhs.complex.dim(n)
-        if dim_n == 0:
-            continue
-        cols = []
-        for col in range(dim_n):
-            amb = lhs.inclusion.component(n) @ Mat.basis_column(field, dim_n, col)
-            fams = {p: lhs.layouts[p].family_from_vector(n, lhs.projs[p].component(n) @ amb)
-                    for p in lhs.pairs}
-            # build the element of Hom_S(V, C(F,G)): for each v-basis vector,
-            # the family x |-> Phi(class(v (x) x))
-            out_layout = rhs.layouts[sobj]
-            fam_out = {}
-            for dv in v.at(sobj).degrees():
-                cols_h = []
-                for vi in range(v.at(sobj).dim(dv)):
-                    inner_fam = {}
-                    for b in f.bcat.objects:
-                        lay0, proj0 = tensors[b].layout, tensors[b].projection
-                        for dx in f.at(sobj, b).degrees():
-                            rows = g.at(sobj, b).dim(dx + dv + n)
-                            cols_m = f.at(sobj, b).dim(dx)
-                            if rows == 0 or cols_m == 0:
-                                continue
-                            mat = [[field.zero()] * cols_m for _ in range(rows)]
-                            for xi in range(cols_m):
-                                plain = [field.zero()] * lay0.complex.dim(dv + dx)
-                                pos = lay0.position((dv, dx), (vi, xi))
-                                plain[pos] = field.one()
-                                cls = proj0.component(dv + dx) @ Mat.column(field, plain)
-                                phi = fams[(sobj, b)].get(dv + dx)
-                                if phi is None:
-                                    continue
-                                img = phi @ cls
-                                for r in range(rows):
-                                    mat[r][xi] = img.entries[r][0]
-                            mm = Mat(field, rows, cols_m, mat)
-                            if not mm.is_zero():
-                                inner_fam[dx] = mm
-                    # express the inner family as a vector of C(F,G)
-                    amb2 = Mat.zero(field, hc.ambient.dim(dv + n), 1)
-                    for b in f.bcat.objects:
-                        vecb = hc.layouts[(sobj, b)].vector_from_family(
-                            dv + n, {i: m for i, m in inner_fam.items()
-                                     if hc.layouts[(sobj, b)].source.dim(i)})
-                        amb2 = amb2 + hc.injs[(sobj, b)].component(dv + n) @ vecb
-                    sol = hc.inclusion.component(dv + n).solve(amb2)
-                    if sol is None:
-                        return False
-                    cols_h.append(sol.column_values(0))
-                if v.at(sobj).dim(dv) and hc.complex.dim(dv + n):
-                    fam_out[dv] = Mat.from_columns(field, hc.complex.dim(dv + n), cols_h)
-            vec_out = out_layout.vector_from_family(n, fam_out)
-            sol = rhs.inclusion.component(n).solve(vec_out)
-            if sol is None:
-                return False
-            cols.append(sol.column_values(0))
-        matrix = Mat.from_columns(field, rhs.complex.dim(n), cols)
-        if matrix.rank() != dim_n:
-            return False
-    return True
+    return all(currying.component(n).rank() == lhs.complex.dim(n) for n in lhs.complex.degrees())
 
 
 def cotensor_over_s(v: Module, g: Bimodule) -> Bimodule:
-    """Hom_S(V, G): componentwise S-linear maps, with postcomposition actions."""
+    """Hom_S(V, G): componentwise S-linear maps, with postcomposition actions,
+    each written slotwise on the ambient: S acts by s phi = sigma_s o phi and
+    b by phi . h = (-1)^{|phi||h|} rho_h o phi."""
     scat = g.acat
     sobj = scat.objects[0]
-    field = g.field
-    comps = {}
-    mhcs = {}
-    for b in g.bcat.objects:
-        gb = s_module_of_component(g, b, scat)
-        mhc = module_hom_complex(v, gb)
-        mhcs[b] = mhc
-        comps[(sobj, b)] = mhc.complex
-    lact = {}
-    ract = {}
-    for b in g.bcat.objects:
-        lay = TensorLayout([scat.hom(sobj, sobj), comps[(sobj, b)]])
+    ring_s = scat.hom(sobj, sobj)
+    mhcs = {b: module_hom_complex(v, s_module_of_component(g, b, scat)) for b in g.bcat.objects}
+    parts = {(sobj, b): sub_retract(m.complex, m.inclusion) for b, m in mhcs.items()}
+    lact = {(sobj, sobj, b): lifted_map([ring_s, parts[(sobj, b)]], parts[(sobj, b)], [postcomposition(
+        mhcs[b], mhcs[b], ring_s, lambda x, ds, j, b=b: pair_action(g.lact_pair(sobj, sobj, b)).block((ds, j)))])
+        for b in g.bcat.objects}
 
-        def entry(combo, idx, b=b):
-            ds, n = combo
-            svec = Mat.basis_column(field, scat.base.dim(ds), idx[0])
-            mhc = mhcs[b]
-            amb = mhc.inclusion.component(n) @ Mat.basis_column(field, comps[(sobj, b)].dim(n), idx[1])
-            fam = mhc.layouts[sobj].family_from_vector(n, mhc.projs[sobj].component(n) @ amb)
-            sig = g.lact_family(sobj, sobj, b, ds, svec)
-            out_fam = {}
-            for i, mat in fam.items():
-                step = sig.get(i + n)
-                if step is None:
-                    continue
-                prod = step @ mat
-                if not prod.is_zero():
-                    out_fam[i] = prod
-            vec = mhc.layouts[sobj].vector_from_family(n + ds, out_fam)
-            out_amb = mhc.injs[sobj].component(n + ds) @ vec
-            sol = mhc.inclusion.component(n + ds).solve(out_amb)
-            if sol is None:
-                raise ValidationError("cotensor S-action left the subcomplex")
-            return sol
+    def by_h(b1, b2, hom):
+        # rho_h: y |-> y . h, with the acting element first and no sign
+        def block(x, dh, j):
+            rho = pair_action(g.ract_pair(sobj, b1, b2)).block((j, dh))
+            return swap_leading_factors(rho, hom.dim(dh), g.at(sobj, b2).dim(j))
+        return swapped(Action((hom, mhcs[b2].ambient), postcomposition(mhcs[b2], mhcs[b1], hom, block))).block
 
-        lact[(sobj, sobj, b)] = lay.map_from_entries(comps[(sobj, b)], 0, entry)
-    for b1 in g.bcat.objects:
-        for b2 in g.bcat.objects:
-            lay = TensorLayout([comps[(sobj, b2)], g.bcat.hom(b1, b2)])
-
-            def entry(combo, idx, b1=b1, b2=b2):
-                n, db = combo
-                bvec = Mat.basis_column(field, g.bcat.hom(b1, b2).dim(db), idx[1])
-                mhc2 = mhcs[b2]
-                amb = mhc2.inclusion.component(n) @ \
-                    Mat.basis_column(field, comps[(sobj, b2)].dim(n), idx[0])
-                fam = mhc2.layouts[sobj].family_from_vector(n, mhc2.projs[sobj].component(n) @ amb)
-                rho = g.ract_family(sobj, b1, b2, db, bvec)
-                out_fam = {}
-                for i, mat in fam.items():
-                    step = rho.get(i + n)
-                    if step is None:
-                        continue
-                    prod = step @ mat
-                    if not prod.is_zero():
-                        out_fam[i] = prod
-                mhc1 = mhcs[b1]
-                vec = mhc1.layouts[sobj].vector_from_family(n + db, out_fam)
-                out_amb = mhc1.injs[sobj].component(n + db) @ vec
-                if (n % 2) and (db % 2):
-                    out_amb = -out_amb
-                sol = mhc1.inclusion.component(n + db).solve(out_amb)
-                if sol is None:
-                    raise ValidationError("cotensor b-action left the subcomplex")
-                return sol
-
-            ract[(sobj, b1, b2)] = lay.map_from_entries(comps[(sobj, b1)], 0, entry)
+    ract = {(sobj, b1, b2): lifted_map([parts[(sobj, b2)], g.bcat.hom(b1, b2)], parts[(sobj, b1)],
+                                       [by_h(b1, b2, g.bcat.hom(b1, b2))])
+            for b1, b2 in itertools.product(g.bcat.objects, repeat=2)}
+    comps = {key: p.complex for key, p in parts.items()}
     return Bimodule(scat, g.bcat, comps, lact, ract, name=f"HomS({v.name},{g.name})")
 
 
@@ -716,25 +578,14 @@ def s_vs_r_module_comparison(ext: ScalarExtension, instances: Sequence[Module]) 
     ring_s = ext.theta.target
     scat = one_object_category(ring_s)
     sobj = scat.objects[0]
-    field = ecat.field
     s_ok = True
     trunc_ok = True
     from .derived import tstruct_truncate
+    units = {a: _unit_map(ecat, a) for a in ecat.objects}
     for m in instances:
         for a in ecat.objects:
-            lay = TensorLayout([m.at(a), scat.hom(sobj, sobj)])
-
-            def entry(combo, idx, a=a, m=m):
-                dx, ds = combo
-                x = Mat.basis_column(field, m.at(a).dim(dx), idx[0])
-                svec = Mat.basis_column(field, ring_s.dim(ds), idx[1])
-                fam = ecat.act_element(a, a, ds, svec)
-                s1 = fam[0] @ ecat.id_vector(a) if 0 in fam else \
-                    Mat.zero(field, ecat.hom(a, a).dim(ds), 1)
-                return m.apply_action(a, a, dx, x, ds, s1)
-
             try:
-                act = lay.map_from_entries(m.at(a), 0, entry)
+                act = lifted_map([m.at(a), through(units[a])], m.at(a), [pair_action(m.act_pair(a, a)).block])
                 Module(scat, {sobj: m.at(a)}, {(sobj, sobj): act}, name=f"tilde({m.name}@{a})")
             except ValidationError:
                 s_ok = False
@@ -743,11 +594,7 @@ def s_vs_r_module_comparison(ext: ScalarExtension, instances: Sequence[Module]) 
             le = rep.tau_le.at(a)
             # the S-structure restricts to the truncation degreewise
             for ds, si in ring_s.basis():
-                svec = ring_s.basis_vector(ds, si)
-                fam = ecat.act_element(a, a, ds, svec)
-                s1 = fam[0] @ ecat.id_vector(a) if 0 in fam else None
-                if s1 is None:
-                    continue
+                s1 = units[a].component(ds) @ ring_s.basis_vector(ds, si)
                 for deg in le.degrees():
                     vecs = rep.counit.at(a).component(deg)
                     for j in range(vecs.cols):
@@ -766,52 +613,15 @@ def s_vs_r_module_comparison(ext: ScalarExtension, instances: Sequence[Module]) 
 def truncate_bimodule_le0(x: Bimodule) -> Tuple[Bimodule, Dict]:
     """Componentwise smart truncation with restricted actions; returns the
     truncated bimodule and the per-component inclusion chain maps."""
-    from .complexes import truncate_le
-    field = x.field
-    comps = {}
-    incls = {}
+    comps, incls = {}, {}
     for key, cx in x.components.items():
-        sub, incl = truncate_le(cx, 0)
-        comps[key] = sub
-        incls[key] = incl
-
-    def express(key, deg, vec):
-        cols = incls[key].component(deg)
-        if cols.cols == 0:
-            if vec.is_zero():
-                return None
-            raise ValidationError("truncation not action-stable")
-        sol = cols.solve(vec)
-        if sol is None:
-            raise ValidationError("truncation not action-stable")
-        return sol
-
-    lact = {}
-    ract = {}
-    for (a1, a2, b), lm in x.lact.items():
-        lay = TensorLayout([x.acat.hom(a1, a2), comps[(a1, b)]])
-
-        def entry(combo, idx, a1=a1, a2=a2, b=b):
-            dh, dx = combo
-            h = Mat.basis_column(field, x.acat.hom(a1, a2).dim(dh), idx[0])
-            vec = incls[(a1, b)].component(dx) @ \
-                Mat.basis_column(field, comps[(a1, b)].dim(dx), idx[1])
-            out = x.lact_apply(a1, a2, b, dh, h, dx, vec)
-            return express((a2, b), dh + dx, out)
-
-        lact[(a1, a2, b)] = lay.map_from_entries(comps[(a2, b)], 0, entry)
-    for (a, b1, b2), rm in x.ract.items():
-        lay = TensorLayout([comps[(a, b2)], x.bcat.hom(b1, b2)])
-
-        def entry(combo, idx, a=a, b1=b1, b2=b2):
-            dx, dh = combo
-            vec = incls[(a, b2)].component(dx) @ \
-                Mat.basis_column(field, comps[(a, b2)].dim(dx), idx[0])
-            h = Mat.basis_column(field, x.bcat.hom(b1, b2).dim(dh), idx[1])
-            out = x.ract_apply(a, b1, b2, dx, vec, dh, h)
-            return express((a, b1), dx + dh, out)
-
-        ract[(a, b1, b2)] = lay.map_from_entries(comps[(a, b1)], 0, entry)
+        comps[key], incls[key] = truncate_le(cx, 0)
+    # both actions read through the inclusions, each checked to stay in the truncation
+    parts = {key: sub_retract(sub, incls[key]) for key, sub in comps.items()}
+    lact = {(a1, a2, b): lifted_map([x.acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
+                                    [pair_action(x.lact_pair(a1, a2, b)).block]) for a1, a2, b in x.lact}
+    ract = {(a, b1, b2): lifted_map([parts[(a, b2)], x.bcat.hom(b1, b2)], parts[(a, b1)],
+                                    [pair_action(x.ract_pair(a, b1, b2)).block]) for a, b1, b2 in x.ract}
     return Bimodule(x.acat, x.bcat, comps, lact, ract, name=f"tle0({x.name})"), incls
 
 

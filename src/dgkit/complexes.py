@@ -1144,6 +1144,13 @@ def quotient_retract(quot: Complex, projection: ChainMap, sections: Dict[int, Ma
                                 projection.components),))
 
 
+def through(f: ChainMap) -> Retract:
+    """The source of a degree-0 chain map read through it: a source part
+    whose one piece is the target, reached by ``f`` (restriction along a
+    ring map, s |-> s . 1_a, an embedding)."""
+    return Retract(f.source, (Piece(f.target, 0, f.components),))
+
+
 # a plain complex or tensor, or a retract (a balanced tensor is a quotient retract)
 Part = Union[Complex, "TensorLayout", Retract, BalancedTensor]
 
@@ -1270,52 +1277,16 @@ def regroup(flat: TensorLayout, grouping: Sequence[Sequence[int]]):
         raise ShapeError("grouping must list factor slots in order")
     inner = [TensorLayout([flat.factors[i] for i in grp]) for grp in grouping]
     outer = TensorLayout([lay.complex for lay in inner])
-    field = flat.field
 
-    def entry(combo, idx):
-        gcombos = []
-        gpos = []
-        k = 0
+    def block(combo):
+        # the kron of each group's block injection into its inner degree
+        groups = []
         for lay, grp in zip(inner, grouping):
-            sub_combo = tuple(combo[k:k + len(grp)])
-            sub_idx = tuple(idx[k:k + len(grp)])
-            k += len(grp)
-            gcombos.append(sum(sub_combo))
-            gpos.append(lay.position(sub_combo, sub_idx))
-        pos = outer.position(tuple(gcombos), tuple(gpos))
-        col = [field.zero()] * outer.complex.dim(sum(combo))
-        col[pos] = field.one()
-        return Mat.column(field, col)
+            part, combo = combo[:len(grp)], combo[len(grp):]
+            groups.append((sum(part), lay.place(part, Mat.identity(flat.field, lay.block_offset(part)[1]))))
+        return outer.place(tuple(d for d, _ in groups), reduce(kron, [m for _, m in groups]))
 
-    return outer, flat.map_from_entries(outer.complex, 0, entry)
-
-
-def insert_factor(cx: Complex, element_degree: int, element: Mat, holder: Complex,
-                  side: str) -> ChainMap:
-    """Chain map c -> holder tensor c (side="left") or c -> c tensor holder
-    (side="right") inserting a fixed closed vector of even degree 0."""
-    if element_degree != 0:
-        raise ValidationError("insertions only supported for degree-0 closed elements")
-    if not (holder.diff(0) @ element).is_zero():
-        raise ValidationError("inserted element must be closed")
-    field = cx.field
-    lay = TensorLayout([holder, cx] if side == "left" else [cx, holder])
-    comps = {}
-    for deg in cx.degrees():
-        rows = lay.complex.dim(deg)
-        cols = cx.dim(deg)
-        grid = [[field.zero()] * cols for _ in range(rows)]
-        for j in range(cols):
-            for i, v in enumerate(element.column_values(0)):
-                if field.is_zero(v):
-                    continue
-                if side == "left":
-                    pos = lay.position((0, deg), (i, j))
-                else:
-                    pos = lay.position((deg, 0), (j, i))
-                grid[pos][j] = v
-        comps[deg] = Mat(field, rows, cols, grid)
-    return ChainMap(cx, lay.complex, 0, comps)
+    return outer, flat.map_from_blocks(outer.complex, 0, block)
 
 
 # -- hom layout -------------------------------------------------------------------
@@ -1367,6 +1338,11 @@ class HomLayout:
     def position(self, n: int, i: int, row: int, col: int) -> int:
         off, _ = self.block_offset(n, i)
         return off + row * self.source.dim(i) + col
+
+    def slot(self, n: int, i: int) -> Mat:
+        """The coordinate projection of degree n onto its block of source degree i."""
+        off, size = self.block_offset(n, i)
+        return Mat.identity(self.field, self.dims()[n]).take_rows(range(off, off + size))
 
     @property
     def complex(self) -> Complex:
@@ -1453,54 +1429,114 @@ def hom_complex(c: Complex, d: Complex) -> HomLayout:
     return HomLayout(c, d)
 
 
+def _trace_row(field: Field, n: int) -> Mat:
+    """vec(1_n) as a row: the pairing sum_t u_t v_t of two n-vectors on kron(u, v)."""
+    return Mat(field, 1, n * n, [[field.one() if t == u else field.zero() for t in range(n) for u in range(n)]])
+
+
 def evaluation_map(h: HomLayout) -> ChainMap:
-    """ev: Hom(c,d) tensor c -> d, phi tensor x |-> phi(x)."""
-    lay = TensorLayout([h.complex, c := h.source])
+    """ev: Hom(c,d) tensor c -> d, phi tensor x |-> phi(x): on the hom block
+    of source degree i, vec(phi) (x) x |-> kron(1, vec(1)^t)."""
+    lay = TensorLayout([h.complex, h.source])
     field = h.field
-    d = h.target
 
-    def entry_dispatch(combo, idx):
+    def block(combo):
         n, i = combo
-        for src_deg, off, size in h.blocks(n):
-            if src_deg == i:
-                rel = idx[0] - off
-                if 0 <= rel < size:
-                    sdim = c.dim(i)
-                    r, t = divmod(rel, sdim)
-                    if t == idx[1]:
-                        out = [field.zero()] * d.dim(n + i)
-                        out[r] = field.one()
-                        return Mat.column(field, out)
-        return None
+        sdim = h.source.dim(i)
+        ev = kron(Mat.identity(field, h.target.dim(n + i)), _trace_row(field, sdim))
+        return kron_product(ev, h.slot(n, i), Mat.identity(field, sdim))
 
-    return lay.map_from_entries(d, 0, entry_dispatch)
+    return lay.map_from_blocks(h.target, 0, block)
 
 
 def composition_map(x: Complex, y: Complex, z: Complex) -> ChainMap:
-    """Hom(y,z) tensor Hom(x,y) -> Hom(x,z), psi tensor phi |-> psi o phi."""
+    """Hom(y,z) tensor Hom(x,y) -> Hom(x,z), psi tensor phi |-> psi o phi:
+    per source degree i of phi, vec(psi_{i+n}) (x) vec(phi_i) |->
+    vec(psi_{i+n} phi_i) is kron(1_z, vec(1_y)^t, 1_x)."""
     hyz = hom_complex(y, z)
     hxy = hom_complex(x, y)
     hxz = hom_complex(x, z)
     lay = TensorLayout([hyz.complex, hxy.complex])
     field = lay.field
 
-    def entry(combo, idx):
+    def block(combo):
         m, n = combo
-        psi = hyz.family_from_vector(m, Mat.basis_column(field, hyz.complex.dim(m), idx[0]))
-        phi = hxy.family_from_vector(n, Mat.basis_column(field, hxy.complex.dim(n), idx[1]))
-        fam = {}
-        for i, pm in phi.items():
-            top = psi.get(i + n)
-            if top is None:
-                continue
-            prod = top @ pm
-            if not prod.is_zero():
-                fam[i] = prod
-        if not fam:
-            return None
-        return hxz.vector_from_family(m + n, fam)
+        terms = []
+        for i, _, _ in hxy.blocks(n):
+            zdim = z.dim(i + n + m)
+            if zdim:
+                comp = kron(Mat.identity(field, zdim),
+                            kron(_trace_row(field, y.dim(i + n)), Mat.identity(field, x.dim(i))))
+                terms.append(kron_product(hxz.slot(m + n, i).transpose() @ comp, hyz.slot(m, i + n), hxy.slot(n, i)))
+        return reduce(Mat.__add__, terms) if terms else None
 
-    return lay.map_from_entries(hxz.complex, 0, entry)
+    return lay.map_from_blocks(hxz.complex, 0, block)
+
+
+def hom_postcompose(source: Complex, f: ChainMap) -> ChainMap:
+    """Hom(source, f): phi |-> f o phi for a degree-0 f, the block
+    kron(f, 1) on each hom block."""
+    src, tgt = hom_complex(source, f.source), hom_complex(source, f.target)
+    comps = {}
+    for n in src.dims():
+        rows = {i: k for k, (i, _, _) in enumerate(tgt.blocks(n))}
+        comps[n] = block_matrix(src.field, [size for _, _, size in tgt.blocks(n)],
+                                [size for _, _, size in src.blocks(n)],
+                                {(rows[i], k): kron(f.component(i + n), Mat.identity(src.field, source.dim(i)))
+                                 for k, (i, _, _) in enumerate(src.blocks(n)) if i in rows})
+    return ChainMap(src.complex, tgt.complex, 0, comps)
+
+
+# -- maps between the ambients of Hom systems ---------------------------------------
+#
+# A Hom system (a ModuleHomComplex or BimoduleHomComplex) has ``layouts``, one
+# HomLayout per slot, and ``ambient``, the direct sum of their complexes in that
+# order.  Its complex is a subcomplex of the ambient (``sub_retract``).
+
+
+def slotwise(src, tgt, m: int, n: int, source_degree, block) -> Mat:
+    """The map from degree m of the ambient of ``src`` to degree n of that of
+    ``tgt`` that sends, in each slot x, the hom block of source degree
+    source_degree(i) to the hom block of source degree i by block(x, i),
+    and is zero elsewhere."""
+    cols, col_of = [], {}
+    for x, lay in src.layouts.items():
+        for j, _, size in lay.blocks(m):
+            col_of[(x, j)] = len(cols)
+            cols.append(size)
+    rows, placed = [], {}
+    for x, lay in tgt.layouts.items():
+        for i, _, size in lay.blocks(n):
+            col = col_of.get((x, source_degree(i)))
+            if col is not None:
+                placed[(len(rows), col)] = block(x, i)
+            rows.append(size)
+    return block_matrix(src.ambient.field, rows, cols, placed)
+
+
+def postcomposition(src, tgt, acting: Complex, act_block) -> Callable:
+    """The flat blocks of h (x) phi |-> L_h o phi, slot by slot from the
+    ambient of ``src`` to that of ``tgt``, for h in ``acting``:
+    act_block(x, dh, j) is the block of h (x) y |-> L_h(y) on the degree-j
+    target of slot x, columns row-major over (h, y).  vec(L X) = kron(L, 1)
+    vec(X) writes each slot block."""
+    field = src.ambient.field
+
+    def block(flat):
+        dh, m = flat
+
+        def by(k):
+            def one(x, i):
+                lam = act_block(x, dh, i + m)
+                size = lam.cols // acting.dim(dh)
+                return kron(lam.take_columns(range(k * size, (k + 1) * size)),
+                            Mat.identity(field, src.layouts[x].source.dim(i)))
+            return one
+
+        return concat_columns(field, tgt.ambient.dim(m + dh),
+                              [slotwise(src, tgt, m, m + dh, lambda i: i, by(k)) for k in range(acting.dim(dh))])
+
+    return block
 
 
 def curry(f: ChainMap, lay: TensorLayout) -> ChainMap:

@@ -13,8 +13,16 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bimodules import Module
-from .changeofrings import ScalarExtension, extend_scalars_cat, transitivity_check
-from .complexes import ChainMap, TensorLayout, lifted_block, lifted_map, pair_action
+from .changeofrings import ScalarExtension, extend_scalars_cat, restrict_ring_module, transitivity_check
+from .complexes import (
+    ChainMap,
+    lifted_block,
+    lifted_map,
+    pair_action,
+    quotient_retract,
+    sub_retract,
+    swapped,
+)
 from .dgcat import DgCategory, H0Category, h0_category, h0_ring, one_object_category
 from .dgring import (
     AssumptionReport,
@@ -147,68 +155,32 @@ def ideal_as_S_module(theta: DgRingMorphism,
                       scat: Optional[DgCategory] = None) -> Module:
     """For a square-zero kernel, the rule [r].x = r.x is a well-defined
     S-module structure on I whose restriction along theta is the original
-    R-action (both facts checked on bases)."""
+    R-action (both facts checked, the second once per block)."""
     ideal = theta.kernel_ideal()
     if not ideal.squares_to_zero():
         raise ValidationError("the kernel does not square to zero")
     ring = theta.source
     s_ring = theta.target
-    field = ring.field
     scat = scat or one_object_category(s_ring)
     sobj = scat.objects[0]
-    incl = ideal.inclusion
-    sub = ideal.sub
-    # representative independence: differences of lifts lie in I and I.I = 0
-    for dx in sub.degrees():
-        for i in range(sub.dim(dx)):
-            x = incl.component(dx) @ Mat.basis_column(field, sub.dim(dx), i)
-            for dy in sub.degrees():
-                for j in range(sub.dim(dy)):
-                    y = incl.component(dy) @ Mat.basis_column(field, sub.dim(dy), j)
-                    if not ring.mul(dy, y, dx, x).is_zero():
-                        raise ValidationError("S-action on the kernel is not well defined")
-    lay = TensorLayout([sub, s_ring.underlying])
-
-    def entry(combo, idx):
-        dx, ds = combo
-        x = incl.component(dx) @ Mat.basis_column(field, sub.dim(dx), idx[0])
-        svec = Mat.basis_column(field, s_ring.dim(ds), idx[1])
-        r = theta.map.component(ds).solve(svec)
-        if r is None:
+    # S read through a section of theta per degree: lifts differ by I, and I.I = 0
+    sections = {}
+    for ds in s_ring.degrees():
+        sections[ds] = theta.map.component(ds).solve(Mat.identity(ring.field, s_ring.dim(ds)))
+        if sections[ds] is None:
             raise ValidationError("theta is not surjective enough to lift")
-        # right action: x . s = (-1)^{|s||x|} s . x = x r with graded commutativity
-        prod = ring.mul(dx, x, ds, r)
-        span = incl.component(dx + ds)
-        if span.cols == 0:
-            if prod.is_zero():
-                return None
-            raise ValidationError("action leaves the kernel")
-        sol = span.solve(prod)
-        if sol is None:
-            raise ValidationError("action leaves the kernel")
-        return sol
-
-    act = lay.map_from_entries(sub, 0, entry)
-    mod = Module(scat, {sobj: sub}, {(sobj, sobj): act}, name=f"I({theta.name})")
+    part = sub_retract(ideal.sub, ideal.inclusion)
+    # right action: x . s = (-1)^{|s||x|} s . x = x r with graded commutativity
+    act = lifted_map([part, quotient_retract(s_ring.underlying, theta.map, sections)], part,
+                     [pair_action((ring.square, ring.mult)).block])
+    mod = Module(scat, {sobj: ideal.sub}, {(sobj, sobj): act}, name=f"I({theta.name})")
     # restriction along theta gives back the R-action on I
-    for dr, ri in ring.basis():
-        rvec = ring.basis_vector(dr, ri)
-        svec = theta.apply(dr, rvec)
-        for dx in sub.degrees():
-            for i in range(sub.dim(dx)):
-                x = incl.component(dx) @ Mat.basis_column(field, sub.dim(dx), i)
-                via_s = mod.apply_action(sobj, sobj, dx,
-                                         Mat.basis_column(field, sub.dim(dx), i), dr, svec)
-                direct = ring.mul(dx, x, dr, rvec)
-                span = incl.component(dx + dr)
-                expect = Mat.zero(field, sub.dim(dx + dr), 1)
-                if span.cols and not direct.is_zero():
-                    sol = span.solve(direct)
-                    if sol is None:
-                        raise ValidationError("R-action leaves the kernel")
-                    expect = sol
-                if via_s != expect:
-                    raise ValidationError("restriction along theta does not recover the R-action")
+    try:
+        direct = ideal_as_R_module(theta)
+    except ValidationError:
+        raise ValidationError("R-action leaves the kernel") from None
+    if restrict_ring_module(mod, theta).act != direct.act:
+        raise ValidationError("restriction along theta does not recover the R-action")
     return mod
 
 
@@ -568,33 +540,15 @@ def check_hlc(cat: DgCategory, window: Optional[DegreeWindow] = None,
 
 def ideal_as_R_module(theta: DgRingMorphism,
                       rcat: Optional[DgCategory] = None) -> Module:
-    """The kernel ideal as a right module over the source ring."""
+    """The kernel ideal as a right module over the source ring: x . r = x r,
+    checked to stay in the ideal."""
     ideal = theta.kernel_ideal()
     ring = theta.source
-    field = ring.field
     rcat = rcat or one_object_category(ring)
     robj = rcat.objects[0]
-    incl = ideal.inclusion
-    sub = ideal.sub
-    lay = TensorLayout([sub, ring.underlying])
-
-    def entry(combo, idx):
-        dx, dr = combo
-        x = incl.component(dx) @ Mat.basis_column(field, sub.dim(dx), idx[0])
-        r = Mat.basis_column(field, ring.dim(dr), idx[1])
-        prod = ring.mul(dx, x, dr, r)
-        span = incl.component(dx + dr)
-        if span.cols == 0:
-            if prod.is_zero():
-                return None
-            raise ValidationError("ideal not closed under the ring action")
-        sol = span.solve(prod)
-        if sol is None:
-            raise ValidationError("ideal not closed under the ring action")
-        return sol
-
-    act = lay.map_from_entries(sub, 0, entry)
-    return Module(rcat, {robj: sub}, {(robj, robj): act}, name=f"I_{ring.name}")
+    part = sub_retract(ideal.sub, ideal.inclusion)
+    act = lifted_map([part, ring.underlying], part, [pair_action((ring.square, ring.mult)).block])
+    return Module(rcat, {robj: ideal.sub}, {(robj, robj): act}, name=f"I_{ring.name}")
 
 
 def hom_as_right_module(cat: DgCategory, a, b,
@@ -602,23 +556,10 @@ def hom_as_right_module(cat: DgCategory, a, b,
     """A hom complex as a right module over the base ring (right action from
     the left one by the Koszul swap)."""
     ring = cat.base
-    field = cat.field
     rcat = rcat or one_object_category(ring)
     robj = rcat.objects[0]
     v = cat.hom(a, b)
-    lay = TensorLayout([v, ring.underlying])
-
-    def entry(combo, idx):
-        dx, dr = combo
-        x = Mat.basis_column(field, v.dim(dx), idx[0])
-        r = Mat.basis_column(field, ring.dim(dr), idx[1])
-        fam = cat.act_element(a, b, dr, r)
-        out = fam[dx] @ x if dx in fam else Mat.zero(field, v.dim(dx + dr), 1)
-        if (dx % 2) and (dr % 2):
-            out = -out
-        return out
-
-    act = lay.map_from_entries(v, 0, entry)
+    act = lifted_map([v, ring.underlying], v, [swapped(pair_action(cat.action_pair(a, b))).block])
     return Module(rcat, {robj: v}, {(robj, robj): act}, name=f"hom({a},{b})_{ring.name}")
 
 

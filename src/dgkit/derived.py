@@ -19,14 +19,15 @@ from .complexes import (
     BalancedTensor,
     ChainMap,
     Complex,
-    TensorLayout,
     balanced_tensor,
     cone_retract,
     element_action,
+    lifted_map,
     pair_action,
     quotient_retract,
     sub_retract,
     swapped,
+    through,
     truncate_le,
     truncation_quotient,
     twisted_sum,
@@ -340,15 +341,7 @@ def restricted_ground_module(theta: DgRingMorphism,
     cat = cat or one_object_category(ring)
     obj = cat.objects[0]
     tgt = theta.target
-    lay = TensorLayout([tgt.underlying, ring.underlying])
-    field = ring.field
-
-    def entry(combo, idx):
-        dx, dr = combo
-        x = Mat.basis_column(field, tgt.dim(dx), idx[0])
-        r = theta.apply(dr, Mat.basis_column(field, ring.dim(dr), idx[1]))
-        return tgt.mul(dx, x, dr, r)
-
-    act = lay.map_from_entries(tgt.underlying, 0, entry)
+    # x . r = x theta(r)
+    act = lifted_map([tgt.underlying, through(theta.map)], tgt.underlying, [pair_action((tgt.square, tgt.mult)).block])
     return Module(cat, {obj: tgt.underlying}, {(obj, obj): act},
                   name=f"({tgt.name})_{ring.name}")

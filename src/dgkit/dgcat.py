@@ -20,17 +20,21 @@ from .complexes import (
     TensorLayout,
     associativity_defect,
     element_action,
+    lifted_map,
     morphism_defect,
+    pair_action,
     pair_elements,
     permutation_sign,
+    quotient_retract,
     regroup,
+    sub_retract,
     swap_leading_factors,
     truncate_le,
     unit_defect,
 )
 from .dgring import DgRing, DgRingMorphism
 from .errors import ValidationError
-from .matrix import Mat, kron_product
+from .matrix import Mat, kron, kron_product
 
 
 class DgCategory:
@@ -78,19 +82,9 @@ class DgCategory:
         if not self.base.is_ground_field():
             raise ValidationError(
                 f"{self.name}: an explicit base action is required over {self.base.name}")
-        field = self.field
-        unit_row = self.base.unit.column_values(0)
-
-        def entry(combo, idx):
-            rdeg, hdeg = combo
-            if rdeg != 0:
-                return None
-            coeff = unit_row[idx[0]]
-            col = [field.zero()] * target.dim(hdeg)
-            col[idx[1]] = coeff
-            return Mat.column(field, col)
-
-        return lay.map_from_entries(target, 0, entry)
+        # u . 1 on every block, u the unit of the ground field
+        return lay.map_from_blocks(target, 0, lambda combo: kron(self.base.unit.transpose(),
+                                                                 Mat.identity(self.field, target.dim(combo[1]))))
 
     # -- access -----------------------------------------------------------
 
@@ -115,10 +109,6 @@ class DgCategory:
     def act_element(self, a, b, rdeg: int, rvec: Mat) -> Dict[int, Mat]:
         """Per-degree matrices of r * (-) on hom(a,b)."""
         return element_action(self.action[(a, b)], self.action_layouts[(a, b)], 0, rdeg, rvec)
-
-    def postcompose_with(self, a, b, c, dg: int, g: Mat) -> Dict[int, Mat]:
-        """g o (-) as per-degree matrices hom(a,b) -> hom(a,c)."""
-        return element_action(self.comp[(a, b, c)], self.comp_layouts[(a, b, c)], 0, dg, g)
 
     def hom_basis(self, a, b):
         cx = self.hom(a, b)
@@ -293,40 +283,24 @@ class H0Category:
 
 
 def h0_ring(ring: DgRing) -> Tuple[DgRing, DgRingMorphism]:
-    """H^0 of a (strictly nonpositive) dg-ring, with the projection morphism."""
+    """H^0 of a (strictly nonpositive) dg-ring, with the projection morphism;
+    the product is read through the projection and the representatives,
+    [x][y] = [xy]."""
     cx = ring.underlying
     rep = cx.cohomology()
     n0 = rep.dim(0)
-    reps = rep.rep(0)
-    field = ring.field
-    dims = {0: n0} if n0 else {}
-    h0 = Complex(field, dims, {}, name=f"H0({ring.name})")
-    img = rep.image(0)
-
-    def project(vec: Mat) -> Mat:
-        return rep.class_of(0, vec)
-
-    unit = project(ring.unit)
-    lay = TensorLayout([h0, h0])
-
-    def entry(combo, idx):
-        prod = ring.mul(0, reps.col(idx[0]), 0, reps.col(idx[1]))
-        return project(prod)
-
-    mult = lay.map_from_entries(h0, 0, entry)
-    out = DgRing(h0, unit, mult, name=f"H0({ring.name})")
+    h0 = Complex(ring.field, {0: n0} if n0 else {}, {}, name=f"H0({ring.name})")
     comps = {}
     if n0:
-        cols = []
-        for j in range(cx.dim(0)):
-            v = Mat.basis_column(field, cx.dim(0), j)
-            if not (cx.diff(0) @ v).is_zero():
-                # strictly nonpositive rings have Z^0 = R^0
-                raise ValidationError(f"{ring.name}: degree-0 part is not closed")
-            cols.append(project(v).column_values(0))
-        comps[0] = Mat.from_columns(field, n0, cols)
-    proj = DgRingMorphism(ring, out, ChainMap(cx, h0, 0, comps), name=f"h0proj_{ring.name}")
-    return out, proj
+        if not cx.diff(0).is_zero():
+            # strictly nonpositive rings have Z^0 = R^0
+            raise ValidationError(f"{ring.name}: degree-0 part is not closed")
+        comps[0] = rep.class_of(0, Mat.identity(ring.field, cx.dim(0)))
+    proj = ChainMap(cx, h0, 0, comps)
+    classes = quotient_retract(h0, proj, {0: rep.rep(0)})
+    mult = lifted_map([classes, classes], classes, [pair_action((ring.square, ring.mult)).block])
+    out = DgRing(h0, proj.component(0) @ ring.unit, mult, name=f"H0({ring.name})")
+    return out, DgRingMorphism(ring, out, proj, name=f"h0proj_{ring.name}")
 
 
 def h0_category(cat: DgCategory) -> H0Category:
@@ -390,81 +364,29 @@ def truncate_cat(cat: DgCategory):
     Returns (truncated, inclusion functor, functor onto H^0 as a degree-0
     category).
     """
-    field = cat.field
-    trunc = {}
-    incl_maps = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            t, incl = truncate_le(cat.hom(a, b), 0)
-            trunc[(a, b)] = t
-            incl_maps[(a, b)] = incl
-    comp = {}
-    ids = {}
-    action = {}
-    for a in cat.objects:
-        ids[a] = _express_through(incl_maps[(a, a)], 0, cat.id_vector(a))
-    for a in cat.objects:
-        for b in cat.objects:
-            for c in cat.objects:
-                lay = TensorLayout([trunc[(b, c)], trunc[(a, b)]])
-
-                def entry(combo, idx, a=a, b=b, c=c):
-                    dg, df = combo
-                    g = incl_maps[(b, c)].component(dg).col(idx[0])
-                    f = incl_maps[(a, b)].component(df).col(idx[1])
-                    val = cat.compose_elements(a, b, c, dg, g, df, f)
-                    return _express_through(incl_maps[(a, c)], dg + df, val)
-
-                comp[(a, b, c)] = lay.map_from_entries(trunc[(a, c)], 0, entry)
-            lay = TensorLayout([cat.base.underlying, trunc[(a, b)]])
-
-            def entry_act(combo, idx, a=a, b=b):
-                dr, df = combo
-                r = cat.base.basis_vector(dr, idx[0])
-                f = incl_maps[(a, b)].component(df).col(idx[1])
-                fam = cat.act_element(a, b, dr, r)
-                rf = fam[df] @ f if df in fam else Mat.zero(field, cat.hom(a, b).dim(df + dr), 1)
-                return _express_through(incl_maps[(a, b)], dr + df, rf)
-
-            action[(a, b)] = lay.map_from_entries(trunc[(a, b)], 0, entry_act)
+    trunc, incl_maps = {}, {}
+    for key in itertools.product(cat.objects, repeat=2):
+        trunc[key], incl_maps[key] = truncate_le(cat.hom(*key), 0)
+    # composition and action read through the inclusions, each checked to stay in the truncation
+    parts = {key: sub_retract(t, incl_maps[key]) for key, t in trunc.items()}
+    ids = {a: parts[(a, a)].pieces[0].outward[0] @ cat.id_vector(a) for a in cat.objects}
+    comp = {(a, b, c): lifted_map([parts[(b, c)], parts[(a, b)]], parts[(a, c)],
+                                  [pair_action(cat.comp_pair(a, b, c)).block])
+            for a, b, c in itertools.product(cat.objects, repeat=3)}
+    action = {key: lifted_map([cat.base.underlying, part], part, [pair_action(cat.action_pair(*key)).block])
+              for key, part in parts.items()}
     tcat = DgCategory(cat.base, cat.objects, trunc, comp, ids, action=action,
                       name=f"tle0({cat.name})")
-    incl = DgFunctor(tcat, cat, {a: a for a in cat.objects},
-                     {(a, b): incl_maps[(a, b)] for a in cat.objects for b in cat.objects},
-                     name=f"incl_tle0({cat.name})")
+    incl = DgFunctor(tcat, cat, {a: a for a in cat.objects}, incl_maps, name=f"incl_tle0({cat.name})")
     # projection onto H^0 viewed in degree 0
     h0cat, h0 = h0_as_degree0_category(cat)
     base0, baseproj = h0_ring(cat.base)
-    proj_maps = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            comps = {}
-            n = h0.dim(a, b)
-            if n:
-                cols = []
-                for j in range(trunc[(a, b)].dim(0)):
-                    v = incl_maps[(a, b)].component(0) @ Mat.basis_column(field, trunc[(a, b)].dim(0), j)
-                    cols.append(h0.class_of(a, b, v).column_values(0))
-                if trunc[(a, b)].dim(0):
-                    comps[0] = Mat(field, n, trunc[(a, b)].dim(0),
-                                   [[cols[j][i] for j in range(trunc[(a, b)].dim(0))] for i in range(n)])
-            proj_maps[(a, b)] = ChainMap(trunc[(a, b)], h0cat.hom(a, b), 0, comps)
+    proj_maps = {key: ChainMap(t, h0cat.hom(*key), 0, {0: h0.class_of(*key, incl_maps[key].component(0))}
+                               if h0.dim(*key) and t.dim(0) else {})
+                 for key, t in trunc.items()}
     toh0 = DgFunctor(tcat, h0cat, {a: a for a in cat.objects}, proj_maps,
                      base_change=baseproj, name=f"toH0({cat.name})")
     return tcat, incl, toh0
-
-
-def _express_through(incl: ChainMap, deg: int, vec: Mat) -> Optional[Mat]:
-    """Coordinates of vec in the subcomplex spanned by incl's columns."""
-    cols = incl.component(deg)
-    if cols.cols == 0:
-        if vec.is_zero():
-            return None
-        raise ValidationError("vector does not lie in the subcomplex")
-    sol = cols.solve(vec)
-    if sol is None:
-        raise ValidationError("vector does not lie in the subcomplex")
-    return sol
 
 
 def opposite(cat: DgCategory) -> DgCategory:

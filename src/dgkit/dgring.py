@@ -19,10 +19,13 @@ from .complexes import (
     TensorLayout,
     associativity_defect,
     first_difference,
+    lifted_map,
     morphism_defect,
+    pair_action,
     pair_elements,
     permutation_sign,
     quotient_complex,
+    quotient_retract,
     subcomplex,
     swap_leading_factors,
     unit_defect,
@@ -399,7 +402,6 @@ def quotient(ring: DgRing, ideal: DgIdeal):
     """Quotient dg-ring and the strictly surjective projection morphism."""
     if ideal.is_zero():
         return ring, DgRingMorphism.identity(ring)
-    field = ring.field
     killed = {deg: ideal.column_span(deg) for deg in ideal.sub.degrees()}
     quot, proj, sections = quotient_complex(ring.underlying, killed, name=f"{ring.name}/{ideal.name}")
     # well-definedness of the induced product: I * R and R * I land in I
@@ -416,20 +418,9 @@ def quotient(ring: DgRing, ideal: DgIdeal):
                     if span is None or span.solve(prod) is None:
                         raise ValidationError("quotient multiplication not well defined")
     unit_q = proj.component(0) @ ring.unit
-    square = TensorLayout([quot, quot])
-
-    def entry(combo, idx):
-        d1, d2 = combo
-        x = sections[d1].col(idx[0])
-        y = sections[d2].col(idx[1])
-        prod = ring.mul(d1, x, d2, y)
-        if quot.dim(d1 + d2) == 0:
-            if not prod.is_zero() and killed.get(d1 + d2, Mat.zero(field, ring.dim(d1 + d2), 0)).solve(prod) is None:
-                raise ValidationError("quotient multiplication leaks outside the killed span")
-            return None
-        return proj.component(d1 + d2) @ prod
-
-    mult_q = square.map_from_entries(quot, 0, entry)
+    # [x][y] = [xy], read through the sections and the projection
+    classes = quotient_retract(quot, proj, sections)
+    mult_q = lifted_map([classes, classes], classes, [pair_action((ring.square, ring.mult)).block])
     qring = DgRing(quot, unit_q, mult_q, name=f"{ring.name}/{ideal.name}")
     morphism = DgRingMorphism(ring, qring, proj, name=f"proj_{ideal.name}")
     return qring, morphism

@@ -18,8 +18,10 @@ from .complexes import (
     TensorLayout,
     balanced_tensor,
     hom_complex,
+    lifted_map,
     pair_action,
     swapped,
+    through,
 )
 from .fields import Field
 from .matrix import Mat, invert, kron
@@ -293,24 +295,14 @@ def trivial_action_module(rng: random.Random, cat, lo: int = -3, pieces: int = 3
     comps = {a: random_complex(rng, field, lo=lo, hi=0, pieces=rng.randint(1, pieces))[0]
              for a in cat.objects}
     lams = {a: unit_functional(cat, a) for a in cat.objects}
-    action = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            lay = TensorLayout([comps[y], cat.hom(x, y)])
 
-            def entry(combo, idx, x=x, y=y):
-                dm, df = combo
-                if x != y or df != 0:
-                    return None
-                lam = lams[x]
-                coeff = lam.entries[0][idx[1]]
-                if field.is_zero(coeff):
-                    return None
-                col = [field.zero()] * comps[x].dim(dm)
-                col[idx[0]] = coeff
-                return Mat.column(field, col)
+    def by_character(x, y):
+        # m . f = lambda_x(f) m for f in End(x)^0, zero elsewhere: kron(1, lambda_x)
+        return lambda combo: (kron(Mat.identity(field, comps[x].dim(combo[0])), lams[x])
+                              if x == y and combo[1] == 0 else None)
 
-            action[(x, y)] = lay.map_from_entries(comps[x], 0, entry)
+    action = {(x, y): TensorLayout([comps[y], cat.hom(x, y)]).map_from_blocks(comps[x], 0, by_character(x, y))
+              for x, y in itertools.product(cat.objects, repeat=2)}
     return Module(cat, comps, action, name=name)
 
 
@@ -405,39 +397,17 @@ def random_square_bimodule(rng: random.Random, cat):
 def free_arrow_category(ring, name: str = "freearrow"):
     """Two objects with End = R and one free rank-one arrow X -> Y."""
     from .dgcat import DgCategory
-    from .complexes import Complex, TensorLayout
     field = ring.field
     objs = ["X", "Y"]
     homs = {("X", "X"): ring.underlying, ("Y", "Y"): ring.underlying,
             ("X", "Y"): ring.underlying, ("Y", "X"): Complex.zero(field)}
     ids = {"X": ring.unit, "Y": ring.unit}
-    comp = {}
-    action = {}
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                lay = TensorLayout([homs[(b, c)], homs[(a, b)]])
-
-                def entry(combo, idx, a=a, b=b, c=c):
-                    if homs[(a, c)].total_dim() == 0:
-                        return None
-                    dg, df = combo
-                    g = Mat.basis_column(field, homs[(b, c)].dim(dg), idx[0])
-                    f = Mat.basis_column(field, homs[(a, b)].dim(df), idx[1])
-                    return ring.mul(dg, g, df, f)
-
-                comp[(a, b, c)] = lay.map_from_entries(homs[(a, c)], 0, entry)
-            lay = TensorLayout([ring.underlying, homs[(a, b)]])
-
-            def entry_act(combo, idx, a=a, b=b):
-                if homs[(a, b)].total_dim() == 0:
-                    return None
-                dr, dx = combo
-                r = Mat.basis_column(field, ring.dim(dr), idx[0])
-                x = Mat.basis_column(field, homs[(a, b)].dim(dx), idx[1])
-                return ring.mul(dr, r, dx, x)
-
-            action[(a, b)] = lay.map_from_entries(homs[(a, b)], 0, entry_act)
+    # composition and action are the ring product
+    mult = pair_action((ring.square, ring.mult)).block
+    comp = {(a, b, c): TensorLayout([homs[(b, c)], homs[(a, b)]]).map_from_blocks(homs[(a, c)], 0, mult)
+            for a, b, c in itertools.product(objs, repeat=3)}
+    action = {(a, b): TensorLayout([ring.underlying, homs[(a, b)]]).map_from_blocks(homs[(a, b)], 0, mult)
+              for a, b in itertools.product(objs, repeat=2)}
     return DgCategory(ring, objs, homs, comp, ids, action=action, name=name)
 
 
@@ -662,30 +632,14 @@ def exterior_one_object_category(ring, gen_degree: int = -1):
     third bundled deformation instance."""
     from .dgcat import DgCategory
     ext_ring = exterior_extension_ring(ring, gen_degree)
-    field = ring.field
     cx = ext_ring.underlying
     comp = {("*", "*", "*"): ext_ring.mult}
     labels = cx.spaces.labels
-
-    def embed(deg, vec):
-        out = [field.zero()] * ext_ring.dim(deg)
-        lab = labels.get(deg, ())
-        for i, v in enumerate(vec.column_values(0)):
-            if field.is_zero(v):
-                continue
-            pos = lab.index(f"r{deg}_{i}")
-            out[pos] = v
-        return Mat.column(field, out)
-
-    lay = TensorLayout([ring.underlying, cx])
-
-    def entry(combo, idx):
-        dr, dx = combo
-        r = Mat.basis_column(field, ring.dim(dr), idx[0])
-        rr = embed(dr, r)
-        x = Mat.basis_column(field, cx.dim(dx), idx[1])
-        return ext_ring.mul(dr, rr, dx, x)
-
-    action = {("*", "*"): lay.map_from_entries(cx, 0, entry)}
+    # R acts through its embedding r |-> r (x) 1 into R[f]
+    embed = ChainMap(ring.underlying, cx, 0, {
+        deg: Mat.identity(ring.field, cx.dim(deg)).take_columns([labels[deg].index(f"r{deg}_{i}")
+                                                                 for i in range(ring.dim(deg))])
+        for deg in ring.degrees()})
+    action = {("*", "*"): lifted_map([through(embed), cx], cx, [pair_action((ext_ring.square, ext_ring.mult)).block])}
     return DgCategory(ring, ["*"], {("*", "*"): cx}, comp,
                       {"*": ext_ring.unit}, action=action, name=f"{ring.name}[f]")

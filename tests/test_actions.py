@@ -1,9 +1,12 @@
-"""Module and bimodule actions built by the retract transfer (``lifted_map``
-over the kron blocks of the summands' actions) against elementwise
-references: the per-basis-tensor loops the transfer replaced.  Shifts,
-direct sums and cones of modules, the generators a resolution attaches, the
-truncations tau<=0 and tau>=1, the dual bimodule, and direct sums and
-restrictions of bimodules are compared entry for entry over Q and GF(7), on
+"""Actions and maps built from blocks (the retract transfer ``lifted_map``,
+``map_from_blocks``) against elementwise references: the per-basis-tensor
+loops they replaced.  Shifts, direct sums and cones of modules, the
+generators a resolution attaches, the truncations tau<=0 and tau>=1, the
+dual bimodule, direct sums and restrictions of bimodules; restrictions along
+ring maps, the coextension actions, tensor and cotensor over S, the kernel
+ideal as an R- and an S-module, truncated bimodules and categories, quotient
+and H^0 products, the instance categories, regrouping, evaluation and
+composition.  All are compared entry for entry over Q and GF(7), on
 instances where odd elements meet odd actions.  The references evaluate
 every pairing coefficient by coefficient (``reference_pair``); they share
 with the code under test only the complexes the actions live on."""
@@ -18,6 +21,7 @@ from dgkit.bimodules import (
     Module,
     ModuleHomComplex,
     ModuleMap,
+    bimodule_hom_complex,
     cone_module,
     direct_sum_bimodules,
     direct_sum_modules,
@@ -26,16 +30,34 @@ from dgkit.bimodules import (
     restrict_bimodule,
     shift_module,
 )
-from dgkit.changeofrings import extend_scalars_cat
+from dgkit import changeofrings
+from dgkit.changeofrings import (
+    _tensor_over_s,
+    coextension_object,
+    coextension_tensor_check,
+    cotensor_over_s,
+    extend_scalars_cat,
+    hom_bimodule_as_s_module,
+    restrict_category,
+    restrict_ring_module,
+    s_module_of_component,
+    s_vs_r_module_comparison,
+    truncate_bimodule_le0,
+)
 from dgkit.complexes import (
     ChainMap,
     Complex,
     TensorLayout,
+    composition_map,
     cone,
     direct_sum,
     element_action,
+    evaluation_map,
+    hom_complex,
     lifted_map,
     pair_elements,
+    quotient_complex,
+    regroup,
     shift_complex,
     sub_retract,
     subcomplex,
@@ -43,12 +65,16 @@ from dgkit.complexes import (
     truncate_le,
 )
 from dgkit.derived import resolve_module, restricted_ground_module, ring_as_module, tstruct_truncate
-from dgkit.dgcat import opposite, one_object_category
-from dgkit.dgring import DgRing, make_dual_numbers
+from dgkit.deform import factorize, hom_as_right_module, ideal_as_R_module, ideal_as_S_module
+from dgkit.dgcat import DgCategory, h0_ring, one_object_category, opposite, tensor_cat, truncate_cat
+from dgkit.dgring import DgIdeal, DgRing, make_dual_numbers, quotient
 from dgkit.errors import ValidationError
 from dgkit.fields import GF, QQ
 from dgkit.instances import (
+    cross_representable_bimodule,
+    exterior_extension_ring,
     exterior_one_object_category,
+    free_arrow_category,
     outer_representable_bimodule,
     random_chain_map,
     random_cocycle,
@@ -56,6 +82,8 @@ from dgkit.instances import (
     random_module,
     random_nonpositive_category,
     random_square_bimodule,
+    trivial_action_module,
+    unit_functional,
 )
 from dgkit.matrix import Mat
 
@@ -644,3 +672,529 @@ def test_transfers_into_a_truncation_agree_with_solving(field):
         plain = {d: f.component(d) @ incl.component(d) for d in sub.degrees()}
         got = lifted_map([sub], sub_retract(sub, incl), [lambda flat: plain[flat[0]]])
         assert got == ChainMap(sub, sub, 0, {d: incl.component(d).solve(m) for d, m in plain.items()})
+
+
+# -- restrictions, coextensions, the kernel ideal and other block builders ----------
+#
+# Each reference below is the per-basis loop its site used before it moved
+# onto blocks: pairings are evaluated coefficient by coefficient, a map into a
+# subcomplex solves back one vector at a time.
+
+
+def reference_map(factors, target, image):
+    """The map out of the tensor of two ``factors`` into ``target`` sending
+    the basis tensor x (x) y of degrees (dx, dy) to image(dx, x, dy, y), None
+    for zero."""
+    field = target.field
+
+    def entry(combo, idx):
+        (dx, dy), (i, j) = combo, idx
+        return image(dx, Mat.basis_column(field, factors[0].dim(dx), i),
+                     dy, Mat.basis_column(field, factors[1].dim(dy), j))
+
+    return TensorLayout(factors).map_from_entries(target, 0, entry)
+
+
+def ring_product(ring, dx, x, dy, y):
+    return reference_pair(ring.mult, ring.square, dx, x, dy, y)
+
+
+def express(incl, deg, vec):
+    """Coordinates of vec in the subcomplex spanned by the columns of incl."""
+    cols = incl.component(deg)
+    if cols.cols == 0:
+        assert vec.is_zero()
+        return None
+    sol = cols.solve(vec)
+    assert sol is not None
+    return sol
+
+
+def reference_through(pairing, lay, slot, source, f):
+    """``pairing`` with its factor ``slot`` read through f(d, x), a map out of
+    ``source``."""
+    factors = list(lay.factors)
+    factors[slot] = source
+
+    def image(d0, x0, d1, x1):
+        if slot == 0:
+            return reference_pair(pairing, lay, d0, f(d0, x0), d1, x1)
+        return reference_pair(pairing, lay, d0, x0, d1, f(d1, x1))
+
+    return reference_map(factors, pairing.target, image)
+
+
+def reference_swapped(pairing, lay):
+    """The action from the other side: x (x) r |-> (-1)^{|x||r|} r . x."""
+    a, b = lay.factors
+    return reference_map([b, a], pairing.target, lambda dx, x, dr, r: (
+        -reference_pair(pairing, lay, dr, r, dx, x) if odd(dx * dr) else reference_pair(pairing, lay, dr, r, dx, x)))
+
+
+def reference_unit(cat, a):
+    """s |-> s . 1_a, one coefficient at a time."""
+    return lambda ds, s: reference_pair(cat.action[(a, a)], cat.action_layouts[(a, a)], ds, s, 0, cat.id_vector(a))
+
+
+def reference_truncated_bimodule(x):
+    """Both actions of tle0(x) through the inclusions, solving back."""
+    incls = {key: truncate_le(cx, 0)[1] for key, cx in x.components.items()}
+
+    def left(a1, a2, b, dh, h, dx, i):
+        vec = incls[(a1, b)].component(dx).col(i)
+        return express(incls[(a2, b)], dh + dx, reference_pair(x.lact[(a1, a2, b)], x.lact_layouts[(a1, a2, b)],
+                                                             dh, h, dx, vec))
+
+    def right(a, b1, b2, dx, i, dh, h):
+        vec = incls[(a, b2)].component(dx).col(i)
+        return express(incls[(a, b1)], dx + dh, reference_pair(x.ract[(a, b1, b2)], x.ract_layouts[(a, b1, b2)],
+                                                             dx, vec, dh, h))
+
+    return reference_bimodule_actions(x.acat, x.bcat, {k: i.source for k, i in incls.items()}, left, right)
+
+
+def reference_truncated_category(cat):
+    """Composition, action and identities of tle0(cat), solving back."""
+    incls = {key: truncate_le(cx, 0)[1] for key, cx in cat.homs.items()}
+    comp = {(a, b, c): reference_map([incls[(b, c)].source, incls[(a, b)].source], incls[(a, c)].source,
+                                     lambda dg, g, df, f, a=a, b=b, c=c: express(incls[(a, c)], dg + df, reference_pair(
+                                         cat.comp[(a, b, c)], cat.comp_layouts[(a, b, c)],
+                                         dg, incls[(b, c)].component(dg) @ g, df, incls[(a, b)].component(df) @ f)))
+            for a, b, c in itertools.product(cat.objects, repeat=3)}
+    action = {key: reference_map([cat.base.underlying, incl.source], incl.source,
+                                 lambda dr, r, df, f, key=key, incl=incl: express(incl, dr + df, reference_pair(
+                                     cat.action[key], cat.action_layouts[key], dr, r, df, incl.component(df) @ f)))
+              for key, incl in incls.items()}
+    ids = {a: express(incls[(a, a)], 0, cat.id_vector(a)) for a in cat.objects}
+    return comp, action, ids
+
+
+def reference_ideal_action(theta, lift):
+    """x . r = x lift(r) on the kernel ideal, solving back into it."""
+    ideal = theta.kernel_ideal()
+    ring, incl = theta.source, ideal.inclusion
+    acting = theta.source if lift is None else theta.target
+    return reference_map([ideal.sub, acting.underlying], ideal.sub, lambda dx, x, dr, r: express(
+        incl, dx + dr, ring_product(ring, dx, incl.component(dx) @ x, dr, r if lift is None else lift(dr, r))))
+
+
+def families(system, n, vec):
+    """The slot families of the element vec of degree n of a Hom system."""
+    amb = system.inclusion.component(n) @ vec
+    return {p: system.layouts[p].family_from_vector(n, system.projs[p].component(n) @ amb) for p in system.layouts}
+
+
+def assemble(system, n, fams):
+    """The element of degree n of a Hom system with the slot families ``fams``."""
+    amb = Mat.zero(system.ambient.field, system.ambient.dim(n), 1)
+    for p, fam in fams.items():
+        amb = amb + system.injs[p].component(n) @ system.layouts[p].vector_from_family(n, fam)
+    return express(system.inclusion, n, amb)
+
+
+def post(fam, by, n):
+    """by o fam for a family of degree n and per-degree matrices ``by``."""
+    return {i: by[i + n] @ m for i, m in fam.items() if i + n in by and not (by[i + n] @ m).is_zero()}
+
+
+def reference_hom_as_s_module(f, g, system, scat):
+    """phi . s = (-1)^{|s||phi|} sigma_s o phi, solving back."""
+    sobj = scat.objects[0]
+
+    def image(n, phi, ds, s):
+        out = assemble(system, n + ds, {p: post(fam, reference_element_action(
+            g.lact[(sobj, sobj, p[1])], g.lact_layouts[(sobj, sobj, p[1])], 0, ds, s), n)
+            for p, fam in families(system, n, phi).items()})
+        return -out if odd(n * ds) and out is not None else out
+
+    return reference_map([system.complex, scat.hom(sobj, sobj)], system.complex, image)
+
+
+def reference_cotensor(v, g):
+    """Both actions of Hom_S(V, G): postcomposition, solving back."""
+    scat = g.acat
+    sobj = scat.objects[0]
+    mhcs = {b: module_hom_complex(v, s_module_of_component(g, b, scat)) for b in g.bcat.objects}
+
+    def left(a1, a2, b, ds, s, dn, i):
+        phi = Mat.basis_column(g.field, mhcs[b].complex.dim(dn), i)
+        sig = reference_element_action(g.lact[(sobj, sobj, b)], g.lact_layouts[(sobj, sobj, b)], 0, ds, s)
+        return assemble(mhcs[b], dn + ds, {sobj: post(families(mhcs[b], dn, phi)[sobj], sig, dn)})
+
+    def right(a, b1, b2, dn, i, dh, h):
+        phi = Mat.basis_column(g.field, mhcs[b2].complex.dim(dn), i)
+        rho = reference_element_action(g.ract[(sobj, b1, b2)], g.ract_layouts[(sobj, b1, b2)], 1, dh, h)
+        out = assemble(mhcs[b1], dn + dh, {sobj: post(families(mhcs[b2], dn, phi)[sobj], rho, dn)})
+        return -out if odd(dn * dh) and out is not None else out
+
+    return reference_bimodule_actions(scat, g.bcat, {(sobj, b): m.complex for b, m in mhcs.items()}, left, right)
+
+
+def reference_tensor_check(v, f, g):
+    """The currying map column by column: each curried family solved into
+    C(F, G), each element of Hom(V, C(F, G)) solved into Hom_S."""
+    scat = f.acat
+    sobj = scat.objects[0]
+    field = f.field
+    vf, tensors = _tensor_over_s(v, f)
+    lhs = bimodule_hom_complex(vf, g)
+    hmod, hc = hom_bimodule_as_s_module(f, g, scat)
+    rhs = module_hom_complex(v, hmod)
+    if any(lhs.complex.dim(n) != rhs.complex.dim(n) for n in set(lhs.complex.degrees()) | set(rhs.complex.degrees())):
+        return False
+    for n in lhs.complex.degrees():
+        cols = []
+        for col in range(lhs.complex.dim(n)):
+            fams = families(lhs, n, Mat.basis_column(field, lhs.complex.dim(n), col))
+            fam_out = {}
+            for dv in v.at(sobj).degrees():
+                cols_h = []
+                for vi in range(v.at(sobj).dim(dv)):
+                    amb = Mat.zero(field, hc.ambient.dim(dv + n), 1)
+                    for b in f.bcat.objects:
+                        t = tensors[b]
+                        inner = {}
+                        for dx in f.at(sobj, b).degrees():
+                            phi = fams[(sobj, b)].get(dv + dx)
+                            if phi is None or not g.at(sobj, b).dim(dx + dv + n):
+                                continue
+                            inner[dx] = Mat.from_columns(field, phi.rows, [
+                                (phi @ t.projection.component(dv + dx) @ Mat.basis_column(
+                                    field, t.layout.complex.dim(dv + dx), t.layout.position((dv, dx), (vi, xi))))
+                                .column_values(0) for xi in range(f.at(sobj, b).dim(dx))])
+                        amb = amb + hc.injs[(sobj, b)].component(dv + n) @ hc.layouts[(sobj, b)].vector_from_family(
+                            dv + n, inner)
+                    sol = hc.inclusion.component(dv + n).solve(amb)
+                    if sol is None:
+                        return False
+                    cols_h.append(sol.column_values(0))
+                if hc.complex.dim(dv + n):
+                    fam_out[dv] = Mat.from_columns(field, hc.complex.dim(dv + n), cols_h)
+            sol = rhs.inclusion.component(n).solve(rhs.layouts[sobj].vector_from_family(n, fam_out))
+            if sol is None:
+                return False
+            cols.append(sol.column_values(0))
+        if Mat.from_columns(field, rhs.complex.dim(n), cols).rank() != lhs.complex.dim(n):
+            return False
+    return True
+
+
+def reference_regroup(flat, grouping):
+    """The regrouping iso one basis tensor at a time, by positions."""
+    inner = [TensorLayout([flat.factors[i] for i in grp]) for grp in grouping]
+    outer = TensorLayout([lay.complex for lay in inner])
+
+    def entry(combo, idx):
+        gcombo, gpos, k = [], [], 0
+        for lay, grp in zip(inner, grouping):
+            gcombo.append(sum(combo[k:k + len(grp)]))
+            gpos.append(lay.position(tuple(combo[k:k + len(grp)]), tuple(idx[k:k + len(grp)])))
+            k += len(grp)
+        return Mat.basis_column(flat.field, outer.complex.dim(sum(combo)), outer.position(tuple(gcombo), tuple(gpos)))
+
+    return flat.map_from_entries(outer.complex, 0, entry)
+
+
+def reference_evaluation(h):
+    return reference_map([h.complex, h.source], h.target, lambda n, phi, i, x: (
+        h.family_from_vector(n, phi)[i] @ x if i in h.family_from_vector(n, phi) else None))
+
+
+def reference_composition(x, y, z):
+    hyz, hxy, hxz = hom_complex(y, z), hom_complex(x, y), hom_complex(x, z)
+
+    def image(m, psi, n, phi):
+        top, low = hyz.family_from_vector(m, psi), hxy.family_from_vector(n, phi)
+        return hxz.vector_from_family(m + n, {i: top[i + n] @ f for i, f in low.items() if i + n in top})
+
+    return reference_map([hyz.complex, hxy.complex], hxz.complex, image)
+
+
+def exterior_quotient(field):
+    """theta: R[f] -> R[f]/(f) for R = k[e]/e^2, |e| = |f| = -1: odd
+    elements on both sides and a square-zero kernel."""
+    ring, _ = make_dual_numbers(2, -1, field)
+    rf = exterior_extension_ring(ring)
+    cx = rf.underlying
+    cols = {d: Mat.identity(field, cx.dim(d)).take_columns(
+        [i for i, label in enumerate(cx.spaces.labels[d]) if label.endswith("f")]) for d in cx.degrees()}
+    _, incl = subcomplex(cx, {d: m for d, m in cols.items() if m.cols})
+    return quotient(rf, DgIdeal(rf, incl))
+
+
+def ring_maps(field):
+    """The augmentation of k[e]/e^2 (|e| = -1), the square-zero steps of
+    k[e]/e^3 (|e| = -2) and the exterior quotient."""
+    _, aug = make_dual_numbers(2, -1, field)
+    _, aug3 = make_dual_numbers(3, -2, field)
+    return [aug] + factorize(aug3).steps + [exterior_quotient(field)[1]]
+
+
+def s_bimodules(field):
+    """(S, b)-bimodules over S = k[e]/e^2 (|e| = -1): the coextensions l(g)(a)
+    of the diagonal of the free-arrow category over S, and a cross
+    representable over a two-object path category and its double."""
+    ring, _ = make_dual_numbers(2, -1, field)
+    a_s = free_arrow_category(ring)
+    scat = one_object_category(ring)
+    diag = Bimodule.diagonal(a_s)
+    # hom(X0, X1) is 3-dimensional in degree -2
+    path = random_nonpositive_category(random.Random(37), field, n_objects=2, flavor="path")
+    cross = cross_representable_bimodule(scat, path, "*", path.objects[1])
+    return scat, ([coextension_object(a_s, a_s, diag, a, scat) for a in a_s.objects]
+                  + [cross, direct_sum_bimodules([cross, cross])])
+
+
+def s_modules(scat):
+    """Free S-modules, one shifted, and their sum (two basis vectors in degree -1)."""
+    free = ring_as_module(scat.base, scat)
+    return [free, shift_module(free, 1), direct_sum_modules([free, shift_module(free, 1)])[0]]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_restrictions_along_ring_maps_match_the_basis_loops(field):
+    for theta in ring_maps(field):
+        source = theta.source.underlying
+        for cat in (one_object_category(theta.target), free_arrow_category(theta.target)):
+            restricted = restrict_category(cat, theta)
+            for key in itertools.product(cat.objects, repeat=2):
+                assert restricted.action[key] == reference_through(
+                    cat.action[key], cat.action_layouts[key], 0, source, theta.apply)
+        for m in s_modules(one_object_category(theta.target)):
+            assert restrict_ring_module(m, theta).act[("*", "*")] == reference_through(
+                m.act[("*", "*")], m.act_layouts[("*", "*")], 1, source, theta.apply)
+        assert restricted_ground_module(theta).act[("*", "*")] == reference_through(
+            theta.target.mult, theta.target.square, 1, source, theta.apply)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_instance_categories_match_the_basis_loops(field):
+    ring, _ = make_dual_numbers(2, -1, field)
+    for base in (ring, DgRing.ground_field(field)):
+        cat = exterior_one_object_category(base)
+        ext = exterior_extension_ring(base)
+        labels = ext.underlying.spaces.labels
+
+        def embed(d, r):
+            return Mat.identity(field, ext.dim(d)).take_columns(
+                [labels[d].index(f"r{d}_{i}") for i in range(base.dim(d))]) @ r
+
+        assert cat.action[("*", "*")] == reference_through(ext.mult, ext.square, 0, base.underlying, embed)
+        arrow = free_arrow_category(base)
+        for key, cm in arrow.comp.items():
+            lay = arrow.comp_layouts[key]
+            assert cm == reference_map(lay.factors, cm.target, lambda dg, g, df, f: ring_product(base, dg, g, df, f))
+        for key, am in arrow.action.items():
+            lay = arrow.action_layouts[key]
+            assert am == reference_map(lay.factors, am.target, lambda dr, r, dx, x: ring_product(base, dr, r, dx, x))
+    rng = random.Random(43)
+    wide = 0
+    for flavor in ("discrete", "path") * 4:
+        path = random_nonpositive_category(rng, field, n_objects=2, flavor=flavor)
+        # the ground-field action is u . 1
+        for key, am in path.action.items():
+            unit = path.base.unit.entries[0][0]
+            assert am == reference_map(path.action_layouts[key].factors, am.target,
+                                       lambda dr, r, dx, x: x.scale(field.mul(unit, r.entries[0][0])))
+        m = trivial_action_module(rng, path, pieces=2)
+        for x, y in itertools.product(path.objects, repeat=2):
+            lam = unit_functional(path, x)
+            assert m.act[(x, y)] == reference_map(m.act_layouts[(x, y)].factors, m.at(x), lambda dm, v, df, f: (
+                v.scale((lam @ f).entries[0][0]) if x == y and df == 0 else None))
+            wide += x == y and lam.cols > 1 and any(d > 1 for d in m.at(x).spaces.dims.values())
+    # some End(x)^0 and some component are both wider than one
+    assert wide
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_regroup_evaluation_and_composition_match_the_basis_loops(field):
+    rng = random.Random(43)
+    for _ in range(4):
+        cxs = [random_complex(rng, field, lo=-2, hi=1, pieces=2)[0] for _ in range(4)]
+        for grouping in ([[0, 1], [2]], [[0], [1, 2]], [[0, 1], [2, 3]], [[0], [1, 2, 3]]):
+            flat = TensorLayout(cxs[:sum(len(g) for g in grouping)])
+            assert regroup(flat, grouping)[1] == reference_regroup(flat, grouping)
+        x, y, z = cxs[:3]
+        assert evaluation_map(hom_complex(x, y)) == reference_evaluation(hom_complex(x, y))
+        assert composition_map(x, y, z) == reference_composition(x, y, z)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_coextension_actions_match_the_basis_loops(field):
+    ring, _ = make_dual_numbers(2, -1, field)
+    a_s = free_arrow_category(ring)
+    diag = Bimodule.diagonal(a_s)
+    for a in a_s.objects:
+        x = coextension_object(a_s, a_s, diag, a)
+        for b in a_s.objects:
+            key = ("*", "*", b)
+            assert x.lact[key] == reference_through(diag.lact[(a, a, b)], diag.lact_layouts[(a, a, b)], 0,
+                                                    ring.underlying, reference_unit(a_s, a))
+    # over the ground field with End^0 of dimension 2, s . 1_a needs the identity
+    disc = random_nonpositive_category(random.Random(41), field, n_objects=2, flavor="discrete")
+    ddiag = Bimodule.diagonal(disc)
+    for a in disc.objects:
+        x = coextension_object(disc, disc, ddiag, a)
+        for b in disc.objects:
+            assert x.lact[("*", "*", b)] == reference_through(ddiag.lact[(a, a, b)], ddiag.lact_layouts[(a, a, b)], 0,
+                                                              disc.base.underlying, reference_unit(disc, a))
+    scat, bims = s_bimodules(field)
+    for x in bims:
+        for b in x.bcat.objects:
+            assert s_module_of_component(x, b, scat).act[("*", "*")] == reference_swapped(
+                x.lact[("*", "*", b)], x.lact_layouts[("*", "*", b)])
+    for g in bims:
+        for f in [f for f in bims if f.bcat is g.bcat]:
+            mod, hc = hom_bimodule_as_s_module(f, g, scat)
+            assert mod.act[("*", "*")] == reference_hom_as_s_module(f, g, hc, scat)
+        for v in s_modules(scat):
+            hv = cotensor_over_s(v, g)
+            lact, ract = reference_cotensor(v, g)
+            assert hv.lact == lact
+            assert hv.ract == ract
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_coextension_tensor_check_matches_the_column_loop(field):
+    scat, bims = s_bimodules(field)
+    checked = 0
+    for v in s_modules(scat):
+        for f, g in [(bims[0], bims[0]), (bims[1], bims[0]), (bims[0], bims[1]), (bims[2], bims[2])]:
+            verdict = coextension_tensor_check(v, f, g)
+            assert verdict == reference_tensor_check(v, f, g)
+            checked += verdict
+    assert checked
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_s_vs_r_structures_match_the_basis_loop(field, monkeypatch):
+    ring, aug = make_dual_numbers(2, -1, field)
+    ext = extend_scalars_cat(free_arrow_category(ring), aug)
+    qring, theta = exterior_quotient(field)
+    exts = [ext, extend_scalars_cat(one_object_category(theta.source), theta)]
+    built = []
+
+    def recording(cat, comps, action, name="M", check=True):
+        built.append(action[("*", "*")])
+        return Module(cat, comps, action, name=name, check=check)
+
+    monkeypatch.setattr(changeofrings, "Module", recording)
+    for e in exts:
+        mods = [Module.representable(e.category, a) for a in e.category.objects]
+        mods += [shift_module(m, 1) for m in mods]
+        built.clear()
+        assert s_vs_r_module_comparison(e, mods).s_structures_valid
+        expect = [reference_through(m.act[(a, a)], m.act_layouts[(a, a)], 1, e.theta.target.underlying,
+                                    reference_unit(e.category, a)) for m in mods for a in e.category.objects]
+        assert built == expect
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_truncations_of_bimodules_and_categories_match_the_basis_loops(field):
+    rng = random.Random(47)
+    for t in square_bimodules(field, rng)[:3]:
+        d = dual_of(t)
+        td, _ = truncate_bimodule_le0(d)
+        lact, ract = reference_truncated_bimodule(d)
+        assert td.lact == lact
+        assert td.ract == ract
+    ring, _ = make_dual_numbers(2, -1, field)
+    cats = [exterior_one_object_category(ring), free_arrow_category(ring),
+            random_nonpositive_category(rng, field, n_objects=2, flavor="path")]
+    loop = differential_loop_category(field)
+    cats += [loop, tensor_cat(loop, cats[2])]
+    for cat in cats:
+        tcat, _, _ = truncate_cat(cat)
+        comp, action, ids = reference_truncated_category(cat)
+        assert tcat.comp == comp
+        assert tcat.action == action
+        assert tcat.ids == ids
+
+
+def differential_loop_category(field):
+    """One object with End = <1, u, t>, |u| = 0, |t| = 1, du = t and all
+    products of u and t zero: its truncation keeps only 1 in degree 0."""
+    end = Complex(field, {0: 2, 1: 1}, {0: Mat(field, 1, 2, [[0, 1]])})
+    lay = TensorLayout([end, end])
+
+    def entry(combo, idx):
+        if 0 not in (combo[0] + idx[0], combo[1] + idx[1]):
+            return None
+        other = idx[1] if combo[0] + idx[0] == 0 else idx[0]
+        return Mat.basis_column(field, end.dim(sum(combo)), other)
+
+    return DgCategory(DgRing.ground_field(field), ["*"], {("*", "*"): end},
+                      {("*", "*", "*"): lay.map_from_entries(end, 0, entry)}, {"*": Mat.basis_column(field, 2, 0)})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_ideal_actions_match_the_basis_loops(field):
+    for theta in ring_maps(field):
+        assert ideal_as_R_module(theta).act[("*", "*")] == reference_ideal_action(theta, None)
+        lift = lambda ds, s, theta=theta: theta.map.component(ds).solve(s)  # noqa: E731
+        assert ideal_as_S_module(theta).act[("*", "*")] == reference_ideal_action(theta, lift)
+        cat = one_object_category(theta.source)
+        assert hom_as_right_module(cat, "*", "*").act[("*", "*")] == reference_swapped(
+            cat.action[("*", "*")], cat.action_layouts[("*", "*")])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_quotient_and_h0_products_match_the_basis_loops(field):
+    rings = [theta.source for theta in ring_maps(field)] + [make_dual_numbers(3, 0, field)[0], koszul_ring(field)]
+    for ring in rings:
+        rep = ring.underlying.cohomology()
+        h0, _ = h0_ring(ring)
+        assert h0.mult == reference_map([h0.underlying, h0.underlying], h0.underlying, lambda dx, x, dy, y: (
+            rep.class_of(0, ring_product(ring, 0, rep.rep(0) @ x, 0, rep.rep(0) @ y))))
+    qring, theta = exterior_quotient(field)
+    ideal = theta.kernel_ideal()
+    killed = {d: ideal.column_span(d) for d in ideal.sub.degrees()}
+    _, proj, sections = quotient_complex(theta.source.underlying, killed)
+    assert qring.mult == reference_map([qring.underlying, qring.underlying], qring.underlying, lambda dx, x, dy, y: (
+        proj.component(dx + dy) @ ring_product(theta.source, dx, sections[dx] @ x, dy, sections[dy] @ y)))
+
+
+def koszul_ring(field):
+    """k<1, x, y, xy> with |x| = 0, |y| = -1, dy = x: H^0 = k, with a differential."""
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1}, (1, 2): {3: 1}, (2, 1): {3: 1}}
+
+    def mult(i, j):
+        key = (min(i, j), max(i, j)) if 0 in (i, j) else (i, j)
+        return {k: field.from_int(v) for k, v in table.get(key, {}).items()}
+
+    return DgRing.from_table(field, [0, 0, -1, -1], ["1", "x", "y", "xy"], 0, mult,
+                             differential={2: {1: field.one()}}, name="kos")
+
+
+# -- maps that leave their subcomplex -----------------------------------------------
+
+
+def positive_loop_category(field):
+    """One object with End = k[t]/t^2, |t| = +1: acting by t leaves every
+    truncation to degrees <= 0."""
+    end = Complex(field, {0: 1, 1: 1}, {})
+    comp = TensorLayout([end, end]).map_from_entries(end, 0, lambda combo, idx: Mat.column(field, [field.one()]))
+    return DgCategory(DgRing.ground_field(field), ["*"], {("*", "*"): end}, {("*", "*", "*"): comp},
+                      {"*": Mat.column(field, [field.one()])})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_actions_leaving_their_subcomplex_raise(field, monkeypatch):
+    # a truncation that is not action-stable
+    loop = positive_loop_category(field)
+    with pytest.raises(ValidationError, match="leaves it"):
+        truncate_bimodule_le0(Bimodule.diagonal(loop))
+    # a kernel "ideal" that is not closed: the span of 1 in k[e]/e^2
+    ring, aug = make_dual_numbers(2, -1, field)
+    _, incl = subcomplex(ring.underlying, {0: ring.unit})
+    monkeypatch.setattr(aug, "kernel_ideal", lambda: DgIdeal(ring, incl, check=False))
+    with pytest.raises(ValidationError, match="leaves it"):
+        ideal_as_R_module(aug)
+    # a cotensor whose b-action is not S-linear: rho keeps only the unit part
+    scat = one_object_category(ring)
+    g = Bimodule.diagonal(scat)
+    kill_e = ChainMap(ring.underlying, ring.underlying, 0, {0: Mat.identity(field, 1)})
+    ract = {key: kill_e.compose(rm) for key, rm in g.ract.items()}
+    broken = Bimodule(scat, scat, g.components, g.lact, ract, check=False)
+    with pytest.raises(ValidationError, match="leaves it"):
+        cotensor_over_s(ring_as_module(ring, scat), broken)

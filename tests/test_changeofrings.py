@@ -220,6 +220,17 @@ def test_coextension_adjunction_one_object_S():
     assert pair.all_pass
 
 
+def test_coextension_adjunction_with_odd_morphisms_and_odd_scalars():
+    # Iext = (k[e]/e^2)[f], |e| = |f| = -1: s = e and a = f anticommute, so
+    # the S-linearity of the morphism action needs the Koszul sign
+    from dgkit.instances import exterior_one_object_category
+    ring, _ = dual_numbers_setup(2, -1)
+    iext = exterior_one_object_category(ring)
+    pair = coextension_adjunction_check(iext, iext, Bimodule.diagonal(iext))
+    assert pair.morphism_action_s_linear
+    assert pair.all_pass
+
+
 def test_coextension_round_trip_sees_a_changed_right_action(monkeypatch):
     a_s, b_r, g = coextension_instance()
     real = changeofrings.coextension_object

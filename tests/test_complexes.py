@@ -21,7 +21,6 @@ from dgkit.complexes import (
     element_action,
     evaluation_map,
     hom_complex,
-    insert_factor,
     naturality_subcomplex,
     shift_complex,
     truncate_ge,
@@ -301,15 +300,6 @@ def test_swap_involution_and_sign():
     back_lay, s2 = swapped_lay.permute([1, 0])
     roundtrip = s2.compose(s)
     assert roundtrip == ChainMap.identity(lay.complex)
-
-
-def test_insert_factor_unit():
-    rng = random.Random(71)
-    c, _ = random_complex(rng, QQ, pieces=3)
-    unit = Complex.one_dim(QQ, 0)
-    e = Mat.identity(QQ, 1)
-    ins = insert_factor(c, 0, e, unit, "left")
-    assert ins.is_quasi_iso()
 
 
 def test_element_action_extracts_columns():
