@@ -237,16 +237,6 @@ class ModuleHomComplex:
             comps[a] = self.layouts[a].chainmap_from_cocycle(degree, block)
         return ModuleMap(self.source, self.target, degree, comps)
 
-    def vector_from_module_map(self, f: ModuleMap) -> Mat:
-        amb = Mat.zero(self.source.cat.field, self.ambient.dim(f.degree), 1)
-        for a in self.source.cat.objects:
-            vec = self.layouts[a].vector_from_chainmap(f.at(a))
-            amb = amb + self.injs[a].component(f.degree) @ vec
-        sol = self.inclusion.component(f.degree).solve(amb)
-        if sol is None:
-            raise ValidationError("module map does not satisfy the naturality system")
-        return sol
-
 
 def module_hom_complex(source: Module, target: Module) -> ModuleHomComplex:
     return ModuleHomComplex(source, target)

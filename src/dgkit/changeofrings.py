@@ -83,29 +83,6 @@ def restrict_ring_module(m: Module, theta: DgRingMorphism,
                   name=f"({m.name})_{theta.source.name}")
 
 
-def restrict_scalars(x, theta: DgRingMorphism):
-    """Restriction along theta for the shapes the toolkit carries: an
-    S-linear category or a one-object S-module; complexes are untouched."""
-    if isinstance(x, DgCategory):
-        return restrict_category(x, theta)
-    if isinstance(x, Module):
-        return restrict_ring_module(x, theta)
-    raise ValidationError(f"cannot restrict a {type(x).__name__} along a ring morphism")
-
-
-def lax_monoidal_comparison(a: DgCategory, b: DgCategory, theta: DgRingMorphism):
-    """For S-linear a, b restricted along a ground-field R: per-hom-pair
-    projections a_R (x)_R b_R -> a (x)_S b (built on demand)."""
-    if not theta.source.is_ground_field():
-        raise ValidationError("the lax comparison is materialized over ground-field bases")
-    out = {}
-    for x, y, u, v in itertools.product(a.objects, a.objects, b.objects, b.objects):
-        # relations (f.s) (x) g - f (x) (s.g), f.s = (-1)^{|s||f|} s.f
-        out[((x, u), (y, v))] = balanced_tensor(swapped(pair_action(a.action_pair(x, y))),
-                                                pair_action(b.action_pair(u, v))).projection
-    return out
-
-
 # -- extension of scalars --------------------------------------------------------------
 
 
@@ -429,11 +406,6 @@ def s_module_of_component(x: Bimodule, b, scat: DgCategory) -> Module:
     # x . s = (-1)^{|s||x|} s . x
     act = lifted_map([cx, scat.hom(sobj, sobj)], cx, [swapped(pair_action(x.lact_pair(sobj, sobj, b))).block])
     return Module(scat, {sobj: cx}, {(sobj, sobj): act}, name=f"{x.name}({b})")
-
-
-def tensor_over_s(v: Module, f: Bimodule) -> Bimodule:
-    """V (x)_S F for a right S-module V and an (S, b)-bimodule F."""
-    return _tensor_over_s(v, f)[0]
 
 
 def _tensor_over_s(v: Module, f: Bimodule):

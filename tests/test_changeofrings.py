@@ -20,7 +20,6 @@ from dgkit.changeofrings import (
     restrict_category,
     restrict_ring_module,
     s_vs_r_module_comparison,
-    tensor_over_s,
     transitivity_check,
 )
 from dgkit.derived import restricted_ground_module, ring_as_module
@@ -323,27 +322,6 @@ def aug_to_identity(aug):
     return DgRingMorphism.identity(aug.source)
 
 
-def test_lax_monoidal_comparison_over_ground_field():
-    from dgkit.changeofrings import lax_monoidal_comparison
-    from dgkit.dgring import DgRing, DgRingMorphism
-    from dgkit.complexes import ChainMap
-    ground = DgRing.ground_field(QQ)
-    ring, aug = make_dual_numbers(2, 0, QQ)  # S in degree 0
-    # theta: k -> S (unit inclusion), making S-linear categories k-restrictable
-    comps = {0: Mat(QQ, ring.dim(0), 1, [[QQ.one()], [QQ.zero()]])}
-    theta = DgRingMorphism(ground, ring,
-                           ChainMap(ground.underlying, ring.underlying, 0, comps),
-                           name="unit")
-    a = one_object_category(ring)
-    b = one_object_category(ring)
-    projs = lax_monoidal_comparison(a, b, theta)
-    proj = projs[(("*", "*"), ("*", "*"))]
-    # S (x)_k S has dimension 4 in degree 0; S (x)_S S has dimension 2
-    assert proj.source.dim(0) == 4
-    assert proj.target.dim(0) == 2
-    assert proj.component(0).rank() == 2
-
-
 def test_duality_commutes_with_coextension_dims():
     # dual of an (S, b)-bimodule computed with its S-structure in place has
     # the same graded dimensions as the plain module-level dual, and smart
@@ -386,19 +364,3 @@ def Module_from_component(x, b):
     from dgkit.changeofrings import s_module_of_component
     scat = x.acat
     return s_module_of_component(x, b, scat)
-
-
-def test_restrict_scalars_dispatcher():
-    from dgkit.changeofrings import restrict_scalars
-    ring, aug = dual_numbers_setup(2, -1)
-    cat = one_object_category(ring)
-    # categories restrict along the identity unchanged
-    same = restrict_scalars(cat, DgRingMorphism.identity(ring))
-    assert same.hom("*", "*") == cat.hom("*", "*")
-    # one-object S-modules restrict to R-modules
-    from dgkit.derived import ring_as_module
-    ground_cat = one_object_category(aug.target)
-    m = ring_as_module(aug.target, ground_cat)
-    restricted = restrict_scalars(m, aug)
-    obj = restricted.cat.objects[0]
-    assert restricted.at(obj).cohomology().as_dict() == {0: 1}

@@ -1,10 +1,13 @@
 """Complexes: cohomology, truncations, cones, hom/tensor calculus, signs."""
 
+import itertools
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dgkit.errors import ValidationError
+from dgkit.errors import ShapeError, ValidationError
 from dgkit.fields import GF, QQ
 from dgkit.instances import random_chain_map, random_cocycle, random_complex
 from dgkit.matrix import Mat
@@ -16,7 +19,6 @@ from dgkit.complexes import (
     Term,
     composition_map,
     cone,
-    curry,
     direct_sum,
     element_action,
     evaluation_map,
@@ -216,6 +218,82 @@ def test_tensor_kunneth_dims():
         assert lay.complex.cohomology().as_dict() == {d: v for d, v in expect.items() if v}
 
 
+def reference_blocks(factors):
+    """The linear-scan bookkeeping the interned shape replaces: per degree,
+    the (degree tuple, offset, size) of every nonzero block in lexicographic
+    order, offsets accumulated."""
+    grouped = {}
+    for combo in itertools.product(*[c.degrees() for c in factors]):
+        size = prod(c.dim(d) for c, d in zip(factors, combo))
+        if size:
+            grouped.setdefault(sum(combo), []).append((combo, size))
+    out = {}
+    for n, lst in grouped.items():
+        off, out[n] = 0, []
+        for combo, size in sorted(lst):
+            out[n].append((combo, off, size))
+            off += size
+    return out
+
+
+dimension_tables = st.lists(st.dictionaries(st.integers(-3, 2), st.integers(0, 3), max_size=4),
+                            min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimension_tables)
+def test_tensor_shape_matches_linear_scan(tables):
+    factors = [Complex(QQ, dims, {}) for dims in tables]
+    lay = TensorLayout(factors)
+    ref = reference_blocks(factors)
+    assert lay.dims() == {n: sum(size for _, _, size in blocks) for n, blocks in ref.items()}
+    for n in set(ref) | {min(ref, default=0) - 1, max(ref, default=0) + 1}:
+        blocks = ref.get(n, [])
+        assert lay.blocks(n) == tuple(blocks)
+        assert lay.dim(n) == sum(size for _, _, size in blocks)
+        positions = []
+        for combo, off, size in blocks:
+            assert lay.block_offset(combo) == (off, size)
+            for idx in itertools.product(*[range(c.dim(d)) for c, d in zip(factors, combo)]):
+                positions.append(lay.position(combo, idx))
+                assert lay.decompose(n, positions[-1]) == (combo, idx)
+        assert sorted(positions) == list(range(lay.dim(n)))
+    with pytest.raises(ShapeError):
+        lay.block_offset((99,) * len(factors))
+    # equal spaces given in another degree order share the shape
+    reordered = [Complex(GF(7), dict(reversed(list(dims.items()))), {}) for dims in tables]
+    assert TensorLayout(reordered).shape is lay.shape
+
+
+def test_layouts_over_equal_dimensions_share_an_immutable_shape():
+    rng = random.Random(44)
+    a, _ = random_complex(rng, QQ, pieces=3)
+    b, _ = random_complex(rng, QQ, pieces=3)
+    lay = TensorLayout([a, b])
+    twin = TensorLayout([Complex(QQ, {d: a.dim(d) for d in a.degrees()}, {}),
+                         Complex(QQ, {d: b.dim(d) for d in b.degrees()}, {})])
+    assert twin.shape is lay.shape
+    n = max(lay.dims())
+    with pytest.raises(AttributeError):
+        lay.blocks(n).append(((0, 0), 0, 1))
+    with pytest.raises(TypeError):
+        lay.blocks(n)[0] = ((0, 0), 0, 1)
+    assert lay.blocks(n) == twin.blocks(n)
+
+
+def test_tensor_block_is_the_memoised_column_slice():
+    rng = random.Random(45)
+    a, _ = random_complex(rng, QQ, pieces=3)
+    b, _ = random_complex(rng, QQ, pieces=3)
+    lay = TensorLayout([a, b])
+    for pairing in (ChainMap.identity(lay.complex), random_chain_map(rng, lay.complex, lay.complex)):
+        for n in lay.dims():
+            for combo, off, size in lay.blocks(n):
+                first = lay.block(pairing, combo)
+                assert first == pairing.component(n).take_columns(range(off, off + size))
+                assert lay.block(pairing, combo) is first
+
+
 def test_hom_cocycles_are_chain_maps_roundtrip():
     rng = random.Random(47)
     c, _ = random_complex(rng, QQ, pieces=4)
@@ -268,27 +346,6 @@ def test_composition_map_agrees_with_matrix_composition():
     composed_vec = comp.component(0) @ tv
     expect = hxz.vector_from_chainmap(g.compose(f))
     assert composed_vec == expect
-
-
-def test_curry_roundtrip_against_direct_application():
-    rng = random.Random(61)
-    x, _ = random_complex(rng, QQ, pieces=2)
-    y, _ = random_complex(rng, QQ, pieces=2)
-    z, _ = random_complex(rng, QQ, pieces=3)
-    lay = TensorLayout([x, y])
-    f = random_chain_map(rng, lay.complex, z)
-    g = curry(f, lay)  # chain-map property asserted
-    hyz = hom_complex(y, z)
-    for a in x.degrees():
-        for xi in range(x.dim(a)):
-            img = g.component(a).col(xi)
-            fam = hyz.family_from_vector(a, img)
-            for b in y.degrees():
-                for yi in range(y.dim(b)):
-                    pos = lay.position((a, b), (xi, yi))
-                    direct = f.component(a + b).col(pos)
-                    via = fam.get(b, Mat.zero(QQ, z.dim(a + b), y.dim(b))).col(yi)
-                    assert direct == via
 
 
 def test_swap_involution_and_sign():
@@ -356,8 +413,8 @@ def test_naturality_subcomplex_matches_sympy_solution_count(target_degree, twist
     pairs = [(Mat.identity(QQ, 2), Mat.identity(QQ, 1))]   # the twist decides: 2 solutions or none
     for _ in range(6):
         p, q = rng.randint(1, 3), rng.randint(1, 3)
-        pairs.append((Mat.from_function(QQ, p, p, lambda i, j: QQ.from_int(rng.randint(-1, 1))),
-                      Mat.from_function(QQ, q, q, lambda i, j: QQ.from_int(rng.randint(-1, 1)))))
+        pairs.append((Mat(QQ, p, p, [[QQ.from_int(rng.randint(-1, 1)) for _ in range(p)] for _ in range(p)]),
+                      Mat(QQ, q, q, [[QQ.from_int(rng.randint(-1, 1)) for _ in range(q)] for _ in range(q)])))
     for a, b in pairs:
         p, q = a.rows, b.rows
         v = Complex.concentrated(QQ, 0, p)

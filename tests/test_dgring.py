@@ -21,7 +21,7 @@ def test_dual_numbers_n2_deg_minus1():
     ring, aug = make_dual_numbers(2, -1, QQ)
     h = ring.underlying.cohomology().as_dict()
     assert h == {0: 1, -1: 1}
-    assert aug.is_strictly_surjective()
+    assert all(aug.surjectivity_by_degree().values())
 
 
 def test_dual_numbers_classical_degree0():
@@ -74,7 +74,7 @@ def test_quotient_by_augmentation_ideal_is_ground_field():
     ring, aug = make_dual_numbers(2, -1, QQ)
     q, proj = quotient(ring, aug.kernel_ideal())
     assert q.total_dim() == 1
-    assert proj.is_strictly_surjective()
+    assert all(proj.surjectivity_by_degree().values())
 
 
 def test_quotient_eps3_by_square_matches_eps2():

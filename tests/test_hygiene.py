@@ -104,3 +104,108 @@ def test_map_from_entries_callers_only_shrink():
              for owner in callers_of(path.read_text(), "map_from_entries")}
     assert found - MAP_FROM_ENTRIES_CALLERS == set(), "new per-basis map builders; build from blocks instead"
     assert MAP_FROM_ENTRIES_CALLERS - found == set(), "stale allowlist entries; delete them"
+
+
+def unbounded_caches(source: str):
+    """Lines of ``lru_cache`` or ``cache`` decorators without an integer
+    ``maxsize``: a bare ``@lru_cache`` or ``@cache``, ``maxsize=None``, or a
+    size that is not a literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in ("lru_cache", "cache"):
+                continue
+            size = None
+            if call is not None and name == "lru_cache":
+                size = next((kw.value for kw in call.keywords if kw.arg == "maxsize"),
+                            call.args[0] if call.args else None)
+            if not (isinstance(size, ast.Constant) and type(size.value) is int):
+                found.append(dec.lineno)
+    return found
+
+
+def test_unbounded_caches_are_found():
+    src = ("import functools\nfrom functools import cache, lru_cache\n"
+           "@lru_cache(maxsize=8)\ndef a(): pass\n@functools.lru_cache(16)\ndef b(): pass\n"
+           "@lru_cache\ndef c(): pass\n@lru_cache(maxsize=None)\ndef d(): pass\n@cache\ndef e(): pass\n")
+    assert unbounded_caches(src) == [7, 9, 11]
+
+
+def test_package_caches_are_bounded():
+    found = {path.name: unbounded_caches(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# Definitions that neither the package nor the benchmark references by name
+# and that are not exported stay only for a reason.  Dunder methods are called
+# by the interpreter, and cmd_* CLI commands through click's registry.  The
+# named ones below serve the tests as generators and oracles, or are Hom
+# calculus the README documents; the list may shrink, it must not grow.
+UNREFERENCED = {
+    ("complexes.py", "Complex.concentrated"): "builds the test instances of one-degree complexes",
+    ("complexes.py", "HomLayout.vector_from_chainmap"): "inverse of chainmap_from_cocycle; the tests' oracle",
+    ("complexes.py", "evaluation_map"): "Hom calculus the README documents, tested in test_complexes",
+    ("complexes.py", "composition_map"): "Hom calculus the README documents, tested in test_complexes",
+    ("instances.py", "random_chain_map"): "the random chain maps the tests draw",
+}
+
+
+def interpreter_or_cli(name: str) -> bool:
+    return (name.startswith("__") and name.endswith("__")) or name.startswith("cmd_")
+
+
+def definitions(source: str):
+    """The top-level functions and the methods of top-level classes, as
+    (qualified name, bare name)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            found.extend((f"{node.name}.{item.name}", item.name) for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return found
+
+
+def referenced_names(source: str):
+    """Every name loaded or read as an attribute, and every dotted identifier
+    written in a string (the benchmark's tracer names what it wraps that way)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(part for part in node.value.split(".") if part.isidentifier())
+    return names
+
+
+def exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def test_definitions_and_references_are_found():
+    src = ("class A:\n    def used(self):\n        return self.other()\n    def __eq__(self, o):\n        pass\n"
+           "def f():\n    return A().used(), 'x.g'\n")
+    assert definitions(src) == [("A.used", "used"), ("A.__eq__", "__eq__"), ("f", "f")]
+    assert {"A", "used", "other", "x", "g"} <= referenced_names(src)
+
+
+def test_every_definition_is_referenced():
+    benchmark = PACKAGE.parents[1] / "perfbench"
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) + sorted(benchmark.glob("*.py"))]
+    used = set().union(*map(referenced_names, sources)) | exported_names()
+    unreferenced = {(path.name, qual) for path in sorted(PACKAGE.glob("*.py"))
+                    for qual, name in definitions(path.read_text())
+                    if name not in used and not interpreter_or_cli(name)}
+    assert unreferenced - UNREFERENCED.keys() == set(), "definitions nothing calls; delete them"
+    assert UNREFERENCED.keys() - unreferenced == set(), "stale allowlist entries; delete them"
