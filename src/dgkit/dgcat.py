@@ -167,6 +167,8 @@ class DgCategory:
             (clay, cm), (alay, am), (olay, om) = comp, self.action_pair(a, b), act_ac
             triple = TensorLayout([base.underlying, self.hom(b, c), self.hom(a, b)])
             for n in sorted(triple.dims()):
+                if om.target.dim(n) == 0:
+                    continue
                 for (dr, dg, df), _, _ in triple.blocks(n):
                     eye_g = Mat.identity(self.field, self.hom(b, c).dim(dg))
                     eye_r = Mat.identity(self.field, base.dim(dr))

@@ -4,7 +4,8 @@ Elements are plain Python values: over Q an ``int`` or a
 ``fractions.Fraction`` (a ``Fraction`` appears only where a division produces
 one; the two compare and hash equal), over F_p the canonical ``int``
 representatives ``0..p-1``.  A ``Field`` instance supplies the arithmetic.
-All operations are exact by construction.
+All operations are exact by construction.  ``QQ`` and ``GF(p)`` are the only
+instances, one per field, so fields compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class Field:
     def render(self, a):
         """Encoding used in scenario files and reports; round-trips exactly."""
         raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.tag == other.tag
-
-    def __hash__(self):
-        return hash(self.tag)
 
     def __repr__(self):
         return self.tag
@@ -203,6 +198,6 @@ def field_from_spec(spec) -> Field:
 def same_field(*fields: Field) -> Field:
     first = fields[0]
     for f in fields[1:]:
-        if f is not first and f != first:
+        if f is not first:
             raise FieldMismatchError(f"mixed fields {first} and {f}")
     return first

@@ -171,7 +171,7 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if other.field != self.field or other.rows != self.rows or other.cols != self.cols:
+        if other.field is not self.field or other.rows != self.rows or other.cols != self.cols:
             return False
         return self.entries == other.entries
 
@@ -261,19 +261,20 @@ class Mat:
         return tuple(c for _, c in self.rref()[2])
 
     def kernel_basis(self) -> "Mat":
-        """Columns form a basis of the exact null space."""
-        fld = self.field
+        """Columns form a basis of the exact null space: one per free column f,
+        1 at f and minus column f of the echelon form at the pivot columns."""
         R, _, pivots = self.rref()
-        pivot_cols = {c: r for r, c in pivots}
-        free = [c for c in range(self.cols) if c not in pivot_cols]
-        cols = []
-        for f in free:
-            v = [fld.zero()] * self.cols
-            v[f] = fld.one()
-            for c, r in pivot_cols.items():
-                v[c] = fld.neg(R.entries[r][f])
-            cols.append(v)
-        return Mat.from_columns(fld, self.cols, cols)
+        p = self.field.char
+        pivot_row = {c: R.entries[r] for r, c in pivots}
+        free = [f for f in range(self.cols) if f not in pivot_row]
+        rows = []
+        for c in range(self.cols):
+            row = pivot_row.get(c)
+            if row is None:
+                rows.append(tuple(int(c == f) for f in free))
+            else:
+                rows.append(tuple(-row[f] % p for f in free) if p else tuple(-row[f] for f in free))
+        return Mat._wrap(self.field, self.cols, len(free), tuple(rows))
 
     def image_basis(self) -> "Mat":
         """Columns of the original matrix spanning the column space."""
@@ -284,19 +285,14 @@ class Mat:
         same_field(self.field, b.field)
         if b.rows != self.rows:
             raise ShapeError("rhs row mismatch")
-        fld = self.field
         R, T, pivots = self.rref()
-        tb = T @ b
-        x = [[fld.zero()] * b.cols for _ in range(self.cols)]
-        pivot_rows = {r: c for r, c in pivots}
-        for i in range(self.rows):
-            if i in pivot_rows:
-                for k in range(b.cols):
-                    x[pivot_rows[i]][k] = tb.entries[i][k]
-            else:
-                if any(not fld.is_zero(tb.entries[i][k]) for k in range(b.cols)):
-                    return None
-        xm = Mat(fld, self.cols, b.cols, x)
+        tb = (T @ b).entries
+        if any(any(tb[i]) for i in range(len(pivots), self.rows)):
+            return None
+        x = [(0,) * b.cols] * self.cols
+        for r, c in pivots:
+            x[c] = tb[r]
+        xm = Mat._wrap(self.field, self.cols, b.cols, tuple(x))
         # The echelon back-substitution above is only valid when free columns
         # carry zero coefficients; verify and repair via full check.
         if (self @ xm) == b:
@@ -392,26 +388,46 @@ def kron(a: Mat, b: Mat) -> Mat:
 
 
 def kron_product(a: Mat, b: Mat, c: Mat) -> Mat:
-    """a @ kron(b, c) without forming the Kronecker product: the columns of a
-    come in b.rows groups of c.rows, and group i adds b[i][j] * (a_i @ c) to
-    column group j of the result (a_i itself when c is the shared identity)."""
+    """a @ kron(b, c) without forming the Kronecker product, on raw rows: the
+    columns of a come in b.rows groups of c.rows, and group i adds
+    b[i][j] * (a_i @ c) to column group j of the result.  Zero rows of a are
+    skipped, a_i @ c is a_i itself when c is the shared identity, the groups
+    a_j @ c are the result side by side when b is, and a is when both are."""
     fld = same_field(a.field, b.field, c.field)
     if a.cols != b.rows * c.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by a kron of "
                          f"{b.rows}x{b.cols} and {c.rows}x{c.cols}")
-    width = c.cols
-    plain = c is Mat.identity(fld, c.rows)
-    out = [[0] * (b.cols * width) for _ in range(a.rows)]
-    for i, brow in enumerate(b.entries):
-        coeffs = [(j * width, v) for j, v in enumerate(brow) if v]
-        if not coeffs:
+    h, width, p = c.rows, c.cols, fld.char
+    eye_b = b is Mat.identity(fld, b.rows)
+    eye_c = c is Mat.identity(fld, h)
+    if eye_b and eye_c:
+        return a
+    c_nz = () if eye_c else [[(l, v) for l, v in enumerate(row) if v] for row in c.entries]
+    coeffs = [[(j * width, v) for j, v in enumerate(row) if v] for row in b.entries]
+    zero = (0,) * (b.cols * width)
+    out = []
+    for arow in a.entries:
+        if not any(arow):
+            out.append(zero)
             continue
-        part = a.take_columns(range(i * c.rows, (i + 1) * c.rows))
-        if not plain:
-            part = part @ c
-        for orow, prow in zip(out, part.entries):
-            for l, pv in enumerate(prow):
-                if pv:
-                    for off, v in coeffs:
-                        orow[off + l] += v * pv
-    return Mat._wrap(fld, a.rows, b.cols * width, _canonical(fld.char, out))
+        acc = [] if eye_b else [0] * len(zero)
+        for i, terms in enumerate(coeffs):
+            if not terms:
+                continue
+            part = arow[i * h:(i + 1) * h]
+            if not eye_c:
+                prod_row = [0] * width
+                for x, crow in zip(part, c_nz):
+                    if x:
+                        for l, v in crow:
+                            prod_row[l] += x * v
+                part = prod_row
+            if eye_b:
+                acc.extend(part)
+                continue
+            for off, v in terms:
+                for l, x in enumerate(part):
+                    if x:
+                        acc[off + l] += v * x
+        out.append(tuple(x % p for x in acc) if p else tuple(acc))
+    return Mat._wrap(fld, a.rows, len(zero), tuple(out))

@@ -24,7 +24,9 @@ from dgkit.complexes import (
     evaluation_map,
     hom_complex,
     naturality_subcomplex,
+    reorder_factors,
     shift_complex,
+    swap_leading_factors,
     truncate_ge,
     truncate_le,
 )
@@ -428,3 +430,63 @@ def test_naturality_subcomplex_matches_sympy_solution_count(target_degree, twist
         solution, = sympy.linsolve(list(system), list(phi))
         free = set().union(*(sympy.sympify(e).free_symbols for e in solution))
         assert sub.dim(target_degree) == len(free)
+
+
+# -- reordering tensor factors against an elementwise column permutation -------------
+
+
+def reordered_by_hand(m: Mat, dims, perm) -> Mat:
+    """Column j of the result, j row-major over the factors in the order
+    0, 1, ..., is the column of m at the same multi-index read row-major in
+    the order ``perm``."""
+    cols = []
+    for j in range(prod(dims)):
+        index, rest = [], j
+        for d in reversed(dims):
+            rest, i = divmod(rest, d)
+            index.append(i)
+        index.reverse()
+        source = 0
+        for p in perm:
+            source = source * dims[p] + index[p]
+        cols.append(m.column_values(source))
+    return Mat(m.field, m.rows, len(cols), [[col[r] for col in cols] for r in range(m.rows)])
+
+
+@st.composite
+def reorder_cases(draw):
+    """A matrix whose columns index the factors of dims (sizes 0-3) in the
+    order perm, for every perm of 2 or 3 factors."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=2, max_size=3)))
+    perm = draw(st.sampled_from(list(itertools.permutations(range(len(dims))))))
+    rows = draw(st.integers(0, 3))
+    grid = draw(st.lists(st.lists(st.integers(-9, 9), min_size=prod(dims), max_size=prod(dims)),
+                         min_size=rows, max_size=rows))
+    return Mat(field, rows, prod(dims), grid), dims, perm
+
+
+@settings(max_examples=150, deadline=None)
+@given(reorder_cases())
+def test_reorder_factors_matches_elementwise_permutation(case):
+    m, dims, perm = case
+    assert reorder_factors(m, dims, perm) == reordered_by_hand(m, dims, perm)
+    assert reorder_factors(m, list(dims), list(perm)) == reordered_by_hand(m, dims, perm)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (0, 2), (1, 1), (2, 1, 3), (3, 0, 2), (2, 2, 2)])
+def test_reorder_factors_covers_every_permutation(rng, dims):
+    m = Mat(QQ, 2, prod(dims), [[rng.randint(-5, 5) for _ in range(prod(dims))] for _ in range(2)])
+    for perm in itertools.permutations(range(len(dims))):
+        assert reorder_factors(m, dims, perm) == reordered_by_hand(m, dims, perm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2), st.randoms(use_true_random=False))
+def test_swap_leading_factors_matches_elementwise_permutation(field, p, q, rest, rows, rnd):
+    # the columns of m run row-major over (j, i, k) with j < q, i < p, k < rest
+    m = Mat(field, rows, q * p * rest, [[rnd.randint(-9, 9) for _ in range(q * p * rest)]
+                                         for _ in range(rows)])
+    expected = reordered_by_hand(m, (p, q, rest), (1, 0, 2))
+    assert swap_leading_factors(m, p, q) == expected

@@ -209,3 +209,28 @@ def test_every_definition_is_referenced():
                     if name not in used and not interpreter_or_cli(name)}
     assert unreferenced - UNREFERENCED.keys() == set(), "definitions nothing calls; delete them"
     assert UNREFERENCED.keys() - unreferenced == set(), "stale allowlist entries; delete them"
+
+
+# Fields compare and hash by identity, which is sound only while QQ and the
+# instances GF interns are the only ones: nothing outside fields.py may
+# construct a field class.
+FIELD_CLASSES = {"PrimeField", "RationalField"}
+
+
+def field_constructions(source: str):
+    """Lines calling a field class by name or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in FIELD_CLASSES
+                 or getattr(node.func, "attr", None) in FIELD_CLASSES)]
+
+
+def test_field_constructions_are_found():
+    src = "from dgkit import fields\nF = fields.PrimeField(5)\nG = RationalField()\nH = GF(7)\n"
+    assert field_constructions(src) == [2, 3]
+
+
+def test_fields_are_constructed_only_in_fields_module():
+    roots = [PACKAGE, PACKAGE.parents[1] / "perfbench", Path(__file__).resolve().parent]
+    found = {path.name: field_constructions(path.read_text())
+             for root in roots for path in sorted(root.glob("*.py")) if path != PACKAGE / "fields.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -13,6 +13,7 @@ from dgkit.dgring import DgIdeal, DgRing, DgRingMorphism, make_dual_numbers
 from dgkit.errors import ValidationError
 from dgkit.fields import GF, QQ
 from dgkit.instances import (
+    exterior_extension_ring,
     exterior_one_object_category,
     free_arrow_category,
     random_nonpositive_category,
@@ -199,6 +200,24 @@ def test_category_right_centrality_law():
         _triangular_over_dual_numbers("left")
 
 
+def test_right_centrality_defect_after_a_degree_with_zero_target():
+    # the base k[e]/e^2 (x) Lambda(f), |f| = -1, has a degree -1 where the
+    # triangular End is zero; the check skips that degree of
+    # base (x) End (x) End and must still find e = n failing in degree 0
+    base = exterior_extension_ring(dual_numbers(), -1)
+    cx, comp = table_algebra(3, TRIANGULAR)
+    mul = product(3, TRIANGULAR)
+    phi = [basis_list(3, 0), basis_list(3, 2)]   # 1 -> 1, e -> n; f and ef land in degree -1
+
+    def entry(combo, idx):
+        return Mat.column(F, mul(phi[idx[0]], basis_list(3, idx[1]))) if combo == (0, 0) else None
+
+    action = TensorLayout([base.underlying, cx]).map_from_entries(cx, 0, entry, check=False)
+    assert TensorLayout([base.underlying, cx, cx]).dim(-1) and cx.dim(-1) == 0
+    with pytest.raises(ValidationError, match=r"not central \(right\)"):
+        one_object(cx, comp, unit_vector(3), base=base, action=action)
+
+
 # -- functors ------------------------------------------------------------------------
 
 
@@ -215,6 +234,18 @@ def test_functor_composition_law():
     cx = ring.underlying
     with pytest.raises(ValidationError, match="composition not preserved"):
         DgFunctor(cat, cat, {"*": "*"}, {("*", "*"): linear(cx, cx, [[1, 0], [1, 0]])})
+
+
+def test_base_linearity_defect_after_a_degree_with_zero_target():
+    # k[e]/e^2 with |e| = -1: base (x) End has a degree -2 where End is zero,
+    # skipped by the check, before the defect F(e . 1) = 2e != e . F(1) in degree -1
+    ring, _ = make_dual_numbers(2, -1, F)
+    cat = one_object_category(ring)
+    cx = cat.hom("*", "*")
+    double_e = ChainMap(cx, cx, 0, {0: Mat.identity(F, 1), -1: Mat(F, 1, 1, [[2]])})
+    assert TensorLayout([ring.underlying, cx]).dim(-2) and cx.dim(-2) == 0
+    with pytest.raises(ValidationError, match="not linear over the base"):
+        DgFunctor(cat, cat, {"*": "*"}, {("*", "*"): double_e})
 
 
 def test_functor_base_linearity_law():

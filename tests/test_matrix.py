@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgkit.errors import FieldMismatchError
-from dgkit.fields import GF, QQ
-from dgkit.matrix import Mat, extend_columns_to_basis, invert, kron, rank_kernel_image
+from dgkit.errors import FieldMismatchError, ShapeError
+from dgkit.fields import GF, QQ, same_field
+from dgkit.matrix import Mat, extend_columns_to_basis, invert, kron, kron_product, rank_kernel_image
 
 
 def rand_mat(rng, field, rows, cols, density=0.7, span=5):
@@ -93,6 +93,17 @@ def test_mixed_field_rejected():
     b = Mat.identity(GF(7), 2)
     with pytest.raises(FieldMismatchError):
         _ = a @ b
+
+
+def test_fields_compare_by_identity():
+    assert GF(7) is GF(7)
+    assert GF(7) != GF(5) and GF(7) != QQ
+    assert len({QQ, GF(7), GF(7), GF(5)}) == 3
+    assert Mat.zero(QQ, 2, 2) != Mat.zero(GF(7), 2, 2)
+    assert Mat.identity(GF(5), 1) != Mat.identity(GF(7), 1)
+    assert same_field(GF(7), GF(7), GF(7)) is GF(7)
+    with pytest.raises(FieldMismatchError):
+        same_field(QQ, GF(7))
 
 
 def test_exactness_roundtrip_through_strings(rng):
@@ -193,10 +204,27 @@ def reference_rref(m: Mat):
     return Mat(fld, m.rows, m.cols, R), Mat(fld, m.rows, m.rows, T), tuple(pivots)
 
 
+def reference_kernel(m: Mat) -> Mat:
+    """The kernel basis read off the echelon form entry by entry through the
+    Field methods: one column per free column f, one at f and minus column f
+    of the echelon form at the pivot columns."""
+    fld = m.field
+    R, _, pivots = reference_rref(m)
+    pivot_cols = {c: r for r, c in pivots}
+    cols = []
+    for f in (c for c in range(m.cols) if c not in pivot_cols):
+        v = [fld.one() if c == f else fld.zero() for c in range(m.cols)]
+        for c, r in pivot_cols.items():
+            v[c] = fld.neg(R.entries[r][f])
+        cols.append(v)
+    return Mat.from_columns(fld, m.cols, cols)
+
+
 def assert_matches_oracle(m: Mat, rref_ref, pivots_ref, null_ref, rhs: Mat, solvable: bool):
     R, T, pivots = m.rref()
     assert T @ m == R
     assert (R, T, pivots) == reference_rref(m)
+    assert m.kernel_basis() == reference_kernel(m)
     assert [list(row) for row in R.entries] == rref_ref
     assert [c for _, c in pivots] == list(pivots_ref)
     assert [r for r, _ in pivots] == list(range(len(pivots)))
@@ -270,6 +298,79 @@ def test_kernel_matches_sympy_domain_matrix_over_gf_p(case):
     null_ref = [[int(v) % p for v in row] for row in a.nullspace().to_list()]
     solvable = a.rank() == a.hstack(to_domain(b)).rank()
     assert_matches_oracle(m, rref_ref, pivots_ref, null_ref, b, solvable)
+
+
+# -- kron_product against the formed Kronecker product ----------------------------
+
+@st.composite
+def kron_cases(draw):
+    """(a, b, c) with a.cols == b.rows * c.rows over Q or GF(7).  b and c are
+    each the shared identity, an identity built entry by entry or a drawn
+    matrix; every shape may be empty, and about half the rows of a are zero."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    entry = st.one_of(st.just(0), st.integers(-9, 9) if field.char else Q_ENTRY)
+
+    def grid(rows, cols):
+        return [[0] * cols if draw(st.booleans()) else draw(st.lists(entry, min_size=cols, max_size=cols))
+                for _ in range(rows)]
+
+    def factor():
+        kind, n = draw(st.sampled_from(["shared", "built", "drawn"])), draw(st.integers(0, 3))
+        if kind == "shared":
+            return Mat.identity(field, n)
+        if kind == "built":
+            return Mat(field, n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        cols = draw(st.integers(0, 3))
+        return Mat(field, n, cols, grid(n, cols))
+
+    b, c = factor(), factor()
+    rows = draw(st.integers(0, 4))
+    return Mat(field, rows, b.rows * c.rows, grid(rows, b.rows * c.rows)), b, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(kron_cases())
+def test_kron_product_matches_formed_kron(case):
+    a, b, c = case
+    out = kron_product(a, b, c)
+    assert (out.rows, out.cols) == (a.rows, b.cols * c.cols)
+    assert out == a @ kron(b, c)
+    if a.field.char:
+        assert all(0 <= v < a.field.char for row in out.entries for v in row)
+
+
+@pytest.mark.parametrize("a_rows, b, c", [
+    ([[1, 2, 0, 0], [0, 0, 0, 0], [3, 0, 0, -1]], "eye2", [[1, 0, 2], [0, -1, 1]]),
+    ([[0, 0, 0, 0], [5, 0, -2, 1]], [[1, 2], [0, 3]], "eye2"),
+    ([[4, 0, 1, 2]], "eye2", "eye2"),
+    ([], [[1, 2], [3, 4]], [[1], [2]]),
+    ([[0, 0], [0, 0]], [[1, 1]], [[2], [0]]),
+    ([[1, 0, 2, 3]], [[1], [0]], [[0, 1], [1, 1]]),
+    ([[7]], [[]], [[]]),
+])
+def test_kron_product_named_shapes(field, a_rows, b, c):
+    def mat(spec, cols=None):
+        if spec == "eye2":
+            return Mat.identity(field, 2)
+        return Mat(field, len(spec), len(spec[0]) if spec else cols, spec)
+
+    b, c = mat(b), mat(c)
+    a = mat(a_rows, b.rows * c.rows)
+    out = kron_product(a, b, c)
+    assert out == a @ kron(b, c)
+    if b is Mat.identity(field, 2) and c is b:
+        assert out is a
+
+
+@settings(max_examples=50, deadline=None)
+@given(kron_cases(), st.integers(1, 3))
+def test_kron_product_rejects_mismatched_shapes(case, extra):
+    a, b, c = case
+    with pytest.raises(ShapeError):
+        kron_product(a.hstack(Mat.zero(a.field, a.rows, extra)), b, c)
+    other = QQ if a.field.char else GF(7)
+    with pytest.raises(FieldMismatchError):
+        kron_product(Mat.zero(other, a.rows, a.cols), b, c)
 
 
 # -- the Q representation boundary: int and the equal Fraction are interchangeable --
