@@ -614,7 +614,7 @@ def naturality_subcomplex(layouts: Dict[Hashable, HomLayout], equations: Sequenc
                 if q == 0:
                     continue
                 top = len(grid)
-                grid.extend([field.zero()] * dim_n for _ in range(q * p))
+                grid.extend([0] * dim_n for _ in range(q * p))
                 for term in eq.terms:
                     lay = layouts[term.slot]
                     j = i + _family_degree(term.right)
@@ -630,11 +630,10 @@ def naturality_subcomplex(layouts: Dict[Hashable, HomLayout], equations: Sequenc
                         raise ShapeError(f"{name}: a term on slot {term.slot!r} misses its codomain")
                     col0 = offsets[term.slot] + lay.block_offset(n, j)[0]
                     negate = (term.sign < 0) != bool(term.twist * n % 2)
-                    for r, row in enumerate(block.entries):
-                        out = grid[top + r]
-                        for c, v in enumerate(row):
-                            if not field.is_zero(v):
-                                out[col0 + c] = field.add(out[col0 + c], field.neg(v) if negate else v)
+                    for out, row in zip(grid[top:], block.entries):
+                        for c, v in enumerate(row, col0):
+                            if v:
+                                out[c] = out[c] - v if negate else out[c] + v
         if grid:
             constraints[n] = Mat(field, len(grid), dim_n, grid)
     sub, incl = constrained_subcomplex(ambient, constraints, name=name)

@@ -5,12 +5,14 @@ Resolutions are built top-down by repeatedly attaching free covers that kill
 the top cohomology of the comparison cone.  Over a strictly nonpositive base
 each round only disturbs strictly lower degrees, so acyclicity of the cone in
 all degrees >= floor is reached in finitely many rounds and is *verified* on
-the finished object, never assumed.  Derived functors return cohomology
-reports restricted to the certified window.
+the finished object, never assumed.  A round builds only the complexes and
+the comparison the cone reads; the module action is built once, at the end.
+Derived functors return cohomology reports restricted to the certified window.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
@@ -35,7 +37,7 @@ from .complexes import (
 from .dgcat import DgCategory, one_object_category
 from .dgring import DgRing, DgRingMorphism
 from .errors import ValidationError, WindowCertificationError
-from .matrix import Mat, block_matrix
+from .matrix import block_matrix
 
 
 @dataclass(frozen=True)
@@ -72,69 +74,63 @@ class WindowedResolution:
     cone_cohomology: Dict
 
 
-def _attach_generators(cat: DgCategory, P: Module, f: ModuleMap, M: Module,
-                       gens: List[Tuple[object, int, Mat, Mat]]):
-    """Extend P -> M by free generators killing cone classes.
-
-    Each generator is (obj, degree n, m_part in M(obj)^n, p_part in P(obj)^{n+1})
-    with d(m) = -f(p) and d(p) = 0; the new summand hom(-, obj)[-n] maps into
-    P by b |-> -p.b and into M by b |-> m.b.  Each new component is the
-    direct sum of the old one and the shifted representables, twisted by
-    the blocks of -p.b, and the representables act by composition.
-    """
-    reps = {x: Module.representable(cat, x) for x, _, _, _ in gens}
-    parts = {}
-    comps = {}
-    for z in cat.objects:
-        plains = [(P.at(z), 0)] + [(cat.hom(z, x), -n) for x, n, _, _ in gens]
-        # per generator, b |-> p.b into the old part and b |-> m.b into M
-        twists = [element_action(P.act[(z, x)], P.act_layouts[(z, x)], 0, n + 1, p) for x, n, _, p in gens]
-        hits = [element_action(M.act[(z, x)], M.act_layouts[(z, x)], 0, n, m) for x, n, m, _ in gens]
-
-        def generator_blocks(fams, d):
-            return {(0, g + 1): fam[d - n] for g, ((_, n, _, _), fam) in enumerate(zip(gens, fams)) if d - n in fam}
-
-        parts[z] = twisted_sum(
-            plains, lambda d: {key: -blk for key, blk in generator_blocks(twists, d).items()}, name=f"P({z})")
-        comps[z] = ChainMap(parts[z].complex, M.at(z), 0, {
-            d: block_matrix(cat.field, [M.at(z).dim(d)], [plain.dim(d + shift) for plain, shift in plains],
-                            {(0, 0): f.at(z).component(d), **generator_blocks(hits, d)})
-            for d in parts[z].complex.degrees()})
-    P2 = module_on(cat, parts, [P] + [reps[x] for x, _, _, _ in gens], name="P")
-    f2 = ModuleMap(P2, M, 0, comps)
-    return P2, f2
-
-
 def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedResolution:
-    """Semifree P -> m with H^i(cone) = 0 verified for all i >= floor."""
+    """Semifree P -> m with H^i(cone) = 0 verified for all i >= floor.
+
+    P(z) is the sum, in attachment order, of hom(z, x_g)[-n_g] over a flat
+    list of generators, each read off a top cone class (m_g, p_g) with d(m_g)
+    = -f(p_g): b |-> m_g.b into m, twisted by b |-> -p_g.b, whose block on an
+    earlier generator i is -(p_{g,i} o b).  Both families are computed once
+    per (object, generator); a round builds only the complexes and the
+    comparison, and the action and the checked ModuleMap come once, at the end.
+    """
     cat = m.cat
     if not cat.is_strictly_nonpositive():
         raise ValidationError("resolutions require a strictly nonpositive base")
-    P = Module.zero(cat)
-    f = ModuleMap.zero(P, m)
-    generators: List[Tuple[object, int]] = []
+    gens: List[Tuple[object, int]] = []
+    twists = {z: [] for z in cat.objects}   # per generator g, {i: family of p_{g,i} o -}
+    hits = {z: [] for z in cat.objects}     # per generator g, the family of m_g . -
+    parts = {}
+    f = {z: ChainMap.zero_map(Complex.zero(cat.field), m.at(z)) for z in cat.objects}
     while True:
-        cones = {z: cone_retract(f.at(z)).complex.cohomology() for z in cat.objects}
+        cones = {z: cone_retract(f[z]).complex.cohomology() for z in cat.objects}
         cone_h = {z: h.as_dict() for z, h in cones.items()}
         worst = max((d for h in cone_h.values() for d, v in h.items() if v and d >= floor), default=None)
         if worst is None:
-            return WindowedResolution(m, P, f, generators, floor,
-                                      {z: dict(v) for z, v in cone_h.items()})
-        gens = []
+            break
+        new = []
         for z in cat.objects:
-            reps = cones[z].rep(worst)
+            classes = cones[z].rep(worst)
             m_dim = m.at(z).dim(worst)
-            for j in range(reps.cols):
-                vec = reps.col(j)
-                m_part = vec.take_rows(list(range(m_dim)))
-                p_part = vec.take_rows(list(range(m_dim, vec.rows)))
-                gens.append((z, worst, m_part, p_part))
-        if len(generators) + len(gens) > generator_cap:
+            for j in range(classes.cols):
+                vec = classes.col(j)
+                new.append((z, vec.take_rows(range(m_dim)), vec.take_rows(range(m_dim, vec.rows))))
+        if len(gens) + len(new) > generator_cap:
             raise WindowCertificationError(
                 f"resolution exceeded the generator cap {generator_cap} before "
                 f"certifying degree {worst}", first_uncertified_degree=worst)
-        generators.extend((z, worst) for z, worst, _, _ in gens)
-        P, f = _attach_generators(cat, P, f, m, gens)
+        for x, m_part, p_part in new:
+            offs = list(itertools.accumulate((cat.hom(x, y).dim(worst + 1 - k) for y, k in gens), initial=0))
+            rows = {i: p_part.take_rows(range(offs[i], offs[i + 1])) for i in range(len(gens))}
+            for z in cat.objects:
+                twists[z].append({i: element_action(cat.comp[(z, x, y)], cat.comp_layouts[(z, x, y)], 0,
+                                                     worst + 1 - k, rows[i])
+                                  for i, (y, k) in enumerate(gens) if not rows[i].is_zero()})
+                hits[z].append(element_action(m.act[(z, x)], m.act_layouts[(z, x)], 0, worst, m_part))
+        gens.extend((x, worst) for x, _, _ in new)
+        for z in cat.objects:
+            plains = [(cat.hom(z, x), -n) for x, n in gens]
+            parts[z] = twisted_sum(plains, lambda d: {
+                (i, g): -fam[d - n] for g, (_, n) in enumerate(gens)
+                for i, fam in twists[z][g].items() if d - n in fam}, name=f"P({z})")
+            f[z] = ChainMap(parts[z].complex, m.at(z), 0, {
+                d: block_matrix(cat.field, [m.at(z).dim(d)], [plain.dim(d + shift) for plain, shift in plains],
+                                {(0, g): fam[d - n] for g, ((_, n), fam) in enumerate(zip(gens, hits[z]))
+                                 if d - n in fam})
+                for d in parts[z].complex.degrees()})
+    reps = {x: Module.representable(cat, x) for x, _ in gens}
+    P = module_on(cat, parts, [reps[x] for x, _ in gens], name="P") if gens else Module.zero(cat)
+    return WindowedResolution(m, P, ModuleMap(P, m, 0, f), gens, floor, cone_h)
 
 
 def bar_resolution_window(m: Module, window: DegreeWindow,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dgkit.errors import ShapeError, ValidationError
 from dgkit.fields import GF, QQ
 from dgkit.instances import random_chain_map, random_cocycle, random_complex
-from dgkit.matrix import Mat
+from dgkit import complexes
+from dgkit.matrix import Mat, kron
 from dgkit.complexes import (
     ChainMap,
     Complex,
@@ -430,6 +432,86 @@ def test_naturality_subcomplex_matches_sympy_solution_count(target_degree, twist
         solution, = sympy.linsolve(list(system), list(phi))
         free = set().union(*(sympy.sympify(e).free_symbols for e in solution))
         assert sub.dim(target_degree) == len(free)
+
+
+def reference_constraints(layouts, equations):
+    """The degree-n constraint matrices of naturality_subcomplex written one
+    entry at a time through the field's own is_zero, add and neg."""
+    slots = list(layouts)
+    ambient = direct_sum([layouts[s].complex for s in slots])[0]
+    field = ambient.field
+    out = {}
+    for n in ambient.degrees():
+        offsets = dict(zip(slots, itertools.accumulate((layouts[s].complex.dim(n) for s in slots), initial=0)))
+        grid = []
+        for eq in equations:
+            first = eq.terms[0]
+            shift = n + sum(fam[0] for fam in (first.left, first.right) if fam is not None)
+            for i in eq.domain.degrees():
+                p, q = eq.domain.dim(i), eq.codomain.dim(i + shift)
+                if q == 0:
+                    continue
+                top = len(grid)
+                grid.extend([field.zero()] * ambient.dim(n) for _ in range(q * p))
+                for term in eq.terms:
+                    lay = layouts[term.slot]
+                    j = i + (term.right[0] if term.right else 0)
+                    tdim = lay.target.dim(j + n)
+                    if lay.source.dim(j) == 0 or tdim == 0:
+                        continue
+                    right = Mat.identity(field, p) if term.right is None else term.right[1].get(i)
+                    left = Mat.identity(field, tdim) if term.left is None else term.left[1].get(j + n)
+                    if right is None or left is None:
+                        continue
+                    negate = (term.sign < 0) != bool(term.twist * n % 2)
+                    col0 = offsets[term.slot] + lay.block_offset(n, j)[0]
+                    for r, row in enumerate(kron(left, right.transpose()).entries):
+                        for c, v in enumerate(row):
+                            if not field.is_zero(v):
+                                cell = grid[top + r]
+                                cell[col0 + c] = field.add(cell[col0 + c], field.neg(v) if negate else v)
+        if grid:
+            out[n] = Mat(field, len(grid), ambient.dim(n), grid)
+    return out
+
+
+def test_naturality_constraints_match_the_entry_loop(field, monkeypatch):
+    """Two slots on complexes with zero differential (every solution set is
+    d-stable), odd Hom degrees, and a sign-twisted term in both equations."""
+    rng = random.Random(37)
+
+    def scalar():
+        v = rng.randint(-3, 3)
+        return Fraction(v, 2) if field is QQ and rng.random() < 0.3 else field.from_int(v)
+
+    def family(src, tgt, deg):
+        return deg, {i: Mat(field, tgt.dim(i + deg), src.dim(i),
+                             [[scalar() for _ in range(src.dim(i))] for _ in range(tgt.dim(i + deg))])
+                     for i in src.degrees()}
+
+    v = Complex(field, {0: 2, 1: 1}, {})
+    w = Complex(field, {-1: 1, 0: 2, 2: 1}, {})
+    layouts = {"phi": hom_complex(v, w), "psi": hom_complex(v, w)}
+    assert any(n % 2 for n in layouts["phi"].complex.degrees())
+    equations = [
+        Equation(v, w, (Term("phi", right=family(v, v, 0)),
+                        Term("psi", left=family(w, w, 0), sign=-1, twist=1))),
+        Equation(v, w, (Term("phi", left=family(w, w, 1)),
+                        Term("psi", right=family(v, v, 1), twist=1),
+                        Term("phi", right=family(v, v, 1), sign=-1))),
+    ]
+    seen = {}
+    built = complexes.constrained_subcomplex
+
+    def spy(ambient, constraints, name="sub"):
+        seen.update(constraints)
+        return built(ambient, constraints, name=name)
+
+    monkeypatch.setattr(complexes, "constrained_subcomplex", spy)
+    naturality_subcomplex(layouts, equations)
+    expect = reference_constraints(layouts, equations)
+    assert seen == expect
+    assert [n for n in expect if n % 2 and not expect[n].is_zero()]
 
 
 # -- reordering tensor factors against an elementwise column permutation -------------

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from dgkit.fields import QQ
+from dgkit.fields import GF, QQ
 from dgkit.dgring import DgRing, make_dual_numbers
 from dgkit.dgcat import one_object_category
-from dgkit.bimodules import Module, module_hom_complex
+from dgkit.bimodules import Module, ModuleMap, module_hom_complex, shift_module
 from dgkit.derived import (
     DegreeWindow,
     bar_resolution_window,
@@ -130,8 +130,48 @@ def test_window_cap_failure_is_loud():
     ring, aug = make_dual_numbers(2, -1, QQ)
     cat = one_object_category(ring)
     k_mod = restricted_ground_module(aug, cat)
-    with pytest.raises(WindowCertificationError):
+    with pytest.raises(WindowCertificationError) as err:
         resolve_module(k_mod, -40, generator_cap=5)
+    # one generator every other degree: the five allowed reach degree -8
+    assert err.value.first_uncertified_degree == -10
+
+
+def resolution_cases(field):
+    """The modules and floors that tests/test_actions.py resolves against
+    its per-generator reference loop, drawn in the same order."""
+    rng = random.Random(17)
+    ring, aug = make_dual_numbers(2, -1, field)
+    cat = one_object_category(ring)
+    path = random_nonpositive_category(rng, field, n_objects=2, flavor="path")
+    ground = restricted_ground_module(aug, cat)
+    return [(ground, -3), (shift_module(ground, 1), -3), (random_module(rng, path), -2),
+            (shift_module(random_module(rng, path), -1), -2)]
+
+
+def assert_module_and_comparison_checked(res):
+    """The resolution's action is unital and associative, and its
+    comparison respects the actions: the construction-time checks the
+    resolution is built without, run on the returned objects."""
+    P = res.module
+    Module(P.cat, P.components, P.act, check=True)
+    ModuleMap(P, res.target, 0, res.comparison.components, check=True)
+
+
+def test_resolutions_pass_the_module_checks(field):
+    for m, floor in resolution_cases(field):
+        assert_module_and_comparison_checked(resolve_module(m, floor))
+
+
+def test_ground_field_over_cubic_dual_numbers_doubles_its_generators():
+    # k[e]/e^3 with |e| = 0 over F_101: the resolution of k attaches 2^i
+    # generators in degree -i down to the floor -4, where 5 would do
+    ring, aug = make_dual_numbers(3, 0, GF(101))
+    cat = one_object_category(ring)
+    res = resolve_module(restricted_ground_module(aug, cat), -4)
+    assert_module_and_comparison_checked(res)
+    obj = cat.objects[0]
+    assert res.generators == [(obj, -i) for i in range(5) for _ in range(2 ** i)]
+    assert len(res.generators) == 31
 
 
 def test_tstruct_truncate_concentrated_degree0():
