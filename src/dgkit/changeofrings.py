@@ -255,9 +255,6 @@ def extension_adjunction_check(a_cat: DgCategory, b_s: DgCategory,
 
 @dataclass
 class TransitivityVerdict:
-    direct: ScalarExtension
-    staged_first: ScalarExtension
-    staged_second: ScalarExtension
     mutually_inverse: bool
 
     @property
@@ -265,14 +262,19 @@ class TransitivityVerdict:
         return self.mutually_inverse
 
 
-def transitivity_check(theta12: DgRingMorphism, theta23: DgRingMorphism,
-                       a_cat: DgCategory) -> TransitivityVerdict:
-    """The maps g (x)_{R1} f <-> g (x)_{R2} (1 (x)_{R1} f) between
-    R3 (x)_{R1} a and R3 (x)_{R2} (R2 (x)_{R1} a) are mutually inverse."""
-    theta13 = theta23.compose(theta12)
-    direct = extend_scalars_cat(a_cat, theta13)
-    stage1 = extend_scalars_cat(a_cat, theta12)
-    stage2 = extend_scalars_cat(stage1.category, theta23)
+def transitivity_check(direct: ScalarExtension, stage1: ScalarExtension,
+                       stage2: ScalarExtension) -> TransitivityVerdict:
+    """The maps g (x)_{R1} f <-> g (x)_{R2} (1 (x)_{R1} f) between R3 (x)_{R1} a
+    and R3 (x)_{R2} (R2 (x)_{R1} a), the given extensions, are mutually inverse.
+    Raises unless they form that square, the direct morphism being the staged
+    composite on the nose."""
+    theta12, theta23, a_cat = stage1.theta, stage2.theta, stage1.source
+    if stage2.source is not stage1.category:
+        raise ValidationError("transitivity: stage 2 does not extend the stage 1 category")
+    if direct.source is not stage1.source:
+        raise ValidationError("transitivity: the direct extension is not of the stage 1 source")
+    if direct.theta.target is not theta23.target or direct.theta.map != theta23.map.compose(theta12.map):
+        raise ValidationError("transitivity: the direct morphism is not the staged composite")
     field = a_cat.field
     r3 = theta23.target
     by_r2 = _right_action_through(theta23)
@@ -298,7 +300,7 @@ def transitivity_check(theta12: DgRingMorphism, theta23: DgRingMorphism,
             if bmap.compose(fmap) != ChainMap.identity(dt.complex) or \
                     fmap.compose(bmap) != ChainMap.identity(st.complex):
                 ok = False
-    return TransitivityVerdict(direct, stage1, stage2, ok)
+    return TransitivityVerdict(ok)
 
 
 # -- coextension: S-linear structures on bimodules out of the S point ---------------

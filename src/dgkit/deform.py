@@ -811,35 +811,30 @@ def deform_category(i_cat: DgCategory, theta: DgRingMorphism,
         raise ValidationError("deformation instances must be strictly nonpositive")
     levelwise_free_generators(i_cat)  # raises when not levelwise free
     chain = factorize(theta)
-    # iterate extensions along the factorization
-    verdicts = []
-    cur_cat = i_cat
-    cur_ring = theta.source
-    exts = []
-    if chain.steps:
-        head_ext = extend_scalars_cat(cur_cat, chain.head)
-        cur_cat = head_ext.category
-        for step in chain.steps:
-            ext = extend_scalars_cat(cur_cat, step)
-            verdicts.append(_square_zero_step_verdict(cur_cat, step, ext, window))
-            exts.append(ext)
-            cur_cat = ext.category
     direct = extend_scalars_cat(i_cat, theta)
-    # pipeline coherence via the transitivity maps, step by step
+    # iterate extensions along the factorization; each transitivity square has
+    # the previous step's direct extension (or the head's) as stage 1
+    verdicts = []
     coherent = True
     if chain.steps:
-        cur_mor = chain.head
-        for step in chain.steps:
-            verdict = transitivity_check(cur_mor, step, i_cat)
-            coherent = coherent and verdict.all_pass
-            cur_mor = step.compose(cur_mor)
-        # the composed morphism equals theta on the nose
-        coherent = coherent and all(cur_mor.map.component(d) == theta.map.component(d)
-                                    for d in theta.source.degrees())
+        stage1 = extend_scalars_cat(i_cat, chain.head)
+        cur_cat = stage1.category
+        for k, step in enumerate(chain.steps):
+            ext = extend_scalars_cat(cur_cat, step)
+            verdicts.append(_square_zero_step_verdict(cur_cat, step, ext, window))
+            stage2 = ext if ext.source is stage1.category else extend_scalars_cat(stage1.category, step)
+            cur_cat = ext.category
+            composite = step.compose(stage1.theta)
+            last = k == len(chain.steps) - 1
+            # the composed morphism equals theta on the nose
+            on_theta = last and all(composite.map.component(d) == theta.map.component(d)
+                                     for d in theta.source.degrees())
+            step_direct = direct if on_theta else extend_scalars_cat(i_cat, composite)
+            verdict = transitivity_check(step_direct, stage1, stage2)
+            coherent = coherent and verdict.all_pass and (on_theta or not last)
+            stage1 = step_direct
     src_hlc = check_hlc(i_cat, window)
     def_hlc = check_hlc(direct.category, window)
-    src_h0 = h0_structure_verdict(i_cat)
-    def_h0 = h0_structure_verdict(direct.category)
-    report = DeformationReport(verdicts, src_hlc, def_hlc, src_h0, def_h0,
+    report = DeformationReport(verdicts, src_hlc, def_hlc, src_hlc.h0_structure, def_hlc.h0_structure,
                                coherent, chain)
     return direct, report

@@ -29,6 +29,7 @@ from .changeofrings import (
     coextension_adjunction_check,
     coextension_cotensor_check,
     coextension_tensor_check,
+    extend_scalars_cat,
     extension_adjunction_check,
     restrict_category,
     transitivity_check,
@@ -776,13 +777,14 @@ def check_changeofrings(count: int = 20) -> CheckResult:
     ring3, aug3 = make_dual_numbers(3, -2, QQ)
     chain = factorize(aug3)
     acat3 = free_arrow_category(ring3)
-    trans = transitivity_check(chain.head, chain.steps[0], acat3)
-    trans_ok = trans.all_pass
-    if chain.steps[1:]:
-        step2 = chain.steps[1]
-        composed = chain.steps[0].compose(chain.head)
-        trans2 = transitivity_check(composed, step2, acat3)
-        trans_ok = trans_ok and trans2.all_pass
+    # each step's direct extension is the next step's stage 1
+    stage1 = extend_scalars_cat(acat3, chain.head)
+    trans_ok = True
+    for step in chain.steps:
+        direct = extend_scalars_cat(acat3, step.compose(stage1.theta))
+        trans = transitivity_check(direct, stage1, extend_scalars_cat(stage1.category, step))
+        trans_ok = trans_ok and trans.all_pass
+        stage1 = direct
     passed = not ext_failures and not coext_failures and not tensor_failures and trans_ok
     return CheckResult("changeofrings_adjunctions", passed,
                        {"extension_failures": ext_failures,

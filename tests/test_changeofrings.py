@@ -23,9 +23,10 @@ from dgkit.changeofrings import (
     transitivity_check,
 )
 from dgkit.derived import restricted_ground_module, ring_as_module
+from dgkit.errors import ValidationError
 from dgkit.instances import random_nonpositive_category
 from dgkit.matrix import Mat
-from dgkit.complexes import TensorLayout
+from dgkit.complexes import ChainMap, TensorLayout
 
 
 def dual_numbers_setup(n=2, e=-1):
@@ -163,33 +164,48 @@ def test_extension_adjunction_on_one_object():
     assert verdict.all_pass
 
 
-def test_transitivity_on_eps3_chain():
+def eps3_square():
+    """The free-arrow category over R = k[e]/(e^3), |e| = -2, with the
+    projection R -> R/I^2 and the augmentation R/I^2 -> k."""
     ring3, aug3 = make_dual_numbers(3, -2, QQ)
-    ideal = aug3.kernel_ideal()
-    r2, p2 = quotient(ring3, ideal_power(ideal, 2))        # R -> R/I^2
-    # induced morphism R/I^2 -> k
-    ker2 = p2.map.component(0)
-    # build theta23: R/I^2 -> k via its own augmentation-like quotient
-    aug_r2 = None
-    from dgkit.dgring import check_setup_assumptions
-    # quotient of r2 by its whole positive part: kernel of projection to degree 0 unit span
-    from dgkit.dgring import DgIdeal
-    # r2 -> k: compose with existing projection of dual numbers of order 2
-    r2_ideal = None
-    # simplest: r2 is isomorphic to k[e]/(e^2) with |e| = -2; build the morphism directly
-    comps = {0: Mat(QQ, 1, r2.dim(0), [[QQ.one()] * r2.dim(0)])}
-    # coefficient extraction: unit coordinate
-    cols = []
-    for j in range(r2.dim(0)):
-        cols.append([QQ.one() if j == 0 else QQ.zero()])
-    comps = {0: Mat(QQ, 1, r2.dim(0), [[c[0] for c in cols]])}
+    r2, p2 = quotient(ring3, ideal_power(aug3.kernel_ideal(), 2))
     ground = DgRing.ground_field(QQ)
-    from dgkit.complexes import ChainMap
+    # coefficient extraction: the unit coordinate of R/I^2
+    comps = {0: Mat(QQ, 1, r2.dim(0), [[QQ.one() if j == 0 else QQ.zero() for j in range(r2.dim(0))]])}
     theta23 = DgRingMorphism(r2, ground, ChainMap(r2.underlying, ground.underlying, 0, comps),
                              name="aug2")
-    a_cat = free_arrow_category(ring3)
-    verdict = transitivity_check(p2, theta23, a_cat)
-    assert verdict.all_pass
+    return free_arrow_category(ring3), p2, theta23
+
+
+def test_transitivity_on_eps3_chain():
+    a_cat, p2, theta23 = eps3_square()
+    stage1 = extend_scalars_cat(a_cat, p2)
+    stage2 = extend_scalars_cat(stage1.category, theta23)
+    direct = extend_scalars_cat(a_cat, theta23.compose(p2))
+    assert transitivity_check(direct, stage1, stage2).all_pass
+
+
+def test_transitivity_rejects_extensions_that_do_not_form_the_square():
+    a_cat, p2, theta23 = eps3_square()
+    stage1 = extend_scalars_cat(a_cat, p2)
+    stage2 = extend_scalars_cat(stage1.category, theta23)
+    direct = extend_scalars_cat(a_cat, theta23.compose(p2))
+    # a stage 2 over another category with the same base
+    other_stage2 = extend_scalars_cat(one_object_category(p2.target), theta23)
+    with pytest.raises(ValidationError, match="stage 2 does not extend the stage 1 category"):
+        transitivity_check(direct, stage1, other_stage2)
+    # a direct extension built from another category
+    other_direct = extend_scalars_cat(one_object_category(p2.source), theta23.compose(p2))
+    with pytest.raises(ValidationError, match="direct extension is not of the stage 1 source"):
+        transitivity_check(other_direct, stage1, stage2)
+    # a direct extension along theta12 instead of the composite
+    with pytest.raises(ValidationError, match="direct morphism is not the staged composite"):
+        transitivity_check(stage1, stage1, stage2)
+    # ... and along the zero map into the right target
+    ring3, ground = p2.source, theta23.target
+    zero = DgRingMorphism(ring3, ground, ChainMap(ring3.underlying, ground.underlying, 0, {}), check=False)
+    with pytest.raises(ValidationError, match="direct morphism is not the staged composite"):
+        transitivity_check(extend_scalars_cat(a_cat, zero), stage1, stage2)
 
 
 def coextension_instance():

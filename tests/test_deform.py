@@ -2,6 +2,7 @@
 
 import pytest
 
+from dgkit import changeofrings, deform
 from dgkit.fields import GF, QQ
 from dgkit.dgring import DgRingMorphism, make_dual_numbers
 from dgkit.dgcat import h0_category, one_object_category
@@ -232,3 +233,74 @@ def test_pipeline_over_prime_field():
     assert report.factorization.all_pass
     assert report.pipeline_coherent
     assert report.deformed_hlc.weak_cokernels
+
+
+@pytest.mark.parametrize("make_cat", [one_object_category, free_arrow_category])
+@pytest.mark.parametrize("n, builds", [(2, 3), (3, 6), (4, 9)])
+def test_deform_builds_three_extensions_per_step(monkeypatch, make_cat, n, builds):
+    # k[e]/(e^n) -> k factors in n - 1 square-zero steps; each step's
+    # transitivity square reuses the extensions the pipeline holds
+    build = changeofrings.extend_scalars_cat
+    calls = []
+
+    def counted(cat, theta):
+        calls.append(theta.name)
+        return build(cat, theta)
+
+    monkeypatch.setattr(changeofrings, "extend_scalars_cat", counted)
+    monkeypatch.setattr(deform, "extend_scalars_cat", counted)
+    ring, aug = make_dual_numbers(n, -2, QQ)
+    ext, report = deform_category(make_cat(ring), aug)
+    assert report.all_pass
+    assert len(calls) == builds
+
+
+PASSING_HLC = {"all_pass": True, "failing_morphism": None, "h0_additive": True, "h0_karoubian": True,
+               "nonpositive_cohomology": True, "representables_hfp": True, "weak_cokernels": True}
+DESK_NOTES = ["finite-dimensional H^0 recorded as coherent (desk scale)",
+              "finitely presented = finite-dimensional at desk scale"]
+# the factorization step reports of k[e]/(e^4), |e| = -2; the chain of
+# k[e]/(e^3) is its last two steps
+STEP_REPORTS = [
+    {"all_pass": True, "homotopically_coherent": True, "morphism": "theta_4,3", "nilpotency_order": 2,
+     "notes": DESK_NOTES, "power_H": {"1": {"-6": 1}}, "powers_hfp": True,
+     "source_H": {"-2": 1, "-4": 1, "-6": 1, "0": 1}, "strictly_surjective": {"-2": True, "-4": True, "0": True},
+     "surjective": True, "target_H": {"-2": 1, "-4": 1, "0": 1}, "target_hfp_over_source": True},
+    {"all_pass": True, "homotopically_coherent": True, "morphism": "theta_3,2", "nilpotency_order": 2,
+     "notes": DESK_NOTES, "power_H": {"1": {"-4": 1}}, "powers_hfp": True,
+     "source_H": {"-2": 1, "-4": 1, "0": 1}, "strictly_surjective": {"-2": True, "0": True},
+     "surjective": True, "target_H": {"-2": 1, "0": 1}, "target_hfp_over_source": True},
+    {"all_pass": True, "homotopically_coherent": True, "morphism": "theta_2,1", "nilpotency_order": 2,
+     "notes": DESK_NOTES, "power_H": {"1": {"-2": 1}}, "powers_hfp": True,
+     "source_H": {"-2": 1, "0": 1}, "strictly_surjective": {"0": True},
+     "surjective": True, "target_H": {"0": 1}, "target_hfp_over_source": True},
+]
+
+
+def passing_step(name):
+    return {"all_pass": True, "h0_comparison_bijective": True, "hfp_preserved": True,
+            "ker_h0_theta_square_zero": True, "les_rank_bookkeeping": True, "nonpositive_cohomology": True,
+            "ses_exact": True, "step": name, "tensor_lift_mutually_inverse": True}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_deform_report_of_multi_step_chains(field, n):
+    # recorded before the transitivity squares reused the pipeline's extensions
+    ring, aug = make_dual_numbers(n, -2, field)
+    _, report = deform_category(one_object_category(ring), aug)
+    reports = STEP_REPORTS[4 - n:]
+    names = [r["morphism"] for r in reports]
+    assert report.as_dict() == {
+        "steps": [passing_step(name) for name in names],
+        "source_hlc": PASSING_HLC,
+        "deformed_hlc": PASSING_HLC,
+        "source_h0_additive": True,
+        "source_h0_karoubian": True,
+        "deformed_h0_additive": True,
+        "deformed_h0_karoubian": True,
+        "pipeline_coherent": True,
+        "factorization": {"all_pass": True, "composition_equals_theta": True, "head_is_quasi_iso": True,
+                          "square_zero_kernels": [True] * len(names), "step_reports": reports, "steps": names},
+        "all_pass": True,
+    }
