@@ -190,27 +190,15 @@ class Complex:
 class CohomologyReport:
     """Per-degree cohomology dimensions with chosen cocycle representatives.
 
-    ``reps[i]`` has the representative cocycles as columns; classes are
-    coordinates with respect to those columns modulo the image of d.
+    ``rep(i)`` has the representative cocycles as columns, chosen by
+    ``cohomology_at``; classes are coordinates with respect to those columns
+    modulo the image of d.
     """
 
     def __init__(self, cx: Complex):
         self.complex = cx
-        self.dims: Dict[int, int] = {}
-        self.reps: Dict[int, Mat] = {}
-        self._images: Dict[int, Mat] = {}
-        degs = set(cx.degrees())
-        for deg in sorted(degs):
-            z = cx.diff(deg).kernel_basis()
-            b = cx.diff(deg - 1).image_basis()
-            self._images[deg] = b
-            aug = b.hstack(z)
-            pivots = aug.pivot_columns()
-            chosen = [c - b.cols for c in pivots if c >= b.cols]
-            reps = z.take_columns(chosen)
-            if reps.cols:
-                self.reps[deg] = reps
-            self.dims[deg] = reps.cols
+        self._at = {deg: cohomology_at(cx, deg) for deg in cx.degrees()}
+        self.dims: Dict[int, int] = {deg: reps.cols for deg, (reps, _) in self._at.items()}
 
     def dim(self, deg: int) -> int:
         return self.dims.get(deg, 0)
@@ -219,16 +207,10 @@ class CohomologyReport:
         return sorted(d for d, v in self.dims.items() if v)
 
     def rep(self, deg: int) -> Mat:
-        mat = self.reps.get(deg)
-        if mat is None:
-            return Mat.zero(self.complex.field, self.complex.dim(deg), 0)
-        return mat
+        return (self._at.get(deg) or cohomology_at(self.complex, deg))[0]
 
     def image(self, deg: int) -> Mat:
-        mat = self._images.get(deg)
-        if mat is None:
-            return Mat.zero(self.complex.field, self.complex.dim(deg), 0)
-        return mat
+        return (self._at.get(deg) or cohomology_at(self.complex, deg))[1]
 
     def class_of(self, deg: int, vector: Mat) -> Mat:
         """Coordinates of a cocycle's class in the chosen representative basis."""
@@ -241,6 +223,15 @@ class CohomologyReport:
 
     def as_dict(self) -> Dict[int, int]:
         return {d: v for d, v in sorted(self.dims.items()) if v}
+
+
+def cohomology_at(cx: Complex, deg: int) -> Tuple[Mat, Mat]:
+    """(reps, image) of a CohomologyReport in degree ``deg``: a basis of the
+    image of d, and the kernel basis columns that extend it, in order."""
+    z = cx.diff(deg).kernel_basis()
+    b = cx.diff(deg - 1).image_basis()
+    chosen = [c - b.cols for c in b.hstack(z).pivot_columns() if c >= b.cols]
+    return z.take_columns(chosen), b
 
 
 def _product(a: Optional[Mat], b: Optional[Mat]) -> Optional[Mat]:
@@ -391,48 +382,44 @@ class ChainMap:
 
 
 def shift_complex(cx: Complex, k: int) -> Complex:
-    dims = {deg - k: cx.dim(deg) for deg in cx.degrees()}
-    sign = -1 if k % 2 else 1
-    diffs = {}
-    for deg in cx.degrees():
-        mat = cx.diff(deg)
-        if mat.is_zero():
-            continue
-        diffs[deg - k] = mat if sign > 0 else -mat
-    return Complex(cx.field, dims, diffs, name=f"{cx.name}[{k}]")
+    return block_sum([(cx, k)], name=f"{cx.name}[{k}]")
 
 
-def twisted_sum(summands: Sequence[Tuple[Complex, int]], twist=None, name: Optional[str] = None) -> "Retract":
+def block_sum(summands: Sequence[Tuple[Complex, int]], twist=None, name: Optional[str] = None) -> Complex:
     """The degreewise direct sum of the shifted complexes plain[shift], one
     per (plain, shift) in ``summands``, with the block differential diag(d_i)
     plus ``twist(deg)``, a dict {(i, j): block from summand j in degree deg
-    to summand i in degree deg + 1}.  Returns the sum as a Retract whose
-    piece i is summand i: its coordinate projection in, its injection out."""
+    to summand i in degree deg + 1}.  Each shift is read in place: degree d
+    of plain[k] is degree d + k of plain, its differential signed (-1)^k."""
     if not summands:
         raise ShapeError("direct sum of nothing; use Complex.zero")
-    shifted = [shift_complex(c, k) if k else c for c, k in summands]
-    field = same_field(*[c.field for c in shifted])
-    degs = sorted({d for c in shifted for d in c.degrees()})
-    sizes = {d: [c.dim(d) for c in shifted] for d in degs + [d + 1 for d in degs]}
+    field = same_field(*[c.field for c, _ in summands])
+    degs = sorted({d - k for c, k in summands for d in c.degrees()})
+    sizes = {d: [c.dim(d + k) for c, k in summands] for d in {*degs, *(d + 1 for d in degs)}}
     diffs = {}
     for d in degs:
-        blocks = {(i, i): c.d[d] for i, c in enumerate(shifted) if d in c.d}
+        blocks = {(i, i): -c.d[d + k] if k % 2 else c.d[d + k] for i, (c, k) in enumerate(summands) if d + k in c.d}
         if twist is not None:
             blocks.update(twist(d))
         if blocks:
             diffs[d] = block_matrix(field, sizes[d + 1], sizes[d], blocks)
-    total = Complex(field, {d: sum(sizes[d]) for d in degs}, diffs,
-                    name=name or "+".join(c.name for c in shifted))
-    injections = [{} for _ in summands]
-    projections = [{} for _ in summands]
-    for d in degs:
-        eye = Mat.identity(field, total.dim(d))
-        for i, (off, m) in enumerate(zip(itertools.accumulate(sizes[d], initial=0), sizes[d])):
-            if m:
-                injections[i][d] = eye.take_columns(range(off, off + m))
-                projections[i][d] = eye.take_rows(range(off, off + m))
-    return Retract(total, tuple(Piece(c, k, proj, inj)
-                                for (c, k), inj, proj in zip(summands, injections, projections)))
+    return Complex(field, {d: sum(sizes[d]) for d in degs}, diffs,
+                   name=name or "+".join(f"{c.name}[{k}]" if k else c.name for c, k in summands))
+
+
+def twisted_sum(summands: Sequence[Tuple[Complex, int]], twist=None, name: Optional[str] = None) -> "Retract":
+    """The ``block_sum`` of ``summands`` as a Retract whose piece i is
+    summand i: its coordinate projection in, its injection out."""
+    total = block_sum(summands, twist, name)
+    slices = [({}, {}) for _ in summands]
+    for d in total.degrees():
+        eye = Mat.identity(total.field, total.dim(d))
+        sizes = [c.dim(d + k) for c, k in summands]
+        for (proj, inj), off, size in zip(slices, itertools.accumulate(sizes, initial=0), sizes):
+            if size:
+                inj[d] = eye.take_columns(range(off, off + size))
+                proj[d] = eye.take_rows(range(off, off + size))
+    return Retract(total, tuple(Piece(c, k, proj, inj) for (c, k), (proj, inj) in zip(summands, slices)))
 
 
 def sum_retract(summands: Sequence[Complex]):

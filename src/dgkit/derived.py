@@ -5,9 +5,9 @@ Resolutions are built top-down by repeatedly attaching free covers that kill
 the top cohomology of the comparison cone.  Over a strictly nonpositive base
 each round only disturbs strictly lower degrees, so acyclicity of the cone in
 all degrees >= floor is reached in finitely many rounds and is *verified* on
-the finished object, never assumed.  A round builds only the complexes and
-the comparison the cone reads; the module action is built once, at the end.
-Derived functors return cohomology reports restricted to the certified window.
+the full cohomology of the finished cones, never assumed.  A round builds one
+cone per object, read from the last attachment degree down; P and its action
+are built once.  Derived functors return cohomology on the certified window.
 """
 
 from __future__ import annotations
@@ -22,11 +22,14 @@ from .complexes import (
     ChainMap,
     Complex,
     balanced_tensor,
+    block_sum,
+    cohomology_at,
     cone_retract,
     element_action,
     lifted_map,
     pair_action,
     quotient_retract,
+    shift_complex,
     sub_retract,
     swapped,
     through,
@@ -80,54 +83,65 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     P(z) is the sum, in attachment order, of hom(z, x_g)[-n_g] over a flat
     list of generators, each read off a top cone class (m_g, p_g) with d(m_g)
     = -f(p_g): b |-> m_g.b into m, twisted by b |-> -p_g.b, whose block on an
-    earlier generator i is -(p_{g,i} o b).  Both families are computed once
-    per (object, generator); a round builds only the complexes and the
-    comparison, and the action and the checked ModuleMap come once, at the end.
-    """
+    earlier generator i is -(p_{g,i} o b).  Both families and the shifted hom
+    are built once per (object, generator).  A round builds one checked cone
+    per object and reads it down from the last attachment degree, above which
+    nothing moves, to the first class >= floor; with none, the full cohomology
+    of the cones certifies the end, and P, f and the action are built once."""
     cat = m.cat
     if not cat.is_strictly_nonpositive():
         raise ValidationError("resolutions require a strictly nonpositive base")
     gens: List[Tuple[object, int]] = []
-    twists = {z: [] for z in cat.objects}   # per generator g, {i: family of p_{g,i} o -}
-    hits = {z: [] for z in cat.objects}     # per generator g, the family of m_g . -
-    parts = {}
-    f = {z: ChainMap.zero_map(Complex.zero(cat.field), m.at(z)) for z in cat.objects}
+    # the cone m(z) + sum_g hom(z, x_g)[1 - n_g]: its summands and blocks {(row, column g + 1):
+    # (family, n_g)}, m_g . - in row 0 and p_{g,i} o - in row i + 1 (the shift negates P's twist)
+    summands = {z: [(m.at(z), 0)] for z in cat.objects}
+    blocks = {z: {} for z in cat.objects}
+    top = max((d for z in cat.objects for d in m.at(z).degrees()), default=floor)
     while True:
-        cones = {z: cone_retract(f[z]).complex.cohomology() for z in cat.objects}
-        cone_h = {z: h.as_dict() for z, h in cones.items()}
-        worst = max((d for h in cone_h.values() for d, v in h.items() if v and d >= floor), default=None)
-        if worst is None:
-            break
+        cones = {z: block_sum(summands[z], lambda d: {
+            key: fam[d + 1 - n] for key, (fam, n) in blocks[z].items() if d + 1 - n in fam},
+            name=f"cone(P({z})->{m.at(z).name})") for z in cat.objects}
+        for worst in range(top, floor - 1, -1):
+            classes = {z: cohomology_at(c, worst)[0] for z, c in cones.items()}
+            if any(r.cols for r in classes.values()):
+                break
+        else:
+            cone_h = {z: c.cohomology().as_dict() for z, c in cones.items()}
+            worst = max((d for h in cone_h.values() for d in h if d >= floor), default=None)
+            if worst is None:
+                break
+            classes = {z: c.cohomology().rep(worst) for z, c in cones.items()}
         new = []
         for z in cat.objects:
-            classes = cones[z].rep(worst)
             m_dim = m.at(z).dim(worst)
-            for j in range(classes.cols):
-                vec = classes.col(j)
+            for j in range(classes[z].cols):
+                vec = classes[z].col(j)
                 new.append((z, vec.take_rows(range(m_dim)), vec.take_rows(range(m_dim, vec.rows))))
         if len(gens) + len(new) > generator_cap:
             raise WindowCertificationError(
                 f"resolution exceeded the generator cap {generator_cap} before "
                 f"certifying degree {worst}", first_uncertified_degree=worst)
-        for x, m_part, p_part in new:
+        for col, (x, m_part, p_part) in enumerate(new, len(gens) + 1):
             offs = list(itertools.accumulate((cat.hom(x, y).dim(worst + 1 - k) for y, k in gens), initial=0))
             rows = {i: p_part.take_rows(range(offs[i], offs[i + 1])) for i in range(len(gens))}
             for z in cat.objects:
-                twists[z].append({i: element_action(cat.comp[(z, x, y)], cat.comp_layouts[(z, x, y)], 0,
-                                                     worst + 1 - k, rows[i])
+                blocks[z][(0, col)] = (element_action(m.act[(z, x)], m.act_layouts[(z, x)], 0, worst, m_part), worst)
+                blocks[z].update({(i + 1, col): (element_action(cat.comp[(z, x, y)], cat.comp_layouts[(z, x, y)],
+                                                                0, worst + 1 - k, rows[i]), worst)
                                   for i, (y, k) in enumerate(gens) if not rows[i].is_zero()})
-                hits[z].append(element_action(m.act[(z, x)], m.act_layouts[(z, x)], 0, worst, m_part))
+                summands[z].append((shift_complex(cat.hom(z, x), 1 - worst), 0))
         gens.extend((x, worst) for x, _, _ in new)
-        for z in cat.objects:
-            plains = [(cat.hom(z, x), -n) for x, n in gens]
-            parts[z] = twisted_sum(plains, lambda d: {
-                (i, g): -fam[d - n] for g, (_, n) in enumerate(gens)
-                for i, fam in twists[z][g].items() if d - n in fam}, name=f"P({z})")
-            f[z] = ChainMap(parts[z].complex, m.at(z), 0, {
-                d: block_matrix(cat.field, [m.at(z).dim(d)], [plain.dim(d + shift) for plain, shift in plains],
-                                {(0, g): fam[d - n] for g, ((_, n), fam) in enumerate(zip(gens, hits[z]))
-                                 if d - n in fam})
-                for d in parts[z].complex.degrees()})
+        top = worst
+    parts, f = {}, {}
+    for z in (cat.objects if gens else ()):
+        plains = [(cat.hom(z, x), -n) for x, n in gens]
+        parts[z] = twisted_sum(plains, lambda d: {(r - 1, c - 1): -fam[d - n] for (r, c), (fam, n)
+                                                  in blocks[z].items() if r and d - n in fam}, name=f"P({z})")
+        f[z] = ChainMap(parts[z].complex, m.at(z), 0, {
+            d: block_matrix(cat.field, [m.at(z).dim(d)], [plain.dim(d + shift) for plain, shift in plains],
+                            {(0, c - 1): fam[d - n] for (r, c), (fam, n) in blocks[z].items()
+                             if not r and d - n in fam})
+            for d in parts[z].complex.degrees()})
     reps = {x: Module.representable(cat, x) for x, _ in gens}
     P = module_on(cat, parts, [reps[x] for x, _ in gens], name="P") if gens else Module.zero(cat)
     return WindowedResolution(m, P, ModuleMap(P, m, 0, f), gens, floor, cone_h)

@@ -747,29 +747,28 @@ def check_changeofrings(count: int = 20) -> CheckResult:
     tensor_failures = []
     ring, aug = make_dual_numbers(2, -1, QQ)
     from .instances import balanced_cross_bimodule
+    # the trials draw from two categories and one morphism: each built once
+    cats = [one_object_category(ring), free_arrow_category(ring)]
+    exts = [extend_scalars_cat(a_cat, aug) for a_cat in cats]
+    b_s = one_object_category(aug.target)
+    b_r = restrict_category(b_s, aug)
+    # coextension side over the dual numbers as S
+    a_s = one_object_category(ring)
+    b_r2 = one_object_category(DgRing.ground_field(QQ))
+    g = cross_representable_bimodule(a_s, b_r2, "*", "*")
     for trial in range(count):
         # extension side: F over (a, b_R), an R-balanced cross representable
-        a_cat = free_arrow_category(ring) if trial % 2 else one_object_category(ring)
-        ground = aug.target
-        b_s = one_object_category(ground)
-        b_r = restrict_category(b_s, aug)
+        a_cat = cats[trial % 2]
         a0 = rng.choice(a_cat.objects)
         f = balanced_cross_bimodule(a_cat, b_r, a0, "*")
-        verdict = extension_adjunction_check(a_cat, b_s, f, aug)
+        verdict = extension_adjunction_check(a_cat, b_s, f, aug, ext=exts[trial % 2])
         if not verdict.all_pass:
             ext_failures.append(trial)
-        # coextension side over the dual numbers as S
-        a_s = one_object_category(ring)
-        b_r2 = one_object_category(DgRing.ground_field(QQ))
-        g = cross_representable_bimodule(a_s, b_r2, "*", "*")
         pair = coextension_adjunction_check(a_s, b_r2, g)
         if not pair.all_pass:
             coext_failures.append(trial)
     # tensor/cotensor and transitivity once per suite (deterministic instances)
-    scat = one_object_category(ring)
-    b_r2 = one_object_category(DgRing.ground_field(QQ))
-    g = cross_representable_bimodule(scat, b_r2, "*", "*")
-    v = ring_as_module(ring, scat)
+    v = ring_as_module(ring, a_s)
     if not coextension_tensor_check(v, g, g):
         tensor_failures.append("tensor")
     if not coextension_cotensor_check(v, g, g):

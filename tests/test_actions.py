@@ -30,7 +30,7 @@ from dgkit.bimodules import (
     restrict_bimodule,
     shift_module,
 )
-from dgkit import changeofrings
+from dgkit import changeofrings, complexes, derived
 from dgkit.changeofrings import (
     _tensor_over_s,
     coextension_object,
@@ -50,6 +50,7 @@ from dgkit.complexes import (
     TensorLayout,
     composition_map,
     cone,
+    cone_retract,
     direct_sum,
     element_action,
     evaluation_map,
@@ -571,6 +572,34 @@ def test_resolutions_match_the_generator_loop(field):
         assert res.module.components == P.components
         assert res.module.act == P.act
         assert res.comparison.components == comparison.components
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_resolutions_certify_their_cones_and_shift_each_hom_once(monkeypatch, field):
+    # the cases of test_resolutions_match_the_generator_loop
+    rng = random.Random(17)
+    cat, aug = dual_numbers_category(field)
+    path = random_nonpositive_category(rng, field, n_objects=2, flavor="path")
+    ground = restricted_ground_module(aug, cat)
+    cases = [(ground, -3), (shift_module(ground, 1), -3), (random_module(rng, path), -2),
+             (shift_module(random_module(rng, path), -1), -2)]
+    shift = complexes.shift_complex
+    calls = []
+
+    def counted(cx, k):
+        calls.append((cx, k))
+        return shift(cx, k)
+
+    monkeypatch.setattr(complexes, "shift_complex", counted)
+    monkeypatch.setattr(derived, "shift_complex", counted)
+    for m, floor in cases:
+        calls.clear()
+        res = resolve_module(m, floor)
+        assert len(calls) == len(m.cat.objects) * len(res.generators) > 0
+        for z in m.cat.objects:
+            cone_h = cone_retract(res.comparison.at(z)).complex.cohomology().as_dict()
+            assert cone_h == res.cone_cohomology[z]
+            assert all(d < floor for d in cone_h)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])

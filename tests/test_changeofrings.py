@@ -7,7 +7,7 @@ import pytest
 from dgkit.fields import QQ
 from dgkit.dgring import DgRing, DgRingMorphism, ideal_power, make_dual_numbers, quotient
 from dgkit.dgcat import DgCategory, one_object_category
-from dgkit import changeofrings
+from dgkit import changeofrings, verify
 from dgkit.bimodules import Bimodule, Module
 from dgkit.changeofrings import (
     coextension_adjunction_check,
@@ -206,6 +206,23 @@ def test_transitivity_rejects_extensions_that_do_not_form_the_square():
     zero = DgRingMorphism(ring3, ground, ChainMap(ring3.underlying, ground.underlying, 0, {}), check=False)
     with pytest.raises(ValidationError, match="direct morphism is not the staged composite"):
         transitivity_check(extend_scalars_cat(a_cat, zero), stage1, stage2)
+
+
+def test_changeofrings_check_builds_seven_extensions(monkeypatch):
+    # its 20 extension trials share one extension per category parity; the
+    # transitivity squares over k[e]/(e^3) build the other five
+    build = changeofrings.extend_scalars_cat
+    calls = []
+
+    def counted(cat, theta):
+        calls.append(theta.name)
+        return build(cat, theta)
+
+    monkeypatch.setattr(changeofrings, "extend_scalars_cat", counted)
+    monkeypatch.setattr(verify, "extend_scalars_cat", counted)
+    result = verify.check_changeofrings()
+    assert result.passed
+    assert len(calls) == 7
 
 
 def coextension_instance():

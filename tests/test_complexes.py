@@ -87,6 +87,24 @@ def test_cohomology_matches_transpose_rank_oracle():
         assert oracle_cohomology_dims(cx) == hdims
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_cohomology_at_makes_the_reports_choice_in_every_degree(field):
+    # a resolution reads single degrees and must choose the representatives
+    # the full report chooses, also where the complex is zero
+    rng = random.Random(29)
+    for _ in range(12):
+        cx, hdims = random_complex(rng, field, pieces=6)
+        report = cx.cohomology()
+        for d in range(cx.min_degree() - 2, cx.max_degree() + 3):
+            reps, image = complexes.cohomology_at(cx, d)
+            assert reps == report.rep(d)
+            assert image == report.image(d)
+            assert reps.cols == report.dim(d) == hdims.get(d, 0)
+            # cocycles, independent modulo the image of d
+            assert (cx.diff(d) @ reps).is_zero()
+            assert image.hstack(reps).rank() == image.cols + reps.cols == image.rank() + reps.cols
+
+
 def test_truncate_le_forced_zero():
     c = two_term_identity()
     t, incl = truncate_le(c, 0)
