@@ -29,6 +29,7 @@ from .complexes import (
     TensorLayout,
     Term,
     associativity_defect,
+    cone_complex,
     cone_retract,
     constrained_subcomplex,
     direct_sum,
@@ -613,7 +614,7 @@ def find_quasi_representative(f: "Bimodule", a) -> Optional[QuasiRepWitness]:
             certs = {}
             ok = True
             for x in bcat.objects:
-                h = cone_retract(cmp_map.at(x)).complex.cohomology().as_dict()
+                h = cone_complex(cmp_map.at(x)).cohomology().as_dict()
                 certs[x] = h
                 if h:
                     ok = False

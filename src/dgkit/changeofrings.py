@@ -26,12 +26,12 @@ from .bimodules import (
 from .complexes import (
     Action,
     ChainMap,
-    Complex,
     Equation,
     TensorLayout,
     Term,
     balanced_tensor,
     factor_action,
+    h0_retract,
     hom_complex,
     hom_postcompose,
     lifted_block,
@@ -565,19 +565,12 @@ def s_vs_r_module_comparison(ext: ScalarExtension, instances: Sequence[Module]) 
                 s_ok = False
         rep = tstruct_truncate(m)
         for a in ecat.objects:
-            le = rep.tau_le.at(a)
-            # the S-structure restricts to the truncation degreewise
-            for ds, si in ring_s.basis():
-                s1 = units[a].component(ds) @ ring_s.basis_vector(ds, si)
-                for deg in le.degrees():
-                    vecs = rep.counit.at(a).component(deg)
-                    for j in range(vecs.cols):
-                        img = m.apply_action(a, a, deg, vecs.col(j), ds, s1)
-                        tgt = rep.counit.at(a).component(deg + ds)
-                        if img.is_zero():
-                            continue
-                        if tgt.cols == 0 or tgt.solve(img) is None:
-                            trunc_ok = False
+            # the S-structure restricts to the truncation, checked to stay in it
+            le = sub_retract(rep.tau_le.at(a), rep.counit.at(a))
+            try:
+                lifted_map([le, through(units[a])], le, [pair_action(m.act_pair(a, a)).block])
+            except ValidationError:
+                trunc_ok = False
     return SvsRVerdict(s_ok, True, trunc_ok)
 
 
@@ -622,7 +615,9 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
     scat = one_object_category(ring_s)
     sobj = scat.objects[0]
     field = b_r.field
-    h0s, h0s_proj = h0_ring(ring_s)
+    # column s: the chosen preimage in S^0 of the class [s] of a basis element s
+    proj = h0_ring(ring_s)[1].map.component(0)
+    back = proj.solve(proj)
     members = []
     witnesses = {}
     realizations_ok = True
@@ -635,41 +630,15 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
         members.append(idx)
         wit = find_quasi_representative(x, sobj)
         witnesses[idx] = wit
-        # H^0 functor datum: H^0(S)-action and H^0(b)-action on H^0 components
-        h0_dims = {b: x.at(sobj, b).cohomology().dim(0) for b in b_r.objects}
-        reps = {b: x.at(sobj, b).cohomology() for b in b_r.objects}
-        # realization in degree 0
-        comps = {(sobj, b): Complex(field, {0: h0_dims[b]} if h0_dims[b] else {}, {})
-                 for b in b_r.objects}
-        lact = {}
-        ract = {}
-        for b in b_r.objects:
-            lay = TensorLayout([scat.hom(sobj, sobj), comps[(sobj, b)]])
-
-            def entry(combo, idxv, b=b, x=x):
-                ds, _ = combo
-                if ds != 0 or h0_dims[b] == 0:
-                    return None
-                svec = Mat.basis_column(field, ring_s.dim(0), idxv[0])
-                rep_vec = reps[b].rep(0).col(idxv[1])
-                out = x.lact_apply(sobj, sobj, b, 0, svec, 0, rep_vec)
-                return reps[b].class_of(0, out)
-
-            lact[(sobj, sobj, b)] = lay.map_from_entries(comps[(sobj, b)], 0, entry)
-        for b1 in b_r.objects:
-            for b2 in b_r.objects:
-                lay = TensorLayout([comps[(sobj, b2)], b_r.hom(b1, b2)])
-
-                def entry(combo, idxv, b1=b1, b2=b2, x=x):
-                    _, db = combo
-                    if db != 0 or h0_dims[b2] == 0 or h0_dims[b1] == 0:
-                        return None
-                    rep_vec = reps[b2].rep(0).col(idxv[0])
-                    bvec = Mat.basis_column(field, b_r.hom(b1, b2).dim(0), idxv[1])
-                    out = x.ract_apply(sobj, b1, b2, 0, rep_vec, 0, bvec)
-                    return reps[b1].class_of(0, out)
-
-                ract[(sobj, b1, b2)] = lay.map_from_entries(comps[(sobj, b1)], 0, entry)
+        # H^0 functor datum: the S- and b-actions on the H^0 components, realized in degree 0
+        parts = {b: h0_retract(x.at(sobj, b).cohomology()) for b in b_r.objects}
+        comps = {(sobj, b): part.complex for b, part in parts.items()}
+        lact = {(sobj, sobj, b): lifted_map([scat.hom(sobj, sobj), part], part,
+                                            [pair_action(x.lact_pair(sobj, sobj, b)).block])
+                for b, part in parts.items()}
+        ract = {(sobj, b1, b2): lifted_map([parts[b2], b_r.hom(b1, b2)], parts[b1],
+                                           [pair_action(x.ract_pair(sobj, b1, b2)).block])
+                for b1, b2 in itertools.product(b_r.objects, repeat=2)}
         try:
             xbar = Bimodule(scat, b_r, comps, lact, ract, name=f"H0({x.name})")
         except ValidationError:
@@ -680,35 +649,17 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
         for b in b_r.objects:
             if not incls[(sobj, b)].is_quasi_iso():
                 realizations_ok = False
-            # projection onto H^0 classes
-            t = trunc.at(sobj, b)
-            cm = {}
-            if h0_dims[b] and t.dim(0):
-                cols = []
-                for j in range(t.dim(0)):
-                    v = incls[(sobj, b)].component(0) @ Mat.basis_column(field, t.dim(0), j)
-                    cols.append(reps[b].class_of(0, v).column_values(0))
-                cm[0] = Mat.from_columns(field, h0_dims[b], cols)
-            pr = ChainMap(t, xbar.at(sobj, b), 0, cm)
+            # projection onto H^0 classes: degree 0 of tle0 is the cycles
+            classes = parts[b].pieces[0].outward
+            pr = ChainMap(trunc.at(sobj, b), xbar.at(sobj, b), 0,
+                          {0: classes[0] @ incls[(sobj, b)].component(0)} if classes else {})
             if not pr.is_quasi_iso():
                 realizations_ok = False
-        # H^0(S)-linearity: the S-action on the datum factors through H^0(S)
-        for ds, si in ring_s.basis():
-            if ds != 0:
-                continue
-            svec = ring_s.basis_vector(0, si)
-            for b in b_r.objects:
-                if h0_dims[b] == 0:
-                    continue
-                for j in range(h0_dims[b]):
-                    rep_vec = reps[b].rep(0).col(j)
-                    lhs = reps[b].class_of(0, x.lact_apply(sobj, sobj, b, 0, svec, 0, rep_vec))
-                    # acting through any preimage of [s] in H^0(S) gives the same
-                    cls = h0s_proj.apply(0, svec)
-                    back = h0s_proj.map.component(0).solve(cls)
-                    rhs = reps[b].class_of(0, x.lact_apply(sobj, sobj, b, 0, back, 0, rep_vec))
-                    if lhs != rhs:
-                        s_linear_ok = False
+        # H^0(S)-linearity: acting by s and by the chosen preimage of [s] agree
+        for b in b_r.objects:
+            act = lact[(sobj, sobj, b)].component(0)
+            if act != act @ kron(back, Mat.identity(field, parts[b].complex.dim(0))):
+                s_linear_ok = False
         # objectwise t-cohomology through the witness
         if wit is not None:
             for b in b_r.objects:

@@ -15,7 +15,7 @@ import click
 from . import __version__
 from .bimodules import coend_of, compose_bimodules, dual_of, end_of
 from .changeofrings import coextension_adjunction_check, extend_scalars_cat
-from .complexes import cone, degree_cap, truncate_ge, truncate_le
+from .complexes import cone_complex, degree_cap, truncate_ge, truncate_le
 from .deform import check_hlc, deform_category, factorize
 from .derived import DegreeWindow, derived_hom, derived_tensor, tstruct_truncate
 from .errors import DgkitError, ScenarioError, ValidationError, WindowCertificationError
@@ -58,7 +58,7 @@ def run(command: str, scn: Scenario, entry: Dict, window_override: Optional[str]
         out["passed"] = True
     elif command == "cone":
         f = scn.resolve("maps", entry.get("map"), "commands")
-        c, incl, proj = cone(f)
+        c = cone_complex(f)
         out["dims"] = {str(d): v for d, v in c.cohomology().as_dict().items()}
         out["passed"] = True
     elif command in ("end", "coend"):

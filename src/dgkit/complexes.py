@@ -369,7 +369,7 @@ class ChainMap:
 
     def is_quasi_iso(self) -> bool:
         if self.degree == 0:
-            return cone_retract(self).complex.is_acyclic()
+            return cone_complex(self).is_acyclic()
         degs = set(self.source.degrees()) | set(d - self.degree for d in self.target.degrees())
         for deg in degs:
             m = self.cohomology_map(deg)
@@ -437,13 +437,24 @@ def direct_sum(summands: Sequence[Complex]):
     return total.complex, injs, projs
 
 
+def _cone(f: ChainMap, build):
+    """The mapping cone of a degree-0 map, target + source[1] twisted by f,
+    made by ``build``: ``block_sum`` or ``twisted_sum``."""
+    if f.degree != 0:
+        raise ValidationError("cone requires a degree-0 chain map")
+    return build([(f.target, 0), (f.source, 1)], lambda d: {(0, 1): f.component(d + 1)},
+                 name=f"cone({f.source.name}->{f.target.name})")
+
+
+def cone_complex(f: ChainMap) -> Complex:
+    """Mapping cone of a degree-0 map, the complex alone."""
+    return _cone(f, block_sum)
+
+
 def cone_retract(f: ChainMap) -> "Retract":
     """Mapping cone of a degree-0 map as a Retract: piece 0 is the target,
     piece 1 the source one degree up."""
-    if f.degree != 0:
-        raise ValidationError("cone requires a degree-0 chain map")
-    return twisted_sum([(f.target, 0), (f.source, 1)], lambda d: {(0, 1): f.component(d + 1)},
-                       name=f"cone({f.source.name}->{f.target.name})")
+    return _cone(f, twisted_sum)
 
 
 def cone(f: ChainMap):
@@ -862,8 +873,10 @@ class TensorLayout:
         return ChainMap(self.complex, target, degree, comps, check=check)
 
     def map_from_entries(self, target: Complex, degree: int, entry_fn, check=True) -> ChainMap:
-        """Build a chain map out of the tensor: entry_fn(combo, indices) returns
-        the image vector (Mat column in target at degree sum(combo)+degree), or None."""
+        """Build a chain map out of the tensor one basis tensor at a time:
+        entry_fn(combo, indices) returns the image vector (Mat column in target
+        at degree sum(combo)+degree), or None.  The package builds every map
+        from blocks; this is the elementwise reference the tests hold them to."""
         field = self.field
 
         def block(combo):
@@ -1131,14 +1144,15 @@ class Piece(NamedTuple):
     """One plain piece of a complex: degree d of the complex goes to degree
     d + ``shift`` of ``plain`` by ``inward[d]`` and comes back by
     ``outward[d]``; None is the identity and a missing degree is zero.
-    ``sub`` marks an inclusion of a subcomplex with a retraction: a map into
-    the piece must land in the image of ``inward``, and that is checked."""
+    ``sub`` marks a subcomplex of the plain complex that a map into the
+    piece must land in: in each degree d it lists, the kernel of ``sub[d]``;
+    that is checked."""
 
     plain: Union[Complex, "TensorLayout"]
     shift: int = 0
     inward: Optional[Dict[int, Mat]] = None
     outward: Optional[Dict[int, Mat]] = None
-    sub: bool = False
+    sub: Optional[Dict[int, Mat]] = None
 
 
 class Retract(NamedTuple):
@@ -1154,9 +1168,28 @@ class Retract(NamedTuple):
 
 def sub_retract(sub: Complex, inclusion: ChainMap) -> Retract:
     """A subcomplex through its ambient, retracted by a left inverse of the
-    inclusion computed once per degree."""
-    out = {d: left_inverse(m) for d, m in inclusion.components.items()}
-    return Retract(sub, (Piece(inclusion.target, 0, inclusion.components, out, sub=True),))
+    inclusion computed once per degree.  In each degree of the ambient the
+    subcomplex is the kernel of 1 - inclusion o retraction, or of 1 where it
+    is zero."""
+    amb, incl = inclusion.target, inclusion.components
+    out = {d: left_inverse(m) for d, m in incl.items()}
+    eye = {d: Mat.identity(amb.field, amb.dim(d)) for d in amb.degrees()}
+    escape = {d: e - incl[d] @ out[d] if d in incl else e for d, e in eye.items()}
+    return Retract(sub, (Piece(amb, 0, incl, out, escape),))
+
+
+def h0_retract(report: "CohomologyReport") -> Retract:
+    """H^0 of a complex in the report's representative basis, through the
+    complex: in sends a class to its representative, out reads a cycle's
+    class (``class_of`` as a matrix), and a map into it must land in the
+    degree-0 cycles, the kernel of d^0."""
+    cx, reps = report.complex, report.rep(0)
+    inward, outward = {}, {}
+    if reps.cols:
+        inward[0] = reps
+        outward[0] = left_inverse(reps.hstack(report.image(0))).take_rows(range(reps.cols))
+    h0 = Complex(cx.field, {0: reps.cols}, {}, name=f"H0({cx.name})")
+    return Retract(h0, (Piece(cx, 0, inward, outward, {0: cx.d[0]} if 0 in cx.d else None),))
 
 
 def quotient_retract(quot: Complex, projection: ChainMap, sections: Dict[int, Mat],
@@ -1236,14 +1269,12 @@ def lifted_block(parts: Sequence[Part], combo: Tuple[int, ...], flat_block, inde
 def _outward(piece: Piece, n: int, plain: Mat, rows: int) -> Optional[Mat]:
     """The out map, onto ``rows`` dimensions, of degree n of a target piece,
     None for the identity, for a map ``plain`` into the piece; into a
-    subcomplex, checked once per block as in o out o plain == plain."""
+    subcomplex, checked once per block as sub[n] o plain == 0."""
+    if piece.sub is not None and n in piece.sub and not (piece.sub[n] @ plain).is_zero():
+        raise ValidationError(f"a map into a subcomplex leaves it in degree {n}")
     if piece.outward is None:
         return None
-    field = plain.field
-    out = piece.outward.get(n, Mat.zero(field, rows, plain.rows))
-    if piece.sub and piece.inward.get(n, Mat.zero(field, plain.rows, 0)) @ (out @ plain) != plain:
-        raise ValidationError(f"a map into a subcomplex leaves it in degree {n}")
-    return out
+    return piece.outward.get(n, Mat.zero(plain.field, rows, plain.rows))
 
 
 def _complex_of(part: Part) -> Complex:
@@ -1257,7 +1288,7 @@ def lifted_map(parts: Sequence[Part], target: Part, plains: Sequence[Callable]) 
     i-th pieces of the target and of every retract part belong together.
     ``plains[i](flat)`` has its rows in the i-th plain piece of the target
     at degree sum(flat) plus its shift, or is None for zero.  A map into a
-    subcomplex is also checked in the degrees where the subcomplex is zero."""
+    subcomplex is also checked in the degrees where the target is zero."""
     sources = [_complex_of(p) for p in parts]
     tcx = _complex_of(target)
 
@@ -1271,16 +1302,15 @@ def lifted_map(parts: Sequence[Part], target: Part, plains: Sequence[Callable]) 
         outs = [Mat.identity(t.field, t.rows) if out is None else out for out, t in pairs]
         return concat_columns(tcx.field, tcx.dim(n), outs) @ reduce(Mat.vstack, [t for _, t in pairs])
 
-    checked = any(_piece(target, i).sub for i in range(len(plains)))
+    checked = {n for i in range(len(plains)) for n in _piece(target, i).sub or ()}
     if len(parts) == 1:
-        comps = {d: block((d,)) for d in sources[0].degrees() if tcx.dim(d) or checked}
+        comps = {d: block((d,)) for d in sources[0].degrees() if tcx.dim(d) or d in checked}
         return ChainMap(sources[0], tcx, 0, {d: m for d, m in comps.items() if m is not None})
     lay = TensorLayout(sources)
-    if checked:
-        for n in lay.dims():
-            if not tcx.dim(n):
-                for combo, _, _ in lay.blocks(n):
-                    block(combo)
+    for n in lay.dims():
+        if n in checked and not tcx.dim(n):
+            for combo, _, _ in lay.blocks(n):
+                block(combo)
     return lay.map_from_blocks(tcx, 0, block)
 
 

@@ -13,9 +13,17 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bimodules import Module
-from .changeofrings import ScalarExtension, extend_scalars_cat, restrict_ring_module, transitivity_check
+from .changeofrings import (
+    ScalarExtension,
+    _right_action_through,
+    extend_scalars_cat,
+    restrict_ring_module,
+    transitivity_check,
+)
 from .complexes import (
     ChainMap,
+    Retract,
+    h0_retract,
     lifted_block,
     lifted_map,
     pair_action,
@@ -740,65 +748,34 @@ def is_hfp_from_dims(dims: Dict[int, int]) -> bool:
     return all(v >= 0 for v in dims.values())
 
 
+def _h0_relations(step: DgRingMorphism, action, hs: Retract, hv: Retract) -> Mat:
+    """The relations of H^0(S) (x)_{H^0(R)} H^0(V), for the H^0 retracts of
+    S and of an R-module V with its action pair: one column
+    [s . theta(r)] (x) [f] - [s] (x) [r . f] per basis triple (s, r, f), in
+    that order, rows (s, f)."""
+    hr = h0_retract(step.source.underlying.cohomology())
+    right = lifted_map([hs, hr], hs, [_right_action_through(step).block]).component(0)
+    left = lifted_map([hr, hv], hv, [pair_action(action).block]).component(0)
+    field = step.source.field
+    return (kron(right, Mat.identity(field, hv.complex.dim(0)))
+            - kron(Mat.identity(field, hs.complex.dim(0)), left))
+
+
 def _h0_comparison_bijective(i_cat: DgCategory, a, b, step: DgRingMorphism,
                              ext: ScalarExtension) -> bool:
     """H^0(S) (x)_{H^0(R)} H^0(V) -> H^0(S (x)_R V), [s] (x) [f] |-> [s (x) f]."""
-    ring = step.source
-    s_ring = step.target
-    field = ring.field
-    v = i_cat.hom(a, b)
-    h0v = v.cohomology()
-    h0s = s_ring.underlying.cohomology()
-    h0r = ring.underlying.cohomology()
-    nv, ns, nr = h0v.dim(0), h0s.dim(0), h0r.dim(0)
-    j_hom = ext.category.hom(a, b)
-    h0j = j_hom.cohomology()
-    if ns * nv == 0:
-        return h0j.dim(0) == 0
-    # relations [s . theta(r)] (x) [f] - [s] (x) [r . f] over H^0(R) basis
-    pairs = ns * nv
-    rel_cols = []
-    for ir in range(nr):
-        rvec = h0r.rep(0).col(ir)
-        srep = step.apply(0, rvec)
-        for i_s in range(ns):
-            svec = h0s.rep(0).col(i_s)
-            s_r = s_ring.mul(0, svec, 0, srep)
-            s_r_cls = h0s.class_of(0, s_r)
-            for iv in range(nv):
-                fvec = h0v.rep(0).col(iv)
-                fam = i_cat.act_element(a, b, 0, rvec)
-                rf = fam[0] @ fvec if 0 in fam else Mat.zero(field, v.dim(0), 1)
-                rf_cls = h0v.class_of(0, rf)
-                col = [field.zero()] * pairs
-                for k, u in enumerate(s_r_cls.column_values(0)):
-                    col[k * nv + iv] = field.add(col[k * nv + iv], u)
-                for k, u in enumerate(rf_cls.column_values(0)):
-                    col[i_s * nv + k] = field.sub(col[i_s * nv + k], u)
-                if any(not field.is_zero(u) for u in col):
-                    rel_cols.append(col)
-    rel = Mat.from_columns(field, pairs, rel_cols) if rel_cols else Mat.zero(field, pairs, 0)
-    lhs_dim = pairs - rel.rank()
-    if lhs_dim != h0j.dim(0):
+    hs, hv = (h0_retract(cx.cohomology()) for cx in (step.target.underlying, i_cat.hom(a, b)))
+    tensor = ext.tensors[(a, b)]
+    hj = h0_retract(tensor.complex.cohomology())
+    pairs, nj = hs.complex.dim(0) * hv.complex.dim(0), hj.complex.dim(0)
+    if pairs == 0:
+        return nj == 0
+    rel = _h0_relations(step, i_cat.action_pair(a, b), hs, hv)
+    if pairs - rel.rank() != nj:
         return False
     # the explicit map on representatives must be surjective with the relations in its kernel
-    cols = []
-    tensor = ext.tensors[(a, b)]
-    for i_s in range(ns):
-        svec = h0s.rep(0).col(i_s)
-        for iv in range(nv):
-            plain = tensor.layout.place((0, 0), kron(svec, h0v.rep(0).col(iv)))
-            cls = h0j.class_of(0, tensor.projection.component(0) @ plain)
-            cols.append(cls.column_values(0))
-    themap = Mat.from_columns(field, h0j.dim(0), cols)
-    if themap.rank() != h0j.dim(0):
-        return False
-    # relations die under the map
-    if rel_cols:
-        composed = themap @ rel
-        if not composed.is_zero():
-            return False
-    return True
+    themap = lifted_map([hs, hv], hj, [lambda flat: tensor.layout.block(tensor.projection, flat)]).component(0)
+    return themap.rank() == nj and (themap @ rel).is_zero()
 
 
 def deform_category(i_cat: DgCategory, theta: DgRingMorphism,

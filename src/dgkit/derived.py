@@ -24,7 +24,7 @@ from .complexes import (
     balanced_tensor,
     block_sum,
     cohomology_at,
-    cone_retract,
+    cone_complex,
     element_action,
     lifted_map,
     pair_action,
@@ -281,13 +281,13 @@ def tstruct_truncate(m: Module) -> TStructureReport:
     # distinguished triangle: cone(counit) -> tau_ge, (eta, 0) on m + tau_le[1], is a quasi-iso
     comparison_h = {}
     for a in cat.objects:
-        c = cone_retract(counit.at(a)).complex
+        c = cone_complex(counit.at(a))
         eta = unit.at(a)
         cmp_map = ChainMap(c, tau_ge.at(a), 0, {
             d: block_matrix(cat.field, [tau_ge.at(a).dim(d)], [m.at(a).dim(d), tau_le.at(a).dim(d + 1)],
                             {(0, 0): eta.component(d)})
             for d in c.degrees()})
-        comparison_h[a] = cone_retract(cmp_map).complex.cohomology().as_dict()
+        comparison_h[a] = cone_complex(cmp_map).cohomology().as_dict()
     ok = not any(comparison_h.values())
     return TStructureReport(tau_le, tau_ge, counit, unit, ok, comparison_h)
 

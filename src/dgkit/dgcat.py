@@ -20,12 +20,12 @@ from .complexes import (
     TensorLayout,
     associativity_defect,
     element_action,
+    h0_retract,
     lifted_map,
     morphism_defect,
     pair_action,
     pair_elements,
     permutation_sign,
-    quotient_retract,
     regroup,
     sub_retract,
     swap_leading_factors,
@@ -286,22 +286,15 @@ class H0Category:
 
 def h0_ring(ring: DgRing) -> Tuple[DgRing, DgRingMorphism]:
     """H^0 of a (strictly nonpositive) dg-ring, with the projection morphism;
-    the product is read through the projection and the representatives,
-    [x][y] = [xy]."""
+    the product is read through the representatives, [x][y] = [xy]."""
     cx = ring.underlying
-    rep = cx.cohomology()
-    n0 = rep.dim(0)
-    h0 = Complex(ring.field, {0: n0} if n0 else {}, {}, name=f"H0({ring.name})")
-    comps = {}
-    if n0:
-        if not cx.diff(0).is_zero():
-            # strictly nonpositive rings have Z^0 = R^0
-            raise ValidationError(f"{ring.name}: degree-0 part is not closed")
-        comps[0] = rep.class_of(0, Mat.identity(ring.field, cx.dim(0)))
-    proj = ChainMap(cx, h0, 0, comps)
-    classes = quotient_retract(h0, proj, {0: rep.rep(0)})
+    classes = h0_retract(cx.cohomology())
+    if classes.complex.dim(0) and 0 in cx.d:
+        # strictly nonpositive rings have Z^0 = R^0
+        raise ValidationError(f"{ring.name}: degree-0 part is not closed")
+    proj = ChainMap(cx, classes.complex, 0, classes.pieces[0].outward)
     mult = lifted_map([classes, classes], classes, [pair_action((ring.square, ring.mult)).block])
-    out = DgRing(h0, proj.component(0) @ ring.unit, mult, name=f"H0({ring.name})")
+    out = DgRing(classes.complex, proj.component(0) @ ring.unit, mult, name=f"H0({ring.name})")
     return out, DgRingMorphism(ring, out, proj, name=f"h0proj_{ring.name}")
 
 
@@ -316,47 +309,19 @@ def hstar_dims(cat: DgCategory) -> Dict:
 
 
 def h0_as_degree0_category(cat: DgCategory) -> Tuple[DgCategory, "H0Category"]:
-    """H^0 of a category, materialized as a dg-category in degree 0 over H^0(base)."""
+    """H^0 of a category, materialized as a dg-category in degree 0 over
+    H^0(base): composition and action read through the representatives."""
     h0 = H0Category(cat)
     base0, _ = h0_ring(cat.base)
-    field = cat.field
-    homs = {}
-    comp = {}
-    ids = {}
-    action = {}
-    cxs = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            n = h0.dim(a, b)
-            cxs[(a, b)] = Complex(field, {0: n} if n else {}, {}, name=f"H0hom({a},{b})")
-            homs[(a, b)] = cxs[(a, b)]
-    for a in cat.objects:
-        ids[a] = h0.ids[a]
-        for b in cat.objects:
-            for c in cat.objects:
-                lay = TensorLayout([cxs[(b, c)], cxs[(a, b)]])
-
-                def entry(combo, idx, a=a, b=b, c=c):
-                    g = Mat.basis_column(field, h0.dim(b, c), idx[0])
-                    f = Mat.basis_column(field, h0.dim(a, b), idx[1])
-                    return h0.compose(a, b, c, g, f)
-
-                comp[(a, b, c)] = lay.map_from_entries(cxs[(a, c)], 0, entry)
-    for a in cat.objects:
-        for b in cat.objects:
-            lay = TensorLayout([base0.underlying, cxs[(a, b)]])
-            rep0 = cat.base.underlying.cohomology()
-
-            def entry(combo, idx, a=a, b=b):
-                rvec = rep0.rep(0).col(idx[0]) if rep0.dim(0) else None
-                f = h0.rep(a, b).col(idx[1])
-                fam = cat.act_element(a, b, 0, rvec)
-                rf = fam[0] @ f if 0 in fam else Mat.zero(field, cat.hom(a, b).dim(0), 1)
-                return h0.class_of(a, b, rf)
-
-            action[(a, b)] = lay.map_from_entries(cxs[(a, b)], 0, entry)
-    out = DgCategory(base0, cat.objects, homs, comp, ids, action=action,
-                     name=f"H0({cat.name})")
+    parts = {key: h0_retract(report) for key, report in h0.reports.items()}
+    comp = {(a, b, c): lifted_map([parts[(b, c)], parts[(a, b)]], parts[(a, c)],
+                                  [pair_action(cat.comp_pair(a, b, c)).block])
+            for a, b, c in itertools.product(cat.objects, repeat=3)}
+    base = h0_retract(cat.base.underlying.cohomology())
+    action = {key: lifted_map([base, part], part, [pair_action(cat.action_pair(*key)).block])
+              for key, part in parts.items()}
+    out = DgCategory(base0, cat.objects, {key: part.complex for key, part in parts.items()}, comp, h0.ids,
+                     action=action, name=f"H0({cat.name})")
     return out, h0
 
 

@@ -10,6 +10,7 @@ associativity and graded commutativity are checked once per degree block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence
 
@@ -151,23 +152,21 @@ class DgRing:
         if du != 0:
             raise ValidationError(f"{name}: unit must sit in degree 0")
         unit = Mat.basis_column(field, dims[0], pu)
-        square = TensorLayout([cx, cx])
 
-        def entry(combo, idx):
+        def block(combo):
+            # one column per pair of basis elements of degrees d1, d2, row-major
             d1, d2 = combo
-            i = by_degree[d1][idx[0]]
-            j = by_degree[d2][idx[1]]
-            out_dim = cx.dim(d1 + d2)
-            col = [field.zero()] * out_dim
-            for k, coeff in mult_table(i, j).items():
-                dk, pk = position[k]
-                if dk != d1 + d2:
-                    raise ValidationError(f"{name}: product {labels[i]}*{labels[j]} has wrong degree")
-                col[pk] = field.add(col[pk], coeff)
-            return Mat.column(field, col)
+            pairs = list(itertools.product(by_degree[d1], by_degree[d2]))
+            grid = [[field.zero()] * len(pairs) for _ in range(cx.dim(d1 + d2))]
+            for col, (i, j) in enumerate(pairs):
+                for k, coeff in mult_table(i, j).items():
+                    dk, pk = position[k]
+                    if dk != d1 + d2:
+                        raise ValidationError(f"{name}: product {labels[i]}*{labels[j]} has wrong degree")
+                    grid[pk][col] = field.add(grid[pk][col], coeff)
+            return Mat(field, len(grid), len(pairs), grid)
 
-        mult = square.map_from_entries(cx, 0, entry)
-        return DgRing(cx, unit, mult, name=name)
+        return DgRing(cx, unit, TensorLayout([cx, cx]).map_from_blocks(cx, 0, block), name=name)
 
     @staticmethod
     def ground_field(field: Field, name: str = "k") -> "DgRing":

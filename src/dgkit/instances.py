@@ -137,29 +137,28 @@ def _discrete_category(rng: random.Random, field: Field, n_objects: int,
                 cx, _ = random_complex(rng, field, lo=lo, hi=0,
                                        pieces=rng.randint(0, extra_pieces), acyclic_bias=0.5)
                 homs[(a, b)] = cx
-    comp = {}
     ids = {a: Mat.basis_column(field, homs[(a, a)].dim(0), 0) for a in objects}
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                lay_factors = [homs[(b, c)], homs[(a, b)]]
-                lay = TensorLayout(lay_factors)
 
-                def entry(combo, idx, a=a, b=b, c=c):
-                    dg, df = combo
-                    i, j = idx
-                    tgt = homs[(a, c)]
-                    if b == c and dg == 0 and i == 0:
-                        col = [field.zero()] * tgt.dim(df)
-                        col[j] = field.one()
-                        return Mat.column(field, col)
-                    if a == b and df == 0 and j == 0:
-                        col = [field.zero()] * tgt.dim(dg)
-                        col[i] = field.one()
-                        return Mat.column(field, col)
-                    return None
+    def block(a, b, c, combo):
+        # the identity, slot 0 of End^0, composes as the unit; all else is 0
+        dg, df = combo
+        left, right = b == c and dg == 0, a == b and df == 0
+        if not (left or right):
+            return None
+        ng, nf = homs[(b, c)].dim(dg), homs[(a, b)].dim(df)
+        grid = [[field.zero()] * (ng * nf) for _ in range(homs[(a, c)].dim(dg + df))]
+        if left:
+            for j in range(nf):
+                grid[j][j] = field.one()
+        if right:
+            for i in range(ng):
+                grid[i][i * nf] = field.one()
+        return Mat(field, len(grid), ng * nf, grid)
 
-                comp[(a, b, c)] = lay.map_from_entries(homs[(a, c)], 0, entry)
+    comp = {}
+    for a, b, c in itertools.product(objects, repeat=3):
+        lay = TensorLayout([homs[(b, c)], homs[(a, b)]])
+        comp[(a, b, c)] = lay.map_from_blocks(homs[(a, c)], 0, lambda combo, key=(a, b, c): block(*key, combo))
     return DgCategory(base, objects, homs, comp, ids, name="discrete")
 
 
@@ -216,49 +215,36 @@ def _path_category(rng: random.Random, field: Field, n_objects: int, max_arrows:
                                                      name=f"hom({a},{b})")
             slots[(a, b)] = slot
 
-    def vec_of(a, b, elem):
-        d, pos = slots[(a, b)][elem]
-        return d, Mat.basis_column(field, homs[(objects[a], objects[b])].dim(d), pos)
+    # per hom, its basis elements of each degree in slot order
+    by_degree = {key: {} for key in slots}
+    for key, slot in slots.items():
+        for e, (d, _) in sorted(slot.items(), key=lambda item: item[1]):
+            by_degree[key].setdefault(d, []).append(e)
 
-    def elem_at(a, b, deg, pos):
-        for e, (d, p) in slots[(a, b)].items():
-            if d == deg and p == pos:
-                return e
-        return None
+    def product(g, f):
+        """g o f: identities are units, two arrows make a path, longer paths vanish."""
+        if g[0] == "id":
+            return f
+        if f[0] == "id":
+            return g
+        return ("path", f[1], g[1]) if g[0] == f[0] == "arr" else None
 
+    def block(a, b, c, combo):
+        pairs = list(itertools.product(by_degree[(b, c)].get(combo[0], []), by_degree[(a, b)].get(combo[1], [])))
+        grid = [[field.zero()] * len(pairs) for _ in range(homs[(objects[a], objects[c])].dim(sum(combo)))]
+        for col, (g, f) in enumerate(pairs):
+            slot = slots[(a, c)].get(product(g, f))
+            if slot is not None:
+                grid[slot[1]][col] = field.one()
+        return Mat(field, len(grid), len(pairs), grid)
+
+    ids = {objects[a]: Mat.basis_column(field, homs[(objects[a], objects[a])].dim(0), slots[(a, a)][("id",)][1])
+           for a in range(n_objects)}
     comp = {}
-    ids = {}
-    for a in range(n_objects):
-        d, v = vec_of(a, a, ("id",))
-        ids[objects[a]] = v
-    for a in range(n_objects):
-        for b in range(n_objects):
-            for c in range(n_objects):
-                lay = TensorLayout([homs[(objects[b], objects[c])], homs[(objects[a], objects[b])]])
-
-                def entry(combo, idx, a=a, b=b, c=c):
-                    dg, df = combo
-                    g = elem_at(b, c, dg, idx[0])
-                    f = elem_at(a, b, df, idx[1])
-                    if g is None or f is None:
-                        return None
-                    tgt = homs[(objects[a], objects[c])]
-                    if g[0] == "id":
-                        d, v = vec_of(a, c, f)
-                        return Mat.column(field, v.column_values(0))
-                    if f[0] == "id":
-                        d, v = vec_of(a, c, g)
-                        return Mat.column(field, v.column_values(0))
-                    if g[0] == "arr" and f[0] == "arr":
-                        e = ("path", f[1], g[1])
-                        if e in slots[(a, c)]:
-                            d, v = vec_of(a, c, e)
-                            return v
-                        return None
-                    return None  # longer paths vanish
-
-                comp[(objects[a], objects[b], objects[c])] = lay.map_from_entries(
-                    homs[(objects[a], objects[c])], 0, entry)
+    for a, b, c in itertools.product(range(n_objects), repeat=3):
+        x, y, z = objects[a], objects[b], objects[c]
+        lay = TensorLayout([homs[(y, z)], homs[(x, y)]])
+        comp[(x, y, z)] = lay.map_from_blocks(homs[(x, z)], 0, lambda combo, key=(a, b, c): block(*key, combo))
     return DgCategory(base, objects, homs, comp, ids, name="path")
 
 
@@ -476,45 +462,16 @@ def weak_cokernel_gap_category(field):
             ("A", "B"): arrow, ("B", "A"): Complex.zero(field)}
     ids = {"A": Mat.basis_column(field, 2, 0), "B": Mat.basis_column(field, 1, 0)}
 
-    def mul_end_a(i, j):
-        # 1.1 = 1, 1.u = u.1 = u, u.u = 0
-        if i == 0 and j == 0:
-            return 0
-        if i == 0 or j == 0:
-            return 1
-        return None
-
+    # the one block (0, 0) of each nonzero composition, columns g (x) f row-major:
+    # 1.1 = 1, 1.u = u.1 = u, u.u = 0; f o 1 = f, f o u = 0; 1_B o f = f; 1_B o 1_B = 1_B
+    table = {("A", "A", "A"): [[1, 0, 0, 0], [0, 1, 1, 0]], ("A", "A", "B"): [[1, 0]],
+             ("A", "B", "B"): [[1]], ("B", "B", "B"): [[1]]}
     comp = {}
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                lay = TensorLayout([homs[(b, c)], homs[(a, b)]])
-
-                def entry(combo, idx, a=a, b=b, c=c):
-                    tgt = homs[(a, c)]
-                    if tgt.total_dim() == 0:
-                        return None
-                    i, j = idx
-                    if a == b == c == "A":
-                        k = mul_end_a(i, j)
-                        if k is None:
-                            return None
-                        return Mat.basis_column(field, 2, k)
-                    if a == b == "A" and c == "B":
-                        # f o (1 or u): f o 1 = f, f o u = 0
-                        if j == 0:
-                            return Mat.basis_column(field, 1, 0) if i == 0 else None
-                        return None
-                    if a == "A" and b == c == "B":
-                        # (1_B) o f = f
-                        if i == 0:
-                            return Mat.basis_column(field, 1, 0)
-                        return None
-                    if a == b == c == "B":
-                        return Mat.basis_column(field, 1, 0)
-                    return None
-
-                comp[(a, b, c)] = lay.map_from_entries(homs[(a, c)], 0, entry)
+    for a, b, c in itertools.product(objs, repeat=3):
+        rows = table.get((a, b, c))
+        lay = TensorLayout([homs[(b, c)], homs[(a, b)]])
+        comp[(a, b, c)] = lay.map_from_blocks(homs[(a, c)], 0, lambda combo, rows=rows: (
+            None if rows is None else Mat(field, len(rows), len(rows[0]), rows)))
     return DgCategory(base, objs, homs, comp, ids, name="gap")
 
 

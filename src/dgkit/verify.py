@@ -40,7 +40,7 @@ from .complexes import (
     Equation,
     TensorLayout,
     Term,
-    cone_retract,
+    cone_complex,
     hom_complex,
     lifted_map,
     naturality_subcomplex,
@@ -420,7 +420,7 @@ def check_truncation_suite(count: int = 50) -> CheckResult:
             failures.append((trial, "support"))
         # triangle tau_le -> cx -> tau_ge(n+1) distinguished via cone comparison
         ge, proj = truncate_ge(cx, n + 1)
-        c = cone_retract(incl).complex
+        c = cone_complex(incl)
         comps = {}
         for deg in c.degrees():
             rows = ge.dim(deg)

@@ -5,8 +5,9 @@ generators a resolution attaches, the truncations tau<=0 and tau>=1, the
 dual bimodule, direct sums and restrictions of bimodules; restrictions along
 ring maps, the coextension actions, tensor and cotensor over S, the kernel
 ideal as an R- and an S-module, truncated bimodules and categories, quotient
-and H^0 products, the instance categories, regrouping, evaluation and
-composition.  All are compared entry for entry over Q and GF(7), on
+and H^0 products, H^0 categories, heart realizations and the relations of
+the H^0 comparison, the table rings and instance categories, regrouping,
+evaluation and composition.  All are compared entry for entry over Q and GF(7), on
 instances where odd elements meet odd actions.  The references evaluate
 every pairing coefficient by coefficient (``reference_pair``); they share
 with the code under test only the complexes the actions live on."""
@@ -30,13 +31,14 @@ from dgkit.bimodules import (
     restrict_bimodule,
     shift_module,
 )
-from dgkit import changeofrings, complexes, derived
+from dgkit import changeofrings, complexes, deform, derived, instances
 from dgkit.changeofrings import (
     _tensor_over_s,
     coextension_object,
     coextension_tensor_check,
     cotensor_over_s,
     extend_scalars_cat,
+    heart_coextension_check,
     hom_bimodule_as_s_module,
     restrict_category,
     restrict_ring_module,
@@ -54,6 +56,7 @@ from dgkit.complexes import (
     direct_sum,
     element_action,
     evaluation_map,
+    h0_retract,
     hom_complex,
     lifted_map,
     pair_elements,
@@ -67,8 +70,16 @@ from dgkit.complexes import (
 )
 from dgkit.derived import resolve_module, restricted_ground_module, ring_as_module, tstruct_truncate
 from dgkit.deform import factorize, hom_as_right_module, ideal_as_R_module, ideal_as_S_module
-from dgkit.dgcat import DgCategory, h0_ring, one_object_category, opposite, tensor_cat, truncate_cat
-from dgkit.dgring import DgIdeal, DgRing, make_dual_numbers, quotient
+from dgkit.dgcat import (
+    DgCategory,
+    h0_as_degree0_category,
+    h0_ring,
+    one_object_category,
+    opposite,
+    tensor_cat,
+    truncate_cat,
+)
+from dgkit.dgring import DgIdeal, DgRing, DgRingMorphism, make_dual_numbers, quotient
 from dgkit.errors import ValidationError
 from dgkit.fields import GF, QQ
 from dgkit.instances import (
@@ -85,6 +96,7 @@ from dgkit.instances import (
     random_square_bimodule,
     trivial_action_module,
     unit_functional,
+    weak_cokernel_gap_category,
 )
 from dgkit.matrix import Mat
 
@@ -690,6 +702,43 @@ def test_a_map_leaving_the_target_subcomplex_raises(field):
         lifted_map([top], sub_retract(zero_sub, zero_incl), [lambda flat: Mat.identity(field, 1)])
 
 
+def cycle_instance(field):
+    """C with basis s in degree -1, (v, u, w) in degree 0 and t in degree 1,
+    ds = v and du = t: the degree-0 cycles are v and w, H^0 is spanned by
+    [w], and v is a coboundary."""
+    return Complex(field, {-1: 1, 0: 3, 1: 1}, {-1: Mat(field, 3, 1, [[1], [0], [0]]),
+                                               0: Mat(field, 1, 3, [[0, 1, 0]])})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_a_map_leaving_the_degree_0_cycles_raises(field):
+    c = cycle_instance(field)
+    h0 = h0_retract(c.cohomology())
+    piece = h0.pieces[0]
+    assert piece.inward[0] == Mat(field, 3, 1, [[0], [0], [1]])
+    assert piece.outward[0] == Mat(field, 1, 3, [[0, 0, 1]])
+
+    def plain(cols):
+        """The degree-0 map of C sending w to the combination ``cols`` of (v, u, w)."""
+        return lambda flat: Mat(field, 3, 3, [[0, 0, cols[0]], [0, 0, cols[1]], [0, 0, cols[2]]])
+
+    # w |-> w + v stays in the cycles; out drops the coboundary v
+    assert lifted_map([h0], h0, [plain([1, 0, 1])]) == ChainMap.identity(h0.complex)
+    # w |-> u leaves the cycles: du = t
+    with pytest.raises(ValidationError, match="leaves it"):
+        lifted_map([h0], h0, [plain([0, 1, 0])])
+    ground = Complex.one_dim(field)
+    with pytest.raises(ValidationError, match="leaves it"):
+        lifted_map([h0, ground], h0, [plain([0, 1, 1])])
+    # where H^0 is zero, an image outside the cycles escapes too
+    bounded = Complex(field, {-1: 1, 0: 2, 1: 1}, {-1: Mat(field, 2, 1, [[1], [0]]), 0: Mat(field, 1, 2, [[0, 1]])})
+    zero = h0_retract(bounded.cohomology())
+    assert zero.complex.total_dim() == 0
+    assert lifted_map([ground], zero, [lambda flat: Mat(field, 2, 1, [[1], [0]])]).is_zero()
+    with pytest.raises(ValidationError, match="leaves it"):
+        lifted_map([ground], zero, [lambda flat: Mat(field, 2, 1, [[0], [1]])])
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
 def test_transfers_into_a_truncation_agree_with_solving(field):
     rng = random.Random(31)
@@ -1227,3 +1276,337 @@ def test_actions_leaving_their_subcomplex_raise(field, monkeypatch):
     broken = Bimodule(scat, scat, g.components, g.lact, ract, check=False)
     with pytest.raises(ValidationError, match="leaves it"):
         cotensor_over_s(ring_as_module(ring, scat), broken)
+
+
+# -- H^0 maps and literal structure tables -----------------------------------------
+#
+# Each reference below is the closure its site passed to map_from_entries before
+# it moved onto blocks: a class is read back with class_of one image at a time,
+# a table is read one pair of basis elements at a time.
+
+
+def coboundary_loop_category(field):
+    """One object with End = <1, s, v>, |s| = -1, |v| = 0, ds = v and all
+    products of s and v zero: H^0 = k.[1], and v is a coboundary."""
+    end = Complex(field, {-1: 1, 0: 2}, {-1: Mat(field, 2, 1, [[0], [1]])})
+    lay = TensorLayout([end, end])
+
+    def entry(combo, idx):
+        if 0 not in (combo[0] + idx[0], combo[1] + idx[1]):
+            return None
+        other = idx[1] if combo[0] + idx[0] == 0 else idx[0]
+        return Mat.basis_column(field, end.dim(sum(combo)), other)
+
+    return DgCategory(DgRing.ground_field(field), ["*"], {("*", "*"): end},
+                      {("*", "*", "*"): lay.map_from_entries(end, 0, entry)}, {"*": Mat.basis_column(field, 2, 0)})
+
+
+def h0_categories(field):
+    """Categories whose homs have differentials into and out of degree 0 and
+    positive degrees, random ones with acyclic junk, and ones over a base
+    whose H^0 acts."""
+    rng = random.Random(53)
+    loop, coboundary = differential_loop_category(field), coboundary_loop_category(field)
+    disc = random_nonpositive_category(rng, field, n_objects=2, flavor="discrete")
+    dual0, _ = make_dual_numbers(2, 0, field)
+    ring, _ = make_dual_numbers(2, -1, field)
+    return [loop, coboundary, tensor_cat(loop, disc), tensor_cat(coboundary, disc), disc,
+            random_nonpositive_category(rng, field, n_objects=2, flavor="path"),
+            free_arrow_category(dual0), exterior_one_object_category(dual0), exterior_one_object_category(ring)]
+
+
+def degree0(n, field):
+    return Complex(field, {0: n}, {})
+
+
+def reference_h0_category(cat):
+    """Composition and base action of H^0(cat) in degree 0: [g][f] = [g o f]
+    and [r][f] = [r . f], one pair of classes at a time."""
+    field = cat.field
+    reports = {key: cx.cohomology() for key, cx in cat.homs.items()}
+    h0 = {key: degree0(rep.dim(0), field) for key, rep in reports.items()}
+    base = cat.base.underlying.cohomology()
+
+    def composite(a, b, c):
+        return lambda dg, g, df, f: reports[(a, c)].class_of(0, reference_pair(
+            cat.comp[(a, b, c)], cat.comp_layouts[(a, b, c)], 0, reports[(b, c)].rep(0) @ g,
+            0, reports[(a, b)].rep(0) @ f))
+
+    def acted(key):
+        return lambda dr, r, df, f: reports[key].class_of(0, reference_pair(
+            cat.action[key], cat.action_layouts[key], 0, base.rep(0) @ r, 0, reports[key].rep(0) @ f))
+
+    comp = {(a, b, c): reference_map([h0[(b, c)], h0[(a, b)]], h0[(a, c)], composite(a, b, c))
+            for a, b, c in itertools.product(cat.objects, repeat=3)}
+    action = {key: reference_map([degree0(base.dim(0), field), h0[key]], h0[key], acted(key)) for key in h0}
+    return comp, action
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_h0_categories_and_truncation_functors_match_the_class_loops(field):
+    wide = 0
+    for cat in h0_categories(field):
+        h0cat, h0 = h0_as_degree0_category(cat)
+        comp, action = reference_h0_category(cat)
+        assert h0cat.comp == comp
+        assert h0cat.action == action
+        # the functor onto H^0: each degree-0 element of the truncation to its class
+        _, incl, toh0 = truncate_cat(cat)
+        assert toh0.target.comp == comp
+        for key, report in h0.reports.items():
+            inc = incl.hom_map(*key).component(0)
+            cols = [report.class_of(0, inc.col(j)).column_values(0) for j in range(inc.cols)]
+            expect = {0: Mat.from_columns(field, report.dim(0), cols)} if report.dim(0) and cols else {}
+            assert toh0.hom_map(*key) == ChainMap(incl.source.hom(*key), h0cat.hom(*key), 0, expect)
+            # representatives that are not the degree-0 basis vectors
+            wide += report.rep(0) != Mat.identity(field, cat.hom(*key).dim(0))
+    assert wide
+
+
+def reference_heart_realization(x, b_r):
+    """The degree-0 realization of H^0 of an (S, b)-bimodule x: [s][v] and
+    [v][f] for s in S^0 and f in b^0, one pair at a time."""
+    field = x.field
+    reports = {b: x.at("*", b).cohomology() for b in b_r.objects}
+    h0 = {b: degree0(rep.dim(0), field) for b, rep in reports.items()}
+    ring_s = x.acat.hom("*", "*")
+
+    def left(b):
+        return lambda ds, s, dv, v: None if ds else reports[b].class_of(0, reference_pair(
+            x.lact[("*", "*", b)], x.lact_layouts[("*", "*", b)], 0, s, 0, reports[b].rep(0) @ v))
+
+    def right(b1, b2):
+        return lambda dv, v, df, f: None if df else reports[b1].class_of(0, reference_pair(
+            x.ract[("*", b1, b2)], x.ract_layouts[("*", b1, b2)], 0, reports[b2].rep(0) @ v, 0, f))
+
+    lact = {("*", "*", b): reference_map([ring_s, h0[b]], h0[b], left(b)) for b in b_r.objects}
+    ract = {("*", b1, b2): reference_map([h0[b2], b_r.hom(b1, b2)], h0[b1], right(b1, b2))
+            for b1, b2 in itertools.product(b_r.objects, repeat=2)}
+    return lact, ract
+
+
+def heart_instances(field):
+    """(S, b)-bimodules with cohomology in degree 0: S = k[u]/u^2, |u| = 0,
+    over itself and over the ground field, the cross representable of a
+    category whose End^0 holds a coboundary, and the complex of
+    ``cycle_instance`` (d into and out of degree 0) with scalar actions."""
+    ring, _ = make_dual_numbers(2, 0, field)
+    scat = one_object_category(ring)
+    ground = one_object_category(DgRing.ground_field(field))
+
+    def scalars(cx, slot):
+        lay = TensorLayout([ground.hom("*", "*"), cx] if slot == 0 else [cx, ground.hom("*", "*")])
+        return {("*", "*", "*"): lay.map_from_blocks(cx, 0, lambda combo: Mat.identity(field, cx.dim(sum(combo))))}
+
+    s_over_k = Bimodule(scat, ground, {("*", "*"): ring.underlying}, {("*", "*", "*"): ring.mult},
+                        scalars(ring.underlying, 1))
+    c = cycle_instance(field)
+    c_over_k = Bimodule(ground, ground, {("*", "*"): c}, scalars(c, 0), scalars(c, 1))
+    coboundary = coboundary_loop_category(field)
+    return [(ring, ground, s_over_k), (ring, scat, Bimodule.diagonal(scat)), (ground.base, ground, c_over_k),
+            (ground.base, coboundary, cross_representable_bimodule(ground, coboundary, "*", "*"))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_heart_realizations_match_the_class_loops(field, monkeypatch):
+    realized = []
+
+    def recording(acat, bcat, comps, lact, ract, name="T", check=True):
+        if name.startswith("H0("):
+            realized.append((lact, ract))
+        return Bimodule(acat, bcat, comps, lact, ract, name=name, check=check)
+
+    monkeypatch.setattr(changeofrings, "Bimodule", recording)
+    for ring, b_r, x in heart_instances(field):
+        realized.clear()
+        verdict = heart_coextension_check(b_r, DgRingMorphism.identity(ring), [x])
+        assert verdict.heart_members == [0]
+        assert verdict.realizations_quasi_iso and verdict.h0_data_s_linear
+        assert realized == [reference_heart_realization(x, b_r)]
+
+
+def reference_h0_relations(i_cat, a, b, step):
+    """[s . theta(r)] (x) [f] - [s] (x) [r . f] over the H^0 bases, r outermost,
+    the zero columns dropped."""
+    ring, s_ring, field = step.source, step.target, step.source.field
+    h0v, h0s, h0r = (cx.cohomology() for cx in (i_cat.hom(a, b), s_ring.underlying, ring.underlying))
+    nv, ns, nr = h0v.dim(0), h0s.dim(0), h0r.dim(0)
+    cols = []
+    for ir in range(nr):
+        rvec = h0r.rep(0).col(ir)
+        for i_s in range(ns):
+            s_r = h0s.class_of(0, ring_product(s_ring, 0, h0s.rep(0).col(i_s), 0, step.apply(0, rvec)))
+            for iv in range(nv):
+                rf = h0v.class_of(0, reference_pair(i_cat.action[(a, b)], i_cat.action_layouts[(a, b)],
+                                                    0, rvec, 0, h0v.rep(0).col(iv)))
+                col = [field.zero()] * (ns * nv)
+                for k, u in enumerate(s_r.column_values(0)):
+                    col[k * nv + iv] = field.add(col[k * nv + iv], u)
+                for k, u in enumerate(rf.column_values(0)):
+                    col[i_s * nv + k] = field.sub(col[i_s * nv + k], u)
+                if any(not field.is_zero(u) for u in col):
+                    cols.append(col)
+    return Mat.from_columns(field, ns * nv, cols) if cols else Mat.zero(field, ns * nv, 0)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_h0_comparison_relations_match_the_basis_loop(field):
+    nontrivial = 0
+    for n, deg in ((3, 0), (3, -2), (2, 0)):
+        for step in factorize(make_dual_numbers(n, deg, field)[1]).steps:
+            for i_cat in (free_arrow_category(step.source), exterior_one_object_category(step.source)):
+                for a, b in itertools.product(i_cat.objects, repeat=2):
+                    hs, hv = (h0_retract(cx.cohomology()) for cx in (step.target.underlying, i_cat.hom(a, b)))
+                    rel = deform._h0_relations(step, i_cat.action_pair(a, b), hs, hv)
+                    ns, nv = hs.complex.dim(0), hv.complex.dim(0)
+                    nr = rel.cols // (ns * nv) if ns * nv else 0
+                    # columns (s, r, f) read in the loop's order (r, s, f), zero columns dropped
+                    order = [(i_s * nr + ir) * nv + iv for ir in range(nr) for i_s in range(ns) for iv in range(nv)]
+                    kept = [j for j in order if not rel.col(j).is_zero()]
+                    assert rel.take_columns(kept) == reference_h0_relations(i_cat, a, b, step)
+                    nontrivial += len(kept)
+    assert nontrivial
+
+
+def reference_table_product(field, degrees, mult_table, cx):
+    """The product of ``DgRing.from_table``: basis elements i, j to
+    mult_table(i, j), one pair at a time."""
+    by_degree = {}
+    for idx, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(idx)
+    position = {idx: p for ix in by_degree.values() for p, idx in enumerate(ix)}
+
+    def entry(combo, idx):
+        col = [field.zero()] * cx.dim(sum(combo))
+        for k, coeff in mult_table(by_degree[combo[0]][idx[0]], by_degree[combo[1]][idx[1]]).items():
+            col[position[k]] = field.add(col[position[k]], coeff)
+        return Mat.column(field, col)
+
+    return TensorLayout([cx, cx]).map_from_entries(cx, 0, entry)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_table_rings_match_the_pair_loop(field, monkeypatch):
+    build = DgRing.from_table
+    built = []
+
+    def recording(fld, degrees, labels, unit_index, mult_table, differential=None, name="R"):
+        ring = build(fld, degrees, labels, unit_index, mult_table, differential=differential, name=name)
+        built.append((ring, degrees, mult_table))
+        return ring
+
+    monkeypatch.setattr(DgRing, "from_table", staticmethod(recording))
+    for n, deg in ((2, -1), (3, 0), (4, -2)):
+        exterior_extension_ring(make_dual_numbers(n, deg, field)[0])
+    exterior_extension_ring(exterior_extension_ring(DgRing.ground_field(field)), gen_degree=-3)
+    koszul_ring(field)
+    assert len(built) >= 9
+    for ring, degrees, mult_table in built:
+        assert ring.mult == reference_table_product(field, degrees, mult_table, ring.underlying)
+
+
+def reference_discrete_composition(cat):
+    """Identity slot 0 of End^0 composes as the unit; every other pair to 0."""
+    field, homs = cat.field, cat.homs
+    comp = {}
+    for a, b, c in itertools.product(cat.objects, repeat=3):
+        def entry(combo, idx, a=a, b=b, c=c):
+            (dg, df), (i, j) = combo, idx
+            tgt = homs[(a, c)]
+            if b == c and dg == 0 and i == 0:
+                return Mat.basis_column(field, tgt.dim(df), j)
+            if a == b and df == 0 and j == 0:
+                return Mat.basis_column(field, tgt.dim(dg), i)
+            return None
+
+        comp[(a, b, c)] = TensorLayout([homs[(b, c)], homs[(a, b)]]).map_from_entries(homs[(a, c)], 0, entry)
+    return comp
+
+
+def reference_path_composition(rng, field, n_objects, max_arrows, homs):
+    """The composition of a path category, its arrows redrawn from ``rng`` in
+    the generator's order: identities are units, two arrows make a path,
+    longer paths vanish."""
+    arrows = []
+    for _ in range(rng.randint(1, max_arrows)):
+        if n_objects < 2:
+            break
+        i = rng.randint(0, n_objects - 2)
+        j = rng.randint(i + 1, n_objects - 1)
+        arrows.append((i, j, -rng.randint(0, 2)))
+    basis = {(a, a): [("id",)] for a in range(n_objects)}
+    for idx, (i, j, _) in enumerate(arrows):
+        basis.setdefault((i, j), []).append(("arr", idx))
+    for i1, a1 in enumerate(arrows):
+        for i2, a2 in enumerate(arrows):
+            if a1[1] == a2[0]:
+                basis.setdefault((a1[0], a2[1]), []).append(("path", i1, i2))
+
+    def degree(e):
+        if e[0] == "id":
+            return 0
+        if e[0] == "arr":
+            return arrows[e[1]][2]
+        return arrows[e[1]][2] + arrows[e[2]][2]
+
+    slots = {}
+    for key in itertools.product(range(n_objects), repeat=2):
+        counts = {}
+        slots[key] = {}
+        for e in sorted(basis.get(key, []), key=lambda e: (degree(e), str(e))):
+            slots[key][e] = (degree(e), counts.get(degree(e), 0))
+            counts[degree(e)] = counts.get(degree(e), 0) + 1
+
+    def elem_at(a, b, deg, pos):
+        return next((e for e, slot in slots[(a, b)].items() if slot == (deg, pos)), None)
+
+    objects = [f"X{i}" for i in range(n_objects)]
+    comp = {}
+    for a, b, c in itertools.product(range(n_objects), repeat=3):
+        def entry(combo, idx, a=a, b=b, c=c):
+            g, f = elem_at(b, c, combo[0], idx[0]), elem_at(a, b, combo[1], idx[1])
+            e = f if g[0] == "id" else g if f[0] == "id" else ("path", f[1], g[1]) if g[0] == f[0] == "arr" else None
+            if e not in slots[(a, c)]:
+                return None
+            d, pos = slots[(a, c)][e]
+            return Mat.basis_column(field, homs[(objects[a], objects[c])].dim(d), pos)
+
+        x, y, z = objects[a], objects[b], objects[c]
+        comp[(x, y, z)] = TensorLayout([homs[(y, z)], homs[(x, y)]]).map_from_entries(homs[(x, z)], 0, entry)
+    return comp
+
+
+def reference_gap_composition(cat):
+    """End(A) = <1, u> with u^2 = 0, f o u = 0, 1_B o f = f."""
+    field, homs = cat.field, cat.homs
+    comp = {}
+    for a, b, c in itertools.product(cat.objects, repeat=3):
+        def entry(combo, idx, a=a, b=b, c=c):
+            i, j = idx
+            if a == b == c == "A":
+                return None if i and j else Mat.basis_column(field, 2, i + j)
+            if (a, b, c) == ("A", "A", "B"):
+                return Mat.basis_column(field, 1, 0) if i == j == 0 else None
+            if (a, b, c) == ("A", "B", "B"):
+                return Mat.basis_column(field, 1, 0) if i == 0 else None
+            return Mat.basis_column(field, 1, 0) if a == b == c == "B" else None
+
+        comp[(a, b, c)] = TensorLayout([homs[(b, c)], homs[(a, b)]]).map_from_entries(homs[(a, c)], 0, entry)
+    return comp
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_table_categories_match_the_pair_loops(field):
+    rng = random.Random(59)
+    for n_objects in (1, 2, 3, 2, 3):
+        cat = instances._discrete_category(rng, field, n_objects, lo=-3, extra_pieces=2)
+        assert cat.comp == reference_discrete_composition(cat)
+        state = rng.getstate()
+        cat = instances._path_category(rng, field, n_objects, max_arrows=3)
+        replay = random.Random()
+        replay.setstate(state)
+        assert cat.comp == reference_path_composition(replay, field, n_objects, 3, cat.homs)
+        # the generators draw nothing while building their tables
+        assert rng.getstate() == replay.getstate()
+    gap = weak_cokernel_gap_category(field)
+    assert gap.comp == reference_gap_composition(gap)

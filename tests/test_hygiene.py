@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used in it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import dgkit
@@ -50,24 +51,13 @@ def test_package_modules_import_only_what_they_use():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-# The functions that still build a map one basis tensor at a time through
-# TensorLayout.map_from_entries.  Every map derived from maps that already
-# exist is built from blocks (``lifted_map``, ``map_from_blocks``); these stay
-# because nothing else reaches their entries:
-# - DgRing.from_table, _discrete_category, _path_category and
-#   weak_cokernel_gap_category read literal tables;
-# - h0_as_degree0_category and heart_coextension_check read H^0 of complexes
-#   that need not be nonpositive, in the CohomologyReport representative
-#   basis, which no retract of the complex reaches without changing that basis.
-# The list may shrink; it must not grow.
-MAP_FROM_ENTRIES_CALLERS = {
-    ("changeofrings", "heart_coextension_check"),
-    ("dgcat", "h0_as_degree0_category"),
-    ("dgring", "DgRing.from_table"),
-    ("instances", "_discrete_category"),
-    ("instances", "_path_category"),
-    ("instances", "weak_cokernel_gap_category"),
-}
+# No function of the package builds a map one basis tensor at a time: every
+# map, H^0 maps and the literal structure tables included, is built from
+# blocks (``lifted_map``, ``map_from_blocks``).  TensorLayout.map_from_entries
+# stays in complexes.py for two reasons: it is the elementwise reference the
+# tests compare the block builders against, and the benchmark's tracer
+# (perfbench/tracing.py) wraps it by name.
+MAP_FROM_ENTRIES_CALLERS = set()
 
 
 def callers_of(source: str, attribute: str):
@@ -102,8 +92,7 @@ def test_callers_are_found():
 def test_map_from_entries_callers_only_shrink():
     found = {(path.stem, owner) for path in sorted(PACKAGE.glob("*.py"))
              for owner in callers_of(path.read_text(), "map_from_entries")}
-    assert found - MAP_FROM_ENTRIES_CALLERS == set(), "new per-basis map builders; build from blocks instead"
-    assert MAP_FROM_ENTRIES_CALLERS - found == set(), "stale allowlist entries; delete them"
+    assert found == MAP_FROM_ENTRIES_CALLERS, "per-basis map builders in the package; build from blocks instead"
 
 
 def unbounded_caches(source: str):
@@ -209,6 +198,26 @@ def test_every_definition_is_referenced():
                     if name not in used and not interpreter_or_cli(name)}
     assert unreferenced - UNREFERENCED.keys() == set(), "definitions nothing calls; delete them"
     assert UNREFERENCED.keys() - unreferenced == set(), "stale allowlist entries; delete them"
+
+
+def tracer_targets():
+    """The FUNCTIONS and METHODS lists of the benchmark's tracer, read from its
+    source without importing it."""
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "tracing.py").read_text())
+    return {target.id: ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS")}
+
+
+def test_tracer_targets_resolve():
+    # the tracer wraps each target by name; a rename breaks ``perfbench/run.py --trace 1``
+    targets = tracer_targets()
+    modules = {name: importlib.import_module(f"dgkit.{name}")
+               for name in {entry[0] for entries in targets.values() for entry in entries}}
+    missing = [(mod, attr) for mod, attr, _ in targets["FUNCTIONS"] if not hasattr(modules[mod], attr)]
+    missing += [(mod, cls, attr) for mod, cls, attr, _ in targets["METHODS"]
+                if not hasattr(getattr(modules[mod], cls, None), attr)]
+    assert targets["FUNCTIONS"] and targets["METHODS"]
+    assert missing == []
 
 
 # Fields compare and hash by identity, which is sound only while QQ and the
