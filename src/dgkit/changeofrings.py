@@ -234,20 +234,18 @@ def extension_adjunction_check(a_cat: DgCategory, b_s: DgCategory,
                       {(a, b): probe.at(a, b) for a in a_cat.objects for b in b_s.objects},
                       lact_probe, {key: probe.ract[key] for key in probe.ract},
                       name=f"l({probe.name})")
-    lower = bimodule_hom_complex(f, probe)
-    upper = bimodule_hom_complex(lf, lprobe)
-    equal = True
-    degrees = set(lower.complex.degrees()) | set(upper.complex.degrees())
-    for deg in degrees:
-        li = lower.inclusion.component(deg)
-        ui = upper.inclusion.component(deg)
-        if li.cols != ui.cols:
-            equal = False
-            break
-        if li.cols and (li.hstack(ui).rank() != li.cols):
-            equal = False
-            break
+    equal = _same_span(bimodule_hom_complex(f, probe).inclusion, bimodule_hom_complex(lf, lprobe).inclusion)
     return ExtensionAdjunctionVerdict(ext, lf, strict, equal)
+
+
+def _same_span(lower: ChainMap, upper: ChainMap) -> bool:
+    """Whether two subcomplexes of one ambient, given by their inclusions,
+    have the same column space in every degree."""
+    for deg in set(lower.source.degrees()) | set(upper.source.degrees()):
+        li, ui = lower.component(deg), upper.component(deg)
+        if li.cols != ui.cols or (li.cols and li.hstack(ui).rank() != li.cols):
+            return False
+    return True
 
 
 # -- transitivity ------------------------------------------------------------------
@@ -377,14 +375,8 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
             Term((a, b), left=(ds, probe_objects[a].lact_family(sobj, sobj, b, ds, svec)),
                  sign=-1, twist=ds)))
         for a in a_s.objects for ds, svec in s_basis for b in b_r.objects]
-    *_, upper, upper_incl = naturality_subcomplex(lower.layouts, s_equations + lower.equations,
-                                                  name="FunS")
-    equal = True
-    for deg in set(lower.complex.degrees()) | set(upper.degrees()):
-        li = lower.inclusion.component(deg)
-        ui = upper_incl.component(deg)
-        if li.cols != ui.cols or (li.cols and li.hstack(ui).rank() != li.cols):
-            equal = False
+    *_, upper_incl = naturality_subcomplex(lower.layouts, s_equations + lower.equations, name="FunS")
+    equal = _same_span(lower.inclusion, upper_incl)
     # S-linearity of the morphism action: (s . eta_a) agrees both ways on basis
     s_linear = True
     for a1 in a_s.objects:

@@ -685,15 +685,6 @@ def truncation_quotient(cx: Complex, n: int):
 # -- tensor layout --------------------------------------------------------------
 
 
-def _koszul_sign_for_maps(map_degrees: Sequence[int], element_degrees: Sequence[int]) -> int:
-    """Sign of (f_1 tensor ... tensor f_k) applied to (x_1 tensor ... tensor x_k)."""
-    sign = 0
-    for j, fdeg in enumerate(map_degrees):
-        if fdeg % 2:
-            sign += sum(element_degrees[:j]) % 2
-    return -1 if sign % 2 else 1
-
-
 def permutation_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
     """Koszul sign for reordering graded elements: perm[i] is the source slot
     placed at position i of the result."""
@@ -887,35 +878,6 @@ class TensorLayout:
             return Mat._wrap(field, len(zero), len(cols), tuple(zip(*cols)))
 
         return self.map_from_blocks(target, degree, block, check=check)
-
-    def tensor_map(self, target_layout: "TensorLayout", maps: Sequence[ChainMap]) -> ChainMap:
-        """f_1 tensor ... tensor f_k with the Koszul sign convention: on a block,
-        the signed kron of the components."""
-        if len(maps) != len(self.factors):
-            raise ShapeError("tensor_map factor count mismatch")
-        mdegs = [f.degree for f in maps]
-
-        def block(combo):
-            comps = [f.components.get(d) for f, d in zip(maps, combo)]
-            if any(c is None for c in comps):
-                return None
-            out = target_layout.place(tuple(d + m for d, m in zip(combo, mdegs)), reduce(kron, comps))
-            return -out if _koszul_sign_for_maps(mdegs, combo) < 0 else out
-
-        return self.map_from_blocks(target_layout.complex, sum(mdegs), block)
-
-    def permute(self, perm: Sequence[int]) -> Tuple["TensorLayout", ChainMap]:
-        """Reorder tensor factors with the Koszul sign; perm[i] = source slot at position i."""
-        target = TensorLayout([self.factors[p] for p in perm])
-
-        def block(combo):
-            tcombo = tuple(combo[p] for p in perm)
-            dims = [c.dim(d) for c, d in zip(self.factors, combo)]
-            eye = Mat.identity(self.field, target.block_offset(tcombo)[1])
-            out = target.place(tcombo, reorder_factors(eye, dims, perm))
-            return -out if permutation_sign(combo, perm) < 0 else out
-
-        return target, self.map_from_blocks(target.complex, 0, block)
 
 
 def pair_elements(pairing: ChainMap, lay: TensorLayout, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
@@ -1317,29 +1279,6 @@ def lifted_map(parts: Sequence[Part], target: Part, plains: Sequence[Callable]) 
 def tensor_field(a: Complex, b: Complex) -> Complex:
     """Tensor product over the ground field."""
     return TensorLayout([a, b]).complex
-
-
-def regroup(flat: TensorLayout, grouping: Sequence[Sequence[int]]):
-    """Signless reindexing from a flat n-ary tensor onto nested groups.
-
-    ``grouping`` partitions range(n) into consecutive runs, e.g. [[0,1],[2]].
-    Returns (grouped_layout, iso ChainMap flat -> grouped).
-    """
-    expect = [i for grp in grouping for i in grp]
-    if expect != list(range(len(flat.factors))):
-        raise ShapeError("grouping must list factor slots in order")
-    inner = [TensorLayout([flat.factors[i] for i in grp]) for grp in grouping]
-    outer = TensorLayout([lay.complex for lay in inner])
-
-    def block(combo):
-        # the kron of each group's block injection into its inner degree
-        groups = []
-        for lay, grp in zip(inner, grouping):
-            part, combo = combo[:len(grp)], combo[len(grp):]
-            groups.append((sum(part), lay.place(part, Mat.identity(flat.field, lay.block_offset(part)[1]))))
-        return outer.place(tuple(d for d, _ in groups), reduce(kron, [m for _, m in groups]))
-
-    return outer, flat.map_from_blocks(outer.complex, 0, block)
 
 
 # -- hom layout -------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .complexes import (
     pair_action,
     quotient_retract,
     sub_retract,
+    swap_leading_factors,
     swapped,
 )
 from .dgcat import DgCategory, H0Category, h0_category, h0_ring, one_object_category
@@ -276,51 +277,19 @@ class H0StructureVerdict:
         return self.additive and self.karoubian
 
 
-def _h0_end_algebra(h0: H0Category, a):
-    """Structure constants of the finite-dimensional algebra H^0(End(a))."""
-    n = h0.dim(a, a)
-    field = h0.field
-    mult = {}
-    for i in range(n):
-        for j in range(n):
-            mult[(i, j)] = h0.compose(a, a, a, Mat.basis_column(field, n, i),
-                                      Mat.basis_column(field, n, j))
-    return n, mult, h0.ids[a]
-
-
-def _is_commutative(n, mult, field):
-    for i in range(n):
-        for j in range(n):
-            if mult[(i, j)] != mult[(j, i)]:
-                return False
-    return True
-
-
-def _algebra_mul(n, mult, field, x, y):
-    """x * y for column vectors x, y in the algebra with structure constants mult."""
-    out = Mat.zero(field, n, 1)
-    for i, xv in enumerate(x.column_values(0)):
-        if field.is_zero(xv):
-            continue
-        for j, yv in enumerate(y.column_values(0)):
-            if field.is_zero(yv):
-                continue
-            out = out + mult[(i, j)].scale(field.mul(xv, yv))
-    return out
-
-
-def _algebra_power(n, mult, unit, field, x, k: int):
-    """x^k by repeated squaring."""
+def _algebra_power(mult: Mat, unit: Mat, x: Mat, k: int) -> Mat:
+    """x^k by repeated squaring, in the algebra whose product is the matrix
+    ``mult``, x * y = mult @ kron(x, y)."""
     result = unit
     while k:
         if k & 1:
-            result = _algebra_mul(n, mult, field, result, x)
-        x = _algebra_mul(n, mult, field, x, x)
+            result = kron_product(mult, result, x)
+        x = kron_product(mult, x, x)
         k >>= 1
     return result
 
 
-def _nontrivial_idempotents_fp(n, mult, unit, field):
+def _nontrivial_idempotents_fp(mult: Mat, unit: Mat):
     """Idempotents of a commutative algebra A over F_p, decided exactly.
 
     The Berlekamp subalgebra {x : x^p = x}, the kernel of the F_p-linear map
@@ -330,26 +299,26 @@ def _nontrivial_idempotents_fp(n, mult, unit, field):
     the factors; for a value c, the Lagrange indicator polynomial of c on F_p,
     1 - (t - c)^(p-1), sends x to the idempotent that is 1 exactly on the
     factors where x is c.  Returns a one-element witness list or []."""
+    field, n = unit.field, unit.rows
     p = field.char
     frob = Mat.from_columns(field, n, [
-        (_algebra_power(n, mult, unit, field, e, p) - e).column_values(0)
+        (_algebra_power(mult, unit, e, p) - e).column_values(0)
         for e in (Mat.basis_column(field, n, i) for i in range(n))])
     fixed = frob.kernel_basis()
     if fixed.cols <= 1:
         return []
     x = next(fixed.col(j) for j in range(fixed.cols) if fixed.col(j).hstack(unit).rank() == 2)
     for c in range(p):
-        e = unit - _algebra_power(n, mult, unit, field, x - unit.scale(c), p - 1)
-        if not e.is_zero() and e != unit and _algebra_mul(n, mult, field, e, e) == e:
+        e = unit - _algebra_power(mult, unit, x - unit.scale(c), p - 1)
+        if not e.is_zero() and e != unit and kron_product(mult, e, e) == e:
             return [e]
     raise AssertionError("a non-scalar Frobenius-fixed element takes no value in F_p")
 
 
-def _nontrivial_idempotents_commutative(n, mult, unit, field):
+def _nontrivial_idempotents_commutative(mult: Mat, unit: Mat):
     """Idempotents of a commutative algebra over Q via minimal-polynomial
     factorization (sympy does the factoring); returns a possibly empty list."""
-    if n == 1:
-        return []
+    field, n = unit.field, unit.rows
     import sympy
 
     found = []
@@ -357,7 +326,7 @@ def _nontrivial_idempotents_commutative(n, mult, unit, field):
         x = Mat.basis_column(field, n, gen)
         powers = [unit, x]
         while True:
-            nxt = _algebra_mul(n, mult, field, powers[-1], x)
+            nxt = kron_product(mult, powers[-1], x)
             powers.append(nxt)
             stack = Mat.from_columns(field, n, [p.column_values(0) for p in powers])
             if stack.rank() < stack.cols:
@@ -387,20 +356,19 @@ def _nontrivial_idempotents_commutative(n, mult, unit, field):
             k = mono[0]
             term = unit
             for _ in range(k):
-                term = _algebra_mul(n, mult, field, term, x)
+                term = kron_product(mult, term, x)
             acc = acc + term.scale(field.parse(str(Fraction(str(coeff)))))
-        if _algebra_mul(n, mult, field, acc, acc) == acc and not acc.is_zero() and acc != unit:
+        if kron_product(mult, acc, acc) == acc and not acc.is_zero() and acc != unit:
             found.append(acc)
     return found
 
 
-def h0_structure_verdict(cat: DgCategory,
+def h0_structure_verdict(h0: H0Category,
                          demanded_biproducts: Sequence = ()) -> H0StructureVerdict:
     """Additivity against the demanded biproducts (desk instances carry
     designated ones; with no demands the verdict is vacuous and recorded),
     and Karoubianness via explicit idempotent discovery."""
-    h0 = h0_category(cat)
-    field = cat.field
+    field = h0.field
     additive = True
     note = "no biproduct demands arose; closure vacuous" if not demanded_biproducts \
         else "designated biproducts verified"
@@ -416,19 +384,19 @@ def h0_structure_verdict(cat: DgCategory,
     karoubian = True
     knote = "all endomorphism H^0 algebras have no nontrivial idempotents"
     witnesses = []
-    for a in cat.objects:
-        n, mult, unit = _h0_end_algebra(h0, a)
+    for a in h0.objects:
+        n, mult, unit = h0.dim(a, a), h0.product(a, a, a), h0.ids[a]
         if n <= 1:
             continue
-        if not _is_commutative(n, mult, field):
+        if mult != swap_leading_factors(mult, n, n):
             karoubian = False
             knote = (f"H^0(End({a})) is noncommutative; idempotent discovery is "
                      "implemented for commutative desk instances only")
             continue
         if field.char:
-            idems = _nontrivial_idempotents_fp(n, mult, unit, field)
+            idems = _nontrivial_idempotents_fp(mult, unit)
         else:
-            idems = _nontrivial_idempotents_commutative(n, mult, unit, field)
+            idems = _nontrivial_idempotents_commutative(mult, unit)
         for e in idems:
             witnesses.append((a, e))
             # an unsplit nontrivial idempotent breaks Karoubianness at desk scale
@@ -471,24 +439,15 @@ class HlcVerdict:
 def _weak_cokernel_exists(h0: H0Category, a, b, fclass: Mat) -> bool:
     """Search objects C and candidates g in K(C) = {h: b -> C with h o f = 0}
     for exactness of H^0(C,-) -> H^0(b,-) -> H^0(a,-)."""
-    cat = h0.cat
     field = h0.field
 
-    def kernel_at(x):
-        n = h0.dim(b, x)
-        if n == 0:
-            return Mat.zero(field, 0, 0)
-        cols = []
-        for i in range(n):
-            h = Mat.basis_column(field, n, i)
-            hf = h0.compose(a, b, x, h, fclass)
-            cols.append(hf.column_values(0))
-        m = Mat.from_columns(field, h0.dim(a, x), cols) if h0.dim(a, x) else \
-            Mat.zero(field, 0, n)
-        return m.kernel_basis()
+    def precomposed(s, t, x, f):
+        """The matrix of h |-> h o f on H^0(t, x), for f in H^0(s, t)."""
+        return kron_product(h0.product(s, t, x), Mat.identity(field, h0.dim(t, x)), f)
 
-    for c in cat.objects:
-        kc = kernel_at(c)
+    kernels = {x: precomposed(a, b, x, fclass).kernel_basis() for x in h0.objects}
+    for c in h0.objects:
+        kc = kernels[c]
         candidates = [Mat.zero(field, h0.dim(b, c), 1)]  # the zero morphism
         candidates += [kc.col(i) for i in range(kc.cols)]
         if kc.cols > 1:
@@ -497,21 +456,7 @@ def _weak_cokernel_exists(h0: H0Category, a, b, fclass: Mat) -> bool:
                 total = total + kc.col(i)
             candidates.append(total)
         for g in candidates:
-            ok = True
-            for x in cat.objects:
-                kx = kernel_at(x)
-                n = h0.dim(c, x)
-                img_cols = []
-                for i in range(n):
-                    h = Mat.basis_column(field, n, i)
-                    hg = h0.compose(b, c, x, h, g)
-                    img_cols.append(hg.column_values(0))
-                img = Mat.from_columns(field, h0.dim(b, x), img_cols) if h0.dim(b, x) else \
-                    Mat.zero(field, 0, n)
-                if img.rank() != kx.cols:
-                    ok = False
-                    break
-            if ok:
+            if all(precomposed(b, c, x, g).rank() == kernels[x].cols for x in h0.objects):
                 return True
     return False
 
@@ -523,7 +468,7 @@ def check_hlc(cat: DgCategory, window: Optional[DegreeWindow] = None,
     window = window or DegreeWindow(-4, 0)
     nonpositive = cat.has_nonpositive_cohomology()
     h0 = h0_category(cat)
-    structure = h0_structure_verdict(cat, demanded_biproducts)
+    structure = h0_structure_verdict(h0, demanded_biproducts)
     weak_ok = True
     failing = None
     for a in cat.objects:

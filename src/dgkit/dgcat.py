@@ -26,9 +26,10 @@ from .complexes import (
     pair_action,
     pair_elements,
     permutation_sign,
-    regroup,
+    reorder_factors,
     sub_retract,
     swap_leading_factors,
+    swapped,
     truncate_le,
     unit_defect,
 )
@@ -244,7 +245,9 @@ class DgFunctor:
 
 
 class H0Category:
-    """Homotopy category in degree 0: hom sets are H^0 classes."""
+    """Homotopy category in degree 0: hom sets are H^0 classes.  Each hom is
+    an ``h0_retract`` part and each composition one ``lifted_map`` over them,
+    [g][f] = [g o f] read through the representatives."""
 
     def __init__(self, cat: DgCategory):
         self.cat = cat
@@ -252,19 +255,18 @@ class H0Category:
         self.field = cat.field
         self.reports = {(a, b): cat.hom(a, b).cohomology()
                         for a in cat.objects for b in cat.objects}
+        self.parts = {key: h0_retract(report) for key, report in self.reports.items()}
         self.ids = {a: self.class_of(a, a, cat.id_vector(a)) for a in cat.objects}
-        # well-definedness: representative o coboundary stays a coboundary
-        for a in cat.objects:
-            for b in cat.objects:
-                img = self.reports[(a, b)].image(0)
-                for c in cat.objects:
-                    reps = self.reports[(b, c)].rep(0)
-                    for i in range(reps.cols):
-                        for j in range(img.cols):
-                            comp = cat.compose_elements(a, b, c, 0, reps.col(i), 0, img.col(j))
-                            if not self.class_of(a, c, comp).is_zero():
-                                raise ValidationError(
-                                    f"H0({cat.name}): composition not well defined on classes")
+        self.comp = {}
+        for a, b, c in itertools.product(cat.objects, repeat=3):
+            lay, mu = cat.comp_pair(a, b, c)
+            # well-definedness: representative o coboundary has class zero
+            out = self.parts[(a, c)].pieces[0].outward.get(0)
+            reps, img = self.rep(b, c), self.reports[(a, b)].image(0)
+            if out is not None and not (out @ kron_product(lay.block(mu, (0, 0)), reps, img)).is_zero():
+                raise ValidationError(f"H0({cat.name}): composition not well defined on classes")
+            self.comp[(a, b, c)] = lifted_map([self.parts[(b, c)], self.parts[(a, b)]], self.parts[(a, c)],
+                                              [pair_action((lay, mu)).block])
 
     def dim(self, a, b) -> int:
         return self.reports[(a, b)].dim(0)
@@ -275,10 +277,12 @@ class H0Category:
     def class_of(self, a, b, cocycle: Mat) -> Mat:
         return self.reports[(a, b)].class_of(0, cocycle)
 
+    def product(self, a, b, c) -> Mat:
+        """The composition H^0(b,c) (x) H^0(a,b) -> H^0(a,c) as one matrix."""
+        return self.comp[(a, b, c)].component(0)
+
     def compose(self, a, b, c, gclass: Mat, fclass: Mat) -> Mat:
-        g = self.rep(b, c) @ gclass
-        f = self.rep(a, b) @ fclass
-        return self.class_of(a, c, self.cat.compose_elements(a, b, c, 0, g, 0, f))
+        return kron_product(self.product(a, b, c), gclass, fclass)
 
     def hom_dims(self) -> Dict:
         return {(a, b): self.dim(a, b) for a in self.objects for b in self.objects}
@@ -313,15 +317,11 @@ def h0_as_degree0_category(cat: DgCategory) -> Tuple[DgCategory, "H0Category"]:
     H^0(base): composition and action read through the representatives."""
     h0 = H0Category(cat)
     base0, _ = h0_ring(cat.base)
-    parts = {key: h0_retract(report) for key, report in h0.reports.items()}
-    comp = {(a, b, c): lifted_map([parts[(b, c)], parts[(a, b)]], parts[(a, c)],
-                                  [pair_action(cat.comp_pair(a, b, c)).block])
-            for a, b, c in itertools.product(cat.objects, repeat=3)}
     base = h0_retract(cat.base.underlying.cohomology())
     action = {key: lifted_map([base, part], part, [pair_action(cat.action_pair(*key)).block])
-              for key, part in parts.items()}
-    out = DgCategory(base0, cat.objects, {key: part.complex for key, part in parts.items()}, comp, h0.ids,
-                     action=action, name=f"H0({cat.name})")
+              for key, part in h0.parts.items()}
+    out = DgCategory(base0, cat.objects, {key: part.complex for key, part in h0.parts.items()}, h0.comp,
+                     h0.ids, action=action, name=f"H0({cat.name})")
     return out, h0
 
 
@@ -357,81 +357,54 @@ def truncate_cat(cat: DgCategory):
 
 
 def opposite(cat: DgCategory) -> DgCategory:
-    """Opposite category; composition picks up the Koszul swap sign."""
+    """Opposite category; composition picks up the Koszul swap sign:
+    hom_op(b,c) (x) hom_op(a,b) = hom(c,b) (x) hom(b,a) -> hom(c,a),
+    g (x) f |-> (-1)^{|g||f|} f o g."""
     homs = {(a, b): cat.hom(b, a) for a in cat.objects for b in cat.objects}
-    comp = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            for c in cat.objects:
-                # hom_op(b,c) @ hom_op(a,b) = hom(c,b) @ hom(b,a) -> hom(c,a)
-                lay = TensorLayout([cat.hom(c, b), cat.hom(b, a)])
-                swapped, sw = lay.permute([1, 0])
-                comp[(a, b, c)] = cat.comp[(c, b, a)].compose(sw)
+    comp = {(a, b, c): TensorLayout([cat.hom(c, b), cat.hom(b, a)]).map_from_blocks(
+        cat.hom(c, a), 0, swapped(pair_action(cat.comp_pair(c, b, a))).block)
+        for a, b, c in itertools.product(cat.objects, repeat=3)}
     action = {(a, b): cat.action[(b, a)] for a in cat.objects for b in cat.objects}
     return DgCategory(cat.base, cat.objects, homs, comp, cat.ids, action=action,
                       name=f"op({cat.name})")
 
 
 def tensor_cat(x: DgCategory, y: DgCategory) -> DgCategory:
-    """Tensor product over the common ground-field base."""
+    """Tensor product over the common ground-field base.  Composition on the
+    flat tuple g_x (x) g_y (x) f_x (x) f_y is
+    (-1)^{|g_y||f_x|} (g_x o f_x) (x) (g_y o f_y)."""
     if x.base != y.base and not (x.base.is_ground_field() and y.base.is_ground_field()
                                  and x.field == y.field):
         raise ValidationError("tensor product needs a common base ring")
     if not x.base.is_ground_field():
         raise ValidationError("tensor products of categories are supported over the ground field")
-    field = x.field
     objects = [(a, u) for a in x.objects for u in y.objects]
-    homs = {}
-    lays = {}
-    for (a, u) in objects:
-        for (b, v) in objects:
-            lay = TensorLayout([x.hom(a, b), y.hom(u, v)])
-            lays[((a, u), (b, v))] = lay
-            homs[((a, u), (b, v))] = lay.complex
-    ids = {}
-    for (a, u) in objects:
-        lay = lays[((a, u), (a, u))]
-        idx = x.id_vector(a)
-        idy = y.id_vector(u)
-        col = [field.zero()] * lay.complex.dim(0)
-        for i, vx in enumerate(idx.column_values(0)):
-            for j, vy in enumerate(idy.column_values(0)):
-                coeff = field.mul(vx, vy)
-                if not field.is_zero(coeff):
-                    pos = lay.position((0, 0), (i, j))
-                    col[pos] = field.add(col[pos], coeff)
-        ids[(a, u)] = Mat.column(field, col)
-    comp = {}
-    for (a, u) in objects:
-        for (b, v) in objects:
-            for (c, w) in objects:
-                # flat: [x(b,c), y(v,w), x(a,b), y(u,v)]
-                flat = TensorLayout([x.hom(b, c), y.hom(v, w), x.hom(a, b), y.hom(u, v)])
-                permuted, pmap = flat.permute([0, 2, 1, 3])
-                grouped, gmap = regroup(permuted, [[0, 1], [2, 3]])
-                paired = grouped.tensor_map(
-                    TensorLayout([x.hom(a, c), y.hom(u, w)]),
-                    [x.comp[(a, b, c)], y.comp[(u, v, w)]])
-                # identify the declared source layout with flat
-                src_lay = lays[((b, v), (c, w))]
-                # source of composition: hom((b,v),(c,w)) @ hom((a,u),(b,v))
-                outer = TensorLayout([homs[((b, v), (c, w))], homs[((a, u), (b, v))]])
-                ungroup, umap = regroup(flat, [[0, 1], [2, 3]])
-                # umap: flat -> [x(b,c)@y(v,w), x(a,b)@y(u,v)] = outer (same complexes)
-                total = paired.compose(gmap).compose(pmap)
-                # express total as a map out of outer via the inverse of umap
-                comp_map = _transport_through_iso(total, umap, outer.complex)
-                comp[((a, u), (b, v), (c, w))] = comp_map
-    return DgCategory(x.base, objects, homs, comp, ids, name=f"({x.name}(x){y.name})")
+    lays = {((a, u), (b, v)): TensorLayout([x.hom(a, b), y.hom(u, v)])
+            for (a, u), (b, v) in itertools.product(objects, repeat=2)}
+    ids = {(a, u): lays[((a, u), (a, u))].place((0, 0), kron(x.id_vector(a), y.id_vector(u)))
+           for a, u in objects}
+    comp = {((a, u), (b, v), (c, w)): lifted_map(
+        [lays[((b, v), (c, w))], lays[((a, u), (b, v))]], lays[((a, u), (c, w))],
+        [_interchanged(x.comp_pair(a, b, c), y.comp_pair(u, v, w), lays[((a, u), (c, w))])])
+        for (a, u), (b, v), (c, w) in itertools.product(objects, repeat=3)}
+    return DgCategory(x.base, objects, {key: lay.complex for key, lay in lays.items()}, comp, ids,
+                      name=f"({x.name}(x){y.name})")
 
 
-def _transport_through_iso(f: ChainMap, iso: ChainMap, new_source: Complex) -> ChainMap:
-    """f o iso^{-1} for a degreewise-invertible iso with matching source."""
-    from .matrix import invert
-    comps = {}
-    for deg in new_source.degrees():
-        inv = invert(iso.component(deg))
-        mat = f.component(deg) @ inv
-        if not mat.is_zero():
-            comps[deg] = mat
-    return ChainMap(new_source, f.target, f.degree, comps)
+def _interchanged(xpair, ypair, target: TensorLayout):
+    """The flat blocks, on g_x (x) g_y (x) f_x (x) f_y, of the composition of
+    a tensor product out of the compositions of its factors: the kron of the
+    two blocks, its columns reordered to the flat order, with the Koszul sign
+    of the interchange."""
+    (xlay, xcomp), (ylay, ycomp) = xpair, ypair
+    factors = (xlay.factors[0], ylay.factors[0], xlay.factors[1], ylay.factors[1])
+    interchange = (0, 2, 1, 3)
+
+    def block(combo):
+        p, q, r, s = combo
+        out = kron(xlay.block(xcomp, (p, r)), ylay.block(ycomp, (q, s)))
+        out = target.place((p + r, q + s), reorder_factors(out, [f.dim(d) for f, d in zip(factors, combo)],
+                                                           interchange))
+        return -out if permutation_sign(combo, interchange) < 0 else out
+
+    return block

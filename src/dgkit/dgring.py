@@ -152,17 +152,20 @@ class DgRing:
         if du != 0:
             raise ValidationError(f"{name}: unit must sit in degree 0")
         unit = Mat.basis_column(field, dims[0], pu)
+        # checked here: the blocks below skip a degree with no basis, and would drop an entry there
+        products = {(i, j): mult_table(i, j) for i in range(len(degs)) for j in range(len(degs))}
+        for (i, j), image in products.items():
+            if any(position[k][0] != degs[i] + degs[j] for k in image):
+                raise ValidationError(f"{name}: product {labels[i]}*{labels[j]} has wrong degree")
 
         def block(combo):
             # one column per pair of basis elements of degrees d1, d2, row-major
             d1, d2 = combo
             pairs = list(itertools.product(by_degree[d1], by_degree[d2]))
             grid = [[field.zero()] * len(pairs) for _ in range(cx.dim(d1 + d2))]
-            for col, (i, j) in enumerate(pairs):
-                for k, coeff in mult_table(i, j).items():
-                    dk, pk = position[k]
-                    if dk != d1 + d2:
-                        raise ValidationError(f"{name}: product {labels[i]}*{labels[j]} has wrong degree")
+            for col, pair in enumerate(pairs):
+                for k, coeff in products[pair].items():
+                    pk = position[k][1]
                     grid[pk][col] = field.add(grid[pk][col], coeff)
             return Mat(field, len(grid), len(pairs), grid)
 

@@ -6,11 +6,12 @@ dual bimodule, direct sums and restrictions of bimodules; restrictions along
 ring maps, the coextension actions, tensor and cotensor over S, the kernel
 ideal as an R- and an S-module, truncated bimodules and categories, quotient
 and H^0 products, H^0 categories, heart realizations and the relations of
-the H^0 comparison, the table rings and instance categories, regrouping,
-evaluation and composition.  All are compared entry for entry over Q and GF(7), on
-instances where odd elements meet odd actions.  The references evaluate
-every pairing coefficient by coefficient (``reference_pair``); they share
-with the code under test only the complexes the actions live on."""
+the H^0 comparison, the table rings and instance categories, evaluation and
+composition, opposites and tensor products of categories.  All are compared
+entry for entry over Q and GF(7), on instances where odd elements meet odd
+actions.  The references evaluate every pairing coefficient by coefficient
+(``reference_pair``); they share with the code under test only the
+complexes the actions live on."""
 
 import itertools
 import random
@@ -61,7 +62,6 @@ from dgkit.complexes import (
     lifted_map,
     pair_elements,
     quotient_complex,
-    regroup,
     shift_complex,
     sub_retract,
     subcomplex,
@@ -957,22 +957,6 @@ def reference_tensor_check(v, f, g):
     return True
 
 
-def reference_regroup(flat, grouping):
-    """The regrouping iso one basis tensor at a time, by positions."""
-    inner = [TensorLayout([flat.factors[i] for i in grp]) for grp in grouping]
-    outer = TensorLayout([lay.complex for lay in inner])
-
-    def entry(combo, idx):
-        gcombo, gpos, k = [], [], 0
-        for lay, grp in zip(inner, grouping):
-            gcombo.append(sum(combo[k:k + len(grp)]))
-            gpos.append(lay.position(tuple(combo[k:k + len(grp)]), tuple(idx[k:k + len(grp)])))
-            k += len(grp)
-        return Mat.basis_column(flat.field, outer.complex.dim(sum(combo)), outer.position(tuple(gcombo), tuple(gpos)))
-
-    return flat.map_from_entries(outer.complex, 0, entry)
-
-
 def reference_evaluation(h):
     return reference_map([h.complex, h.source], h.target, lambda n, phi, i, x: (
         h.family_from_vector(n, phi)[i] @ x if i in h.family_from_vector(n, phi) else None))
@@ -1085,14 +1069,10 @@ def test_instance_categories_match_the_basis_loops(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
-def test_regroup_evaluation_and_composition_match_the_basis_loops(field):
+def test_evaluation_and_composition_match_the_basis_loops(field):
     rng = random.Random(43)
     for _ in range(4):
-        cxs = [random_complex(rng, field, lo=-2, hi=1, pieces=2)[0] for _ in range(4)]
-        for grouping in ([[0, 1], [2]], [[0], [1, 2]], [[0, 1], [2, 3]], [[0], [1, 2, 3]]):
-            flat = TensorLayout(cxs[:sum(len(g) for g in grouping)])
-            assert regroup(flat, grouping)[1] == reference_regroup(flat, grouping)
-        x, y, z = cxs[:3]
+        x, y, z = [random_complex(rng, field, lo=-2, hi=1, pieces=2)[0] for _ in range(3)]
         assert evaluation_map(hom_complex(x, y)) == reference_evaluation(hom_complex(x, y))
         assert composition_map(x, y, z) == reference_composition(x, y, z)
 
@@ -1610,3 +1590,116 @@ def test_table_categories_match_the_pair_loops(field):
         assert rng.getstate() == replay.getstate()
     gap = weak_cokernel_gap_category(field)
     assert gap.comp == reference_gap_composition(gap)
+
+
+# -- opposites and tensor products of categories ---------------------------------------
+#
+# The references compose one pair of basis elements at a time and write each
+# Koszul sign by hand: (-1)^{|g||f|} for the opposite, (-1)^{|g_y||f_x|} for
+# the interchange of a tensor product.
+
+
+def reference_opposite(cat, odd_terms):
+    """Composition of op(cat): g (x) f |-> (-1)^{|g||f|} f o g on
+    hom(c,b) (x) hom(b,a); counts the nonzero composites that carry a sign."""
+
+    def composite(a, b, c):
+        def image(dg, g, df, f):
+            out = reference_pair(cat.comp[(c, b, a)], cat.comp_layouts[(c, b, a)], df, f, dg, g)
+            if odd(dg * df):
+                odd_terms.append(not out.is_zero())
+                return -out
+            return out
+        return image
+
+    return {(a, b, c): reference_map([cat.hom(c, b), cat.hom(b, a)], cat.hom(c, a), composite(a, b, c))
+            for a, b, c in itertools.product(cat.objects, repeat=3)}
+
+
+def coordinates(lay, n, vec):
+    """(degree tuple, basis column per factor, coefficient) for each nonzero
+    entry of vec in degree n of ``lay``."""
+    field = lay.field
+    for pos, v in enumerate(vec.column_values(0)):
+        if not field.is_zero(v):
+            combo, idx = lay.decompose(n, pos)
+            yield combo, [Mat.basis_column(field, c.dim(d), i) for c, d, i in zip(lay.factors, combo, idx)], v
+
+
+def tensor_vector(lay, combo, x, y):
+    """x (x) y in degree sum(combo) of the layout, coefficient by coefficient."""
+    field = lay.field
+    col = [field.zero()] * lay.complex.dim(sum(combo))
+    for i, xv in enumerate(x.column_values(0)):
+        for j, yv in enumerate(y.column_values(0)):
+            pos = lay.position(combo, (i, j))
+            col[pos] = field.add(col[pos], field.mul(xv, yv))
+    return Mat.column(field, col)
+
+
+def reference_tensor_cat(x, y, odd_terms):
+    """Identities 1_a (x) 1_u and composition
+    (g_x (x) g_y) o (f_x (x) f_y) = (-1)^{|g_y||f_x|} (g_x o f_x) (x) (g_y o f_y)
+    of x (x) y; counts the nonzero composites that carry a sign."""
+    field = x.field
+    objects = [(a, u) for a in x.objects for u in y.objects]
+    lays = {((a, u), (b, v)): TensorLayout([x.hom(a, b), y.hom(u, v)])
+            for (a, u), (b, v) in itertools.product(objects, repeat=2)}
+    ids = {(a, u): tensor_vector(lays[((a, u), (a, u))], (0, 0), x.id_vector(a), y.id_vector(u))
+           for a, u in objects}
+
+    def composite(a, u, b, v, c, w):
+        src_g, src_f, tgt = lays[((b, v), (c, w))], lays[((a, u), (b, v))], lays[((a, u), (c, w))]
+
+        def image(n, gvec, m, fvec):
+            out = Mat.zero(field, tgt.complex.dim(n + m), 1)
+            for (p, q), (gx, gy), cg in coordinates(src_g, n, gvec):
+                for (r, s), (fx, fy), cf in coordinates(src_f, m, fvec):
+                    xx = reference_pair(x.comp[(a, b, c)], x.comp_layouts[(a, b, c)], p, gx, r, fx)
+                    yy = reference_pair(y.comp[(u, v, w)], y.comp_layouts[(u, v, w)], q, gy, s, fy)
+                    if xx.is_zero() or yy.is_zero():
+                        continue
+                    term = tensor_vector(tgt, (p + r, q + s), xx, yy).scale(field.mul(cg, cf))
+                    if odd(q * r):
+                        odd_terms.append(True)
+                        term = -term
+                    out = out + term
+            return out
+        return image
+
+    comp = {((a, u), (b, v), (c, w)): reference_map(
+        [lays[((b, v), (c, w))].complex, lays[((a, u), (b, v))].complex], lays[((a, u), (c, w))].complex,
+        composite(a, u, b, v, c, w))
+        for (a, u), (b, v), (c, w) in itertools.product(objects, repeat=3)}
+    return ids, comp
+
+
+def odd_categories(field):
+    """Lambda(f) with |f| = -1 and -3 over k, the free arrow over k, and
+    random path categories (arrows in degrees 0 to -2)."""
+    rng = random.Random(61)
+    k = DgRing.ground_field(field)
+    lam1, lam3 = exterior_one_object_category(k, -1), exterior_one_object_category(k, -3)
+    paths = [random_nonpositive_category(rng, field, n_objects=3, flavor="path") for _ in range(3)]
+    return lam1, lam3, free_arrow_category(k), paths
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_opposites_and_tensor_products_match_the_signed_basis_loops(field):
+    lam1, lam3, arrow, paths = odd_categories(field)
+    small = random_nonpositive_category(random.Random(67), field, n_objects=2, flavor="path")
+    odd_terms = []
+    for x, y in ((lam1, lam1), (lam1, lam3), (lam3, lam1), (arrow, lam1), (lam1, small), (small, lam3)):
+        prod = tensor_cat(x, y)
+        ids, comp = reference_tensor_cat(x, y, odd_terms)
+        assert prod.ids == ids
+        assert prod.comp == comp
+    # the interchange sign meets nonzero composites, such as (1 (x) f) o (f (x) 1)
+    assert any(odd_terms)
+    odd_terms = []
+    for cat in [lam1, lam3, arrow, *paths, tensor_cat(lam1, lam3)]:
+        op = opposite(cat)
+        assert op.ids == cat.ids
+        assert op.comp == reference_opposite(cat, odd_terms)
+    # the swap sign meets nonzero composites of two odd morphisms
+    assert any(odd_terms)

@@ -1,7 +1,7 @@
 """The balanced-tensor builder and the block-built tensor layouts against
 elementwise references: the per-basis coequaliser relation loop and the
-lift-act-project action loop, and the per-basis tensor differential, tensor
-map and permutation.  Every comparison is entry for entry.
+lift-act-project action loop, and the per-basis tensor differential.  Every
+comparison is entry for entry.
 
 The instances pair odd-degree ring elements with odd-degree module elements
 (k[e]/e^2 and Lambda(f) with the generator in degree -1, modules shifted by
@@ -18,7 +18,6 @@ from dgkit.complexes import (
     ChainMap,
     TensorLayout,
     direct_sum,
-    permutation_sign,
     quotient_complex,
 )
 from dgkit.deform import factorize
@@ -31,7 +30,6 @@ from dgkit.instances import (
     exterior_extension_ring,
     exterior_one_object_category,
     free_arrow_category,
-    random_chain_map,
     random_complex,
     random_nonpositive_category,
     random_square_bimodule,
@@ -316,28 +314,6 @@ def reference_differential(lay):
     return diffs
 
 
-def reference_map(lay, target_layout, degree, image):
-    """The matrices of a map out of ``lay`` that sends the basis tensor
-    (combo, idx) to ``image(combo, idx)``: (sign, target combo, {target idx:
-    coefficient})."""
-    field = lay.field
-    comps = {}
-    for n in lay.dims():
-        blocks = lay.blocks(n)
-        rows = target_layout.complex.dim(n + degree)
-        if not rows:
-            continue
-        grid = [[field.zero()] * lay.complex.dim(n) for _ in range(rows)]
-        for combo, _, _ in blocks:
-            for idx in itertools.product(*[range(c.dim(d)) for c, d in zip(lay.factors, combo)]):
-                sign, tcombo, coeffs = image(combo, idx)
-                for tidx, v in coeffs.items():
-                    grid[target_layout.position(tcombo, tidx)][lay.position(combo, idx)] = \
-                        field.neg(v) if sign < 0 else v
-        comps[n] = Mat(field, rows, lay.complex.dim(n), grid)
-    return comps
-
-
 def random_layout(rng, field, k):
     return TensorLayout([random_complex(rng, field, lo=-2, hi=1, pieces=rng.randint(1, 3))[0]
                          for _ in range(k)])
@@ -350,33 +326,3 @@ def test_tensor_layout_blocks_match_the_per_basis_reference(field, k):
     for _ in range(12):
         lay = random_layout(rng, field, k)
         assert lay.complex.d == {n: m for n, m in reference_differential(lay).items() if not m.is_zero()}
-        # permutation with the Koszul sign
-        perm = list(range(k))
-        rng.shuffle(perm)
-        target, pm = lay.permute(perm)
-        expect = reference_map(lay, target, 0, lambda combo, idx: (
-            permutation_sign(combo, perm), tuple(combo[p] for p in perm), {tuple(idx[p] for p in perm): 1}))
-        assert pm == ChainMap(lay.complex, target.complex, 0, expect)
-        # tensor of maps of mixed degrees, (-1)^{sum over j of |f_j| (|x_1|+...+|x_{j-1}|)}
-        others = [random_complex(rng, field, lo=-2, hi=1, pieces=rng.randint(1, 3))[0] for _ in range(k)]
-        maps = [random_chain_map(rng, c, o, rng.choice([-1, 0, 1])) for c, o in zip(lay.factors, others)]
-        tlay = TensorLayout(others)
-
-        def image(combo, idx):
-            tcombo = tuple(d + f.degree for d, f in zip(combo, maps))
-            sign = -1 if sum(f.degree * sum(combo[:j]) for j, f in enumerate(maps)) % 2 else 1
-            if any(not o.dim(d) for o, d in zip(others, tcombo)):
-                return sign, tcombo, {}
-            cols = [f.component(d).column_values(i) for f, d, i in zip(maps, combo, idx)]
-            coeffs = {}
-            for tidx in itertools.product(*[range(len(c)) for c in cols]):
-                v = field.one()
-                for c, i in zip(cols, tidx):
-                    v = field.mul(v, c[i])
-                if not field.is_zero(v):
-                    coeffs[tidx] = v
-            return sign, tcombo, coeffs
-
-        degree = sum(f.degree for f in maps)
-        expect = reference_map(lay, tlay, degree, image)
-        assert lay.tensor_map(tlay, maps) == ChainMap(lay.complex, tlay.complex, degree, expect)

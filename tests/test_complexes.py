@@ -26,9 +26,11 @@ from dgkit.complexes import (
     evaluation_map,
     hom_complex,
     naturality_subcomplex,
+    pair_action,
     reorder_factors,
     shift_complex,
     swap_leading_factors,
+    swapped,
     truncate_ge,
     truncate_le,
 )
@@ -375,10 +377,19 @@ def test_swap_involution_and_sign():
     a, _ = random_complex(rng, QQ, pieces=3)
     b, _ = random_complex(rng, QQ, pieces=3)
     lay = TensorLayout([a, b])
-    swapped_lay, s = lay.permute([1, 0])
-    back_lay, s2 = swapped_lay.permute([1, 0])
-    roundtrip = s2.compose(s)
-    assert roundtrip == ChainMap.identity(lay.complex)
+    action = pair_action((lay, random_chain_map(rng, lay.complex, a)))
+    once, twice = swapped(action), swapped(swapped(action))
+    assert once.factors == (b, a) and twice.factors == (a, b)
+    odd_blocks = 0
+    for combo in itertools.product(a.degrees(), b.degrees()):
+        # swapping twice gives the action back
+        assert twice.block(combo) == action.block(combo)
+        # once: the columns reordered to b (x) a, negated when both degrees are odd
+        da, db = combo
+        unsigned = swap_leading_factors(action.block(combo), b.dim(db), a.dim(da))
+        assert once.block((db, da)) == (-unsigned if da % 2 and db % 2 else unsigned)
+        odd_blocks += da % 2 and db % 2 and not unsigned.is_zero()
+    assert odd_blocks
 
 
 def test_element_action_extracts_columns():

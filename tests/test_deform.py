@@ -102,7 +102,7 @@ def test_check_hlc_gap_category_fails_with_witness():
 def test_h0_structure_dual_numbers_category():
     ring, _ = make_dual_numbers(2, -1, QQ)
     cat = one_object_category(ring)
-    verdict = h0_structure_verdict(cat)
+    verdict = h0_structure_verdict(h0_category(cat))
     assert verdict.all_pass
 
 
@@ -118,7 +118,7 @@ def test_h0_structure_split_algebra_detects_idempotent():
         return {0: field.one()}
     ring2 = DgRing.from_table(field, [0, 0], ["u", "v"], 0, mult2, name="kxk")
     cat = one_object_category(ring2)
-    verdict = h0_structure_verdict(cat)
+    verdict = h0_structure_verdict(h0_category(cat))
     assert not verdict.karoubian
     assert verdict.idempotent_witnesses
 

@@ -128,3 +128,12 @@ def test_ring_rejects_positive_degrees():
     with pytest.raises(ValidationError):
         DgRing.from_table(QQ, [0, 1], ["1", "x"], 0,
                           lambda i, j: {0: QQ.one()} if i == j == 0 else {})
+
+
+def test_ring_rejects_a_product_into_a_degree_with_no_basis():
+    # e.e = 1 for |e| = -1 would sit in degree -2, which has no basis element
+    def mult(i, j):
+        return {0: QQ.one()} if i == j == 1 else {i + j: QQ.one()}
+
+    with pytest.raises(ValidationError, match=r"product e\*e has wrong degree"):
+        DgRing.from_table(QQ, [0, -1], ["1", "e"], 0, mult)

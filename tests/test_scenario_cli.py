@@ -162,6 +162,13 @@ NON_ASSOCIATIVE_RING = {
                              "0,2": {"2": "1"}, "2,0": {"2": "1"},
                              "1,1": {"2": "1"}, "2,2": {"2": "1"}}}},
 }
+# e.e = 1 for |e| = -1 lands in degree -2, where the ring has no basis element
+WRONG_DEGREE_PRODUCT_RING = {
+    "S": {"table": {"basis": [{"degree": 0, "label": "1"}, {"degree": -1, "label": "e"}],
+                    "unit": 0,
+                    "mult": {"0,0": {"0": "1"}, "0,1": {"1": "1"}, "1,0": {"1": "1"},
+                             "1,1": {"0": "1"}}}},
+}
 NON_MULTIPLICATIVE_MORPHISM = {
     "R": {"dual_numbers": {"n": 2, "eps_degree": 0}},
 }
@@ -169,10 +176,11 @@ NON_MULTIPLICATIVE_MORPHISM = {
 
 @pytest.mark.parametrize("rings, morphisms, message", [
     (NON_ASSOCIATIVE_RING, {}, "error: rings.S: S: associativity fails on (x, x, y)"),
+    (WRONG_DEGREE_PRODUCT_RING, {}, "error: rings.S: S: product e*e has wrong degree"),
     (NON_MULTIPLICATIVE_MORPHISM,
      {"bad": {"source": "R", "target": "R", "components": {"0": [["1", "1"], ["0", "0"]]}}},
      "error: morphisms.bad: bad: morphism not multiplicative on (e, e)"),
-], ids=["non-associative-table", "non-multiplicative-morphism"])
+], ids=["non-associative-table", "wrong-degree-product", "non-multiplicative-morphism"])
 def test_cli_broken_law_exits_2_naming_basis_labels(tmp_path, rings, morphisms, message):
     doc = {"field": "Q", "rings": rings, "morphisms": morphisms,
            "commands": [{"run": "cohomology", "ring": next(iter(rings))}]}
