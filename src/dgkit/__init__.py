@@ -84,6 +84,7 @@ from .deform import (
     ideal_as_S_module,
 )
 from .scenario import Scenario, load_scenario
+from .verdict import Verdict, passes, render, unchecked
 
 __all__ = [
     "QQ", "GF", "Field", "field_from_spec",
@@ -107,5 +108,6 @@ __all__ = [
     "factorize", "ideal_as_S_module", "deform_category", "check_hlc",
     "FactorizationChain", "DeformationReport",
     "Scenario", "load_scenario",
+    "Verdict", "passes", "render", "unchecked",
     "__version__",
 ]

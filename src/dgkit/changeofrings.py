@@ -9,7 +9,7 @@ so adjunction identities can be checked as literal matrix equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,6 +51,7 @@ from .dgcat import DgCategory, DgFunctor, one_object_category
 from .dgring import DgRingMorphism
 from .errors import ValidationError
 from .matrix import Mat, block_matrix, kron, kron_product
+from .verdict import UNCHECKED, Verdict
 
 
 # -- restriction --------------------------------------------------------------------
@@ -196,15 +197,11 @@ def extension_left_action(f: Bimodule, ext: ScalarExtension, b_s: DgCategory):
 
 @dataclass
 class ExtensionAdjunctionVerdict:
-    extension: ScalarExtension
-    extended_bimodule: Bimodule
-    round_trip_strict: bool
-    hom_spaces_equal: bool
-    notes: List[str] = dc_field(default_factory=list)
+    round_trip_strict: Verdict
+    hom_spaces_equal: Verdict
 
-    @property
-    def all_pass(self) -> bool:
-        return self.round_trip_strict and self.hom_spaces_equal
+
+SAME_HOMS = "the two hom spaces have the same span in the shared ambient"
 
 
 def extension_adjunction_check(a_cat: DgCategory, b_s: DgCategory,
@@ -235,7 +232,8 @@ def extension_adjunction_check(a_cat: DgCategory, b_s: DgCategory,
                       lact_probe, {key: probe.ract[key] for key in probe.ract},
                       name=f"l({probe.name})")
     equal = _same_span(bimodule_hom_complex(f, probe).inclusion, bimodule_hom_complex(lf, lprobe).inclusion)
-    return ExtensionAdjunctionVerdict(ext, lf, strict, equal)
+    return ExtensionAdjunctionVerdict(Verdict.of(strict, "r(l(F)) equals F strictly: components and both actions"),
+                                      Verdict.of(equal, SAME_HOMS))
 
 
 def _same_span(lower: ChainMap, upper: ChainMap) -> bool:
@@ -253,11 +251,7 @@ def _same_span(lower: ChainMap, upper: ChainMap) -> bool:
 
 @dataclass
 class TransitivityVerdict:
-    mutually_inverse: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.mutually_inverse
+    mutually_inverse: Verdict
 
 
 def transitivity_check(direct: ScalarExtension, stage1: ScalarExtension,
@@ -298,7 +292,7 @@ def transitivity_check(direct: ScalarExtension, stage1: ScalarExtension,
             if bmap.compose(fmap) != ChainMap.identity(dt.complex) or \
                     fmap.compose(bmap) != ChainMap.identity(st.complex):
                 ok = False
-    return TransitivityVerdict(ok)
+    return TransitivityVerdict(Verdict.of(ok, "both transfer maps compose to identities on every hom"))
 
 
 # -- coextension: S-linear structures on bimodules out of the S point ---------------
@@ -328,16 +322,9 @@ def coextension_object(a_s: DgCategory, b_r: DgCategory, g: Bimodule, a,
 
 @dataclass
 class CoextensionPair:
-    objectwise: Dict                  # a -> Bimodule over (S, b)
-    scat: DgCategory
-    round_trip_strict: bool
-    hom_spaces_equal: bool
-    morphism_action_s_linear: bool
-    notes: List[str] = dc_field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return self.round_trip_strict and self.hom_spaces_equal and self.morphism_action_s_linear
+    round_trip_strict: Verdict
+    hom_spaces_equal: Verdict
+    morphism_action_s_linear: Verdict
 
 
 def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
@@ -387,7 +374,9 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
                     as_ = a_s.compose_elements(a1, a1, a2, da, avec, ds, units[a1].component(ds) @ svec)
                     if sa != (-as_ if permutation_sign((da, ds), (1, 0)) < 0 else as_):
                         s_linear = False
-    return CoextensionPair(objectwise, scat, strict, equal, s_linear)
+    return CoextensionPair(Verdict.of(strict, "r(l(g)) equals g strictly: components and both actions"),
+                           Verdict.of(equal, SAME_HOMS),
+                           Verdict.of(s_linear, "s . eta and eta . s agree on every basis morphism"))
 
 
 # -- tensor and cotensor over S -----------------------------------------------------
@@ -527,19 +516,16 @@ def coextension_cotensor_check(v: Module, f: Bimodule, g: Bimodule) -> bool:
 
 @dataclass
 class SvsRVerdict:
-    s_structures_valid: bool
-    round_trip_identity: bool
-    truncation_commutes: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.s_structures_valid and self.round_trip_identity and self.truncation_commutes
+    s_structures_valid: Verdict
+    round_trip_identity: Verdict
+    truncation_commutes: Verdict
 
 
 def s_vs_r_module_comparison(ext: ScalarExtension, instances: Sequence[Module]) -> SvsRVerdict:
-    """hat/tilde of the S-linear vs R-linear comparison on module instances
-    over S (x)_R a: the S-structure through s.1_A is a genuine S-action, the
-    round trip is the identity on the nose, and smart truncation commutes."""
+    """The S-linear vs R-linear comparison on module instances over
+    S (x)_R a: the S-structure through s.1_A is a genuine S-action and smart
+    truncation keeps it.  The hat/tilde round trip is not computed and is
+    reported unchecked."""
     ecat = ext.category
     ring_s = ext.theta.target
     scat = one_object_category(ring_s)
@@ -563,7 +549,9 @@ def s_vs_r_module_comparison(ext: ScalarExtension, instances: Sequence[Module]) 
                 lifted_map([le, through(units[a])], le, [pair_action(m.act_pair(a, a)).block])
             except ValidationError:
                 trunc_ok = False
-    return SvsRVerdict(s_ok, True, trunc_ok)
+    return SvsRVerdict(Verdict.of(s_ok, "each S-action through s.1_A passes the module checks"),
+                       Verdict(UNCHECKED, "the hat/tilde round trip is not computed"),
+                       Verdict.of(trunc_ok, "each S-action stays in the truncation tau<=0"))
 
 
 # -- heart of the coextension --------------------------------------------------------
@@ -586,15 +574,10 @@ def truncate_bimodule_le0(x: Bimodule) -> Tuple[Bimodule, Dict]:
 
 @dataclass
 class HeartVerdict:
-    heart_members: List
-    witnesses: Dict
-    realizations_quasi_iso: bool
-    h0_data_s_linear: bool
-    objectwise_t_cohomology: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.realizations_quasi_iso and self.h0_data_s_linear and self.objectwise_t_cohomology
+    heart_members: List[int]
+    realizations_quasi_iso: Verdict
+    h0_data_s_linear: Verdict
+    objectwise_t_cohomology: Verdict
 
 
 def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
@@ -611,7 +594,6 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
     proj = h0_ring(ring_s)[1].map.component(0)
     back = proj.solve(proj)
     members = []
-    witnesses = {}
     realizations_ok = True
     s_linear_ok = True
     objectwise_ok = True
@@ -621,7 +603,6 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
             continue
         members.append(idx)
         wit = find_quasi_representative(x, sobj)
-        witnesses[idx] = wit
         # H^0 functor datum: the S- and b-actions on the H^0 components, realized in degree 0
         parts = {b: h0_retract(x.at(sobj, b).cohomology()) for b in b_r.objects}
         comps = {(sobj, b): part.complex for b, part in parts.items()}
@@ -659,4 +640,7 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
                 rhs = b_r.hom(b, wit.obj).cohomology().as_dict()
                 if lhs != rhs:
                     objectwise_ok = False
-    return HeartVerdict(members, witnesses, realizations_ok, s_linear_ok, objectwise_ok)
+    return HeartVerdict(members,
+                        Verdict.of(realizations_ok, "each member's truncation zigzag is a pair of quasi-isos"),
+                        Verdict.of(s_linear_ok, "each H^0 action by s equals the action by its chosen preimage"),
+                        Verdict.of(objectwise_ok, "each member's cohomology is that of its quasi-representative"))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import click
 
@@ -20,6 +20,7 @@ from .deform import check_hlc, deform_category, factorize
 from .derived import DegreeWindow, derived_hom, derived_tensor, tstruct_truncate
 from .errors import DgkitError, ScenarioError, ValidationError, WindowCertificationError
 from .scenario import Scenario, load_scenario
+from .verdict import passes, render, unchecked
 from .verify import run_paper_suite
 
 
@@ -37,7 +38,13 @@ def _window_from(scn: Scenario, entry: Dict, override: Optional[str]) -> DegreeW
 
 
 def run(command: str, scn: Scenario, entry: Dict, window_override: Optional[str] = None) -> Dict:
-    """Dispatch one scenario command entry to its owning module."""
+    """One scenario command entry's result, rendered."""
+    return render(_result(command, scn, entry, window_override))
+
+
+def _result(command: str, scn: Scenario, entry: Dict, window_override: Optional[str]) -> Dict:
+    """Dispatch one scenario command entry to its owning module; its report
+    stays unrendered."""
     out: Dict = {"command": command}
     if command == "cohomology":
         cx = scn.resolve("complexes", entry.get("complex"), "commands")
@@ -112,11 +119,7 @@ def run(command: str, scn: Scenario, entry: Dict, window_override: Optional[str]
         acat = scn.resolve("categories", entry.get("acat"), "commands")
         bcat = scn.resolve("categories", entry.get("bcat"), "commands")
         g = scn.resolve("bimodules", entry.get("bimodule"), "commands")
-        pair = coextension_adjunction_check(acat, bcat, g)
-        out["round_trip_strict"] = pair.round_trip_strict
-        out["hom_spaces_equal"] = pair.hom_spaces_equal
-        out["morphism_action_s_linear"] = pair.morphism_action_s_linear
-        out["passed"] = pair.all_pass
+        out["report"] = coextension_adjunction_check(acat, bcat, g)
     elif command == "extend":
         cat = scn.resolve("categories", entry.get("category"), "commands")
         theta = scn.resolve("morphisms", entry.get("morphism"), "commands")
@@ -127,23 +130,18 @@ def run(command: str, scn: Scenario, entry: Dict, window_override: Optional[str]
         out["passed"] = True
     elif command == "factorize":
         theta = scn.resolve("morphisms", entry.get("morphism"), "commands")
-        chain = factorize(theta)
-        out["report"] = chain.as_dict()
-        out["passed"] = chain.all_pass
+        out["report"] = factorize(theta)
     elif command == "deform":
         cat = scn.resolve("categories", entry.get("category"), "commands")
         theta = scn.resolve("morphisms", entry.get("morphism"), "commands")
-        w = _window_from(scn, entry, window_override)
-        ext, report = deform_category(cat, theta, w)
-        out["report"] = report.as_dict()
-        out["passed"] = report.all_pass
+        _, out["report"] = deform_category(cat, theta)
     elif command == "check-hlc":
         cat = scn.resolve("categories", entry.get("category"), "commands")
-        verdict = check_hlc(cat)
-        out["report"] = verdict.as_dict()
-        out["passed"] = verdict.all_pass
+        out["report"] = check_hlc(cat)
     else:
         raise ScenarioError(f"unknown command {command!r}", "commands")
+    if "report" in out:
+        out["passed"] = passes(out["report"])
     return out
 
 
@@ -154,26 +152,19 @@ COMMANDS = [
 ]
 
 
-def _render(report: Dict, fmt: str) -> str:
+def _emit(report: Dict, fmt: str, out_path: Optional[str], lines: List[str], last: str):
+    """Print or write a rendered report, as JSON or as ``lines``, one line per
+    unchecked verdict and ``last``; exit 0 when it passed, 1 otherwise."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
-    lines = [f"dgkit {report['version']} :: {report['command']} :: scenario {report['scenario']}"]
-    for res in report["results"]:
-        status = "pass" if res.get("passed") else "FAIL"
-        keys = {k: v for k, v in res.items() if k not in ("command", "passed")}
-        lines.append(f"  [{status}] {res['command']} {json.dumps(keys, sort_keys=True)}")
-    lines.append("all passed" if report["passed"] else
-                 f"FAILED; replay: {report['replay']}")
-    return "\n".join(lines)
-
-
-def _emit(report: Dict, fmt: str, out_path: Optional[str]):
-    text = _render(report, fmt)
+        text = json.dumps(report, indent=2, sort_keys=True)
+    else:
+        text = "\n".join(lines + [f"  [unchecked] {u['path']}: {u['reason']}" for u in report["unchecked"]] + [last])
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         click.echo(text)
+    sys.exit(0 if report["passed"] else 1)
 
 
 def _run_scenario_command(command: str, scenario: str, window: Optional[str],
@@ -190,24 +181,27 @@ def _run_scenario_command(command: str, scenario: str, window: Optional[str],
         entries = [e for e in scn.commands if e.get("run") == command]
         if not entries:
             raise ScenarioError(f"scenario declares no {command!r} command", "commands")
-        results = [run(command, scn, e, window) for e in entries]
+        results = [_result(command, scn, e, window) for e in entries]
     except (ScenarioError, ValidationError, WindowCertificationError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except DgkitError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    passed = all(r.get("passed", True) for r in results)
     report = {
         "version": __version__,
         "scenario": scenario,
         "command": command,
         "results": results,
-        "passed": passed,
+        "passed": all(r["passed"] for r in results),
         "replay": f"dgkit {command} --scenario {scenario}",
     }
-    _emit(report, fmt, out)
-    sys.exit(0 if passed else 1)
+    report = render({**report, "unchecked": unchecked(report)})
+    lines = [f"dgkit {__version__} :: {command} :: scenario {scenario}"]
+    for res in report["results"]:
+        keys = {k: v for k, v in res.items() if k not in ("command", "passed")}
+        lines.append(f"  [{'pass' if res['passed'] else 'FAIL'}] {command} {json.dumps(keys, sort_keys=True)}")
+    _emit(report, fmt, out, lines, "all passed" if report["passed"] else f"FAILED; replay: {report['replay']}")
 
 
 @click.group()
@@ -253,22 +247,11 @@ def verify(suite, name_filter, out, fmt):
         "suite": suite,
         "results": [r.as_dict() for r in results],
         "passed": passed,
+        "unchecked": unchecked({"results": results}),
     }
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True)
-    else:
-        lines = [f"dgkit {__version__} :: verify --suite {suite}"]
-        for r in results:
-            lines.append(f"  [{'pass' if r.passed else 'FAIL'}] {r.name}")
-        lines.append("all criteria passed" if passed else
-                     "FAILURES; replay: dgkit verify --suite paper")
-        text = "\n".join(lines)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
-    sys.exit(0 if passed else 1)
+    lines = [f"dgkit {__version__} :: verify --suite {suite}"]
+    lines += [f"  [{'pass' if r.passed else 'FAIL'}] {r.name}" for r in results]
+    _emit(report, fmt, out, lines, "all criteria passed" if passed else "FAILURES; replay: dgkit verify --suite paper")
 
 
 if __name__ == "__main__":

@@ -2,15 +2,16 @@
 it through square-zero steps, extend an R-linear dg-category to S, and verify
 the lifting properties on the instance.
 
-Every verdict is computed on the given finite instance (long-exact-sequence
-rank bookkeeping, explicit mutually inverse tensor-lift maps, H^0 base
-change, weak-cokernel searches); nothing is inferred from cited results.
+Every certified or failed verdict is computed on the given finite instance
+(long-exact-sequence rank bookkeeping, explicit mutually inverse tensor-lift
+maps, H^0 base change, weak-cokernel searches).  hfp, H^0 additivity and the
+Karoubianness of a noncommutative H^0(End) are reported unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from .bimodules import Module
 from .changeofrings import (
@@ -34,6 +35,7 @@ from .complexes import (
 )
 from .dgcat import DgCategory, H0Category, h0_category, h0_ring, one_object_category
 from .dgring import (
+    HFP_UNCHECKED,
     AssumptionReport,
     DgIdeal,
     DgRingMorphism,
@@ -41,9 +43,10 @@ from .dgring import (
     ideal_power,
     quotient,
 )
-from .derived import DegreeWindow, balanced_tensor_ring, derived_tensor, is_hfp
+from .derived import balanced_tensor_ring
 from .errors import ValidationError
 from .matrix import Mat, kron, kron_product
+from .verdict import CERTIFIED, FAILED, UNCHECKED, Verdict, passes
 
 
 # -- factorization ------------------------------------------------------------------
@@ -51,29 +54,12 @@ from .matrix import Mat, kron, kron_product
 
 @dataclass
 class FactorizationChain:
-    theta: DgRingMorphism
-    head: DgRingMorphism                  # R -> R/I^n, a quasi-iso
-    steps: List[DgRingMorphism]           # R/I^{k+1} -> R/I^k, ..., ending at S
+    head: DgRingMorphism = dc_field(repr=False)  # R -> R/I^n, a quasi-iso
+    steps: List[DgRingMorphism]                  # R/I^{k+1} -> R/I^k, ..., ending at S
     step_reports: List[AssumptionReport]
-    square_zero_kernels: List[bool]
-    composition_equals_theta: bool
-    head_is_quasi_iso: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.composition_equals_theta and self.head_is_quasi_iso
-                and all(self.square_zero_kernels)
-                and all(r.all_pass for r in self.step_reports))
-
-    def as_dict(self):
-        return {
-            "steps": [m.name for m in self.steps],
-            "square_zero_kernels": list(self.square_zero_kernels),
-            "composition_equals_theta": self.composition_equals_theta,
-            "head_is_quasi_iso": self.head_is_quasi_iso,
-            "step_reports": [r.as_dict() for r in self.step_reports],
-            "all_pass": self.all_pass,
-        }
+    square_zero_kernels: List[Verdict]
+    composition_equals_theta: Verdict
+    head_is_quasi_iso: Verdict
 
 
 def _induced_quotient_step(p_fine: DgRingMorphism, p_coarse: DgRingMorphism,
@@ -98,19 +84,15 @@ def _induced_quotient_step(p_fine: DgRingMorphism, p_coarse: DgRingMorphism,
 def factorize(theta: DgRingMorphism, max_power: int = 12) -> FactorizationChain:
     """Factor a surjection through square-zero steps R/I^{k+1} -> R/I^k."""
     setup = check_setup_assumptions(theta, max_power=max_power)
-    if not setup.all_pass:
-        failing = []
-        if not setup.surjective:
-            failing.append("strict surjectivity")
-        if setup.nilpotency_order is None:
-            failing.append("cohomological nilpotency of the kernel")
-        raise ValidationError("setup assumptions failed: " + ", ".join(failing or ["see report"]))
+    if not passes(setup):
+        failing = [v.reason for v in (setup.surjective, setup.cohomologically_nilpotent) if v.status == FAILED]
+        raise ValidationError("setup assumptions failed: " + "; ".join(failing))
     n = setup.nilpotency_order
     ring = theta.source
     ideal = theta.kernel_ideal()
     if ideal.is_zero():
-        return FactorizationChain(theta, theta, [], [], [], True,
-                                  theta.map.is_quasi_iso())
+        return FactorizationChain(theta, [], [], [], Verdict(CERTIFIED, "no steps: the head is theta"),
+                                  _quasi_iso(theta))
     # quotients R/I^k for k = n .. 1 with projections from R
     projections = {}
     quotients = {}
@@ -144,8 +126,7 @@ def factorize(theta: DgRingMorphism, max_power: int = 12) -> FactorizationChain:
         if k == 1:
             step = iso.compose(step)
             step.name = f"theta_2,1"
-        kernel = step.kernel_ideal()
-        sq_zero.append(kernel.squares_to_zero())
+        sq_zero.append(Verdict.of(step.kernel_ideal().squares_to_zero(), "the step's kernel squares to zero"))
         reports.append(check_setup_assumptions(step, max_power=max_power))
         steps.append(step)
     head = projections[n]
@@ -154,8 +135,12 @@ def factorize(theta: DgRingMorphism, max_power: int = 12) -> FactorizationChain:
         composed = step.compose(composed)
     comp_ok = all(composed.map.component(d) == theta.map.component(d)
                   for d in ring.degrees())
-    return FactorizationChain(theta, head, steps, reports, sq_zero, comp_ok,
-                              head.map.is_quasi_iso())
+    return FactorizationChain(head, steps, reports, sq_zero,
+                              Verdict.of(comp_ok, "the steps compose to theta on the nose"), _quasi_iso(head))
+
+
+def _quasi_iso(head: DgRingMorphism) -> Verdict:
+    return Verdict.of(head.map.is_quasi_iso(), f"{head.name} is a quasi-isomorphism")
 
 
 # -- the kernel as an S-module --------------------------------------------------------
@@ -266,15 +251,12 @@ def levelwise_free_generators(cat: DgCategory):
 
 @dataclass
 class H0StructureVerdict:
-    additive: bool
-    additive_note: str
-    karoubian: bool
-    karoubian_note: str
-    idempotent_witnesses: List = dc_field(default_factory=list)
+    additive: Verdict
+    karoubian: Verdict
 
-    @property
-    def all_pass(self) -> bool:
-        return self.additive and self.karoubian
+
+# no biproduct is constructed or searched for in H^0
+ADDITIVE_UNCHECKED = Verdict(UNCHECKED, "no biproducts are demanded, so additivity is not tested")
 
 
 def _algebra_power(mult: Mat, unit: Mat, x: Mat, k: int) -> Mat:
@@ -363,46 +345,30 @@ def _nontrivial_idempotents_commutative(mult: Mat, unit: Mat):
     return found
 
 
-def h0_structure_verdict(h0: H0Category,
-                         demanded_biproducts: Sequence = ()) -> H0StructureVerdict:
-    """Additivity against the demanded biproducts (desk instances carry
-    designated ones; with no demands the verdict is vacuous and recorded),
-    and Karoubianness via explicit idempotent discovery."""
-    field = h0.field
-    additive = True
-    note = "no biproduct demands arose; closure vacuous" if not demanded_biproducts \
-        else "designated biproducts verified"
-    for demand in demanded_biproducts:
-        a, b, c, i1, p1, i2, p2 = demand
-        checks = [
-            (h0.compose(a, c, a, p1, i1), h0.ids[a]),
-            (h0.compose(b, c, b, p2, i2), h0.ids[b]),
-        ]
-        if any(lhs != rhs for lhs, rhs in checks):
-            additive = False
-            note = f"designated biproduct for ({a},{b}) fails its identities"
-    karoubian = True
-    knote = "all endomorphism H^0 algebras have no nontrivial idempotents"
-    witnesses = []
+def h0_structure_verdict(h0: H0Category) -> H0StructureVerdict:
+    """Additivity, unchecked, and Karoubianness via explicit idempotent
+    discovery in each commutative H^0(End(a)); a noncommutative one leaves
+    it unchecked unless another object fails.  A failure's witness is the
+    object and its nontrivial idempotent."""
+    noncommutative = []
     for a in h0.objects:
         n, mult, unit = h0.dim(a, a), h0.product(a, a, a), h0.ids[a]
         if n <= 1:
             continue
         if mult != swap_leading_factors(mult, n, n):
-            karoubian = False
-            knote = (f"H^0(End({a})) is noncommutative; idempotent discovery is "
-                     "implemented for commutative desk instances only")
+            noncommutative.append(a)
             continue
-        if field.char:
-            idems = _nontrivial_idempotents_fp(mult, unit)
-        else:
-            idems = _nontrivial_idempotents_commutative(mult, unit)
-        for e in idems:
-            witnesses.append((a, e))
+        find = _nontrivial_idempotents_fp if h0.field.char else _nontrivial_idempotents_commutative
+        for e in find(mult, unit):
             # an unsplit nontrivial idempotent breaks Karoubianness at desk scale
-            karoubian = False
-            knote = f"nontrivial idempotent found in H^0(End({a})) with no designated splitting"
-    return H0StructureVerdict(additive, note, karoubian, knote, witnesses)
+            return H0StructureVerdict(ADDITIVE_UNCHECKED, Verdict(
+                FAILED, f"nontrivial idempotent in H^0(End({a})) with no designated splitting", (a, e)))
+    if noncommutative:
+        karoubian = Verdict(UNCHECKED, f"H^0(End) of {', '.join(map(str, noncommutative))} is "
+                            "noncommutative; idempotents are decided for commutative algebras only")
+    else:
+        karoubian = Verdict(CERTIFIED, "no H^0(End(a)) has a nontrivial idempotent")
+    return H0StructureVerdict(ADDITIVE_UNCHECKED, karoubian)
 
 
 # -- hlc ---------------------------------------------------------------------------
@@ -410,30 +376,12 @@ def h0_structure_verdict(h0: H0Category,
 
 @dataclass
 class HlcVerdict:
-    nonpositive: bool
-    h0_structure: H0StructureVerdict
-    weak_cokernels: bool
-    failing_morphism: Optional[Tuple]
-    representables_hfp: bool
-    hfp_dims: Dict
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.nonpositive and self.h0_structure.all_pass
-                and self.weak_cokernels and self.representables_hfp)
-
-    def as_dict(self):
-        return {
-            "nonpositive_cohomology": self.nonpositive,
-            "h0_additive": self.h0_structure.additive,
-            "h0_karoubian": self.h0_structure.karoubian,
-            "weak_cokernels": self.weak_cokernels,
-            "failing_morphism": None if self.failing_morphism is None else
-            {"source": str(self.failing_morphism[0]), "target": str(self.failing_morphism[1]),
-             "class_index": self.failing_morphism[2]},
-            "representables_hfp": self.representables_hfp,
-            "all_pass": self.all_pass,
-        }
+    nonpositive_cohomology: Verdict
+    h0_additive: Verdict
+    h0_karoubian: Verdict
+    weak_cokernels: Verdict
+    failing_morphism: Optional[Dict]      # {source, target, class_index} of an H^0 basis morphism
+    representables_hfp: Verdict
 
 
 def _weak_cokernel_exists(h0: H0Category, a, b, fclass: Mat) -> bool:
@@ -461,36 +409,19 @@ def _weak_cokernel_exists(h0: H0Category, a, b, fclass: Mat) -> bool:
     return False
 
 
-def check_hlc(cat: DgCategory, window: Optional[DegreeWindow] = None,
-              demanded_biproducts: Sequence = ()) -> HlcVerdict:
+def check_hlc(cat: DgCategory) -> HlcVerdict:
     """Verdicts for nonpositive cohomology, H^0 additivity/Karoubianness,
     weak cokernels for every H^0 basis morphism, and hfp of representables."""
-    window = window or DegreeWindow(-4, 0)
-    nonpositive = cat.has_nonpositive_cohomology()
     h0 = h0_category(cat)
-    structure = h0_structure_verdict(h0, demanded_biproducts)
-    weak_ok = True
-    failing = None
-    for a in cat.objects:
-        for b in cat.objects:
-            for i in range(h0.dim(a, b)):
-                fclass = Mat.basis_column(cat.field, h0.dim(a, b), i)
-                if not _weak_cokernel_exists(h0, a, b, fclass):
-                    weak_ok = False
-                    failing = (a, b, i)
-                    break
-            if failing:
-                break
-        if failing:
-            break
-    hfp_dims = {}
-    reps_ok = True
-    for a in cat.objects:
-        rep = Module.representable(cat, a)
-        verdict = is_hfp(rep, window)
-        hfp_dims[a] = verdict.as_dict()["dims"]
-        reps_ok = reps_ok and verdict.hfp
-    return HlcVerdict(nonpositive, structure, weak_ok, failing, reps_ok, hfp_dims)
+    structure = h0_structure_verdict(h0)
+    failing = next(({"source": str(a), "target": str(b), "class_index": i}
+                    for a in cat.objects for b in cat.objects for i in range(h0.dim(a, b))
+                    if not _weak_cokernel_exists(h0, a, b, Mat.basis_column(cat.field, h0.dim(a, b), i))), None)
+    return HlcVerdict(
+        Verdict.of(cat.has_nonpositive_cohomology(), "every hom has cohomology in degrees <= 0"),
+        structure.additive, structure.karoubian,
+        Verdict.of(failing is None, "every H^0 basis morphism has a weak cokernel"),
+        failing, HFP_UNCHECKED)
 
 
 # -- the deformation report ------------------------------------------------------------
@@ -524,69 +455,27 @@ def hom_as_right_module(cat: DgCategory, a, b,
 
 @dataclass
 class StepDeformationVerdict:
-    step_name: str
-    ses_exact: bool
-    les_rank_bookkeeping: bool
-    nonpositive_cohomology: bool
-    tensor_lift_mutually_inverse: bool
-    h0_comparison_bijective: bool
-    ker_h0_theta_square_zero: bool
-    hfp_preserved: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.ses_exact and self.les_rank_bookkeeping and self.nonpositive_cohomology
-                and self.tensor_lift_mutually_inverse and self.h0_comparison_bijective
-                and self.ker_h0_theta_square_zero and self.hfp_preserved)
-
-    def as_dict(self):
-        return {
-            "step": self.step_name,
-            "ses_exact": self.ses_exact,
-            "les_rank_bookkeeping": self.les_rank_bookkeeping,
-            "nonpositive_cohomology": self.nonpositive_cohomology,
-            "tensor_lift_mutually_inverse": self.tensor_lift_mutually_inverse,
-            "h0_comparison_bijective": self.h0_comparison_bijective,
-            "ker_h0_theta_square_zero": self.ker_h0_theta_square_zero,
-            "hfp_preserved": self.hfp_preserved,
-            "all_pass": self.all_pass,
-        }
+    step: str
+    ses_exact: Verdict
+    les_rank_bookkeeping: Verdict
+    nonpositive_cohomology: Verdict
+    tensor_lift_mutually_inverse: Verdict
+    h0_comparison_bijective: Verdict
+    ker_h0_theta_square_zero: Verdict
+    hfp_preserved: Verdict
 
 
 @dataclass
 class DeformationReport:
     steps: List[StepDeformationVerdict]
-    source_hlc: "HlcVerdict"
-    deformed_hlc: "HlcVerdict"
-    source_h0: H0StructureVerdict
-    deformed_h0: H0StructureVerdict
-    pipeline_coherent: bool
+    source_hlc: HlcVerdict
+    deformed_hlc: HlcVerdict
+    pipeline_coherent: Verdict
     factorization: FactorizationChain
-
-    @property
-    def all_pass(self) -> bool:
-        return (all(s.all_pass for s in self.steps) and self.source_hlc.all_pass
-                and self.deformed_hlc.all_pass and self.source_h0.all_pass
-                and self.deformed_h0.all_pass and self.pipeline_coherent
-                and self.factorization.all_pass)
-
-    def as_dict(self):
-        return {
-            "steps": [s.as_dict() for s in self.steps],
-            "source_hlc": self.source_hlc.as_dict(),
-            "deformed_hlc": self.deformed_hlc.as_dict(),
-            "source_h0_additive": self.source_h0.additive,
-            "source_h0_karoubian": self.source_h0.karoubian,
-            "deformed_h0_additive": self.deformed_h0.additive,
-            "deformed_h0_karoubian": self.deformed_h0.karoubian,
-            "pipeline_coherent": self.pipeline_coherent,
-            "factorization": self.factorization.as_dict(),
-            "all_pass": self.all_pass,
-        }
 
 
 def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
-                              ext: ScalarExtension, window: DegreeWindow) -> StepDeformationVerdict:
+                              ext: ScalarExtension) -> StepDeformationVerdict:
     """The lifting properties along one square-zero surjection, verified on the
     instance category."""
     ring = step.source
@@ -597,7 +486,6 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
     ideal = step.kernel_ideal()
     ideal_r = ideal_as_R_module(step, rcat, ideal)
     ideal_s = ideal_as_S_module(step, scat, ideal, ideal_r)
-    j_mods = {}
     j_cat = ext.category
     ses_ok = True
     les_ok = True
@@ -639,8 +527,7 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
                 if lhs != iota.cohomology_map(deg).rank() + pi.cohomology_map(deg).rank():
                     les_ok = False
             # (b) tensor lift: I (x)_R V <-> I (x)_S (S (x)_R V)
-            j_mods[(a, b)] = hom_as_right_module(j_cat, a, b, scat)
-            t_sj = balanced_tensor_ring(ideal_s, j_mods[(a, b)])
+            t_sj = balanced_tensor_ring(ideal_s, hom_as_right_module(j_cat, a, b, scat))
             x_by_s = pair_action(ideal_s.act_pair(scat.objects[0], scat.objects[0]))
 
             def forward(flat):
@@ -675,22 +562,15 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
             prod = ring.mul(0, ker0.col(i), 0, ker0.col(j))
             if not h0r_proj.apply(0, prod).is_zero():
                 ker_sq = False
-    # hfp preservation: I (x)^L_S M for representable j-modules
-    hfp_ok = True
-    try:
-        for a in i_cat.objects:
-            j_mod = j_mods[(a, a)] if (a, a) in j_mods else hom_as_right_module(j_cat, a, a, scat)
-            rep = derived_tensor(ideal_s, j_mod, window)
-            verdict = is_hfp_from_dims(rep.dims)
-            hfp_ok = hfp_ok and verdict
-    except ValidationError:
-        hfp_ok = False
-    return StepDeformationVerdict(step.name, ses_ok, les_ok, nonpos, lift_ok,
-                                  h0_ok, ker_sq, hfp_ok)
-
-
-def is_hfp_from_dims(dims: Dict[int, int]) -> bool:
-    return all(v >= 0 for v in dims.values())
+    return StepDeformationVerdict(
+        step.name,
+        Verdict.of(ses_ok, "I (x)_R V -> V -> S (x)_R V is exact in every degree"),
+        Verdict.of(les_ok, "dim H^k(V) = rank H^k(iota) + rank H^k(pi) in every degree"),
+        Verdict.of(nonpos, "both categories and every I (x)_R V have cohomology in degrees <= 0"),
+        Verdict.of(lift_ok, "I (x)_R V -> I (x)_S (S (x)_R V) and back compose to identities"),
+        Verdict.of(h0_ok, "H^0(S) (x)_{H^0(R)} H^0(V) -> H^0(S (x)_R V) is bijective"),
+        Verdict.of(ker_sq, "ker H^0(theta) squares to zero in H^0(R)"),
+        HFP_UNCHECKED)
 
 
 def _h0_relations(step: DgRingMorphism, action, hs: Retract, hv: Retract) -> Mat:
@@ -723,12 +603,10 @@ def _h0_comparison_bijective(i_cat: DgCategory, a, b, step: DgRingMorphism,
     return themap.rank() == nj and (themap @ rel).is_zero()
 
 
-def deform_category(i_cat: DgCategory, theta: DgRingMorphism,
-                    window: Optional[DegreeWindow] = None):
+def deform_category(i_cat: DgCategory, theta: DgRingMorphism):
     """Extend an R-linear levelwise-free strictly nonpositive category along
     theta and verify the lifting properties along every square-zero step of the
     factorization.  Returns (final ScalarExtension, DeformationReport)."""
-    window = window or DegreeWindow(-4, 0)
     if not i_cat.is_strictly_nonpositive():
         raise ValidationError("deformation instances must be strictly nonpositive")
     levelwise_free_generators(i_cat)  # raises when not levelwise free
@@ -737,13 +615,13 @@ def deform_category(i_cat: DgCategory, theta: DgRingMorphism,
     # iterate extensions along the factorization; each transitivity square has
     # the previous step's direct extension (or the head's) as stage 1
     verdicts = []
-    coherent = True
+    coherent = on_theta = True
     if chain.steps:
         stage1 = extend_scalars_cat(i_cat, chain.head)
         cur_cat = stage1.category
         for k, step in enumerate(chain.steps):
             ext = extend_scalars_cat(cur_cat, step)
-            verdicts.append(_square_zero_step_verdict(cur_cat, step, ext, window))
+            verdicts.append(_square_zero_step_verdict(cur_cat, step, ext))
             stage2 = ext if ext.source is stage1.category else extend_scalars_cat(stage1.category, step)
             cur_cat = ext.category
             composite = step.compose(stage1.theta)
@@ -752,11 +630,9 @@ def deform_category(i_cat: DgCategory, theta: DgRingMorphism,
             on_theta = last and all(composite.map.component(d) == theta.map.component(d)
                                      for d in theta.source.degrees())
             step_direct = direct if on_theta else extend_scalars_cat(i_cat, composite)
-            verdict = transitivity_check(step_direct, stage1, stage2)
-            coherent = coherent and verdict.all_pass and (on_theta or not last)
+            coherent = coherent and passes(transitivity_check(step_direct, stage1, stage2))
             stage1 = step_direct
-    src_hlc = check_hlc(i_cat, window)
-    def_hlc = check_hlc(direct.category, window)
-    report = DeformationReport(verdicts, src_hlc, def_hlc, src_hlc.h0_structure, def_hlc.h0_structure,
-                               coherent, chain)
+    report = DeformationReport(verdicts, check_hlc(i_cat), check_hlc(direct.category), Verdict.of(
+        coherent and on_theta, "every transitivity square is mutually inverse and the steps compose to theta"),
+        chain)
     return direct, report

@@ -13,7 +13,7 @@ are built once.  Derived functors return cohomology on the certified window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .bimodules import Module, ModuleMap, module_on, module_hom_complex
@@ -38,9 +38,10 @@ from .complexes import (
     twisted_sum,
 )
 from .dgcat import DgCategory, one_object_category
-from .dgring import DgRing, DgRingMorphism
+from .dgring import HFP_UNCHECKED, DgRing, DgRingMorphism
 from .errors import ValidationError, WindowCertificationError
 from .matrix import block_matrix
+from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -216,9 +217,8 @@ def derived_tensor(m: Module, n: Module, window: DegreeWindow,
                    resolve: str = "left", generator_cap: int = 400) -> DerivedReport:
     """H^* (m (x)^L n) on the window, via a windowed resolution of one factor.
 
-    The resolution floor is chosen from the window and the support of the
-    un-resolved factor so that deeper cells cannot reach the window; the
-    choice is additionally verified by recomputing one degree below.
+    The resolution floor is window.lo - guard - 2 - max(hi, 0), where hi is
+    the top degree of the un-resolved factor's support.
     """
     if resolve not in ("left", "right"):
         raise ValidationError("resolve must be 'left' or 'right'")
@@ -298,40 +298,20 @@ def tstruct_truncate(m: Module) -> TStructureReport:
 @dataclass
 class HfpVerdict:
     dims: Dict
-    hfp: bool
-    bounded: bool
-    bound: Optional[int]
-    notes: List[str] = dc_field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "dims": {str(a): {str(d): v for d, v in sorted(h.items())}
-                     for a, h in self.dims.items()},
-            "hfp": self.hfp,
-            "hfp_bounded": self.bounded,
-            "bound": self.bound,
-            "notes": list(self.notes),
-        }
+    hfp: Verdict
+    bound: int
 
 
 def is_hfp(m: Module, window: DegreeWindow) -> HfpVerdict:
-    """Per-degree finite-dimensionality of H^* over H^0, with boundedness
-    flags; at desk scale finitely presented = finite-dimensional and the
-    verdict records that identification."""
+    """The cohomology dimensions of m on the window, with a bound on the
+    degrees of its whole support; hfp itself stays unchecked."""
     dims = {}
     support = []
     for a in m.cat.objects:
         h = m.at(a).cohomology().as_dict()
         dims[a] = {d: v for d, v in h.items() if window.lo <= d <= window.hi}
         support.extend(d for d, v in h.items() if v)
-    bound = max((abs(d) for d in support), default=0) + 1
-    return HfpVerdict(
-        dims=dims,
-        hfp=True,
-        bounded=True,
-        bound=bound,
-        notes=["finitely presented = finite-dimensional at desk scale"],
-    )
+    return HfpVerdict(dims, HFP_UNCHECKED, max((abs(d) for d in support), default=0) + 1)
 
 
 # -- small ring-module constructors -------------------------------------------------

@@ -260,10 +260,13 @@ class H0Category:
         self.comp = {}
         for a, b, c in itertools.product(cat.objects, repeat=3):
             lay, mu = cat.comp_pair(a, b, c)
-            # well-definedness: representative o coboundary has class zero
+            # well-definedness: representative o coboundary and coboundary o
+            # representative have class zero
             out = self.parts[(a, c)].pieces[0].outward.get(0)
-            reps, img = self.rep(b, c), self.reports[(a, b)].image(0)
-            if out is not None and not (out @ kron_product(lay.block(mu, (0, 0)), reps, img)).is_zero():
+            block = lay.block(mu, (0, 0))
+            if out is not None and not all((out @ kron_product(block, g, f)).is_zero() for g, f in (
+                    (self.rep(b, c), self.reports[(a, b)].image(0)),
+                    (self.reports[(b, c)].image(0), self.rep(a, b)))):
                 raise ValidationError(f"H0({cat.name}): composition not well defined on classes")
             self.comp[(a, b, c)] = lifted_map([self.parts[(b, c)], self.parts[(a, b)]], self.parts[(a, c)],
                                               [pair_action((lay, mu)).block])

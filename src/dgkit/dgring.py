@@ -11,7 +11,7 @@ associativity and graded commutativity are checked once per degree block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .complexes import (
@@ -34,6 +34,7 @@ from .complexes import (
 from .errors import ValidationError
 from .fields import Field
 from .matrix import Mat, kron_product
+from .verdict import CERTIFIED, FAILED, UNCHECKED, Verdict
 
 
 class DgRing:
@@ -429,59 +430,22 @@ def quotient(ring: DgRing, ideal: DgIdeal):
 class AssumptionReport:
     """Verdicts for the deformation-setup conditions on a ring surjection."""
 
-    morphism_name: str
-    strict_surjectivity: Dict[int, bool]
-    source_cohomology: Dict[int, int]
-    target_cohomology: Dict[int, int]
+    morphism: str
+    strictly_surjective: Dict[int, bool]
+    surjective: Verdict
+    source_H: Dict[int, int]
+    target_H: Dict[int, int]
+    homotopically_coherent: Verdict
+    target_hfp_over_source: Verdict
     nilpotency_order: Optional[int]
-    power_cohomology: Dict[int, Dict[int, int]]
-    notes: List[str] = dc_field(default_factory=list)
+    cohomologically_nilpotent: Verdict
+    power_H: Dict[int, Dict[int, int]]
+    powers_hfp: Verdict
 
-    @property
-    def surjective(self) -> bool:
-        return all(self.strict_surjectivity.values())
 
-    @property
-    def homotopically_coherent(self) -> bool:
-        # finite-dimensional H^0 is coherent; finite-dimensional H^i is
-        # finitely presented -- automatic at this scale, recorded not assumed
-        return all(v >= 0 for v in self.source_cohomology.values()) and \
-            all(v >= 0 for v in self.target_cohomology.values())
-
-    @property
-    def target_hfp_over_source(self) -> bool:
-        return all(v >= 0 for v in self.target_cohomology.values())
-
-    @property
-    def cohomologically_nilpotent(self) -> bool:
-        return self.nilpotency_order is not None
-
-    @property
-    def powers_hfp(self) -> bool:
-        return all(all(v >= 0 for v in h.values()) for h in self.power_cohomology.values())
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.surjective and self.homotopically_coherent
-                and self.target_hfp_over_source and self.cohomologically_nilpotent
-                and self.powers_hfp)
-
-    def as_dict(self):
-        return {
-            "morphism": self.morphism_name,
-            "strictly_surjective": {str(k): v for k, v in sorted(self.strict_surjectivity.items())},
-            "surjective": self.surjective,
-            "source_H": {str(k): v for k, v in sorted(self.source_cohomology.items())},
-            "target_H": {str(k): v for k, v in sorted(self.target_cohomology.items())},
-            "homotopically_coherent": self.homotopically_coherent,
-            "target_hfp_over_source": self.target_hfp_over_source,
-            "nilpotency_order": self.nilpotency_order,
-            "power_H": {str(k): {str(d): v for d, v in sorted(h.items())}
-                        for k, h in sorted(self.power_cohomology.items())},
-            "powers_hfp": self.powers_hfp,
-            "all_pass": self.all_pass,
-            "notes": list(self.notes),
-        }
+# hfp asks for cohomology finitely presented over H^0 in the derived sense;
+# the package computes only dimensions, which do not decide it
+HFP_UNCHECKED = Verdict(UNCHECKED, "hfp is not decided: only cohomology dimensions are computed")
 
 
 def check_setup_assumptions(theta: DgRingMorphism, max_power: int = 12) -> AssumptionReport:
@@ -491,12 +455,10 @@ def check_setup_assumptions(theta: DgRingMorphism, max_power: int = 12) -> Assum
     Failed assumptions are verdicts in the report, not errors.
     """
     surj = theta.surjectivity_by_degree()
-    src_h = theta.source.underlying.cohomology().as_dict()
-    tgt_h = theta.target.underlying.cohomology().as_dict()
-    notes = ["finite-dimensional H^0 recorded as coherent (desk scale)",
-             "finitely presented = finite-dimensional at desk scale"]
+    missed = sorted(d for d, ok in surj.items() if not ok)
     ideal = theta.kernel_ideal()
     order = None
+    nilpotent = Verdict(CERTIFIED, "the kernel is zero")
     power_h: Dict[int, Dict[int, int]] = {}
     if ideal.is_zero():
         order = 1
@@ -509,21 +471,27 @@ def check_setup_assumptions(theta: DgRingMorphism, max_power: int = 12) -> Assum
             h = power.sub.cohomology().as_dict()
             if not h:
                 order = k
+                nilpotent = Verdict(CERTIFIED, f"the kernel's power {k} is acyclic")
                 break
             power_h[k] = h
             dims = {d: power.dim(d) for d in power.sub.degrees()}
             if dims == prev_dims:
-                notes.append(f"kernel powers stabilized at k={k} with nonvanishing cohomology")
+                nilpotent = Verdict(FAILED, f"kernel powers stabilized at k={k} with nonvanishing cohomology")
                 break
             prev_dims = dims
         else:
-            notes.append(f"no acyclic power found up to k={max_power}")
+            nilpotent = Verdict(FAILED, f"no acyclic power found up to k={max_power}")
     return AssumptionReport(
-        morphism_name=theta.name,
-        strict_surjectivity=surj,
-        source_cohomology=src_h,
-        target_cohomology=tgt_h,
+        morphism=theta.name,
+        strictly_surjective=surj,
+        surjective=Verdict.of(not missed, f"not surjective in degrees {missed}" if missed
+                              else "surjective in every degree"),
+        source_H=theta.source.underlying.cohomology().as_dict(),
+        target_H=theta.target.underlying.cohomology().as_dict(),
+        homotopically_coherent=Verdict(CERTIFIED, "H^0 finite-dimensional => Noetherian => coherent"),
+        target_hfp_over_source=HFP_UNCHECKED,
         nilpotency_order=order,
-        power_cohomology=power_h,
-        notes=notes,
+        cohomologically_nilpotent=nilpotent,
+        power_H=power_h,
+        powers_hfp=HFP_UNCHECKED,
     )

@@ -99,6 +99,7 @@ from dgkit.instances import (
     weak_cokernel_gap_category,
 )
 from dgkit.matrix import Mat
+from dgkit.verdict import CERTIFIED
 
 FIELDS = [QQ, GF(7)]
 
@@ -1141,7 +1142,7 @@ def test_s_vs_r_structures_match_the_basis_loop(field, monkeypatch):
         mods = [Module.representable(e.category, a) for a in e.category.objects]
         mods += [shift_module(m, 1) for m in mods]
         built.clear()
-        assert s_vs_r_module_comparison(e, mods).s_structures_valid
+        assert s_vs_r_module_comparison(e, mods).s_structures_valid.status == CERTIFIED
         expect = [reference_through(m.act[(a, a)], m.act_layouts[(a, a)], 1, e.theta.target.underlying,
                                     reference_unit(e.category, a)) for m in mods for a in e.category.objects]
         assert built == expect
@@ -1401,7 +1402,7 @@ def test_heart_realizations_match_the_class_loops(field, monkeypatch):
         realized.clear()
         verdict = heart_coextension_check(b_r, DgRingMorphism.identity(ring), [x])
         assert verdict.heart_members == [0]
-        assert verdict.realizations_quasi_iso and verdict.h0_data_s_linear
+        assert verdict.realizations_quasi_iso.status == verdict.h0_data_s_linear.status == CERTIFIED
         assert realized == [reference_heart_realization(x, b_r)]
 
 

@@ -14,39 +14,40 @@ from dgkit.deform import (
     ideal_as_S_module,
     levelwise_free_generators,
 )
-from dgkit.derived import DegreeWindow
+from dgkit.derived import DegreeWindow, is_hfp, ring_as_module
 from dgkit.errors import ValidationError
 from dgkit.instances import (
     exterior_extension_ring,
     free_arrow_category,
     weak_cokernel_gap_category,
 )
-from dgkit.dgring import DgRing
+from dgkit.dgring import DgRing, check_setup_assumptions
+from dgkit.verdict import CERTIFIED, FAILED, UNCHECKED, passes, render, unchecked
 
 
 def test_factorize_identity_is_empty_chain():
     ring, _ = make_dual_numbers(2, -1, QQ)
     chain = factorize(DgRingMorphism.identity(ring))
     assert chain.steps == []
-    assert chain.all_pass
+    assert passes(chain)
 
 
 def test_factorize_dual_numbers_single_step():
     ring, aug = make_dual_numbers(2, -1, QQ)
     chain = factorize(aug)
     assert len(chain.steps) == 1
-    assert chain.all_pass
-    assert chain.square_zero_kernels == [True]
+    assert passes(chain)
+    assert [v.status for v in chain.square_zero_kernels] == [CERTIFIED]
 
 
 def test_factorize_eps3_two_steps():
     ring, aug = make_dual_numbers(3, -2, QQ)
     chain = factorize(aug)
     assert len(chain.steps) == 2
-    assert chain.all_pass
-    assert all(chain.square_zero_kernels)
+    assert passes(chain)
+    assert all(v.status == CERTIFIED for v in chain.square_zero_kernels)
     # composition reproduces theta exactly (checked internally, assert flag)
-    assert chain.composition_equals_theta
+    assert chain.composition_equals_theta.status == CERTIFIED
 
 
 def test_ideal_as_s_module_dual_numbers():
@@ -87,23 +88,21 @@ def test_levelwise_free_detection():
 def test_check_hlc_ground_field():
     cat = one_object_category(DgRing.ground_field(QQ))
     verdict = check_hlc(cat)
-    assert verdict.all_pass
+    assert passes(verdict)
 
 
 def test_check_hlc_gap_category_fails_with_witness():
     cat = weak_cokernel_gap_category(QQ)
     verdict = check_hlc(cat)
-    assert not verdict.weak_cokernels
-    assert verdict.failing_morphism is not None
-    a, b, idx = verdict.failing_morphism
-    assert (a, b) == ("A", "A")
+    assert verdict.weak_cokernels.status == FAILED
+    assert verdict.failing_morphism == {"source": "A", "target": "A", "class_index": 1}
 
 
 def test_h0_structure_dual_numbers_category():
     ring, _ = make_dual_numbers(2, -1, QQ)
     cat = one_object_category(ring)
     verdict = h0_structure_verdict(h0_category(cat))
-    assert verdict.all_pass
+    assert passes(verdict)
 
 
 def test_h0_structure_split_algebra_detects_idempotent():
@@ -119,8 +118,8 @@ def test_h0_structure_split_algebra_detects_idempotent():
     ring2 = DgRing.from_table(field, [0, 0], ["u", "v"], 0, mult2, name="kxk")
     cat = one_object_category(ring2)
     verdict = h0_structure_verdict(h0_category(cat))
-    assert not verdict.karoubian
-    assert verdict.idempotent_witnesses
+    assert verdict.karoubian.status == FAILED
+    assert verdict.karoubian.witness is not None
 
 
 def split_algebra_category(field):
@@ -136,9 +135,9 @@ def split_algebra_category(field):
 def test_check_hlc_split_algebra_fails_with_idempotent_witness(field):
     cat = split_algebra_category(field)
     verdict = check_hlc(cat)
-    assert not verdict.all_pass
-    assert verdict.as_dict()["h0_karoubian"] is False
-    [(obj, e)] = verdict.h0_structure.idempotent_witnesses
+    assert not passes(verdict)
+    assert render(verdict)["h0_karoubian"] is False
+    obj, e = verdict.h0_karoubian.witness
     h0 = h0_category(cat)
     assert h0.compose(obj, obj, obj, e, e) == e
     assert not e.is_zero() and e != h0.ids[obj]
@@ -146,15 +145,88 @@ def test_check_hlc_split_algebra_fails_with_idempotent_witness(field):
 
 def test_check_hlc_local_algebra_over_f2_has_no_idempotent():
     verdict = check_hlc(split_algebra_category(GF(2)))
-    assert verdict.h0_structure.karoubian
-    assert not verdict.h0_structure.idempotent_witnesses
+    assert verdict.h0_karoubian.status == CERTIFIED
+    assert verdict.h0_karoubian.witness is None
+
+
+def exterior_plane_category(field):
+    """One object whose End is Q<x,y>/(x^2, y^2, xy + yx) in degree 0, basis
+    1, x, y, xy: a local algebra that is not commutative, so it is no
+    DgRing, only a DgCategory over the ground field."""
+    from dgkit.complexes import Complex, TensorLayout
+    from dgkit.dgcat import DgCategory
+    from dgkit.matrix import Mat
+    end = Complex(field, {0: 4}, {}, labels={0: ("1", "x", "y", "xy")}, name="End")
+    # g o f = g f on basis words as bit sets; a product repeating a letter is 0
+    rows = [[0] * 16 for _ in range(4)]
+    for g in range(4):
+        for f in range(4):
+            if not g & f:
+                rows[g | f][4 * g + f] = -1 if (g, f) == (2, 1) else 1
+    comp = {("*", "*", "*"): TensorLayout([end, end]).map_from_blocks(
+        end, 0, lambda combo: Mat(field, 4, 16, rows))}
+    return DgCategory(DgRing.ground_field(field), ["*"], {("*", "*"): end}, comp,
+                      {"*": Mat.basis_column(field, 4, 0)}, name="ext2")
+
+
+def test_check_hlc_leaves_a_noncommutative_h0_unchecked():
+    verdict = check_hlc(exterior_plane_category(QQ))
+    assert verdict.h0_karoubian.status == UNCHECKED
+    assert "noncommutative" in verdict.h0_karoubian.reason
+    # rad(End) = <x, y, xy> is not a principal left ideal; the basis morphism
+    # xy has no weak cokernel
+    assert verdict.weak_cokernels.status == FAILED
+    assert verdict.failing_morphism == {"source": "*", "target": "*", "class_index": 3}
+    assert not passes(verdict)
+
+
+def test_check_hlc_leaves_additivity_and_hfp_unchecked():
+    verdict = check_hlc(one_object_category(DgRing.ground_field(QQ)))
+    assert verdict.h0_additive.status == verdict.representables_hfp.status == UNCHECKED
+    assert passes(verdict)
+    assert [u["path"] for u in unchecked(verdict)] == ["/h0_additive", "/representables_hfp"]
+
+
+def test_hfp_verdicts_share_one_unchecked_reason():
+    ring, aug = make_dual_numbers(2, -1, QQ)
+    cat = one_object_category(ring)
+    setup = check_setup_assumptions(aug)
+    _, report = deform_category(cat, aug)
+    verdicts = [is_hfp(ring_as_module(ring, cat), DegreeWindow(-3, 0)).hfp,
+                report.source_hlc.representables_hfp, setup.target_hfp_over_source,
+                setup.powers_hfp, report.steps[0].hfp_preserved]
+    assert all(v.status == UNCHECKED for v in verdicts)
+    assert len({v.reason for v in verdicts}) == 1
+
+
+def test_setup_coherence_is_certified_by_finite_dimensionality():
+    ring, aug = make_dual_numbers(2, -1, QQ)
+    coherent = check_setup_assumptions(aug).homotopically_coherent
+    assert coherent.status == CERTIFIED
+    assert coherent.reason == "H^0 finite-dimensional => Noetherian => coherent"
+
+
+def test_setup_fails_a_kernel_whose_powers_stabilize():
+    # k x k -> k, the first factor: the kernel is an idempotent ideal, I^2 = I,
+    # with nonzero cohomology (basis u = e1 + e2, v = e1 - e2, v v = u)
+    from dgkit.complexes import ChainMap
+    from dgkit.matrix import Mat
+    kxk = split_algebra_category(QQ).base
+    ground = DgRing.ground_field(QQ)
+    first = DgRingMorphism(kxk, ground, ChainMap(kxk.underlying, ground.underlying, 0,
+                                                 {0: Mat(QQ, 1, 2, [[1, 1]])}), name="first")
+    nilpotent = check_setup_assumptions(first).cohomologically_nilpotent
+    assert nilpotent.status == FAILED
+    assert nilpotent.reason == "kernel powers stabilized at k=2 with nonvanishing cohomology"
+    with pytest.raises(ValidationError, match="kernel powers stabilized"):
+        factorize(first)
 
 
 def test_deform_one_object_dual_numbers():
     ring, aug = make_dual_numbers(2, -1, QQ)
     cat = one_object_category(ring)
-    ext, report = deform_category(cat, aug, DegreeWindow(-3, 0))
-    assert report.all_pass
+    ext, report = deform_category(cat, aug)
+    assert passes(report)
     j = ext.category
     assert {d: j.hom("*", "*").dim(d) for d in j.hom("*", "*").degrees()} == {0: 1}
 
@@ -162,8 +234,8 @@ def test_deform_one_object_dual_numbers():
 def test_deform_free_arrow_category():
     ring, aug = make_dual_numbers(2, -1, QQ)
     cat = free_arrow_category(ring)
-    ext, report = deform_category(cat, aug, DegreeWindow(-3, 0))
-    assert report.all_pass
+    ext, report = deform_category(cat, aug)
+    assert passes(report)
 
 
 def test_deform_exterior_instance():
@@ -175,8 +247,8 @@ def test_deform_exterior_instance():
     # theta: R[f] is R-linear via multiplication; deform along aug needs the
     # category to be R-linear: reinterpret End = R (+) R.f as an R-category
     rcats = rebuild_as_r_category(ring, ext_ring)
-    ext, report = deform_category(rcats, aug, DegreeWindow(-3, 0))
-    assert report.all_pass
+    ext, report = deform_category(rcats, aug)
+    assert passes(report)
 
 
 def rebuild_as_r_category(ring, ext_ring):
@@ -224,15 +296,13 @@ def test_pipeline_over_prime_field():
     field = GF(7)
     ring, aug = make_dual_numbers(3, -2, field)
     chain = factorize(aug)
-    assert chain.all_pass
+    assert passes(chain)
     cat = one_object_category(ring)
-    ext, report = deform_category(cat, aug, DegreeWindow(-4, 0))
-    # the Karoubian verdict over F_p is recorded, not factored; everything
-    # else is exact
-    assert all(s.all_pass for s in report.steps)
-    assert report.factorization.all_pass
-    assert report.pipeline_coherent
-    assert report.deformed_hlc.weak_cokernels
+    ext, report = deform_category(cat, aug)
+    assert all(passes(s) for s in report.steps)
+    assert passes(report.factorization)
+    assert report.pipeline_coherent.status == CERTIFIED
+    assert report.deformed_hlc.weak_cokernels.status == CERTIFIED
 
 
 @pytest.mark.parametrize("make_cat", [one_object_category, free_arrow_category])
@@ -251,34 +321,32 @@ def test_deform_builds_three_extensions_per_step(monkeypatch, make_cat, n, build
     monkeypatch.setattr(deform, "extend_scalars_cat", counted)
     ring, aug = make_dual_numbers(n, -2, QQ)
     ext, report = deform_category(make_cat(ring), aug)
-    assert report.all_pass
+    assert passes(report)
     assert len(calls) == builds
 
 
-PASSING_HLC = {"all_pass": True, "failing_morphism": None, "h0_additive": True, "h0_karoubian": True,
-               "nonpositive_cohomology": True, "representables_hfp": True, "weak_cokernels": True}
-DESK_NOTES = ["finite-dimensional H^0 recorded as coherent (desk scale)",
-              "finitely presented = finite-dimensional at desk scale"]
+PASSING_HLC = {"all_pass": True, "failing_morphism": None, "h0_additive": "unchecked", "h0_karoubian": True,
+               "nonpositive_cohomology": True, "representables_hfp": "unchecked", "weak_cokernels": True}
 # the factorization step reports of k[e]/(e^4), |e| = -2; the chain of
 # k[e]/(e^3) is its last two steps
 STEP_REPORTS = [
-    {"all_pass": True, "homotopically_coherent": True, "morphism": "theta_4,3", "nilpotency_order": 2,
-     "notes": DESK_NOTES, "power_H": {"1": {"-6": 1}}, "powers_hfp": True,
+    {"all_pass": True, "cohomologically_nilpotent": True, "homotopically_coherent": True, "morphism": "theta_4,3",
+     "nilpotency_order": 2, "power_H": {"1": {"-6": 1}}, "powers_hfp": "unchecked",
      "source_H": {"-2": 1, "-4": 1, "-6": 1, "0": 1}, "strictly_surjective": {"-2": True, "-4": True, "0": True},
-     "surjective": True, "target_H": {"-2": 1, "-4": 1, "0": 1}, "target_hfp_over_source": True},
-    {"all_pass": True, "homotopically_coherent": True, "morphism": "theta_3,2", "nilpotency_order": 2,
-     "notes": DESK_NOTES, "power_H": {"1": {"-4": 1}}, "powers_hfp": True,
+     "surjective": True, "target_H": {"-2": 1, "-4": 1, "0": 1}, "target_hfp_over_source": "unchecked"},
+    {"all_pass": True, "cohomologically_nilpotent": True, "homotopically_coherent": True, "morphism": "theta_3,2",
+     "nilpotency_order": 2, "power_H": {"1": {"-4": 1}}, "powers_hfp": "unchecked",
      "source_H": {"-2": 1, "-4": 1, "0": 1}, "strictly_surjective": {"-2": True, "0": True},
-     "surjective": True, "target_H": {"-2": 1, "0": 1}, "target_hfp_over_source": True},
-    {"all_pass": True, "homotopically_coherent": True, "morphism": "theta_2,1", "nilpotency_order": 2,
-     "notes": DESK_NOTES, "power_H": {"1": {"-2": 1}}, "powers_hfp": True,
+     "surjective": True, "target_H": {"-2": 1, "0": 1}, "target_hfp_over_source": "unchecked"},
+    {"all_pass": True, "cohomologically_nilpotent": True, "homotopically_coherent": True, "morphism": "theta_2,1",
+     "nilpotency_order": 2, "power_H": {"1": {"-2": 1}}, "powers_hfp": "unchecked",
      "source_H": {"-2": 1, "0": 1}, "strictly_surjective": {"0": True},
-     "surjective": True, "target_H": {"0": 1}, "target_hfp_over_source": True},
+     "surjective": True, "target_H": {"0": 1}, "target_hfp_over_source": "unchecked"},
 ]
 
 
 def passing_step(name):
-    return {"all_pass": True, "h0_comparison_bijective": True, "hfp_preserved": True,
+    return {"all_pass": True, "h0_comparison_bijective": True, "hfp_preserved": "unchecked",
             "ker_h0_theta_square_zero": True, "les_rank_bookkeeping": True, "nonpositive_cohomology": True,
             "ses_exact": True, "step": name, "tensor_lift_mutually_inverse": True}
 
@@ -286,19 +354,16 @@ def passing_step(name):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_deform_report_of_multi_step_chains(field, n):
-    # recorded before the transitivity squares reused the pipeline's extensions
+    # recorded before the transitivity squares reused the pipeline's extensions,
+    # with the hfp and additivity verdicts since reported unchecked
     ring, aug = make_dual_numbers(n, -2, field)
     _, report = deform_category(one_object_category(ring), aug)
     reports = STEP_REPORTS[4 - n:]
     names = [r["morphism"] for r in reports]
-    assert report.as_dict() == {
+    assert render(report) == {
         "steps": [passing_step(name) for name in names],
         "source_hlc": PASSING_HLC,
         "deformed_hlc": PASSING_HLC,
-        "source_h0_additive": True,
-        "source_h0_karoubian": True,
-        "deformed_h0_additive": True,
-        "deformed_h0_karoubian": True,
         "pipeline_coherent": True,
         "factorization": {"all_pass": True, "composition_equals_theta": True, "head_is_quasi_iso": True,
                           "square_zero_kernels": [True] * len(names), "step_reports": reports, "steps": names},

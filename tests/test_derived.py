@@ -21,6 +21,7 @@ from dgkit.derived import (
     tstruct_truncate,
 )
 from dgkit.errors import WindowCertificationError
+from dgkit.verdict import UNCHECKED
 from dgkit.instances import random_module, random_nonpositive_category
 
 
@@ -223,8 +224,10 @@ def test_is_hfp_zero_and_free():
     ring, _ = make_dual_numbers(2, -1, QQ)
     cat = one_object_category(ring)
     w = DegreeWindow(-3, 0)
-    assert is_hfp(ring_as_module(ring, cat), w).hfp
-    assert is_hfp(Module.zero(cat), w).bounded
+    free = is_hfp(ring_as_module(ring, cat), w)
+    assert free.dims == {"*": {-1: 1, 0: 1}}
+    assert free.hfp.status == UNCHECKED
+    assert is_hfp(Module.zero(cat), w).bound == 1
 
 
 def test_orthogonality_from_acyclic_hom_block():

@@ -121,17 +121,17 @@ def test_h0_acyclic_hom_is_zero():
 
 def test_h0_rejects_composition_not_well_defined_on_classes():
     # End = <1, s, v>, |s| = -1, ds = v; a composition (unchecked) with
-    # 1 o v = 1 sends a coboundary to the class of 1
+    # 1 o v = 1, or with v o 1 = 1, sends a coboundary to the class of 1
     end = Complex(QQ, {-1: 1, 0: 2}, {-1: Mat(QQ, 2, 1, [[0], [1]])})
+    for unit_slot in (0, 1):
+        def entry(combo, idx):
+            return Mat.basis_column(QQ, 2, 0) if combo == (0, 0) and idx[unit_slot] == 0 else None
 
-    def entry(combo, idx):
-        return Mat.basis_column(QQ, 2, 0) if combo == (0, 0) and idx[0] == 0 else None
-
-    comp = TensorLayout([end, end]).map_from_entries(end, 0, entry, check=False)
-    cat = DgCategory(DgRing.ground_field(QQ), ["*"], {("*", "*"): end}, {("*", "*", "*"): comp},
-                     {"*": Mat.basis_column(QQ, 2, 0)}, check=False)
-    with pytest.raises(ValidationError, match="not well defined on classes"):
-        h0_category(cat)
+        comp = TensorLayout([end, end]).map_from_entries(end, 0, entry, check=False)
+        cat = DgCategory(DgRing.ground_field(QQ), ["*"], {("*", "*"): end}, {("*", "*", "*"): comp},
+                         {"*": Mat.basis_column(QQ, 2, 0)}, check=False)
+        with pytest.raises(ValidationError, match="not well defined on classes"):
+            h0_category(cat)
 
 
 def test_opposite_involution_strict():

@@ -15,6 +15,7 @@ from dgkit.dgring import (
 )
 from dgkit.complexes import ChainMap
 from dgkit.matrix import Mat
+from dgkit.verdict import CERTIFIED, FAILED, passes
 
 
 def test_dual_numbers_n2_deg_minus1():
@@ -93,14 +94,14 @@ def test_setup_checker_dual_numbers():
     for n, e in [(2, -1), (3, -2)]:
         ring, aug = make_dual_numbers(n, e, QQ)
         report = check_setup_assumptions(aug)
-        assert report.all_pass
+        assert passes(report)
         assert report.nilpotency_order == n
 
 
 def test_setup_checker_identity():
     ring, _ = make_dual_numbers(2, -1, QQ)
     report = check_setup_assumptions(DgRingMorphism.identity(ring))
-    assert report.all_pass
+    assert passes(report)
     assert report.nilpotency_order == 1
 
 
@@ -111,8 +112,8 @@ def test_setup_checker_non_surjective_inclusion_fails():
     incl = DgRingMorphism(ground, ring, ChainMap(ground.underlying, ring.underlying, 0, comps),
                           name="incl")
     report = check_setup_assumptions(incl)
-    assert not report.surjective
-    assert report.strict_surjectivity[-1] is False
+    assert report.surjective.status == FAILED
+    assert report.strictly_surjective[-1] is False
 
 
 def test_factorization_chain_composes_to_theta():
@@ -121,7 +122,7 @@ def test_factorization_chain_composes_to_theta():
     q2, p2 = quotient(ring, ideal_power(ideal, 2))   # R -> R/I^2
     # induced ideal of q2 and its quotient
     aug_q2 = check_setup_assumptions(p2)
-    assert aug_q2.surjective
+    assert aug_q2.surjective.status == CERTIFIED
 
 
 def test_ring_rejects_positive_degrees():

@@ -243,3 +243,34 @@ def test_fields_are_constructed_only_in_fields_module():
     found = {path.name: field_constructions(path.read_text())
              for root in roots for path in sorted(root.glob("*.py")) if path != PACKAGE / "fields.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# Reports state their verdicts as ``verdict.Verdict`` fields and render through
+# ``verdict.render``: no class keeps a ``notes`` list or a hand-written
+# ``all_pass``, and ``as_dict`` stays only on the classes that hold no verdict.
+AS_DICT_CLASSES = {"CohomologyReport", "DegreeWindow", "DerivedReport", "CheckResult"}
+
+
+def class_members(source: str):
+    """(class name, member name) for each method and each annotated field of
+    the top-level classes."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.add((node.name, item.name))
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    found.add((node.name, item.target.id))
+    return found
+
+
+def test_class_members_are_found():
+    src = "class A:\n    notes: list\n    x = 1\n    def all_pass(self):\n        pass\ndef as_dict():\n    pass\n"
+    assert class_members(src) == {("A", "notes"), ("A", "all_pass")}
+
+
+def test_reports_render_through_one_renderer():
+    members = set().union(*(class_members(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))))
+    assert {cls for cls, name in members if name in ("notes", "all_pass")} == set()
+    assert {cls for cls, name in members if name == "as_dict"} == AS_DICT_CLASSES

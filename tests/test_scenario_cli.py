@@ -1,6 +1,8 @@
 """Scenario loading, the bundled corpus, CLI dispatch and exit codes."""
 
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -263,6 +265,7 @@ def cli_invocations(draw):
     {"field": "Q", "rings": {"R": {"table": {"unit": 0}}}, "commands": []}), {}))
 @example((["check-hlc", "--format", "json"], json.dumps(
     {"field": "Q", "categories": {"gap": {"weak_cokernel_gap": True}}, "commands": [{"run": "check-hlc"}]}), {}))
+@example((["check-hlc", "--format", "json"], json.dumps(CORPUS["gap_category.json"]), {}))
 def test_cli_fuzz_keeps_exit_code_contract(invocation):
     args, text, env = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -279,3 +282,8 @@ def test_cli_fuzz_keeps_exit_code_contract(invocation):
         report = json.loads(result.stdout)
         failed = [r for r in report["results"] if not r["passed"]]
         assert report["passed"] == (result.exit_code == 0) == (not failed)
+        # the top-level list names exactly the entries rendered "unchecked"
+        results = report["results"]
+        entries = ["/results" + "".join(f"/{key}" for key in path) for path in json_paths(results)
+                   if functools.reduce(operator.getitem, path, results) == "unchecked"]
+        assert sorted(u["path"] for u in report["unchecked"]) == sorted(entries)
