@@ -525,7 +525,7 @@ def dual_of(f: "Bimodule") -> "Bimodule":
     psi |-> (- o b) o psi with the sign of moving the acting element past
     psi; vec(L X R) = kron(L, R^t) vec(X) writes each slot block."""
     acat_op = opposite(f.acat)
-    bcat_op = opposite(f.bcat)
+    bcat_op = acat_op if f.bcat is f.acat else opposite(f.bcat)
     field = f.field
     modules = {a: f.module_at(a) for a in f.acat.objects}
     reps = {b: Module.representable(f.bcat, b) for b in f.bcat.objects}

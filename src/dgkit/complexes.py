@@ -192,12 +192,14 @@ class CohomologyReport:
 
     ``rep(i)`` has the representative cocycles as columns, chosen by
     ``cohomology_at``; classes are coordinates with respect to those columns
-    modulo the image of d.
+    modulo the image of d.  ``known`` holds, by degree, results of
+    ``cohomology_at`` on ``cx`` already computed.
     """
 
-    def __init__(self, cx: Complex):
+    def __init__(self, cx: Complex, known: Optional[Dict[int, Tuple[Mat, Mat]]] = None):
         self.complex = cx
-        self._at = {deg: cohomology_at(cx, deg) for deg in cx.degrees()}
+        known = known or {}
+        self._at = {deg: known.get(deg) or cohomology_at(cx, deg) for deg in cx.degrees()}
         self.dims: Dict[int, int] = {deg: reps.cols for deg, (reps, _) in self._at.items()}
 
     def dim(self, deg: int) -> int:

@@ -8,6 +8,8 @@ all degrees >= floor is reached in finitely many rounds and is *verified* on
 the full cohomology of the finished cones, never assumed.  A round builds one
 cone per object, read from the last attachment degree down; P and its action
 are built once.  Derived functors return cohomology on the certified window.
+RHom(M, N) is Hom(P, N) read at P's generators (Yoneda): the sum of the
+N(x_g)[n_g], twisted by the action of P's twist elements on N.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .bimodules import Module, ModuleMap, module_on, module_hom_complex
+from .bimodules import Module, ModuleMap, module_on
 from .complexes import (
     BalancedTensor,
     ChainMap,
+    CohomologyReport,
     Complex,
     balanced_tensor,
     block_sum,
@@ -40,7 +43,7 @@ from .complexes import (
 from .dgcat import DgCategory, one_object_category
 from .dgring import HFP_UNCHECKED, DgRing, DgRingMorphism
 from .errors import ValidationError, WindowCertificationError
-from .matrix import block_matrix
+from .matrix import Mat, block_matrix
 from .verdict import Verdict
 
 
@@ -68,14 +71,46 @@ class DegreeWindow:
 
 @dataclass
 class WindowedResolution:
-    """Semifree approximation P -> M, exact on cone degrees >= floor."""
+    """Semifree approximation P -> M, exact on cone degrees >= floor: P is
+    the one-sided twisted complex of the h_{x_g}[-n_g] over ``generators``
+    (x_g, n_g), d(1_{x_g}) = -sum_i p_{g,i}, with ``twists[(g, i)]`` the
+    nonzero p_{g,i} in hom(x_g, x_i) of degree n_g + 1 - n_i, i < g."""
 
     target: Module
     module: Module
     comparison: ModuleMap
     generators: List[Tuple[object, int]]
+    twists: Dict[Tuple[int, int], Mat]
     floor: int
     cone_cohomology: Dict
+
+    def hom_into(self, u: Module) -> Complex:
+        """Hom(P, u) evaluated at the generators (Yoneda): phi of degree m
+        is ((-1)^{m n_g} phi(1_{x_g}))_g in the sum of u(x_g)[n_g], twisted
+        from slot i to slot g by v |-> (-1)^{(m + 1) n_g + m (n_i + 1)} v . p_{g,i}."""
+        gens = self.generators
+        if not gens:
+            return Complex.zero(u.field)
+        acts = {(g, i): (u.act_by(gens[g][0], gens[i][0], gens[g][1] + 1 - gens[i][1], p), gens[g][1], gens[i][1])
+                for (g, i), p in self.twists.items()}
+
+        def twist(m):
+            return {(g, i): -fam[m + n_i] if ((m + 1) * n_g + m * (n_i + 1)) % 2 else fam[m + n_i]
+                    for (g, i), (fam, n_g, n_i) in acts.items() if m + n_i in fam}
+
+        return block_sum([(u.at(x), n) for x, n in gens], twist, name=f"Hom({self.module.name},{u.name})")
+
+    def hom_postcompose(self, phi: ModuleMap) -> ChainMap:
+        """Hom(P, phi) for a degree-0 module map, Hom(P, source) -> Hom(P,
+        target) in the form of ``hom_into``: phi at x_g on slot g."""
+        if phi.degree != 0:
+            raise ValidationError("postcomposition needs a degree-0 module map")
+        src, tgt = self.hom_into(phi.source), self.hom_into(phi.target)
+        return ChainMap(src, tgt, 0, {m: block_matrix(
+            src.field, [phi.target.at(x).dim(m + n) for x, n in self.generators],
+            [phi.source.at(x).dim(m + n) for x, n in self.generators],
+            {(g, g): phi.at(x).component(m + n) for g, (x, n) in enumerate(self.generators)})
+            for m in src.degrees()})
 
 
 def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedResolution:
@@ -88,7 +123,8 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     are built once per (object, generator).  A round builds one checked cone
     per object and reads it down from the last attachment degree, above which
     nothing moves, to the first class >= floor; with none, the full cohomology
-    of the cones certifies the end, and P, f and the action are built once."""
+    of the cones, seeded with the degrees the scan reduced, certifies the
+    end, and P, f and the action are built once."""
     cat = m.cat
     if not cat.is_strictly_nonpositive():
         raise ValidationError("resolutions require a strictly nonpositive base")
@@ -98,20 +134,25 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     summands = {z: [(m.at(z), 0)] for z in cat.objects}
     blocks = {z: {} for z in cat.objects}
     top = max((d for z in cat.objects for d in m.at(z).degrees()), default=floor)
+    twists: Dict[Tuple[int, int], Mat] = {}
     while True:
         cones = {z: block_sum(summands[z], lambda d: {
             key: fam[d + 1 - n] for key, (fam, n) in blocks[z].items() if d + 1 - n in fam},
             name=f"cone(P({z})->{m.at(z).name})") for z in cat.objects}
+        scans = {z: {} for z in cat.objects}
         for worst in range(top, floor - 1, -1):
-            classes = {z: cohomology_at(c, worst)[0] for z, c in cones.items()}
+            for z, c in cones.items():
+                scans[z][worst] = cohomology_at(c, worst)
+            classes = {z: scan[worst][0] for z, scan in scans.items()}
             if any(r.cols for r in classes.values()):
                 break
         else:
-            cone_h = {z: c.cohomology().as_dict() for z, c in cones.items()}
+            reports = {z: CohomologyReport(c, scans[z]) for z, c in cones.items()}
+            cone_h = {z: r.as_dict() for z, r in reports.items()}
             worst = max((d for h in cone_h.values() for d in h if d >= floor), default=None)
             if worst is None:
                 break
-            classes = {z: c.cohomology().rep(worst) for z, c in cones.items()}
+            classes = {z: r.rep(worst) for z, r in reports.items()}
         new = []
         for z in cat.objects:
             m_dim = m.at(z).dim(worst)
@@ -125,11 +166,12 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
         for col, (x, m_part, p_part) in enumerate(new, len(gens) + 1):
             offs = list(itertools.accumulate((cat.hom(x, y).dim(worst + 1 - k) for y, k in gens), initial=0))
             rows = {i: p_part.take_rows(range(offs[i], offs[i + 1])) for i in range(len(gens))}
+            twists.update({(col - 1, i): p for i, p in rows.items() if not p.is_zero()})
             for z in cat.objects:
                 blocks[z][(0, col)] = (element_action(m.act[(z, x)], m.act_layouts[(z, x)], 0, worst, m_part), worst)
                 blocks[z].update({(i + 1, col): (element_action(cat.comp[(z, x, y)], cat.comp_layouts[(z, x, y)],
                                                                 0, worst + 1 - k, rows[i]), worst)
-                                  for i, (y, k) in enumerate(gens) if not rows[i].is_zero()})
+                                  for i, (y, k) in enumerate(gens) if (col - 1, i) in twists})
                 summands[z].append((shift_complex(cat.hom(z, x), 1 - worst), 0))
         gens.extend((x, worst) for x, _, _ in new)
         top = worst
@@ -145,7 +187,7 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
             for d in parts[z].complex.degrees()})
     reps = {x: Module.representable(cat, x) for x, _ in gens}
     P = module_on(cat, parts, [reps[x] for x, _ in gens], name="P") if gens else Module.zero(cat)
-    return WindowedResolution(m, P, ModuleMap(P, m, 0, f), gens, floor, cone_h)
+    return WindowedResolution(m, P, ModuleMap(P, m, 0, f), gens, twists, floor, cone_h)
 
 
 def bar_resolution_window(m: Module, window: DegreeWindow,
@@ -238,15 +280,16 @@ def derived_tensor(m: Module, n: Module, window: DegreeWindow,
 
 def derived_hom(m: Module, n: Module, window: DegreeWindow,
                 generator_cap: int = 400) -> DerivedReport:
-    """H^* RHom(m, n) on the window via a windowed resolution of m; works
-    over a ring or a dg-category base."""
+    """H^* RHom(m, n) on the window: Hom(P, n) for a windowed resolution P
+    of m, read at P's generators (``WindowedResolution.hom_into``) rather
+    than cut out of the objectwise Homs; over a ring or a dg-category base."""
     n_lo, _ = _support_bounds(n)
     floor = min(n_lo, 0) - window.hi - 2 - window.guard
     res = resolve_module(m, floor, generator_cap)
-    mhc = module_hom_complex(res.module, n)
-    h = mhc.complex.cohomology().as_dict()
+    hom = res.hom_into(n)
+    h = hom.cohomology().as_dict()
     dims = {d: h.get(d, 0) for d in window.degrees()}
-    return DerivedReport(dims, window, res, mhc.complex)
+    return DerivedReport(dims, window, res, hom)
 
 
 # -- natural t-structure -----------------------------------------------------------

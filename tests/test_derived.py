@@ -8,6 +8,8 @@ from dgkit.fields import GF, QQ
 from dgkit.dgring import DgRing, make_dual_numbers
 from dgkit.dgcat import one_object_category
 from dgkit.bimodules import Module, ModuleMap, module_hom_complex, shift_module
+from dgkit.complexes import ChainMap
+from dgkit.matrix import Mat
 from dgkit.derived import (
     DegreeWindow,
     bar_resolution_window,
@@ -22,7 +24,7 @@ from dgkit.derived import (
 )
 from dgkit.errors import WindowCertificationError
 from dgkit.verdict import UNCHECKED
-from dgkit.instances import random_module, random_nonpositive_category
+from dgkit.instances import random_module, random_nonpositive_category, small_random_category
 
 
 def test_resolution_of_ground_field_over_dual_numbers():
@@ -278,3 +280,78 @@ def test_orthogonality_from_acyclic_hom_block():
     assert cat.hom("D1", "D2").is_acyclic()
     rep = derived_hom(f, g, DegreeWindow(-2, 2))
     assert all(v == 0 for v in rep.dims.values())
+
+
+def evaluation_at_generators(res, mhc):
+    """The map from ``mhc``, the ``module_hom_complex`` of res.module into
+    u, to res.hom_into(u), basis vector by basis vector: phi of degree m
+    goes to ((-1)^{m n_g} phi(1_{x_g}))_g, where 1_{x_g} sits in P(x_g) in
+    degree n_g after the slots of the earlier generators."""
+    cat, field, u = res.module.cat, res.module.field, mhc.target
+    hom = res.hom_into(u)
+    comps = {}
+    for m in mhc.complex.degrees():
+        cols = []
+        for j in range(mhc.complex.dim(m)):
+            amb = mhc.inclusion.component(m) @ Mat.basis_column(field, mhc.complex.dim(m), j)
+            out = []
+            for g, (x, n) in enumerate(res.generators):
+                phi = mhc.layouts[x].family_from_vector(m, mhc.projs[x].component(m) @ amb)
+                before = sum(cat.hom(x, y).dim(n - k) for y, k in res.generators[:g])
+                unit = [field.zero()] * res.module.at(x).dim(n)
+                unit[before:before + cat.hom(x, x).dim(0)] = cat.id_vector(x).column_values(0)
+                value = phi[n] @ Mat.column(field, unit) if n in phi else Mat.zero(field, u.at(x).dim(n + m), 1)
+                out.extend((-value if m * n % 2 else value).column_values(0))
+            cols.append(out)
+        comps[m] = Mat.from_columns(field, hom.dim(m), cols)
+    return ChainMap(mhc.complex, hom, 0, comps)
+
+
+def hom_cases(field):
+    """(source, target, floor): the ground module of k[e]/e^2 with |e| = -1
+    and 0 and of k[e]/e^3 with |e| = -2 into itself and the free module, and
+    two random modules over a 2-object category, whose resolution has odd
+    twist elements between its objects."""
+    cases = []
+    for n, eps in [(2, -1), (2, 0), (3, -2)]:
+        ring, aug = make_dual_numbers(n, eps, field)
+        cat = one_object_category(ring)
+        ground, free = restricted_ground_module(aug, cat), ring_as_module(ring, cat)
+        cases += [(ground, ground, -4), (ground, free, -4), (shift_module(ground, 1), ground, -3)]
+    rng = random.Random(35)
+    cat = small_random_category(rng, field, 2, max_total_hom=8)
+    cases.append((random_module(rng, cat), random_module(rng, cat), -4))
+    return cases
+
+
+def test_hom_at_generators_is_the_module_hom_complex(field):
+    for source, target, floor in hom_cases(field):
+        res = resolve_module(source, floor)
+        ev = evaluation_at_generators(res, module_hom_complex(res.module, target))
+        for m in set(ev.source.degrees()) | set(ev.target.degrees()):
+            mat = ev.component(m)
+            assert mat.rows == mat.cols == mat.rank()
+
+
+def test_hom_postcomposition_at_generators_is_postcomposition_of_module_maps(field):
+    # Hom(P, counit of tau_le) against phi |-> counit o phi, objectwise,
+    # through the evaluations at the generators; the twists act nontrivially
+    rng = random.Random(49)
+    cat = small_random_category(rng, field, 2, max_total_hom=8)
+    res = resolve_module(tstruct_truncate(random_module(rng, cat)).tau_le, -4)
+    counit = tstruct_truncate(shift_module(random_module(rng, cat), -1)).counit
+    post = res.hom_postcompose(counit)
+    src, tgt = module_hom_complex(res.module, counit.source), module_hom_complex(res.module, counit.target)
+    ev_src, ev_tgt = evaluation_at_generators(res, src), evaluation_at_generators(res, tgt)
+    assert post.source.total_dim() < post.target.total_dim()
+    for m in src.complex.degrees():
+        for j in range(src.complex.dim(m)):
+            vec = Mat.basis_column(field, src.complex.dim(m), j)
+            amb = src.inclusion.component(m) @ vec
+            flat = Mat.zero(field, tgt.ambient.dim(m), 1)
+            for a in cat.objects:
+                phi = src.layouts[a].family_from_vector(m, src.projs[a].component(m) @ amb)
+                composed = {i: counit.at(a).component(i + m) @ f for i, f in phi.items()}
+                flat = flat + tgt.injs[a].component(m) @ tgt.layouts[a].vector_from_family(m, composed)
+            lifted = tgt.inclusion.component(m).solve(flat)
+            assert ev_tgt.component(m) @ lifted == post.component(m) @ (ev_src.component(m) @ vec)
