@@ -10,7 +10,7 @@ construction-time invariant checks.
 __version__ = "0.1.0"
 
 from .fields import QQ, GF, Field, field_from_spec
-from .matrix import Mat, rank_kernel_image
+from .matrix import Mat
 from .complexes import (
     ChainMap,
     CohomologyReport,
@@ -20,7 +20,6 @@ from .complexes import (
     direct_sum,
     hom_complex,
     shift_complex,
-    tensor_field,
     truncate_ge,
     truncate_le,
 )
@@ -38,7 +37,6 @@ from .dgcat import (
     DgFunctor,
     H0Category,
     h0_category,
-    hstar_dims,
     one_object_category,
     opposite,
     tensor_cat,
@@ -59,10 +57,8 @@ from .bimodules import (
 from .derived import (
     DegreeWindow,
     WindowedResolution,
-    bar_resolution_window,
     derived_hom,
     derived_tensor,
-    is_hfp,
     tstruct_truncate,
 )
 from .changeofrings import (
@@ -88,20 +84,20 @@ from .verdict import Verdict, passes, render, unchecked
 
 __all__ = [
     "QQ", "GF", "Field", "field_from_spec",
-    "Mat", "rank_kernel_image",
+    "Mat",
     "Complex", "ChainMap", "CohomologyReport", "GradedSpace",
-    "cone", "direct_sum", "hom_complex", "shift_complex", "tensor_field",
+    "cone", "direct_sum", "hom_complex", "shift_complex",
     "truncate_ge", "truncate_le",
     "DgRing", "DgRingMorphism", "DgIdeal",
     "make_dual_numbers", "ideal_power", "quotient", "check_setup_assumptions",
     "DgCategory", "DgFunctor", "H0Category",
-    "truncate_cat", "h0_category", "hstar_dims", "opposite", "tensor_cat",
+    "truncate_cat", "h0_category", "opposite", "tensor_cat",
     "one_object_category",
     "Module", "ModuleMap", "Bimodule",
     "end_of", "coend_of", "compose_bimodules", "dual_of",
     "find_quasi_representative", "restrict_bimodule", "module_hom_complex",
-    "DegreeWindow", "WindowedResolution", "bar_resolution_window",
-    "derived_tensor", "derived_hom", "tstruct_truncate", "is_hfp",
+    "DegreeWindow", "WindowedResolution",
+    "derived_tensor", "derived_hom", "tstruct_truncate",
     "restrict_category", "restrict_ring_module", "extend_scalars_cat",
     "extension_adjunction_check", "coextension_adjunction_check",
     "transitivity_check", "s_vs_r_module_comparison", "heart_coextension_check",

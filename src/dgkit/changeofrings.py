@@ -584,7 +584,9 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
                             instances: Sequence[Bimodule]) -> HeartVerdict:
     """Finite-instance heart identification for bimodules out of the S point:
     members with cohomology in degree 0 are identified, via the truncation
-    zigzag, with their H^0(S)-linear functor data realized in degree 0."""
+    zigzag, with their H^0(S)-linear functor data realized in degree 0.  With
+    no member every verdict is unchecked, and the objectwise t-cohomology is
+    unchecked when a member has no quasi-representative to compare with."""
     from .dgcat import h0_ring
     ring_s = theta.target
     scat = one_object_category(ring_s)
@@ -593,7 +595,7 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
     # column s: the chosen preimage in S^0 of the class [s] of a basis element s
     proj = h0_ring(ring_s)[1].map.component(0)
     back = proj.solve(proj)
-    members = []
+    members, unrepresented = [], []
     realizations_ok = True
     s_linear_ok = True
     objectwise_ok = True
@@ -634,13 +636,21 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
             if act != act @ kron(back, Mat.identity(field, parts[b].complex.dim(0))):
                 s_linear_ok = False
         # objectwise t-cohomology through the witness
-        if wit is not None:
+        if wit is None:
+            unrepresented.append(idx)
+        else:
             for b in b_r.objects:
                 lhs = x.at(sobj, b).cohomology().as_dict()
                 rhs = b_r.hom(b, wit.obj).cohomology().as_dict()
                 if lhs != rhs:
                     objectwise_ok = False
+    if not members:
+        empty = Verdict(UNCHECKED, "no instance has its cohomology in degree 0 alone")
+        return HeartVerdict(members, empty, empty, empty)
+    objectwise = Verdict.of(objectwise_ok, "each member's cohomology is that of its quasi-representative")
+    if objectwise_ok and unrepresented:
+        objectwise = Verdict(UNCHECKED, f"members {unrepresented} have no quasi-representative")
     return HeartVerdict(members,
                         Verdict.of(realizations_ok, "each member's truncation zigzag is a pair of quasi-isos"),
                         Verdict.of(s_linear_ok, "each H^0 action by s equals the action by its chosen preimage"),
-                        Verdict.of(objectwise_ok, "each member's cohomology is that of its quasi-representative"))
+                        objectwise)

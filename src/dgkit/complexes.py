@@ -6,6 +6,9 @@ Sign conventions, fixed once and enforced by construction-time checks:
 * differentials raise degree by one; d(x tensor y) = dx tensor y + (-1)^|x| x tensor dy
 * hom-complex degree-n component is prod_i Hom(c^i, d^{i+n}) with
   (delta phi) = d_target o phi - (-1)^n phi o d_source
+* the dual c^ has (c^)^{-i} = (c^i)^* and d^{-i} = (-1)^{i+1} (d^{i-1})^t,
+  so that Hom(c, d) is the tensor d tensor c^, a map phi: c^i -> d^{i+n}
+  sitting in its block (i+n, -i)
 * (f tensor g)(x tensor y) = (-1)^{|g||x|} f(x) tensor g(y)
 * swap(x tensor y) = (-1)^{|x||y|} y tensor x
 * c[k]^i = c^{i+k} with differential (-1)^k d
@@ -1278,138 +1281,75 @@ def lifted_map(parts: Sequence[Part], target: Part, plains: Sequence[Callable]) 
     return lay.map_from_blocks(tcx, 0, block)
 
 
-def tensor_field(a: Complex, b: Complex) -> Complex:
-    """Tensor product over the ground field."""
-    return TensorLayout([a, b]).complex
-
-
 # -- hom layout -------------------------------------------------------------------
 
 
-class HomLayout:
-    """Basis bookkeeping for the hom-complex Hom(source, target).
+def dual_complex(cx: Complex) -> Complex:
+    """The graded dual c^: degree -i is (c^i)^*, with d^{-i} = (-1)^(i+1)
+    (d^{i-1})^t, the sign that makes d (x) c^ the hom complex Hom(c, d)."""
+    diffs = {-i - 1: mat.transpose() if i % 2 == 0 else -mat.transpose() for i, mat in cx.d.items()}
+    return Complex(cx.field, {-i: dim for i, dim in cx.spaces.dims.items()}, diffs, name=f"{cx.name}^")
 
-    Degree-n blocks are indexed by the source degree i (ascending); inside a
-    block, the matrix entry (row r of target^{i+n}, column t of source^i) sits
-    at position r * dim(source^i) + t.
+
+class HomLayout:
+    """The hom-complex Hom(source, target) as the tensor target (x) source^.
+
+    Degree-n blocks are the tensor blocks (i + n, -i), indexed by the source
+    degree i (ascending); inside a block, the matrix entry (row r of
+    target^{i+n}, column t of source^i) sits row-major at r * dim(source^i) + t.
     """
+
+    __slots__ = ("source", "target", "field", "tensor")
 
     def __init__(self, source: Complex, target: Complex):
         self.source = source
         self.target = target
-        self.field = same_field(source.field, target.field)
-        self._blocks: Dict[int, List[Tuple[int, int, int]]] = {}
-        for i in source.degrees():
-            for j in target.degrees():
-                n = j - i
-                size = source.dim(i) * target.dim(j)
-                if size:
-                    self._blocks.setdefault(n, []).append((i, 0, size))
-        blocks = {}
-        for n, lst in self._blocks.items():
-            lst.sort()
-            acc = 0
-            entries = []
-            for i, _, size in lst:
-                entries.append((i, acc, size))
-                acc += size
-            blocks[n] = entries
-        self._blocks = blocks
-        self._complex: Optional[Complex] = None
+        self.tensor = TensorLayout([target, dual_complex(source)])
+        self.field = self.tensor.field
 
     def dims(self) -> Dict[int, int]:
-        return {n: sum(size for _, _, size in blocks) for n, blocks in self._blocks.items()}
+        return self.tensor.dims()
 
-    def blocks(self, n: int):
-        return self._blocks.get(n, [])
+    def blocks(self, n: int) -> List[Tuple[int, int, int]]:
+        return [(-k, off, size) for (_, k), off, size in self.tensor.blocks(n)]
 
     def block_offset(self, n: int, i: int) -> Tuple[int, int]:
-        for src_deg, off, size in self.blocks(n):
-            if src_deg == i:
-                return off, size
-        raise ShapeError(f"no hom block at source degree {i}, map degree {n}")
-
-    def position(self, n: int, i: int, row: int, col: int) -> int:
-        off, _ = self.block_offset(n, i)
-        return off + row * self.source.dim(i) + col
+        try:
+            return self.tensor.shape.offsets[(i + n, -i)]
+        except KeyError:
+            raise ShapeError(f"no hom block at source degree {i}, map degree {n}") from None
 
     def slot(self, n: int, i: int) -> Mat:
         """The coordinate projection of degree n onto its block of source degree i."""
         off, size = self.block_offset(n, i)
-        return Mat.identity(self.field, self.dims()[n]).take_rows(range(off, off + size))
+        return Mat.identity(self.field, self.tensor.dim(n)).take_rows(range(off, off + size))
 
     @property
     def complex(self) -> Complex:
-        if self._complex is None:
-            field = self.field
-            dims = self.dims()
-            diffs = {}
-            for n in sorted(dims):
-                rows = dims.get(n + 1, 0)
-                cols = dims[n]
-                if rows == 0 or cols == 0:
-                    continue
-                grid = [[field.zero()] * cols for _ in range(rows)]
-                sgn = -1 if n % 2 else 1
-                for i, off, size in self.blocks(n):
-                    sdim = self.source.dim(i)
-                    tdim = self.target.dim(i + n)
-                    # postcomposition with d_target: block i -> block i (degree n+1)
-                    dmat = self.target.diff(i + n)
-                    if not dmat.is_zero() and self.target.dim(i + n + 1):
-                        for r in range(dmat.rows):
-                            for q in range(dmat.cols):
-                                v = dmat.entries[r][q]
-                                if field.is_zero(v):
-                                    continue
-                                for t in range(sdim):
-                                    dst = self.position(n + 1, i, r, t)
-                                    src = off + q * sdim + t
-                                    grid[dst][src] = field.add(grid[dst][src], v)
-                    # precomposition with d_source: block i -> block i-1 (degree n+1)
-                    dsrc = self.source.diff(i - 1)
-                    if not dsrc.is_zero() and self.source.dim(i - 1) and tdim:
-                        for r in range(tdim):
-                            for s in range(dsrc.rows):
-                                for t in range(dsrc.cols):
-                                    v = dsrc.entries[s][t]
-                                    if field.is_zero(v):
-                                        continue
-                                    dst = self.position(n + 1, i - 1, r, t)
-                                    src = off + r * sdim + s
-                                    val = field.neg(v) if sgn > 0 else v
-                                    grid[dst][src] = field.add(grid[dst][src], val)
-                diffs[n] = Mat(field, rows, cols, grid)
-            self._complex = Complex(field, dims, diffs,
-                                    name=f"Hom({self.source.name},{self.target.name})")
-        return self._complex
+        return self.tensor.complex
 
     # -- converting between vectors and map families ---------------------------
 
     def family_from_vector(self, n: int, vec: Mat) -> Dict[int, Mat]:
-        """Raw per-degree matrices of an element of hom^n (not necessarily closed)."""
-        field = self.field
+        """Raw per-degree matrices of an element of hom^n (not necessarily closed):
+        each block of the column, reshaped row-major."""
+        col = [row[0] for row in vec.entries]
         fam = {}
         for i, off, size in self.blocks(n):
             sdim = self.source.dim(i)
-            tdim = self.target.dim(i + n)
-            grid = [[vec.entries[off + r * sdim + t][0] for t in range(sdim)] for r in range(tdim)]
-            fam[i] = Mat(field, tdim, sdim, grid)
+            fam[i] = Mat._wrap(self.field, self.target.dim(i + n), sdim,
+                               tuple(tuple(col[r:r + sdim]) for r in range(off, off + size, sdim)))
         return fam
 
     def vector_from_family(self, n: int, fam: Dict[int, Mat]) -> Mat:
-        field = self.field
-        total = self.complex.dim(n)
-        col = [field.zero()] * total
+        rows = [(0,)] * self.tensor.dim(n)
         for i, off, size in self.blocks(n):
             mat = fam.get(i)
-            if mat is None:
-                continue
-            sdim = self.source.dim(i)
-            for r in range(mat.rows):
-                for t in range(sdim):
-                    col[off + r * sdim + t] = mat.entries[r][t]
-        return Mat.column(field, col)
+            if mat is not None:
+                if (mat.rows, mat.cols) != (self.target.dim(i + n), self.source.dim(i)):
+                    raise ShapeError(f"hom block at source degree {i} has shape {mat.rows}x{mat.cols}")
+                rows[off:off + size] = [(v,) for row in mat.entries for v in row]
+        return Mat._wrap(self.field, len(rows), 1, tuple(rows))
 
     def chainmap_from_cocycle(self, n: int, vec: Mat) -> ChainMap:
         fam = self.family_from_vector(n, vec)

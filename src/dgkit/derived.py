@@ -1,5 +1,5 @@
-"""Windowed free resolutions, derived tensor and Hom, the natural
-t-structure on modules over nonpositive dg-categories, and hfp verdicts.
+"""Windowed free resolutions, derived tensor and Hom, and the natural
+t-structure on modules over nonpositive dg-categories.
 
 Resolutions are built top-down by repeatedly attaching free covers that kill
 the top cohomology of the comparison cone.  Over a strictly nonpositive base
@@ -41,10 +41,9 @@ from .complexes import (
     twisted_sum,
 )
 from .dgcat import DgCategory, one_object_category
-from .dgring import HFP_UNCHECKED, DgRing, DgRingMorphism
+from .dgring import DgRing, DgRingMorphism
 from .errors import ValidationError, WindowCertificationError
 from .matrix import Mat, block_matrix
-from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -190,20 +189,6 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     return WindowedResolution(m, P, ModuleMap(P, m, 0, f), gens, twists, floor, cone_h)
 
 
-def bar_resolution_window(m: Module, window: DegreeWindow,
-                          generator_cap: int = 400) -> WindowedResolution:
-    """Windowed free resolution whose comparison is exact on the window
-    (plus the guard margin below)."""
-    floor = window.lo - window.guard
-    res = resolve_module(m, floor, generator_cap)
-    for z in m.cat.objects:
-        for d, v in res.cone_cohomology[z].items():
-            if v and d >= floor:
-                raise WindowCertificationError(
-                    f"resolution not exact at degree {d}", first_uncertified_degree=d)
-    return res
-
-
 # -- balanced tensor over a commutative dg-ring -----------------------------------
 
 
@@ -333,28 +318,6 @@ def tstruct_truncate(m: Module) -> TStructureReport:
         comparison_h[a] = cone_complex(cmp_map).cohomology().as_dict()
     ok = not any(comparison_h.values())
     return TStructureReport(tau_le, tau_ge, counit, unit, ok, comparison_h)
-
-
-# -- hfp verdicts -----------------------------------------------------------------
-
-
-@dataclass
-class HfpVerdict:
-    dims: Dict
-    hfp: Verdict
-    bound: int
-
-
-def is_hfp(m: Module, window: DegreeWindow) -> HfpVerdict:
-    """The cohomology dimensions of m on the window, with a bound on the
-    degrees of its whole support; hfp itself stays unchecked."""
-    dims = {}
-    support = []
-    for a in m.cat.objects:
-        h = m.at(a).cohomology().as_dict()
-        dims[a] = {d: v for d, v in h.items() if window.lo <= d <= window.hi}
-        support.extend(d for d, v in h.items() if v)
-    return HfpVerdict(dims, HFP_UNCHECKED, max((abs(d) for d in support), default=0) + 1)
 
 
 # -- small ring-module constructors -------------------------------------------------

@@ -309,12 +309,6 @@ def h0_category(cat: DgCategory) -> H0Category:
     return H0Category(cat)
 
 
-def hstar_dims(cat: DgCategory) -> Dict:
-    """Per-pair graded cohomology dimensions."""
-    return {(a, b): cat.hom(a, b).cohomology().as_dict()
-            for a in cat.objects for b in cat.objects}
-
-
 def h0_as_degree0_category(cat: DgCategory) -> Tuple[DgCategory, "H0Category"]:
     """H^0 of a category, materialized as a dg-category in degree 0 over
     H^0(base): composition and action read through the representatives."""

@@ -300,11 +300,6 @@ class Mat:
         return None
 
 
-def rank_kernel_image(m: Mat):
-    """(rank, kernel basis, image basis); rank + kernel-dim == cols exactly."""
-    return m.rank(), m.kernel_basis(), m.image_basis()
-
-
 def extend_columns_to_basis(m: Mat) -> tuple:
     """Indices of standard basis vectors completing col(m) to the full space.
 

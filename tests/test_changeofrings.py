@@ -8,7 +8,7 @@ from dgkit.fields import QQ
 from dgkit.dgring import DgRing, DgRingMorphism, ideal_power, make_dual_numbers, quotient
 from dgkit.dgcat import DgCategory, one_object_category
 from dgkit import changeofrings, verify
-from dgkit.bimodules import Bimodule, Module
+from dgkit.bimodules import Bimodule, Module, direct_sum_bimodules
 from dgkit.changeofrings import (
     coextension_adjunction_check,
     coextension_cotensor_check,
@@ -26,7 +26,7 @@ from dgkit.derived import restricted_ground_module, ring_as_module
 from dgkit.errors import ValidationError
 from dgkit.instances import random_nonpositive_category
 from dgkit.matrix import Mat
-from dgkit.verdict import CERTIFIED, FAILED, UNCHECKED, passes
+from dgkit.verdict import CERTIFIED, FAILED, UNCHECKED, passes, unchecked
 from dgkit.complexes import ChainMap, TensorLayout
 
 
@@ -325,6 +325,30 @@ def test_heart_coextension_ground_field():
     assert verdict.heart_members == [0]
 
 
+def test_heart_coextension_leaves_what_it_cannot_compare_unchecked():
+    # k[e]/e^2 with |e| = -1 has cohomology in degrees -1 and 0: no member,
+    # so nothing is identified
+    ring, _ = dual_numbers_setup(2, -1)
+    b_r = one_object_category(DgRing.ground_field(QQ))
+    from dgkit.instances import cross_representable_bimodule
+    x = cross_representable_bimodule(one_object_category(ring), b_r, "*", "*")
+    verdict = heart_coextension_check(b_r, DgRingMorphism.identity(ring), [x])
+    assert verdict.heart_members == []
+    assert [u["path"] for u in unchecked(verdict)] == [
+        "/realizations_quasi_iso", "/h0_data_s_linear", "/objectwise_t_cohomology"]
+    # over k, the diagonal twice is in the heart but no representable is
+    # quasi-isomorphic to it: its t-cohomology has nothing to be compared with
+    ground = DgRing.ground_field(QQ)
+    b_r = one_object_category(ground)
+    diag = Bimodule.diagonal(b_r)
+    verdict = heart_coextension_check(b_r, DgRingMorphism.identity(ground),
+                                      [diag, direct_sum_bimodules([diag, diag])])
+    assert verdict.heart_members == [0, 1]
+    assert verdict.realizations_quasi_iso.status == verdict.h0_data_s_linear.status == CERTIFIED
+    assert unchecked(verdict) == [{"path": "/objectwise_t_cohomology",
+                                   "reason": "members [1] have no quasi-representative"}]
+
+
 def test_heart_coextension_dual_numbers_degree0():
     # S = k[u]/(u^2) in degree 0: heart objects = S-modules presented in the set
     ring, aug = make_dual_numbers(2, 0, QQ)
@@ -385,20 +409,20 @@ def test_duality_commutes_with_coextension_dims():
 
 
 def test_hfp_interchange_on_coextension_instance():
-    from dgkit.derived import is_hfp, DegreeWindow
     ring, aug = dual_numbers_setup(2, -1)
     scat = one_object_category(ring)
     b_r = one_object_category(DgRing.ground_field(QQ))
     from dgkit.instances import cross_representable_bimodule
     x = cross_representable_bimodule(scat, b_r, "*", "*")
-    w = DegreeWindow(-3, 0)
-    coext_verdict = is_hfp(x.module_at("*"), w)
-    # the same cohomology read over b and over S; hfp itself is not decided
+
+    def cohomology(m):
+        return {a: m.at(a).cohomology().as_dict() for a in m.cat.objects}
+
+    # the same cohomology read over b and over S
+    coext = cohomology(x.module_at("*"))
+    assert coext == {"*": {-1: 1, 0: 1}}
     for b in b_r.objects:
-        objectwise = is_hfp(Module_from_component(x, b), w)
-        assert objectwise.dims == coext_verdict.dims
-        assert objectwise.hfp == coext_verdict.hfp
-    assert coext_verdict.hfp.status == UNCHECKED
+        assert cohomology(Module_from_component(x, b)) == coext
 
 
 def Module_from_component(x, b):

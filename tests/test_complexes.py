@@ -331,6 +331,32 @@ def test_hom_cocycles_are_chain_maps_roundtrip():
         assert h.vector_from_chainmap(f) == v
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_hom_differential_is_its_definition(field):
+    # d phi = d_T o phi - (-1)^n phi o d_S, read off the layout's d on random
+    # elements of every degree, computed as matrix products
+    rng = random.Random(71)
+    unclosed = 0
+    for _ in range(12):
+        s, _ = random_complex(rng, field, lo=-2, hi=2, pieces=rng.randint(1, 5))
+        t, _ = random_complex(rng, field, lo=-2, hi=2, pieces=rng.randint(1, 5))
+        h = hom_complex(s, t)
+        for n, dim in h.dims().items():
+            vec = Mat(field, dim, 1, [[rng.randint(-3, 3)] for _ in range(dim)])
+            phi = h.family_from_vector(n, vec)
+
+            def at(i):
+                return phi.get(i, Mat.zero(field, t.dim(i + n), s.dim(i)))
+
+            sign = -1 if n % 2 else 1
+            expect = {i: t.diff(i + n) @ at(i) - (at(i + 1) @ s.diff(i)).scale(sign)
+                      for i, _, _ in h.blocks(n + 1)}
+            dvec = h.complex.diff(n) @ vec
+            assert h.family_from_vector(n + 1, dvec) == expect
+            unclosed += not dvec.is_zero()
+    assert unclosed > 10
+
+
 def test_evaluation_and_composition_are_chain_maps():
     rng = random.Random(53)
     x, _ = random_complex(rng, QQ, pieces=3)
@@ -352,12 +378,8 @@ def test_composition_map_agrees_with_matrix_composition():
     g = random_chain_map(rng, y, z)
     vf = hxy.vector_from_chainmap(f)
     vg = hyz.vector_from_chainmap(g)
-    # tensor vector of vg (x) vf in degree 0
-    n = 0
+    # tensor vector of vg (x) vf in degree 0, built via positions
     vec = [QQ.zero()] * lay.complex.dim(0)
-    for (dg_, df_), off, size in [(blk[0], blk[1], blk[2]) for blk in lay.blocks(0)]:
-        pass
-    # build via positions
     for gi, gval in enumerate(vg.column_values(0)):
         if QQ.is_zero(gval):
             continue

@@ -14,7 +14,6 @@ from dgkit.deform import (
     ideal_as_S_module,
     levelwise_free_generators,
 )
-from dgkit.derived import DegreeWindow, is_hfp, ring_as_module
 from dgkit.errors import ValidationError
 from dgkit.instances import (
     exterior_extension_ring,
@@ -192,8 +191,7 @@ def test_hfp_verdicts_share_one_unchecked_reason():
     cat = one_object_category(ring)
     setup = check_setup_assumptions(aug)
     _, report = deform_category(cat, aug)
-    verdicts = [is_hfp(ring_as_module(ring, cat), DegreeWindow(-3, 0)).hfp,
-                report.source_hlc.representables_hfp, setup.target_hfp_over_source,
+    verdicts = [report.source_hlc.representables_hfp, setup.target_hfp_over_source,
                 setup.powers_hfp, report.steps[0].hfp_preserved]
     assert all(v.status == UNCHECKED for v in verdicts)
     assert len({v.reason for v in verdicts}) == 1

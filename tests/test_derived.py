@@ -1,4 +1,4 @@
-"""Windowed resolutions, derived tensor/Hom, t-structure, hfp verdicts."""
+"""Windowed resolutions, derived tensor/Hom, t-structure."""
 
 import random
 
@@ -12,18 +12,15 @@ from dgkit.complexes import ChainMap
 from dgkit.matrix import Mat
 from dgkit.derived import (
     DegreeWindow,
-    bar_resolution_window,
     balanced_tensor_ring,
     derived_hom,
     derived_tensor,
-    is_hfp,
     resolve_module,
     restricted_ground_module,
     ring_as_module,
     tstruct_truncate,
 )
 from dgkit.errors import WindowCertificationError
-from dgkit.verdict import UNCHECKED
 from dgkit.instances import random_module, random_nonpositive_category, small_random_category
 
 
@@ -32,7 +29,7 @@ def test_resolution_of_ground_field_over_dual_numbers():
     cat = one_object_category(ring)
     k_mod = restricted_ground_module(aug, cat)
     window = DegreeWindow(-3, 0)
-    res = bar_resolution_window(k_mod, window)
+    res = resolve_module(k_mod, window.lo - window.guard)
     # comparison cone acyclic down to the floor
     for obj, h in res.cone_cohomology.items():
         for d, v in h.items():
@@ -220,16 +217,6 @@ def test_tstruct_orthogonality_via_derived_hom():
     w = DegreeWindow(-2, 0)
     hom = derived_hom(rep.tau_le, rep.tau_ge, w)
     assert all(v == 0 for v in hom.as_dict().values())
-
-
-def test_is_hfp_zero_and_free():
-    ring, _ = make_dual_numbers(2, -1, QQ)
-    cat = one_object_category(ring)
-    w = DegreeWindow(-3, 0)
-    free = is_hfp(ring_as_module(ring, cat), w)
-    assert free.dims == {"*": {-1: 1, 0: 1}}
-    assert free.hfp.status == UNCHECKED
-    assert is_hfp(Module.zero(cat), w).bound == 1
 
 
 def test_orthogonality_from_acyclic_hom_block():

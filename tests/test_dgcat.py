@@ -11,7 +11,6 @@ from dgkit.dgcat import (
     DgFunctor,
     h0_category,
     h0_ring,
-    hstar_dims,
     one_object_category,
     opposite,
     tensor_cat,
@@ -187,8 +186,7 @@ def test_opposite_of_tensor_is_tensor_of_opposites():
 def test_hstar_dims():
     ring, _ = make_dual_numbers(3, -2, QQ)
     cat = one_object_category(ring)
-    dims = hstar_dims(cat)
-    assert dims[("*", "*")] == {0: 1, -2: 1, -4: 1}
+    assert cat.hom("*", "*").cohomology().as_dict() == {0: 1, -2: 1, -4: 1}
 
 
 def test_h0_ring_of_truncated():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgkit.errors import FieldMismatchError, ShapeError
 from dgkit.fields import GF, QQ, same_field
-from dgkit.matrix import Mat, extend_columns_to_basis, invert, kron, kron_product, rank_kernel_image
+from dgkit.matrix import Mat, extend_columns_to_basis, invert, kron, kron_product
 
 
 def rand_mat(rng, field, rows, cols, density=0.7, span=5):
@@ -47,20 +47,20 @@ def oracle_rank(m: Mat) -> int:
 
 def test_identity_rank():
     m = Mat.identity(QQ, 2)
-    rank, ker, img = rank_kernel_image(m)
+    rank, ker, img = m.rank(), m.kernel_basis(), m.image_basis()
     assert rank == 2 and ker.cols == 0 and img.cols == 2
 
 
 def test_zero_matrix_kernel():
     m = Mat.zero(QQ, 1, 1)
-    rank, ker, img = rank_kernel_image(m)
+    rank, ker, img = m.rank(), m.kernel_basis(), m.image_basis()
     assert rank == 0 and ker.cols == 1 and img.cols == 0
 
 
 def test_rank_matches_independent_oracle_f7(rng):
     for _ in range(25):
         m = rand_mat(rng, GF(7), 5, 7)
-        rank, ker, img = rank_kernel_image(m)
+        rank, ker, img = m.rank(), m.kernel_basis(), m.image_basis()
         assert rank == oracle_rank(m)
         assert rank + ker.cols == m.cols
         assert (m @ ker).is_zero()
@@ -147,7 +147,7 @@ def test_kron_row_major_vec_identity(rng):
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=2, max_size=4))
 def test_rank_plus_nullity_property(rows):
     m = Mat(QQ, len(rows), 3, [[Fraction(v) for v in r] for r in rows])
-    rank, ker, img = rank_kernel_image(m)
+    rank, ker, img = m.rank(), m.kernel_basis(), m.image_basis()
     assert rank + ker.cols == 3
     assert (m @ ker).is_zero()
 
