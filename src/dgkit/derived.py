@@ -6,16 +6,18 @@ the top cohomology of the comparison cone.  Over a strictly nonpositive base
 each round only disturbs strictly lower degrees, so acyclicity of the cone in
 all degrees >= floor is reached in finitely many rounds and is *verified* on
 the full cohomology of the finished cones, never assumed.  A round builds one
-cone per object, read from the last attachment degree down; P and its action
-are built once.  Derived functors return cohomology on the certified window.
-RHom(M, N) is Hom(P, N) read at P's generators (Yoneda): the sum of the
-N(x_g)[n_g], twisted by the action of P's twist elements on N.
+cone per object, read from the last attachment degree down; P, its action
+and the comparison P -> M are built only when read.  Derived functors return
+cohomology on the certified window, read at P's generators: RHom(M, N) is
+Hom(P, N), the sum of the N(x_g)[n_g] (Yoneda), and M (x)^L N is P (x)_R N,
+the sum of the N[-n_g] (co-Yoneda, h_x (x)_R N = N(x)), each twisted by the
+action of P's twist elements on N.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .bimodules import Module, ModuleMap, module_on
@@ -76,12 +78,33 @@ class WindowedResolution:
     nonzero p_{g,i} in hom(x_g, x_i) of degree n_g + 1 - n_i, i < g."""
 
     target: Module
-    module: Module
-    comparison: ModuleMap
     generators: List[Tuple[object, int]]
     twists: Dict[Tuple[int, int], Mat]
     floor: int
     cone_cohomology: Dict
+    blocks: Dict = dc_field(repr=False)
+    _built: Optional[Tuple[Module, ModuleMap]] = dc_field(default=None, init=False, repr=False)
+
+    module = property(lambda self: self._build()[0], doc="P, built from the cones' ``blocks`` when first read.")
+    comparison = property(lambda self: self._build()[1], doc="The comparison P -> M, built with P.")
+
+    def _build(self) -> Tuple[Module, ModuleMap]:
+        """P and f: P -> M, off the cone's blocks (row 0 is M, row i + 1 generator i)."""
+        if self._built is None:
+            m, cat, gens, parts, f = self.target, self.target.cat, self.generators, {}, {}
+            for z, blocks in (self.blocks.items() if gens else ()):
+                plains = [(cat.hom(z, x), -n) for x, n in gens]
+                parts[z] = twisted_sum(plains, lambda d: {(r - 1, c - 1): -fam[d - n] for (r, c), (fam, n)
+                                                          in blocks.items() if r and d - n in fam}, name=f"P({z})")
+                f[z] = ChainMap(parts[z].complex, m.at(z), 0, {
+                    d: block_matrix(cat.field, [m.at(z).dim(d)], [plain.dim(d + shift) for plain, shift in plains],
+                                    {(0, c - 1): fam[d - n] for (r, c), (fam, n) in blocks.items()
+                                     if not r and d - n in fam})
+                    for d in parts[z].complex.degrees()})
+            reps = {x: Module.representable(cat, x) for x in {x for x, _ in gens}}
+            P = module_on(cat, parts, [reps[x] for x, _ in gens], name="P") if gens else Module.zero(cat)
+            self._built = P, ModuleMap(P, m, 0, f)
+        return self._built
 
     def hom_into(self, u: Module) -> Complex:
         """Hom(P, u) evaluated at the generators (Yoneda): phi of degree m
@@ -97,19 +120,48 @@ class WindowedResolution:
             return {(g, i): -fam[m + n_i] if ((m + 1) * n_g + m * (n_i + 1)) % 2 else fam[m + n_i]
                     for (g, i), (fam, n_g, n_i) in acts.items() if m + n_i in fam}
 
-        return block_sum([(u.at(x), n) for x, n in gens], twist, name=f"Hom({self.module.name},{u.name})")
+        return block_sum([(u.at(x), n) for x, n in gens], twist, name=f"Hom(P,{u.name})")
 
     def hom_postcompose(self, phi: ModuleMap) -> ChainMap:
         """Hom(P, phi) for a degree-0 module map, Hom(P, source) -> Hom(P,
         target) in the form of ``hom_into``: phi at x_g on slot g."""
-        if phi.degree != 0:
-            raise ValidationError("postcomposition needs a degree-0 module map")
-        src, tgt = self.hom_into(phi.source), self.hom_into(phi.target)
-        return ChainMap(src, tgt, 0, {m: block_matrix(
-            src.field, [phi.target.at(x).dim(m + n) for x, n in self.generators],
-            [phi.source.at(x).dim(m + n) for x, n in self.generators],
-            {(g, g): phi.at(x).component(m + n) for g, (x, n) in enumerate(self.generators)})
-            for m in src.degrees()})
+        return _slotwise(self.hom_into, phi, self.generators)
+
+    def tensor_with(self, n: Module) -> Complex:
+        """P (x)_R n over a ring, read at the generators (co-Yoneda): (1_{x_g}.r)
+        (x) v is r.v in slot g of the sum of n[-n_g], twisted from slot g to i by
+        v |-> -p_{g,i}.v, p.v = (-1)^{|p||v|} v.p as in ``balanced_tensor_ring``.
+        Over a graded-commutative ring n (x)_R P is this complex (Koszul swap)."""
+        if _ring_of(self.target) != _ring_of(n):
+            raise ValidationError("tensor factors live over different rings")
+        gens, obj = self.generators, n.cat.objects[0]
+        if not gens:
+            return Complex.zero(n.field)
+        acts = {(g, i): (n.act_by(obj, obj, gens[g][1] + 1 - gens[i][1], p), gens[g][1] + 1 - gens[i][1], gens[g][1])
+                for (g, i), p in self.twists.items()}
+
+        def twist(d):
+            # v sits in degree d - n_g of n
+            return {(i, g): fam[d - n_g] if dp * (d - n_g) % 2 else -fam[d - n_g]
+                    for (g, i), (fam, dp, n_g) in acts.items() if d - n_g in fam}
+
+        return block_sum([(n.at(obj), -k) for _, k in gens], twist, name=f"P(x)R{n.name}")
+
+    def tensor_map(self, phi: ModuleMap) -> ChainMap:
+        """P (x)_R phi for a degree-0 module map: phi on each slot of ``tensor_with``."""
+        obj = phi.source.cat.objects[0]
+        return _slotwise(self.tensor_with, phi, [(obj, -n) for _, n in self.generators])
+
+
+def _slotwise(build, phi: ModuleMap, slots) -> ChainMap:
+    """build(phi.source) -> build(phi.target) for a degree-0 module map and
+    block sums with a slot phi.at(x)[k] for each (x, k) in ``slots``."""
+    if phi.degree != 0:
+        raise ValidationError("slotwise maps need a degree-0 module map")
+    src, tgt = build(phi.source), build(phi.target)
+    return ChainMap(src, tgt, 0, {d: block_matrix(
+        src.field, [phi.target.at(x).dim(d + k) for x, k in slots], [phi.source.at(x).dim(d + k) for x, k in slots],
+        {(g, g): phi.at(x).component(d + k) for g, (x, k) in enumerate(slots)}) for d in src.degrees()})
 
 
 def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedResolution:
@@ -122,8 +174,9 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     are built once per (object, generator).  A round builds one checked cone
     per object and reads it down from the last attachment degree, above which
     nothing moves, to the first class >= floor; with none, the full cohomology
-    of the cones, seeded with the degrees the scan reduced, certifies the
-    end, and P, f and the action are built once."""
+    of the cones certifies the end, seeded with each degree an earlier scan
+    reduced on the same two differentials.  P, f and the action are built
+    from the blocks when first read."""
     cat = m.cat
     if not cat.is_strictly_nonpositive():
         raise ValidationError("resolutions require a strictly nonpositive base")
@@ -134,19 +187,22 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     blocks = {z: {} for z in cat.objects}
     top = max((d for z in cat.objects for d in m.at(z).degrees()), default=floor)
     twists: Dict[Tuple[int, int], Mat] = {}
+    # by object and degree, the latest scan's cohomology_at and the two differentials it read
+    kept = {z: {} for z in cat.objects}
     while True:
         cones = {z: block_sum(summands[z], lambda d: {
             key: fam[d + 1 - n] for key, (fam, n) in blocks[z].items() if d + 1 - n in fam},
             name=f"cone(P({z})->{m.at(z).name})") for z in cat.objects}
-        scans = {z: {} for z in cat.objects}
         for worst in range(top, floor - 1, -1):
             for z, c in cones.items():
-                scans[z][worst] = cohomology_at(c, worst)
-            classes = {z: scan[worst][0] for z, scan in scans.items()}
+                kept[z][worst] = (c.diff(worst - 1), c.diff(worst), cohomology_at(c, worst))
+            classes = {z: scan[worst][2][0] for z, scan in kept.items()}
             if any(r.cols for r in classes.values()):
                 break
         else:
-            reports = {z: CohomologyReport(c, scans[z]) for z, c in cones.items()}
+            reports = {z: CohomologyReport(c, {deg: at for deg, (below, here, at) in kept[z].items()
+                                               if c.diff(deg - 1) == below and c.diff(deg) == here})
+                       for z, c in cones.items()}
             cone_h = {z: r.as_dict() for z, r in reports.items()}
             worst = max((d for h in cone_h.values() for d in h if d >= floor), default=None)
             if worst is None:
@@ -174,19 +230,7 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
                 summands[z].append((shift_complex(cat.hom(z, x), 1 - worst), 0))
         gens.extend((x, worst) for x, _, _ in new)
         top = worst
-    parts, f = {}, {}
-    for z in (cat.objects if gens else ()):
-        plains = [(cat.hom(z, x), -n) for x, n in gens]
-        parts[z] = twisted_sum(plains, lambda d: {(r - 1, c - 1): -fam[d - n] for (r, c), (fam, n)
-                                                  in blocks[z].items() if r and d - n in fam}, name=f"P({z})")
-        f[z] = ChainMap(parts[z].complex, m.at(z), 0, {
-            d: block_matrix(cat.field, [m.at(z).dim(d)], [plain.dim(d + shift) for plain, shift in plains],
-                            {(0, c - 1): fam[d - n] for (r, c), (fam, n) in blocks[z].items()
-                             if not r and d - n in fam})
-            for d in parts[z].complex.degrees()})
-    reps = {x: Module.representable(cat, x) for x, _ in gens}
-    P = module_on(cat, parts, [reps[x] for x, _ in gens], name="P") if gens else Module.zero(cat)
-    return WindowedResolution(m, P, ModuleMap(P, m, 0, f), gens, twists, floor, cone_h)
+    return WindowedResolution(m, gens, twists, floor, cone_h, blocks)
 
 
 # -- balanced tensor over a commutative dg-ring -----------------------------------
@@ -242,7 +286,8 @@ def _support_bounds(module: Module):
 
 def derived_tensor(m: Module, n: Module, window: DegreeWindow,
                    resolve: str = "left", generator_cap: int = 400) -> DerivedReport:
-    """H^* (m (x)^L n) on the window, via a windowed resolution of one factor.
+    """H^* (m (x)^L n) on the window: P (x)_R the other factor, read at the
+    generators of a windowed resolution P of one factor (``tensor_with``).
 
     The resolution floor is window.lo - guard - 2 - max(hi, 0), where hi is
     the top degree of the un-resolved factor's support.
@@ -252,15 +297,11 @@ def derived_tensor(m: Module, n: Module, window: DegreeWindow,
     other = n if resolve == "left" else m
     _, other_hi = _support_bounds(other)
     floor = window.lo - max(other_hi, 0) - 2 - window.guard
-    if resolve == "left":
-        res = resolve_module(m, floor, generator_cap)
-        quot = balanced_tensor_ring(res.module, n).complex
-    else:
-        res = resolve_module(n, floor, generator_cap)
-        quot = balanced_tensor_ring(m, res.module).complex
-    h = quot.cohomology().as_dict()
+    res = resolve_module(m if resolve == "left" else n, floor, generator_cap)
+    tensor = res.tensor_with(other)
+    h = tensor.cohomology().as_dict()
     dims = {d: h.get(d, 0) for d in window.degrees()}
-    return DerivedReport(dims, window, res, quot)
+    return DerivedReport(dims, window, res, tensor)
 
 
 def derived_hom(m: Module, n: Module, window: DegreeWindow,

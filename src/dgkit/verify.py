@@ -75,7 +75,7 @@ from .instances import (
     small_random_category,
     weak_cokernel_gap_category,
 )
-from .matrix import Mat, block_matrix, kron
+from .matrix import Mat, block_matrix
 from .verdict import FAILED, passes, render
 
 SEED = 20260809
@@ -552,21 +552,9 @@ def check_derived_tensor_laws(pairs: int = 30) -> CheckResult:
 
 def _h0_surjectivity_propagates(fmap, wmod) -> bool:
     """H^0(f (x) 1) surjective for H^0-surjective f, by resolving the other
-    factor and transporting f through the balanced quotient."""
-    res = resolve_module(wmod, -4)
-    src = balanced_tensor_ring(fmap.source, res.module)
-    tgt = balanced_tensor_ring(fmap.target, res.module)
-    f = fmap.at(fmap.source.cat.objects[0])
-    p = res.module.at(res.module.cat.objects[0])
-
-    def plain(flat):
-        # v (x) q |-> f(v) (x) q
-        dv, dq = flat
-        return tgt.layout.place(flat, kron(f.component(dv), Mat.identity(wmod.field, p.dim(dq))))
-
-    induced = lifted_map([src], tgt, [plain])
-    h0 = induced.cohomology_map(0)
-    return h0.rank() == tgt.complex.cohomology().dim(0)
+    factor: 1 (x) f on P (x)_R -, read at P's generators."""
+    induced = resolve_module(wmod, -4).tensor_map(fmap)
+    return induced.cohomology_map(0).rank() == induced.target.cohomology().dim(0)
 
 
 def _h0_tensor_comparison(v: Module, u: Module, ring: DgRing) -> bool:

@@ -5,18 +5,31 @@ checks behind `dgkit verify --suite paper`) and prints one pass/fail line.
 Expected values inside the checks are computed by independent oracles
 (elementwise equalizer/coequalizer solvers, the reduced bar complex, LES rank
 bookkeeping) and frozen where the criteria state them.
+
+Each check's rendered report must also equal, key for key, its entry in the
+committed tests/golden/paper_suite.json, the ``results`` of `dgkit verify
+--suite paper --format json`.  Regenerate that file, after checking that a
+change of output is intended, with ``PYTHONPATH=src python tests/test_acceptance.py``.
 """
 
-import pytest
+import json
+from pathlib import Path
 
 from dgkit import verify
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "paper_suite.json"
 
 
 def _drive(check_fn, name):
     result = check_fn()
     print(f"[{'pass' if result.passed else 'FAIL'}] {name}")
     assert result.passed, result.details
+    assert json.loads(json.dumps(result.as_dict())) == json.loads(GOLDEN.read_text())[result.name]
     return result
+
+
+def test_golden_file_lists_every_check():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(name for name, _ in verify.ALL_CHECKS)
 
 
 def test_criterion_1_coend_end_oracle_equivalence():
@@ -82,3 +95,7 @@ def test_criterion_10_negative_controls():
     # missing weak cokernel caught with witness; non-surjective theta fails
     # assumption (1); d^2 != 0 scenario rejected at load with the entity named.
     _drive(verify.check_negative_controls, "negative controls")
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({r.name: r.as_dict() for r in verify.run_paper_suite()}, indent=1, sort_keys=True) + "\n")

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from dgkit.fields import GF, QQ
 from dgkit.dgring import DgRing, make_dual_numbers
 from dgkit.dgcat import DgFunctor, one_object_category, truncate_cat
@@ -15,7 +13,6 @@ from dgkit.bimodules import (
     cone_module,
     coend_of,
     compose_bimodules,
-    direct_sum_modules,
     dual_of,
     end_of,
     find_quasi_representative,
@@ -26,12 +23,10 @@ from dgkit.bimodules import (
 )
 from dgkit.instances import (
     exterior_extension_ring,
-    outer_representable_bimodule,
     random_module,
     random_nonpositive_category,
     random_square_bimodule,
     trivial_action_bimodule,
-    trivial_action_module,
 )
 from dgkit.matrix import Mat
 

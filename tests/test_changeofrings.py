@@ -1,7 +1,5 @@
 """Base change: restriction, extension, coextension, transitivity, comparisons."""
 
-import random
-
 import pytest
 
 from dgkit.fields import QQ
@@ -18,13 +16,11 @@ from dgkit.changeofrings import (
     extension_adjunction_check,
     heart_coextension_check,
     restrict_category,
-    restrict_ring_module,
     s_vs_r_module_comparison,
     transitivity_check,
 )
 from dgkit.derived import restricted_ground_module, ring_as_module
 from dgkit.errors import ValidationError
-from dgkit.instances import random_nonpositive_category
 from dgkit.matrix import Mat
 from dgkit.verdict import CERTIFIED, FAILED, UNCHECKED, passes, unchecked
 from dgkit.complexes import ChainMap, TensorLayout

@@ -8,8 +8,8 @@ from dgkit.fields import GF, QQ
 from dgkit.dgring import DgRing, make_dual_numbers
 from dgkit.dgcat import one_object_category
 from dgkit.bimodules import Module, ModuleMap, module_hom_complex, shift_module
-from dgkit.complexes import ChainMap
-from dgkit.matrix import Mat
+from dgkit.complexes import ChainMap, lifted_map, pair_action, swapped
+from dgkit.matrix import Mat, block_matrix, kron
 from dgkit.derived import (
     DegreeWindow,
     balanced_tensor_ring,
@@ -20,8 +20,14 @@ from dgkit.derived import (
     ring_as_module,
     tstruct_truncate,
 )
-from dgkit.errors import WindowCertificationError
-from dgkit.instances import random_module, random_nonpositive_category, small_random_category
+from dgkit.errors import ValidationError, WindowCertificationError
+from dgkit.instances import (
+    random_h0_surjective_map,
+    random_module,
+    random_nonpositive_category,
+    random_ring_module,
+    small_random_category,
+)
 
 
 def test_resolution_of_ground_field_over_dual_numbers():
@@ -342,3 +348,84 @@ def test_hom_postcomposition_at_generators_is_postcomposition_of_module_maps(fie
                 flat = flat + tgt.injs[a].component(m) @ tgt.layouts[a].vector_from_family(m, composed)
             lifted = tgt.inclusion.component(m).solve(flat)
             assert ev_tgt.component(m) @ lifted == post.component(m) @ (ev_src.component(m) @ vec)
+
+
+def tensor_cases(field):
+    """(resolved, other) pairs over k[e]/e^2 with |e| = -1 and 0 and k[e]/e^3
+    with |e| = -2: the ground module and a random module, resolved, against
+    the ground, free, shifted free and a random module.  The shifted free
+    module has odd elements that odd twist elements act on nontrivially."""
+    rng = random.Random(43)
+    cases = []
+    for n, eps in [(2, -1), (2, 0), (3, -2)]:
+        ring, aug = make_dual_numbers(n, eps, field)
+        cat = one_object_category(ring)
+        ground, free = restricted_ground_module(aug, cat), ring_as_module(ring, cat)
+        rand = random_ring_module(rng, aug)
+        cases += [(m, other) for m in (ground, rand) for other in (ground, free, shift_module(free, 1), rand)]
+    return cases
+
+
+def evaluation_onto_generators(res, other, resolve):
+    """The map from ``balanced_tensor_ring``'s P (x)_R other (resolve
+    "left") or other (x)_R P ("right") to res.tensor_with(other): (1_g.r) (x)
+    v |-> r.v and v (x) (1_g.r) |-> (-1)^{|v| n_g} v.r in slot g, written on
+    the plain tensor and lifted through the balanced quotient."""
+    p = res.module
+    bal = balanced_tensor_ring(p, other) if resolve == "left" else balanced_tensor_ring(other, p)
+    field, x, obj = p.field, p.cat.objects[0], other.cat.objects[0]
+    ring, pz, nz = p.cat.hom(x, x), p.at(x), other.at(obj)
+    right = pair_action(other.act_pair(obj, obj))
+    left = swapped(right)
+
+    def plain(flat):
+        dp, dn = flat if resolve == "left" else flat[::-1]
+        blocks, off, eye = {}, 0, Mat.identity(field, nz.dim(dn))
+        for g, (_, k) in enumerate(res.generators):
+            size = ring.dim(dp - k)
+            pick = Mat.identity(field, pz.dim(dp)).take_rows(range(off, off + size))
+            if size and resolve == "left":
+                blocks[(g, 0)] = left.block((dp - k, dn)) @ kron(pick, eye)
+            elif size:
+                out = right.block((dn, dp - k)) @ kron(eye, pick)
+                blocks[(g, 0)] = -out if dn * k % 2 else out
+            off += size
+        return block_matrix(field, [nz.dim(dp + dn - k) for _, k in res.generators], [pz.dim(dp) * nz.dim(dn)], blocks)
+
+    return lifted_map([bal], res.tensor_with(other), [plain])
+
+
+@pytest.mark.parametrize("resolve", ["left", "right"])
+def test_tensor_at_generators_is_the_balanced_tensor(field, resolve):
+    for m, other in tensor_cases(field):
+        res = resolve_module(m, -4)
+        ev = evaluation_onto_generators(res, other, resolve)
+        for d in set(ev.source.degrees()) | set(ev.target.degrees()):
+            mat = ev.component(d)
+            assert mat.rows == mat.cols == mat.rank()
+
+
+def test_tensor_map_at_generators_is_one_tensor_f(field):
+    # 1 (x) f on the balanced tensor, against tensor_map through the evaluations
+    rng = random.Random(47)
+    _, aug = make_dual_numbers(2, -1, field)
+    for _ in range(3):
+        _, _, f = random_h0_surjective_map(rng, aug)
+        res = resolve_module(random_ring_module(rng, aug), -4)
+        tensored = res.tensor_map(f)
+        src, tgt = balanced_tensor_ring(res.module, f.source), balanced_tensor_ring(res.module, f.target)
+        fz, pz = f.at(f.source.cat.objects[0]), res.module.at(res.module.cat.objects[0])
+        plain = lambda flat: tgt.layout.place(flat, kron(Mat.identity(field, pz.dim(flat[0])), fz.component(flat[1])))
+        on_bal = lifted_map([src], tgt, [plain])
+        ev_src = evaluation_onto_generators(res, f.source, "left")
+        ev_tgt = evaluation_onto_generators(res, f.target, "left")
+        for d in on_bal.source.degrees():
+            assert ev_tgt.component(d) @ on_bal.component(d) == tensored.component(d) @ ev_src.component(d)
+
+
+def test_derived_tensor_refuses_factors_over_different_rings():
+    k = [restricted_ground_module(aug, one_object_category(ring))
+         for ring, aug in (make_dual_numbers(2, -1, QQ), make_dual_numbers(3, -2, QQ))]
+    for resolve in ("left", "right"):
+        with pytest.raises(ValidationError, match="different rings"):
+            derived_tensor(k[0], k[1], DegreeWindow(-2, 0), resolve=resolve)

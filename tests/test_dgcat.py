@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from dgkit.fields import GF, QQ
+from dgkit.fields import QQ
 from dgkit.dgring import DgRing, make_dual_numbers
 from dgkit.dgcat import (
     DgCategory,
-    DgFunctor,
     h0_category,
     h0_ring,
     one_object_category,

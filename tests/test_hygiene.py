@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used in it."""
+"""Source hygiene: every name a module of the package or of its tests imports
+is used in it."""
 
 import ast
 import importlib
@@ -7,6 +8,7 @@ from pathlib import Path
 import dgkit
 
 PACKAGE = Path(dgkit.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str):
@@ -46,8 +48,10 @@ def test_unused_imports_are_found():
 
 
 def test_package_modules_import_only_what_they_use():
-    found = {path.name: unused_imports(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    # the test modules too; the package's __init__ imports to re-export
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    found = {f"{path.parent.name}/{path.name}": unused_imports(path.read_text())
+             for path in paths + sorted(TESTS.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
