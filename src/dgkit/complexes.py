@@ -24,7 +24,7 @@ import itertools
 import os
 from functools import lru_cache, reduce
 from math import prod
-from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegreeCapError, ScenarioError, ShapeError, ValidationError
 from .fields import Field, same_field
@@ -250,9 +250,10 @@ class ChainMap:
     """Graded map of complexes commuting with d up to (-1)^degree.
 
     ``slices`` memoises the column blocks ``TensorLayout.block`` takes of a
-    component, keyed by (degree, offset, size); the components are never
-    mutated after construction and matrices are immutable, so a slice stays
-    valid for the life of the map."""
+    component, keyed by (degree, offset, size), and the matrix of
+    ``flat_pairing``, keyed by the number of factors; the components are
+    never mutated after construction and matrices are immutable, so both
+    stay valid for the life of the map."""
 
     __slots__ = ("source", "target", "degree", "components", "slices")
 
@@ -894,76 +895,106 @@ def pair_elements(pairing: ChainMap, lay: TensorLayout, dx: int, x: Mat, dy: int
 # -- structure laws ---------------------------------------------------------------
 #
 # A structure map (composition, an action, a ring product) is passed with the
-# layout of its source as a (layout, pairing) pair.  Each law is an equality
-# of two block composites per degree tuple; a defect is reported as the
-# (degree tuple, factor indices) of the first basis tensor on which it fails.
-# Degrees where the structure map's target is zero are skipped: both sides
-# are matrices with no rows there.
+# layout of its source as a (layout, pairing) pair and checked whole, as one
+# matrix on the flat bases (``flat_pairing``): a composite through unmatched
+# degrees is a structural zero, so each side of a law is one ``kron_product``.
+# A defect is the (degree tuple, factor indices) of the first basis tensor the
+# law fails on in the tensor's (degree, block, index) order, into which only a
+# failing check sorts its columns.
 
 
-def first_difference(lhs: Mat, rhs: Mat) -> Optional[int]:
-    """Index of the first column where lhs and rhs differ, or None."""
+def flat_basis(table) -> List[Tuple[int, int]]:
+    """The (degree, index) of each flat basis element of a ``GradedSpace.key`` table."""
+    return [(deg, i) for deg, dim in table for i in range(dim)]
+
+
+# One column index per tensor shape; the bound matches ``tensor_shape``.
+@lru_cache(maxsize=256)
+def _flat_columns(tables: Tuple[Tuple[Tuple[int, int], ...], ...]) -> Dict[int, Tuple[int, ...]]:
+    """Per degree n of the tensor over factors with these tables, the entry
+    of a degree-n component row, with a 0 appended, that each flat column
+    reads: its position in degree n, or the appended 0 for a column lying in
+    another degree."""
+    shape, dims, located = tensor_shape(tables), [dict(table) for table in tables], []
+    for elems in itertools.product(*map(flat_basis, tables)):
+        combo, indices = zip(*elems)
+        pos = 0
+        for dim, deg, i in zip(dims, combo, indices):
+            pos = pos * dim[deg] + i
+        located.append((sum(combo), shape.offsets[combo][0] + pos))
+    return {n: tuple(pos if m == n else size for m, pos in located) for n, size in shape.dims.items()}
+
+
+def flat_pairing(layout: TensorLayout, pairing: ChainMap) -> Mat:
+    """``pairing``, a map out of the tensor of ``layout``, as one matrix: the
+    rows are its target's degrees in order, the columns row-major over the
+    factors' flat bases.  Memoised on the pairing under the number of
+    factors; a chain map is the pairing of its source alone (``flat_map``)."""
+    k = len(layout.factors)
+    flat = pairing.slices.get(k)
+    if flat is None:
+        columns = _flat_columns(tuple(c.spaces.key for c in layout.factors))
+        zero, rows = (0,) * prod(c.total_dim() for c in layout.factors), []
+        for m, dim in pairing.target.spaces.key:
+            mat = pairing.components.get(m - pairing.degree)
+            rows.extend([zero] * dim if mat is None else [
+                tuple(map((row + (0,)).__getitem__, columns[m - pairing.degree])) for row in mat.entries])
+        flat = pairing.slices[k] = Mat._wrap(layout.field, len(rows), len(zero), tuple(rows))
+    return flat
+
+
+def flat_map(f: ChainMap) -> Mat:
+    """The chain map as one matrix on the flat bases of its source and target."""
+    return flat_pairing(TensorLayout([f.source]), f)
+
+
+def first_defect(factors: Sequence[Complex], lhs: Mat, rhs: Mat):
+    """The first basis tensor, in (degree, block, index) order, on whose
+    flat column ``lhs`` and ``rhs`` differ, as (degree tuple, factor
+    indices); None when they agree."""
     if lhs == rhs:
         return None
-    diff = lhs - rhs
-    zero = lhs.field.is_zero
-    return next(c for c in range(diff.cols) if any(not zero(row[c]) for row in diff.entries))
+    failing = {c for row in (lhs - rhs).entries for c, x in enumerate(row) if x}
+    tensors = enumerate(itertools.product(*(flat_basis(c.spaces.key) for c in factors)))
+    return min((tuple(zip(*elems)) for c, elems in tensors if c in failing), key=lambda t: (sum(t[0]), t))
 
 
 def unit_defect(pair, unit: Mat, slot: int):
-    """First basis vector v of the other factor with mu(e tensor v) != v
-    (slot 0) or mu(v tensor e) != v (slot 1), for e of degree 0."""
+    """First basis vector v, as (degree, index), of the other factor with
+    mu(e tensor v) != v (slot 0) or mu(v tensor e) != v (slot 1), for e of
+    degree 0: mu . kron(e, 1) against 1 on the flat bases."""
     lay, mu = pair
-    field = lay.field
-    other = lay.factors[1 - slot]
-    for d in other.degrees():
-        eye = Mat.identity(field, other.dim(d))
-        combo, factors = ((0, d), (unit, eye)) if slot == 0 else ((d, 0), (eye, unit))
-        col = first_difference(kron_product(lay.block(mu, combo), *factors), eye)
-        if col is not None:
-            return d, col
-    return None
+    own, other = lay.factors[slot], lay.factors[1 - slot]
+    below = sum(dim for deg, dim in own.spaces.key if deg < 0)
+    e = Mat._wrap(lay.field, own.total_dim(), 1,
+                  ((0,),) * below + unit.entries + ((0,),) * (own.total_dim() - below - unit.rows))
+    eye = Mat.identity(lay.field, other.total_dim())
+    defect = first_defect([other], kron_product(flat_pairing(lay, mu), *((e, eye) if slot == 0 else (eye, e))), eye)
+    return None if defect is None else (defect[0][0], defect[1][0])
 
 
 def associativity_defect(outer_left, inner_left, outer_right, inner_right):
     """First basis tensor x (x) y (x) z on which
-    mu1(mu2(x (x) y) (x) z) != mu3(x (x) mu4(y (x) z)), i.e. where the blocks
-    mu1 . kron(mu2, 1) and mu3 . kron(1, mu4) differ; the four pairs are
-    (mu1, mu2, mu3, mu4), all of degree 0."""
+    mu1(mu2(x (x) y) (x) z) != mu3(x (x) mu4(y (x) z)), i.e. where
+    mu1 . kron(mu2, 1) and mu3 . kron(1, mu4) differ on the flat bases; the
+    four pairs are (mu1, mu2, mu3, mu4), all of degree 0."""
     (l1, m1), (l2, m2), (l3, m3), (l4, m4) = outer_left, inner_left, outer_right, inner_right
-    triple = TensorLayout([l2.factors[0], l2.factors[1], l4.factors[1]])
-    x, _, z = triple.factors
-    for n in sorted(triple.dims()):
-        if m1.target.dim(n) == 0:
-            continue
-        for (dx, dy, dz), off, _ in triple.blocks(n):
-            lhs = kron_product(l1.block(m1, (dx + dy, dz)), l2.block(m2, (dx, dy)),
-                               Mat.identity(triple.field, z.dim(dz)))
-            rhs = kron_product(l3.block(m3, (dx, dy + dz)), Mat.identity(triple.field, x.dim(dx)),
-                               l4.block(m4, (dy, dz)))
-            col = first_difference(lhs, rhs)
-            if col is not None:
-                return triple.decompose(n, off + col)
-    return None
+    x, y, z = l2.factors[0], l2.factors[1], l4.factors[1]
+    field = l1.field
+    lhs = kron_product(flat_pairing(l1, m1), flat_pairing(l2, m2), Mat.identity(field, z.total_dim()))
+    rhs = kron_product(flat_pairing(l3, m3), Mat.identity(field, x.total_dim()), flat_pairing(l4, m4))
+    return first_defect([x, y, z], lhs, rhs)
 
 
 def morphism_defect(source, target, outer: ChainMap, first: ChainMap, second: ChainMap):
     """First basis tensor x (x) y of the source pairing mu on which
-    outer(mu(x (x) y)) != mu'(first(x) (x) second(y)), i.e. where the blocks
-    outer . mu and mu' . kron(first, second) differ; ``second`` has degree 0,
-    so no Koszul sign arises."""
+    outer(mu(x (x) y)) != mu'(first(x) (x) second(y)), i.e. where
+    outer . mu and mu' . kron(first, second) differ on the flat bases;
+    ``second`` has degree 0, so no Koszul sign arises."""
     (lay, mu), (tlay, tmu) = source, target
-    for n in sorted(lay.dims()):
-        if outer.target.dim(n + outer.degree) == 0:
-            continue
-        for (dx, dy), off, _ in lay.blocks(n):
-            lhs = outer.component(n) @ lay.block(mu, (dx, dy))
-            rhs = kron_product(tlay.block(tmu, (dx + first.degree, dy)),
-                               first.component(dx), second.component(dy))
-            col = first_difference(lhs, rhs)
-            if col is not None:
-                return lay.decompose(n, off + col)
-    return None
+    lhs = flat_map(outer) @ flat_pairing(lay, mu)
+    rhs = kron_product(flat_pairing(tlay, tmu), flat_map(first), flat_map(second))
+    return first_defect(lay.factors, lhs, rhs)
 
 
 def reorder_factors(m: Mat, dims: Sequence[int], perm: Sequence[int]) -> Mat:
@@ -996,6 +1027,27 @@ def swap_leading_factors(m: Mat, p: int, q: int) -> Mat:
     ``permutation_sign``."""
     rest = m.cols // (p * q) if p * q else 0
     return reorder_factors(m, (p, q, rest), (1, 0, 2))
+
+
+def koszul_swap(m: Mat, first: Complex, second: Complex) -> Mat:
+    """m precomposed with the signed swap a (x) b (x) k |-> (-1)^{|a||b|}
+    b (x) a (x) k on the flat bases: the columns of m are row-major over
+    (second, first, rest), those of the result over (first, second, rest)."""
+    p, q = first.total_dim(), second.total_dim()
+    out = swap_leading_factors(m, p, q)
+    odd = _odd_columns(first.spaces.key, second.spaces.key, m.cols // (p * q) if p * q else 0)
+    if not odd:
+        return out
+    return Mat(m.field, out.rows, out.cols, [[-x if j in odd else x for j, x in enumerate(row)] for row in out.entries])
+
+
+# One set per pair of factor tables and trailing size; the bound matches ``tensor_shape``.
+@lru_cache(maxsize=256)
+def _odd_columns(first, second, rest: int) -> FrozenSet[int]:
+    """The columns (a, b, k), row-major, of a ``koszul_swap`` with |a| and |b| odd."""
+    q = sum(dim for _, dim in second)
+    return frozenset((i * q + j) * rest + k for i, (da, _) in enumerate(flat_basis(first)) if da % 2
+                     for j, (db, _) in enumerate(flat_basis(second)) if db % 2 for k in range(rest))
 
 
 # -- actions on tensor factors, the balanced tensor and the retract transfer ----------

@@ -552,16 +552,10 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
             if not _h0_comparison_bijective(i_cat, a, b, step, ext):
                 h0_ok = False
     # ker H^0(theta) squares to zero
-    ker_sq = True
-    h0_map_comp = step.map.component(0)
-    ker0 = h0_map_comp.kernel_basis()
-    # work in H^0(R): classes of kernel-of-theta degree-0 elements
-    h0r, h0r_proj = h0_ring(ring)
-    for i in range(ker0.cols):
-        for j in range(ker0.cols):
-            prod = ring.mul(0, ker0.col(i), 0, ker0.col(j))
-            if not h0r_proj.apply(0, prod).is_zero():
-                ker_sq = False
+    # work in H^0(R): classes of the pairwise products of kernel-of-theta degree-0 elements
+    ker0 = step.map.component(0).kernel_basis()
+    prods = kron_product(ring.square.block(ring.mult, (0, 0)), ker0, ker0)
+    ker_sq = h0_ring(ring)[1].apply(0, prods).is_zero()
     return StepDeformationVerdict(
         step.name,
         Verdict.of(ses_ok, "I (x)_R V -> V -> S (x)_R V is exact in every degree"),

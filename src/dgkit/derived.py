@@ -299,8 +299,7 @@ def derived_tensor(m: Module, n: Module, window: DegreeWindow,
     floor = window.lo - max(other_hi, 0) - 2 - window.guard
     res = resolve_module(m if resolve == "left" else n, floor, generator_cap)
     tensor = res.tensor_with(other)
-    h = tensor.cohomology().as_dict()
-    dims = {d: h.get(d, 0) for d in window.degrees()}
+    dims = {d: cohomology_at(tensor, d)[0].cols for d in window.degrees()}
     return DerivedReport(dims, window, res, tensor)
 
 
@@ -313,8 +312,7 @@ def derived_hom(m: Module, n: Module, window: DegreeWindow,
     floor = min(n_lo, 0) - window.hi - 2 - window.guard
     res = resolve_module(m, floor, generator_cap)
     hom = res.hom_into(n)
-    h = hom.cohomology().as_dict()
-    dims = {d: h.get(d, 0) for d in window.degrees()}
+    dims = {d: cohomology_at(hom, d)[0].cols for d in window.degrees()}
     return DerivedReport(dims, window, res, hom)
 
 

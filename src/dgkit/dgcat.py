@@ -5,8 +5,8 @@ tensor products.
 Composition is stored as one chain map hom(B,C) @ hom(A,B) -> hom(A,C) per
 object triple; its chain-map property is the Leibniz rule.  Identity,
 associativity, and compatibility of the base action are checked at
-construction, each once per degree block as an equation of block composites
-(see the structure laws in ``complexes``).
+construction, each as one equation on whole pairings per object tuple (see
+the structure laws in ``complexes``).
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ from .complexes import (
     TensorLayout,
     associativity_defect,
     element_action,
+    flat_pairing,
     h0_retract,
+    koszul_swap,
     lifted_map,
     morphism_defect,
     pair_action,
-    pair_elements,
     permutation_sign,
     reorder_factors,
     sub_retract,
-    swap_leading_factors,
     swapped,
     truncate_le,
     unit_defect,
@@ -95,10 +95,6 @@ class DgCategory:
     def id_vector(self, a) -> Mat:
         return self.ids[a]
 
-    def compose_elements(self, a, b, c, dg: int, g: Mat, df: int, f: Mat) -> Mat:
-        """Composite g o f of homogeneous elements g in hom(b,c), f in hom(a,b)."""
-        return pair_elements(self.comp[(a, b, c)], self.comp_layouts[(a, b, c)], dg, g, df, f)
-
     def comp_pair(self, a, b, c):
         """Composition hom(b,c) @ hom(a,b) -> hom(a,c) with its source layout."""
         return self.comp_layouts[(a, b, c)], self.comp[(a, b, c)]
@@ -136,12 +132,11 @@ class DgCategory:
                 raise ValidationError(f"{name}: missing or malformed identity at {a}")
             if not (self.hom(a, a).diff(0) @ ida).is_zero():
                 raise ValidationError(f"{name}: identity at {a} is not closed")
-        for a in self.objects:
-            for b in self.objects:
-                if unit_defect(self.comp_pair(a, b, b), self.ids[b], 0) is not None:
-                    raise ValidationError(f"{name}: left identity fails on hom({a},{b})")
-                if unit_defect(self.comp_pair(a, a, b), self.ids[a], 1) is not None:
-                    raise ValidationError(f"{name}: right identity fails on hom({a},{b})")
+        for a, b in itertools.product(self.objects, repeat=2):
+            if unit_defect(self.comp_pair(a, b, b), self.ids[b], 0) is not None:
+                raise ValidationError(f"{name}: left identity fails on hom({a},{b})")
+            if unit_defect(self.comp_pair(a, a, b), self.ids[a], 1) is not None:
+                raise ValidationError(f"{name}: right identity fails on hom({a},{b})")
         for a, b, c, d in itertools.product(self.objects, repeat=4):
             if associativity_defect(self.comp_pair(a, b, d), self.comp_pair(b, c, d),
                                     self.comp_pair(a, c, d), self.comp_pair(a, b, c)) is not None:
@@ -152,33 +147,25 @@ class DgCategory:
     def _check_action(self):
         name = self.name
         base = self.base
-        for a in self.objects:
-            for b in self.objects:
-                act = self.action_pair(a, b)
-                if unit_defect(act, base.unit, 0) is not None:
-                    raise ValidationError(f"{name}: base action not unital on hom({a},{b})")
-                if associativity_defect(act, (base.square, base.mult), act, act) is not None:
-                    raise ValidationError(f"{name}: base action not associative on hom({a},{b})")
+        for a, b in itertools.product(self.objects, repeat=2):
+            act = self.action_pair(a, b)
+            if unit_defect(act, base.unit, 0) is not None:
+                raise ValidationError(f"{name}: base action not unital on hom({a},{b})")
+            if associativity_defect(act, (base.square, base.mult), act, act) is not None:
+                raise ValidationError(f"{name}: base action not associative on hom({a},{b})")
         # centrality against composition: on r (x) g (x) f, (r.g) o f and
         # (-1)^{|r||g|} g o (r.f) both equal r.(g o f)
+        eye_r = Mat.identity(self.field, base.total_dim())
         for a, b, c in itertools.product(self.objects, repeat=3):
             comp, act_ac = self.comp_pair(a, b, c), self.action_pair(a, c)
             if associativity_defect(comp, self.action_pair(b, c), act_ac, comp) is not None:
                 raise ValidationError(f"{name}: action not central (left) on hom({a},{b},{c})")
-            (clay, cm), (alay, am), (olay, om) = comp, self.action_pair(a, b), act_ac
-            triple = TensorLayout([base.underlying, self.hom(b, c), self.hom(a, b)])
-            for n in sorted(triple.dims()):
-                if om.target.dim(n) == 0:
-                    continue
-                for (dr, dg, df), _, _ in triple.blocks(n):
-                    eye_g = Mat.identity(self.field, self.hom(b, c).dim(dg))
-                    eye_r = Mat.identity(self.field, base.dim(dr))
-                    # g o (r.f) on g (x) r (x) f, then reindexed to r (x) g (x) f
-                    g_rf = kron_product(clay.block(cm, (dg, dr + df)), eye_g, alay.block(am, (dr, df)))
-                    g_rf = swap_leading_factors(g_rf, eye_r.rows, eye_g.rows)
-                    r_gf = kron_product(olay.block(om, (dr, dg + df)), eye_r, clay.block(cm, (dg, df)))
-                    if (-g_rf if permutation_sign((dr, dg, df), (1, 0, 2)) < 0 else g_rf) != r_gf:
-                        raise ValidationError(f"{name}: action not central (right) on hom({a},{b},{c})")
+            # g o (r.f) on g (x) r (x) f, then reindexed to r (x) g (x) f
+            g_rf = kron_product(flat_pairing(*comp), Mat.identity(self.field, self.hom(b, c).total_dim()),
+                                flat_pairing(*self.action_pair(a, b)))
+            r_gf = kron_product(flat_pairing(*act_ac), eye_r, flat_pairing(*comp))
+            if koszul_swap(g_rf, base.underlying, self.hom(b, c)) != r_gf:
+                raise ValidationError(f"{name}: action not central (right) on hom({a},{b},{c})")
 
     # -- constructors ---------------------------------------------------------
 

@@ -5,7 +5,7 @@ A ring is presented by a flat basis list (one degree per basis element, all
 degrees <= 0), a unit vector in degree 0, and a multiplication tensor given
 as a chain map out of the graded tensor square.  The chain-map property of
 that tensor *is* the Leibniz rule, so it is enforced by construction; unit,
-associativity and graded commutativity are checked once per degree block.
+associativity and graded commutativity are checked on the whole pairing.
 """
 
 from __future__ import annotations
@@ -19,16 +19,18 @@ from .complexes import (
     Complex,
     TensorLayout,
     associativity_defect,
-    first_difference,
+    first_defect,
+    flat_basis,
+    flat_map,
+    flat_pairing,
+    koszul_swap,
     lifted_map,
     morphism_defect,
     pair_action,
     pair_elements,
-    permutation_sign,
     quotient_complex,
     quotient_retract,
     subcomplex,
-    swap_leading_factors,
     unit_defect,
 )
 from .errors import ValidationError
@@ -65,9 +67,7 @@ class DgRing:
         return self.underlying.total_dim()
 
     def basis(self):
-        for deg in self.degrees():
-            for i in range(self.dim(deg)):
-                yield deg, i
+        return iter(flat_basis(self.underlying.spaces.key))
 
     def basis_vector(self, deg: int, i: int) -> Mat:
         return Mat.basis_column(self.field, self.dim(deg), i)
@@ -99,19 +99,12 @@ class DgRing:
             defect = unit_defect(pair, self.unit, slot)
             if defect is not None:
                 raise ValidationError(f"{name}: {side} unit fails on basis element {self.label(*defect)}")
-        for n in sorted(sq.dims()):
-            for (dx, dy), off, _ in sq.blocks(n):
-                yx = swap_leading_factors(sq.block(self.mult, (dy, dx)), self.dim(dx), self.dim(dy))
-                col = first_difference(sq.block(self.mult, (dx, dy)),
-                                       -yx if permutation_sign((dx, dy), (1, 0)) < 0 else yx)
-                if col is not None:
-                    _, (i, j) = sq.decompose(n, off + col)
-                    raise ValidationError(
-                        f"{name}: graded commutativity fails on ({self.label(dx, i)}, {self.label(dy, j)})")
-        defect = associativity_defect(pair, pair, pair, pair)
-        if defect is not None:
-            labels = ", ".join(self.label(d, i) for d, i in zip(*defect))
-            raise ValidationError(f"{name}: associativity fails on ({labels})")
+        flat = flat_pairing(sq, self.mult)
+        for law, defect in (("graded commutativity", first_defect(sq.factors, flat, koszul_swap(flat, *sq.factors))),
+                            ("associativity", associativity_defect(pair, pair, pair, pair))):
+            if defect is not None:
+                labels = ", ".join(self.label(d, i) for d, i in zip(*defect))
+                raise ValidationError(f"{name}: {law} fails on ({labels})")
         # Leibniz holds automatically: mult is a chain map out of the tensor
         # square, whose differential carries the Koszul sign.
 
@@ -263,19 +256,15 @@ class DgIdeal:
             cols = self.inclusion.component(deg)
             if cols.rank() != cols.cols:
                 raise ValidationError(f"{self.name}: inclusion not injective in degree {deg}")
-        # closure under the ring action: per (dr, dx), the products of every
-        # ring basis element with every ideal basis element lie in the ideal
-        for dr in amb.degrees():
-            for dx in self.sub.degrees():
-                prods = kron_product(amb.square.block(amb.mult, (dr, dx)),
-                                     Mat.identity(amb.field, amb.dim(dr)), self.inclusion.component(dx))
-                span = self.inclusion.component(dr + dx)
-                rank = span.rank()
-                if span.hstack(prods).rank() == rank:
-                    continue
-                col = next(c for c in range(prods.cols) if span.hstack(prods.col(c)).rank() > rank)
-                raise ValidationError(f"{self.name}: not closed under multiplication by "
-                                      f"{amb.label(dr, col // self.sub.dim(dx))}")
+        # closure under the ring action: every product r x of a ring basis
+        # element with an ideal basis element lies in the ideal
+        span = flat_map(self.inclusion)
+        prods = kron_product(flat_pairing(amb.square, amb.mult), Mat.identity(amb.field, amb.total_dim()), span)
+        if span.hstack(prods).rank() > span.rank():
+            pairs = list(itertools.product(amb.basis(), flat_basis(self.sub.spaces.key)))
+            (dr, i), _ = min((pairs[c] for c in range(prods.cols) if span.hstack(prods.col(c)).rank() > span.rank()),
+                             key=lambda pair: (pair[0][0], pair[1][0], pair[0][1], pair[1][1]))
+            raise ValidationError(f"{self.name}: not closed under multiplication by {amb.label(dr, i)}")
 
     def dim(self, deg: int) -> int:
         return self.sub.dim(deg)
@@ -290,15 +279,8 @@ class DgIdeal:
         return self.inclusion.component(deg)
 
     def squares_to_zero(self) -> bool:
-        for dx in self.sub.degrees():
-            for i in range(self.sub.dim(dx)):
-                x = self.column_span(dx).col(i)
-                for dy in self.sub.degrees():
-                    for j in range(self.sub.dim(dy)):
-                        y = self.column_span(dy).col(j)
-                        if not self.ambient.mul(dx, x, dy, y).is_zero():
-                            return False
-        return True
+        span = flat_map(self.inclusion)
+        return kron_product(flat_pairing(self.ambient.square, self.ambient.mult), span, span).is_zero()
 
     @staticmethod
     def zero(ring: DgRing) -> "DgIdeal":
@@ -405,18 +387,10 @@ def quotient(ring: DgRing, ideal: DgIdeal):
     killed = {deg: ideal.column_span(deg) for deg in ideal.sub.degrees()}
     quot, proj, sections = quotient_complex(ring.underlying, killed, name=f"{ring.name}/{ideal.name}")
     # well-definedness of the induced product: I * R and R * I land in I
-    for deg_i in ideal.sub.degrees():
-        for i in range(ideal.dim(deg_i)):
-            x = ideal.column_span(deg_i).col(i)
-            for deg_r, j in ring.basis():
-                r = ring.basis_vector(deg_r, j)
-                for prod, pdeg in ((ring.mul(deg_i, x, deg_r, r), deg_i + deg_r),
-                                   (ring.mul(deg_r, r, deg_i, x), deg_i + deg_r)):
-                    if prod.is_zero():
-                        continue
-                    span = killed.get(pdeg)
-                    if span is None or span.solve(prod) is None:
-                        raise ValidationError("quotient multiplication not well defined")
+    span, eye = flat_map(ideal.inclusion), Mat.identity(ring.field, ring.total_dim())
+    mult = flat_pairing(ring.square, ring.mult)
+    if span.hstack(kron_product(mult, span, eye)).hstack(kron_product(mult, eye, span)).rank() > span.rank():
+        raise ValidationError("quotient multiplication not well defined")
     unit_q = proj.component(0) @ ring.unit
     # [x][y] = [xy], read through the sections and the projection
     classes = quotient_retract(quot, proj, sections)

@@ -384,20 +384,20 @@ def kron(a: Mat, b: Mat) -> Mat:
 
 def kron_product(a: Mat, b: Mat, c: Mat) -> Mat:
     """a @ kron(b, c) without forming the Kronecker product, on raw rows: the
-    columns of a come in b.rows groups of c.rows, and group i adds
-    b[i][j] * (a_i @ c) to column group j of the result.  Zero rows of a are
-    skipped, a_i @ c is a_i itself when c is the shared identity, the groups
-    a_j @ c are the result side by side when b is, and a is when both are."""
+    columns of a come in b.rows groups of c.rows, and the nonzero entry x of
+    a in column l of group i adds x * b[i][j] * c[l][m] to column (j, m) of
+    the result.  Only nonzero entries are visited, the factor c[l][m] is
+    dropped when c is the shared identity, and a is returned as is when b
+    and c both are."""
     fld = same_field(a.field, b.field, c.field)
     if a.cols != b.rows * c.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by a kron of "
                          f"{b.rows}x{b.cols} and {c.rows}x{c.cols}")
     h, width, p = c.rows, c.cols, fld.char
-    eye_b = b is Mat.identity(fld, b.rows)
     eye_c = c is Mat.identity(fld, h)
-    if eye_b and eye_c:
+    if eye_c and b is Mat.identity(fld, b.rows):
         return a
-    c_nz = () if eye_c else [[(l, v) for l, v in enumerate(row) if v] for row in c.entries]
+    c_nz = () if eye_c else [[(m, v) for m, v in enumerate(row) if v] for row in c.entries]
     coeffs = [[(j * width, v) for j, v in enumerate(row) if v] for row in b.entries]
     zero = (0,) * (b.cols * width)
     out = []
@@ -405,24 +405,18 @@ def kron_product(a: Mat, b: Mat, c: Mat) -> Mat:
         if not any(arow):
             out.append(zero)
             continue
-        acc = [] if eye_b else [0] * len(zero)
-        for i, terms in enumerate(coeffs):
-            if not terms:
+        acc = [0] * len(zero)
+        for k, x in enumerate(arow):
+            if not x:
                 continue
-            part = arow[i * h:(i + 1) * h]
-            if not eye_c:
-                prod_row = [0] * width
-                for x, crow in zip(part, c_nz):
-                    if x:
-                        for l, v in crow:
-                            prod_row[l] += x * v
-                part = prod_row
-            if eye_b:
-                acc.extend(part)
+            i, l = divmod(k, h)
+            if eye_c:
+                for off, v in coeffs[i]:
+                    acc[off + l] += v * x
                 continue
-            for off, v in terms:
-                for l, x in enumerate(part):
-                    if x:
-                        acc[off + l] += v * x
+            for off, v in coeffs[i]:
+                v *= x
+                for m, w in c_nz[l]:
+                    acc[off + m] += v * w
         out.append(tuple(x % p for x in acc) if p else tuple(acc))
     return Mat._wrap(fld, a.rows, len(zero), tuple(out))

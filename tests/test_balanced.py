@@ -18,6 +18,7 @@ from dgkit.complexes import (
     ChainMap,
     TensorLayout,
     direct_sum,
+    pair_elements,
     quotient_complex,
 )
 from dgkit.deform import factorize
@@ -210,8 +211,9 @@ def reference_composition(ext, cat, a, b, c):
                 (ds, dg), (si, gi) = tbc.layout.decompose(dq1, gp)
                 (dt, df), (ti, fi) = tab.layout.decompose(dq2, fp)
                 st = ring_s.mul_basis(ds, si, dt, ti)
-                gf = cat.compose_elements(a, b, c, dg, Mat.basis_column(field, cat.hom(b, c).dim(dg), gi),
-                                          df, Mat.basis_column(field, cat.hom(a, b).dim(df), fi))
+                gf = pair_elements(cat.comp[(a, b, c)], cat.comp_layouts[(a, b, c)],
+                                   dg, Mat.basis_column(field, cat.hom(b, c).dim(dg), gi),
+                                   df, Mat.basis_column(field, cat.hom(a, b).dim(df), fi))
                 if not ring_s.dim(ds + dt) or not cat.hom(a, c).dim(dg + df):
                     continue
                 coeff = field.mul(gv, fv)

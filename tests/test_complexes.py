@@ -24,7 +24,9 @@ from dgkit.complexes import (
     direct_sum,
     element_action,
     evaluation_map,
+    flat_pairing,
     hom_complex,
+    koszul_swap,
     naturality_subcomplex,
     pair_action,
     reorder_factors,
@@ -623,3 +625,71 @@ def test_swap_leading_factors_matches_elementwise_permutation(field, p, q, rest,
                                          for _ in range(rows)])
     expected = reordered_by_hand(m, (p, q, rest), (1, 0, 2))
     assert swap_leading_factors(m, p, q) == expected
+
+
+# -- flat pairings ---------------------------------------------------------------
+
+
+def flat_offsets(cx: Complex):
+    """Each degree's first index in the flat basis of cx (degrees in order)."""
+    offsets, total = {}, 0
+    for deg in cx.degrees():
+        offsets[deg] = total
+        total += cx.dim(deg)
+    return offsets
+
+
+def flat_by_hand(lay: TensorLayout, pairing: ChainMap) -> Mat:
+    """The flat matrix of a pairing, entry by entry from its blocks."""
+    field, target = lay.field, pairing.target
+    rows_at, cols_at = flat_offsets(target), [flat_offsets(c) for c in lay.factors]
+    sizes = [c.total_dim() for c in lay.factors]
+    grid = [[0] * prod(sizes) for _ in range(target.total_dim())]
+    for n in lay.dims():
+        for combo, _, _ in lay.blocks(n):
+            blk = lay.block(pairing, combo)
+            for pos, idx in enumerate(itertools.product(*[range(c.dim(d)) for c, d in zip(lay.factors, combo)])):
+                col = 0
+                for size, at, d, i in zip(sizes, cols_at, combo, idx):
+                    col = col * size + at[d] + i
+                for r in range(blk.rows):
+                    grid[rows_at[n + pairing.degree] + r][col] = blk.entries[r][pos]
+    return Mat(field, len(grid), prod(sizes), grid)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_flat_pairing_agrees_with_the_blocks(rng, field):
+    # the first cases have an empty factor, then a zero target
+    for case in range(30):
+        count = rng.randint(1, 3)
+        factors = [random_complex(rng, field, lo=-2, hi=1, pieces=0 if case == 0 and k == count - 1
+                                  else rng.randint(0, 3))[0] for k in range(count)]
+        target = random_complex(rng, field, lo=-3, hi=1, pieces=0 if case == 1 else rng.randint(0, 4))[0]
+        lay, degree = TensorLayout(factors), rng.randint(-1, 1)
+
+        def block(combo):
+            rows, size = target.dim(sum(combo) + degree), lay.block_offset(combo)[1]
+            return Mat(field, rows, size, [[rng.randint(-3, 3) for _ in range(size)] for _ in range(rows)])
+
+        pairing = lay.map_from_blocks(target, degree, block, check=False)
+        flat = flat_pairing(lay, pairing)
+        assert (flat.rows, flat.cols) == (target.total_dim(), prod(c.total_dim() for c in factors))
+        assert flat == flat_by_hand(lay, pairing)
+        assert flat_pairing(lay, pairing) is flat
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_koszul_swap_matches_elementwise_signed_swap(rng, field):
+    for _ in range(20):
+        a, b = (random_complex(rng, field, lo=-3, hi=1, pieces=rng.randint(0, 3))[0] for _ in range(2))
+        rest, p, q = rng.randint(0, 2), a.total_dim(), b.total_dim()
+        degree_a = [d for d in a.degrees() for _ in range(a.dim(d))]
+        degree_b = [d for d in b.degrees() for _ in range(b.dim(d))]
+        m = Mat(field, 2, q * p * rest, [[rng.randint(-5, 5) for _ in range(q * p * rest)] for _ in range(2)])
+        # column (i, j, k) of the result is (-1)^{|a_i||b_j|} times column (j, i, k) of m
+        grid = [[0] * m.cols for _ in range(2)]
+        for i, j, k in itertools.product(range(p), range(q), range(rest)):
+            sign = -1 if degree_a[i] % 2 and degree_b[j] % 2 else 1
+            for r in range(2):
+                grid[r][(i * q + j) * rest + k] = sign * m.entries[r][(j * p + i) * rest + k]
+        assert koszul_swap(m, a, b) == Mat(field, 2, m.cols, grid)

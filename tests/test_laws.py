@@ -2,12 +2,13 @@
 seeded mutation test comparing the category check with an elementwise
 reference."""
 
+import itertools
 import random
 
 import pytest
 
 from dgkit.bimodules import Bimodule, Module, ModuleMap
-from dgkit.complexes import ChainMap, Complex, TensorLayout
+from dgkit.complexes import ChainMap, Complex, TensorLayout, associativity_defect
 from dgkit.dgcat import DgCategory, DgFunctor, one_object_category
 from dgkit.dgring import DgIdeal, DgRing, DgRingMorphism, make_dual_numbers
 from dgkit.errors import ValidationError
@@ -459,3 +460,220 @@ def test_category_check_agrees_with_elementwise_reference_under_mutation():
             verdicts.append(accepted)
     assert len(verdicts) == 5 * len(cats)
     assert not all(verdicts)
+
+
+# -- rings and bimodules under mutation, on odd-odd instances ---------------------------
+#
+# The random generators never produce an odd element against an odd one with
+# both products nonzero, so these instances are built by hand: k[e]/e^2 with
+# |e| = -1, its exterior extension by an odd f, and categories over them.
+
+
+def reference_ring_laws(ring: DgRing) -> bool:
+    """Unit, graded commutativity and associativity on basis elements."""
+    def mul(dx, x, dy, y):
+        return _pair(ring.square, ring.mult, dx, x, dy, y)
+
+    basis = list(_basis(ring.underlying))
+    for dx, x in basis:
+        if mul(0, ring.unit, dx, x) != x or mul(dx, x, 0, ring.unit) != x:
+            return False
+        for dy, y in basis:
+            xy, yx = mul(dx, x, dy, y), mul(dy, y, dx, x)
+            if xy != (-yx if dx % 2 and dy % 2 else yx):
+                return False
+            for dz, z in basis:
+                if mul(dx + dy, xy, dz, z) != mul(dx, x, dy + dz, mul(dy, y, dz, z)):
+                    return False
+    return True
+
+
+def reference_bimodule_laws(t: Bimodule) -> bool:
+    """Both units, both associativities and the commuting of the two actions
+    on basis elements."""
+    acat, bcat = t.acat, t.bcat
+
+    def left(a1, a2, b, df, f, dx, x):
+        return _pair(t.lact_layouts[(a1, a2, b)], t.lact[(a1, a2, b)], df, f, dx, x)
+
+    def right(a, b1, b2, dx, x, df, f):
+        return _pair(t.ract_layouts[(a, b1, b2)], t.ract[(a, b1, b2)], dx, x, df, f)
+
+    def comp(cat, a, b, c, dg, g, df, f):
+        return _pair(cat.comp_layouts[(a, b, c)], cat.comp[(a, b, c)], dg, g, df, f)
+
+    for a, b in itertools.product(acat.objects, bcat.objects):
+        for dx, x in _basis(t.at(a, b)):
+            if left(a, a, b, 0, acat.ids[a], dx, x) != x or right(a, b, b, dx, x, 0, bcat.ids[b]) != x:
+                return False
+            for a2 in acat.objects:
+                for d1, f1 in _basis(acat.hom(a, a2)):
+                    f1x = left(a, a2, b, d1, f1, dx, x)
+                    # (f2 o f1) . x = f2 . (f1 . x)
+                    for a3 in acat.objects:
+                        for d2, f2 in _basis(acat.hom(a2, a3)):
+                            if left(a, a3, b, d2 + d1, comp(acat, a, a2, a3, d2, f2, d1, f1), dx, x) != \
+                                    left(a2, a3, b, d2, f2, d1 + dx, f1x):
+                                return False
+                    # (f1 . x) . g = f1 . (x . g)
+                    for b1 in bcat.objects:
+                        for dg, g in _basis(bcat.hom(b1, b)):
+                            if right(a2, b1, b, d1 + dx, f1x, dg, g) != \
+                                    left(a, a2, b1, d1, f1, dx + dg, right(a, b1, b, dx, x, dg, g)):
+                                return False
+            # (x . f2) . f1 = x . (f2 o f1)
+            for b2 in bcat.objects:
+                for d2, f2 in _basis(bcat.hom(b2, b)):
+                    xf2 = right(a, b2, b, dx, x, d2, f2)
+                    for b1 in bcat.objects:
+                        for d1, f1 in _basis(bcat.hom(b1, b2)):
+                            if right(a, b1, b2, dx + d2, xf2, d1, f1) != \
+                                    right(a, b1, b, dx, x, d2 + d1, comp(bcat, b1, b2, b, d2, f2, d1, f1)):
+                                return False
+    return True
+
+
+def _odd_rings(field):
+    odd, _ = make_dual_numbers(2, -1, field)
+    even, _ = make_dual_numbers(2, -2, field)
+    return [odd, exterior_extension_ring(odd, -1), exterior_extension_ring(even, -1),
+            exterior_extension_ring(make_dual_numbers(2, 0, field)[0], -3)]
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ValidationError:
+        return False
+    return True
+
+
+def _paired_perturbation(ring: DgRing, rng: random.Random) -> ChainMap:
+    """ring.mult with x y raised by c v and y x by +-c v, for basis elements
+    x, y, a basis element v of degree |x| + |y| and a nonzero c; the sign is
+    the Koszul sign (-1)^{|x||y|} or its opposite, at random, so graded
+    commutativity survives exactly in the first case."""
+    field, sq = ring.field, ring.square
+    basis = [(d, i) for d in ring.degrees() for i in range(ring.dim(d))]
+    (dx, i), (dy, j) = rng.choice([(x, y) for x in basis for y in basis if ring.dim(x[0] + y[0])])
+    n, c = dx + dy, field.parse(str(rng.randint(1, 3)))
+    sign = (-1 if dx % 2 and dy % 2 else 1) * rng.choice((1, -1))
+    mat = ring.mult.component(n)
+    grid = [list(row) for row in mat.entries]
+    k = rng.randrange(mat.rows)
+    for pos, coeff in ((sq.position((dx, dy), (i, j)), c), (sq.position((dy, dx), (j, i)), field.mul(field.parse(str(sign)), c))):
+        grid[k][pos] = field.add(grid[k][pos], coeff)
+    comps = {**ring.mult.components, n: Mat(field, mat.rows, mat.cols, grid)}
+    return ChainMap(ring.mult.source, ring.mult.target, 0, comps, check=False)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_ring_check_agrees_with_elementwise_reference_under_mutation(field):
+    rng = random.Random(20261019)
+    verdicts = []
+    for ring in _odd_rings(field):
+        assert reference_ring_laws(ring), ring.name
+        for t in range(16):
+            mult = _perturbed(ring.mult, rng) if t % 2 else _paired_perturbation(ring, rng)
+            raw = DgRing(ring.underlying, ring.unit, mult, name=ring.name, check=False)
+            accepted = _accepts(lambda: DgRing(ring.underlying, ring.unit, mult, name=ring.name))
+            assert accepted == reference_ring_laws(raw), ring.name
+            verdicts.append(accepted)
+    assert any(verdicts) and not all(verdicts)
+
+
+def _perturbed_table(table, rng):
+    nonempty = [key for key, cm in table.items() if any(cm.target.dim(d + cm.degree) for d in cm.source.degrees())]
+    key = rng.choice(nonempty)
+    return {**table, key: _perturbed(table[key], rng)}
+
+
+def _rescaled(t: Bimodule, rng: random.Random):
+    """The actions of T carried along a random diagonal automorphism of each
+    T(a, b): a valid bimodule whenever T is, with other matrices."""
+    field = t.field
+    scale = {key: {d: [field.parse(str(rng.choice((1, 2, 3, -1, -2)))) for _ in range(cx.dim(d))]
+                   for d in cx.degrees()} for key, cx in t.components.items()}
+
+    def carried(lay, cm, source, target, slot):
+        def entry(combo, idx):
+            col = cm.component(sum(combo)).col(lay.position(combo, idx))
+            factor = field.inv(scale[source][combo[slot]][idx[slot]])
+            return Mat.column(field, [field.mul(field.mul(v, factor), s)
+                                      for v, s in zip(col.column_values(0), scale[target].get(sum(combo), []))])
+        return lay.map_from_entries(cm.target, 0, entry, check=False)
+
+    lact = {(a1, a2, b): carried(t.lact_layouts[(a1, a2, b)], cm, (a1, b), (a2, b), 1)
+            for (a1, a2, b), cm in t.lact.items()}
+    ract = {(a, b1, b2): carried(t.ract_layouts[(a, b1, b2)], cm, (a, b2), (a, b1), 0)
+            for (a, b1, b2), cm in t.ract.items()}
+    return lact, ract
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_bimodule_check_agrees_with_elementwise_reference_under_mutation(field):
+    rng = random.Random(20261020)
+    odd, _ = make_dual_numbers(2, -1, field)
+    cats = [one_object_category(odd), free_arrow_category(odd), exterior_one_object_category(odd, -1)]
+    verdicts = []
+    for cat in cats:
+        diag = Bimodule.diagonal(cat)
+        assert reference_bimodule_laws(diag), cat.name
+        for t in range(8):
+            lact, ract = _rescaled(diag, rng) if t % 4 else (dict(diag.lact), dict(diag.ract))
+            if t % 2 == 0:
+                if rng.random() < 0.5:
+                    lact = _perturbed_table(lact, rng)
+                else:
+                    ract = _perturbed_table(ract, rng)
+            raw = Bimodule(cat, cat, diag.components, lact, ract, name=diag.name, check=False)
+            accepted = _accepts(lambda: Bimodule(cat, cat, diag.components, lact, ract, name=diag.name))
+            assert accepted == reference_bimodule_laws(raw), cat.name
+            verdicts.append(accepted)
+    assert any(verdicts) and not all(verdicts)
+
+
+# -- defects named in (degree, block, index) order ---------------------------------------
+#
+# The law checks compare whole flat matrices, whose columns run factor-major
+# (each factor's basis in degree order); a defect is still the first basis
+# tensor in the tensor's own order: total degree, then degree block, then
+# index.  Each instance below fails twice, with the two orders disagreeing.
+
+
+def test_ring_defect_is_named_in_degree_order():
+    # u1 u2 = w fails against u2 u1 = 0 in total degree -4, t v = t against
+    # v t = 0 in degree -3; factor-major order would meet (t, v) first
+    names, degrees = ["1", "v", "u1", "u2", "t", "w"], [0, 0, -2, -2, -3, -4]
+    products = {(2, 3): {5: 1}, (4, 1): {4: 1}}
+
+    def table(i, j):
+        return {j: F.one()} if i == 0 else {i: F.one()} if j == 0 else products.get((i, j), {})
+
+    with pytest.raises(ValidationError, match=r"^R: graded commutativity fails on \(u1, u2\)$"):
+        DgRing.from_table(F, degrees, names, 0, table, name="R")
+
+
+def test_category_defect_is_named_in_degree_order():
+    # End = <1, p, s, q, w>, |s| = -1, |q| = -2, |w| = -4, with s p = s,
+    # q q = w, p w = w: associativity fails on (s, p, p) in total degree -1
+    # and on (p, q, q) and (p, p, w) in degree -4
+    degrees, labels = {0: 2, -1: 1, -2: 1, -4: 1}, {0: ("1", "p"), -1: ("s",), -2: ("q",), -4: ("w",)}
+    cx = Complex(F, degrees, {}, labels=labels, name="E")
+    flat = [(d, i) for d in (0, -1, -2, -4) for i in range(degrees[d])]
+    one, p, s, q, w = flat
+    products = {(s, p): s, (q, q): w, (p, w): w}
+
+    def entry(combo, idx):
+        x, y = (combo[0], idx[0]), (combo[1], idx[1])
+        image = y if x == one else x if y == one else products.get((x, y))
+        return None if image is None else Mat.basis_column(F, cx.dim(image[0]), image[1])
+
+    comp = TensorLayout([cx, cx]).map_from_entries(cx, 0, entry, check=False)
+    with pytest.raises(ValidationError, match=r"^C: associativity fails on triple "
+                                              r"hom\(\*,\*\) x hom\(\*,\*\) x hom\(\*,\*\)$"):
+        one_object(cx, comp, unit_vector(2))
+    cat = DgCategory(DgRing.ground_field(F), ["*"], {("*", "*"): cx}, {("*", "*", "*"): comp},
+                     {"*": unit_vector(2)}, check=False)
+    pair = cat.comp_pair("*", "*", "*")
+    assert associativity_defect(pair, pair, pair, pair) == ((0, -2, -2), (1, 0, 0))
