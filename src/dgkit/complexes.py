@@ -959,12 +959,25 @@ def first_defect(factors: Sequence[Complex], lhs: Mat, rhs: Mat):
     return min((tuple(zip(*elems)) for c, elems in tensors if c in failing), key=lambda t: (sum(t[0]), t))
 
 
+def _vacuous(factors: Sequence[Complex], fields: Sequence[Field], joins) -> bool:
+    """Whether a law on the tensor of ``factors`` holds with nothing to
+    compare: the tensor is empty, so no basis tensor can fail, and the maps
+    join up, all over one field and each pair of spaces in ``joins`` (a map's
+    target and the factor it feeds, say) with one degree table, so each side
+    would be the empty matrix into one space.  Maps that do not join up go on
+    to the products, which reject them."""
+    return (not all(c.spaces.key for c in factors) and all(f is fields[0] for f in fields)
+            and all(a.spaces.key == b.spaces.key for a, b in joins))
+
+
 def unit_defect(pair, unit: Mat, slot: int):
     """First basis vector v, as (degree, index), of the other factor with
     mu(e tensor v) != v (slot 0) or mu(v tensor e) != v (slot 1), for e of
     degree 0: mu . kron(e, 1) against 1 on the flat bases."""
     lay, mu = pair
     own, other = lay.factors[slot], lay.factors[1 - slot]
+    if unit.rows == own.dim(0) and _vacuous([other], [lay.field], [(mu.target, other)]):
+        return None
     below = sum(dim for deg, dim in own.spaces.key if deg < 0)
     e = Mat._wrap(lay.field, own.total_dim(), 1,
                   ((0,),) * below + unit.entries + ((0,),) * (own.total_dim() - below - unit.rows))
@@ -980,21 +993,41 @@ def associativity_defect(outer_left, inner_left, outer_right, inner_right):
     four pairs are (mu1, mu2, mu3, mu4), all of degree 0."""
     (l1, m1), (l2, m2), (l3, m3), (l4, m4) = outer_left, inner_left, outer_right, inner_right
     x, y, z = l2.factors[0], l2.factors[1], l4.factors[1]
+    flats = [flat_pairing(*pair) for pair in (outer_left, inner_left, outer_right, inner_right)]
+    if _vacuous([x, y, z], [l1.field, l2.field, l3.field, l4.field],
+                [(m2.target, l1.factors[0]), (l1.factors[1], z), (l3.factors[0], x),
+                 (m4.target, l3.factors[1]), (l4.factors[0], y), (m1.target, m3.target)]):
+        return None
     field = l1.field
-    lhs = kron_product(flat_pairing(l1, m1), flat_pairing(l2, m2), Mat.identity(field, z.total_dim()))
-    rhs = kron_product(flat_pairing(l3, m3), Mat.identity(field, x.total_dim()), flat_pairing(l4, m4))
+    lhs = kron_product(flats[0], flats[1], Mat.identity(field, z.total_dim()))
+    rhs = kron_product(flats[2], Mat.identity(field, x.total_dim()), flats[3])
     return first_defect([x, y, z], lhs, rhs)
 
 
-def morphism_defect(source, target, outer: ChainMap, first: ChainMap, second: ChainMap):
+def morphism_defect(source, target, outer: ChainMap, first: Optional[ChainMap], second: Optional[ChainMap]):
     """First basis tensor x (x) y of the source pairing mu on which
     outer(mu(x (x) y)) != mu'(first(x) (x) second(y)), i.e. where
     outer . mu and mu' . kron(first, second) differ on the flat bases;
-    ``second`` has degree 0, so no Koszul sign arises."""
+    ``second`` has degree 0, so no Koszul sign arises.  ``first`` or
+    ``second`` None is the identity of its factor, as the shared
+    ``Mat.identity``."""
     (lay, mu), (tlay, tmu) = source, target
-    lhs = flat_map(outer) @ flat_pairing(lay, mu)
-    rhs = kron_product(flat_pairing(tlay, tmu), flat_map(first), flat_map(second))
-    return first_defect(lay.factors, lhs, rhs)
+    x, y = lay.factors
+    lhs = flat_map(outer), flat_pairing(lay, mu)
+    rhs = [flat_pairing(tlay, tmu)]
+    fields = [lay.field, tlay.field, outer.source.field]
+    joins = [(outer.source, mu.target), (outer.target, tmu.target)]
+    for factor, fed, f in ((x, tlay.factors[0], first), (y, tlay.factors[1], second)):
+        if f is None:
+            rhs.append(Mat.identity(lay.field, factor.total_dim()))
+            joins.append((factor, fed))
+        else:
+            rhs.append(flat_map(f))
+            fields.append(f.source.field)
+            joins += [(f.source, factor), (f.target, fed)]
+    if _vacuous([x, y], fields, joins):
+        return None
+    return first_defect([x, y], lhs[0] @ lhs[1], kron_product(*rhs))
 
 
 def reorder_factors(m: Mat, dims: Sequence[int], perm: Sequence[int]) -> Mat:
@@ -1393,70 +1426,13 @@ class HomLayout:
                                tuple(tuple(col[r:r + sdim]) for r in range(off, off + size, sdim)))
         return fam
 
-    def vector_from_family(self, n: int, fam: Dict[int, Mat]) -> Mat:
-        rows = [(0,)] * self.tensor.dim(n)
-        for i, off, size in self.blocks(n):
-            mat = fam.get(i)
-            if mat is not None:
-                if (mat.rows, mat.cols) != (self.target.dim(i + n), self.source.dim(i)):
-                    raise ShapeError(f"hom block at source degree {i} has shape {mat.rows}x{mat.cols}")
-                rows[off:off + size] = [(v,) for row in mat.entries for v in row]
-        return Mat._wrap(self.field, len(rows), 1, tuple(rows))
-
     def chainmap_from_cocycle(self, n: int, vec: Mat) -> ChainMap:
         fam = self.family_from_vector(n, vec)
         return ChainMap(self.source, self.target, n, fam)
 
-    def vector_from_chainmap(self, f: ChainMap) -> Mat:
-        return self.vector_from_family(f.degree, dict(f.components))
-
 
 def hom_complex(c: Complex, d: Complex) -> HomLayout:
     return HomLayout(c, d)
-
-
-def _trace_row(field: Field, n: int) -> Mat:
-    """vec(1_n) as a row: the pairing sum_t u_t v_t of two n-vectors on kron(u, v)."""
-    return Mat(field, 1, n * n, [[field.one() if t == u else field.zero() for t in range(n) for u in range(n)]])
-
-
-def evaluation_map(h: HomLayout) -> ChainMap:
-    """ev: Hom(c,d) tensor c -> d, phi tensor x |-> phi(x): on the hom block
-    of source degree i, vec(phi) (x) x |-> kron(1, vec(1)^t)."""
-    lay = TensorLayout([h.complex, h.source])
-    field = h.field
-
-    def block(combo):
-        n, i = combo
-        sdim = h.source.dim(i)
-        ev = kron(Mat.identity(field, h.target.dim(n + i)), _trace_row(field, sdim))
-        return kron_product(ev, h.slot(n, i), Mat.identity(field, sdim))
-
-    return lay.map_from_blocks(h.target, 0, block)
-
-
-def composition_map(x: Complex, y: Complex, z: Complex) -> ChainMap:
-    """Hom(y,z) tensor Hom(x,y) -> Hom(x,z), psi tensor phi |-> psi o phi:
-    per source degree i of phi, vec(psi_{i+n}) (x) vec(phi_i) |->
-    vec(psi_{i+n} phi_i) is kron(1_z, vec(1_y)^t, 1_x)."""
-    hyz = hom_complex(y, z)
-    hxy = hom_complex(x, y)
-    hxz = hom_complex(x, z)
-    lay = TensorLayout([hyz.complex, hxy.complex])
-    field = lay.field
-
-    def block(combo):
-        m, n = combo
-        terms = []
-        for i, _, _ in hxy.blocks(n):
-            zdim = z.dim(i + n + m)
-            if zdim:
-                comp = kron(Mat.identity(field, zdim),
-                            kron(_trace_row(field, y.dim(i + n)), Mat.identity(field, x.dim(i))))
-                terms.append(kron_product(hxz.slot(m + n, i).transpose() @ comp, hyz.slot(m, i + n), hxy.slot(n, i)))
-        return reduce(Mat.__add__, terms) if terms else None
-
-    return lay.map_from_blocks(hxz.complex, 0, block)
 
 
 def hom_postcompose(source: Complex, f: ChainMap) -> ChainMap:

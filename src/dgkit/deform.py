@@ -11,6 +11,8 @@ Karoubianness of a noncommutative H^0(End) are reported unchecked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional
 
 from .bimodules import Module
@@ -297,52 +299,68 @@ def _nontrivial_idempotents_fp(mult: Mat, unit: Mat):
     raise AssertionError("a non-scalar Frobenius-fixed element takes no value in F_p")
 
 
-def _nontrivial_idempotents_commutative(mult: Mat, unit: Mat):
-    """Idempotents of a commutative algebra over Q via minimal-polynomial
-    factorization (sympy does the factoring); returns a possibly empty list."""
-    field, n = unit.field, unit.rows
-    import sympy
+def _minimal_polynomial(mult: Mat, unit: Mat, x: Mat):
+    """The minimal polynomial of x in the algebra whose product is ``mult``:
+    the coefficients c_0, ..., c_{d-1} of x^d = sum c_i x^i at the first
+    power x^d that the lower ones span, and those powers 1, x, ..., x^{d-1}."""
+    powers = [unit]
+    while True:
+        nxt = kron_product(mult, powers[-1], x)
+        coeffs = Mat.from_columns(unit.field, unit.rows, [p.column_values(0) for p in powers]).solve(nxt)
+        if coeffs is not None:
+            return coeffs.column_values(0), powers
+        powers.append(nxt)
 
-    found = []
-    for gen in range(n):
-        x = Mat.basis_column(field, n, gen)
-        powers = [unit, x]
-        while True:
-            nxt = kron_product(mult, powers[-1], x)
-            powers.append(nxt)
-            stack = Mat.from_columns(field, n, [p.column_values(0) for p in powers])
-            if stack.rank() < stack.cols:
-                break
-        stack = Mat.from_columns(field, n, [p.column_values(0) for p in powers[:-1]])
-        rhs = powers[-1]
-        coeffs = stack.solve(rhs)
-        if coeffs is None:
+
+def _is_root_power(coeffs) -> bool:
+    """Whether t^d - sum c_i t^i, for the coefficients c_0, ..., c_{d-1} over
+    Q, is (t - c)^d; its t^{d-1} coefficient then gives c = c_{d-1}/d."""
+    d = len(coeffs)
+    c = Fraction(coeffs[-1]) / d
+    return all(coeffs[k] == -comb(d, k) * (-c) ** (d - k) for k in range(d))
+
+
+def _nontrivial_idempotents_commutative(mult: Mat, unit: Mat):
+    """Idempotents of a commutative algebra A over Q, found by splitting the
+    minimal polynomial of a basis element into coprime factors; returns a
+    one-element witness list or [].
+
+    Trying the basis elements decides the question.  A is a product of local
+    algebras A_1 x ... x A_r with residue fields K_i.  If r >= 2, the
+    functional phi(x) = Tr(x_1)/[K_1:Q] - Tr(x_2)/[K_2:Q], on the residues
+    x_i of x in K_1 and K_2, takes 1 on the idempotent of A_1.  If the minimal
+    polynomial of x is a power of one irreducible q, both residues are roots
+    of q, and each normalised trace is the mean of the roots of q, so
+    phi(x) = 0.  phi is not zero on A, so it is not zero on some basis
+    element, whose minimal polynomial then has two coprime factors f and g;
+    u f + v g = 1 (extended Euclid) makes (u f)(x) a nontrivial idempotent.
+
+    A minimal polynomial (t - c)^d, with c = c_{d-1}/d, is a single factor,
+    and needs no factorization; sympy is imported only for the others."""
+    for gen in range(unit.rows):
+        x = Mat.basis_column(unit.field, unit.rows, gen)
+        coeffs, powers = _minimal_polynomial(mult, unit, x)
+        if _is_root_power(coeffs):
             continue
-        d = len(powers) - 1
+        import sympy
+
+        d = len(coeffs)
         t = sympy.symbols("t")
-        poly = t**d - sum(sympy.Rational(str(coeffs.entries[i][0])) * t**i for i in range(d))
-        factors = sympy.factor_list(sympy.Poly(poly, t))[1]
+        poly = sympy.Poly(t**d - sum(sympy.Rational(str(coeffs[i])) * t**i for i in range(d)), t)
+        factors = sympy.factor_list(poly)[1]
         if len(factors) < 2:
             continue
-        f1 = factors[0][0] ** factors[0][1]
-        rest = sympy.prod([f ** m for f, m in factors[1:]])
-        g, h, one = sympy.gcdex(sympy.Poly(f1, t), sympy.Poly(rest, t))
-        if one.degree() != 0:
-            continue
-        scale = sympy.Rational(1) / one.coeffs()[0]
-        e_poly = sympy.Poly(g * f1 * scale, t)
-        # evaluate e_poly at x inside the algebra
-        acc = Mat.zero(field, n, 1)
-        from fractions import Fraction
-        for mono, coeff in zip(e_poly.monoms(), e_poly.coeffs()):
-            k = mono[0]
-            term = unit
-            for _ in range(k):
-                term = kron_product(mult, term, x)
-            acc = acc + term.scale(field.parse(str(Fraction(str(coeff)))))
+        f1 = sympy.Poly(factors[0][0] ** factors[0][1], t)
+        rest = sympy.Poly(sympy.prod([f ** m for f, m in factors[1:]]), t)
+        g, _, one = sympy.gcdex(f1, rest)
+        # e(t) = g f1 / one has degree below d, so it is read on the powers
+        e_poly = (g * f1 * (sympy.Rational(1) / one.coeffs()[0])).rem(poly)
+        acc = Mat.zero(unit.field, unit.rows, 1)
+        for (k,), coeff in zip(e_poly.monoms(), e_poly.coeffs()):
+            acc = acc + powers[k].scale(unit.field.parse(str(Fraction(str(coeff)))))
         if kron_product(mult, acc, acc) == acc and not acc.is_zero() and acc != unit:
-            found.append(acc)
-    return found
+            return [acc]
+    return []
 
 
 def h0_structure_verdict(h0: H0Category) -> H0StructureVerdict:

@@ -113,9 +113,6 @@ class DgCategory:
             for i in range(cx.dim(deg)):
                 yield deg, Mat.basis_column(self.field, cx.dim(deg), i)
 
-    def total_hom_dim(self) -> int:
-        return sum(cx.total_dim() for cx in self.homs.values())
-
     def is_strictly_nonpositive(self) -> bool:
         return all(cx.max_degree() is None or cx.max_degree() <= 0 for cx in self.homs.values())
 
@@ -217,7 +214,7 @@ class DgFunctor:
                                self.hom_map(b, c), self.hom_map(a, b)) is not None:
                 raise ValidationError(f"{self.name}: composition not preserved on hom({a},{b})xhom({b},{c})")
         # linearity over the base (or over a base-ring morphism)
-        base = self.base_change.map if self.base_change is not None else ChainMap.identity(s.base.underlying)
+        base = None if self.base_change is None else self.base_change.map   # None: the identity
         for a, b in itertools.product(s.objects, repeat=2):
             if morphism_defect(s.action_pair(a, b), t.action_pair(self.obj_map[a], self.obj_map[b]),
                                self.hom_map(a, b), base, self.hom_map(a, b)) is not None:

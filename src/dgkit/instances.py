@@ -17,7 +17,6 @@ from .complexes import (
     Complex,
     TensorLayout,
     balanced_tensor,
-    hom_complex,
     lifted_map,
     pair_action,
     swapped,
@@ -85,30 +84,20 @@ def random_cocycle(rng: random.Random, cx: Complex, degree: int) -> Optional[Mat
     return v
 
 
-def random_chain_map(rng: random.Random, src: Complex, tgt: Complex,
-                     degree: int = 0) -> ChainMap:
-    """Random closed map src -> tgt of the given degree (possibly zero)."""
-    h = hom_complex(src, tgt)
-    v = random_cocycle(rng, h.complex, degree)
-    if v is None:
-        return ChainMap.zero_map(src, tgt, degree)
-    return h.chainmap_from_cocycle(degree, v)
-
-
 # -- categories -----------------------------------------------------------------
 
 
-def _discrete_category(rng: random.Random, field: Field, n_objects: int,
-                       lo: int, extra_pieces: int):
+def _discrete_draft(rng: random.Random, field: Field, n_objects: int,
+                    lo: int, extra_pieces: int):
     """Identities plus square-zero junk: nonzero differentials, all other
-    compositions vanish.  Valid for any random hom complexes."""
+    compositions vanish.  Valid for any random hom complexes.  Returns the
+    drawn hom complexes and a function building the category on them, which
+    draws nothing."""
     from .dgcat import DgCategory
     from .dgring import DgRing
 
-    base = DgRing.ground_field(field)
     objects = [f"X{i}" for i in range(n_objects)]
     homs = {}
-    id_slot = {}
     for a in objects:
         for b in objects:
             if a == b:
@@ -132,7 +121,6 @@ def _discrete_category(rng: random.Random, field: Field, n_objects: int,
                             grid[i + roff][j + coff] = mat.entries[i][j]
                     diffs[d] = Mat(field, rows, cols, grid)
                 homs[(a, b)] = Complex(field, dims, diffs, name=f"End({a})")
-                id_slot[a] = 0
             else:
                 cx, _ = random_complex(rng, field, lo=lo, hi=0,
                                        pieces=rng.randint(0, extra_pieces), acyclic_bias=0.5)
@@ -155,20 +143,22 @@ def _discrete_category(rng: random.Random, field: Field, n_objects: int,
                 grid[i][i * nf] = field.one()
         return Mat(field, len(grid), ng * nf, grid)
 
-    comp = {}
-    for a, b, c in itertools.product(objects, repeat=3):
-        lay = TensorLayout([homs[(b, c)], homs[(a, b)]])
-        comp[(a, b, c)] = lay.map_from_blocks(homs[(a, c)], 0, lambda combo, key=(a, b, c): block(*key, combo))
-    return DgCategory(base, objects, homs, comp, ids, name="discrete")
+    def build():
+        comp = {}
+        for a, b, c in itertools.product(objects, repeat=3):
+            lay = TensorLayout([homs[(b, c)], homs[(a, b)]])
+            comp[(a, b, c)] = lay.map_from_blocks(homs[(a, c)], 0, lambda combo, key=(a, b, c): block(*key, combo))
+        return DgCategory(DgRing.ground_field(field), objects, homs, comp, ids, name="discrete")
+    return homs, build
 
 
-def _path_category(rng: random.Random, field: Field, n_objects: int, max_arrows: int):
+def _path_draft(rng: random.Random, field: Field, n_objects: int, max_arrows: int):
     """Free paths of length <= 2 on an acyclic quiver with arrows in degrees
-    <= 0; zero differential, genuinely nonzero compositions."""
+    <= 0; zero differential, genuinely nonzero compositions.  Returns the
+    hom complexes and a builder, as ``_discrete_draft``."""
     from .dgcat import DgCategory
     from .dgring import DgRing
 
-    base = DgRing.ground_field(field)
     objects = [f"X{i}" for i in range(n_objects)]
     arrows = []  # (src_index, tgt_index, degree)
     for _ in range(rng.randint(1, max_arrows)):
@@ -240,21 +230,29 @@ def _path_category(rng: random.Random, field: Field, n_objects: int, max_arrows:
 
     ids = {objects[a]: Mat.basis_column(field, homs[(objects[a], objects[a])].dim(0), slots[(a, a)][("id",)][1])
            for a in range(n_objects)}
-    comp = {}
-    for a, b, c in itertools.product(range(n_objects), repeat=3):
-        x, y, z = objects[a], objects[b], objects[c]
-        lay = TensorLayout([homs[(y, z)], homs[(x, y)]])
-        comp[(x, y, z)] = lay.map_from_blocks(homs[(x, z)], 0, lambda combo, key=(a, b, c): block(*key, combo))
-    return DgCategory(base, objects, homs, comp, ids, name="path")
+
+    def build():
+        comp = {}
+        for a, b, c in itertools.product(range(n_objects), repeat=3):
+            x, y, z = objects[a], objects[b], objects[c]
+            lay = TensorLayout([homs[(y, z)], homs[(x, y)]])
+            comp[(x, y, z)] = lay.map_from_blocks(homs[(x, z)], 0, lambda combo, key=(a, b, c): block(*key, combo))
+        return DgCategory(DgRing.ground_field(field), objects, homs, comp, ids, name="path")
+    return homs, build
+
+
+def _nonpositive_draft(rng: random.Random, field: Field, n_objects: int, flavor: Optional[str]):
+    """The draws of ``random_nonpositive_category``: its hom complexes and builder."""
+    kind = flavor or rng.choice(["discrete", "path", "path"])
+    if kind == "discrete" or n_objects == 1:
+        return _discrete_draft(rng, field, n_objects, lo=-3, extra_pieces=2)
+    return _path_draft(rng, field, n_objects, max_arrows=3)
 
 
 def random_nonpositive_category(rng: random.Random, field: Field,
                                 n_objects: int = 2, flavor: Optional[str] = None):
     """Random valid dg-category over the ground field, strictly nonpositive."""
-    kind = flavor or rng.choice(["discrete", "path", "path"])
-    if kind == "discrete" or n_objects == 1:
-        return _discrete_category(rng, field, n_objects, lo=-3, extra_pieces=2)
-    return _path_category(rng, field, n_objects, max_arrows=3)
+    return _nonpositive_draft(rng, field, n_objects, flavor)[1]()
 
 
 # -- modules and bimodules --------------------------------------------------------
@@ -480,11 +478,12 @@ def weak_cokernel_gap_category(field):
 
 def small_random_category(rng: random.Random, field: Field, n_objects: int,
                           max_total_hom: int = 12):
-    """Random nonpositive category with total hom dimension capped."""
+    """Random nonpositive category with total hom dimension capped: the cap is
+    tested on each draw's hom complexes, and only the accepted draw is built."""
     for _ in range(50):
-        cat = random_nonpositive_category(rng, field, n_objects=n_objects)
-        if cat.total_hom_dim() <= max_total_hom:
-            return cat
+        homs, build = _nonpositive_draft(rng, field, n_objects, None)
+        if sum(cx.total_dim() for cx in homs.values()) <= max_total_hom:
+            return build()
     return random_nonpositive_category(rng, field, n_objects=1, flavor="discrete")
 
 

@@ -30,6 +30,8 @@ from dgkit.instances import (
 )
 from dgkit.matrix import Mat
 
+from hom_calculus import vector_from_chainmap
+
 
 def brute_force_end_dims(t):
     """Independent equalizer solver: naturality equations assembled from raw
@@ -165,7 +167,7 @@ def test_module_hom_complex_identity_is_cocycle():
                                 for a in cat.objects})
     amb = Mat.zero(QQ, mhc.ambient.dim(0), 1)
     for a in cat.objects:
-        amb = amb + mhc.injs[a].component(0) @ mhc.layouts[a].vector_from_chainmap(ident.at(a))
+        amb = amb + mhc.injs[a].component(0) @ vector_from_chainmap(mhc.layouts[a], ident.at(a))
     vec = mhc.inclusion.component(0).solve(amb)
     assert vec is not None
     # identity is closed in the module hom complex

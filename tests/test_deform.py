@@ -1,5 +1,10 @@
 """Deformation pipeline: factorization, kernel modules, lifting verdicts, hlc."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dgkit import changeofrings, deform
@@ -21,6 +26,7 @@ from dgkit.instances import (
     weak_cokernel_gap_category,
 )
 from dgkit.dgring import DgRing, check_setup_assumptions
+from dgkit.matrix import Mat, kron_product
 from dgkit.verdict import CERTIFIED, FAILED, UNCHECKED, passes, render, unchecked
 
 
@@ -367,3 +373,201 @@ def test_deform_report_of_multi_step_chains(field, n):
                           "square_zero_kernels": [True] * len(names), "step_reports": reports, "steps": names},
         "all_pass": True,
     }
+
+
+# -- idempotents of a commutative H^0 over Q ------------------------------------------
+#
+# The algebras are products of local pieces k[t]/(q^m) and k + N with N^2 = 0,
+# written in a random basis; sympy is the test-only oracle for minimal
+# polynomials and their factorizations.
+
+
+def _poly_piece(q, m):
+    """k[t]/(q^m), q monic with coefficients low to high, in the basis 1, t, ...:
+    the product of basis elements i and j as coefficients."""
+    modulus = [1]
+    for _ in range(m):
+        modulus = [sum(modulus[k - i] * c for i, c in enumerate(q) if 0 <= k - i < len(modulus))
+                   for k in range(len(modulus) + len(q) - 1)]
+    n = len(modulus) - 1
+
+    def reduce(coeffs):
+        coeffs = list(coeffs)
+        for top in range(len(coeffs) - 1, n - 1, -1):
+            lead = coeffs[top]
+            for i in range(n + 1):
+                coeffs[top - n + i] -= lead * modulus[i]
+        return coeffs[:n] + [0] * (n - len(coeffs[:n]))
+
+    return n, lambda i, j: reduce([int(k == i + j) for k in range(2 * n)])
+
+
+def _square_zero_piece(n):
+    """k + N with N^2 = 0, dim N = n - 1."""
+    return n, lambda i, j: [int(k == i + j) if 0 in (i, j) else 0 for k in range(n)]
+
+
+def _product_algebra(pieces):
+    """The product of the pieces as (n, mult, unit) on the concatenated bases."""
+    from fractions import Fraction
+    offsets, n = [], 0
+    for size, _ in pieces:
+        offsets.append(n)
+        n += size
+    cols = [[Fraction(0)] * n for _ in range(n * n)]
+    for (size, table), off in zip(pieces, offsets):
+        for i in range(size):
+            for j in range(size):
+                for k, v in enumerate(table(i, j)):
+                    cols[(off + i) * n + off + j][off + k] = Fraction(v)
+    unit = [Fraction(int(k in offsets)) for k in range(n)]
+    return n, cols, unit
+
+
+def _in_basis(n, cols, unit, basis):
+    """The structure constants and unit in the basis whose vectors are the
+    columns of ``basis`` (a sympy Matrix)."""
+    import sympy
+    inv = basis.inv()
+
+    def product(u, v):
+        out = sympy.zeros(n, 1)
+        for i in range(n):
+            for j in range(n):
+                if u[i] and v[j]:
+                    out += u[i] * v[j] * sympy.Matrix(cols[i * n + j])
+        return out
+
+    rows = [[0] * (n * n) for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            image = inv * product(basis[:, i], basis[:, j])
+            for k in range(n):
+                rows[k][i * n + j] = image[k]
+    to_mat = lambda vals: [QQ.parse(str(v)) for v in vals]
+    return (Mat(QQ, n, n * n, [to_mat(r) for r in rows]),
+            Mat.column(QQ, to_mat(inv * sympy.Matrix(unit))))
+
+
+def _random_commutative_algebras(count, seed):
+    import random
+    import sympy
+    rng = random.Random(seed)
+    irreducible = [[0, 1], [-2, 1], [-2, 0, 1], [1, 0, 1], [1, 1, 1]]
+    local = [lambda: _poly_piece(rng.choice(irreducible), rng.randint(1, 2)),
+             lambda: _square_zero_piece(rng.randint(2, 3))]
+    out = [(2, [_poly_piece([0, 1], 1), _poly_piece([-1, 1], 1)])]   # k x k
+    while len(out) < count:
+        pieces = [rng.choice(local)() for _ in range(rng.randint(1, 2))]
+        if sum(size for size, _ in pieces) <= 6:
+            out.append((len(pieces), pieces))
+    for factors, pieces in out:
+        n, cols, unit = _product_algebra(pieces)
+        while True:
+            basis = sympy.Matrix(n, n, lambda i, j: rng.randint(-2, 2))
+            if basis.rank() == n:
+                break
+        yield factors, _in_basis(n, cols, unit, basis)
+
+
+def test_minimal_polynomials_and_idempotents_match_sympy():
+    import sympy
+    t = sympy.symbols("t")
+    seen_split = False
+    for factors, (mult, unit) in _random_commutative_algebras(24, 71):
+        n = unit.rows
+        table = sympy.Matrix(mult.entries)
+        for gen in range(n):
+            x = Mat.basis_column(QQ, n, gen)
+            coeffs, powers = deform._minimal_polynomial(mult, unit, x)
+            d = len(coeffs)
+            # the oracle: m(L_x) kills the unit and 1, x, ..., x^{d-1} are independent
+            left = table * sympy.kronecker_product(sympy.Matrix(x.entries), sympy.eye(n))
+            krylov = [sympy.Matrix(unit.entries)]
+            for _ in range(d):
+                krylov.append(left * krylov[-1])
+            assert sympy.Matrix.hstack(*krylov[:d]).rank() == d
+            assert krylov[d] == sum((sympy.Rational(str(c)) * v for c, v in zip(coeffs, krylov)),
+                                    sympy.zeros(n, 1))
+            assert [sympy.Matrix(p.entries) for p in powers] == krylov[:d]
+            poly = sympy.Poly(t**d - sum(sympy.Rational(str(c)) * t**i for i, c in enumerate(coeffs)), t)
+            found = sympy.factor_list(poly)[1]
+            assert deform._is_root_power(coeffs) == (len(found) == 1 and found[0][0].degree() == 1)
+        witness = deform._nontrivial_idempotents_commutative(mult, unit)
+        assert len(witness) == (1 if factors > 1 else 0)
+        if witness:
+            seen_split = True
+            e, = witness
+            assert kron_product(mult, e, e) == e and not e.is_zero() and e != unit
+    assert seen_split
+
+
+def test_check_hlc_of_a_local_h0_over_q_imports_no_sympy():
+    # k[e]/(e^3), |e| = 0: every minimal polynomial is a power of t - c
+    package_root = str(Path(deform.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from dgkit.deform import check_hlc\n"
+            "from dgkit.dgcat import one_object_category\n"
+            "from dgkit.dgring import make_dual_numbers\n"
+            "from dgkit.fields import QQ\n"
+            "verdict = check_hlc(one_object_category(make_dual_numbers(3, 0, QQ)[0]))\n"
+            "print(verdict.h0_karoubian.status, sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [CERTIFIED, "[]"]
+
+
+def _cubic_field_product():
+    """K x K with K = Q(theta), theta = 2cos(2pi/7), root of t^3 + t^2 - 2t - 1,
+    whose Galois group is generated by theta -> theta^2 - 2.  Basis: five
+    Galois-graph elements (a, a) and (a, sigma(a)), for a = 1, theta, theta^2
+    (the unit counted once), then (theta, 0)."""
+    from fractions import Fraction
+
+    def mul(u, v):
+        out = [0] * 5
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                out[i + j] += a * b
+        for top in (4, 3):                 # theta^3 = -theta^2 + 2 theta + 1
+            lead, out[top] = out[top], 0
+            out[top - 1] -= lead
+            out[top - 2] += 2 * lead
+            out[top - 3] += lead
+        return out[:3]
+
+    one, theta = [1, 0, 0], [0, 1, 0]
+    theta2 = mul(theta, theta)
+    sigma = [-2, 0, 1]                      # theta^2 - 2
+    sigma2 = mul(sigma, sigma)
+    basis = [one + one, theta + theta, theta2 + theta2, theta + sigma, theta2 + sigma2, theta + [0, 0, 0]]
+    return [[Fraction(v) for v in b] for b in basis], lambda u, v: mul(u[:3], v[:3]) + mul(u[3:], v[3:])
+
+
+def test_split_product_of_one_field_is_found_through_its_one_non_graph_element():
+    # the functional Tr(x_1)/3 - Tr(x_2)/3 vanishes on every Galois-graph
+    # element, so those span only a hyperplane: each has an irreducible
+    # minimal polynomial, and only the sixth basis element splits
+    import sympy
+    basis, mul = _cubic_field_product()
+    coords = sympy.Matrix(basis).T
+    assert coords.rank() == 6
+    inv = coords.inv()
+
+    def table(i, j):
+        image = inv * sympy.Matrix(mul(basis[i], basis[j]))
+        return {k: QQ.parse(str(v)) for k, v in enumerate(image) if v}
+
+    ring = DgRing.from_table(QQ, [0] * 6, [f"b{i}" for i in range(6)], 0, table, name="KxK")
+    mult, unit = h0_category(one_object_category(ring)).product("*", "*", "*"), ring.unit
+    t = sympy.symbols("t")
+    for gen in range(6):
+        coeffs, _ = deform._minimal_polynomial(mult, unit, Mat.basis_column(QQ, 6, gen))
+        poly = sympy.Poly(t**len(coeffs) - sum(sympy.Rational(str(c)) * t**i for i, c in enumerate(coeffs)), t)
+        assert len(sympy.factor_list(poly)[1]) == (2 if gen == 5 else 1)
+    verdict = check_hlc(one_object_category(ring))
+    assert verdict.h0_karoubian.status == FAILED
+    obj, e = verdict.h0_karoubian.witness
+    h0 = h0_category(one_object_category(ring))
+    assert h0.compose(obj, obj, obj, e, e) == e and not e.is_zero() and e != h0.ids[obj]

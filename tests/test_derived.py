@@ -29,6 +29,8 @@ from dgkit.instances import (
     small_random_category,
 )
 
+from hom_calculus import vector_from_family
+
 
 def test_resolution_of_ground_field_over_dual_numbers():
     ring, aug = make_dual_numbers(2, -1, QQ)
@@ -345,7 +347,7 @@ def test_hom_postcomposition_at_generators_is_postcomposition_of_module_maps(fie
             for a in cat.objects:
                 phi = src.layouts[a].family_from_vector(m, src.projs[a].component(m) @ amb)
                 composed = {i: counit.at(a).component(i + m) @ f for i, f in phi.items()}
-                flat = flat + tgt.injs[a].component(m) @ tgt.layouts[a].vector_from_family(m, composed)
+                flat = flat + tgt.injs[a].component(m) @ vector_from_family(tgt.layouts[a], m, composed)
             lifted = tgt.inclusion.component(m).solve(flat)
             assert ev_tgt.component(m) @ lifted == post.component(m) @ (ev_src.component(m) @ vec)
 

@@ -15,7 +15,7 @@ from dgkit.dgcat import (
     tensor_cat,
     truncate_cat,
 )
-from dgkit.instances import random_nonpositive_category
+from dgkit.instances import random_nonpositive_category, small_random_category
 from dgkit.matrix import Mat
 from dgkit.complexes import Complex, TensorLayout
 from dgkit.errors import ValidationError
@@ -193,3 +193,36 @@ def test_h0_ring_of_truncated():
     h0, proj = h0_ring(ring)
     assert h0.total_dim() == 1
     assert all(proj.surjectivity_by_degree().values())
+
+
+def reference_small_random_category(rng, field, n_objects, max_total_hom):
+    """The build-then-reject loop: each draw is built and checked whole, then
+    measured against the cap."""
+    for _ in range(50):
+        cat = random_nonpositive_category(rng, field, n_objects=n_objects)
+        if sum(cx.total_dim() for cx in cat.homs.values()) <= max_total_hom:
+            return cat
+    return random_nonpositive_category(rng, field, n_objects=1, flavor="discrete")
+
+
+def test_small_random_category_builds_only_the_accepted_draw(monkeypatch):
+    built = []
+    init = DgCategory.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    # every pair of 1-3 objects and a cap of 4-12 over the seeds, then two
+    # caps no three-object draw meets, which end in the one-object fallback
+    cases = [(seed, 1 + seed % 3, 4 + seed // 3 % 9) for seed in range(200)] + [(0, 3, 2), (1, 3, 2)]
+    for seed, n_objects, cap in cases:
+        rng, replay = random.Random(seed), random.Random(seed)
+        expected = reference_small_random_category(replay, QQ, n_objects, cap)
+        monkeypatch.setattr(DgCategory, "__init__", counted)
+        built.clear()
+        cat = small_random_category(rng, QQ, n_objects, max_total_hom=cap)
+        monkeypatch.setattr(DgCategory, "__init__", init)
+        assert built == [cat]
+        assert (cat.homs, cat.comp, cat.ids) == (expected.homs, expected.comp, expected.ids)
+        assert rng.getstate() == replay.getstate()

@@ -137,14 +137,9 @@ def test_package_caches_are_bounded():
 # Definitions that neither the package nor the benchmark references by name
 # and that are not exported stay only for a reason.  Dunder methods are called
 # by the interpreter, and cmd_* CLI commands through click's registry.  The
-# named ones below serve the tests as generators and oracles, or are Hom
-# calculus the README documents; the list may shrink, it must not grow.
+# named one below serves the tests; the list may shrink, it must not grow.
 UNREFERENCED = {
     ("complexes.py", "Complex.concentrated"): "builds the test instances of one-degree complexes",
-    ("complexes.py", "HomLayout.vector_from_chainmap"): "inverse of chainmap_from_cocycle; the tests' oracle",
-    ("complexes.py", "evaluation_map"): "Hom calculus the README documents, tested in test_complexes",
-    ("complexes.py", "composition_map"): "Hom calculus the README documents, tested in test_complexes",
-    ("instances.py", "random_chain_map"): "the random chain maps the tests draw",
 }
 
 

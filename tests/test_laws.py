@@ -7,17 +7,19 @@ import random
 
 import pytest
 
+from dgkit import complexes
 from dgkit.bimodules import Bimodule, Module, ModuleMap
-from dgkit.complexes import ChainMap, Complex, TensorLayout, associativity_defect
+from dgkit.complexes import ChainMap, Complex, TensorLayout, associativity_defect, morphism_defect, unit_defect
 from dgkit.dgcat import DgCategory, DgFunctor, one_object_category
 from dgkit.dgring import DgIdeal, DgRing, DgRingMorphism, make_dual_numbers
-from dgkit.errors import ValidationError
+from dgkit.errors import ShapeError, ValidationError
 from dgkit.fields import GF, QQ
 from dgkit.instances import (
     exterior_extension_ring,
     exterior_one_object_category,
     free_arrow_category,
     random_nonpositive_category,
+    weak_cokernel_gap_category,
 )
 from dgkit.matrix import Mat
 
@@ -677,3 +679,82 @@ def test_category_defect_is_named_in_degree_order():
                      {"*": unit_vector(2)}, check=False)
     pair = cat.comp_pair("*", "*", "*")
     assert associativity_defect(pair, pair, pair, pair) == ((0, -2, -2), (1, 0, 0))
+
+
+# -- laws on empty tensors ----------------------------------------------------------------
+#
+# A law on an empty tensor has no basis tensor to fail on, so it holds without
+# a product once its maps join up.  A map that does not join up, here a zero
+# map out of an empty tensor into a space it should not reach, goes on to the
+# products, which reject it.
+
+
+def _into_three(lay: TensorLayout) -> ChainMap:
+    return ChainMap.zero_map(lay.complex, space(3, "W"))
+
+
+def _category_with_a_stray_map(gap):
+    # hom(A,A) (x) hom(B,A) -> hom(B,A), with hom(B,A) = 0, sent into k^3
+    comp = dict(gap.comp)
+    comp[("B", "A", "A")] = _into_three(gap.comp_layouts[("B", "A", "A")])
+    return DgCategory(gap.base, gap.objects, gap.homs, comp, gap.ids, name="gap")
+
+
+def _module_with_a_stray_map(gap):
+    # h_A(B) (x) hom(A,B) -> h_A(A), with h_A(B) = hom(B,A) = 0, sent into k^3
+    h = Module.representable(gap, "A")
+    act = dict(h.act)
+    act[("A", "B")] = _into_three(h.act_layouts[("A", "B")])
+    return Module(gap, h.components, act)
+
+
+def _bimodule_with_a_stray_map(gap):
+    # hom(B,A) (x) T(B,A) -> T(A,A) of the diagonal bimodule, sent into k^3
+    diag = Bimodule.diagonal(gap)
+    lact = dict(diag.lact)
+    lact[("B", "A", "A")] = _into_three(diag.lact_layouts[("B", "A", "A")])
+    return Bimodule(gap, gap, diag.components, lact, diag.ract)
+
+
+@pytest.mark.parametrize("build", [_category_with_a_stray_map, _module_with_a_stray_map,
+                                   _bimodule_with_a_stray_map], ids=["category", "module", "bimodule"])
+def test_a_map_out_of_an_empty_tensor_must_join_up(build):
+    with pytest.raises(ShapeError):
+        build(weak_cokernel_gap_category(F))
+
+
+def test_laws_on_empty_tensors_are_decided_without_products(monkeypatch):
+    gap = weak_cokernel_gap_category(F)
+    pair = gap.comp_pair
+
+    def no_product(*args):
+        raise AssertionError("a product on an empty tensor")
+
+    monkeypatch.setattr(complexes, "kron_product", no_product)
+    monkeypatch.setattr(Mat, "__matmul__", no_product)
+    # each tensor has the factor hom(B,A) = 0
+    assert unit_defect(pair("B", "A", "A"), gap.ids["A"], 0) is None
+    assert associativity_defect(pair("B", "A", "A"), pair("A", "A", "A"), pair("B", "A", "A"),
+                                pair("B", "A", "A")) is None
+    assert morphism_defect(pair("B", "A", "A"), pair("B", "A", "A"), ChainMap.identity(gap.hom("B", "A")),
+                           None, None) is None
+
+
+def test_an_identity_factor_given_as_none_is_the_identity_map():
+    rng = random.Random(20261019)
+    defects = []
+    for field in (QQ, GF(7)):
+        for _ in range(4):
+            cat = random_nonpositive_category(rng, field, n_objects=2)
+            h = Module.representable(cat, cat.objects[0])
+            for x, y in itertools.product(cat.objects, repeat=2):
+                pair, eye_y, eye_f = h.act_pair(x, y), ChainMap.identity(h.at(y)), ChainMap.identity(cat.hom(x, y))
+                outers = [ChainMap.identity(h.at(x))]
+                if any(h.at(x).dim(d) for d in h.at(x).degrees()):
+                    outers.append(_perturbed(outers[0], rng))
+                for outer in outers:
+                    explicit = morphism_defect(pair, pair, outer, eye_y, eye_f)
+                    assert morphism_defect(pair, pair, outer, eye_y, None) == explicit
+                    assert morphism_defect(pair, pair, outer, None, None) == explicit
+                    defects.append(explicit)
+    assert any(d is None for d in defects) and any(d is not None for d in defects)
