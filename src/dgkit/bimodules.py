@@ -2,7 +2,7 @@
 
 Conventions:
 
-* a right module M assigns M(A) to each object and a pairing
+* a right module M assigns M(A) to each object and a ``Pairing``
   M(B) @ hom(A,B) -> M(A); its chain-map property is the Leibniz rule
 * a bimodule T over (acat, bcat) has components T(A, B) with A covariant
   (left action raises A along acat homs) and B contravariant (right action
@@ -24,6 +24,7 @@ from .complexes import (
     ChainMap,
     Complex,
     Equation,
+    Pairing,
     Piece,
     Retract,
     TensorLayout,
@@ -33,14 +34,11 @@ from .complexes import (
     cone_retract,
     constrained_subcomplex,
     direct_sum,
-    element_action,
     factor_action,
     hom_complex,
     lifted_map,
     morphism_defect,
     naturality_subcomplex,
-    pair_action,
-    pair_elements,
     permutation_sign,
     postcomposition,
     quotient_by_relations,
@@ -67,16 +65,9 @@ class Module:
         self.field = cat.field
         self.name = name
         self.components = {a: components.get(a, Complex.zero(cat.field)) for a in cat.objects}
-        self.act_layouts = {}
-        self.act = {}
-        for x in cat.objects:
-            for y in cat.objects:
-                lay = TensorLayout([self.at(y), cat.hom(x, y)])
-                self.act_layouts[(x, y)] = lay
-                am = action.get((x, y))
-                if am is None:
-                    am = ChainMap.zero_map(lay.complex, self.at(x))
-                self.act[(x, y)] = am
+        self.act: Dict[tuple, Pairing] = {
+            (x, y): Pairing.of([self.at(y), cat.hom(x, y)], action.get((x, y)), self.at(x), f"{name}: action {(x, y)}")
+            for x, y in itertools.product(cat.objects, repeat=2)}
         if check:
             self._check()
 
@@ -86,29 +77,18 @@ class Module:
     def total_dim(self) -> int:
         return sum(c.total_dim() for c in self.components.values())
 
-    def act_by(self, x, y, df: int, fvec: Mat) -> Dict[int, Mat]:
-        """Per-degree matrices of (-) . f : M(y) -> M(x) for f in hom(x,y)."""
-        return element_action(self.act[(x, y)], self.act_layouts[(x, y)], 1, df, fvec)
-
-    def apply_action(self, x, y, dm: int, m: Mat, df: int, f: Mat) -> Mat:
-        return pair_elements(self.act[(x, y)], self.act_layouts[(x, y)], dm, m, df, f)
-
-    def act_pair(self, x, y):
-        """The action M(y) @ hom(x,y) -> M(x) with its source layout."""
-        return self.act_layouts[(x, y)], self.act[(x, y)]
-
     def is_acyclic(self) -> bool:
         return all(self.at(a).is_acyclic() for a in self.cat.objects)
 
     def _check(self):
         cat = self.cat
         for a in cat.objects:
-            if unit_defect(self.act_pair(a, a), cat.id_vector(a), 1) is not None:
+            if unit_defect(self.act[(a, a)], cat.id_vector(a), 1) is not None:
                 raise ValidationError(f"{self.name}: action not unital at {a}")
         for z, y, x in itertools.product(cat.objects, repeat=3):
             # (m . f) . g = m . (f o g) for m in M(z), f in hom(y,z), g in hom(x,y)
-            if associativity_defect(self.act_pair(x, y), self.act_pair(y, z),
-                                    self.act_pair(x, z), cat.comp_pair(x, y, z)) is not None:
+            if associativity_defect(self.act[(x, y)], self.act[(y, z)],
+                                    self.act[(x, z)], cat.comp[(x, y, z)]) is not None:
                 raise ValidationError(
                     f"{self.name}: action not associative via hom({x},{y}),hom({y},{z})")
 
@@ -117,7 +97,7 @@ class Module:
     @staticmethod
     def representable(cat: DgCategory, a, name: Optional[str] = None) -> "Module":
         comps = {x: cat.hom(x, a) for x in cat.objects}
-        action = {(x, y): cat.comp[(x, y, a)] for x in cat.objects for y in cat.objects}
+        action = {(x, y): cat.comp[(x, y, a)].map for x in cat.objects for y in cat.objects}
         return Module(cat, comps, action, name=name or f"h_{a}", check=False)
 
     @staticmethod
@@ -131,7 +111,7 @@ def module_on(cat: DgCategory, parts: Dict, summands: Sequence[Module], name: st
     sum_i out_i o act_i o kron(in_i, 1) over the blocks of the summands'
     actions."""
     action = {(x, y): lifted_map([parts[y], cat.hom(x, y)], parts[x],
-                                 [pair_action(m.act_pair(x, y)).block for m in summands])
+                                 [m.act[(x, y)].block for m in summands])
               for x, y in itertools.product(cat.objects, repeat=2)}
     return Module(cat, {a: p.complex for a, p in parts.items()}, action, name=name, check=False)
 
@@ -181,7 +161,7 @@ class ModuleMap:
         cat = self.source.cat
         for x, y in itertools.product(cat.objects, repeat=2):
             # None: the identity of hom(x, y)
-            if morphism_defect(self.source.act_pair(x, y), self.target.act_pair(x, y), self.at(x),
+            if morphism_defect(self.source.act[(x, y)], self.target.act[(x, y)], self.at(x),
                                self.at(y), None) is not None:
                 raise ValidationError("module map does not respect the action")
 
@@ -225,8 +205,8 @@ class ModuleHomComplex:
         self.layouts = {a: hom_complex(source.at(a), target.at(a)) for a in cat.objects}
         # phi_x o (- . f) = (- . f) o phi_y: the map never crosses f, so no sign
         equations = [Equation(source.at(y), target.at(x), (
-                         Term(x, right=(df, source.act_by(x, y, df, f))),
-                         Term(y, left=(df, target.act_by(x, y, df, f)), sign=-1)))
+                         Term(x, right=(df, source.act[(x, y)].at(1, df, f))),
+                         Term(y, left=(df, target.act[(x, y)].at(1, df, f)), sign=-1)))
                      for x in cat.objects for y in cat.objects for df, f in cat.hom_basis(x, y)]
         (self.ambient, self.injs, self.projs, self.complex,
          self.inclusion) = naturality_subcomplex(self.layouts, equations, name=name)
@@ -262,28 +242,14 @@ class Bimodule:
             for b in bcat.objects:
                 cx = components.get((a, b))
                 self.components[(a, b)] = cx if cx is not None else Complex.zero(self.field)
-        self.lact_layouts = {}
-        self.lact = {}
-        for a1 in acat.objects:
-            for a2 in acat.objects:
-                for b in bcat.objects:
-                    lay = TensorLayout([acat.hom(a1, a2), self.at(a1, b)])
-                    self.lact_layouts[(a1, a2, b)] = lay
-                    lm = lact.get((a1, a2, b))
-                    if lm is None:
-                        lm = ChainMap.zero_map(lay.complex, self.at(a2, b))
-                    self.lact[(a1, a2, b)] = lm
-        self.ract_layouts = {}
-        self.ract = {}
-        for a in acat.objects:
-            for b1 in bcat.objects:
-                for b2 in bcat.objects:
-                    lay = TensorLayout([self.at(a, b2), bcat.hom(b1, b2)])
-                    self.ract_layouts[(a, b1, b2)] = lay
-                    rm = ract.get((a, b1, b2))
-                    if rm is None:
-                        rm = ChainMap.zero_map(lay.complex, self.at(a, b1))
-                    self.ract[(a, b1, b2)] = rm
+        self.lact: Dict[tuple, Pairing] = {
+            (a1, a2, b): Pairing.of([acat.hom(a1, a2), self.at(a1, b)], lact.get((a1, a2, b)), self.at(a2, b),
+                                    f"{name}: left action {(a1, a2, b)}")
+            for a1, a2, b in itertools.product(acat.objects, acat.objects, bcat.objects)}
+        self.ract: Dict[tuple, Pairing] = {
+            (a, b1, b2): Pairing.of([self.at(a, b2), bcat.hom(b1, b2)], ract.get((a, b1, b2)), self.at(a, b1),
+                                    f"{name}: right action {(a, b1, b2)}")
+            for a, b1, b2 in itertools.product(acat.objects, bcat.objects, bcat.objects)}
         if check:
             self._check()
 
@@ -293,55 +259,35 @@ class Bimodule:
     def total_dim(self) -> int:
         return sum(c.total_dim() for c in self.components.values())
 
-    # -- elementwise action helpers ---------------------------------------
-
-    def lact_apply(self, a1, a2, b, df: int, f: Mat, dx: int, x: Mat) -> Mat:
-        return pair_elements(self.lact[(a1, a2, b)], self.lact_layouts[(a1, a2, b)], df, f, dx, x)
-
-    def ract_apply(self, a, b1, b2, dx: int, x: Mat, df: int, f: Mat) -> Mat:
-        return pair_elements(self.ract[(a, b1, b2)], self.ract_layouts[(a, b1, b2)], dx, x, df, f)
-
-    def lact_family(self, a1, a2, b, df: int, f: Mat) -> Dict[int, Mat]:
-        return element_action(self.lact[(a1, a2, b)], self.lact_layouts[(a1, a2, b)], 0, df, f)
-
-    def ract_family(self, a, b1, b2, df: int, f: Mat) -> Dict[int, Mat]:
-        return element_action(self.ract[(a, b1, b2)], self.ract_layouts[(a, b1, b2)], 1, df, f)
-
     def module_at(self, a, name: Optional[str] = None) -> Module:
         """The right bcat-module T(a, -)."""
         comps = {b: self.at(a, b) for b in self.bcat.objects}
-        action = {(x, y): self.ract[(a, x, y)] for x in self.bcat.objects for y in self.bcat.objects}
+        action = {(x, y): self.ract[(a, x, y)].map for x in self.bcat.objects for y in self.bcat.objects}
         return Module(self.bcat, comps, action, name=name or f"{self.name}_{a}", check=False)
 
     # -- invariants ---------------------------------------------------------
 
-    def lact_pair(self, a1, a2, b):
-        return self.lact_layouts[(a1, a2, b)], self.lact[(a1, a2, b)]
-
-    def ract_pair(self, a, b1, b2):
-        return self.ract_layouts[(a, b1, b2)], self.ract[(a, b1, b2)]
-
     def _check(self):
         acat, bcat = self.acat, self.bcat
         for a, b in itertools.product(acat.objects, bcat.objects):
-            if unit_defect(self.lact_pair(a, a, b), acat.id_vector(a), 0) is not None:
+            if unit_defect(self.lact[(a, a, b)], acat.id_vector(a), 0) is not None:
                 raise ValidationError(f"{self.name}: left action not unital at ({a},{b})")
-            if unit_defect(self.ract_pair(a, b, b), bcat.id_vector(b), 1) is not None:
+            if unit_defect(self.ract[(a, b, b)], bcat.id_vector(b), 1) is not None:
                 raise ValidationError(f"{self.name}: right action not unital at ({a},{b})")
         # (f2 o f1) . x = f2 . (f1 . x) for f2 in hom(a2,a3), f1 in hom(a1,a2), x in T(a1,b)
         for a1, a2, a3, b in itertools.product(acat.objects, acat.objects, acat.objects, bcat.objects):
-            if associativity_defect(self.lact_pair(a1, a3, b), acat.comp_pair(a1, a2, a3),
-                                    self.lact_pair(a2, a3, b), self.lact_pair(a1, a2, b)) is not None:
+            if associativity_defect(self.lact[(a1, a3, b)], acat.comp[(a1, a2, a3)],
+                                    self.lact[(a2, a3, b)], self.lact[(a1, a2, b)]) is not None:
                 raise ValidationError(f"{self.name}: left action not associative")
         # (x . f2) . f1 = x . (f2 o f1) for x in T(a,b3), f2 in hom(b2,b3), f1 in hom(b1,b2)
         for a, b3, b2, b1 in itertools.product(acat.objects, bcat.objects, bcat.objects, bcat.objects):
-            if associativity_defect(self.ract_pair(a, b1, b2), self.ract_pair(a, b2, b3),
-                                    self.ract_pair(a, b1, b3), bcat.comp_pair(b1, b2, b3)) is not None:
+            if associativity_defect(self.ract[(a, b1, b2)], self.ract[(a, b2, b3)],
+                                    self.ract[(a, b1, b3)], bcat.comp[(b1, b2, b3)]) is not None:
                 raise ValidationError(f"{self.name}: right action not associative")
         # (f . x) . g = f . (x . g) for f in hom(a1,a2), x in T(a1,b2), g in hom(b1,b2)
         for a1, a2, b1, b2 in itertools.product(acat.objects, acat.objects, bcat.objects, bcat.objects):
-            if associativity_defect(self.ract_pair(a2, b1, b2), self.lact_pair(a1, a2, b2),
-                                    self.lact_pair(a1, a2, b1), self.ract_pair(a1, b1, b2)) is not None:
+            if associativity_defect(self.ract[(a2, b1, b2)], self.lact[(a1, a2, b2)],
+                                    self.lact[(a1, a2, b1)], self.ract[(a1, b1, b2)]) is not None:
                 raise ValidationError(f"{self.name}: actions do not commute")
 
     @staticmethod
@@ -353,11 +299,11 @@ class Bimodule:
         for a1 in cat.objects:
             for a2 in cat.objects:
                 for b in cat.objects:
-                    lact[(a1, a2, b)] = cat.comp[(b, a1, a2)]
+                    lact[(a1, a2, b)] = cat.comp[(b, a1, a2)].map
         for a in cat.objects:
             for b1 in cat.objects:
                 for b2 in cat.objects:
-                    ract[(a, b1, b2)] = cat.comp[(b1, b2, a)]
+                    ract[(a, b1, b2)] = cat.comp[(b1, b2, a)].map
         return Bimodule(cat, cat, comps, lact, ract, name=name or f"diag({cat.name})", check=False)
 
 
@@ -418,9 +364,9 @@ def end_of(t: Bimodule) -> EndResult:
                         tdim = t.at(a2, a).dim(n + df)
                         if tdim == 0 and t.at(a, a).dim(n) == 0 and t.at(a2, a2).dim(n) == 0:
                             continue
-                        lhs = t.lact_apply(a, a2, a, df, f, n, parts[a]) if t.at(a, a).dim(n) else \
+                        lhs = t.lact[(a, a2, a)].apply(df, f, n, parts[a]) if t.at(a, a).dim(n) else \
                             Mat.zero(field, tdim, 1)
-                        rhs = t.ract_apply(a2, a, a2, n, parts[a2], df, f) if t.at(a2, a2).dim(n) else \
+                        rhs = t.ract[(a2, a, a2)].apply(n, parts[a2], df, f) if t.at(a2, a2).dim(n) else \
                             Mat.zero(field, tdim, 1)
                         if (df % 2) and (n % 2):
                             rhs = -rhs
@@ -444,8 +390,8 @@ def coend_of(t: Bimodule) -> CoendResult:
     injections = dict(zip(cat.objects, injs))
     relations: Dict[int, List[Mat]] = {}
     for a1, a2 in itertools.product(cat.objects, repeat=2):
-        lact = pair_action(t.lact_pair(a2, a1, a1))
-        ract = swapped(pair_action(t.ract_pair(a2, a2, a1)))
+        lact = t.lact[(a2, a1, a1)]
+        ract = swapped(t.ract[(a2, a2, a1)])
         for df, dx in itertools.product(cat.hom(a2, a1).degrees(), t.at(a2, a1).degrees()):
             n = df + dx
             relations.setdefault(n, []).append(injections[a1].component(n) @ lact.block((df, dx)) -
@@ -485,8 +431,8 @@ def _integrand_over_middle(f: "Bimodule", g: "Bimodule", a, c) -> Bimodule:
     bcat = f.bcat
     lays = {(b, b2): TensorLayout([f.at(a, b2), g.at(b, c)])
             for b in bcat.objects for b2 in bcat.objects}
-    return tensor_bimodule(bcat, bcat, lays, lambda b1, b2: pair_action(g.lact_pair(b1, b2, c)), 1,
-                           lambda b1, b2: pair_action(f.ract_pair(a, b1, b2)), 0,
+    return tensor_bimodule(bcat, bcat, lays, lambda b1, b2: g.lact[(b1, b2, c)], 1,
+                           lambda b1, b2: f.ract[(a, b1, b2)], 0,
                            name=f"{f.name}(x){g.name}@({a},{c})", check=False)
 
 
@@ -507,10 +453,10 @@ def compose_bimodules(f: "Bimodule", g: "Bimodule", check: bool = True) -> "Bimo
             for a in acat.objects for b in bcat.objects for c in ccat.objects}
     parts = {(a, c): res.through({b: lays[(a, b, c)] for b in bcat.objects}) for (a, c), res in coends.items()}
     lact = {(a1, a2, c): lifted_map([acat.hom(a1, a2), parts[(a1, c)]], parts[(a2, c)], [
-        factor_action(pair_action(f.lact_pair(a1, a2, b)), 0, lays[(a2, b, c)]) for b in bcat.objects])
+        factor_action(f.lact[(a1, a2, b)], 0, lays[(a2, b, c)]) for b in bcat.objects])
         for a1, a2, c in itertools.product(acat.objects, acat.objects, ccat.objects)}
     ract = {(a, c1, c2): lifted_map([parts[(a, c2)], ccat.hom(c1, c2)], parts[(a, c1)], [
-        factor_action(pair_action(g.ract_pair(b, c1, c2)), 1, lays[(a, b, c1)], left=False) for b in bcat.objects])
+        factor_action(g.ract[(b, c1, c2)], 1, lays[(a, b, c1)], left=False) for b in bcat.objects])
         for a, c1, c2 in itertools.product(acat.objects, ccat.objects, ccat.objects)}
     comps = {key: p.complex for key, p in parts.items()}
     return Bimodule(acat, ccat, comps, lact, ract, name=f"({g.name}o{f.name})", check=check)
@@ -541,7 +487,7 @@ def dual_of(f: "Bimodule") -> "Bimodule":
         def block(flat):
             da, dpsi = flat
             n = da + dpsi
-            acts = {x: pair_action(f.lact_pair(a2, a1, x)).block for x in f.bcat.objects}
+            acts = {x: f.lact[(a2, a1, x)].block for x in f.bcat.objects}
 
             def by(k):
                 def one(x, i):
@@ -559,7 +505,7 @@ def dual_of(f: "Bimodule") -> "Bimodule":
     def postcomposed(a, b1, b2):
         # bcat_op.hom(b1,b2) = f.bcat.hom(b2,b1): an element b: B2 -> B1
         by_b = postcomposition(mhcs[(a, b2)], mhcs[(a, b1)], f.bcat.hom(b2, b1),
-                               lambda x, db, j: pair_action(f.bcat.comp_pair(x, b2, b1)).block((db, j)))
+                               lambda x, db, j: f.bcat.comp[(x, b2, b1)].block((db, j)))
         return swapped(Action((f.bcat.hom(b2, b1), mhcs[(a, b2)].ambient), by_b)).block
 
     lact = {(a1, a2, b): lifted_map([acat_op.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
@@ -595,7 +541,7 @@ def yoneda_map_from_cocycle(f: "Bimodule", a, b, cocycle: Mat) -> ModuleMap:
     comps = {}
     for x in bcat.objects:
         # e . (-): partial evaluation of the right action in slot 0
-        fam = element_action(f.ract[(a, x, b)], f.ract_layouts[(a, x, b)], 0, 0, cocycle)
+        fam = f.ract[(a, x, b)].at(0, 0, cocycle)
         comps[x] = ChainMap(rep.at(x), fa.at(x), 0, fam)
     return ModuleMap(rep, fa, 0, comps)
 
@@ -638,9 +584,9 @@ def restrict_bimodule(f: "Bimodule", along: DgFunctor, side: str = "lower") -> "
         acat = along.source
         comps = {(a, b): f.at(F[a], b) for a in acat.objects for b in f.bcat.objects}
         lact = {(a1, a2, b): lifted_map([through(along.hom_map(a1, a2)), comps[(a1, b)]], comps[(a2, b)],
-                                        [pair_action(f.lact_pair(F[a1], F[a2], b)).block])
+                                        [f.lact[(F[a1], F[a2], b)].block])
                 for a1, a2, b in itertools.product(acat.objects, acat.objects, f.bcat.objects)}
-        ract = {(a, b1, b2): f.ract[(F[a], b1, b2)]
+        ract = {(a, b1, b2): f.ract[(F[a], b1, b2)].map
                 for a, b1, b2 in itertools.product(acat.objects, f.bcat.objects, f.bcat.objects)}
         return Bimodule(acat, f.bcat, comps, lact, ract, name=f"{f.name}|{along.name}")
     if side == "upper":
@@ -648,10 +594,10 @@ def restrict_bimodule(f: "Bimodule", along: DgFunctor, side: str = "lower") -> "
             raise ValidationError("restriction functor must land in the upper category")
         bcat = along.source
         comps = {(a, b): f.at(a, F[b]) for a in f.acat.objects for b in bcat.objects}
-        lact = {(a1, a2, b): f.lact[(a1, a2, F[b])]
+        lact = {(a1, a2, b): f.lact[(a1, a2, F[b])].map
                 for a1, a2, b in itertools.product(f.acat.objects, f.acat.objects, bcat.objects)}
         ract = {(a, b1, b2): lifted_map([comps[(a, b2)], through(along.hom_map(b1, b2))], comps[(a, b1)],
-                                        [pair_action(f.ract_pair(a, F[b1], F[b2])).block])
+                                        [f.ract[(a, F[b1], F[b2])].block])
                 for a, b1, b2 in itertools.product(f.acat.objects, bcat.objects, bcat.objects)}
         return Bimodule(f.acat, bcat, comps, lact, ract, name=f"{f.name}|{along.name}")
     raise ValidationError("side must be 'lower' or 'upper'")
@@ -674,15 +620,15 @@ class BimoduleHomComplex:
         # lower index: phi_{A2,B} o (f . -) = (-1)^{n|f|} (f . -) o phi_{A1,B}
         self.equations = [
             Equation(source.at(a1, b), target.at(a2, b), (
-                Term((a2, b), right=(df, source.lact_family(a1, a2, b, df, f))),
-                Term((a1, b), left=(df, target.lact_family(a1, a2, b, df, f)), sign=-1, twist=df)))
+                Term((a2, b), right=(df, source.lact[(a1, a2, b)].at(0, df, f))),
+                Term((a1, b), left=(df, target.lact[(a1, a2, b)].at(0, df, f)), sign=-1, twist=df)))
             for a1 in acat.objects for a2 in acat.objects for df, f in acat.hom_basis(a1, a2)
             for b in bcat.objects]
         # upper index: phi_{A,B1} o (- . f) = (- . f) o phi_{A,B2}
         self.equations += [
             Equation(source.at(a, b2), target.at(a, b1), (
-                Term((a, b1), right=(df, source.ract_family(a, b1, b2, df, f))),
-                Term((a, b2), left=(df, target.ract_family(a, b1, b2, df, f)), sign=-1)))
+                Term((a, b1), right=(df, source.ract[(a, b1, b2)].at(1, df, f))),
+                Term((a, b2), left=(df, target.ract[(a, b1, b2)].at(1, df, f)), sign=-1)))
             for a in acat.objects for b1 in bcat.objects for b2 in bcat.objects
             for df, f in bcat.hom_basis(b1, b2)]
         (self.ambient, self.injs, self.projs, self.complex,
@@ -700,10 +646,10 @@ def direct_sum_bimodules(summands: Sequence["Bimodule"]) -> "Bimodule":
     parts = {(a, b): twisted_sum([(s.at(a, b), 0) for s in summands])
              for a in acat.objects for b in bcat.objects}
     lact = {(a1, a2, b): lifted_map([acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
-                                    [pair_action(s.lact_pair(a1, a2, b)).block for s in summands])
+                                    [s.lact[(a1, a2, b)].block for s in summands])
             for a1, a2, b in itertools.product(acat.objects, acat.objects, bcat.objects)}
     ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat.hom(b1, b2)], parts[(a, b1)],
-                                    [pair_action(s.ract_pair(a, b1, b2)).block for s in summands])
+                                    [s.ract[(a, b1, b2)].block for s in summands])
             for a, b1, b2 in itertools.product(acat.objects, bcat.objects, bcat.objects)}
     comps = {key: p.complex for key, p in parts.items()}
     return Bimodule(acat, bcat, comps, lact, ract,

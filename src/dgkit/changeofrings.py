@@ -32,7 +32,6 @@ from .complexes import (
     balanced_tensor,
     factor_action,
     flat_map,
-    flat_pairing,
     h0_retract,
     hom_complex,
     hom_postcompose,
@@ -40,7 +39,6 @@ from .complexes import (
     lifted_block,
     lifted_map,
     naturality_subcomplex,
-    pair_action,
     permutation_sign,
     postcomposition,
     reorder_factors,
@@ -66,9 +64,10 @@ def restrict_category(cat: DgCategory, theta: DgRingMorphism) -> DgCategory:
     if cat.base != theta.target:
         raise ValidationError("category is not linear over the morphism target")
     action = {(a, b): lifted_map([through(theta.map), cat.hom(a, b)], cat.hom(a, b),
-                                 [pair_action(cat.action_pair(a, b)).block])
+                                 [cat.action[(a, b)].block])
               for a, b in itertools.product(cat.objects, repeat=2)}
-    return DgCategory(theta.source, cat.objects, cat.homs, cat.comp, cat.ids,
+    comp = {key: mu.map for key, mu in cat.comp.items()}
+    return DgCategory(theta.source, cat.objects, cat.homs, comp, cat.ids,
                       action=action, name=f"({cat.name})_{theta.source.name}", check=False)
 
 
@@ -82,7 +81,7 @@ def restrict_ring_module(m: Module, theta: DgRingMorphism,
     sobj = scat.objects[0]
     rcat = rcat or one_object_category(theta.source)
     robj = rcat.objects[0]
-    act = lifted_map([m.at(sobj), through(theta.map)], m.at(sobj), [pair_action(m.act_pair(sobj, sobj)).block])
+    act = lifted_map([m.at(sobj), through(theta.map)], m.at(sobj), [m.act[(sobj, sobj)].block])
     return Module(rcat, {robj: m.at(sobj)}, {(robj, robj): act},
                   name=f"({m.name})_{theta.source.name}")
 
@@ -107,7 +106,7 @@ def _right_action_through(theta: DgRingMorphism) -> Action:
 
     def block(combo):
         ds, dr = combo
-        return kron_product(s.square.block(s.mult, combo), Mat.identity(s.field, s.dim(ds)),
+        return kron_product(s.product.block(combo), Mat.identity(s.field, s.dim(ds)),
                             theta.map.component(dr))
 
     return Action((s.underlying, theta.source.underlying), block)
@@ -122,7 +121,7 @@ def _unit_insertion(unit: Mat, plain: TensorLayout):
 def _extended_composition(mult: Action, cat: DgCategory, plain: TensorLayout, a, b, c):
     """Flat blocks of (s (x) g)(t (x) f) = (-1)^{|g||t|} st (x) gf, for the
     ring multiplication ``mult``."""
-    comp = pair_action(cat.comp_pair(a, b, c))
+    comp = cat.comp[(a, b, c)]
     ring_s = mult.factors[0]
     perm = (0, 2, 1, 3)
 
@@ -142,8 +141,8 @@ def extend_scalars_cat(cat: DgCategory, theta: DgRingMorphism) -> ScalarExtensio
     if cat.base != theta.source:
         raise ValidationError("category base does not match the morphism source")
     ring_s = theta.target
-    mult = pair_action((ring_s.square, ring_s.mult))
-    tensors = {(a, b): balanced_tensor(_right_action_through(theta), pair_action(cat.action_pair(a, b)),
+    mult = ring_s.product
+    tensors = {(a, b): balanced_tensor(_right_action_through(theta), cat.action[(a, b)],
                                        name=f"S(x){cat.name}({a},{b})")
                for a, b in itertools.product(cat.objects, repeat=2)}
     homs = {key: t.complex for key, t in tensors.items()}
@@ -174,15 +173,15 @@ def extension_left_action(f: Bimodule, ext: ScalarExtension, b_s: DgCategory):
     ring_s = ext.theta.target
 
     def flat_blocks(a1, a2, bobj):
-        t_on_x = pair_action(f.lact_pair(a1, a2, bobj))
-        (ulay, uact), (rlay, ract) = b_s.action_pair(bobj, bobj), f.ract_pair(a2, bobj, bobj)
+        t_on_x = f.lact[(a1, a2, bobj)]
+        uact, ract = b_s.action[(bobj, bobj)], f.ract[(a2, bobj, bobj)]
 
         def by_unit(combo):
             # y . (s 1_B), the units s 1_B as the columns of one block
             dy, ds = combo
-            units = kron_product(ulay.block(uact, (ds, 0)), Mat.identity(field, ring_s.dim(ds)),
+            units = kron_product(uact.block((ds, 0)), Mat.identity(field, ring_s.dim(ds)),
                                  b_s.id_vector(bobj))
-            return kron_product(rlay.block(ract, combo), Mat.identity(field, f.at(a2, bobj).dim(dy)), units)
+            return kron_product(ract.block(combo), Mat.identity(field, f.at(a2, bobj).dim(dy)), units)
 
         s_first = swapped(Action((f.at(a2, bobj), ring_s.underlying), by_unit))
 
@@ -216,23 +215,23 @@ def extension_adjunction_check(a_cat: DgCategory, b_s: DgCategory,
     ext = ext or extend_scalars_cat(a_cat, theta)
     lact = extension_left_action(f, ext, b_s)
     comps = {(a, b): f.at(a, b) for a in a_cat.objects for b in b_s.objects}
-    ract = {key: f.ract[key] for key in f.ract}
+    ract = {key: mu.map for key, mu in f.ract.items()}
     lf = Bimodule(ext.category, b_s, comps, lact, ract, name=f"l({f.name})")
     # r(l(F)): restrict along the unit functor; strict equality of actions
     rlf = restrict_bimodule(lf, ext.inclusion, side="lower")
     strict = all(rlf.at(a, b) == f.at(a, b) for a in a_cat.objects for b in b_s.objects)
     for key in f.lact:
-        if rlf.lact[key] != f.lact[key]:
+        if rlf.lact[key].map != f.lact[key].map:
             strict = False
     for key in f.ract:
-        if rlf.ract[key] != f.ract[key]:
+        if rlf.ract[key].map != f.ract[key].map:
             strict = False
     # hom-space equality: the two ends agree inside the shared ambient
     probe = g_probe if g_probe is not None else f
     lact_probe = extension_left_action(probe, ext, b_s)
     lprobe = Bimodule(ext.category, b_s,
                       {(a, b): probe.at(a, b) for a in a_cat.objects for b in b_s.objects},
-                      lact_probe, {key: probe.ract[key] for key in probe.ract},
+                      lact_probe, {key: mu.map for key, mu in probe.ract.items()},
                       name=f"l({probe.name})")
     equal = _same_span(bimodule_hom_complex(f, probe).inclusion, bimodule_hom_complex(lf, lprobe).inclusion)
     return ExtensionAdjunctionVerdict(Verdict.of(strict, "r(l(F)) equals F strictly: components and both actions"),
@@ -303,9 +302,9 @@ def transitivity_check(direct: ScalarExtension, stage1: ScalarExtension,
 
 def _unit_map(cat: DgCategory, a) -> ChainMap:
     """s |-> s . 1_a, the chain map from the base into End(a)."""
-    lay, act = cat.action_pair(a, a)
+    act = cat.action[(a, a)]
     return ChainMap(cat.base.underlying, cat.hom(a, a), 0, {
-        ds: kron_product(lay.block(act, (ds, 0)), Mat.identity(cat.field, cat.base.dim(ds)), cat.id_vector(a))
+        ds: kron_product(act.block((ds, 0)), Mat.identity(cat.field, cat.base.dim(ds)), cat.id_vector(a))
         for ds in cat.base.degrees()})
 
 
@@ -317,9 +316,9 @@ def coextension_object(a_s: DgCategory, b_r: DgCategory, g: Bimodule, a,
     sobj = scat.objects[0]
     unit = through(_unit_map(a_s, a))
     comps = {(sobj, b): g.at(a, b) for b in b_r.objects}
-    lact = {(sobj, sobj, b): lifted_map([unit, g.at(a, b)], g.at(a, b), [pair_action(g.lact_pair(a, a, b)).block])
+    lact = {(sobj, sobj, b): lifted_map([unit, g.at(a, b)], g.at(a, b), [g.lact[(a, a, b)].block])
             for b in b_r.objects}
-    ract = {(sobj, b1, b2): g.ract[(a, b1, b2)] for b1 in b_r.objects for b2 in b_r.objects}
+    ract = {(sobj, b1, b2): g.ract[(a, b1, b2)].map for b1 in b_r.objects for b2 in b_r.objects}
     return Bimodule(scat, b_r, comps, lact, ract, name=f"l({g.name})({a})")
 
 
@@ -348,11 +347,11 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
             if x.at(sobj, b) != g.at(a, b):
                 strict = False
             for b1 in b_r.objects:
-                if x.ract[(sobj, b1, b)] != g.ract[(a, b1, b)]:
+                if x.ract[(sobj, b1, b)].map != g.ract[(a, b1, b)].map:
                     strict = False
             for ds, svec in s_basis:
-                if x.lact_family(sobj, sobj, b, ds, svec) != \
-                        g.lact_family(a, a, b, ds, units[a].component(ds) @ svec):
+                if x.lact[(sobj, sobj, b)].at(0, ds, svec) != \
+                        g.lact[(a, a, b)].at(0, ds, units[a].component(ds) @ svec):
                     strict = False
     probe = g_probe if g_probe is not None else g
     lower = bimodule_hom_complex(g, probe)
@@ -361,8 +360,8 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
     probe_objects = {a: coextension_object(a_s, b_r, probe, a, scat) for a in a_s.objects}
     s_equations = [
         Equation(g.at(a, b), probe.at(a, b), (
-            Term((a, b), right=(ds, objectwise[a].lact_family(sobj, sobj, b, ds, svec))),
-            Term((a, b), left=(ds, probe_objects[a].lact_family(sobj, sobj, b, ds, svec)),
+            Term((a, b), right=(ds, objectwise[a].lact[(sobj, sobj, b)].at(0, ds, svec))),
+            Term((a, b), left=(ds, probe_objects[a].lact[(sobj, sobj, b)].at(0, ds, svec)),
                  sign=-1, twist=ds)))
         for a in a_s.objects for ds, svec in s_basis for b in b_r.objects]
     *_, upper_incl = naturality_subcomplex(lower.layouts, s_equations + lower.equations, name="FunS")
@@ -370,8 +369,8 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule,
     # S-linearity of the morphism action: (s . 1_a2) o f = (-1)^{|s||f|} f o (s . 1_a1) on every basis pair
     def s_linear_on(a1, a2):
         eye = Mat.identity(a_s.field, a_s.hom(a1, a2).total_dim())
-        left = kron_product(flat_pairing(*a_s.comp_pair(a1, a2, a2)), flat_map(units[a2]), eye)
-        right = kron_product(flat_pairing(*a_s.comp_pair(a1, a1, a2)), eye, flat_map(units[a1]))
+        left = kron_product(a_s.comp[(a1, a2, a2)].flat, flat_map(units[a2]), eye)
+        right = kron_product(a_s.comp[(a1, a1, a2)].flat, eye, flat_map(units[a1]))
         return left == koszul_swap(right, a_s.base.underlying, a_s.hom(a1, a2))
     s_linear = all(s_linear_on(a1, a2) for a1, a2 in itertools.product(a_s.objects, repeat=2))
     return CoextensionPair(Verdict.of(strict, "r(l(g)) equals g strictly: components and both actions"),
@@ -387,7 +386,7 @@ def s_module_of_component(x: Bimodule, b, scat: DgCategory) -> Module:
     sobj = scat.objects[0]
     cx = x.at(sobj, b)
     # x . s = (-1)^{|s||x|} s . x
-    act = lifted_map([cx, scat.hom(sobj, sobj)], cx, [swapped(pair_action(x.lact_pair(sobj, sobj, b))).block])
+    act = lifted_map([cx, scat.hom(sobj, sobj)], cx, [swapped(x.lact[(sobj, sobj, b)]).block])
     return Module(scat, {sobj: cx}, {(sobj, sobj): act}, name=f"{x.name}({b})")
 
 
@@ -396,12 +395,12 @@ def _tensor_over_s(v: Module, f: Bimodule):
     on the V factor from the left, b on the F factor from the right."""
     scat = f.acat
     sobj = scat.objects[0]
-    v_act = pair_action(v.act_pair(sobj, sobj))
-    tensors = {b: balanced_tensor(v_act, pair_action(f.lact_pair(sobj, sobj, b)), name=f"V(x)S{f.name}({b})")
+    v_act = v.act[(sobj, sobj)]
+    tensors = {b: balanced_tensor(v_act, f.lact[(sobj, sobj, b)], name=f"V(x)S{f.name}({b})")
                for b in f.bcat.objects}
     out = tensor_bimodule(scat, f.bcat, {(sobj, b): t for b, t in tensors.items()},
                           lambda a1, a2: swapped(v_act), 0,
-                          lambda b1, b2: pair_action(f.ract_pair(sobj, b1, b2)), 1,
+                          lambda b1, b2: f.ract[(sobj, b1, b2)], 1,
                           name=f"{v.name}(x)S{f.name}")
     return out, tensors
 
@@ -413,7 +412,7 @@ def hom_bimodule_as_s_module(f: Bimodule, g: Bimodule, scat: DgCategory) -> Tupl
     sobj = scat.objects[0]
     hc = bimodule_hom_complex(f, g)
     ring_s = scat.hom(sobj, sobj)
-    by_s = postcomposition(hc, hc, ring_s, lambda p, ds, j: pair_action(g.lact_pair(sobj, sobj, p[1])).block((ds, j)))
+    by_s = postcomposition(hc, hc, ring_s, lambda p, ds, j: g.lact[(sobj, sobj, p[1])].block((ds, j)))
     part = sub_retract(hc.complex, hc.inclusion)
     act = lifted_map([part, ring_s], part, [swapped(Action((ring_s, hc.ambient), by_s)).block])
     mod = Module(scat, {sobj: hc.complex}, {(sobj, sobj): act}, name=f"C({f.name},{g.name})")
@@ -483,13 +482,13 @@ def cotensor_over_s(v: Module, g: Bimodule) -> Bimodule:
     mhcs = {b: module_hom_complex(v, s_module_of_component(g, b, scat)) for b in g.bcat.objects}
     parts = {(sobj, b): sub_retract(m.complex, m.inclusion) for b, m in mhcs.items()}
     lact = {(sobj, sobj, b): lifted_map([ring_s, parts[(sobj, b)]], parts[(sobj, b)], [postcomposition(
-        mhcs[b], mhcs[b], ring_s, lambda x, ds, j, b=b: pair_action(g.lact_pair(sobj, sobj, b)).block((ds, j)))])
+        mhcs[b], mhcs[b], ring_s, lambda x, ds, j, b=b: g.lact[(sobj, sobj, b)].block((ds, j)))])
         for b in g.bcat.objects}
 
     def by_h(b1, b2, hom):
         # rho_h: y |-> y . h, with the acting element first and no sign
         def block(x, dh, j):
-            rho = pair_action(g.ract_pair(sobj, b1, b2)).block((j, dh))
+            rho = g.ract[(sobj, b1, b2)].block((j, dh))
             return swap_leading_factors(rho, hom.dim(dh), g.at(sobj, b2).dim(j))
         return swapped(Action((hom, mhcs[b2].ambient), postcomposition(mhcs[b2], mhcs[b1], hom, block))).block
 
@@ -537,7 +536,7 @@ def s_vs_r_module_comparison(ext: ScalarExtension, instances: Sequence[Module]) 
     for m in instances:
         for a in ecat.objects:
             try:
-                act = lifted_map([m.at(a), through(units[a])], m.at(a), [pair_action(m.act_pair(a, a)).block])
+                act = lifted_map([m.at(a), through(units[a])], m.at(a), [m.act[(a, a)].block])
                 Module(scat, {sobj: m.at(a)}, {(sobj, sobj): act}, name=f"tilde({m.name}@{a})")
             except ValidationError:
                 s_ok = False
@@ -546,7 +545,7 @@ def s_vs_r_module_comparison(ext: ScalarExtension, instances: Sequence[Module]) 
             # the S-structure restricts to the truncation, checked to stay in it
             le = sub_retract(rep.tau_le.at(a), rep.counit.at(a))
             try:
-                lifted_map([le, through(units[a])], le, [pair_action(m.act_pair(a, a)).block])
+                lifted_map([le, through(units[a])], le, [m.act[(a, a)].block])
             except ValidationError:
                 trunc_ok = False
     return SvsRVerdict(Verdict.of(s_ok, "each S-action through s.1_A passes the module checks"),
@@ -566,9 +565,9 @@ def truncate_bimodule_le0(x: Bimodule) -> Tuple[Bimodule, Dict]:
     # both actions read through the inclusions, each checked to stay in the truncation
     parts = {key: sub_retract(sub, incls[key]) for key, sub in comps.items()}
     lact = {(a1, a2, b): lifted_map([x.acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
-                                    [pair_action(x.lact_pair(a1, a2, b)).block]) for a1, a2, b in x.lact}
+                                    [x.lact[(a1, a2, b)].block]) for a1, a2, b in x.lact}
     ract = {(a, b1, b2): lifted_map([parts[(a, b2)], x.bcat.hom(b1, b2)], parts[(a, b1)],
-                                    [pair_action(x.ract_pair(a, b1, b2)).block]) for a, b1, b2 in x.ract}
+                                    [x.ract[(a, b1, b2)].block]) for a, b1, b2 in x.ract}
     return Bimodule(x.acat, x.bcat, comps, lact, ract, name=f"tle0({x.name})"), incls
 
 
@@ -609,10 +608,10 @@ def heart_coextension_check(b_r: DgCategory, theta: DgRingMorphism,
         parts = {b: h0_retract(x.at(sobj, b).cohomology()) for b in b_r.objects}
         comps = {(sobj, b): part.complex for b, part in parts.items()}
         lact = {(sobj, sobj, b): lifted_map([scat.hom(sobj, sobj), part], part,
-                                            [pair_action(x.lact_pair(sobj, sobj, b)).block])
+                                            [x.lact[(sobj, sobj, b)].block])
                 for b, part in parts.items()}
         ract = {(sobj, b1, b2): lifted_map([parts[b2], b_r.hom(b1, b2)], parts[b1],
-                                           [pair_action(x.ract_pair(sobj, b1, b2)).block])
+                                           [x.ract[(sobj, b1, b2)].block])
                 for b1, b2 in itertools.product(b_r.objects, repeat=2)}
         try:
             xbar = Bimodule(scat, b_r, comps, lact, ract, name=f"H0({x.name})")

@@ -18,7 +18,7 @@ from .changeofrings import coextension_adjunction_check, extend_scalars_cat
 from .complexes import cone_complex, degree_cap, truncate_ge, truncate_le
 from .deform import check_hlc, deform_category, factorize
 from .derived import DegreeWindow, derived_hom, derived_tensor, tstruct_truncate
-from .errors import DgkitError, ScenarioError, ValidationError, WindowCertificationError
+from .errors import DgkitError, ScenarioError
 from .scenario import Scenario, load_scenario
 from .verdict import passes, render, unchecked
 from .verify import run_paper_suite
@@ -170,21 +170,11 @@ def _emit(report: Dict, fmt: str, out_path: Optional[str], lines: List[str], las
 def _run_scenario_command(command: str, scenario: str, window: Optional[str],
                           field: Optional[str], out: Optional[str], fmt: str):
     try:
-        scn = load_scenario(scenario)
-        if field:
-            # a field override rebuilds the scenario under the new field
-            with open(scenario) as fh:
-                doc = json.load(fh)
-            doc["field"] = field
-            from .scenario import load_scenario_dict
-            scn = load_scenario_dict(doc, source_name=scenario)
+        scn = load_scenario(scenario, field)
         entries = [e for e in scn.commands if e.get("run") == command]
         if not entries:
             raise ScenarioError(f"scenario declares no {command!r} command", "commands")
         results = [_result(command, scn, e, window) for e in entries]
-    except (ScenarioError, ValidationError, WindowCertificationError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     except DgkitError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -249,9 +249,9 @@ def _product(a: Optional[Mat], b: Optional[Mat]) -> Optional[Mat]:
 class ChainMap:
     """Graded map of complexes commuting with d up to (-1)^degree.
 
-    ``slices`` memoises the column blocks ``TensorLayout.block`` takes of a
-    component, keyed by (degree, offset, size), and the matrix of
-    ``flat_pairing``, keyed by the number of factors; the components are
+    ``slices`` memoises the column blocks ``Pairing.block`` takes of a
+    component, keyed by (degree, offset, size), and the matrix of ``_flat``,
+    keyed by the number of factors; the components are
     never mutated after construction and matrices are immutable, so both
     stay valid for the life of the map."""
 
@@ -747,7 +747,7 @@ class TensorLayout:
     def __init__(self, factors: Sequence[Complex]):
         if not factors:
             raise ShapeError("tensor of no factors; use Complex.one_dim")
-        self.factors = list(factors)
+        self.factors = tuple(factors)
         self.field = same_field(*[c.field for c in factors])
         self.shape = tensor_shape(tuple(c.spaces.key for c in self.factors))
         self._complex: Optional[Complex] = None
@@ -785,23 +785,6 @@ class TensorLayout:
                     idx.append(i)
                 return combo, tuple(reversed(idx))
         raise ShapeError(f"position {position} out of range in degree {n}")
-
-    def block(self, pairing: ChainMap, combo: Tuple[int, ...]) -> Mat:
-        """The columns of ``pairing`` (a map out of this tensor) on the block
-        ``combo``, row-major over the factors; a zero matrix of that shape when
-        the block or its target is empty.  Memoised on the pairing."""
-        n = sum(combo)
-        off, size = self.shape.offsets.get(combo, (0, 0))
-        key = (n, off, size)
-        mat = pairing.slices.get(key)
-        if mat is None:
-            rows = pairing.target.dim(n + pairing.degree)
-            if rows == 0 or size == 0:
-                mat = Mat.zero(self.field, rows, size)
-            else:
-                mat = pairing.component(n).take_columns(range(off, off + size))
-            pairing.slices[key] = mat
-        return mat
 
     def place(self, combo: Tuple[int, ...], mat: Mat) -> Mat:
         """``mat``, whose rows index the block ``combo``, as a matrix into the
@@ -886,17 +869,89 @@ class TensorLayout:
         return self.map_from_blocks(target, degree, block, check=check)
 
 
-def pair_elements(pairing: ChainMap, lay: TensorLayout, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
-    """pairing(x tensor y) for homogeneous x of degree dx and y of degree dy:
-    the block of (dx, dy) applied to kron(x, y)."""
-    return kron_product(lay.block(pairing, (dx, dy)), x, y)
+class Pairing:
+    """A structure map out of a binary tensor, held with the layout of its
+    source: a ring's product, a category's composition or base action, a
+    module's or bimodule's action.  ``factors`` and ``block`` make it an
+    ``Action``.  Building one checks that the map has degree 0, starts at
+    the layout's degree table and lands in that of ``target``, the space it
+    must land in, and names a stray map by ``what`` where it enters; only
+    the tables are compared, so the check builds no tensor complex."""
+
+    __slots__ = ("layout", "map")
+
+    def __init__(self, layout: TensorLayout, cmap: ChainMap, target: Complex, what: str):
+        if cmap.degree or cmap.source.spaces.dims != layout.shape.dims or \
+                cmap.target.spaces.dims != target.spaces.dims:
+            raise ValidationError(
+                f"{what} is not a degree-0 map from dimensions {dict(sorted(layout.shape.dims.items()))} "
+                f"to {dict(target.spaces.key)}: it has degree {cmap.degree} and runs from "
+                f"{dict(cmap.source.spaces.key)} to {dict(cmap.target.spaces.key)}")
+        self.layout = layout
+        self.map = cmap
+
+    @classmethod
+    def of(cls, factors: Sequence[Complex], cmap: Optional[ChainMap], target: Complex, what: str) -> "Pairing":
+        """The pairing of ``cmap`` out of the tensor of ``factors``, or of the
+        zero map when ``cmap`` is None."""
+        layout = TensorLayout(factors)
+        return cls(layout, ChainMap.zero_map(layout.complex, target) if cmap is None else cmap, target, what)
+
+    @property
+    def factors(self) -> Tuple[Complex, ...]:
+        return self.layout.factors
+
+    def block(self, combo: Tuple[int, ...]) -> Mat:
+        """The columns of the map on the block ``combo``, row-major over the
+        factors; a zero matrix of that shape when the block or its target is
+        empty.  Memoised on the map."""
+        n = sum(combo)
+        off, size = self.layout.shape.offsets.get(combo, (0, 0))
+        key = (n, off, size)
+        cmap = self.map
+        mat = cmap.slices.get(key)
+        if mat is None:
+            rows = cmap.target.dim(n)
+            if rows == 0 or size == 0:
+                mat = Mat.zero(self.layout.field, rows, size)
+            else:
+                mat = cmap.component(n).take_columns(range(off, off + size))
+            cmap.slices[key] = mat
+        return mat
+
+    @property
+    def flat(self) -> Mat:
+        """The map as one matrix on the flat bases (see ``_flat``)."""
+        return _flat(self.map, self.layout.factors)
+
+    def apply(self, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
+        """The image of x tensor y for homogeneous x of degree dx and y of
+        degree dy: the block of (dx, dy) applied to kron(x, y)."""
+        return kron_product(self.block((dx, dy)), x, y)
+
+    def at(self, slot: int, deg: int, vector: Mat) -> Dict[int, Mat]:
+        """Partial evaluation at a fixed element of degree ``deg`` in the
+        given slot: per degree b of the other factor, the block of (deg, b)
+        applied to kron(v, 1) (slot 0), or of (b, deg) applied to kron(1, v)
+        (slot 1).  The raw per-degree matrix family of the induced map on the
+        other factor (a chain map only when the element is a closed
+        even-degree cycle; callers own that bookkeeping)."""
+        other = self.layout.factors[1 - slot]
+        fam = {}
+        for b in other.degrees():
+            eye = Mat.identity(self.layout.field, other.dim(b))
+            if slot == 0:
+                fam[b] = kron_product(self.block((deg, b)), vector, eye)
+            else:
+                fam[b] = kron_product(self.block((b, deg)), eye, vector)
+        return fam
 
 
 # -- structure laws ---------------------------------------------------------------
 #
-# A structure map (composition, an action, a ring product) is passed with the
-# layout of its source as a (layout, pairing) pair and checked whole, as one
-# matrix on the flat bases (``flat_pairing``): a composite through unmatched
+# A structure map (composition, an action, a ring product) is passed as a
+# ``Pairing``, the map with the layout of its source, and checked whole, as
+# one matrix on the flat bases (``Pairing.flat``): a composite through unmatched
 # degrees is a structural zero, so each side of a law is one ``kron_product``.
 # A defect is the (degree tuple, factor indices) of the first basis tensor the
 # law fails on in the tensor's (degree, block, index) order, into which only a
@@ -925,27 +980,28 @@ def _flat_columns(tables: Tuple[Tuple[Tuple[int, int], ...], ...]) -> Dict[int, 
     return {n: tuple(pos if m == n else size for m, pos in located) for n, size in shape.dims.items()}
 
 
-def flat_pairing(layout: TensorLayout, pairing: ChainMap) -> Mat:
-    """``pairing``, a map out of the tensor of ``layout``, as one matrix: the
-    rows are its target's degrees in order, the columns row-major over the
-    factors' flat bases.  Memoised on the pairing under the number of
-    factors; a chain map is the pairing of its source alone (``flat_map``)."""
-    k = len(layout.factors)
-    flat = pairing.slices.get(k)
+def _flat(f: ChainMap, factors: Sequence[Complex]) -> Mat:
+    """``f``, a map out of the tensor of ``factors``, as one matrix: the rows
+    are its target's degrees in order, the columns row-major over the
+    factors' flat bases.  Memoised on the map under the number of factors;
+    a chain map is a map out of the tensor of its source alone
+    (``flat_map``)."""
+    k = len(factors)
+    flat = f.slices.get(k)
     if flat is None:
-        columns = _flat_columns(tuple(c.spaces.key for c in layout.factors))
-        zero, rows = (0,) * prod(c.total_dim() for c in layout.factors), []
-        for m, dim in pairing.target.spaces.key:
-            mat = pairing.components.get(m - pairing.degree)
+        columns = _flat_columns(tuple(c.spaces.key for c in factors))
+        zero, rows = (0,) * prod(c.total_dim() for c in factors), []
+        for m, dim in f.target.spaces.key:
+            mat = f.components.get(m - f.degree)
             rows.extend([zero] * dim if mat is None else [
-                tuple(map((row + (0,)).__getitem__, columns[m - pairing.degree])) for row in mat.entries])
-        flat = pairing.slices[k] = Mat._wrap(layout.field, len(rows), len(zero), tuple(rows))
+                tuple(map((row + (0,)).__getitem__, columns[m - f.degree])) for row in mat.entries])
+        flat = f.slices[k] = Mat._wrap(f.source.field, len(rows), len(zero), tuple(rows))
     return flat
 
 
 def flat_map(f: ChainMap) -> Mat:
     """The chain map as one matrix on the flat bases of its source and target."""
-    return flat_pairing(TensorLayout([f.source]), f)
+    return _flat(f, (f.source,))
 
 
 def first_defect(factors: Sequence[Complex], lhs: Mat, rhs: Mat):
@@ -970,51 +1026,50 @@ def _vacuous(factors: Sequence[Complex], fields: Sequence[Field], joins) -> bool
             and all(a.spaces.key == b.spaces.key for a, b in joins))
 
 
-def unit_defect(pair, unit: Mat, slot: int):
+def unit_defect(mu: Pairing, unit: Mat, slot: int):
     """First basis vector v, as (degree, index), of the other factor with
     mu(e tensor v) != v (slot 0) or mu(v tensor e) != v (slot 1), for e of
     degree 0: mu . kron(e, 1) against 1 on the flat bases."""
-    lay, mu = pair
+    lay = mu.layout
     own, other = lay.factors[slot], lay.factors[1 - slot]
-    if unit.rows == own.dim(0) and _vacuous([other], [lay.field], [(mu.target, other)]):
+    if unit.rows == own.dim(0) and _vacuous([other], [lay.field], [(mu.map.target, other)]):
         return None
     below = sum(dim for deg, dim in own.spaces.key if deg < 0)
     e = Mat._wrap(lay.field, own.total_dim(), 1,
                   ((0,),) * below + unit.entries + ((0,),) * (own.total_dim() - below - unit.rows))
     eye = Mat.identity(lay.field, other.total_dim())
-    defect = first_defect([other], kron_product(flat_pairing(lay, mu), *((e, eye) if slot == 0 else (eye, e))), eye)
+    defect = first_defect([other], kron_product(mu.flat, *((e, eye) if slot == 0 else (eye, e))), eye)
     return None if defect is None else (defect[0][0], defect[1][0])
 
 
-def associativity_defect(outer_left, inner_left, outer_right, inner_right):
+def associativity_defect(mu1: Pairing, mu2: Pairing, mu3: Pairing, mu4: Pairing):
     """First basis tensor x (x) y (x) z on which
     mu1(mu2(x (x) y) (x) z) != mu3(x (x) mu4(y (x) z)), i.e. where
-    mu1 . kron(mu2, 1) and mu3 . kron(1, mu4) differ on the flat bases; the
-    four pairs are (mu1, mu2, mu3, mu4), all of degree 0."""
-    (l1, m1), (l2, m2), (l3, m3), (l4, m4) = outer_left, inner_left, outer_right, inner_right
+    mu1 . kron(mu2, 1) and mu3 . kron(1, mu4) differ on the flat bases."""
+    (l1, m1), (l2, m2), (l3, m3), (l4, m4) = ((mu.layout, mu.map) for mu in (mu1, mu2, mu3, mu4))
     x, y, z = l2.factors[0], l2.factors[1], l4.factors[1]
-    flats = [flat_pairing(*pair) for pair in (outer_left, inner_left, outer_right, inner_right)]
     if _vacuous([x, y, z], [l1.field, l2.field, l3.field, l4.field],
                 [(m2.target, l1.factors[0]), (l1.factors[1], z), (l3.factors[0], x),
                  (m4.target, l3.factors[1]), (l4.factors[0], y), (m1.target, m3.target)]):
         return None
     field = l1.field
-    lhs = kron_product(flats[0], flats[1], Mat.identity(field, z.total_dim()))
-    rhs = kron_product(flats[2], Mat.identity(field, x.total_dim()), flats[3])
+    lhs = kron_product(mu1.flat, mu2.flat, Mat.identity(field, z.total_dim()))
+    rhs = kron_product(mu3.flat, Mat.identity(field, x.total_dim()), mu4.flat)
     return first_defect([x, y, z], lhs, rhs)
 
 
-def morphism_defect(source, target, outer: ChainMap, first: Optional[ChainMap], second: Optional[ChainMap]):
+def morphism_defect(source: Pairing, target: Pairing, outer: ChainMap, first: Optional[ChainMap],
+                    second: Optional[ChainMap]):
     """First basis tensor x (x) y of the source pairing mu on which
     outer(mu(x (x) y)) != mu'(first(x) (x) second(y)), i.e. where
     outer . mu and mu' . kron(first, second) differ on the flat bases;
     ``second`` has degree 0, so no Koszul sign arises.  ``first`` or
     ``second`` None is the identity of its factor, as the shared
     ``Mat.identity``."""
-    (lay, mu), (tlay, tmu) = source, target
+    (lay, mu), (tlay, tmu) = (source.layout, source.map), (target.layout, target.map)
     x, y = lay.factors
-    lhs = flat_map(outer), flat_pairing(lay, mu)
-    rhs = [flat_pairing(tlay, tmu)]
+    lhs = flat_map(outer), source.flat
+    rhs = [target.flat]
     fields = [lay.field, tlay.field, outer.source.field]
     joins = [(outer.source, mu.target), (outer.target, tmu.target)]
     for factor, fed, f in ((x, tlay.factors[0], first), (y, tlay.factors[1], second)):
@@ -1095,16 +1150,12 @@ def _odd_columns(first, second, rest: int) -> FrozenSet[int]:
 class Action(NamedTuple):
     """The blocks of a degree-0 action: ``block(combo)`` is its matrix on the
     degree tuple ``combo`` of ``factors``, the acting factor first for a left
-    action and last for a right one."""
+    action and last for a right one.  A stored action is a ``Pairing``,
+    which answers the same two names; an ``Action`` is one computed from
+    others."""
 
     factors: Tuple[Complex, Complex]
     block: Callable[[Tuple[int, int]], Mat]
-
-
-def pair_action(pair) -> Action:
-    """The action of a (layout, pairing) pair."""
-    lay, pairing = pair
-    return Action(tuple(lay.factors), lambda combo: lay.block(pairing, combo))
 
 
 def swapped(action: Action) -> Action:
@@ -1499,26 +1550,3 @@ def postcomposition(src, tgt, acting: Complex, act_block) -> Callable:
                               [slotwise(src, tgt, m, m + dh, lambda i: i, by(k)) for k in range(acting.dim(dh))])
 
     return block
-
-
-def element_action(pairing: ChainMap, lay: TensorLayout, slot: int,
-                   deg: int, vector: Mat) -> Dict[int, Mat]:
-    """Partial evaluation of a pairing at a fixed element in the given slot:
-    per degree b of the other factor, the block of (deg, b) applied to
-    kron(v, 1) (slot 0), or of (b, deg) applied to kron(1, v) (slot 1).
-
-    Returns the raw per-degree matrix family of the induced map on the other
-    factor (a chain map only when the element is a closed even-degree cycle;
-    callers own that bookkeeping).  Binary layouts only.
-    """
-    if len(lay.factors) != 2:
-        raise ShapeError("element_action expects a binary tensor source")
-    other = lay.factors[1 - slot]
-    fam = {}
-    for b in other.degrees():
-        eye = Mat.identity(lay.field, other.dim(b))
-        if slot == 0:
-            fam[b] = kron_product(lay.block(pairing, (deg, b)), vector, eye)
-        else:
-            fam[b] = kron_product(lay.block(pairing, (b, deg)), eye, vector)
-    return fam

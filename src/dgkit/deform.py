@@ -25,11 +25,11 @@ from .changeofrings import (
 )
 from .complexes import (
     ChainMap,
+    Pairing,
     Retract,
     h0_retract,
     lifted_block,
     lifted_map,
-    pair_action,
     quotient_retract,
     sub_retract,
     swap_leading_factors,
@@ -47,7 +47,7 @@ from .dgring import (
 )
 from .derived import balanced_tensor_ring
 from .errors import ValidationError
-from .matrix import Mat, kron, kron_product
+from .matrix import Mat, extend_columns_to_basis, kron, kron_product
 from .verdict import CERTIFIED, FAILED, UNCHECKED, Verdict, passes
 
 
@@ -172,7 +172,7 @@ def ideal_as_S_module(theta: DgRingMorphism, scat: Optional[DgCategory] = None,
     part = sub_retract(ideal.sub, ideal.inclusion)
     # right action: x . s = (-1)^{|s||x|} s . x = x r with graded commutativity
     act = lifted_map([part, quotient_retract(s_ring.underlying, theta.map, sections)], part,
-                     [pair_action((ring.square, ring.mult)).block])
+                     [ring.product.block])
     mod = Module(scat, {sobj: ideal.sub}, {(sobj, sobj): act}, name=f"I({theta.name})")
     # restriction along theta gives back the R-action on I
     try:
@@ -180,7 +180,8 @@ def ideal_as_S_module(theta: DgRingMorphism, scat: Optional[DgCategory] = None,
             direct = ideal_as_R_module(theta, ideal=ideal)
     except ValidationError:
         raise ValidationError("R-action leaves the kernel") from None
-    if restrict_ring_module(mod, theta).act != direct.act:
+    if {key: mu.map for key, mu in restrict_ring_module(mod, theta).act.items()} != \
+            {key: mu.map for key, mu in direct.act.items()}:
         raise ValidationError("restriction along theta does not recover the R-action")
     return mod
 
@@ -193,6 +194,9 @@ def levelwise_free_generators(cat: DgCategory):
     raises if the hom is not levelwise free over the base."""
     ring = cat.base
     field = cat.field
+    # the nonunit basis directions: in degree 0, those completing the unit line to a basis
+    keep = [c - 1 for c in ring.unit.hstack(Mat.identity(field, ring.dim(0))).pivot_columns() if c >= 1]
+    nonunit = [(dr, i) for dr, i in ring.basis() if dr != 0 or i in keep]
     out = {}
     for a in cat.objects:
         for b in cat.objects:
@@ -202,39 +206,21 @@ def levelwise_free_generators(cat: DgCategory):
                 continue
             # span of rbar . hom where rbar runs over nonunit basis directions
             images: Dict[int, List] = {}
-            for dr, i in ring.basis():
-                rvec = ring.basis_vector(dr, i)
-                if dr == 0:
-                    # subtract the unit component
-                    coeff = None
-                    unit = ring.unit
-                    lam = None
-                    # complement of the unit line in degree 0
-                    aug = unit.hstack(Mat.identity(field, ring.dim(0)))
-                    piv = aug.pivot_columns()
-                    keep = [c - 1 for c in piv if c >= 1]
-                    if i not in keep:
-                        continue
-                fam = cat.act_element(a, b, dr, rvec)
+            for dr, i in nonunit:
+                fam = cat.action[(a, b)].at(0, dr, ring.basis_vector(dr, i))
                 for dx, mat in fam.items():
                     for j in range(mat.cols):
                         col = mat.col(j)
                         if not col.is_zero():
                             images.setdefault(dx + dr, []).append(col.column_values(0))
             gens = {}
-            total_gen = 0
             for deg in v.degrees():
                 span = Mat.from_columns(field, v.dim(deg), images.get(deg, []))
-                basis = span.image_basis()
-                from .matrix import extend_columns_to_basis
-                comp = extend_columns_to_basis(basis)
+                comp = extend_columns_to_basis(span.image_basis())
                 if comp:
                     gens[deg] = Mat.from_columns(
                         field, v.dim(deg),
                         [Mat.basis_column(field, v.dim(deg), c).column_values(0) for c in comp])
-                    total_gen += len(comp)
-            expected = sum(ring.dim(dr) * g.cols for dr in ring.degrees()
-                           for g in gens.values() if True)
             # compare graded dimensions of R (x) gens with hom
             dims = {}
             for gdeg, g in gens.items():
@@ -455,7 +441,7 @@ def ideal_as_R_module(theta: DgRingMorphism, rcat: Optional[DgCategory] = None,
     rcat = rcat or one_object_category(ring)
     robj = rcat.objects[0]
     part = sub_retract(ideal.sub, ideal.inclusion)
-    act = lifted_map([part, ring.underlying], part, [pair_action((ring.square, ring.mult)).block])
+    act = lifted_map([part, ring.underlying], part, [ring.product.block])
     return Module(rcat, {robj: ideal.sub}, {(robj, robj): act}, name=f"I_{ring.name}")
 
 
@@ -467,7 +453,7 @@ def hom_as_right_module(cat: DgCategory, a, b,
     rcat = rcat or one_object_category(ring)
     robj = rcat.objects[0]
     v = cat.hom(a, b)
-    act = lifted_map([v, ring.underlying], v, [swapped(pair_action(cat.action_pair(a, b))).block])
+    act = lifted_map([v, ring.underlying], v, [swapped(cat.action[(a, b)]).block])
     return Module(rcat, {robj: v}, {(robj, robj): act}, name=f"hom({a},{b})_{ring.name}")
 
 
@@ -521,7 +507,7 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
             nonpos = nonpos and all(d <= 0 for d in tensor_iv.cohomology().support())
             # SES maps: iota: I (x)_R V -> V (apply the ideal element), pi = unit insert
             incl_comp = ideal.inclusion
-            act = pair_action(i_cat.action_pair(a, b))
+            act = i_cat.action[(a, b)]
             iota = lifted_map([t_iv], v, [lambda flat: kron_product(
                 act.block(flat), incl_comp.component(flat[0]), Mat.identity(field, v.dim(flat[1])))])
             pi = ext.inclusion.hom_map(a, b)
@@ -546,7 +532,7 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
                     les_ok = False
             # (b) tensor lift: I (x)_R V <-> I (x)_S (S (x)_R V)
             t_sj = balanced_tensor_ring(ideal_s, hom_as_right_module(j_cat, a, b, scat))
-            x_by_s = pair_action(ideal_s.act_pair(scat.objects[0], scat.objects[0]))
+            x_by_s = ideal_s.act[(scat.objects[0], scat.objects[0])]
 
             def forward(flat):
                 # x (x) v |-> x (x) (1 (x) v)
@@ -572,7 +558,7 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
     # ker H^0(theta) squares to zero
     # work in H^0(R): classes of the pairwise products of kernel-of-theta degree-0 elements
     ker0 = step.map.component(0).kernel_basis()
-    prods = kron_product(ring.square.block(ring.mult, (0, 0)), ker0, ker0)
+    prods = kron_product(ring.product.block((0, 0)), ker0, ker0)
     ker_sq = h0_ring(ring)[1].apply(0, prods).is_zero()
     return StepDeformationVerdict(
         step.name,
@@ -585,14 +571,14 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
         HFP_UNCHECKED)
 
 
-def _h0_relations(step: DgRingMorphism, action, hs: Retract, hv: Retract) -> Mat:
+def _h0_relations(step: DgRingMorphism, action: Pairing, hs: Retract, hv: Retract) -> Mat:
     """The relations of H^0(S) (x)_{H^0(R)} H^0(V), for the H^0 retracts of
-    S and of an R-module V with its action pair: one column
+    S and of an R-module V with its action: one column
     [s . theta(r)] (x) [f] - [s] (x) [r . f] per basis triple (s, r, f), in
     that order, rows (s, f)."""
     hr = h0_retract(step.source.underlying.cohomology())
     right = lifted_map([hs, hr], hs, [_right_action_through(step).block]).component(0)
-    left = lifted_map([hr, hv], hv, [pair_action(action).block]).component(0)
+    left = lifted_map([hr, hv], hv, [action.block]).component(0)
     field = step.source.field
     return (kron(right, Mat.identity(field, hv.complex.dim(0)))
             - kron(Mat.identity(field, hs.complex.dim(0)), left))
@@ -607,11 +593,12 @@ def _h0_comparison_bijective(i_cat: DgCategory, a, b, step: DgRingMorphism,
     pairs, nj = hs.complex.dim(0) * hv.complex.dim(0), hj.complex.dim(0)
     if pairs == 0:
         return nj == 0
-    rel = _h0_relations(step, i_cat.action_pair(a, b), hs, hv)
+    rel = _h0_relations(step, i_cat.action[(a, b)], hs, hv)
     if pairs - rel.rank() != nj:
         return False
     # the explicit map on representatives must be surjective with the relations in its kernel
-    themap = lifted_map([hs, hv], hj, [lambda flat: tensor.layout.block(tensor.projection, flat)]).component(0)
+    projection = Pairing(tensor.layout, tensor.projection, tensor.complex, f"{tensor.complex.name}: projection")
+    themap = lifted_map([hs, hv], hj, [projection.block]).component(0)
     return themap.rank() == nj and (themap @ rel).is_zero()
 
 

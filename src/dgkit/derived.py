@@ -30,9 +30,7 @@ from .complexes import (
     block_sum,
     cohomology_at,
     cone_complex,
-    element_action,
     lifted_map,
-    pair_action,
     quotient_retract,
     shift_complex,
     sub_retract,
@@ -113,7 +111,7 @@ class WindowedResolution:
         gens = self.generators
         if not gens:
             return Complex.zero(u.field)
-        acts = {(g, i): (u.act_by(gens[g][0], gens[i][0], gens[g][1] + 1 - gens[i][1], p), gens[g][1], gens[i][1])
+        acts = {(g, i): (u.act[(gens[g][0], gens[i][0])].at(1, gens[g][1] + 1 - gens[i][1], p), gens[g][1], gens[i][1])
                 for (g, i), p in self.twists.items()}
 
         def twist(m):
@@ -137,7 +135,8 @@ class WindowedResolution:
         gens, obj = self.generators, n.cat.objects[0]
         if not gens:
             return Complex.zero(n.field)
-        acts = {(g, i): (n.act_by(obj, obj, gens[g][1] + 1 - gens[i][1], p), gens[g][1] + 1 - gens[i][1], gens[g][1])
+        act = n.act[(obj, obj)]
+        acts = {(g, i): (act.at(1, gens[g][1] + 1 - gens[i][1], p), gens[g][1] + 1 - gens[i][1], gens[g][1])
                 for (g, i), p in self.twists.items()}
 
         def twist(d):
@@ -223,9 +222,8 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
             rows = {i: p_part.take_rows(range(offs[i], offs[i + 1])) for i in range(len(gens))}
             twists.update({(col - 1, i): p for i, p in rows.items() if not p.is_zero()})
             for z in cat.objects:
-                blocks[z][(0, col)] = (element_action(m.act[(z, x)], m.act_layouts[(z, x)], 0, worst, m_part), worst)
-                blocks[z].update({(i + 1, col): (element_action(cat.comp[(z, x, y)], cat.comp_layouts[(z, x, y)],
-                                                                0, worst + 1 - k, rows[i]), worst)
+                blocks[z][(0, col)] = (m.act[(z, x)].at(0, worst, m_part), worst)
+                blocks[z].update({(i + 1, col): (cat.comp[(z, x, y)].at(0, worst + 1 - k, rows[i]), worst)
                                   for i, (y, k) in enumerate(gens) if (col - 1, i) in twists})
                 summands[z].append((shift_complex(cat.hom(z, x), 1 - worst), 0))
         gens.extend((x, worst) for x, _, _ in new)
@@ -250,7 +248,7 @@ def balanced_tensor_ring(p: Module, n: Module) -> BalancedTensor:
     if _ring_of(n) != ring:
         raise ValidationError("tensor factors live over different rings")
     obj, nobj = p.cat.objects[0], n.cat.objects[0]
-    return balanced_tensor(pair_action(p.act_pair(obj, obj)), swapped(pair_action(n.act_pair(nobj, nobj))),
+    return balanced_tensor(p.act[(obj, obj)], swapped(n.act[(nobj, nobj)]),
                            name=f"{p.name}(x)R{n.name}")
 
 
@@ -377,6 +375,6 @@ def restricted_ground_module(theta: DgRingMorphism,
     obj = cat.objects[0]
     tgt = theta.target
     # x . r = x theta(r)
-    act = lifted_map([tgt.underlying, through(theta.map)], tgt.underlying, [pair_action((tgt.square, tgt.mult)).block])
+    act = lifted_map([tgt.underlying, through(theta.map)], tgt.underlying, [tgt.product.block])
     return Module(cat, {obj: tgt.underlying}, {(obj, obj): act},
                   name=f"({tgt.name})_{ring.name}")

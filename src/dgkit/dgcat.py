@@ -2,8 +2,8 @@
 identities, base-ring action, truncation, homotopy categories, opposites and
 tensor products.
 
-Composition is stored as one chain map hom(B,C) @ hom(A,B) -> hom(A,C) per
-object triple; its chain-map property is the Leibniz rule.  Identity,
+Composition is stored as one ``Pairing`` hom(B,C) @ hom(A,B) -> hom(A,C) per
+object triple; the chain-map property of its map is the Leibniz rule.  Identity,
 associativity, and compatibility of the base action are checked at
 construction, each as one equation on whole pairings per object tuple (see
 the structure laws in ``complexes``).
@@ -17,15 +17,13 @@ from typing import Dict, Optional, Sequence, Tuple
 from .complexes import (
     ChainMap,
     Complex,
+    Pairing,
     TensorLayout,
     associativity_defect,
-    element_action,
-    flat_pairing,
     h0_retract,
     koszul_swap,
     lifted_map,
     morphism_defect,
-    pair_action,
     permutation_sign,
     reorder_factors,
     sub_retract,
@@ -53,28 +51,19 @@ class DgCategory:
             for b in self.objects:
                 cx = homs.get((a, b))
                 self.homs[(a, b)] = cx if cx is not None else Complex.zero(self.field)
-        self.comp_layouts: Dict[Tuple, TensorLayout] = {}
-        self.comp: Dict[Tuple, ChainMap] = {}
-        for a in self.objects:
-            for b in self.objects:
-                for c in self.objects:
-                    lay = TensorLayout([self.hom(b, c), self.hom(a, b)])
-                    self.comp_layouts[(a, b, c)] = lay
-                    cm = comp.get((a, b, c))
-                    if cm is None:
-                        cm = ChainMap.zero_map(lay.complex, self.hom(a, c))
-                    self.comp[(a, b, c)] = cm
+        self.comp: Dict[Tuple, Pairing] = {
+            (a, b, c): Pairing.of([self.hom(b, c), self.hom(a, b)], comp.get((a, b, c)), self.hom(a, c),
+                                  f"{name}: composition {(a, b, c)}")
+            for a, b, c in itertools.product(self.objects, repeat=3)}
         self.ids = dict(ids)
-        self.action_layouts: Dict[Tuple, TensorLayout] = {}
-        self.action: Dict[Tuple, ChainMap] = {}
+        self.action: Dict[Tuple, Pairing] = {}
         for a in self.objects:
             for b in self.objects:
                 lay = TensorLayout([base.underlying, self.hom(a, b)])
-                self.action_layouts[(a, b)] = lay
                 act = None if action is None else action.get((a, b))
                 if act is None:
                     act = self._scalar_action(lay, self.hom(a, b))
-                self.action[(a, b)] = act
+                self.action[(a, b)] = Pairing(lay, act, self.hom(a, b), f"{name}: base action {(a, b)}")
         if check:
             self._check()
 
@@ -94,18 +83,6 @@ class DgCategory:
 
     def id_vector(self, a) -> Mat:
         return self.ids[a]
-
-    def comp_pair(self, a, b, c):
-        """Composition hom(b,c) @ hom(a,b) -> hom(a,c) with its source layout."""
-        return self.comp_layouts[(a, b, c)], self.comp[(a, b, c)]
-
-    def action_pair(self, a, b):
-        """Base action on hom(a,b) with its source layout."""
-        return self.action_layouts[(a, b)], self.action[(a, b)]
-
-    def act_element(self, a, b, rdeg: int, rvec: Mat) -> Dict[int, Mat]:
-        """Per-degree matrices of r * (-) on hom(a,b)."""
-        return element_action(self.action[(a, b)], self.action_layouts[(a, b)], 0, rdeg, rvec)
 
     def hom_basis(self, a, b):
         cx = self.hom(a, b)
@@ -130,13 +107,13 @@ class DgCategory:
             if not (self.hom(a, a).diff(0) @ ida).is_zero():
                 raise ValidationError(f"{name}: identity at {a} is not closed")
         for a, b in itertools.product(self.objects, repeat=2):
-            if unit_defect(self.comp_pair(a, b, b), self.ids[b], 0) is not None:
+            if unit_defect(self.comp[(a, b, b)], self.ids[b], 0) is not None:
                 raise ValidationError(f"{name}: left identity fails on hom({a},{b})")
-            if unit_defect(self.comp_pair(a, a, b), self.ids[a], 1) is not None:
+            if unit_defect(self.comp[(a, a, b)], self.ids[a], 1) is not None:
                 raise ValidationError(f"{name}: right identity fails on hom({a},{b})")
         for a, b, c, d in itertools.product(self.objects, repeat=4):
-            if associativity_defect(self.comp_pair(a, b, d), self.comp_pair(b, c, d),
-                                    self.comp_pair(a, c, d), self.comp_pair(a, b, c)) is not None:
+            if associativity_defect(self.comp[(a, b, d)], self.comp[(b, c, d)],
+                                    self.comp[(a, c, d)], self.comp[(a, b, c)]) is not None:
                 raise ValidationError(f"{name}: associativity fails on triple "
                                       f"hom({c},{d}) x hom({b},{c}) x hom({a},{b})")
         self._check_action()
@@ -145,22 +122,22 @@ class DgCategory:
         name = self.name
         base = self.base
         for a, b in itertools.product(self.objects, repeat=2):
-            act = self.action_pair(a, b)
+            act = self.action[(a, b)]
             if unit_defect(act, base.unit, 0) is not None:
                 raise ValidationError(f"{name}: base action not unital on hom({a},{b})")
-            if associativity_defect(act, (base.square, base.mult), act, act) is not None:
+            if associativity_defect(act, base.product, act, act) is not None:
                 raise ValidationError(f"{name}: base action not associative on hom({a},{b})")
         # centrality against composition: on r (x) g (x) f, (r.g) o f and
         # (-1)^{|r||g|} g o (r.f) both equal r.(g o f)
         eye_r = Mat.identity(self.field, base.total_dim())
         for a, b, c in itertools.product(self.objects, repeat=3):
-            comp, act_ac = self.comp_pair(a, b, c), self.action_pair(a, c)
-            if associativity_defect(comp, self.action_pair(b, c), act_ac, comp) is not None:
+            comp, act_ac = self.comp[(a, b, c)], self.action[(a, c)]
+            if associativity_defect(comp, self.action[(b, c)], act_ac, comp) is not None:
                 raise ValidationError(f"{name}: action not central (left) on hom({a},{b},{c})")
             # g o (r.f) on g (x) r (x) f, then reindexed to r (x) g (x) f
-            g_rf = kron_product(flat_pairing(*comp), Mat.identity(self.field, self.hom(b, c).total_dim()),
-                                flat_pairing(*self.action_pair(a, b)))
-            r_gf = kron_product(flat_pairing(*act_ac), eye_r, flat_pairing(*comp))
+            g_rf = kron_product(comp.flat, Mat.identity(self.field, self.hom(b, c).total_dim()),
+                                self.action[(a, b)].flat)
+            r_gf = kron_product(act_ac.flat, eye_r, comp.flat)
             if koszul_swap(g_rf, base.underlying, self.hom(b, c)) != r_gf:
                 raise ValidationError(f"{name}: action not central (right) on hom({a},{b},{c})")
 
@@ -170,8 +147,8 @@ class DgCategory:
     def from_ring(ring: DgRing, obj="*", name: Optional[str] = None) -> "DgCategory":
         """The one-object category whose endomorphisms are the ring."""
         cx = ring.underlying
-        comp = {(obj, obj, obj): ring.mult}
-        action = {(obj, obj): ring.mult}
+        comp = {(obj, obj, obj): ring.product.map}
+        action = {(obj, obj): ring.product.map}
         return DgCategory(ring, [obj], {(obj, obj): cx}, comp, {obj: ring.unit},
                           action=action, name=name or ring.name, check=False)
 
@@ -210,13 +187,13 @@ class DgFunctor:
                 raise ValidationError(f"{self.name}: identities not preserved at {a}")
         for a, b, c in itertools.product(s.objects, repeat=3):
             fa, fb, fc = self.obj_map[a], self.obj_map[b], self.obj_map[c]
-            if morphism_defect(s.comp_pair(a, b, c), t.comp_pair(fa, fb, fc), self.hom_map(a, c),
+            if morphism_defect(s.comp[(a, b, c)], t.comp[(fa, fb, fc)], self.hom_map(a, c),
                                self.hom_map(b, c), self.hom_map(a, b)) is not None:
                 raise ValidationError(f"{self.name}: composition not preserved on hom({a},{b})xhom({b},{c})")
         # linearity over the base (or over a base-ring morphism)
         base = None if self.base_change is None else self.base_change.map   # None: the identity
         for a, b in itertools.product(s.objects, repeat=2):
-            if morphism_defect(s.action_pair(a, b), t.action_pair(self.obj_map[a], self.obj_map[b]),
+            if morphism_defect(s.action[(a, b)], t.action[(self.obj_map[a], self.obj_map[b])],
                                self.hom_map(a, b), base, self.hom_map(a, b)) is not None:
                 raise ValidationError(f"{self.name}: not linear over the base on hom({a},{b})")
 
@@ -243,17 +220,17 @@ class H0Category:
         self.ids = {a: self.class_of(a, a, cat.id_vector(a)) for a in cat.objects}
         self.comp = {}
         for a, b, c in itertools.product(cat.objects, repeat=3):
-            lay, mu = cat.comp_pair(a, b, c)
+            mu = cat.comp[(a, b, c)]
             # well-definedness: representative o coboundary and coboundary o
             # representative have class zero
             out = self.parts[(a, c)].pieces[0].outward.get(0)
-            block = lay.block(mu, (0, 0))
+            block = mu.block((0, 0))
             if out is not None and not all((out @ kron_product(block, g, f)).is_zero() for g, f in (
                     (self.rep(b, c), self.reports[(a, b)].image(0)),
                     (self.reports[(b, c)].image(0), self.rep(a, b)))):
                 raise ValidationError(f"H0({cat.name}): composition not well defined on classes")
             self.comp[(a, b, c)] = lifted_map([self.parts[(b, c)], self.parts[(a, b)]], self.parts[(a, c)],
-                                              [pair_action((lay, mu)).block])
+                                              [mu.block])
 
     def dim(self, a, b) -> int:
         return self.reports[(a, b)].dim(0)
@@ -284,7 +261,7 @@ def h0_ring(ring: DgRing) -> Tuple[DgRing, DgRingMorphism]:
         # strictly nonpositive rings have Z^0 = R^0
         raise ValidationError(f"{ring.name}: degree-0 part is not closed")
     proj = ChainMap(cx, classes.complex, 0, classes.pieces[0].outward)
-    mult = lifted_map([classes, classes], classes, [pair_action((ring.square, ring.mult)).block])
+    mult = lifted_map([classes, classes], classes, [ring.product.block])
     out = DgRing(classes.complex, proj.component(0) @ ring.unit, mult, name=f"H0({ring.name})")
     return out, DgRingMorphism(ring, out, proj, name=f"h0proj_{ring.name}")
 
@@ -299,7 +276,7 @@ def h0_as_degree0_category(cat: DgCategory) -> Tuple[DgCategory, "H0Category"]:
     h0 = H0Category(cat)
     base0, _ = h0_ring(cat.base)
     base = h0_retract(cat.base.underlying.cohomology())
-    action = {key: lifted_map([base, part], part, [pair_action(cat.action_pair(*key)).block])
+    action = {key: lifted_map([base, part], part, [cat.action[key].block])
               for key, part in h0.parts.items()}
     out = DgCategory(base0, cat.objects, {key: part.complex for key, part in h0.parts.items()}, h0.comp,
                      h0.ids, action=action, name=f"H0({cat.name})")
@@ -319,9 +296,9 @@ def truncate_cat(cat: DgCategory):
     parts = {key: sub_retract(t, incl_maps[key]) for key, t in trunc.items()}
     ids = {a: parts[(a, a)].pieces[0].outward[0] @ cat.id_vector(a) for a in cat.objects}
     comp = {(a, b, c): lifted_map([parts[(b, c)], parts[(a, b)]], parts[(a, c)],
-                                  [pair_action(cat.comp_pair(a, b, c)).block])
+                                  [cat.comp[(a, b, c)].block])
             for a, b, c in itertools.product(cat.objects, repeat=3)}
-    action = {key: lifted_map([cat.base.underlying, part], part, [pair_action(cat.action_pair(*key)).block])
+    action = {key: lifted_map([cat.base.underlying, part], part, [cat.action[key].block])
               for key, part in parts.items()}
     tcat = DgCategory(cat.base, cat.objects, trunc, comp, ids, action=action,
                       name=f"tle0({cat.name})")
@@ -343,9 +320,9 @@ def opposite(cat: DgCategory) -> DgCategory:
     g (x) f |-> (-1)^{|g||f|} f o g."""
     homs = {(a, b): cat.hom(b, a) for a in cat.objects for b in cat.objects}
     comp = {(a, b, c): TensorLayout([cat.hom(c, b), cat.hom(b, a)]).map_from_blocks(
-        cat.hom(c, a), 0, swapped(pair_action(cat.comp_pair(c, b, a))).block)
+        cat.hom(c, a), 0, swapped(cat.comp[(c, b, a)]).block)
         for a, b, c in itertools.product(cat.objects, repeat=3)}
-    action = {(a, b): cat.action[(b, a)] for a in cat.objects for b in cat.objects}
+    action = {(a, b): cat.action[(b, a)].map for a in cat.objects for b in cat.objects}
     return DgCategory(cat.base, cat.objects, homs, comp, cat.ids, action=action,
                       name=f"op({cat.name})")
 
@@ -366,24 +343,23 @@ def tensor_cat(x: DgCategory, y: DgCategory) -> DgCategory:
            for a, u in objects}
     comp = {((a, u), (b, v), (c, w)): lifted_map(
         [lays[((b, v), (c, w))], lays[((a, u), (b, v))]], lays[((a, u), (c, w))],
-        [_interchanged(x.comp_pair(a, b, c), y.comp_pair(u, v, w), lays[((a, u), (c, w))])])
+        [_interchanged(x.comp[(a, b, c)], y.comp[(u, v, w)], lays[((a, u), (c, w))])])
         for (a, u), (b, v), (c, w) in itertools.product(objects, repeat=3)}
     return DgCategory(x.base, objects, {key: lay.complex for key, lay in lays.items()}, comp, ids,
                       name=f"({x.name}(x){y.name})")
 
 
-def _interchanged(xpair, ypair, target: TensorLayout):
+def _interchanged(xcomp: Pairing, ycomp: Pairing, target: TensorLayout):
     """The flat blocks, on g_x (x) g_y (x) f_x (x) f_y, of the composition of
     a tensor product out of the compositions of its factors: the kron of the
     two blocks, its columns reordered to the flat order, with the Koszul sign
     of the interchange."""
-    (xlay, xcomp), (ylay, ycomp) = xpair, ypair
-    factors = (xlay.factors[0], ylay.factors[0], xlay.factors[1], ylay.factors[1])
+    factors = (xcomp.factors[0], ycomp.factors[0], xcomp.factors[1], ycomp.factors[1])
     interchange = (0, 2, 1, 3)
 
     def block(combo):
         p, q, r, s = combo
-        out = kron(xlay.block(xcomp, (p, r)), ylay.block(ycomp, (q, s)))
+        out = kron(xcomp.block((p, r)), ycomp.block((q, s)))
         out = target.place((p + r, q + s), reorder_factors(out, [f.dim(d) for f, d in zip(factors, combo)],
                                                            interchange))
         return -out if permutation_sign(combo, interchange) < 0 else out

@@ -17,17 +17,15 @@ from typing import Dict, List, Optional, Sequence
 from .complexes import (
     ChainMap,
     Complex,
+    Pairing,
     TensorLayout,
     associativity_defect,
     first_defect,
     flat_basis,
     flat_map,
-    flat_pairing,
     koszul_swap,
     lifted_map,
     morphism_defect,
-    pair_action,
-    pair_elements,
     quotient_complex,
     quotient_retract,
     subcomplex,
@@ -46,11 +44,11 @@ class DgRing:
                  name: str = "R", check: bool = True):
         self.underlying = underlying
         self.unit = unit
-        self.mult = mult
         self.name = name
         self.field = underlying.field
-        self.square = TensorLayout([underlying, underlying])
-        if mult.source != self.square.complex or mult.target != underlying or mult.degree != 0:
+        self.product = Pairing(TensorLayout([underlying, underlying]), mult, underlying, f"{name}: product")
+        # the product must also be a chain map out of R@R itself: that is the Leibniz rule
+        if mult.source != self.product.layout.complex or mult.target != underlying:
             raise ValidationError(f"{name}: multiplication must be a degree-0 map R@R -> R")
         if check:
             self._check()
@@ -77,7 +75,7 @@ class DgRing:
 
     def mul(self, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
         """Product of two homogeneous elements; returns a vector in degree dx+dy."""
-        return pair_elements(self.mult, self.square, dx, x, dy, y)
+        return self.product.apply(dx, x, dy, y)
 
     def mul_basis(self, dx: int, i: int, dy: int, j: int) -> Mat:
         return self.mul(dx, self.basis_vector(dx, i), dy, self.basis_vector(dy, j))
@@ -94,14 +92,14 @@ class DgRing:
             raise ValidationError(f"{name}: unit must be a nonzero degree-0 vector")
         if not (self.underlying.diff(0) @ self.unit).is_zero():
             raise ValidationError(f"{name}: unit is not closed")
-        sq, pair = self.square, (self.square, self.mult)
+        mu = self.product
         for slot, side in ((0, "left"), (1, "right")):
-            defect = unit_defect(pair, self.unit, slot)
+            defect = unit_defect(mu, self.unit, slot)
             if defect is not None:
                 raise ValidationError(f"{name}: {side} unit fails on basis element {self.label(*defect)}")
-        flat = flat_pairing(sq, self.mult)
-        for law, defect in (("graded commutativity", first_defect(sq.factors, flat, koszul_swap(flat, *sq.factors))),
-                            ("associativity", associativity_defect(pair, pair, pair, pair))):
+        flat = mu.flat
+        for law, defect in (("graded commutativity", first_defect(mu.factors, flat, koszul_swap(flat, *mu.factors))),
+                            ("associativity", associativity_defect(mu, mu, mu, mu))):
             if defect is not None:
                 labels = ", ".join(self.label(d, i) for d, i in zip(*defect))
                 raise ValidationError(f"{name}: {law} fails on ({labels})")
@@ -177,7 +175,7 @@ class DgRing:
         if not isinstance(other, DgRing):
             return NotImplemented
         return (self.underlying == other.underlying and self.unit == other.unit
-                and self.mult == other.mult)
+                and self.product.map == other.product.map)
 
     def __hash__(self):
         return hash((self.field, self.underlying.spaces.key))
@@ -203,7 +201,7 @@ class DgRingMorphism:
         if self.map.component(0) @ self.source.unit != self.target.unit:
             raise ValidationError(f"{self.name}: morphism is not unital")
         src, tgt = self.source, self.target
-        defect = morphism_defect((src.square, src.mult), (tgt.square, tgt.mult), self.map, self.map, self.map)
+        defect = morphism_defect(src.product, tgt.product, self.map, self.map, self.map)
         if defect is not None:
             labels = ", ".join(src.label(d, i) for d, i in zip(*defect))
             raise ValidationError(f"{self.name}: morphism not multiplicative on ({labels})")
@@ -259,7 +257,7 @@ class DgIdeal:
         # closure under the ring action: every product r x of a ring basis
         # element with an ideal basis element lies in the ideal
         span = flat_map(self.inclusion)
-        prods = kron_product(flat_pairing(amb.square, amb.mult), Mat.identity(amb.field, amb.total_dim()), span)
+        prods = kron_product(amb.product.flat, Mat.identity(amb.field, amb.total_dim()), span)
         if span.hstack(prods).rank() > span.rank():
             pairs = list(itertools.product(amb.basis(), flat_basis(self.sub.spaces.key)))
             (dr, i), _ = min((pairs[c] for c in range(prods.cols) if span.hstack(prods.col(c)).rank() > span.rank()),
@@ -280,7 +278,7 @@ class DgIdeal:
 
     def squares_to_zero(self) -> bool:
         span = flat_map(self.inclusion)
-        return kron_product(flat_pairing(self.ambient.square, self.ambient.mult), span, span).is_zero()
+        return kron_product(self.ambient.product.flat, span, span).is_zero()
 
     @staticmethod
     def zero(ring: DgRing) -> "DgIdeal":
@@ -332,7 +330,10 @@ def make_dual_numbers(n: int, eps_degree: int, field: Field):
 
 
 def ideal_power(ideal: DgIdeal, k: int) -> DgIdeal:
-    """Span of k-fold products of ideal elements, saturated under the ring action."""
+    """Span of k-fold products of ideal elements.  ``ideal`` must be a
+    checked ``DgIdeal``: it is closed under the ring action and the ring is
+    associative, so r(xy) = (rx)y keeps the span closed with no
+    saturation."""
     if k < 1:
         raise ValidationError("ideal powers need k >= 1")
     if k == 1:
@@ -356,24 +357,6 @@ def ideal_power(ideal: DgIdeal, k: int) -> DgIdeal:
         basis = m.image_basis()
         if basis.cols:
             cols[deg] = basis
-    # saturation loop: close under multiplication by ring basis elements
-    changed = True
-    while changed:
-        changed = False
-        for dr, i in amb.basis():
-            r = amb.basis_vector(dr, i)
-            for deg in list(cols):
-                span = cols[deg]
-                for j in range(span.cols):
-                    prod = amb.mul(dr, r, deg, span.col(j))
-                    if prod.is_zero():
-                        continue
-                    tdeg = dr + deg
-                    cur = cols.get(tdeg)
-                    if cur is None or cur.solve(prod) is None:
-                        stacked = prod if cur is None else cur.hstack(prod)
-                        cols[tdeg] = stacked.image_basis()
-                        changed = True
     if not cols:
         return DgIdeal.zero(amb)
     sub, incl = subcomplex(amb.underlying, cols, name=f"{ideal.name}^{k}")
@@ -388,13 +371,13 @@ def quotient(ring: DgRing, ideal: DgIdeal):
     quot, proj, sections = quotient_complex(ring.underlying, killed, name=f"{ring.name}/{ideal.name}")
     # well-definedness of the induced product: I * R and R * I land in I
     span, eye = flat_map(ideal.inclusion), Mat.identity(ring.field, ring.total_dim())
-    mult = flat_pairing(ring.square, ring.mult)
+    mult = ring.product.flat
     if span.hstack(kron_product(mult, span, eye)).hstack(kron_product(mult, eye, span)).rank() > span.rank():
         raise ValidationError("quotient multiplication not well defined")
     unit_q = proj.component(0) @ ring.unit
     # [x][y] = [xy], read through the sections and the projection
     classes = quotient_retract(quot, proj, sections)
-    mult_q = lifted_map([classes, classes], classes, [pair_action((ring.square, ring.mult)).block])
+    mult_q = lifted_map([classes, classes], classes, [ring.product.block])
     qring = DgRing(quot, unit_q, mult_q, name=f"{ring.name}/{ideal.name}")
     morphism = DgRingMorphism(ring, qring, proj, name=f"proj_{ideal.name}")
     return qring, morphism

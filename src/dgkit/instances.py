@@ -18,7 +18,6 @@ from .complexes import (
     TensorLayout,
     balanced_tensor,
     lifted_map,
-    pair_action,
     swapped,
     through,
 )
@@ -323,8 +322,8 @@ def outer_representable_bimodule(cat, x, y, name=None):
     """T(A, B) = hom(B, x) (x) hom(y, A) with composition actions."""
     from .bimodules import tensor_bimodule
     lays = {(a, b): TensorLayout([cat.hom(b, x), cat.hom(y, a)]) for a in cat.objects for b in cat.objects}
-    return tensor_bimodule(cat, cat, lays, lambda a1, a2: pair_action(cat.comp_pair(y, a1, a2)), 1,
-                           lambda b1, b2: pair_action(cat.comp_pair(b1, b2, x)), 0,
+    return tensor_bimodule(cat, cat, lays, lambda a1, a2: cat.comp[(y, a1, a2)], 1,
+                           lambda b1, b2: cat.comp[(b1, b2, x)], 0,
                            name=name or f"h^{x}(x)h_{y}")
 
 
@@ -387,7 +386,7 @@ def free_arrow_category(ring, name: str = "freearrow"):
             ("X", "Y"): ring.underlying, ("Y", "X"): Complex.zero(field)}
     ids = {"X": ring.unit, "Y": ring.unit}
     # composition and action are the ring product
-    mult = pair_action((ring.square, ring.mult)).block
+    mult = ring.product.block
     comp = {(a, b, c): TensorLayout([homs[(b, c)], homs[(a, b)]]).map_from_blocks(homs[(a, c)], 0, mult)
             for a, b, c in itertools.product(objs, repeat=3)}
     action = {(a, b): TensorLayout([ring.underlying, homs[(a, b)]]).map_from_blocks(homs[(a, b)], 0, mult)
@@ -500,8 +499,8 @@ def _cross_bimodule(acat, bcat, a0, b0, parts, name):
     bcat(B, b0) factor by precomposition; h composes into the outer factor
     on each side, so no Koszul crossing arises."""
     from .bimodules import tensor_bimodule
-    return tensor_bimodule(acat, bcat, parts, lambda a1, a2: pair_action(acat.comp_pair(a0, a1, a2)), 0,
-                           lambda b1, b2: pair_action(bcat.comp_pair(b1, b2, b0)), 1, name=name)
+    return tensor_bimodule(acat, bcat, parts, lambda a1, a2: acat.comp[(a0, a1, a2)], 0,
+                           lambda b1, b2: bcat.comp[(b1, b2, b0)], 1, name=name)
 
 
 def random_acyclic_complex(rng: random.Random, field: Field, lo: int = -2,
@@ -577,8 +576,8 @@ def balanced_cross_bimodule(a_cat, b_r, a0, b0, name=None):
     """T(A, B) = a(a0, A) (x)_R b(B, b0): the R-balanced cross representable,
     a genuine object of the R-linear bimodule category (both R-actions agree
     through the balancing)."""
-    parts = {(a, b): balanced_tensor(swapped(pair_action(a_cat.action_pair(a0, a))),
-                                     pair_action(b_r.action_pair(b, b0)), name=f"bal({a},{b})")
+    parts = {(a, b): balanced_tensor(swapped(a_cat.action[(a0, a)]),
+                                     b_r.action[(b, b0)], name=f"bal({a},{b})")
              for a in a_cat.objects for b in b_r.objects}
     return _cross_bimodule(a_cat, b_r, a0, b0, parts, name or f"h^{a0}(x)Rh_{b0}")
 
@@ -589,13 +588,13 @@ def exterior_one_object_category(ring, gen_degree: int = -1):
     from .dgcat import DgCategory
     ext_ring = exterior_extension_ring(ring, gen_degree)
     cx = ext_ring.underlying
-    comp = {("*", "*", "*"): ext_ring.mult}
+    comp = {("*", "*", "*"): ext_ring.product.map}
     labels = cx.spaces.labels
     # R acts through its embedding r |-> r (x) 1 into R[f]
     embed = ChainMap(ring.underlying, cx, 0, {
         deg: Mat.identity(ring.field, cx.dim(deg)).take_columns([labels[deg].index(f"r{deg}_{i}")
                                                                  for i in range(ring.dim(deg))])
         for deg in ring.degrees()})
-    action = {("*", "*"): lifted_map([through(embed), cx], cx, [pair_action((ext_ring.square, ext_ring.mult)).block])}
+    action = {("*", "*"): lifted_map([through(embed), cx], cx, [ext_ring.product.block])}
     return DgCategory(ring, ["*"], {("*", "*"): cx}, comp,
                       {"*": ext_ring.unit}, action=action, name=f"{ring.name}[f]")

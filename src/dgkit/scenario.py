@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .bimodules import Bimodule, Module
 from .complexes import ChainMap, Complex
@@ -257,7 +257,10 @@ def validate_against_schema(doc: Dict):
         raise ScenarioError(exc.message, "/".join(str(p) for p in exc.absolute_path))
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, field: Optional[str] = None) -> Scenario:
+    """The scenario of the file at ``path``; ``field``, the command line's
+    ``--field``, replaces the document's field before the document is
+    validated and built, so it is built once, under that field."""
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
@@ -265,5 +268,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError("scenario file not found", path)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"parse error: {exc}", f"{path}:{exc.lineno}:{exc.colno}")
+    if field and isinstance(doc, dict):
+        doc["field"] = field
     validate_against_schema(doc)
     return load_scenario_dict(doc, source_name=path)

@@ -43,7 +43,6 @@ from .complexes import (
     hom_complex,
     lifted_map,
     naturality_subcomplex,
-    pair_action,
     swapped,
     truncate_ge,
     truncate_le,
@@ -120,11 +119,11 @@ def oracle_end_dims(t: Bimodule) -> Dict[int, int]:
                         row = [field.zero()] * total
                         for i in range(t.at(a, a).dim(n)):
                             x = Mat.basis_column(field, t.at(a, a).dim(n), i)
-                            v = t.lact_apply(a, a2, a, df, f, n, x)
+                            v = t.lact[(a, a2, a)].apply(df, f, n, x)
                             row[offs[a] + i] = field.add(row[offs[a] + i], v.entries[r][0])
                         for i in range(t.at(a2, a2).dim(n)):
                             x = Mat.basis_column(field, t.at(a2, a2).dim(n), i)
-                            v = t.ract_apply(a2, a, a2, n, x, df, f)
+                            v = t.ract[(a2, a, a2)].apply(n, x, df, f)
                             c = v.entries[r][0]
                             if not ((df % 2) and (n % 2)):
                                 c = field.neg(c)
@@ -161,8 +160,8 @@ def oracle_coend_dims(t: Bimodule) -> Dict[int, int]:
                     dx = n - df
                     for i in range(src.dim(dx)):
                         x = Mat.basis_column(field, src.dim(dx), i)
-                        fx = t.lact_apply(a2, a1, a1, df, f, dx, x)
-                        xf = t.ract_apply(a2, a2, a1, dx, x, df, f)
+                        fx = t.lact[(a2, a1, a1)].apply(df, f, dx, x)
+                        xf = t.ract[(a2, a2, a1)].apply(dx, x, df, f)
                         col = [field.zero()] * total
                         for r, v in enumerate(fx.column_values(0)):
                             col[offs[a1] + r] = field.add(col[offs[a1] + r], v)
@@ -254,8 +253,8 @@ def check_coend_end_oracle(count: int = 50) -> CheckResult:
                 for a in cat.objects:
                     for a2 in cat.objects:
                         for df, f in cat.hom_basis(a, a2):
-                            lhs = t.lact_apply(a, a2, a, df, f, nn, parts[a])
-                            rhs = t.ract_apply(a2, a, a2, nn, parts[a2], df, f)
+                            lhs = t.lact[(a, a2, a)].apply(df, f, nn, parts[a])
+                            rhs = t.ract[(a2, a, a2)].apply(nn, parts[a2], df, f)
                             if (df % 2) and (nn % 2):
                                 rhs = -rhs
                             if lhs != rhs:
@@ -303,8 +302,8 @@ def _fubini_check(rng) -> bool:
                     for dx in src.degrees():
                         for i in range(src.dim(dx)):
                             x = Mat.basis_column(field, src.dim(dx), i)
-                            fx = t.lact_apply(o2, o1, o1, df, f, dx, x)
-                            xf = t.ract_apply(o2, o2, o1, dx, x, df, f)
+                            fx = t.lact[(o2, o1, o1)].apply(df, f, dx, x)
+                            xf = t.ract[(o2, o2, o1)].apply(dx, x, df, f)
                             deg = df + dx
                             col = [field.zero()] * ambient_dims.get(deg, 0)
                             if not col:
@@ -361,8 +360,8 @@ def _end_hom_compatibility(rng) -> bool:
     # swap cancel: L(f) o psi_A = R(f) o psi_A' with no sign
     homs = {a: hom_complex(v, t.at(a, a)) for a in cat.objects}
     equations = [Equation(v, t.at(a2, a), (
-                     Term(a, left=(df, t.lact_family(a, a2, a, df, f))),
-                     Term(a2, left=(df, t.ract_family(a2, a, a2, df, f)), sign=-1)))
+                     Term(a, left=(df, t.lact[(a, a2, a)].at(0, df, f))),
+                     Term(a2, left=(df, t.ract[(a2, a, a2)].at(1, df, f)), sign=-1)))
                  for a in cat.objects for a2 in cat.objects for df, f in cat.hom_basis(a, a2)]
     *_, rhs, _ = naturality_subcomplex(homs, equations, name="endhom")
     return all(lhs.dim(n) == rhs.dim(n) for n in set(lhs.degrees()) | set(rhs.degrees()))
@@ -384,14 +383,14 @@ def check_co_yoneda(count: int = 20) -> CheckResult:
         # from the right by composition
         lays = {(bl, bu): TensorLayout([cat.hom(bu, x), gop.at(bl)])
                 for bl in cat.objects for bu in cat.objects}
-        t = tensor_bimodule(cat, cat, lays, lambda b1, b2: swapped(pair_action(gop.act_pair(b2, b1))), 1,
-                            lambda b1, b2: pair_action(cat.comp_pair(b1, b2, x)), 0, name="coY")
+        t = tensor_bimodule(cat, cat, lays, lambda b1, b2: swapped(gop.act[(b2, b1)]), 1,
+                            lambda b1, b2: cat.comp[(b1, b2, x)], 0, name="coY")
         res = coend_of(t)
         # evaluation certificate: u (x) w |-> u . w in G(x) on each summand,
         # lifted through the sections
         try:
             ev = lifted_map([res.through({b: lays[(b, b)] for b in cat.objects})], gop.at(x),
-                            [swapped(pair_action(gop.act_pair(x, b))).block for b in cat.objects])
+                            [swapped(gop.act[(x, b)]).block for b in cat.objects])
         except ValidationError:
             failures.append(trial)
             continue
@@ -580,11 +579,11 @@ def _h0_tensor_comparison(v: Module, u: Module, ring: DgRing) -> bool:
         rvec = h0r.rep(0).col(ir)
         for iv in range(nv):
             vv = h0v.rep(0).col(iv)
-            vr = v.apply_action(obj, obj, 0, vv, 0, rvec)
+            vr = v.act[(obj, obj)].apply(0, vv, 0, rvec)
             vr_cls = h0v.class_of(0, vr)
             for iu in range(nu):
                 uu = h0u.rep(0).col(iu)
-                ru = u.apply_action(uobj, uobj, 0, uu, 0, rvec)
+                ru = u.act[(uobj, uobj)].apply(0, uu, 0, rvec)
                 ru_cls = h0u.class_of(0, ru)
                 col = [field.zero()] * pairs
                 for k, x in enumerate(vr_cls.column_values(0)):

@@ -18,7 +18,6 @@ from dgkit.complexes import (
     ChainMap,
     TensorLayout,
     direct_sum,
-    pair_elements,
     quotient_complex,
 )
 from dgkit.deform import factorize
@@ -146,7 +145,7 @@ def modules(ring, aug):
 
 def right_action(module):
     obj = module.cat.objects[0]
-    return lambda dx, x, dr, r: module.apply_action(obj, obj, dx, x, dr, r)
+    return lambda dx, x, dr, r: module.act[(obj, obj)].apply(dx, x, dr, r)
 
 
 def left_from_right(module):
@@ -154,7 +153,7 @@ def left_from_right(module):
     obj = module.cat.objects[0]
 
     def act(dr, r, dx, x):
-        out = module.apply_action(obj, obj, dx, x, dr, r)
+        out = module.act[(obj, obj)].apply(dx, x, dr, r)
         return -out if odd(dr * dx) else out
 
     return act
@@ -185,13 +184,13 @@ def test_tensor_over_s_matches_the_relation_and_action_loops(field):
             vf, tensors = _tensor_over_s(v, f)
             t = tensors["*"]
             reference = reference_quotient(v.at("*"), ring.underlying, f.at("*", "*"), right_action(v),
-                                           lambda ds, s, dx, x: f.lact_apply("*", "*", "*", ds, s, dx, x))
+                                           lambda ds, s, dx, x: f.lact[("*", "*", "*")].apply(ds, s, dx, x))
             assert_same_quotient(t, reference)
             s_on_v = left_from_right(v)
-            assert vf.lact[("*", "*", "*")] == reference_descended(scat.hom("*", "*"), t, t, 0, s_on_v)
-            x_by_b = reference_descended(b_r.hom("*", "*"), t, t, 1, lambda db, bv, dx, x: f.ract_apply(
-                "*", "*", "*", dx, x, db, bv), left=False)
-            assert vf.ract[("*", "*", "*")] == x_by_b
+            assert vf.lact[("*", "*", "*")].map == reference_descended(scat.hom("*", "*"), t, t, 0, s_on_v)
+            x_by_b = reference_descended(b_r.hom("*", "*"), t, t, 1,
+                                         lambda db, bv, dx, x: f.ract[("*", "*", "*")].apply(dx, x, db, bv), left=False)
+            assert vf.ract[("*", "*", "*")].map == x_by_b
 
 
 def reference_composition(ext, cat, a, b, c):
@@ -211,9 +210,8 @@ def reference_composition(ext, cat, a, b, c):
                 (ds, dg), (si, gi) = tbc.layout.decompose(dq1, gp)
                 (dt, df), (ti, fi) = tab.layout.decompose(dq2, fp)
                 st = ring_s.mul_basis(ds, si, dt, ti)
-                gf = pair_elements(cat.comp[(a, b, c)], cat.comp_layouts[(a, b, c)],
-                                   dg, Mat.basis_column(field, cat.hom(b, c).dim(dg), gi),
-                                   df, Mat.basis_column(field, cat.hom(a, b).dim(df), fi))
+                gf = cat.comp[(a, b, c)].apply(dg, Mat.basis_column(field, cat.hom(b, c).dim(dg), gi),
+                                               df, Mat.basis_column(field, cat.hom(a, b).dim(df), fi))
                 if not ring_s.dim(ds + dt) or not cat.hom(a, c).dim(dg + df):
                     continue
                 coeff = field.mul(gv, fv)
@@ -238,14 +236,14 @@ def test_extend_scalars_cat_matches_the_relation_and_action_loops(field):
         ring_s = theta.target
         for a, b in itertools.product(cat.objects, repeat=2):
             def by_r(dr, r, dx, x, a=a, b=b):
-                fam = cat.act_element(a, b, dr, r)
+                fam = cat.action[(a, b)].at(0, dr, r)
                 return fam[dx] @ x if dx in fam else Mat.zero(field, cat.hom(a, b).dim(dx + dr), 1)
 
             reference = reference_quotient(ring_s.underlying, theta.source.underlying, cat.hom(a, b),
                                            lambda ds, s, dr, r: ring_s.mul(ds, s, dr, theta.apply(dr, r)), by_r)
             t = ext.tensors[(a, b)]
             assert_same_quotient(t, reference)
-            assert ext.category.action[(a, b)] == reference_descended(
+            assert ext.category.action[(a, b)].map == reference_descended(
                 ring_s.underlying, t, t, 0, lambda ds, s, dt, u: ring_s.mul(ds, s, dt, u))
             unit_x = {}
             for dx in cat.hom(a, b).degrees():
@@ -254,7 +252,7 @@ def test_extend_scalars_cat_matches_the_relation_and_action_loops(field):
                 unit_x[dx] = Mat.from_columns(field, t.complex.dim(dx), [c.column_values(0) for c in cols])
             assert ext.inclusion.hom_map(a, b) == ChainMap(cat.hom(a, b), t.complex, 0, unit_x)
         for a, b, c in itertools.product(cat.objects, repeat=3):
-            assert ext.category.comp[(a, b, c)] == reference_composition(ext, cat, a, b, c)
+            assert ext.category.comp[(a, b, c)].map == reference_composition(ext, cat, a, b, c)
 
 
 def reference_coend(t):
@@ -266,8 +264,8 @@ def reference_coend(t):
     killed = {}
     for a1, a2 in itertools.product(cat.objects, repeat=2):
         for (df, f), (dx, x) in itertools.product(cat.hom_basis(a2, a1), basis(t.at(a2, a1))):
-            fx = t.lact_apply(a2, a1, a1, df, f, dx, x)
-            xf = t.ract_apply(a2, a2, a1, dx, x, df, f)
+            fx = t.lact[(a2, a1, a1)].apply(df, f, dx, x)
+            xf = t.ract[(a2, a2, a1)].apply(dx, x, df, f)
             vec = inj[a1].component(df + dx) @ fx - inj[a2].component(df + dx) @ (-xf if odd(df * dx) else xf)
             killed.setdefault(df + dx, []).append(vec.column_values(0))
     killed = {d: Mat.from_columns(field, ambient.dim(d), cols).image_basis() for d, cols in killed.items()}

@@ -60,11 +60,11 @@ def brute_force_end_dims(t):
                         row = [field.zero()] * total
                         for i in range(t.at(a, a).dim(n)):
                             x = Mat.basis_column(field, t.at(a, a).dim(n), i)
-                            v = t.lact_apply(a, a2, a, df, f, n, x)
+                            v = t.lact[(a, a2, a)].apply(df, f, n, x)
                             row[offs[a] + i] = field.add(row[offs[a] + i], v.entries[r][0])
                         for i in range(t.at(a2, a2).dim(n)):
                             x = Mat.basis_column(field, t.at(a2, a2).dim(n), i)
-                            v = t.ract_apply(a2, a, a2, n, x, df, f)
+                            v = t.ract[(a2, a, a2)].apply(n, x, df, f)
                             c = v.entries[r][0]
                             if (df % 2) and (n % 2):
                                 pass
@@ -103,8 +103,8 @@ def brute_force_coend_dims(t):
                     dx = n - df
                     for i in range(src.dim(dx)):
                         x = Mat.basis_column(field, src.dim(dx), i)
-                        fx = t.lact_apply(a2, a1, a1, df, f, dx, x)
-                        xf = t.ract_apply(a2, a2, a1, dx, x, df, f)
+                        fx = t.lact[(a2, a1, a1)].apply(df, f, dx, x)
+                        xf = t.ract[(a2, a2, a1)].apply(dx, x, df, f)
                         col = [field.zero()] * total
                         for r, v in enumerate(fx.column_values(0)):
                             col[offs[a1] + r] = field.add(col[offs[a1] + r], v)
@@ -151,8 +151,8 @@ def test_end_coend_match_brute_force_on_random_bimodules():
                 for a in cat.objects:
                     for a2 in cat.objects:
                         for df, f in cat.hom_basis(a, a2):
-                            lhs = t.lact_apply(a, a2, a, df, f, n, parts[a])
-                            rhs = t.ract_apply(a2, a, a2, n, parts[a2], df, f)
+                            lhs = t.lact[(a, a2, a)].apply(df, f, n, parts[a])
+                            rhs = t.ract[(a2, a, a2)].apply(n, parts[a2], df, f)
                             if (df % 2) and (n % 2):
                                 rhs = -rhs
                             assert lhs == rhs

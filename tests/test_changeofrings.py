@@ -46,7 +46,7 @@ def test_restrict_scalars_of_s_module():
     assert k_mod.at(obj).cohomology().as_dict() == {0: 1}
     # eps acts by zero on k
     eps = Mat.basis_column(QQ, 1, 0)
-    acted = k_mod.apply_action(obj, obj, 0, Mat.basis_column(QQ, 1, 0), -1, eps)
+    acted = k_mod.act[(obj, obj)].apply(0, Mat.basis_column(QQ, 1, 0), -1, eps)
     assert acted.is_zero()
 
 
@@ -229,7 +229,7 @@ def coextension_instance():
     a_s = one_object_category(ring)       # A = one-object S-linear (here S = ring)
     b_r = one_object_category(DgRing.ground_field(QQ))
     comps = {("*", "*"): ring.underlying}
-    lact = {("*", "*", "*"): ring.mult}
+    lact = {("*", "*", "*"): ring.product.map}
     lay = TensorLayout([ring.underlying, b_r.hom("*", "*")])
 
     def entry(combo, idx):
@@ -266,8 +266,9 @@ def test_coextension_round_trip_sees_a_changed_right_action(monkeypatch):
 
     def doubled_right_action(*args, **kwargs):
         x = real(*args, **kwargs)
-        ract = {key: cm.scale(QQ.from_int(2)) for key, cm in x.ract.items()}
-        return Bimodule(x.acat, x.bcat, x.components, x.lact, ract, name=x.name, check=False)
+        lact = {key: mu.map for key, mu in x.lact.items()}
+        ract = {key: mu.map.scale(QQ.from_int(2)) for key, mu in x.ract.items()}
+        return Bimodule(x.acat, x.bcat, x.components, lact, ract, name=x.name, check=False)
 
     monkeypatch.setattr(changeofrings, "coextension_object", doubled_right_action)
     assert coextension_adjunction_check(a_s, b_r, g).round_trip_strict.status == FAILED
@@ -279,7 +280,7 @@ def test_coextension_tensor_and_cotensor():
     scat = one_object_category(ring)
     # F = G = the (S, b)-bimodule S with multiplication S-structure
     comps = {("*", "*"): ring.underlying}
-    lact = {("*", "*", "*"): ring.mult}
+    lact = {("*", "*", "*"): ring.product.map}
     lay = TensorLayout([ring.underlying, b_r.hom("*", "*")])
 
     def entry(combo, idx):
@@ -352,7 +353,7 @@ def test_heart_coextension_dual_numbers_degree0():
     scat = one_object_category(ring)
     # instance: S itself as an (S, b)-bimodule
     comps = {("*", "*"): ring.underlying}
-    lact = {("*", "*", "*"): ring.mult}
+    lact = {("*", "*", "*"): ring.product.map}
     lay = TensorLayout([ring.underlying, b_r.hom("*", "*")])
 
     def entry(combo, idx):

@@ -17,16 +17,15 @@ from dgkit.complexes import (
     ChainMap,
     Complex,
     Equation,
+    Pairing,
     TensorLayout,
     Term,
     cone,
     direct_sum,
-    element_action,
-    flat_pairing,
+    flat_map,
     hom_complex,
     koszul_swap,
     naturality_subcomplex,
-    pair_action,
     reorder_factors,
     shift_complex,
     swap_leading_factors,
@@ -312,12 +311,13 @@ def test_tensor_block_is_the_memoised_column_slice():
     a, _ = random_complex(rng, QQ, pieces=3)
     b, _ = random_complex(rng, QQ, pieces=3)
     lay = TensorLayout([a, b])
-    for pairing in (ChainMap.identity(lay.complex), random_chain_map(rng, lay.complex, lay.complex)):
+    for f in (ChainMap.identity(lay.complex), random_chain_map(rng, lay.complex, lay.complex)):
+        pairing = Pairing(lay, f, lay.complex, "f")
         for n in lay.dims():
             for combo, off, size in lay.blocks(n):
-                first = lay.block(pairing, combo)
-                assert first == pairing.component(n).take_columns(range(off, off + size))
-                assert lay.block(pairing, combo) is first
+                first = pairing.block(combo)
+                assert first == f.component(n).take_columns(range(off, off + size))
+                assert pairing.block(combo) is first
 
 
 def test_hom_cocycles_are_chain_maps_roundtrip():
@@ -401,7 +401,7 @@ def test_swap_involution_and_sign():
     a, _ = random_complex(rng, QQ, pieces=3)
     b, _ = random_complex(rng, QQ, pieces=3)
     lay = TensorLayout([a, b])
-    action = pair_action((lay, random_chain_map(rng, lay.complex, a)))
+    action = Pairing(lay, random_chain_map(rng, lay.complex, a), a, "action")
     once, twice = swapped(action), swapped(swapped(action))
     assert once.factors == (b, a) and twice.factors == (a, b)
     odd_blocks = 0
@@ -416,7 +416,7 @@ def test_swap_involution_and_sign():
     assert odd_blocks
 
 
-def test_element_action_extracts_columns():
+def test_pairing_at_extracts_columns():
     rng = random.Random(73)
     a, _ = random_complex(rng, QQ, pieces=2)
     b, _ = random_complex(rng, QQ, pieces=2)
@@ -426,7 +426,7 @@ def test_element_action_extracts_columns():
         v = random_cocycle(rng, a, deg)
         if v is None:
             continue
-        fam = element_action(f, lay, 0, deg, v)
+        fam = Pairing(lay, f, a, "f").at(0, deg, v)
         for bdeg in b.degrees():
             for bi in range(b.dim(bdeg)):
                 acc = Mat.zero(QQ, a.dim(deg + bdeg), 1)
@@ -640,14 +640,15 @@ def flat_offsets(cx: Complex):
 
 
 def flat_by_hand(lay: TensorLayout, pairing: ChainMap) -> Mat:
-    """The flat matrix of a pairing, entry by entry from its blocks."""
+    """The flat matrix of a map out of the tensor of ``lay``, entry by entry
+    from its blocks."""
     field, target = lay.field, pairing.target
     rows_at, cols_at = flat_offsets(target), [flat_offsets(c) for c in lay.factors]
     sizes = [c.total_dim() for c in lay.factors]
     grid = [[0] * prod(sizes) for _ in range(target.total_dim())]
     for n in lay.dims():
-        for combo, _, _ in lay.blocks(n):
-            blk = lay.block(pairing, combo)
+        for combo, off, size in lay.blocks(n):
+            blk = pairing.component(n).take_columns(range(off, off + size))
             for pos, idx in enumerate(itertools.product(*[range(c.dim(d)) for c, d in zip(lay.factors, combo)])):
                 col = 0
                 for size, at, d, i in zip(sizes, cols_at, combo, idx):
@@ -658,24 +659,26 @@ def flat_by_hand(lay: TensorLayout, pairing: ChainMap) -> Mat:
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
-def test_flat_pairing_agrees_with_the_blocks(rng, field):
-    # the first cases have an empty factor, then a zero target
+def test_flat_matrices_agree_with_the_blocks(rng, field):
+    # a chain map of any degree is flat on its source alone, a pairing of
+    # degree 0 on its two factors; the first cases have an empty factor,
+    # then a zero target
     for case in range(30):
-        count = rng.randint(1, 3)
+        count = rng.randint(1, 2)
         factors = [random_complex(rng, field, lo=-2, hi=1, pieces=0 if case == 0 and k == count - 1
                                   else rng.randint(0, 3))[0] for k in range(count)]
         target = random_complex(rng, field, lo=-3, hi=1, pieces=0 if case == 1 else rng.randint(0, 4))[0]
-        lay, degree = TensorLayout(factors), rng.randint(-1, 1)
+        lay, degree = TensorLayout(factors), rng.randint(-1, 1) if count == 1 else 0
 
         def block(combo):
             rows, size = target.dim(sum(combo) + degree), lay.block_offset(combo)[1]
             return Mat(field, rows, size, [[rng.randint(-3, 3) for _ in range(size)] for _ in range(rows)])
 
-        pairing = lay.map_from_blocks(target, degree, block, check=False)
-        flat = flat_pairing(lay, pairing)
+        f = lay.map_from_blocks(target, degree, block, check=False)
+        flat = flat_map(f) if count == 1 else Pairing(lay, f, target, "f").flat
         assert (flat.rows, flat.cols) == (target.total_dim(), prod(c.total_dim() for c in factors))
-        assert flat == flat_by_hand(lay, pairing)
-        assert flat_pairing(lay, pairing) is flat
+        assert flat == flat_by_hand(lay, f)
+        assert (flat_map(f) if count == 1 else Pairing(lay, f, target, "f").flat) is flat
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)

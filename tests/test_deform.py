@@ -262,7 +262,7 @@ def rebuild_as_r_category(ring, ext_ring):
     from dgkit.matrix import Mat
     field = ring.field
     cx = ext_ring.underlying
-    comp = {("*", "*", "*"): ext_ring.mult}
+    comp = {("*", "*", "*"): ext_ring.product.map}
     lay = TensorLayout([ring.underlying, cx])
 
     def entry(combo, idx):

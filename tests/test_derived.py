@@ -8,7 +8,7 @@ from dgkit.fields import GF, QQ
 from dgkit.dgring import DgRing, make_dual_numbers
 from dgkit.dgcat import one_object_category
 from dgkit.bimodules import Module, ModuleMap, module_hom_complex, shift_module
-from dgkit.complexes import ChainMap, lifted_map, pair_action, swapped
+from dgkit.complexes import ChainMap, lifted_map, swapped
 from dgkit.matrix import Mat, block_matrix, kron
 from dgkit.derived import (
     DegreeWindow,
@@ -161,7 +161,7 @@ def assert_module_and_comparison_checked(res):
     comparison respects the actions: the construction-time checks the
     resolution is built without, run on the returned objects."""
     P = res.module
-    Module(P.cat, P.components, P.act, check=True)
+    Module(P.cat, P.components, {key: mu.map for key, mu in P.act.items()}, check=True)
     ModuleMap(P, res.target, 0, res.comparison.components, check=True)
 
 
@@ -377,7 +377,7 @@ def evaluation_onto_generators(res, other, resolve):
     bal = balanced_tensor_ring(p, other) if resolve == "left" else balanced_tensor_ring(other, p)
     field, x, obj = p.field, p.cat.objects[0], other.cat.objects[0]
     ring, pz, nz = p.cat.hom(x, x), p.at(x), other.at(obj)
-    right = pair_action(other.act_pair(obj, obj))
+    right = other.act[(obj, obj)]
     left = swapped(right)
 
     def plain(flat):

@@ -9,10 +9,11 @@ import pytest
 
 from dgkit import complexes
 from dgkit.bimodules import Bimodule, Module, ModuleMap
-from dgkit.complexes import ChainMap, Complex, TensorLayout, associativity_defect, morphism_defect, unit_defect
+from dgkit.complexes import (ChainMap, Complex, Pairing, TensorLayout, associativity_defect, morphism_defect,
+                             unit_defect)
 from dgkit.dgcat import DgCategory, DgFunctor, one_object_category
 from dgkit.dgring import DgIdeal, DgRing, DgRingMorphism, make_dual_numbers
-from dgkit.errors import ShapeError, ValidationError
+from dgkit.errors import ValidationError
 from dgkit.fields import GF, QQ
 from dgkit.instances import (
     exterior_extension_ring,
@@ -175,7 +176,7 @@ def test_category_action_associativity_law():
     # 1 and e both act as the identity, so e.(e.f) = f but (e e).f = 0
     action = pairing(cx, cx, cx, lambda r, h: [int(k == h) for k in range(2)])
     with pytest.raises(ValidationError, match="base action not associative"):
-        one_object(cx, ring.mult, ring.unit, base=ring, action=action)
+        one_object(cx, ring.product.map, ring.unit, base=ring, action=action)
 
 
 def _triangular_over_dual_numbers(side: str):
@@ -233,7 +234,7 @@ def test_functor_identity_law():
 
 def test_functor_composition_law():
     ring = dual_numbers()
-    cat = one_object(ring.underlying, ring.mult, ring.unit)   # over the ground field
+    cat = one_object(ring.underlying, ring.product.map, ring.unit)   # over the ground field
     cx = ring.underlying
     with pytest.raises(ValidationError, match="composition not preserved"):
         DgFunctor(cat, cat, {"*": "*"}, {("*", "*"): linear(cx, cx, [[1, 0], [1, 0]])})
@@ -341,8 +342,9 @@ def test_bimodule_commuting_actions_law():
 # -- seeded mutation test against an elementwise reference ------------------------------
 
 
-def _pair(lay: TensorLayout, cm: ChainMap, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
-    """cm(x (x) y) for homogeneous x, y, summed over basis pairs."""
+def _pair(mu: Pairing, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
+    """mu(x (x) y) for homogeneous x, y, summed over basis pairs."""
+    lay, cm = mu.layout, mu.map
     field = cm.source.field
     comp = cm.component(dx + dy)
     out = Mat.zero(field, cm.target.dim(dx + dy + cm.degree), 1)
@@ -351,6 +353,11 @@ def _pair(lay: TensorLayout, cm: ChainMap, dx: int, x: Mat, dy: int, y: Mat) -> 
             if not field.is_zero(xv) and not field.is_zero(yv):
                 out = out + comp.col(lay.position((dx, dy), (i, j))).scale(field.mul(xv, yv))
     return out
+
+
+def _maps(pairings):
+    """The chain maps of a dict of pairings, as a constructor takes them."""
+    return {key: mu.map for key, mu in pairings.items()}
 
 
 def _basis(cx: Complex):
@@ -366,13 +373,13 @@ def reference_category_laws(cat: DgCategory) -> bool:
     base = cat.base
 
     def comp(a, b, c, dg, g, df, f):
-        return _pair(cat.comp_layouts[(a, b, c)], cat.comp[(a, b, c)], dg, g, df, f)
+        return _pair(cat.comp[(a, b, c)], dg, g, df, f)
 
     def act(a, b, dr, r, df, f):
-        return _pair(cat.action_layouts[(a, b)], cat.action[(a, b)], dr, r, df, f)
+        return _pair(cat.action[(a, b)], dr, r, df, f)
 
     def mul(dr, r, ds, s):
-        return _pair(base.square, base.mult, dr, r, ds, s)
+        return _pair(base.product, dr, r, ds, s)
 
     for a in objs:
         for b in objs:
@@ -420,11 +427,11 @@ def _perturbed(cm: ChainMap, rng: random.Random) -> ChainMap:
 
 def _mutants(cat: DgCategory, rng: random.Random, count: int):
     """Unchecked copies of cat with one entry of one comp or action block perturbed."""
-    nonempty = [(table, key) for table in ("comp", "action") for key, cm in getattr(cat, table).items()
-                if any(cm.target.dim(d) for d in cm.source.degrees())]
+    nonempty = [(table, key) for table in ("comp", "action") for key, mu in getattr(cat, table).items()
+                if any(mu.map.target.dim(d) for d in mu.map.source.degrees())]
     for _ in range(count):
         table, key = rng.choice(nonempty)
-        maps = {"comp": dict(cat.comp), "action": dict(cat.action)}
+        maps = {"comp": _maps(cat.comp), "action": _maps(cat.action)}
         maps[table][key] = _perturbed(maps[table][key], rng)
         yield DgCategory(cat.base, cat.objects, cat.homs, maps["comp"], cat.ids,
                          action=maps["action"], name=cat.name, check=False)
@@ -454,7 +461,7 @@ def test_category_check_agrees_with_elementwise_reference_under_mutation():
         for raw in _mutants(cat, rng, 5):
             expected = reference_category_laws(raw)
             try:
-                DgCategory(raw.base, raw.objects, raw.homs, raw.comp, raw.ids, action=raw.action)
+                DgCategory(raw.base, raw.objects, raw.homs, _maps(raw.comp), raw.ids, action=_maps(raw.action))
                 accepted = True
             except ValidationError:
                 accepted = False
@@ -474,7 +481,7 @@ def test_category_check_agrees_with_elementwise_reference_under_mutation():
 def reference_ring_laws(ring: DgRing) -> bool:
     """Unit, graded commutativity and associativity on basis elements."""
     def mul(dx, x, dy, y):
-        return _pair(ring.square, ring.mult, dx, x, dy, y)
+        return _pair(ring.product, dx, x, dy, y)
 
     basis = list(_basis(ring.underlying))
     for dx, x in basis:
@@ -496,13 +503,13 @@ def reference_bimodule_laws(t: Bimodule) -> bool:
     acat, bcat = t.acat, t.bcat
 
     def left(a1, a2, b, df, f, dx, x):
-        return _pair(t.lact_layouts[(a1, a2, b)], t.lact[(a1, a2, b)], df, f, dx, x)
+        return _pair(t.lact[(a1, a2, b)], df, f, dx, x)
 
     def right(a, b1, b2, dx, x, df, f):
-        return _pair(t.ract_layouts[(a, b1, b2)], t.ract[(a, b1, b2)], dx, x, df, f)
+        return _pair(t.ract[(a, b1, b2)], dx, x, df, f)
 
     def comp(cat, a, b, c, dg, g, df, f):
-        return _pair(cat.comp_layouts[(a, b, c)], cat.comp[(a, b, c)], dg, g, df, f)
+        return _pair(cat.comp[(a, b, c)], dg, g, df, f)
 
     for a, b in itertools.product(acat.objects, bcat.objects):
         for dx, x in _basis(t.at(a, b)):
@@ -551,22 +558,22 @@ def _accepts(build) -> bool:
 
 
 def _paired_perturbation(ring: DgRing, rng: random.Random) -> ChainMap:
-    """ring.mult with x y raised by c v and y x by +-c v, for basis elements
-    x, y, a basis element v of degree |x| + |y| and a nonzero c; the sign is
-    the Koszul sign (-1)^{|x||y|} or its opposite, at random, so graded
-    commutativity survives exactly in the first case."""
-    field, sq = ring.field, ring.square
+    """The ring's product with x y raised by c v and y x by +-c v, for basis
+    elements x, y, a basis element v of degree |x| + |y| and a nonzero c; the
+    sign is the Koszul sign (-1)^{|x||y|} or its opposite, at random, so
+    graded commutativity survives exactly in the first case."""
+    field, sq, mult = ring.field, ring.product.layout, ring.product.map
     basis = [(d, i) for d in ring.degrees() for i in range(ring.dim(d))]
     (dx, i), (dy, j) = rng.choice([(x, y) for x in basis for y in basis if ring.dim(x[0] + y[0])])
     n, c = dx + dy, field.parse(str(rng.randint(1, 3)))
     sign = (-1 if dx % 2 and dy % 2 else 1) * rng.choice((1, -1))
-    mat = ring.mult.component(n)
+    mat = mult.component(n)
     grid = [list(row) for row in mat.entries]
     k = rng.randrange(mat.rows)
     for pos, coeff in ((sq.position((dx, dy), (i, j)), c), (sq.position((dy, dx), (j, i)), field.mul(field.parse(str(sign)), c))):
         grid[k][pos] = field.add(grid[k][pos], coeff)
-    comps = {**ring.mult.components, n: Mat(field, mat.rows, mat.cols, grid)}
-    return ChainMap(ring.mult.source, ring.mult.target, 0, comps, check=False)
+    comps = {**mult.components, n: Mat(field, mat.rows, mat.cols, grid)}
+    return ChainMap(mult.source, mult.target, 0, comps, check=False)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
@@ -576,7 +583,7 @@ def test_ring_check_agrees_with_elementwise_reference_under_mutation(field):
     for ring in _odd_rings(field):
         assert reference_ring_laws(ring), ring.name
         for t in range(16):
-            mult = _perturbed(ring.mult, rng) if t % 2 else _paired_perturbation(ring, rng)
+            mult = _perturbed(ring.product.map, rng) if t % 2 else _paired_perturbation(ring, rng)
             raw = DgRing(ring.underlying, ring.unit, mult, name=ring.name, check=False)
             accepted = _accepts(lambda: DgRing(ring.underlying, ring.unit, mult, name=ring.name))
             assert accepted == reference_ring_laws(raw), ring.name
@@ -605,10 +612,8 @@ def _rescaled(t: Bimodule, rng: random.Random):
                                       for v, s in zip(col.column_values(0), scale[target].get(sum(combo), []))])
         return lay.map_from_entries(cm.target, 0, entry, check=False)
 
-    lact = {(a1, a2, b): carried(t.lact_layouts[(a1, a2, b)], cm, (a1, b), (a2, b), 1)
-            for (a1, a2, b), cm in t.lact.items()}
-    ract = {(a, b1, b2): carried(t.ract_layouts[(a, b1, b2)], cm, (a, b2), (a, b1), 0)
-            for (a, b1, b2), cm in t.ract.items()}
+    lact = {(a1, a2, b): carried(mu.layout, mu.map, (a1, b), (a2, b), 1) for (a1, a2, b), mu in t.lact.items()}
+    ract = {(a, b1, b2): carried(mu.layout, mu.map, (a, b2), (a, b1), 0) for (a, b1, b2), mu in t.ract.items()}
     return lact, ract
 
 
@@ -622,7 +627,7 @@ def test_bimodule_check_agrees_with_elementwise_reference_under_mutation(field):
         diag = Bimodule.diagonal(cat)
         assert reference_bimodule_laws(diag), cat.name
         for t in range(8):
-            lact, ract = _rescaled(diag, rng) if t % 4 else (dict(diag.lact), dict(diag.ract))
+            lact, ract = _rescaled(diag, rng) if t % 4 else (_maps(diag.lact), _maps(diag.ract))
             if t % 2 == 0:
                 if rng.random() < 0.5:
                     lact = _perturbed_table(lact, rng)
@@ -677,55 +682,92 @@ def test_category_defect_is_named_in_degree_order():
         one_object(cx, comp, unit_vector(2))
     cat = DgCategory(DgRing.ground_field(F), ["*"], {("*", "*"): cx}, {("*", "*", "*"): comp},
                      {"*": unit_vector(2)}, check=False)
-    pair = cat.comp_pair("*", "*", "*")
+    pair = cat.comp[("*", "*", "*")]
     assert associativity_defect(pair, pair, pair, pair) == ((0, -2, -2), (1, 0, 0))
 
 
-# -- laws on empty tensors ----------------------------------------------------------------
+# -- laws on empty tensors and stray structure maps ----------------------------------------
 #
 # A law on an empty tensor has no basis tensor to fail on, so it holds without
-# a product once its maps join up.  A map that does not join up, here a zero
-# map out of an empty tensor into a space it should not reach, goes on to the
-# products, which reject it.
+# a product once its maps join up.  A structure map that does not join up, a
+# zero map into k^3 say, whether out of an empty tensor or not, is named with
+# its structure and key when its pairing is built, before any law is checked.
 
 
-def _into_three(lay: TensorLayout) -> ChainMap:
-    return ChainMap.zero_map(lay.complex, space(3, "W"))
+def _into_three(mu: Pairing) -> ChainMap:
+    return ChainMap.zero_map(mu.layout.complex, space(3, "W"))
 
 
 def _category_with_a_stray_map(gap):
     # hom(A,A) (x) hom(B,A) -> hom(B,A), with hom(B,A) = 0, sent into k^3
-    comp = dict(gap.comp)
-    comp[("B", "A", "A")] = _into_three(gap.comp_layouts[("B", "A", "A")])
+    comp = _maps(gap.comp)
+    comp[("B", "A", "A")] = _into_three(gap.comp[("B", "A", "A")])
     return DgCategory(gap.base, gap.objects, gap.homs, comp, gap.ids, name="gap")
 
 
 def _module_with_a_stray_map(gap):
     # h_A(B) (x) hom(A,B) -> h_A(A), with h_A(B) = hom(B,A) = 0, sent into k^3
     h = Module.representable(gap, "A")
-    act = dict(h.act)
-    act[("A", "B")] = _into_three(h.act_layouts[("A", "B")])
-    return Module(gap, h.components, act)
+    act = _maps(h.act)
+    act[("A", "B")] = _into_three(h.act[("A", "B")])
+    return Module(gap, h.components, act, name="h")
 
 
 def _bimodule_with_a_stray_map(gap):
     # hom(B,A) (x) T(B,A) -> T(A,A) of the diagonal bimodule, sent into k^3
     diag = Bimodule.diagonal(gap)
-    lact = dict(diag.lact)
-    lact[("B", "A", "A")] = _into_three(diag.lact_layouts[("B", "A", "A")])
-    return Bimodule(gap, gap, diag.components, lact, diag.ract)
+    lact = _maps(diag.lact)
+    lact[("B", "A", "A")] = _into_three(diag.lact[("B", "A", "A")])
+    return Bimodule(gap, gap, diag.components, lact, _maps(diag.ract), name="T")
 
 
-@pytest.mark.parametrize("build", [_category_with_a_stray_map, _module_with_a_stray_map,
-                                   _bimodule_with_a_stray_map], ids=["category", "module", "bimodule"])
-def test_a_map_out_of_an_empty_tensor_must_join_up(build):
-    with pytest.raises(ShapeError):
+@pytest.mark.parametrize("build, named", [
+    (_category_with_a_stray_map, r"gap: composition \('B', 'A', 'A'\)"),
+    (_module_with_a_stray_map, r"h: action \('A', 'B'\)"),
+    (_bimodule_with_a_stray_map, r"T: left action \('B', 'A', 'A'\)")], ids=["category", "module", "bimodule"])
+def test_a_map_out_of_an_empty_tensor_must_join_up(build, named):
+    with pytest.raises(ValidationError, match=f"^{named} is not a degree-0 map"):
         build(weak_cokernel_gap_category(F))
+
+
+def _ring_with_a_stray_product():
+    # the product of k[e]/e^2 sent into k^3
+    ring = dual_numbers()
+    return DgRing(ring.underlying, ring.unit, _into_three(ring.product), name="R")
+
+
+def _category_with_a_stray_action():
+    # the base action on End(A) = k^2 given out of End(A) (x) End(A), not k (x) End(A)
+    gap = weak_cokernel_gap_category(F)
+    end_a = gap.hom("A", "A")
+    action = _maps(gap.action)
+    action[("A", "A")] = ChainMap.zero_map(TensorLayout([end_a, end_a]).complex, end_a)
+    return DgCategory(gap.base, gap.objects, gap.homs, _maps(gap.comp), gap.ids, action=action, name="gap")
+
+
+def _bimodule_with_a_stray_right_action():
+    # T(A,A) (x) hom(A,A) -> T(A,A) of the diagonal bimodule over k[e]/e^2, sent into k^3
+    cat = one_object_category(dual_numbers())
+    diag = Bimodule.diagonal(cat)
+    ract = _maps(diag.ract)
+    ract[("*", "*", "*")] = _into_three(diag.ract[("*", "*", "*")])
+    return Bimodule(cat, cat, diag.components, _maps(diag.lact), ract, name="T")
+
+
+@pytest.mark.parametrize("build, named", [
+    (_ring_with_a_stray_product, "R: product"),
+    (_category_with_a_stray_action, r"gap: base action \('A', 'A'\)"),
+    (_bimodule_with_a_stray_right_action, r"T: right action \('\*', '\*', '\*'\)")],
+    ids=["ring", "category-action", "bimodule-right"])
+def test_a_stray_structure_map_is_named_where_it_enters(build, named):
+    with pytest.raises(ValidationError, match=f"^{named} is not a degree-0 map"):
+        build()
 
 
 def test_laws_on_empty_tensors_are_decided_without_products(monkeypatch):
     gap = weak_cokernel_gap_category(F)
-    pair = gap.comp_pair
+    def pair(*key):
+        return gap.comp[key]
 
     def no_product(*args):
         raise AssertionError("a product on an empty tensor")
@@ -748,7 +790,7 @@ def test_an_identity_factor_given_as_none_is_the_identity_map():
             cat = random_nonpositive_category(rng, field, n_objects=2)
             h = Module.representable(cat, cat.objects[0])
             for x, y in itertools.product(cat.objects, repeat=2):
-                pair, eye_y, eye_f = h.act_pair(x, y), ChainMap.identity(h.at(y)), ChainMap.identity(cat.hom(x, y))
+                pair, eye_y, eye_f = h.act[(x, y)], ChainMap.identity(h.at(y)), ChainMap.identity(cat.hom(x, y))
                 outers = [ChainMap.identity(h.at(x))]
                 if any(h.at(x).dim(d) for d in h.at(x).degrees()):
                     outers.append(_perturbed(outers[0], rng))

@@ -126,6 +126,20 @@ def test_cli_field_override_runs():
     assert res.exit_code == 0
 
 
+def test_cli_field_override_builds_the_scenario_once_under_it(tmp_path):
+    # e^3 = 0 with |e| = -1 is consistent only in characteristic 2, so the
+    # document is valid under the override alone
+    doc = {"field": "Q", "rings": {"R": {"dual_numbers": {"n": 3, "eps_degree": -1}}},
+           "morphisms": {"theta": {"augmentation": "R"}},
+           "commands": [{"run": "factorize", "morphism": "theta"}]}
+    path = tmp_path / "e3_odd.json"
+    path.write_text(json.dumps(doc))
+    runner = CliRunner()
+    assert runner.invoke(main, ["factorize", "--scenario", str(path)]).exit_code == 2
+    res = runner.invoke(main, ["factorize", "--scenario", str(path), "--field", "Fp:2"])
+    assert res.exit_code == 0, res.output
+
+
 def test_cli_missing_command_in_scenario():
     runner = CliRunner()
     res = runner.invoke(main, ["deform", "--scenario", bundled("cohomology_basic.json")])
