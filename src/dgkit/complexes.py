@@ -28,7 +28,7 @@ from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTup
 
 from .errors import DegreeCapError, ScenarioError, ShapeError, ValidationError
 from .fields import Field, same_field
-from .matrix import Mat, block_matrix, concat_columns, extend_columns_to_basis, kron, kron_product, left_inverse
+from .matrix import Mat, block_matrix, concat_columns, extend_columns_to_basis, invert, kron, kron_product, left_inverse
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -518,19 +518,12 @@ def quotient_complex(cx: Complex, killed: Dict[int, Mat], name: str = "quot"):
         b = killed.get(deg, Mat.zero(field, cx.dim(deg), 0))
         if b.rows != cx.dim(deg):
             raise ShapeError(f"{name}: killed columns wrong ambient dimension at degree {deg}")
-        comp_idx = extend_columns_to_basis(b.image_basis())
-        q = len(comp_idx)
-        if q:
-            dims[deg] = q
         bb = b.image_basis()
-        section = Mat.from_columns(field, cx.dim(deg),
-                                   [Mat.basis_column(field, cx.dim(deg), i).column_values(0) for i in comp_idx])
-        change = bb.hstack(section)
-        from .matrix import invert
-        inv = invert(change)
-        proj = inv.take_rows(list(range(bb.cols, bb.cols + q)))
-        proj_mats[deg] = proj
-        sect_mats[deg] = section
+        comp_idx = extend_columns_to_basis(bb)
+        if comp_idx:
+            dims[deg] = len(comp_idx)
+        sect_mats[deg] = Mat.identity(field, b.rows).take_columns(comp_idx)
+        proj_mats[deg] = invert(bb.hstack(sect_mats[deg])).take_rows(range(bb.cols, b.rows))
     diffs = {}
     for deg in sorted(dims):
         if dims.get(deg + 1, 0) == 0:
@@ -803,17 +796,17 @@ class TensorLayout:
 
     def _components(self, rows_of, block_fn) -> Dict[int, Mat]:
         """Per degree n with ``rows_of(n)`` rows, the blocks ``block_fn(combo)``
-        side by side (a zero block for None)."""
+        side by side (a zero block for None); a degree whose blocks are all
+        None is left out, which ``Complex`` and ``ChainMap`` read as zero."""
         comps = {}
         for n in sorted(self.shape.blocks):
             rows = rows_of(n)
             if rows == 0:
                 continue
-            parts = []
-            for combo, _, size in self.shape.blocks[n]:
-                mat = block_fn(combo)
-                parts.append(Mat.zero(self.field, rows, size) if mat is None else mat)
-            comps[n] = concat_columns(self.field, rows, parts)
+            blocks = [(block_fn(combo), size) for combo, _, size in self.shape.blocks[n]]
+            if any(mat is not None for mat, _ in blocks):
+                comps[n] = concat_columns(self.field, rows, [Mat.zero(self.field, rows, size) if mat is None
+                                                             else mat for mat, size in blocks])
         return comps
 
     @property

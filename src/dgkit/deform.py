@@ -195,7 +195,7 @@ def levelwise_free_generators(cat: DgCategory):
     ring = cat.base
     field = cat.field
     # the nonunit basis directions: in degree 0, those completing the unit line to a basis
-    keep = [c - 1 for c in ring.unit.hstack(Mat.identity(field, ring.dim(0))).pivot_columns() if c >= 1]
+    keep = extend_columns_to_basis(ring.unit)
     nonunit = [(dr, i) for dr, i in ring.basis() if dr != 0 or i in keep]
     out = {}
     for a in cat.objects:
@@ -209,18 +209,13 @@ def levelwise_free_generators(cat: DgCategory):
             for dr, i in nonunit:
                 fam = cat.action[(a, b)].at(0, dr, ring.basis_vector(dr, i))
                 for dx, mat in fam.items():
-                    for j in range(mat.cols):
-                        col = mat.col(j)
-                        if not col.is_zero():
-                            images.setdefault(dx + dr, []).append(col.column_values(0))
+                    images.setdefault(dx + dr, []).extend(col for col in zip(*mat.entries) if any(col))
             gens = {}
             for deg in v.degrees():
                 span = Mat.from_columns(field, v.dim(deg), images.get(deg, []))
                 comp = extend_columns_to_basis(span.image_basis())
                 if comp:
-                    gens[deg] = Mat.from_columns(
-                        field, v.dim(deg),
-                        [Mat.basis_column(field, v.dim(deg), c).column_values(0) for c in comp])
+                    gens[deg] = Mat.identity(field, v.dim(deg)).take_columns(comp)
             # compare graded dimensions of R (x) gens with hom
             dims = {}
             for gdeg, g in gens.items():

@@ -339,24 +339,23 @@ def ideal_power(ideal: DgIdeal, k: int) -> DgIdeal:
     if k == 1:
         return ideal
     amb = ideal.ambient
-    field = amb.field
     prev = ideal_power(ideal, k - 1)
+    # The nonzero products x_i y_j of the bases of I^(k-1) and I, one degree
+    # pair at a time, in the order of a loop over (dx, i, dy, j): a degree's
+    # columns run by dx, i, j, which fixes the ones image_basis keeps, and the
+    # degrees come in the order of their first product.
     spans: Dict[int, List] = {}
+    first = {}
     for dx in prev.sub.degrees():
-        for i in range(prev.dim(dx)):
-            x = prev.column_span(dx).col(i)
-            for dy in ideal.sub.degrees():
-                for j in range(ideal.dim(dy)):
-                    y = ideal.column_span(dy).col(j)
-                    prod = amb.mul(dx, x, dy, y)
-                    if not prod.is_zero():
-                        spans.setdefault(dx + dy, []).append(prod.column_values(0))
-    cols = {}
-    for deg, vecs in spans.items():
-        m = Mat.from_columns(field, amb.dim(deg), vecs)
-        basis = m.image_basis()
-        if basis.cols:
-            cols[deg] = basis
+        for dy in ideal.sub.degrees():
+            prods = kron_product(amb.product.block((dx, dy)), prev.column_span(dx), ideal.column_span(dy))
+            nonzero = [(c, col) for c, col in enumerate(zip(*prods.entries)) if any(col)]
+            if nonzero:
+                spans.setdefault(dx + dy, []).extend(col for _, col in nonzero)
+                # dx ascends, so a degree's first pair holds its first product
+                first.setdefault(dx + dy, (dx, *divmod(nonzero[0][0], ideal.dim(dy)), dy))
+    cols = {deg: Mat.from_columns(amb.field, amb.dim(deg), spans[deg]).image_basis()
+            for deg in sorted(spans, key=first.get)}
     if not cols:
         return DgIdeal.zero(amb)
     sub, incl = subcomplex(amb.underlying, cols, name=f"{ideal.name}^{k}")

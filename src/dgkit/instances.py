@@ -22,7 +22,7 @@ from .complexes import (
     through,
 )
 from .fields import Field
-from .matrix import Mat, invert, kron
+from .matrix import Mat, extend_columns_to_basis, invert, kron
 
 
 def random_scalar(rng: random.Random, field: Field, span: int = 4):
@@ -259,13 +259,9 @@ def random_nonpositive_category(rng: random.Random, field: Field,
 
 def unit_functional(cat, a) -> Mat:
     """Row vector on End(a)^0 sending the identity to 1 and a complement to 0."""
-    from .matrix import invert, extend_columns_to_basis
-    field = cat.field
     iota = cat.id_vector(a)
-    comp_idx = extend_columns_to_basis(iota)
-    change = iota.hstack(Mat.from_columns(
-        field, iota.rows, [Mat.basis_column(field, iota.rows, i).column_values(0) for i in comp_idx]))
-    return invert(change).take_rows([0])
+    section = Mat.identity(cat.field, iota.rows).take_columns(extend_columns_to_basis(iota))
+    return invert(iota.hstack(section)).take_rows([0])
 
 
 def trivial_action_module(rng: random.Random, cat, lo: int = -3, pieces: int = 3,

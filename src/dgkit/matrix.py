@@ -11,16 +11,29 @@ elimination, Kronecker products, zero and equality tests) runs on the native
 ``+ - *`` operators and truthiness, with one ``% p`` per computed entry over
 F_p and no ``Field`` call per entry.  Results the kernel has already shaped
 and reduced are wrapped by the unchecked internal constructor ``Mat._wrap``.
+
+``Mat.rref`` eliminates each distinct matrix once: a module memo keyed by
+(field, column count, entries) keeps up to ``RREF_MEMO_BOUND`` (4,096)
+results, the oldest evicted first, and an equal matrix gets the same (R, T,
+pivots), immutable matrices both share.  Equal integer entries over Q and
+F_p have distinct keys; over Q an ``int`` and the equal ``Fraction`` hash
+alike and share one value-equal result.  No verdict is memoised: each check
+that reads an elimination still runs its own comparison.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
 from .fields import Field, same_field
+
+
+RREF_MEMO_BOUND = 4096
+_rref_memo: OrderedDict = OrderedDict()
 
 
 def _canonical(p: int, rows) -> tuple:
@@ -191,7 +204,12 @@ class Mat:
         The pivot of a column is its first nonzero entry at or below the
         current row; over Q, the first of least size (numerator plus
         denominator bit length), which keeps rational coefficients small.
+        A matrix equal to one already eliminated gets that result.
         """
+        if self._rref is not None:
+            return self._rref
+        key = (self.field, self.cols, self.entries)
+        self._rref = _rref_memo.get(key)
         if self._rref is not None:
             return self._rref
         fld = self.field
@@ -251,7 +269,9 @@ class Mat:
             r += 1
         result = (Mat._wrap(fld, m, self.cols, tuple(map(tuple, R))),
                   Mat._wrap(fld, m, m, tuple(map(tuple, T))), tuple(pivots))
-        self._rref = result
+        if len(_rref_memo) >= RREF_MEMO_BOUND:
+            _rref_memo.popitem(last=False)
+        _rref_memo[key] = self._rref = result
         return result
 
     def rank(self) -> int:
@@ -301,11 +321,9 @@ class Mat:
 
 
 def extend_columns_to_basis(m: Mat) -> tuple:
-    """Indices of standard basis vectors completing col(m) to the full space.
-
-    Returns (complement_indices,) such that [m | e_idx...] is invertible on
-    the column space dimension.
-    """
+    """Indices of standard basis vectors completing col(m) to the full space,
+    as a tuple: [m | e_i for i in them] is invertible when the columns of m
+    are independent."""
     fld = m.field
     aug = m.hstack(Mat.identity(fld, m.rows))
     pivots = aug.pivot_columns()

@@ -22,6 +22,7 @@ from .bimodules import (
     dual_of,
     end_of,
     find_quasi_representative,
+    shift_module,
     tensor_bimodule,
 )
 from .changeofrings import (
@@ -64,9 +65,11 @@ from .errors import ValidationError
 from .fields import QQ, Field
 from .instances import (
     acyclic_trivial_bimodule,
+    balanced_cross_bimodule,
     exterior_one_object_category,
     cross_representable_bimodule,
     free_arrow_category,
+    random_complex,
     random_h0_surjective_map,
     random_module,
     random_ring_module,
@@ -74,7 +77,7 @@ from .instances import (
     small_random_category,
     weak_cokernel_gap_category,
 )
-from .matrix import Mat, block_matrix
+from .matrix import Mat, block_matrix, invert
 from .verdict import FAILED, passes, render
 
 SEED = 20260809
@@ -352,7 +355,6 @@ def _is_one_sided(prod, a, b, o1, o2, df, f, _tag) -> bool:
 def _end_hom_compatibility(rng) -> bool:
     cat = small_random_category(rng, QQ, 2, max_total_hom=8)
     t = Bimodule.diagonal(cat)
-    from .instances import random_complex
     v, _ = random_complex(rng, QQ, lo=-2, hi=0, pieces=2)
     res = end_of(t)
     lhs = hom_complex(v, res.complex).complex
@@ -404,7 +406,6 @@ def check_co_yoneda(count: int = 20) -> CheckResult:
 
 def check_truncation_suite(count: int = 50) -> CheckResult:
     rng = random.Random(SEED + 3)
-    from .instances import random_complex
     failures = []
     for trial in range(count):
         cx, _ = random_complex(rng, QQ, pieces=rng.randint(2, 6))
@@ -464,7 +465,6 @@ def check_tstructure_axioms(count: int = 20) -> CheckResult:
         if not rep.triangle_is_distinguished:
             failures.append((trial, "triangle"))
         # aisle shift-closure: H-support of tau_le stays <= 0 after [1]
-        from .bimodules import shift_module
         shifted = shift_module(rep.tau_le, 1)
         for a in cat.objects:
             if any(d > -1 for d in shifted.at(a).cohomology().support()):
@@ -598,7 +598,6 @@ def _h0_tensor_comparison(v: Module, u: Module, ring: DgRing) -> bool:
         return False
     # explicit map: lift [v] through the resolution, tensor with the rep of [u]
     comp_h0 = res.comparison.at(obj).cohomology_map(0)
-    from .matrix import invert
     if comp_h0.rows != comp_h0.cols or comp_h0.rank() != comp_h0.rows:
         return False
     inv = invert(comp_h0)
@@ -687,7 +686,6 @@ def check_changeofrings(count: int = 20) -> CheckResult:
     coext_failures = []
     tensor_failures = []
     ring, aug = make_dual_numbers(2, -1, QQ)
-    from .instances import balanced_cross_bimodule
     # the trials draw from two categories and one morphism: each built once
     cats = [one_object_category(ring), free_arrow_category(ring)]
     exts = [extend_scalars_cat(a_cat, aug) for a_cat in cats]

@@ -696,3 +696,44 @@ def test_koszul_swap_matches_elementwise_signed_swap(rng, field):
             for r in range(2):
                 grid[r][(i * q + j) * rest + k] = sign * m.entries[r][(j * p + i) * rest + k]
         assert koszul_swap(m, a, b) == Mat(field, 2, m.cols, grid)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_a_tensor_of_factors_without_differentials_joins_no_blocks(field, monkeypatch):
+    factors = [Complex(field, {-1: 2, 0: 1}, {}), Complex(field, {0: 3, 1: 1}, {}), Complex.concentrated(field, 0, 2)]
+    lay = TensorLayout(factors)
+
+    def fail(*args):
+        raise AssertionError("joined blocks of a degree with no differential")
+
+    monkeypatch.setattr(complexes, "concat_columns", fail)
+    assert lay.complex.d == {}
+    assert lay.complex.spaces.dims == lay.dims()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_map_from_blocks_with_an_all_none_degree_matches_the_entry_loop(rng, field):
+    for _ in range(20):
+        factors = [random_complex(rng, field, lo=-2, hi=1, pieces=rng.randint(1, 3))[0] for _ in range(2)]
+        target = random_complex(rng, field, lo=-3, hi=2, pieces=rng.randint(1, 4))[0]
+        lay, degree = TensorLayout(factors), rng.randint(-1, 1)
+        skipped = rng.choice(sorted(lay.dims()))
+        blocks = {}
+        for n in lay.dims():
+            for combo, _, size in lay.blocks(n):
+                rows = target.dim(n + degree)
+                blocks[combo] = None if n == skipped or rng.random() < 0.3 else \
+                    Mat(field, rows, size, [[rng.randint(-3, 3) for _ in range(size)] for _ in range(rows)])
+
+        def entry(combo, idx):
+            mat = blocks[combo]
+            if mat is None:
+                return None
+            pos = 0
+            for c, d, i in zip(factors, combo, idx):
+                pos = pos * c.dim(d) + i
+            return mat.col(pos)
+
+        by_blocks = lay.map_from_blocks(target, degree, blocks.get, check=False)
+        assert skipped not in by_blocks.components
+        assert by_blocks.components == lay.map_from_entries(target, degree, entry, check=False).components

@@ -1,5 +1,8 @@
 """Dg-rings: dual numbers family, ideals, powers, quotients, setup checker."""
 
+import itertools
+import random
+
 import pytest
 
 from dgkit.errors import ValidationError
@@ -13,7 +16,7 @@ from dgkit.dgring import (
     make_dual_numbers,
     quotient,
 )
-from dgkit.complexes import ChainMap
+from dgkit.complexes import ChainMap, subcomplex
 from dgkit.matrix import Mat
 from dgkit.verdict import CERTIFIED, FAILED, passes
 
@@ -56,6 +59,55 @@ def test_ideal_power_of_dual_numbers():
     assert sq.sub.cohomology().as_dict() == {-4: 1}
     cb = ideal_power(ideal, 3)
     assert cb.is_zero()
+
+
+def ideal_power_by_pairs(ideal, k):
+    """I^k from one product of basis elements at a time, in (dx, i, dy, j) order."""
+    if k == 1:
+        return ideal
+    amb, prev = ideal.ambient, ideal_power_by_pairs(ideal, k - 1)
+    spans = {}
+    for dx in prev.sub.degrees():
+        for i in range(prev.dim(dx)):
+            x = prev.column_span(dx).col(i)
+            for dy in ideal.sub.degrees():
+                for j in range(ideal.dim(dy)):
+                    prod = amb.mul(dx, x, dy, ideal.column_span(dy).col(j))
+                    if not prod.is_zero():
+                        spans.setdefault(dx + dy, []).append(prod.column_values(0))
+    if not spans:
+        return DgIdeal.zero(amb)
+    cols = {deg: Mat.from_columns(amb.field, amb.dim(deg), vecs).image_basis() for deg, vecs in spans.items()}
+    return DgIdeal(amb, subcomplex(amb.underlying, cols)[1])
+
+
+def rebased(ideal, rng):
+    """The same ideal on a random basis of each degree."""
+    field = ideal.ambient.field
+    cols = {}
+    for deg in ideal.sub.degrees():
+        n = ideal.dim(deg)
+        while True:
+            change = Mat(field, n, n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if change.rank() == n:
+                break
+        cols[deg] = ideal.column_span(deg) @ change
+    return DgIdeal(ideal.ambient, subcomplex(ideal.ambient.underlying, cols)[1])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=str)
+def test_ideal_power_matches_the_pair_loop(field):
+    rng = random.Random(7)
+    for n, eps in itertools.product(range(2, 6), (0, -1, -2)):
+        try:
+            ring, aug = make_dual_numbers(n, eps, field)
+        except ValidationError:
+            continue
+        for ideal in (aug.kernel_ideal(), rebased(aug.kernel_ideal(), rng)):
+            for k in range(2, n + 1):
+                got, want = ideal_power(ideal, k), ideal_power_by_pairs(ideal, k)
+                assert list(got.inclusion.components.items()) == list(want.inclusion.components.items())
+                assert got.sub.spaces.dims == want.sub.spaces.dims
 
 
 def test_dual_numbers_n2_square_zero():
@@ -138,3 +190,18 @@ def test_ring_rejects_a_product_into_a_degree_with_no_basis():
 
     with pytest.raises(ValidationError, match=r"product e\*e has wrong degree"):
         DgRing.from_table(QQ, [0, -1], ["1", "e"], 0, mult)
+
+
+def test_ideal_power_lists_degrees_in_the_order_of_their_first_product():
+    # basis 1, a | c, c1, c2, u | w in degrees 0 | -1 | -2, with ac = ca = u,
+    # c1 c2 = -c2 c1 = w and every other product of two non-units zero: in
+    # the pair loop over I = (a, c, c1, c2, u, w), ca lands in degree -1
+    # before c1 c2 in degree -2
+    table = {(1, 2): {5: 1}, (2, 1): {5: 1}, (3, 4): {6: 1}, (4, 3): {6: -1}}
+    ring = DgRing.from_table(QQ, [0, 0, -1, -1, -1, -1, -2], ["1", "a", "c", "c1", "c2", "u", "w"], 0,
+                             lambda i, j: {j: 1} if i == 0 else {i: 1} if j == 0 else table.get((i, j), {}))
+    ideal = DgIdeal(ring, subcomplex(ring.underlying, {0: Mat.identity(QQ, 2).take_columns([1]),
+                                                       -1: Mat.identity(QQ, 4), -2: Mat.identity(QQ, 1)})[1])
+    got, want = ideal_power(ideal, 2), ideal_power_by_pairs(ideal, 2)
+    assert list(got.inclusion.components) == [-1, -2]
+    assert list(got.inclusion.components.items()) == list(want.inclusion.components.items())

@@ -6,6 +6,8 @@ import importlib
 from pathlib import Path
 
 import dgkit
+from dgkit import matrix
+from dgkit.fields import QQ
 
 PACKAGE = Path(dgkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -132,6 +134,21 @@ def test_unbounded_caches_are_found():
 def test_package_caches_are_bounded():
     found = {path.name: unbounded_caches(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_rref_memo_has_a_literal_bound_and_keeps_to_it():
+    bounds = [node.value for node in ast.parse((PACKAGE / "matrix.py").read_text()).body
+              if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["RREF_MEMO_BOUND"]]
+    assert len(bounds) == 1 and isinstance(bounds[0], ast.Constant) and type(bounds[0].value) is int
+    # bound + 1 matrices no other test eliminates: the first is evicted
+    def entries(n):
+        return ((n, 7919, -104729),)
+
+    for n in range(-1, matrix.RREF_MEMO_BOUND):
+        matrix.Mat(QQ, 1, 3, entries(n)).rref()
+    assert len(matrix._rref_memo) <= matrix.RREF_MEMO_BOUND
+    assert (QQ, 3, entries(-1)) not in matrix._rref_memo
+    assert (QQ, 3, entries(matrix.RREF_MEMO_BOUND - 1)) in matrix._rref_memo
 
 
 # Definitions that neither the package nor the benchmark references by name

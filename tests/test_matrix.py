@@ -385,3 +385,45 @@ def test_int_and_equal_fraction_are_interchangeable(value, fraction):
     assert not a.is_zero() and not b.is_zero()
     assert Mat(QQ, 1, 1, [[value]]).is_zero() == Mat(QQ, 1, 1, [[fraction]]).is_zero() == (value == 0)
     assert repr(a) == repr(b)
+
+
+# -- the elimination memo: one elimination per distinct matrix --------------------
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_a_memo_hit_returns_what_a_fresh_elimination_returns(rng, field):
+    for _ in range(40):
+        a = rand_mat(rng, field, rng.randint(1, 8), rng.randint(1, 10), span=50)
+        b = Mat(field, a.rows, a.cols, a.entries)
+        assert b is not a and b._rref is None
+        assert b.rref() is a.rref()
+        for m in (a, b):
+            R, T, pivots = m.rref()
+            assert T @ m == R
+            assert (R, T, pivots) == reference_rref(m)
+
+
+def test_equal_integer_entries_over_q_and_f_p_are_eliminated_apart():
+    # det = -5: invertible over Q, rank 1 over F_5
+    for first, second in ((QQ, GF(5)), (GF(5), QQ)):
+        grid = [[1, 2], [3, 1]] if first is QQ else [[2, 1], [1, 3]]
+        ms = [Mat(first, 2, 2, grid), Mat(second, 2, 2, grid)]
+        results = [m.rref() for m in ms]
+        assert results[0] is not results[1]
+        assert [m.rank() for m in ms] == ([2, 1] if first is QQ else [1, 2])
+        for m, result in zip(ms, results):
+            assert result == reference_rref(m)
+
+
+def test_an_int_matrix_and_its_fraction_twin_share_a_value_equal_elimination(rng):
+    for k in range(30):
+        grid = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(5)] for _ in range(4)]
+        ints, fracs = Mat(QQ, 4, 5, grid), Mat(QQ, 4, 5, [[Fraction(v) for v in row] for row in grid])
+        for m in (ints, fracs) if k % 2 else (fracs, ints):
+            m.rref()
+        for a, b in zip(ints.rref(), fracs.rref()):
+            assert a == b
+            if isinstance(a, Mat):
+                assert [QQ.render(x) for row in a.entries for x in row] == \
+                    [QQ.render(x) for row in b.entries for x in row]
+        for m in (ints, fracs):
+            assert m.rref() == reference_rref(m)
