@@ -407,6 +407,20 @@ def coend_of(t: Bimodule) -> CoendResult:
 # -- composition of bimodules -----------------------------------------------------
 
 
+def bimodule_on(acat: DgCategory, bcat: DgCategory, parts: Dict, left, right, name: str,
+                check: bool = True) -> "Bimodule":
+    """The bimodule on the complexes of ``parts``, keyed (A, B): tensors or
+    retracts.  ``left(a1, a2, b)`` and ``right(a, b1, b2)`` give
+    the plain blocks of the two actions, one per piece, each lifted through
+    the parts as sum_i out_i o act_i o kron(in_i) (see ``lifted_map``); the
+    bimodule counterpart of ``module_on``."""
+    lact = {(a1, a2, b): lifted_map([acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)], left(a1, a2, b))
+            for a1, a2, b in itertools.product(acat.objects, acat.objects, bcat.objects)}
+    ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat.hom(b1, b2)], parts[(a, b1)], right(a, b1, b2))
+            for a, b1, b2 in itertools.product(acat.objects, bcat.objects, bcat.objects)}
+    return Bimodule(acat, bcat, {key: p.complex for key, p in parts.items()}, lact, ract, name=name, check=check)
+
+
 def tensor_bimodule(acat: DgCategory, bcat: DgCategory, parts: Dict, left, left_slot: int,
                     right, right_slot: int, name: str = "T", check: bool = True) -> "Bimodule":
     """The bimodule whose component at (A, B) is the binary tensor
@@ -415,14 +429,10 @@ def tensor_bimodule(acat: DgCategory, bcat: DgCategory, parts: Dict, left, left_
     ``right_slot`` through the right action ``right(b1, b2)``, each descended
     through the sections of a balanced part (see ``factor_action``)."""
     plain = {key: p.layout if isinstance(p, BalancedTensor) else p for key, p in parts.items()}
-    lact = {(a1, a2, b): lifted_map([acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
-                                    [factor_action(left(a1, a2), left_slot, plain[(a2, b)])])
-            for a1, a2, b in itertools.product(acat.objects, acat.objects, bcat.objects)}
-    ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat.hom(b1, b2)], parts[(a, b1)],
-                                    [factor_action(right(b1, b2), right_slot, plain[(a, b1)], left=False)])
-            for a, b1, b2 in itertools.product(acat.objects, bcat.objects, bcat.objects)}
-    comps = {key: p.complex for key, p in parts.items()}
-    return Bimodule(acat, bcat, comps, lact, ract, name=name, check=check)
+    return bimodule_on(acat, bcat, parts,
+                       lambda a1, a2, b: [factor_action(left(a1, a2), left_slot, plain[(a2, b)])],
+                       lambda a, b1, b2: [factor_action(right(b1, b2), right_slot, plain[(a, b1)], left=False)],
+                       name=name, check=check)
 
 
 def _integrand_over_middle(f: "Bimodule", g: "Bimodule", a, c) -> Bimodule:
@@ -452,14 +462,12 @@ def compose_bimodules(f: "Bimodule", g: "Bimodule", check: bool = True) -> "Bimo
     lays = {(a, b, c): TensorLayout([f.at(a, b), g.at(b, c)])
             for a in acat.objects for b in bcat.objects for c in ccat.objects}
     parts = {(a, c): res.through({b: lays[(a, b, c)] for b in bcat.objects}) for (a, c), res in coends.items()}
-    lact = {(a1, a2, c): lifted_map([acat.hom(a1, a2), parts[(a1, c)]], parts[(a2, c)], [
-        factor_action(f.lact[(a1, a2, b)], 0, lays[(a2, b, c)]) for b in bcat.objects])
-        for a1, a2, c in itertools.product(acat.objects, acat.objects, ccat.objects)}
-    ract = {(a, c1, c2): lifted_map([parts[(a, c2)], ccat.hom(c1, c2)], parts[(a, c1)], [
-        factor_action(g.ract[(b, c1, c2)], 1, lays[(a, b, c1)], left=False) for b in bcat.objects])
-        for a, c1, c2 in itertools.product(acat.objects, ccat.objects, ccat.objects)}
-    comps = {key: p.complex for key, p in parts.items()}
-    return Bimodule(acat, ccat, comps, lact, ract, name=f"({g.name}o{f.name})", check=check)
+    return bimodule_on(acat, ccat, parts,
+                       lambda a1, a2, c: [factor_action(f.lact[(a1, a2, b)], 0, lays[(a2, b, c)])
+                                          for b in bcat.objects],
+                       lambda a, c1, c2: [factor_action(g.ract[(b, c1, c2)], 1, lays[(a, b, c1)], left=False)
+                                          for b in bcat.objects],
+                       name=f"({g.name}o{f.name})", check=check)
 
 
 # -- duality ---------------------------------------------------------------------
@@ -508,14 +516,8 @@ def dual_of(f: "Bimodule") -> "Bimodule":
                                lambda x, db, j: f.bcat.comp[(x, b2, b1)].block((db, j)))
         return swapped(Action((f.bcat.hom(b2, b1), mhcs[(a, b2)].ambient), by_b)).block
 
-    lact = {(a1, a2, b): lifted_map([acat_op.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
-                                    [precomposed(a1, a2, b)])
-            for a1, a2, b in itertools.product(f.acat.objects, f.acat.objects, f.bcat.objects)}
-    ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat_op.hom(b1, b2)], parts[(a, b1)],
-                                    [postcomposed(a, b1, b2)])
-            for a, b1, b2 in itertools.product(f.acat.objects, f.bcat.objects, f.bcat.objects)}
-    comps = {key: p.complex for key, p in parts.items()}
-    return Bimodule(acat_op, bcat_op, comps, lact, ract, name=f"dual({f.name})")
+    return bimodule_on(acat_op, bcat_op, parts, lambda a1, a2, b: [precomposed(a1, a2, b)],
+                       lambda a, b1, b2: [postcomposed(a, b1, b2)], name=f"dual({f.name})")
 
 
 # -- quasi-representability --------------------------------------------------------
@@ -645,12 +647,6 @@ def direct_sum_bimodules(summands: Sequence["Bimodule"]) -> "Bimodule":
     acat, bcat = first.acat, first.bcat
     parts = {(a, b): twisted_sum([(s.at(a, b), 0) for s in summands])
              for a in acat.objects for b in bcat.objects}
-    lact = {(a1, a2, b): lifted_map([acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
-                                    [s.lact[(a1, a2, b)].block for s in summands])
-            for a1, a2, b in itertools.product(acat.objects, acat.objects, bcat.objects)}
-    ract = {(a, b1, b2): lifted_map([parts[(a, b2)], bcat.hom(b1, b2)], parts[(a, b1)],
-                                    [s.ract[(a, b1, b2)].block for s in summands])
-            for a, b1, b2 in itertools.product(acat.objects, bcat.objects, bcat.objects)}
-    comps = {key: p.complex for key, p in parts.items()}
-    return Bimodule(acat, bcat, comps, lact, ract,
-                    name="(+)".join(s.name for s in summands), check=False)
+    return bimodule_on(acat, bcat, parts, lambda a1, a2, b: [s.lact[(a1, a2, b)].block for s in summands],
+                       lambda a, b1, b2: [s.ract[(a, b1, b2)].block for s in summands],
+                       name="(+)".join(s.name for s in summands), check=False)

@@ -18,6 +18,7 @@ from .bimodules import (
     BimoduleHomComplex,
     Module,
     bimodule_hom_complex,
+    bimodule_on,
     find_quasi_representative,
     module_hom_complex,
     restrict_bimodule,
@@ -25,6 +26,7 @@ from .bimodules import (
 )
 from .complexes import (
     Action,
+    BalancedTensor,
     ChainMap,
     Equation,
     TensorLayout,
@@ -269,32 +271,35 @@ def transitivity_check(direct: ScalarExtension, stage1: ScalarExtension,
         raise ValidationError("transitivity: the direct extension is not of the stage 1 source")
     if direct.theta.target is not theta23.target or direct.theta.map != theta23.map.compose(theta12.map):
         raise ValidationError("transitivity: the direct morphism is not the staged composite")
-    field = a_cat.field
-    r3 = theta23.target
     by_r2 = _right_action_through(theta23)
-    ok = True
-    for a in a_cat.objects:
-        for b in a_cat.objects:
-            dt, st, st1 = direct.tensors[(a, b)], stage2.tensors[(a, b)], stage1.tensors[(a, b)]
-            incl = stage1.inclusion.hom_map(a, b)
-
-            def forward(flat):
-                # g (x) f |-> g (x) (1 (x) f)
-                dg, dx = flat
-                return st.layout.place(flat, kron(Mat.identity(field, r3.dim(dg)), incl.component(dx)))
-
-            def plain_backward(flat):
-                # g (x) r2 (x) f |-> g theta23(r2) (x) f
-                dg, dr2, dx = flat
-                return dt.layout.place((dg + dr2, dx), kron(by_r2.block((dg, dr2)),
-                                                            Mat.identity(field, a_cat.hom(a, b).dim(dx))))
-
-            fmap = lifted_map([dt], st, [forward])
-            bmap = lifted_map([st], dt, [lambda flat: lifted_block([r3.underlying, st1], flat, plain_backward)])
-            if bmap.compose(fmap) != ChainMap.identity(dt.complex) or \
-                    fmap.compose(bmap) != ChainMap.identity(st.complex):
-                ok = False
+    ok = all(tensor_cancellation_check(direct.tensors[key], stage2.tensors[key], stage1.tensors[key],
+                                       stage1.inclusion.hom_map(*key), by_r2)
+             for key in itertools.product(a_cat.objects, repeat=2))
     return TransitivityVerdict(Verdict.of(ok, "both transfer maps compose to identities on every hom"))
+
+
+def tensor_cancellation_check(outer: BalancedTensor, staged: BalancedTensor, inner: BalancedTensor,
+                              unit: ChainMap, action) -> bool:
+    """Whether X (x)_R Y -> X (x)_S (S (x)_R Y), x (x) y |-> x (x) (1 (x) y),
+    and back, x (x) s (x) y |-> x s (x) y, compose to identities both ways:
+    ``outer`` is X (x)_R Y, ``staged`` X (x)_S (S (x)_R Y), ``inner``
+    S (x)_R Y, ``unit`` the chain map y |-> 1 (x) y into it and ``action``
+    the right S-action on X, an ``Action`` or ``Pairing``."""
+    x, y = outer.layout.factors
+    field = x.field
+
+    def forward(flat):
+        dx, dy = flat
+        return staged.layout.place(flat, kron(Mat.identity(field, x.dim(dx)), unit.component(dy)))
+
+    def plain_backward(flat):
+        dx, ds, dy = flat
+        return outer.layout.place((dx + ds, dy), kron(action.block((dx, ds)), Mat.identity(field, y.dim(dy))))
+
+    fmap = lifted_map([outer], staged, [forward])
+    bmap = lifted_map([staged], outer, [lambda flat: lifted_block([x, inner], flat, plain_backward)])
+    return bmap.compose(fmap) == ChainMap.identity(outer.complex) and \
+        fmap.compose(bmap) == ChainMap.identity(staged.complex)
 
 
 # -- coextension: S-linear structures on bimodules out of the S point ---------------
@@ -481,22 +486,21 @@ def cotensor_over_s(v: Module, g: Bimodule) -> Bimodule:
     ring_s = scat.hom(sobj, sobj)
     mhcs = {b: module_hom_complex(v, s_module_of_component(g, b, scat)) for b in g.bcat.objects}
     parts = {(sobj, b): sub_retract(m.complex, m.inclusion) for b, m in mhcs.items()}
-    lact = {(sobj, sobj, b): lifted_map([ring_s, parts[(sobj, b)]], parts[(sobj, b)], [postcomposition(
-        mhcs[b], mhcs[b], ring_s, lambda x, ds, j, b=b: g.lact[(sobj, sobj, b)].block((ds, j)))])
-        for b in g.bcat.objects}
 
-    def by_h(b1, b2, hom):
+    def by_s(b):
+        return postcomposition(mhcs[b], mhcs[b], ring_s, lambda x, ds, j: g.lact[(sobj, sobj, b)].block((ds, j)))
+
+    def by_h(b1, b2):
         # rho_h: y |-> y . h, with the acting element first and no sign
+        hom = g.bcat.hom(b1, b2)
+
         def block(x, dh, j):
             rho = g.ract[(sobj, b1, b2)].block((j, dh))
             return swap_leading_factors(rho, hom.dim(dh), g.at(sobj, b2).dim(j))
         return swapped(Action((hom, mhcs[b2].ambient), postcomposition(mhcs[b2], mhcs[b1], hom, block))).block
 
-    ract = {(sobj, b1, b2): lifted_map([parts[(sobj, b2)], g.bcat.hom(b1, b2)], parts[(sobj, b1)],
-                                       [by_h(b1, b2, g.bcat.hom(b1, b2))])
-            for b1, b2 in itertools.product(g.bcat.objects, repeat=2)}
-    comps = {key: p.complex for key, p in parts.items()}
-    return Bimodule(scat, g.bcat, comps, lact, ract, name=f"HomS({v.name},{g.name})")
+    return bimodule_on(scat, g.bcat, parts, lambda a1, a2, b: [by_s(b)], lambda a, b1, b2: [by_h(b1, b2)],
+                       name=f"HomS({v.name},{g.name})")
 
 
 def coextension_cotensor_check(v: Module, f: Bimodule, g: Bimodule) -> bool:
@@ -564,11 +568,8 @@ def truncate_bimodule_le0(x: Bimodule) -> Tuple[Bimodule, Dict]:
         comps[key], incls[key] = truncate_le(cx, 0)
     # both actions read through the inclusions, each checked to stay in the truncation
     parts = {key: sub_retract(sub, incls[key]) for key, sub in comps.items()}
-    lact = {(a1, a2, b): lifted_map([x.acat.hom(a1, a2), parts[(a1, b)]], parts[(a2, b)],
-                                    [x.lact[(a1, a2, b)].block]) for a1, a2, b in x.lact}
-    ract = {(a, b1, b2): lifted_map([parts[(a, b2)], x.bcat.hom(b1, b2)], parts[(a, b1)],
-                                    [x.ract[(a, b1, b2)].block]) for a, b1, b2 in x.ract}
-    return Bimodule(x.acat, x.bcat, comps, lact, ract, name=f"tle0({x.name})"), incls
+    return bimodule_on(x.acat, x.bcat, parts, lambda a1, a2, b: [x.lact[(a1, a2, b)].block],
+                       lambda a, b1, b2: [x.ract[(a, b1, b2)].block], name=f"tle0({x.name})"), incls
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .changeofrings import (
     _right_action_through,
     extend_scalars_cat,
     restrict_ring_module,
+    tensor_cancellation_check,
     transitivity_check,
 )
 from .complexes import (
@@ -28,7 +29,6 @@ from .complexes import (
     Pairing,
     Retract,
     h0_retract,
-    lifted_block,
     lifted_map,
     quotient_retract,
     sub_retract,
@@ -527,25 +527,8 @@ def _square_zero_step_verdict(i_cat: DgCategory, step: DgRingMorphism,
                     les_ok = False
             # (b) tensor lift: I (x)_R V <-> I (x)_S (S (x)_R V)
             t_sj = balanced_tensor_ring(ideal_s, hom_as_right_module(j_cat, a, b, scat))
-            x_by_s = ideal_s.act[(scat.objects[0], scat.objects[0])]
-
-            def forward(flat):
-                # x (x) v |-> x (x) (1 (x) v)
-                dx, dv = flat
-                return t_sj.layout.place(flat, kron(Mat.identity(field, ideal_r.at(rcat.objects[0]).dim(dx)),
-                                                    pi.component(dv)))
-
-            def plain_backward(flat):
-                # x (x) s (x) v |-> x s (x) v
-                dx, ds, dv = flat
-                return t_iv.layout.place((dx + ds, dv), kron(x_by_s.block((dx, ds)),
-                                                             Mat.identity(field, v.dim(dv))))
-
-            fmap = lifted_map([t_iv], t_sj, [forward])
-            bmap = lifted_map([t_sj], t_iv, [lambda flat: lifted_block(
-                [ideal_s.at(scat.objects[0]), ext.tensors[(a, b)]], flat, plain_backward)])
-            if bmap.compose(fmap) != ChainMap.identity(tensor_iv) or \
-                    fmap.compose(bmap) != ChainMap.identity(t_sj.complex):
+            if not tensor_cancellation_check(t_iv, t_sj, ext.tensors[(a, b)], pi,
+                                             ideal_s.act[(scat.objects[0], scat.objects[0])]):
                 lift_ok = False
             # (c) H^0 comparison
             if not _h0_comparison_bijective(i_cat, a, b, step, ext):

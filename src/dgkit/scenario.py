@@ -76,30 +76,21 @@ def _build_complex(scn: Scenario, name: str, spec, location: str) -> Complex:
     labels = None
     if "labels" in spec:
         labels = {int(k): tuple(v) for k, v in spec["labels"].items()}
-    try:
-        return Complex(field, dims, diffs, labels=labels, name=name)
-    except ValidationError as exc:
-        raise ScenarioError(str(exc), location)
+    return Complex(field, dims, diffs, labels=labels, name=name)
 
 
 def _build_ring(scn: Scenario, name: str, spec, location: str) -> DgRing:
     field = scn.field
     if "dual_numbers" in spec:
         params = spec["dual_numbers"]
-        try:
-            ring, aug = make_dual_numbers(int(params["n"]), int(params["eps_degree"]), field)
-        except ValidationError as exc:
-            raise ScenarioError(str(exc), location)
+        ring, aug = make_dual_numbers(int(params["n"]), int(params["eps_degree"]), field)
         scn.morphisms.setdefault(f"{name}.augmentation", aug)
         return ring
     if spec.get("ground_field"):
         return DgRing.ground_field(field)
     if "exterior_over" in spec:
         base = scn.resolve("rings", spec["exterior_over"]["ring"], location)
-        try:
-            return exterior_extension_ring(base, int(spec["exterior_over"].get("gen_degree", -1)))
-        except ValidationError as exc:
-            raise ScenarioError(str(exc), location)
+        return exterior_extension_ring(base, int(spec["exterior_over"].get("gen_degree", -1)))
     if "table" in spec:
         tbl = spec["table"]
         basis = tbl.get("basis", [])
@@ -117,11 +108,8 @@ def _build_ring(scn: Scenario, name: str, spec, location: str) -> DgRing:
         def mult(i, j):
             return mult_spec.get((i, j), {})
 
-        try:
-            return DgRing.from_table(field, degrees, labels, int(tbl["unit"]), mult,
-                                     differential=diff_spec, name=name)
-        except ValidationError as exc:
-            raise ScenarioError(str(exc), location)
+        return DgRing.from_table(field, degrees, labels, int(tbl["unit"]), mult,
+                                 differential=diff_spec, name=name)
     raise ScenarioError("unrecognized ring declaration", location)
 
 
@@ -141,11 +129,7 @@ def _build_morphism(scn: Scenario, name: str, spec, location: str) -> DgRingMorp
     for k, m in spec.get("components", {}).items():
         deg = int(k)
         comps[deg] = _parse_matrix(field, m, tgt.dim(deg), src.dim(deg), f"{location}.components.{k}")
-    try:
-        cm = ChainMap(src.underlying, tgt.underlying, 0, comps)
-        return DgRingMorphism(src, tgt, cm, name=name)
-    except ValidationError as exc:
-        raise ScenarioError(str(exc), location)
+    return DgRingMorphism(src, tgt, ChainMap(src.underlying, tgt.underlying, 0, comps), name=name)
 
 
 def _build_category(scn: Scenario, name: str, spec, location: str) -> DgCategory:
@@ -160,10 +144,7 @@ def _build_category(scn: Scenario, name: str, spec, location: str) -> DgCategory
     if "exterior_one_object" in spec:
         params = spec["exterior_one_object"]
         ring = scn.resolve("rings", params["ring"], location)
-        try:
-            return exterior_one_object_category(ring, int(params.get("gen_degree", -1)))
-        except ValidationError as exc:
-            raise ScenarioError(str(exc), location)
+        return exterior_one_object_category(ring, int(params.get("gen_degree", -1)))
     raise ScenarioError("unrecognized category declaration", location)
 
 
@@ -208,10 +189,7 @@ def _build_map(scn: Scenario, name: str, spec, location: str) -> ChainMap:
         deg = int(k)
         comps[deg] = _parse_matrix(scn.field, m, tgt.dim(deg + degree), src.dim(deg),
                                    f"{location}.components.{k}")
-    try:
-        return ChainMap(src, tgt, degree, comps)
-    except ValidationError as exc:
-        raise ScenarioError(str(exc), location)
+    return ChainMap(src, tgt, degree, comps)
 
 
 def load_scenario_dict(doc: Dict, source_name: str = "<dict>") -> Scenario:
@@ -230,6 +208,8 @@ def load_scenario_dict(doc: Dict, source_name: str = "<dict>") -> Scenario:
             location = f"{table}.{name}"
             try:
                 getattr(scn, table)[name] = build(scn, name, spec, location)
+            except ValidationError as exc:
+                raise ScenarioError(str(exc), location)
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 # a missing key, or a value of the wrong type or form
                 raise ScenarioError(f"malformed declaration ({type(exc).__name__}: {exc})",

@@ -1,5 +1,7 @@
 """Base change: restriction, extension, coextension, transitivity, comparisons."""
 
+import itertools
+
 import pytest
 
 from dgkit.fields import QQ
@@ -8,6 +10,7 @@ from dgkit.dgcat import DgCategory, one_object_category
 from dgkit import changeofrings, verify
 from dgkit.bimodules import Bimodule, Module, direct_sum_bimodules
 from dgkit.changeofrings import (
+    _right_action_through,
     coextension_adjunction_check,
     coextension_cotensor_check,
     coextension_object,
@@ -17,6 +20,7 @@ from dgkit.changeofrings import (
     heart_coextension_check,
     restrict_category,
     s_vs_r_module_comparison,
+    tensor_cancellation_check,
     transitivity_check,
 )
 from dgkit.derived import restricted_ground_module, ring_as_module
@@ -180,6 +184,25 @@ def test_transitivity_on_eps3_chain():
     stage2 = extend_scalars_cat(stage1.category, theta23)
     direct = extend_scalars_cat(a_cat, theta23.compose(p2))
     assert transitivity_check(direct, stage1, stage2).mutually_inverse.status == CERTIFIED
+
+
+def test_tensor_cancellation_check_fails_for_a_doubled_unit():
+    # R3 (x)_{R1} hom -> R3 (x)_{R2} (R2 (x)_{R1} hom) and back, per hom of the
+    # eps^3 chain: the true unit gives identities, twice the unit does not
+    a_cat, p2, theta23 = eps3_square()
+    stage1 = extend_scalars_cat(a_cat, p2)
+    stage2 = extend_scalars_cat(stage1.category, theta23)
+    direct = extend_scalars_cat(a_cat, theta23.compose(p2))
+    by_r2 = _right_action_through(theta23)
+    nonzero = 0
+    for key in itertools.product(a_cat.objects, repeat=2):
+        tensors = direct.tensors[key], stage2.tensors[key], stage1.tensors[key]
+        unit = stage1.inclusion.hom_map(*key)
+        assert tensor_cancellation_check(*tensors, unit, by_r2)
+        if direct.tensors[key].complex.total_dim():
+            nonzero += 1
+            assert not tensor_cancellation_check(*tensors, unit.scale(QQ.from_int(2)), by_r2)
+    assert nonzero
 
 
 def test_transitivity_rejects_extensions_that_do_not_form_the_square():

@@ -1,5 +1,6 @@
 """Deformation pipeline: factorization, kernel modules, lifting verdicts, hlc."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from dgkit.deform import (
     ideal_as_S_module,
     levelwise_free_generators,
 )
+from dgkit.derived import balanced_tensor_ring
 from dgkit.errors import ValidationError
 from dgkit.instances import (
     exterior_extension_ring,
@@ -240,6 +242,33 @@ def test_deform_free_arrow_category():
     cat = free_arrow_category(ring)
     ext, report = deform_category(cat, aug)
     assert passes(report)
+
+
+def test_tensor_cancellation_check_fails_for_a_doubled_unit_on_a_square_zero_step():
+    # I (x)_R V -> I (x)_S (S (x)_R V) and back on each hom V of the one step
+    # of deform_category along k[e]/(e^2) -> k: the true unit gives
+    # identities, twice the unit does not
+    ring, aug = make_dual_numbers(2, -1, QQ)
+    chain = factorize(aug)
+    i_cat = changeofrings.extend_scalars_cat(free_arrow_category(ring), chain.head).category
+    step, = chain.steps
+    ext = changeofrings.extend_scalars_cat(i_cat, step)
+    rcat, scat = one_object_category(step.source), one_object_category(step.target)
+    ideal = step.kernel_ideal()
+    ideal_r = deform.ideal_as_R_module(step, rcat, ideal)
+    ideal_s = ideal_as_S_module(step, scat, ideal, ideal_r)
+    x_by_s = ideal_s.act[(scat.objects[0], scat.objects[0])]
+    nonzero = 0
+    for a, b in itertools.product(i_cat.objects, repeat=2):
+        outer = balanced_tensor_ring(ideal_r, deform.hom_as_right_module(i_cat, a, b, rcat))
+        staged = balanced_tensor_ring(ideal_s, deform.hom_as_right_module(ext.category, a, b, scat))
+        unit = ext.inclusion.hom_map(a, b)
+        assert changeofrings.tensor_cancellation_check(outer, staged, ext.tensors[(a, b)], unit, x_by_s)
+        if outer.complex.total_dim():
+            nonzero += 1
+            assert not changeofrings.tensor_cancellation_check(outer, staged, ext.tensors[(a, b)],
+                                                               unit.scale(QQ.from_int(2)), x_by_s)
+    assert nonzero
 
 
 def test_deform_exterior_instance():

@@ -66,9 +66,9 @@ def test_package_modules_import_only_what_they_use():
 MAP_FROM_ENTRIES_CALLERS = set()
 
 
-def callers_of(source: str, attribute: str):
-    """The top-level functions, or Class.method, that call ``.attribute(...)``
-    somewhere in their body, nested functions included."""
+def callers_of(source: str, name: str):
+    """The top-level functions, or Class.method, that call ``name(...)`` or
+    ``.name(...)`` somewhere in their body, nested functions included."""
     found = set()
 
     def walk(node, owner):
@@ -80,8 +80,7 @@ def callers_of(source: str, attribute: str):
                     if isinstance(item, ast.FunctionDef):
                         walk(item, f"{child.name}.{item.name}")
             else:
-                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                        and child.func.attr == attribute):
+                if isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", None)) == name:
                     found.add(owner)
                 walk(child, owner)
 
@@ -91,14 +90,37 @@ def callers_of(source: str, attribute: str):
 
 def test_callers_are_found():
     src = ("class A:\n    def m(self, lay):\n        def inner():\n            return lay.f()\n        return inner\n"
-           "def g(lay):\n    return lay.f()\n\ndef h(lay):\n    return lay.other()\n")
-    assert callers_of(src, "f") == {"A.m", "g"}
+           "def g(lay):\n    return lay.f()\n\ndef h(lay):\n    return lay.other()\n\ndef k():\n    return f(1)\n")
+    assert callers_of(src, "f") == {"A.m", "g", "k"}
 
 
 def test_map_from_entries_callers_only_shrink():
     found = {(path.stem, owner) for path in sorted(PACKAGE.glob("*.py"))
              for owner in callers_of(path.read_text(), "map_from_entries")}
     assert found == MAP_FROM_ENTRIES_CALLERS, "per-basis map builders in the package; build from blocks instead"
+
+
+# Only ``bimodules.bimodule_on`` builds a bimodule's two actions from parts
+# with ``lifted_map``.  The functions below also call both, each for a reason.
+BIMODULE_ON_EXCEPTIONS = {
+    ("changeofrings", "heart_coextension_check"):
+        "builds its H0 actions before the try that turns a failed Bimodule check into a failed "
+        "verdict; inside the builder, a map that leaves the cycles would become that verdict, "
+        "with no witness, instead of an error",
+    ("changeofrings", "coextension_object"):
+        "transfers the left S-action only and reuses the stored right pairing",
+    ("bimodules", "restrict_bimodule"):
+        "transfers the restricted side only and reuses the stored pairing of the other",
+}
+
+
+def test_only_bimodule_on_builds_bimodule_actions_from_parts():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        found |= {(path.stem, owner) for owner in callers_of(source, "lifted_map") & callers_of(source, "Bimodule")}
+    assert found == {("bimodules", "bimodule_on")} | BIMODULE_ON_EXCEPTIONS.keys(), \
+        "bimodule actions transferred by hand; build them with bimodules.bimodule_on"
 
 
 def unbounded_caches(source: str):
