@@ -2,12 +2,14 @@
 t-structure on modules over nonpositive dg-categories.
 
 Resolutions are built top-down by repeatedly attaching free covers that kill
-the top cohomology of the comparison cone.  Over a strictly nonpositive base
-each round only disturbs strictly lower degrees, so acyclicity of the cone in
-all degrees >= floor is reached in finitely many rounds and is *verified* on
-the full cohomology of the finished cones, never assumed.  A round builds one
-cone per object, read from the last attachment degree down; P, its action
-and the comparison P -> M are built only when read.  Derived functors return
+the top cohomology of the comparison cone, one generator for each top class
+that the boundaries and the degree-0 multiples of the classes picked before it
+leave alive (one per degree for k over k[e]/e^n, |e| = 0).  Over a strictly
+nonpositive base each round only disturbs strictly lower degrees, so
+acyclicity of the cone in all degrees >= floor is reached in finitely many
+rounds and is *verified* on the full cohomology of the finished cones, never
+assumed.  A round builds one cone per object, read from the last attachment
+degree down; P, its action and the comparison P -> M are built only when read.  Derived functors return
 cohomology on the certified window, read at P's generators: RHom(M, N) is
 Hom(P, N), the sum of the N(x_g)[n_g] (Yoneda), and M (x)^L N is P (x)_R N,
 the sum of the N[-n_g] (co-Yoneda, h_x (x)_R N = N(x)), each twisted by the
@@ -43,7 +45,7 @@ from .complexes import (
 from .dgcat import DgCategory, one_object_category
 from .dgring import DgRing, DgRingMorphism
 from .errors import ValidationError, WindowCertificationError
-from .matrix import Mat, block_matrix
+from .matrix import Mat, block_matrix, concat_columns
 
 
 @dataclass(frozen=True)
@@ -170,16 +172,21 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     list of generators, each read off a top cone class (m_g, p_g) with d(m_g)
     = -f(p_g): b |-> m_g.b into m, twisted by b |-> -p_g.b, whose block on an
     earlier generator i is -(p_{g,i} o b).  Both families and the shifted hom
-    are built once per (object, generator).  A round builds one checked cone
-    per object and reads it down from the last attachment degree, above which
-    nothing moves, to the first class >= floor; with none, the full cohomology
-    of the cones certifies the end, seeded with each degree an earlier scan
-    reduced on the same two differentials.  P, f and the action are built
-    from the blocks when first read."""
+    are built once per (object, class).  When some degree-0 hom is more than
+    the identities, a round attaches at each z only the pivot classes of
+    [boundaries | c_1, c_1.hom(z, x_1)^0 | c_2, ...], in class order; the
+    others lie in the boundaries plus the images, read off the families, of
+    the picks before them.  A round builds one checked cone per object and
+    reads it down from the last attachment degree, above which nothing moves,
+    to the first class >= floor; with none, the full cohomology of the cones
+    certifies the end, seeded with each degree an earlier scan reduced on the
+    same two differentials.  P, f and the action are built from the blocks
+    when first read."""
     cat = m.cat
     if not cat.is_strictly_nonpositive():
         raise ValidationError("resolutions require a strictly nonpositive base")
     gens: List[Tuple[object, int]] = []
+    selective = any(cat.hom(z, x).dim(0) > (z == x) for z in cat.objects for x in cat.objects)
     # the cone m(z) + sum_g hom(z, x_g)[1 - n_g]: its summands and blocks {(row, column g + 1):
     # (family, n_g)}, m_g . - in row 0 and p_{g,i} o - in row i + 1 (the shift negates P's twist)
     summands = {z: [(m.at(z), 0)] for z in cat.objects}
@@ -207,26 +214,42 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
             if worst is None:
                 break
             classes = {z: r.rep(worst) for z, r in reports.items()}
+        # each top class c at x with its families at every z, c . - in row 0 and p_{c,i} o - in row i + 1
         new = []
-        for z in cat.objects:
-            m_dim = m.at(z).dim(worst)
-            for j in range(classes[z].cols):
-                vec = classes[z].col(j)
-                new.append((z, vec.take_rows(range(m_dim)), vec.take_rows(range(m_dim, vec.rows))))
+        for x in cat.objects:
+            m_dim = m.at(x).dim(worst)
+            offs = list(itertools.accumulate((cat.hom(x, y).dim(worst + 1 - k) for y, k in gens), initial=m_dim))
+            for vec in map(classes[x].col, range(classes[x].cols)):
+                rows = {i: vec.take_rows(range(offs[i], offs[i + 1])) for i in range(len(gens))}
+                rows = {i: p for i, p in rows.items() if not p.is_zero()}
+                fams = {z: {0: m.act[(z, x)].at(0, worst, vec.take_rows(range(m_dim)))} for z in cat.objects}
+                for z, (i, p) in itertools.product(cat.objects, rows.items()):
+                    fams[z][i + 1] = cat.comp[(z, x, gens[i][0])].at(0, worst + 1 - gens[i][1], p)
+                new.append((x, vec, rows, fams))
+        if selective:
+            # the degree-0 parts of the families are the images c . b, b in hom(z, x)^0
+            picked = set()
+            for z in (z for z in cat.objects if classes[z].cols):
+                sizes = [m.at(z).dim(worst)] + [cat.hom(z, y).dim(worst + 1 - k) for y, k in gens]
+                parts, own = [cones[z].diff(worst - 1)], {}
+                for j, (x, vec, _, fams) in enumerate(new):
+                    if x == z:
+                        own[sum(p.cols for p in parts)] = j
+                        parts.append(vec)
+                    parts.append(block_matrix(cat.field, sizes, [cat.hom(z, x).dim(0)],
+                                              {(r, 0): fam[0] for r, fam in fams[z].items() if 0 in fam}))
+                picked.update(own[c] for c in concat_columns(cat.field, sum(sizes), parts).pivot_columns() if c in own)
+            new = [c for j, c in enumerate(new) if j in picked]
         if len(gens) + len(new) > generator_cap:
             raise WindowCertificationError(
                 f"resolution exceeded the generator cap {generator_cap} before "
                 f"certifying degree {worst}", first_uncertified_degree=worst)
-        for col, (x, m_part, p_part) in enumerate(new, len(gens) + 1):
-            offs = list(itertools.accumulate((cat.hom(x, y).dim(worst + 1 - k) for y, k in gens), initial=0))
-            rows = {i: p_part.take_rows(range(offs[i], offs[i + 1])) for i in range(len(gens))}
-            twists.update({(col - 1, i): p for i, p in rows.items() if not p.is_zero()})
+        for col, (x, _, rows, fams) in enumerate(new, len(gens) + 1):
+            twists.update({(col - 1, i): p for i, p in rows.items()})
             for z in cat.objects:
-                blocks[z][(0, col)] = (m.act[(z, x)].at(0, worst, m_part), worst)
-                blocks[z].update({(i + 1, col): (cat.comp[(z, x, y)].at(0, worst + 1 - k, rows[i]), worst)
-                                  for i, (y, k) in enumerate(gens) if (col - 1, i) in twists})
+                blocks[z].update({(r, col): (fam, worst) for r, fam in fams[z].items()})
                 summands[z].append((shift_complex(cat.hom(z, x), 1 - worst), 0))
-        gens.extend((x, worst) for x, _, _ in new)
+        gens.extend((x, worst) for x, *_ in new)
         top = worst
     return WindowedResolution(m, gens, twists, floor, cone_h, blocks)
 

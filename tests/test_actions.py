@@ -97,6 +97,7 @@ from dgkit.matrix import Mat
 from dgkit.verdict import CERTIFIED
 
 from hom_calculus import composition_map, evaluation_map, random_chain_map, vector_from_family
+from test_derived import assert_module_and_comparison_checked
 
 FIELDS = [QQ, GF(7)]
 
@@ -307,18 +308,20 @@ def reference_attach(cat, P, f, M, gens):
     return P2, ModuleMap(P2, M, 0, maps)
 
 
-def reference_resolution(m, floor):
-    """Attach generators for the top cone class until the cone is exact in
-    degrees >= floor; returns (P, comparison, generators)."""
+def reference_resolution(m, floor, sequential=False):
+    """Attach generators for the top cone classes until the cone is exact in
+    degrees >= floor; returns (P, comparison, generators, classes), classes
+    the number of top classes seen.  With ``sequential``, a round attaches
+    only the classes ``sequential_picks`` keeps."""
     cat = m.cat
     P = Module.zero(cat)
     f = ModuleMap.zero(P, m)
-    generators = []
+    generators, classes = [], 0
     while True:
         coh = {z: reference_cone_complex(f.at(z)).cohomology() for z in cat.objects}
         worst = max((d for h in coh.values() for d, v in h.as_dict().items() if v and d >= floor), default=None)
         if worst is None:
-            return P, f, generators
+            return P, f, generators, classes
         gens = []
         for z in cat.objects:
             reps = coh[z].rep(worst)
@@ -326,8 +329,30 @@ def reference_resolution(m, floor):
             for j in range(reps.cols):
                 vec = reps.col(j)
                 gens.append((z, worst, vec.take_rows(range(top)), vec.take_rows(range(top, vec.rows))))
+        classes += len(gens)
+        if sequential:
+            gens = sequential_picks(m, P, coh, gens)
         generators.extend((z, n) for z, n, _, _ in gens)
         P, f = reference_attach(cat, P, f, m, gens)
+
+
+def sequential_picks(m, P, coh, gens):
+    """The classes of ``gens``, one at a time in order, that are not in the
+    span of the cone's boundaries and the degree-0 images of the classes
+    kept before them: (m_c, p_c) at x times b in hom(z, x)^0 is (m_c.b,
+    p_c.b) in the cone at z, through the actions of m and P."""
+    cat = m.cat
+    killed = {z: coh[z].image(gens[0][1]) for z in cat.objects}
+    picks = []
+    for x, n, m_part, p_part in gens:
+        if killed[x].hstack(m_part.vstack(p_part)).rank() == killed[x].rank():
+            continue
+        picks.append((x, n, m_part, p_part))
+        for z in cat.objects:
+            for b in [b for d, b in basis(cat.hom(z, x)) if d == 0]:
+                image = acted(m, z, x, n, m_part, 0, b).vstack(acted(P, z, x, n + 1, p_part, 0, b))
+                killed[z] = killed[z].hstack(image)
+    return picks
 
 
 def reference_truncations(m):
@@ -583,11 +608,37 @@ def test_resolutions_match_the_generator_loop(field):
              (shift_module(random_module(rng, path), -1), -2)]
     for m, floor in cases:
         res = resolve_module(m, floor)
-        P, comparison, generators = reference_resolution(m, floor)
+        P, comparison, generators, _ = reference_resolution(m, floor)
         assert res.generators == generators
         assert res.module.components == P.components
         assert maps_of(res.module.act) == maps_of(P.act)
         assert res.comparison.components == comparison.components
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_resolutions_attach_the_classes_the_sequential_loop_picks(field):
+    # seeded random categories with a degree-0 arrow that is not an identity:
+    # one object (3), three with nothing to skip (6) and with classes to skip
+    # (10), and classes killed by the images of a class at another object (29,
+    # 52); a random module on each and the sum of two copies of it
+    cases = []
+    for seed in (3, 6, 10, 29, 52):
+        rng = random.Random(seed)
+        cat = random_nonpositive_category(rng, field, n_objects=rng.randint(1, 3))
+        assert any(cat.hom(z, x).dim(0) > (z == x) for z in cat.objects for x in cat.objects)
+        m = random_module(rng, cat)
+        cases += [m, direct_sum_modules([m, m])[0]]
+    skipped = 0
+    for m in cases:
+        res = resolve_module(m, -3)
+        P, comparison, generators, classes = reference_resolution(m, -3, sequential=True)
+        assert res.generators == generators
+        assert res.module.components == P.components
+        assert maps_of(res.module.act) == maps_of(P.act)
+        assert res.comparison.components == comparison.components
+        assert_module_and_comparison_checked(res)
+        skipped += classes - len(generators)
+    assert skipped > 0
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])

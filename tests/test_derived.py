@@ -21,6 +21,7 @@ from dgkit.derived import (
     tstruct_truncate,
 )
 from dgkit.errors import ValidationError, WindowCertificationError
+from dgkit.verify import bar_oracle_dual_numbers_tor
 from dgkit.instances import (
     random_h0_surjective_map,
     random_module,
@@ -170,16 +171,30 @@ def test_resolutions_pass_the_module_checks(field):
         assert_module_and_comparison_checked(resolve_module(m, floor))
 
 
-def test_ground_field_over_cubic_dual_numbers_doubles_its_generators():
-    # k[e]/e^3 with |e| = 0 over F_101: the resolution of k attaches 2^i
-    # generators in degree -i down to the floor -4, where 5 would do
+def test_ground_field_over_cubic_dual_numbers_attaches_one_generator_per_degree():
+    # k[e]/e^3 with |e| = 0 over F_101: of the top classes e and e^2 the first
+    # kills the second (e . e = e^2), so one generator per degree down to -4
     ring, aug = make_dual_numbers(3, 0, GF(101))
     cat = one_object_category(ring)
     res = resolve_module(restricted_ground_module(aug, cat), -4)
     assert_module_and_comparison_checked(res)
     obj = cat.objects[0]
-    assert res.generators == [(obj, -i) for i in range(5) for _ in range(2 ** i)]
-    assert len(res.generators) == 31
+    assert res.generators == [(obj, -i) for i in range(5)]
+
+
+@pytest.mark.parametrize("n, field, lo", [(2, QQ, -5), (3, QQ, -5), (2, GF(101), -5), (3, GF(101), -5),
+                                          (3, GF(101), -6)], ids=["e2-Q", "e3-Q", "e2-F101", "e3-F101", "e3-F101-lo6"])
+def test_ground_field_over_degree_zero_dual_numbers_matches_the_bar_oracle(n, field, lo):
+    # k over k[e]/e^n with |e| = 0: Tor and Ext read off the resolution, and as
+    # many generators per degree as Tor has dimensions; with a generator per
+    # top class, [-6, 0] over e^3 exceeded the generator cap
+    ring, aug = make_dual_numbers(n, 0, field)
+    k = restricted_ground_module(aug, one_object_category(ring))
+    tor = bar_oracle_dual_numbers_tor(n, 0, field, DegreeWindow(lo, 0))
+    assert derived_tensor(k, k, DegreeWindow(lo, 0)).dims == {d: tor.get(d, 0) for d in range(lo, 1)}
+    assert derived_hom(k, k, DegreeWindow(0, -lo)).dims == {d: tor.get(-d, 0) for d in range(0, 1 - lo)}
+    res = resolve_module(k, -5)
+    assert [g for _, g in res.generators] == [d for d in range(0, -6, -1) for _ in range(tor.get(d, 0))]
 
 
 def test_tstruct_truncate_concentrated_degree0():
@@ -304,11 +319,12 @@ def evaluation_at_generators(res, mhc):
 
 def hom_cases(field):
     """(source, target, floor): the ground module of k[e]/e^2 with |e| = -1
-    and 0 and of k[e]/e^3 with |e| = -2 into itself and the free module, and
-    two random modules over a 2-object category, whose resolution has odd
-    twist elements between its objects."""
+    and 0 and of k[e]/e^3 with |e| = -2 and 0 (whose resolution skips
+    the classes that e . - kills) into itself and the free module, and two random
+    modules over a 2-object category, whose resolution has odd twist
+    elements between its objects."""
     cases = []
-    for n, eps in [(2, -1), (2, 0), (3, -2)]:
+    for n, eps in [(2, -1), (2, 0), (3, -2), (3, 0)]:
         ring, aug = make_dual_numbers(n, eps, field)
         cat = one_object_category(ring)
         ground, free = restricted_ground_module(aug, cat), ring_as_module(ring, cat)
@@ -354,12 +370,12 @@ def test_hom_postcomposition_at_generators_is_postcomposition_of_module_maps(fie
 
 def tensor_cases(field):
     """(resolved, other) pairs over k[e]/e^2 with |e| = -1 and 0 and k[e]/e^3
-    with |e| = -2: the ground module and a random module, resolved, against
+    with |e| = -2 and 0: the ground module and a random module, resolved, against
     the ground, free, shifted free and a random module.  The shifted free
     module has odd elements that odd twist elements act on nontrivially."""
     rng = random.Random(43)
     cases = []
-    for n, eps in [(2, -1), (2, 0), (3, -2)]:
+    for n, eps in [(2, -1), (2, 0), (3, -2), (3, 0)]:
         ring, aug = make_dual_numbers(n, eps, field)
         cat = one_object_category(ring)
         ground, free = restricted_ground_module(aug, cat), ring_as_module(ring, cat)
