@@ -9,11 +9,11 @@ nonpositive base each round only disturbs strictly lower degrees, so
 acyclicity of the cone in all degrees >= floor is reached in finitely many
 rounds and is *verified* on the full cohomology of the finished cones, never
 assumed.  A round builds one cone per object, read from the last attachment
-degree down; P, its action and the comparison P -> M are built only when read.  Derived functors return
-cohomology on the certified window, read at P's generators: RHom(M, N) is
-Hom(P, N), the sum of the N(x_g)[n_g] (Yoneda), and M (x)^L N is P (x)_R N,
-the sum of the N[-n_g] (co-Yoneda, h_x (x)_R N = N(x)), each twisted by the
-action of P's twist elements on N.
+degree down; P, its action and the comparison P -> M are built only when read.
+Derived functors return cohomology on the certified window, read at P's
+generators: RHom(M, N) is Hom(P, N), the sum of the N(x_g)[n_g] (Yoneda), and
+M (x)^L N is P (x)_R N, the sum of the N[-n_g] (co-Yoneda,
+h_x (x)_R N = N(x)), each twisted by the action of P's twist elements on N.
 """
 
 from __future__ import annotations
@@ -172,11 +172,11 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     list of generators, each read off a top cone class (m_g, p_g) with d(m_g)
     = -f(p_g): b |-> m_g.b into m, twisted by b |-> -p_g.b, whose block on an
     earlier generator i is -(p_{g,i} o b).  Both families and the shifted hom
-    are built once per (object, class).  When some degree-0 hom is more than
-    the identities, a round attaches at each z only the pivot classes of
-    [boundaries | c_1, c_1.hom(z, x_1)^0 | c_2, ...], in class order; the
-    others lie in the boundaries plus the images, read off the families, of
-    the picks before them.  A round builds one checked cone per object and
+    are built once per (object, class).  A round attaches at each z only the
+    pivot classes of [boundaries | c_1, c_1.hom(z, x_1)^0 | c_2, ...], in
+    class order; the others lie in the boundaries plus the images, read off
+    the families, of the picks before them (all classes are picked when the
+    degree-0 homs are only the identities).  A round builds one checked cone per object and
     reads it down from the last attachment degree, above which nothing moves,
     to the first class >= floor; with none, the full cohomology of the cones
     certifies the end, seeded with each degree an earlier scan reduced on the
@@ -186,7 +186,6 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     if not cat.is_strictly_nonpositive():
         raise ValidationError("resolutions require a strictly nonpositive base")
     gens: List[Tuple[object, int]] = []
-    selective = any(cat.hom(z, x).dim(0) > (z == x) for z in cat.objects for x in cat.objects)
     # the cone m(z) + sum_g hom(z, x_g)[1 - n_g]: its summands and blocks {(row, column g + 1):
     # (family, n_g)}, m_g . - in row 0 and p_{g,i} o - in row i + 1 (the shift negates P's twist)
     summands = {z: [(m.at(z), 0)] for z in cat.objects}
@@ -226,20 +225,22 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
                 for z, (i, p) in itertools.product(cat.objects, rows.items()):
                     fams[z][i + 1] = cat.comp[(z, x, gens[i][0])].at(0, worst + 1 - gens[i][1], p)
                 new.append((x, vec, rows, fams))
-        if selective:
-            # the degree-0 parts of the families are the images c . b, b in hom(z, x)^0
-            picked = set()
-            for z in (z for z in cat.objects if classes[z].cols):
-                sizes = [m.at(z).dim(worst)] + [cat.hom(z, y).dim(worst + 1 - k) for y, k in gens]
-                parts, own = [cones[z].diff(worst - 1)], {}
-                for j, (x, vec, _, fams) in enumerate(new):
-                    if x == z:
-                        own[sum(p.cols for p in parts)] = j
-                        parts.append(vec)
-                    parts.append(block_matrix(cat.field, sizes, [cat.hom(z, x).dim(0)],
-                                              {(r, 0): fam[0] for r, fam in fams[z].items() if 0 in fam}))
-                picked.update(own[c] for c in concat_columns(cat.field, sum(sizes), parts).pivot_columns() if c in own)
-            new = [c for j, c in enumerate(new) if j in picked]
+        # the degree-0 parts of the families are the images c . b, b in hom(z, x)^0
+        picked = set()
+        for z in (z for z in cat.objects if classes[z].cols):
+            sizes = [m.at(z).dim(worst)] + [cat.hom(z, y).dim(worst + 1 - k) for y, k in gens]
+            parts, own = [cones[z].diff(worst - 1)], {}
+            width = parts[0].cols
+            for j, (x, vec, _, fams) in enumerate(new):
+                if x == z:
+                    own[width] = j
+                    parts.append(vec)
+                    width += 1
+                parts.append(block_matrix(cat.field, sizes, [cat.hom(z, x).dim(0)],
+                                          {(r, 0): fam[0] for r, fam in fams[z].items() if 0 in fam}))
+                width += parts[-1].cols
+            picked.update(own[c] for c in concat_columns(cat.field, sum(sizes), parts).pivot_columns() if c in own)
+        new = [c for j, c in enumerate(new) if j in picked]
         if len(gens) + len(new) > generator_cap:
             raise WindowCertificationError(
                 f"resolution exceeded the generator cap {generator_cap} before "
