@@ -83,9 +83,9 @@ def _induced_quotient_step(p_fine: DgRingMorphism, p_coarse: DgRingMorphism,
                           ChainMap(fine.underlying, coarse.underlying, 0, comps), name=name)
 
 
-def factorize(theta: DgRingMorphism, max_power: int = 12) -> FactorizationChain:
+def factorize(theta: DgRingMorphism) -> FactorizationChain:
     """Factor a surjection through square-zero steps R/I^{k+1} -> R/I^k."""
-    setup = check_setup_assumptions(theta, max_power=max_power)
+    setup = check_setup_assumptions(theta)
     if not passes(setup):
         failing = [v.reason for v in (setup.surjective, setup.cohomologically_nilpotent) if v.status == FAILED]
         raise ValidationError("setup assumptions failed: " + "; ".join(failing))
@@ -129,7 +129,7 @@ def factorize(theta: DgRingMorphism, max_power: int = 12) -> FactorizationChain:
             step = iso.compose(step)
             step.name = f"theta_2,1"
         sq_zero.append(Verdict.of(step.kernel_ideal().squares_to_zero(), "the step's kernel squares to zero"))
-        reports.append(check_setup_assumptions(step, max_power=max_power))
+        reports.append(check_setup_assumptions(step))
         steps.append(step)
     head = projections[n]
     composed = head

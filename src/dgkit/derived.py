@@ -8,8 +8,9 @@ leave alive (one per degree for k over k[e]/e^n, |e| = 0).  Over a strictly
 nonpositive base each round only disturbs strictly lower degrees, so
 acyclicity of the cone in all degrees >= floor is reached in finitely many
 rounds and is *verified* on the full cohomology of the finished cones, never
-assumed.  A round builds one cone per object, read from the last attachment
-degree down; P, its action and the comparison P -> M are built only when read.
+assumed.  Each round grows one cone per object in place, read from the last
+attachment degree down, and the finished cones are the ones checked as
+complexes; P, its action and the comparison P -> M are built only when read.
 Derived functors return cohomology on the certified window, read at P's
 generators: RHom(M, N) is Hom(P, N), the sum of the N(x_g)[n_g] (Yoneda), and
 M (x)^L N is P (x)_R N, the sum of the N[-n_g] (co-Yoneda,
@@ -165,6 +166,46 @@ def _slotwise(build, phi: ModuleMap, slots) -> ChainMap:
         {(g, g): phi.at(x).component(d + k) for g, (x, k) in enumerate(slots)}) for d in src.degrees()})
 
 
+class _Cone:
+    """A comparison cone m(z) + sum_g hom(z, x_g)[1 - n_g], grown in place:
+    its summands ``parts``, its ``dims`` and differential ``d`` by degree,
+    its blocks {(row, column g + 1): (family, n_g)}, m_g . - in row 0 and
+    p_{g,i} o - in row i + 1 (the shift negates P's twist).  ``cohomology_at``
+    reads it like a Complex; ``checked`` builds it as one, d o d checked."""
+
+    def __init__(self, base: Complex, name: str):
+        self.field, self.name, self.parts, self.d, self.blocks = base.field, name, [base], dict(base.d), {}
+        self.dims = dict(base.spaces.dims)
+
+    def sizes(self, deg: int) -> List[int]:
+        return [c.dim(deg) for c in self.parts]
+
+    def diff(self, deg: int) -> Mat:
+        return self.d.get(deg) or Mat.zero(self.field, self.dims.get(deg + 1, 0), self.dims.get(deg, 0))
+
+    def grow(self, adds: List[Complex], fams, n: int):
+        """Append ``adds`` with the families {(row, j): family} of degree n from
+        add j: a degree they touch gets [[d, T], [0, diag]] unless all three
+        blocks are absent; every other degree keeps its matrix."""
+        self.blocks.update({(r, len(self.parts) + j): (fam, n) for (r, j), fam in fams.items()})
+        for deg in {e for c in adds for d in c.degrees() for e in (d - 1, d)}:
+            twist = {key: fam[deg + 1 - n] for key, fam in fams.items() if deg + 1 - n in fam}
+            diag = {(j, j): c.d[deg] for j, c in enumerate(adds) if deg in c.d}
+            if not (deg in self.d or twist or diag):
+                continue
+            rows, cols = self.sizes(deg + 1), self.sizes(deg)
+            new_rows, new_cols = [c.dim(deg + 1) for c in adds], [c.dim(deg) for c in adds]
+            self.d[deg] = block_matrix(self.field, [sum(rows), sum(new_rows)], [sum(cols), sum(new_cols)], {
+                (0, 0): self.diff(deg), (0, 1): block_matrix(self.field, rows, new_cols, twist),
+                (1, 1): block_matrix(self.field, new_rows, new_cols, diag)})
+        for deg in {d for c in adds for d in c.degrees()}:
+            self.dims[deg] = self.dims.get(deg, 0) + sum(c.dim(deg) for c in adds)
+        self.parts += adds
+
+    def checked(self) -> Complex:
+        return Complex(self.field, self.dims, dict(sorted(self.d.items())), name=self.name)
+
+
 def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedResolution:
     """Semifree P -> m with H^i(cone) = 0 verified for all i >= floor.
 
@@ -176,28 +217,24 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
     pivot classes of [boundaries | c_1, c_1.hom(z, x_1)^0 | c_2, ...], in
     class order; the others lie in the boundaries plus the images, read off
     the families, of the picks before them (all classes are picked when the
-    degree-0 homs are only the identities).  A round builds one checked cone per object and
-    reads it down from the last attachment degree, above which nothing moves,
-    to the first class >= floor; with none, the full cohomology of the cones
-    certifies the end, seeded with each degree an earlier scan reduced on the
-    same two differentials.  P, f and the action are built from the blocks
-    when first read."""
+    degree-0 homs are only the identities), and grows each object's cone by
+    them.  The scan reads the cones down from the last attachment degree,
+    above which nothing moves, to the first class >= floor; with none, the
+    full cohomology of the cones certifies the end, seeded with each degree
+    an earlier scan reduced on the same two differentials.  Twists go only to
+    earlier rows, so every cone a scan read is a subcomplex of the finished
+    one: d o d is checked once, on it (or, at the generator cap, on the cones
+    so far).  P, f and the action are built from the blocks when first read."""
     cat = m.cat
     if not cat.is_strictly_nonpositive():
         raise ValidationError("resolutions require a strictly nonpositive base")
     gens: List[Tuple[object, int]] = []
-    # the cone m(z) + sum_g hom(z, x_g)[1 - n_g]: its summands and blocks {(row, column g + 1):
-    # (family, n_g)}, m_g . - in row 0 and p_{g,i} o - in row i + 1 (the shift negates P's twist)
-    summands = {z: [(m.at(z), 0)] for z in cat.objects}
-    blocks = {z: {} for z in cat.objects}
+    cones = {z: _Cone(m.at(z), f"cone(P({z})->{m.at(z).name})") for z in cat.objects}
     top = max((d for z in cat.objects for d in m.at(z).degrees()), default=floor)
     twists: Dict[Tuple[int, int], Mat] = {}
     # by object and degree, the latest scan's cohomology_at and the two differentials it read
     kept = {z: {} for z in cat.objects}
     while True:
-        cones = {z: block_sum(summands[z], lambda d: {
-            key: fam[d + 1 - n] for key, (fam, n) in blocks[z].items() if d + 1 - n in fam},
-            name=f"cone(P({z})->{m.at(z).name})") for z in cat.objects}
         for worst in range(top, floor - 1, -1):
             for z, c in cones.items():
                 kept[z][worst] = (c.diff(worst - 1), c.diff(worst), cohomology_at(c, worst))
@@ -205,9 +242,10 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
             if any(r.cols for r in classes.values()):
                 break
         else:
+            checked = {z: c.checked() for z, c in cones.items()}
             reports = {z: CohomologyReport(c, {deg: at for deg, (below, here, at) in kept[z].items()
                                                if c.diff(deg - 1) == below and c.diff(deg) == here})
-                       for z, c in cones.items()}
+                       for z, c in checked.items()}
             cone_h = {z: r.as_dict() for z, r in reports.items()}
             worst = max((d for h in cone_h.values() for d in h if d >= floor), default=None)
             if worst is None:
@@ -216,19 +254,18 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
         # each top class c at x with its families at every z, c . - in row 0 and p_{c,i} o - in row i + 1
         new = []
         for x in cat.objects:
-            m_dim = m.at(x).dim(worst)
-            offs = list(itertools.accumulate((cat.hom(x, y).dim(worst + 1 - k) for y, k in gens), initial=m_dim))
+            offs = list(itertools.accumulate(cones[x].sizes(worst)))
             for vec in map(classes[x].col, range(classes[x].cols)):
                 rows = {i: vec.take_rows(range(offs[i], offs[i + 1])) for i in range(len(gens))}
                 rows = {i: p for i, p in rows.items() if not p.is_zero()}
-                fams = {z: {0: m.act[(z, x)].at(0, worst, vec.take_rows(range(m_dim)))} for z in cat.objects}
+                fams = {z: {0: m.act[(z, x)].at(0, worst, vec.take_rows(range(offs[0])))} for z in cat.objects}
                 for z, (i, p) in itertools.product(cat.objects, rows.items()):
                     fams[z][i + 1] = cat.comp[(z, x, gens[i][0])].at(0, worst + 1 - gens[i][1], p)
                 new.append((x, vec, rows, fams))
         # the degree-0 parts of the families are the images c . b, b in hom(z, x)^0
         picked = set()
         for z in (z for z in cat.objects if classes[z].cols):
-            sizes = [m.at(z).dim(worst)] + [cat.hom(z, y).dim(worst + 1 - k) for y, k in gens]
+            sizes = cones[z].sizes(worst)
             parts, own = [cones[z].diff(worst - 1)], {}
             width = parts[0].cols
             for j, (x, vec, _, fams) in enumerate(new):
@@ -242,17 +279,18 @@ def resolve_module(m: Module, floor: int, generator_cap: int = 400) -> WindowedR
             picked.update(own[c] for c in concat_columns(cat.field, sum(sizes), parts).pivot_columns() if c in own)
         new = [c for j, c in enumerate(new) if j in picked]
         if len(gens) + len(new) > generator_cap:
+            for c in cones.values():
+                c.checked()
             raise WindowCertificationError(
                 f"resolution exceeded the generator cap {generator_cap} before "
                 f"certifying degree {worst}", first_uncertified_degree=worst)
-        for col, (x, _, rows, fams) in enumerate(new, len(gens) + 1):
-            twists.update({(col - 1, i): p for i, p in rows.items()})
-            for z in cat.objects:
-                blocks[z].update({(r, col): (fam, worst) for r, fam in fams[z].items()})
-                summands[z].append((shift_complex(cat.hom(z, x), 1 - worst), 0))
+        twists.update({(g, i): p for g, (_, _, rows, _) in enumerate(new, len(gens)) for i, p in rows.items()})
+        for z, c in cones.items():
+            families = {(r, j): fam for j, (*_, fams) in enumerate(new) for r, fam in fams[z].items()}
+            c.grow([shift_complex(cat.hom(z, x), 1 - worst) for x, *_ in new], families, worst)
         gens.extend((x, worst) for x, *_ in new)
         top = worst
-    return WindowedResolution(m, gens, twists, floor, cone_h, blocks)
+    return WindowedResolution(m, gens, twists, floor, cone_h, {z: c.blocks for z, c in cones.items()})
 
 
 # -- balanced tensor over a commutative dg-ring -----------------------------------

@@ -404,7 +404,7 @@ class AssumptionReport:
 HFP_UNCHECKED = Verdict(UNCHECKED, "hfp is not decided: only cohomology dimensions are computed")
 
 
-def check_setup_assumptions(theta: DgRingMorphism, max_power: int = 12) -> AssumptionReport:
+def check_setup_assumptions(theta: DgRingMorphism) -> AssumptionReport:
     """Verdicts for strict surjectivity, coherence, hfp of the target, the
     least power with acyclic kernel power, and hfp of the lower powers.
 
@@ -420,10 +420,9 @@ def check_setup_assumptions(theta: DgRingMorphism, max_power: int = 12) -> Assum
         order = 1
     else:
         prev_dims = None
-        power = ideal
-        for k in range(1, max_power + 1):
-            if k > 1:
-                power = ideal_power(ideal, k)
+        # the powers are nested, so equal dimensions mean they stay constant: within dim I + 1 steps
+        for k in itertools.count(1):
+            power = ideal if k == 1 else ideal_power(ideal, k)
             h = power.sub.cohomology().as_dict()
             if not h:
                 order = k
@@ -435,8 +434,6 @@ def check_setup_assumptions(theta: DgRingMorphism, max_power: int = 12) -> Assum
                 nilpotent = Verdict(FAILED, f"kernel powers stabilized at k={k} with nonvanishing cohomology")
                 break
             prev_dims = dims
-        else:
-            nilpotent = Verdict(FAILED, f"no acyclic power found up to k={max_power}")
     return AssumptionReport(
         morphism=theta.name,
         strictly_surjective=surj,

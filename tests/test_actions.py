@@ -76,7 +76,7 @@ from dgkit.dgcat import (
     truncate_cat,
 )
 from dgkit.dgring import DgIdeal, DgRing, DgRingMorphism, make_dual_numbers, quotient
-from dgkit.errors import ValidationError
+from dgkit.errors import ValidationError, WindowCertificationError
 from dgkit.fields import GF, QQ
 from dgkit.instances import (
     cross_representable_bimodule,
@@ -615,12 +615,11 @@ def test_resolutions_match_the_generator_loop(field):
         assert res.comparison.components == comparison.components
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
-def test_resolutions_attach_the_classes_the_sequential_loop_picks(field):
-    # seeded random categories with a degree-0 arrow that is not an identity:
-    # one object (3), three with nothing to skip (6) and with classes to skip
-    # (10), and classes killed by the images of a class at another object (29,
-    # 52); a random module on each and the sum of two copies of it
+def selection_cases(field):
+    """Seeded random categories with a degree-0 arrow that is not an identity:
+    one object (3), three with nothing to skip (6) and with classes to skip
+    (10), and classes killed by the images of a class at another object (29,
+    52); a random module on each and the sum of two copies of it."""
     cases = []
     for seed in (3, 6, 10, 29, 52):
         rng = random.Random(seed)
@@ -628,8 +627,13 @@ def test_resolutions_attach_the_classes_the_sequential_loop_picks(field):
         assert any(cat.hom(z, x).dim(0) > (z == x) for z in cat.objects for x in cat.objects)
         m = random_module(rng, cat)
         cases += [m, direct_sum_modules([m, m])[0]]
+    return cases
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_resolutions_attach_the_classes_the_sequential_loop_picks(field):
     skipped = 0
-    for m in cases:
+    for m in selection_cases(field):
         res = resolve_module(m, -3)
         P, comparison, generators, classes = reference_resolution(m, -3, sequential=True)
         assert res.generators == generators
@@ -667,6 +671,67 @@ def test_resolutions_certify_their_cones_and_shift_each_hom_once(monkeypatch, fi
             cone_h = cone_retract(res.comparison.at(z)).complex.cohomology().as_dict()
             assert cone_h == res.cone_cohomology[z]
             assert all(d < floor for d in cone_h)
+
+
+def checked_cones(monkeypatch):
+    """Records every cone a resolution builds as a checked Complex."""
+    built, checked = [], derived._Cone.checked
+
+    def recorded(cone):
+        built.append(checked(cone))
+        return built[-1]
+
+    monkeypatch.setattr(derived._Cone, "checked", recorded)
+    return built
+
+
+@pytest.mark.parametrize("field", FIELDS + [GF(101)], ids=["Q", "F7", "F101"])
+def test_grown_cones_are_the_block_sums_of_all_their_summands(monkeypatch, field):
+    # k over the dual numbers down to -8 and the selection draws down to -3: each
+    # call checks one cone per object, equal to the block sum of m(z) and every
+    # hom(z, x_g)[1 - n_g] twisted by the blocks, and so does a call stopped by
+    # the generator cap
+    cases = []
+    for n, e in [(2, -1), (3, -2), (3, 0)]:
+        ring, aug = make_dual_numbers(n, e, field)
+        cases.append((restricted_ground_module(aug, one_object_category(ring)), -8))
+    cases += [(m, -3) for m in selection_cases(field)]
+    built = checked_cones(monkeypatch)
+    for m, floor in cases:
+        built.clear()
+        res = resolve_module(m, floor)
+        assert len(built) == len(m.cat.objects)
+        for z, cone in zip(m.cat.objects, built):
+            summands = [(m.at(z), 0)] + [(m.cat.hom(z, x), 1 - n) for x, n in res.generators]
+            assert cone == complexes.block_sum(summands, lambda d: {
+                key: fam[d + 1 - n] for key, (fam, n) in res.blocks[z].items() if d + 1 - n in fam})
+        with pytest.raises(WindowCertificationError):
+            resolve_module(m, floor, generator_cap=len(res.generators) - 1)
+        assert len(built) == 2 * len(m.cat.objects)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+@pytest.mark.parametrize("cap", [400, 5], ids=["certified", "at-cap"])
+def test_a_flipped_twist_sign_in_a_middle_round_fails_d_o_d(monkeypatch, field, cap):
+    # seed 10's draw attaches two generators in each of degrees -1, -2 and -3; negating
+    # the twist p_{3,0} of the middle round's second generator breaks d o d at X0,
+    # caught when the cones certify and when the generator cap stops the loop
+    rng = random.Random(10)
+    cat = random_nonpositive_category(rng, field, n_objects=rng.randint(1, 3))
+    m = random_module(rng, cat)
+    assert [n for _, n in resolve_module(m, -3).generators] == [-1, -1, -2, -2, -3, -3]
+    with pytest.raises(WindowCertificationError):
+        resolve_module(m, -3, generator_cap=5)
+    grow = derived._Cone.grow
+
+    def flipped(cone, adds, fams, n):
+        if len(cone.parts) == 3:  # m(z) and the first round's two generators
+            fams = {**fams, (1, 1): {d: -b for d, b in fams[(1, 1)].items()}}
+        return grow(cone, adds, fams, n)
+
+    monkeypatch.setattr(derived._Cone, "grow", flipped)
+    with pytest.raises(ValidationError, match=r"cone\(P\(X0\)->complex\[1\]\): d o d != 0 between degrees -3 and -1"):
+        resolve_module(m, -3, generator_cap=cap)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])

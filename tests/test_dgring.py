@@ -150,6 +150,15 @@ def test_setup_checker_dual_numbers():
         assert report.nilpotency_order == n
 
 
+def test_setup_checker_certifies_nilpotency_orders_past_twelve():
+    # k[e]/(e^n) with |e| = 0: powers are taken until one is acyclic or two agree
+    for n in (13, 14):
+        ring, aug = make_dual_numbers(n, 0, QQ)
+        report = check_setup_assumptions(aug)
+        assert passes(report)
+        assert report.nilpotency_order == n
+
+
 def test_setup_checker_identity():
     ring, _ = make_dual_numbers(2, -1, QQ)
     report = check_setup_assumptions(DgRingMorphism.identity(ring))
