@@ -259,11 +259,11 @@ class Bimodule:
     def total_dim(self) -> int:
         return sum(c.total_dim() for c in self.components.values())
 
-    def module_at(self, a, name: Optional[str] = None) -> Module:
+    def module_at(self, a) -> Module:
         """The right bcat-module T(a, -)."""
         comps = {b: self.at(a, b) for b in self.bcat.objects}
         action = {(x, y): self.ract[(a, x, y)].map for x in self.bcat.objects for y in self.bcat.objects}
-        return Module(self.bcat, comps, action, name=name or f"{self.name}_{a}", check=False)
+        return Module(self.bcat, comps, action, name=f"{self.name}_{a}", check=False)
 
     # -- invariants ---------------------------------------------------------
 
@@ -446,7 +446,7 @@ def _integrand_over_middle(f: "Bimodule", g: "Bimodule", a, c) -> Bimodule:
                            name=f"{f.name}(x){g.name}@({a},{c})", check=False)
 
 
-def compose_bimodules(f: "Bimodule", g: "Bimodule", check: bool = True) -> "Bimodule":
+def compose_bimodules(f: "Bimodule", g: "Bimodule") -> "Bimodule":
     """Componentwise coend over the shared middle category.
 
     f is a bimodule over (acat, bcat), g over (bcat, ccat); the result lives
@@ -467,7 +467,7 @@ def compose_bimodules(f: "Bimodule", g: "Bimodule", check: bool = True) -> "Bimo
                                           for b in bcat.objects],
                        lambda a, c1, c2: [factor_action(g.ract[(b, c1, c2)], 1, lays[(a, b, c1)], left=False)
                                           for b in bcat.objects],
-                       name=f"({g.name}o{f.name})", check=check)
+                       name=f"({g.name}o{f.name})")
 
 
 # -- duality ---------------------------------------------------------------------
@@ -612,7 +612,7 @@ class BimoduleHomComplex:
     """Maps of bimodules F -> G: families phi_{A,B} commuting with both
     actions up to the Koszul sign of the map degree."""
 
-    def __init__(self, source: "Bimodule", target: "Bimodule", name: str = "BimHom"):
+    def __init__(self, source: "Bimodule", target: "Bimodule"):
         self.source = source
         self.target = target
         acat, bcat = source.acat, source.bcat
@@ -634,7 +634,7 @@ class BimoduleHomComplex:
             for a in acat.objects for b1 in bcat.objects for b2 in bcat.objects
             for df, f in bcat.hom_basis(b1, b2)]
         (self.ambient, self.injs, self.projs, self.complex,
-         self.inclusion) = naturality_subcomplex(self.layouts, self.equations, name=name)
+         self.inclusion) = naturality_subcomplex(self.layouts, self.equations, name="BimHom")
 
 
 def bimodule_hom_complex(source: "Bimodule", target: "Bimodule") -> BimoduleHomComplex:

@@ -37,9 +37,9 @@ def _window_from(scn: Scenario, entry: Dict, override: Optional[str]) -> DegreeW
     return DegreeWindow(-4, 0)
 
 
-def run(command: str, scn: Scenario, entry: Dict, window_override: Optional[str] = None) -> Dict:
+def run(command: str, scn: Scenario, entry: Dict) -> Dict:
     """One scenario command entry's result, rendered."""
-    return render(_result(command, scn, entry, window_override))
+    return render(_result(command, scn, entry, None))
 
 
 def _result(command: str, scn: Scenario, entry: Dict, window_override: Optional[str]) -> Dict:
@@ -169,6 +169,8 @@ def _emit(report: Dict, fmt: str, out_path: Optional[str], lines: List[str], las
 
 def _run_scenario_command(command: str, scenario: str, window: Optional[str],
                           field: Optional[str], out: Optional[str], fmt: str):
+    import shlex
+
     try:
         scn = load_scenario(scenario, field)
         entries = [e for e in scn.commands if e.get("run") == command]
@@ -178,13 +180,19 @@ def _run_scenario_command(command: str, scenario: str, window: Optional[str],
     except DgkitError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    # replay with the overrides the run used; ``--window=`` lets a negative window parse
+    replay = ["dgkit", command, "--scenario", scenario]
+    if window:
+        replay.append(f"--window={window}")
+    if field:
+        replay += ["--field", field]
     report = {
         "version": __version__,
         "scenario": scenario,
         "command": command,
         "results": results,
         "passed": all(r["passed"] for r in results),
-        "replay": f"dgkit {command} --scenario {scenario}",
+        "replay": shlex.join(replay),
     }
     report = render({**report, "unchecked": unchecked(report)})
     lines = [f"dgkit {__version__} :: {command} :: scenario {scenario}"]

@@ -24,7 +24,7 @@ import itertools
 import os
 from functools import lru_cache, reduce
 from math import prod
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegreeCapError, ScenarioError, ShapeError, ValidationError
 from .fields import Field, same_field
@@ -168,9 +168,8 @@ class Complex:
         return Complex(field, {}, {}, name="0")
 
     @staticmethod
-    def one_dim(field: Field, degree: int = 0, label: Optional[str] = None) -> "Complex":
-        labels = {degree: (label,)} if label else None
-        return Complex(field, {degree: 1}, {}, labels=labels, name=label or "k")
+    def one_dim(field: Field) -> "Complex":
+        return Complex(field, {0: 1}, {}, name="k")
 
     @staticmethod
     def concentrated(field: Field, degree: int, dim: int) -> "Complex":
@@ -183,11 +182,8 @@ class Complex:
             self._cohomology = CohomologyReport(self)
         return self._cohomology
 
-    def is_acyclic(self, degrees: Optional[Iterable[int]] = None) -> bool:
-        coh = self.cohomology()
-        if degrees is None:
-            return all(v == 0 for v in coh.dims.values())
-        return all(coh.dim(i) == 0 for i in degrees)
+    def is_acyclic(self) -> bool:
+        return all(v == 0 for v in self.cohomology().dims.values())
 
 
 class CohomologyReport:

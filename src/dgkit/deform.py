@@ -42,7 +42,7 @@ from .dgring import (
     DgIdeal,
     DgRingMorphism,
     check_setup_assumptions,
-    ideal_power,
+    ideal_powers,
     quotient,
 )
 from .derived import balanced_tensor_ring
@@ -98,8 +98,7 @@ def factorize(theta: DgRingMorphism) -> FactorizationChain:
     # quotients R/I^k for k = n .. 1 with projections from R
     projections = {}
     quotients = {}
-    for k in range(1, n + 1):
-        power = ideal if k == 1 else ideal_power(ideal, k)
+    for k, power in zip(range(1, n + 1), ideal_powers(ideal)):
         if power.is_zero():
             quotients[k] = ring
             projections[k] = DgRingMorphism.identity(ring)

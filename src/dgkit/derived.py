@@ -344,8 +344,7 @@ def _support_bounds(module: Module):
     return min(los), max(his)
 
 
-def derived_tensor(m: Module, n: Module, window: DegreeWindow,
-                   resolve: str = "left", generator_cap: int = 400) -> DerivedReport:
+def derived_tensor(m: Module, n: Module, window: DegreeWindow, resolve: str = "left") -> DerivedReport:
     """H^* (m (x)^L n) on the window: P (x)_R the other factor, read at the
     generators of a windowed resolution P of one factor (``tensor_with``).
 
@@ -357,20 +356,19 @@ def derived_tensor(m: Module, n: Module, window: DegreeWindow,
     other = n if resolve == "left" else m
     _, other_hi = _support_bounds(other)
     floor = window.lo - max(other_hi, 0) - 2 - window.guard
-    res = resolve_module(m if resolve == "left" else n, floor, generator_cap)
+    res = resolve_module(m if resolve == "left" else n, floor)
     tensor = res.tensor_with(other)
     dims = {d: cohomology_at(tensor, d)[0].cols for d in window.degrees()}
     return DerivedReport(dims, window, res, tensor)
 
 
-def derived_hom(m: Module, n: Module, window: DegreeWindow,
-                generator_cap: int = 400) -> DerivedReport:
+def derived_hom(m: Module, n: Module, window: DegreeWindow) -> DerivedReport:
     """H^* RHom(m, n) on the window: Hom(P, n) for a windowed resolution P
     of m, read at P's generators (``WindowedResolution.hom_into``) rather
     than cut out of the objectwise Homs; over a ring or a dg-category base."""
     n_lo, _ = _support_bounds(n)
     floor = min(n_lo, 0) - window.hi - 2 - window.guard
-    res = resolve_module(m, floor, generator_cap)
+    res = resolve_module(m, floor)
     hom = res.hom_into(n)
     dims = {d: cohomology_at(hom, d)[0].cols for d in window.degrees()}
     return DerivedReport(dims, window, res, hom)

@@ -141,20 +141,12 @@ class DgCategory:
             if koszul_swap(g_rf, base.underlying, self.hom(b, c)) != r_gf:
                 raise ValidationError(f"{name}: action not central (right) on hom({a},{b},{c})")
 
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def from_ring(ring: DgRing, obj="*", name: Optional[str] = None) -> "DgCategory":
-        """The one-object category whose endomorphisms are the ring."""
-        cx = ring.underlying
-        comp = {(obj, obj, obj): ring.product.map}
-        action = {(obj, obj): ring.product.map}
-        return DgCategory(ring, [obj], {(obj, obj): cx}, comp, {obj: ring.unit},
-                          action=action, name=name or ring.name, check=False)
-
 
 def one_object_category(ring: DgRing, obj="*") -> DgCategory:
-    return DgCategory.from_ring(ring, obj=obj)
+    """The one-object category whose endomorphisms are the ring."""
+    mult = ring.product.map
+    return DgCategory(ring, [obj], {(obj, obj): ring.underlying}, {(obj, obj, obj): mult}, {obj: ring.unit},
+                      action={(obj, obj): mult}, name=ring.name, check=False)
 
 
 class DgFunctor:
@@ -247,9 +239,6 @@ class H0Category:
 
     def compose(self, a, b, c, gclass: Mat, fclass: Mat) -> Mat:
         return kron_product(self.product(a, b, c), gclass, fclass)
-
-    def hom_dims(self) -> Dict:
-        return {(a, b): self.dim(a, b) for a in self.objects for b in self.objects}
 
 
 def h0_ring(ring: DgRing) -> Tuple[DgRing, DgRingMorphism]:

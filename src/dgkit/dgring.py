@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .complexes import (
     ChainMap,
@@ -164,9 +164,8 @@ class DgRing:
         return DgRing(cx, unit, TensorLayout([cx, cx]).map_from_blocks(cx, 0, block), name=name)
 
     @staticmethod
-    def ground_field(field: Field, name: str = "k") -> "DgRing":
-        return DgRing.from_table(field, [0], ["1"], 0,
-                                 lambda i, j: {0: field.one()}, name=name)
+    def ground_field(field: Field) -> "DgRing":
+        return DgRing.from_table(field, [0], ["1"], 0, lambda i, j: {0: field.one()}, name="k")
 
     def is_ground_field(self) -> bool:
         return self.total_dim() == 1
@@ -330,16 +329,26 @@ def make_dual_numbers(n: int, eps_degree: int, field: Field):
 
 
 def ideal_power(ideal: DgIdeal, k: int) -> DgIdeal:
-    """Span of k-fold products of ideal elements.  ``ideal`` must be a
-    checked ``DgIdeal``: it is closed under the ring action and the ring is
-    associative, so r(xy) = (rx)y keeps the span closed with no
-    saturation."""
+    """Span of k-fold products of ideal elements."""
     if k < 1:
         raise ValidationError("ideal powers need k >= 1")
-    if k == 1:
-        return ideal
+    return next(itertools.islice(ideal_powers(ideal), k - 1, None))
+
+
+def ideal_powers(ideal: DgIdeal) -> Iterator[DgIdeal]:
+    """I, I^2, I^3, ...: each power formed once, as the products of the one
+    before with I."""
+    power = ideal
+    for k in itertools.count(2):
+        yield power
+        power = _next_power(power, ideal, k)
+
+
+def _next_power(prev: DgIdeal, ideal: DgIdeal, k: int) -> DgIdeal:
+    """I^k from I^(k-1).  ``ideal`` must be a checked ``DgIdeal``: it is
+    closed under the ring action and the ring is associative, so r(xy) =
+    (rx)y keeps the span closed with no saturation."""
     amb = ideal.ambient
-    prev = ideal_power(ideal, k - 1)
     # The nonzero products x_i y_j of the bases of I^(k-1) and I, one degree
     # pair at a time, in the order of a loop over (dx, i, dy, j): a degree's
     # columns run by dx, i, j, which fixes the ones image_basis keeps, and the
@@ -421,8 +430,7 @@ def check_setup_assumptions(theta: DgRingMorphism) -> AssumptionReport:
     else:
         prev_dims = None
         # the powers are nested, so equal dimensions mean they stay constant: within dim I + 1 steps
-        for k in itertools.count(1):
-            power = ideal if k == 1 else ideal_power(ideal, k)
+        for k, power in enumerate(ideal_powers(ideal), 1):
             h = power.sub.cohomology().as_dict()
             if not h:
                 order = k

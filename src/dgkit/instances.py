@@ -264,14 +264,13 @@ def unit_functional(cat, a) -> Mat:
     return invert(iota.hstack(section)).take_rows([0])
 
 
-def trivial_action_module(rng: random.Random, cat, lo: int = -3, pieces: int = 3,
-                          name: str = "triv"):
+def trivial_action_module(rng: random.Random, cat, pieces: int = 3):
     """Random complexes with the identity-character action; valid over the
     generated discrete/path categories (all non-identity products vanish or
     act by zero)."""
     from .bimodules import Module
     field = cat.field
-    comps = {a: random_complex(rng, field, lo=lo, hi=0, pieces=rng.randint(1, pieces))[0]
+    comps = {a: random_complex(rng, field, lo=-3, hi=0, pieces=rng.randint(1, pieces))[0]
              for a in cat.objects}
     lams = {a: unit_functional(cat, a) for a in cat.objects}
 
@@ -282,7 +281,7 @@ def trivial_action_module(rng: random.Random, cat, lo: int = -3, pieces: int = 3
 
     action = {(x, y): TensorLayout([comps[y], cat.hom(x, y)]).map_from_blocks(comps[x], 0, by_character(x, y))
               for x, y in itertools.product(cat.objects, repeat=2)}
-    return Module(cat, comps, action, name=name)
+    return Module(cat, comps, action, name="triv")
 
 
 def random_module(rng: random.Random, cat, allow_cone: bool = True):
@@ -350,12 +349,12 @@ def _trivial_actions_bimodule(cat, comps, name):
     return Bimodule(cat, cat, comps, lact, ract, name=name)
 
 
-def trivial_action_bimodule(rng: random.Random, cat, pieces: int = 2, name="trivT"):
+def trivial_action_bimodule(rng: random.Random, cat, pieces: int = 2):
     """Random components, identity-character actions on both sides."""
     comps = {(a, b): random_complex(rng, cat.field, lo=-2, hi=0,
                                     pieces=rng.randint(0, pieces))[0]
              for a in cat.objects for b in cat.objects}
-    return _trivial_actions_bimodule(cat, comps, name)
+    return _trivial_actions_bimodule(cat, comps, "trivT")
 
 
 def random_square_bimodule(rng: random.Random, cat):
@@ -390,7 +389,7 @@ def free_arrow_category(ring, name: str = "freearrow"):
     return DgCategory(ring, objs, homs, comp, ids, action=action, name=name)
 
 
-def exterior_extension_ring(ring, gen_degree: int = -1, label: str = "f"):
+def exterior_extension_ring(ring, gen_degree: int = -1):
     """R (x) Lambda(f) with an odd generator: End = R + R.f, f^2 = 0."""
     from .dgring import DgRing
     from .errors import ValidationError
@@ -407,7 +406,7 @@ def exterior_extension_ring(ring, gen_degree: int = -1, label: str = "f"):
         flat.append((deg, i, 0))
     for deg, i in base:
         degrees.append(deg + gen_degree)
-        labels.append(f"r{deg}_{i}{label}")
+        labels.append(f"r{deg}_{i}f")
         flat.append((deg, i, 1))
     index = {t: k for k, t in enumerate(flat)}
 
@@ -437,7 +436,7 @@ def exterior_extension_ring(ring, gen_degree: int = -1, label: str = "f"):
             unit_index = k
             break
     return DgRing.from_table(field, degrees, labels, unit_index, mult,
-                             name=f"{ring.name}[{label}]")
+                             name=f"{ring.name}[f]")
 
 
 def weak_cokernel_gap_category(field):
@@ -523,18 +522,17 @@ def random_acyclic_complex(rng: random.Random, field: Field, lo: int = -2,
     return Complex(field, dims, conj)
 
 
-def acyclic_trivial_bimodule(rng: random.Random, cat, name="acyc"):
+def acyclic_trivial_bimodule(rng: random.Random, cat):
     """Trivial-action bimodule whose components are acyclic complexes."""
     comps = {}
     for a in cat.objects:
         for b in cat.objects:
             comps[(a, b)] = random_acyclic_complex(rng, cat.field, lo=-2, hi=0,
                                                    pieces=rng.randint(1, 2))
-    return _trivial_actions_bimodule(cat, comps, name)
+    return _trivial_actions_bimodule(cat, comps, "acyc")
 
 
-def random_ring_module(rng: random.Random, theta, max_summands: int = 2,
-                       allow_cone: bool = True, nonpositive: bool = True):
+def random_ring_module(rng: random.Random, theta, max_summands: int = 2, allow_cone: bool = True):
     """Random one-object module over theta.source with nonpositive cohomology:
     sums of shifted frees and restricted ground pieces, optionally coned."""
     from .bimodules import direct_sum_modules, module_hom_complex, cone_module, shift_module
@@ -544,7 +542,7 @@ def random_ring_module(rng: random.Random, theta, max_summands: int = 2,
     cat = one_object_category(ring)
     parts = []
     for _ in range(rng.randint(1, max_summands)):
-        shift = rng.randint(0, 2) if nonpositive else rng.randint(-1, 2)
+        shift = rng.randint(0, 2)
         base = ring_as_module(ring, cat) if rng.random() < 0.6 else \
             restricted_ground_module(theta, cat)
         parts.append(shift_module(base, shift) if shift else base)
@@ -568,14 +566,14 @@ def random_h0_surjective_map(rng: random.Random, theta):
     return total, target, projs[0]
 
 
-def balanced_cross_bimodule(a_cat, b_r, a0, b0, name=None):
+def balanced_cross_bimodule(a_cat, b_r, a0, b0):
     """T(A, B) = a(a0, A) (x)_R b(B, b0): the R-balanced cross representable,
     a genuine object of the R-linear bimodule category (both R-actions agree
     through the balancing)."""
     parts = {(a, b): balanced_tensor(swapped(a_cat.action[(a0, a)]),
                                      b_r.action[(b, b0)], name=f"bal({a},{b})")
              for a in a_cat.objects for b in b_r.objects}
-    return _cross_bimodule(a_cat, b_r, a0, b0, parts, name or f"h^{a0}(x)Rh_{b0}")
+    return _cross_bimodule(a_cat, b_r, a0, b0, parts, f"h^{a0}(x)Rh_{b0}")
 
 
 def exterior_one_object_category(ring, gen_degree: int = -1):

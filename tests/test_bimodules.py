@@ -271,7 +271,7 @@ def test_find_quasi_representative_none_for_acyclic():
     rng = random.Random(251)
     cat = random_nonpositive_category(rng, QQ, n_objects=2, flavor="path")
     # zero bimodule: no representable is acyclic since h_B has cohomology
-    t = trivial_action_bimodule(rng, cat, pieces=0, name="zeroT")
+    t = trivial_action_bimodule(rng, cat, pieces=0)
     assert all(t.at(a, b).total_dim() == 0 for a in cat.objects for b in cat.objects)
     assert find_quasi_representative(t, cat.objects[0]) is None
 

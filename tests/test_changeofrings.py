@@ -136,7 +136,7 @@ def test_extension_adjunction_on_one_object():
     b_r = restrict_category(b_s, aug)
     # F over (a, b_R): take F(*,*) = k with eps acting by zero on both sides
     from dgkit.complexes import Complex
-    comps = {("*", "*"): Complex.one_dim(QQ, 0)}
+    comps = {("*", "*"): Complex.one_dim(QQ)}
     lact = {}
     ract = {}
     lay_l = TensorLayout([a_cat.hom("*", "*"), comps[("*", "*")]])
@@ -161,7 +161,7 @@ def test_extension_adjunction_on_one_object():
 
     ract[("*", "*", "*")] = lay_r.map_from_entries(comps[("*", "*")], 0, entry_r)
     f = Bimodule(a_cat, b_r, comps, lact, ract, name="kF")
-    verdict = extension_adjunction_check(a_cat, b_s, f, aug)
+    verdict = extension_adjunction_check(extend_scalars_cat(a_cat, aug), b_s, f)
     assert passes(verdict)
 
 

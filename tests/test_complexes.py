@@ -213,7 +213,7 @@ def test_quasi_isos_compose():
 def test_hom_complex_unit():
     rng = random.Random(37)
     d, _ = random_complex(rng, QQ, pieces=4)
-    unit = Complex.one_dim(QQ, 0)
+    unit = Complex.one_dim(QQ)
     h = hom_complex(unit, d)
     assert h.complex.cohomology().as_dict() == d.cohomology().as_dict()
     assert {n: h.complex.dim(n) for n in h.complex.degrees()} == \
@@ -223,7 +223,7 @@ def test_hom_complex_unit():
 def test_tensor_unit():
     rng = random.Random(41)
     c, _ = random_complex(rng, QQ, pieces=4)
-    unit = Complex.one_dim(QQ, 0)
+    unit = Complex.one_dim(QQ)
     lay = TensorLayout([c, unit])
     assert {n: lay.complex.dim(n) for n in lay.complex.degrees()} == \
         {n: c.dim(n) for n in c.degrees()}

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dgkit import dgring
 from dgkit.errors import ValidationError
 from dgkit.fields import GF, QQ
 from dgkit.dgring import (
@@ -150,13 +151,24 @@ def test_setup_checker_dual_numbers():
         assert report.nilpotency_order == n
 
 
-def test_setup_checker_certifies_nilpotency_orders_past_twelve():
-    # k[e]/(e^n) with |e| = 0: powers are taken until one is acyclic or two agree
-    for n in (13, 14):
+def test_setup_checker_certifies_nilpotency_orders_past_twelve(monkeypatch):
+    # k[e]/(e^n) with |e| = 0: powers are taken until one is acyclic or two
+    # agree, each formed once from the one before: n - 1 products
+    step = dgring._next_power
+    products = []
+
+    def counted(prev, ideal, k):
+        products.append(k)
+        return step(prev, ideal, k)
+
+    monkeypatch.setattr(dgring, "_next_power", counted)
+    for n, count in ((13, 12), (14, 13)):
+        products.clear()
         ring, aug = make_dual_numbers(n, 0, QQ)
         report = check_setup_assumptions(aug)
         assert passes(report)
         assert report.nilpotency_order == n
+        assert products == list(range(2, n + 1)) and len(products) == count
 
 
 def test_setup_checker_identity():

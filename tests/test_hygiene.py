@@ -238,6 +238,82 @@ def test_every_definition_is_referenced():
     assert UNREFERENCED.keys() - unreferenced == set(), "stale allowlist entries; delete them"
 
 
+# Every option, a defaulted parameter of a top-level function or method, is
+# set by some call in the package or the benchmark; an option nothing sets is
+# a second path no run takes.  The ones below stay for the tests, each for a
+# reason; the list may shrink, it must not grow.
+UNSET_OPTIONS = {
+    ("complexes.py", "TensorLayout.map_from_entries", "check"):
+        "the tests' elementwise reference, which builds unchecked maps to compare against",
+    ("derived.py", "resolve_module", "generator_cap"): "tests reach the cap error with small caps",
+    ("dgcat.py", "one_object_category", "obj"): "a test names its object 'pt'",
+    ("dgring.py", "DgRing.__init__", "check"):
+        "the law tests build broken rings unchecked to compare the check with an elementwise reference",
+    ("dgring.py", "DgIdeal.__init__", "check"): "a test builds a span that is not an ideal to see its action raise",
+    ("instances.py", "trivial_action_bimodule", "pieces"): "a test builds the zero-piece case",
+}
+
+
+def options(source: str):
+    """(qualified name, called name, parameter, position) for each defaulted
+    parameter of the top-level functions and of the methods of top-level
+    classes.  A constructor is called by its class name; the position counts
+    the arguments a call writes, so it skips self and cls, and it is None for
+    a keyword-only parameter."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs = [(node.name, node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            funcs = [(f"{node.name}.{item.name}", node.name if item.name == "__init__" else item.name, item,
+                      0 if any(getattr(dec, "id", None) == "staticmethod" for dec in item.decorator_list) else 1)
+                     for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        else:
+            continue
+        for qual, called, fn, bound in funcs:
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            found += [(qual, called, arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+            found += [(qual, called, arg.arg, None)
+                      for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+    return found
+
+
+def passed_arguments(source: str):
+    """(called name, keyword) and (called name, position) for each argument
+    of each call, by its bare name, a method's or a function's."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            found |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
+            found |= {(name, i) for i, arg in enumerate(node.args) if not isinstance(arg, ast.Starred)}
+    return found
+
+
+def test_options_and_passed_arguments_are_found():
+    src = ("class A:\n    def __init__(self, x, y=1):\n        pass\n    def m(self, z=2, *, w=3):\n        pass\n"
+           "    @staticmethod\n    def s(v=4):\n        pass\n"
+           "def f(a, b=0):\n    return A(1, 2).m(w=5), f(a=1), A.s(7)\n")
+    assert options(src) == [("A.__init__", "A", "y", 1), ("A.m", "m", "z", 0), ("A.m", "m", "w", None),
+                            ("A.s", "s", "v", 0), ("f", "f", "b", 1)]
+    assert passed_arguments(src) == {("A", 0), ("A", 1), ("m", "w"), ("f", "a"), ("s", 0)}
+
+
+def test_every_option_is_set():
+    benchmark = PACKAGE.parents[1] / "perfbench"
+    passed = set().union(*(passed_arguments(p.read_text())
+                           for p in sorted(PACKAGE.glob("*.py")) + sorted(benchmark.glob("*.py"))))
+    unset = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, called, param, position in options(path.read_text()):
+            if (called, param) not in passed and (called, position) not in passed:
+                unset.setdefault((path.name, qual), []).append(param)
+    found = {(name, qual, ", ".join(params)) for (name, qual), params in unset.items()}
+    assert not found - UNSET_OPTIONS.keys(), f"options no caller sets; delete them: {sorted(found - UNSET_OPTIONS.keys())}"
+    assert not UNSET_OPTIONS.keys() - found, f"stale allowlist entries; delete them: {sorted(UNSET_OPTIONS.keys() - found)}"
+
+
 def tracer_targets():
     """The FUNCTIONS and METHODS lists of the benchmark's tracer, read from its
     source without importing it."""

@@ -4,6 +4,7 @@ import functools
 import json
 import operator
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -124,6 +125,31 @@ def test_cli_field_override_runs():
     res = runner.invoke(main, ["cohomology", "--scenario", bundled("cohomology_basic.json"),
                                "--field", "Fp:5"])
     assert res.exit_code == 0
+
+
+@pytest.mark.parametrize("doc, overrides", [
+    # valid in characteristic 2 only: replayed over the document's Q, it exits 2
+    ({"field": "Q", "rings": {"R": {"dual_numbers": {"n": 3, "eps_degree": -1}}},
+      "morphisms": {"theta": {"augmentation": "R"}},
+      "commands": [{"run": "factorize", "morphism": "theta"}]}, ["--field", "Fp:2"]),
+    # Tor of k over k[e]/(e^3), |e| = 0: replayed on the document's window, 7 degrees instead of 11
+    ({"field": "Q", "rings": {"R": {"dual_numbers": {"n": 3, "eps_degree": 0}}},
+      "morphisms": {"theta": {"augmentation": "R"}}, "modules": {"k": {"restricted_ground": "theta"}},
+      "windows": {"w": {"lo": -6, "hi": 0, "guard": 2}},
+      "commands": [{"run": "derived-tensor", "left": "k", "right": "k", "window": "w"}]}, ["--window=-10:0"]),
+], ids=["field", "window"])
+def test_replay_reruns_the_same_invocation(tmp_path, doc, overrides):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    command = doc["commands"][0]["run"]
+    runner = CliRunner()
+    first = runner.invoke(main, [command, "--scenario", str(path), *overrides, "--format", "json"])
+    assert first.exit_code == 0, first.output
+    replay = shlex.split(json.loads(first.output)["replay"])
+    assert replay[0] == "dgkit"
+    again = runner.invoke(main, replay[1:] + ["--format", "json"])
+    assert again.exit_code == first.exit_code, again.output
+    assert json.loads(again.output)["results"] == json.loads(first.output)["results"]
 
 
 def test_cli_field_override_builds_the_scenario_once_under_it(tmp_path):
