@@ -16,7 +16,6 @@ from .complexes import (
     CohomologyReport,
     Complex,
     GradedSpace,
-    cone,
     direct_sum,
     hom_complex,
     shift_complex,
@@ -86,7 +85,7 @@ __all__ = [
     "QQ", "GF", "Field", "field_from_spec",
     "Mat",
     "Complex", "ChainMap", "CohomologyReport", "GradedSpace",
-    "cone", "direct_sum", "hom_complex", "shift_complex",
+    "direct_sum", "hom_complex", "shift_complex",
     "truncate_ge", "truncate_le",
     "DgRing", "DgRingMorphism", "DgIdeal",
     "make_dual_numbers", "ideal_power", "quotient", "check_setup_assumptions",

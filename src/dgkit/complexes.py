@@ -168,10 +168,6 @@ class Complex:
         return Complex(field, {}, {}, name="0")
 
     @staticmethod
-    def one_dim(field: Field) -> "Complex":
-        return Complex(field, {0: 1}, {}, name="k")
-
-    @staticmethod
     def concentrated(field: Field, degree: int, dim: int) -> "Complex":
         return Complex(field, {degree: dim}, {})
 
@@ -459,14 +455,6 @@ def cone_retract(f: ChainMap) -> "Retract":
     return _cone(f, twisted_sum)
 
 
-def cone(f: ChainMap):
-    """Mapping cone of a degree-0 map; returns (cone, include_target, project_to_shifted_source)."""
-    c = cone_retract(f)
-    target, source = c.pieces
-    return (c.complex, ChainMap(f.target, c.complex, 0, target.outward),
-            ChainMap(c.complex, shift_complex(f.source, 1), 0, source.inward))
-
-
 # -- smart truncations ---------------------------------------------------------
 
 
@@ -735,7 +723,7 @@ class TensorLayout:
 
     def __init__(self, factors: Sequence[Complex]):
         if not factors:
-            raise ShapeError("tensor of no factors; use Complex.one_dim")
+            raise ShapeError("tensor of no factors")
         self.factors = tuple(factors)
         self.field = same_field(*[c.field for c in factors])
         self.shape = tensor_shape(tuple(c.spaces.key for c in self.factors))

@@ -42,7 +42,6 @@ from .dgring import (
     DgIdeal,
     DgRingMorphism,
     check_setup_assumptions,
-    ideal_powers,
     quotient,
 )
 from .derived import balanced_tensor_ring
@@ -91,14 +90,13 @@ def factorize(theta: DgRingMorphism) -> FactorizationChain:
         raise ValidationError("setup assumptions failed: " + "; ".join(failing))
     n = setup.nilpotency_order
     ring = theta.source
-    ideal = theta.kernel_ideal()
-    if ideal.is_zero():
+    if setup.kernel_powers[0].is_zero():
         return FactorizationChain(theta, [], [], [], Verdict(CERTIFIED, "no steps: the head is theta"),
                                   _quasi_iso(theta))
-    # quotients R/I^k for k = n .. 1 with projections from R
+    # quotients R/I^k for k = n .. 1 with projections from R, on the powers the setup check formed
     projections = {}
     quotients = {}
-    for k, power in zip(range(1, n + 1), ideal_powers(ideal)):
+    for k, power in enumerate(setup.kernel_powers, 1):
         if power.is_zero():
             quotients[k] = ring
             projections[k] = DgRingMorphism.identity(ring)

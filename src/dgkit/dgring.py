@@ -11,7 +11,7 @@ associativity and graded commutativity are checked on the whole pairing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .complexes import (
@@ -132,12 +132,12 @@ class DgRing:
                     if image:
                         raise ValidationError(f"{name}: differential of {labels[i]} lands in empty degree")
                     continue
-                grid = diffs.setdefault(di, [[field.zero()] * dims[di] for _ in range(rows)])
+                grid = diffs.setdefault(di, [[0] * dims[di] for _ in range(rows)])
                 for k, coeff in image.items():
                     dk, pk = position[k]
                     if dk != di + 1:
                         raise ValidationError(f"{name}: differential of {labels[i]} has wrong degree")
-                    grid[pk][pi] = field.add(grid[pk][pi], coeff)
+                    grid[pk][pi] += coeff
         diff_mats = {d: Mat(field, dims[d + 1], dims[d], g) for d, g in diffs.items()}
         cx = Complex(field, dims, diff_mats, labels=lab, name=name)
         du, pu = position[unit_index]
@@ -154,18 +154,17 @@ class DgRing:
             # one column per pair of basis elements of degrees d1, d2, row-major
             d1, d2 = combo
             pairs = list(itertools.product(by_degree[d1], by_degree[d2]))
-            grid = [[field.zero()] * len(pairs) for _ in range(cx.dim(d1 + d2))]
+            grid = [[0] * len(pairs) for _ in range(cx.dim(d1 + d2))]
             for col, pair in enumerate(pairs):
                 for k, coeff in products[pair].items():
-                    pk = position[k][1]
-                    grid[pk][col] = field.add(grid[pk][col], coeff)
+                    grid[position[k][1]][col] += coeff
             return Mat(field, len(grid), len(pairs), grid)
 
         return DgRing(cx, unit, TensorLayout([cx, cx]).map_from_blocks(cx, 0, block), name=name)
 
     @staticmethod
     def ground_field(field: Field) -> "DgRing":
-        return DgRing.from_table(field, [0], ["1"], 0, lambda i, j: {0: field.one()}, name="k")
+        return DgRing.from_table(field, [0], ["1"], 0, lambda i, j: {0: 1}, name="k")
 
     def is_ground_field(self) -> bool:
         return self.total_dim() == 1
@@ -309,17 +308,17 @@ def make_dual_numbers(n: int, eps_degree: int, field: Field):
 
     def mult(i, j):
         if i + j < n:
-            return {i + j: field.one()}
+            return {i + j: 1}
         return {}
 
     ring = DgRing.from_table(field, degrees, labels, 0, mult, name=f"k[e]/(e^{n})")
     ground = DgRing.ground_field(field)
     comps = {}
     zero_deg_dim = ring.dim(0)
-    row = [field.zero()] * zero_deg_dim
+    row = [0] * zero_deg_dim
     # coefficient of the unit basis vector
     for i, v in enumerate(ring.unit.column_values(0)):
-        if not field.is_zero(v):
+        if v:
             row[i] = field.inv(v)
             break
     comps[0] = Mat(field, 1, zero_deg_dim, [row])
@@ -406,6 +405,7 @@ class AssumptionReport:
     cohomologically_nilpotent: Verdict
     power_H: Dict[int, Dict[int, int]]
     powers_hfp: Verdict
+    kernel_powers: List[DgIdeal] = dc_field(repr=False)  # the kernel I, then I^2, ... as formed
 
 
 # hfp asks for cohomology finitely presented over H^0 in the derived sense;
@@ -425,12 +425,14 @@ def check_setup_assumptions(theta: DgRingMorphism) -> AssumptionReport:
     order = None
     nilpotent = Verdict(CERTIFIED, "the kernel is zero")
     power_h: Dict[int, Dict[int, int]] = {}
+    powers: List[DgIdeal] = []
     if ideal.is_zero():
-        order = 1
+        order, powers = 1, [ideal]
     else:
         prev_dims = None
         # the powers are nested, so equal dimensions mean they stay constant: within dim I + 1 steps
         for k, power in enumerate(ideal_powers(ideal), 1):
+            powers.append(power)
             h = power.sub.cohomology().as_dict()
             if not h:
                 order = k
@@ -455,4 +457,5 @@ def check_setup_assumptions(theta: DgRingMorphism) -> AssumptionReport:
         cohomologically_nilpotent=nilpotent,
         power_H=power_h,
         powers_hfp=HFP_UNCHECKED,
+        kernel_powers=powers,
     )

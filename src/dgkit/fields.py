@@ -3,9 +3,12 @@
 Elements are plain Python values: over Q an ``int`` or a
 ``fractions.Fraction`` (a ``Fraction`` appears only where a division produces
 one; the two compare and hash equal), over F_p the canonical ``int``
-representatives ``0..p-1``.  A ``Field`` instance supplies the arithmetic.
-All operations are exact by construction.  ``QQ`` and ``GF(p)`` are the only
-instances, one per field, so fields compare and hash by identity.
+representatives ``0..p-1``.  Entries are combined raw with the native
+``+ - *`` operators and unary minus, and reduced once, when ``Mat(...)`` makes
+them a matrix; zero-ness is read only from entries of a ``Mat``.  A ``Field``
+supplies what native operators cannot: ``inv``, ``from_int``, ``parse`` and
+``render``.  ``QQ`` and ``GF(p)`` are the only instances, one per field, so
+fields compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -16,36 +19,15 @@ from .errors import DgkitError, FieldMismatchError
 
 
 class Field:
-    """Arithmetic interface shared by QQ and GF(p)."""
+    """What QQ and GF(p) supply beyond the native operators."""
 
     char: int
     tag: str
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
 
     def inv(self, a):
         raise NotImplementedError
 
     def from_int(self, n: int):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
         raise NotImplementedError
 
     def parse(self, text):
@@ -64,24 +46,6 @@ class RationalField(Field):
     char = 0
     tag = "Q"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
@@ -89,9 +53,6 @@ class RationalField(Field):
 
     def from_int(self, n):
         return int(n)
-
-    def is_zero(self, a):
-        return a == 0
 
     def parse(self, text):
         if isinstance(text, int):
@@ -110,7 +71,6 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}"
 
 
-
 def _normal(q: Fraction):
     """A rational as an ``int`` when its denominator is 1."""
     return q.numerator if q.denominator == 1 else q
@@ -124,24 +84,6 @@ class PrimeField(Field):
         self.char = p
         self.tag = f"F{p}"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
@@ -150,9 +92,6 @@ class PrimeField(Field):
 
     def from_int(self, n):
         return n % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def parse(self, text):
         if isinstance(text, int):

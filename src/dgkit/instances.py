@@ -60,9 +60,9 @@ def random_complex(rng: random.Random, field: Field,
     for deg, slot, tgt in ones:
         grid = grids.get(deg)
         if grid is None:
-            grid = [[field.zero()] * dims[deg] for _ in range(dims[deg + 1])]
+            grid = [[0] * dims[deg] for _ in range(dims[deg + 1])]
             grids[deg] = grid
-        grid[tgt][slot] = field.one()
+        grid[tgt][slot] = 1
     diffs = {d: Mat(field, dims[d + 1], dims[d], g) for d, g in grids.items()}
     basis = {d: random_invertible(rng, field, n) for d, n in dims.items()}
     conj = {}
@@ -112,7 +112,7 @@ def _discrete_draft(rng: random.Random, field: Field, n_objects: int,
                         continue
                     rows = dims.get(d + 1, 0)
                     cols = dims[d]
-                    grid = [[field.zero()] * cols for _ in range(rows)]
+                    grid = [[0] * cols for _ in range(rows)]
                     roff = 1 if d + 1 == 0 else 0
                     coff = 1 if d == 0 else 0
                     for i in range(mat.rows):
@@ -133,13 +133,13 @@ def _discrete_draft(rng: random.Random, field: Field, n_objects: int,
         if not (left or right):
             return None
         ng, nf = homs[(b, c)].dim(dg), homs[(a, b)].dim(df)
-        grid = [[field.zero()] * (ng * nf) for _ in range(homs[(a, c)].dim(dg + df))]
+        grid = [[0] * (ng * nf) for _ in range(homs[(a, c)].dim(dg + df))]
         if left:
             for j in range(nf):
-                grid[j][j] = field.one()
+                grid[j][j] = 1
         if right:
             for i in range(ng):
-                grid[i][i * nf] = field.one()
+                grid[i][i * nf] = 1
         return Mat(field, len(grid), ng * nf, grid)
 
     def build():
@@ -220,11 +220,11 @@ def _path_draft(rng: random.Random, field: Field, n_objects: int, max_arrows: in
 
     def block(a, b, c, combo):
         pairs = list(itertools.product(by_degree[(b, c)].get(combo[0], []), by_degree[(a, b)].get(combo[1], [])))
-        grid = [[field.zero()] * len(pairs) for _ in range(homs[(objects[a], objects[c])].dim(sum(combo)))]
+        grid = [[0] * len(pairs) for _ in range(homs[(objects[a], objects[c])].dim(sum(combo)))]
         for col, (g, f) in enumerate(pairs):
             slot = slots[(a, c)].get(product(g, f))
             if slot is not None:
-                grid[slot[1]][col] = field.one()
+                grid[slot[1]][col] = 1
         return Mat(field, len(grid), len(pairs), grid)
 
     ids = {objects[a]: Mat.basis_column(field, homs[(objects[a], objects[a])].dim(0), slots[(a, a)][("id",)][1])
@@ -423,16 +423,13 @@ def exterior_extension_ring(ring, gen_degree: int = -1):
         out = {}
         dsum = d1 + d2
         for k, v in enumerate(prod.column_values(0)):
-            if field.is_zero(v):
-                continue
-            key = (dsum, k, 1 if (f1 or f2) else 0)
-            val = v if sign > 0 else field.neg(v)
-            out[index[key]] = val
+            if v:
+                out[index[(dsum, k, 1 if (f1 or f2) else 0)]] = sign * v
         return out
 
     unit_index = None
     for k, (deg, i, fpart) in enumerate(flat):
-        if deg == 0 and fpart == 0 and not field.is_zero(ring.unit.entries[i][0]):
+        if deg == 0 and fpart == 0 and ring.unit.entries[i][0]:
             unit_index = k
             break
     return DgRing.from_table(field, degrees, labels, unit_index, mult,
@@ -510,10 +507,10 @@ def random_acyclic_complex(rng: random.Random, field: Field, lo: int = -2,
         tgt = dims.get(deg + 1, 0)
         dims[deg + 1] = tgt + 1
         ones.append((deg, slot, tgt))
-    grids = {deg: [[field.zero()] * dims[deg] for _ in range(dims[deg + 1])]
+    grids = {deg: [[0] * dims[deg] for _ in range(dims[deg + 1])]
              for deg in {one[0] for one in ones}}
     for deg, slot, tgt in ones:
-        grids[deg][tgt][slot] = field.one()
+        grids[deg][tgt][slot] = 1
     diffs = {d: Mat(field, dims[d + 1], dims[d], g) for d, g in grids.items()}
     basis = {d: random_invertible(rng, field, n) for d, n in dims.items()}
     conj = {}

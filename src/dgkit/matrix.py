@@ -4,13 +4,15 @@ Everything downstream (kernels, cokernels, (co)ends, resolutions) reduces to
 ``Mat.rref``.  Vectors are columns; a matrix acts on the left.
 
 Entries are plain Python numbers: ``int`` or ``Fraction`` over Q, and the
-canonical residues ``0..p-1`` over F_p.  The public constructor ``Mat(...)``
-checks the shape and is the one place where F_p entries from outside (``-1``,
-``p + 3``) are reduced to their residues.  So the kernel (products,
-elimination, Kronecker products, zero and equality tests) runs on the native
-``+ - *`` operators and truthiness, with one ``% p`` per computed entry over
-F_p and no ``Field`` call per entry.  Results the kernel has already shaped
-and reduced are wrapped by the unchecked internal constructor ``Mat._wrap``.
+canonical residues ``0..p-1`` over F_p.  Callers combine entries raw with the
+native operators; the public constructor ``Mat(...)``, which ``Mat.column``
+and ``Mat.from_columns`` call, checks the shape and is the one place where F_p
+entries (``-1``, ``p + 3``) are reduced to their residues.  So the kernel
+(products, elimination, Kronecker products, zero and equality tests) runs on
+the native ``+ - *`` operators and truthiness, with one ``% p`` per computed
+entry over F_p and no ``Field`` call per entry.  Results the kernel has already
+shaped and reduced are wrapped by the unchecked internal constructor
+``Mat._wrap``.
 
 ``Mat.rref`` eliminates each distinct matrix once: a module memo keyed by
 (field, column count, entries) keeps up to ``RREF_MEMO_BOUND`` (4,096)

@@ -119,18 +119,16 @@ def oracle_end_dims(t: Bimodule) -> Dict[int, int]:
                     if out_dim == 0:
                         continue
                     for r in range(out_dim):
-                        row = [field.zero()] * total
+                        row = [0] * total
                         for i in range(t.at(a, a).dim(n)):
                             x = Mat.basis_column(field, t.at(a, a).dim(n), i)
                             v = t.lact[(a, a2, a)].apply(df, f, n, x)
-                            row[offs[a] + i] = field.add(row[offs[a] + i], v.entries[r][0])
+                            row[offs[a] + i] += v.entries[r][0]
                         for i in range(t.at(a2, a2).dim(n)):
                             x = Mat.basis_column(field, t.at(a2, a2).dim(n), i)
                             v = t.ract[(a2, a, a2)].apply(n, x, df, f)
                             c = v.entries[r][0]
-                            if not ((df % 2) and (n % 2)):
-                                c = field.neg(c)
-                            row[offs[a2] + i] = field.add(row[offs[a2] + i], c)
+                            row[offs[a2] + i] += c if (df % 2) and (n % 2) else -c
                         rows.append(row)
         if rows:
             m = Mat(field, len(rows), total, rows)
@@ -165,13 +163,12 @@ def oracle_coend_dims(t: Bimodule) -> Dict[int, int]:
                         x = Mat.basis_column(field, src.dim(dx), i)
                         fx = t.lact[(a2, a1, a1)].apply(df, f, dx, x)
                         xf = t.ract[(a2, a2, a1)].apply(dx, x, df, f)
-                        col = [field.zero()] * total
+                        col = [0] * total
                         for r, v in enumerate(fx.column_values(0)):
-                            col[offs[a1] + r] = field.add(col[offs[a1] + r], v)
+                            col[offs[a1] + r] += v
                         sign = -1 if (df % 2 and dx % 2) else 1
                         for r, v in enumerate(xf.column_values(0)):
-                            col[offs[a2] + r] = field.sub(col[offs[a2] + r],
-                                                          v if sign > 0 else field.neg(v))
+                            col[offs[a2] + r] -= sign * v
                         cols.append(col)
         rel_rank = Mat.from_columns(field, total, cols).rank() if cols else 0
         dims[n] = total - rel_rank
@@ -209,8 +206,7 @@ def bar_oracle_dual_numbers_tor(n: int, eps_degree: int, field: Field,
         deg, pos = index[w]
         if dims.get(deg + 1, 0) == 0:
             continue
-        grid = grids.setdefault(deg, [[field.zero()] * dims[deg]
-                                      for _ in range(dims[deg + 1])])
+        grid = grids.setdefault(deg, [[0] * dims[deg] for _ in range(dims[deg + 1])])
         # bar differential: merge adjacent letters; the merged word drops one
         # shift, hence lands in degree deg + 1
         for i in range(len(w) - 1):
@@ -220,8 +216,7 @@ def bar_oracle_dual_numbers_tor(n: int, eps_degree: int, field: Field,
             w2 = w[:i] + (j,) + w[i + 2:]
             d2, p2 = index[w2]
             sign = sum(shifted_degree[x] for x in w[:i + 1])
-            val = field.one() if sign % 2 == 0 else field.neg(field.one())
-            grid[p2][pos] = field.add(grid[p2][pos], val)
+            grid[p2][pos] += -1 if sign % 2 else 1
     diff_mats = {d: Mat(field, dims[d + 1], dims[d], g) for d, g in grids.items()
                  if dims.get(d + 1)}
     cx = Complex(field, dims, diff_mats, name="bar")
@@ -309,15 +304,14 @@ def _fubini_check(rng) -> bool:
                             fx = t.lact[(o2, o1, o1)].apply(df, f, dx, x)
                             xf = t.ract[(o2, o2, o1)].apply(dx, x, df, f)
                             deg = df + dx
-                            col = [field.zero()] * ambient_dims.get(deg, 0)
+                            col = [0] * ambient_dims.get(deg, 0)
                             if not col:
                                 continue
                             for r, v in enumerate(fx.column_values(0)):
-                                col[offs[deg][o1] + r] = field.add(col[offs[deg][o1] + r], v)
+                                col[offs[deg][o1] + r] += v
                             sign = -1 if (df % 2 and dx % 2) else 1
                             for r, v in enumerate(xf.column_values(0)):
-                                col[offs[deg][o2] + r] = field.sub(
-                                    col[offs[deg][o2] + r], v if sign > 0 else field.neg(v))
+                                col[offs[deg][o2] + r] -= sign * v
                             cols.setdefault(deg, []).append(col)
         return cols
 
@@ -340,14 +334,13 @@ def _is_one_sided(prod, a, b, o1, o2, df, f, _tag) -> bool:
     (a1, u1) = o2
     (a2, u2) = o1
     lay = TensorLayout([a.hom(a1, a2), b.hom(u1, u2)])
-    field = prod.field
     # coordinates of f in the tensor layout; check support shape
     for p, v in enumerate(f.column_values(0)):
-        if field.is_zero(v):
+        if not v:
             continue
         (d1, d2), (i1, i2) = lay.decompose(df, p)
-        id_a = a1 == a2 and d1 == 0 and not a.id_vector(a1).entries[i1][0] == field.zero()
-        id_b = u1 == u2 and d2 == 0 and not b.id_vector(u1).entries[i2][0] == field.zero()
+        id_a = a1 == a2 and d1 == 0 and bool(a.id_vector(a1).entries[i1][0])
+        id_b = u1 == u2 and d2 == 0 and bool(b.id_vector(u1).entries[i2][0])
         if not (id_a or id_b):
             return False
     return True
@@ -590,12 +583,12 @@ def _h0_tensor_comparison(v: Module, u: Module, ring: DgRing) -> bool:
                 uu = h0u.rep(0).col(iu)
                 ru = u.act[(uobj, uobj)].apply(0, uu, 0, rvec)
                 ru_cls = h0u.class_of(0, ru)
-                col = [field.zero()] * pairs
+                col = [0] * pairs
                 for k, x in enumerate(vr_cls.column_values(0)):
-                    col[k * nu + iu] = field.add(col[k * nu + iu], x)
+                    col[k * nu + iu] += x
                 for k, x in enumerate(ru_cls.column_values(0)):
-                    col[iv * nu + k] = field.sub(col[iv * nu + k], x)
-                if any(not field.is_zero(x) for x in col):
+                    col[iv * nu + k] -= x
+                if not Mat.column(field, col).is_zero():
                     rel_cols.append(col)
     rel = Mat.from_columns(field, pairs, rel_cols) if rel_cols else Mat.zero(field, pairs, 0)
     lhs_dim = pairs - rel.rank()
@@ -613,15 +606,13 @@ def _h0_tensor_comparison(v: Module, u: Module, ring: DgRing) -> bool:
         lift = hp.rep(0) @ coords
         for iu in range(nu):
             uu = h0u.rep(0).col(iu)
-            col = [field.zero()] * q_lay.complex.dim(0)
+            col = [0] * q_lay.complex.dim(0)
             for pi, x in enumerate(lift.column_values(0)):
-                if field.is_zero(x):
+                if not x:
                     continue
                 for ui, y in enumerate(uu.column_values(0)):
-                    if field.is_zero(y):
-                        continue
-                    pos = q_lay.position((0, 0), (pi, ui))
-                    col[pos] = field.add(col[pos], field.mul(x, y))
+                    if y:
+                        col[q_lay.position((0, 0), (pi, ui))] += x * y
             cls = h0q.class_of(0, q_proj.component(0) @ Mat.column(field, col))
             cols.append(cls.column_values(0))
     themap = Mat.from_columns(field, h0q.dim(0), cols)
@@ -787,7 +778,7 @@ def check_negative_controls() -> CheckResult:
     # a non-surjective theta fails assumption (1)
     ring, aug = make_dual_numbers(2, -1, QQ)
     ground = aug.target
-    comps = {0: Mat(QQ, ring.dim(0), 1, [[QQ.one()]])}
+    comps = {0: Mat(QQ, ring.dim(0), 1, [[1]])}
     incl = DgRingMorphism(ground, ring,
                           ChainMap(ground.underlying, ring.underlying, 0, comps), name="incl")
     report = check_setup_assumptions(incl)

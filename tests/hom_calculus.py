@@ -41,7 +41,7 @@ def vector_from_chainmap(h: HomLayout, f: ChainMap) -> Mat:
 
 def trace_row(field: Field, n: int) -> Mat:
     """vec(1_n) as a row: the pairing sum_t u_t v_t of two n-vectors on kron(u, v)."""
-    return Mat(field, 1, n * n, [[field.one() if t == u else field.zero() for t in range(n) for u in range(n)]])
+    return Mat(field, 1, n * n, [[1 if t == u else 0 for t in range(n) for u in range(n)]])
 
 
 def evaluation_map(h: HomLayout) -> ChainMap:

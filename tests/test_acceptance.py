@@ -13,9 +13,16 @@ change of output is intended, with ``PYTHONPATH=src python tests/test_acceptance
 """
 
 import json
+import random
 from pathlib import Path
 
+import pytest
+
 from dgkit import verify
+from dgkit.bimodules import coend_of, end_of
+from dgkit.dgring import make_dual_numbers
+from dgkit.fields import GF
+from dgkit.instances import random_ring_module, random_square_bimodule, small_random_category
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "paper_suite.json"
 
@@ -99,3 +106,23 @@ def test_criterion_10_negative_controls():
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({r.name: r.as_dict() for r in verify.run_paper_suite()}, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_oracles_over_small_prime_fields(p):
+    # The paper suite runs the oracles over Q only.  They add entries raw and
+    # leave the reduction mod p to Mat(...), and over F_2, where 1 + 1 = 0, a
+    # sum that reached a rank unreduced would show.
+    field = GF(p)
+    rng = random.Random(20261020 + p)
+    dims = []
+    for _ in range(15):
+        t = random_square_bimodule(rng, small_random_category(rng, field, rng.randint(1, 3), max_total_hom=12))
+        for oracle, res in ((verify.oracle_end_dims, end_of(t)), (verify.oracle_coend_dims, coend_of(t))):
+            dims.append({d: res.complex.dim(d) for d in res.complex.degrees() if res.complex.dim(d)})
+            assert oracle(t) == dims[-1]
+    assert any(dims)
+    ring, aug = make_dual_numbers(2, -1, field)
+    for _ in range(10):
+        v, u = random_ring_module(rng, aug), random_ring_module(rng, aug)
+        assert verify._h0_tensor_comparison(v, u, ring)

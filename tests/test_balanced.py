@@ -52,12 +52,11 @@ def basis(cx):
 def plain_vector(lay, combo, a, b):
     """a (x) b in the plain tensor, coefficient by coefficient."""
     field = lay.field
-    col = [field.zero()] * lay.complex.dim(sum(combo))
+    col = [0] * lay.complex.dim(sum(combo))
     for i, av in enumerate(a.column_values(0)):
         for j, bv in enumerate(b.column_values(0)):
-            if not field.is_zero(av) and not field.is_zero(bv):
-                pos = lay.position(combo, (i, j))
-                col[pos] = field.add(col[pos], field.mul(av, bv))
+            if av and bv:
+                col[lay.position(combo, (i, j))] += av * bv
     return Mat.column(field, col)
 
 
@@ -102,7 +101,7 @@ def reference_descended(h, src, tgt, slot, act, left=True):
         out = Mat.zero(field, tgt.complex.dim(dh + dq), 1)
         lift = src.sections[dq].col(iq)
         for p, w in enumerate(lift.column_values(0)):
-            if field.is_zero(w):
+            if not w:
                 continue
             (da, db), (ia, ib) = src.layout.decompose(dq, p)
             a = Mat.basis_column(field, x.dim(da), ia)
@@ -115,7 +114,7 @@ def reference_descended(h, src, tgt, slot, act, left=True):
                 sign = -1 if left and odd(dh * da) else 1
             else:
                 continue
-            out = out + (tgt.projection.component(dh + dq) @ img).scale(field.mul(w, sign))
+            out = out + (tgt.projection.component(dh + dq) @ img).scale(w * sign)
         return out
 
     lay = TensorLayout([h, src.complex] if left else [src.complex, h])
@@ -205,7 +204,7 @@ def reference_composition(ext, cat, a, b, c):
         out = Mat.zero(field, tac.complex.dim(dq1 + dq2), 1)
         for gp, gv in enumerate(tbc.sections[dq1].col(idx[0]).column_values(0)):
             for fp, fv in enumerate(tab.sections[dq2].col(idx[1]).column_values(0)):
-                if field.is_zero(gv) or field.is_zero(fv):
+                if not (gv and fv):
                     continue
                 (ds, dg), (si, gi) = tbc.layout.decompose(dq1, gp)
                 (dt, df), (ti, fi) = tab.layout.decompose(dq2, fp)
@@ -214,10 +213,9 @@ def reference_composition(ext, cat, a, b, c):
                                                df, Mat.basis_column(field, cat.hom(a, b).dim(df), fi))
                 if not ring_s.dim(ds + dt) or not cat.hom(a, c).dim(dg + df):
                     continue
-                coeff = field.mul(gv, fv)
+                coeff = -gv * fv if odd(dg * dt) else gv * fv
                 plain = plain_vector(tac.layout, (ds + dt, dg + df), st, gf)
-                out = out + (tac.projection.component(dq1 + dq2) @ plain).scale(
-                    field.neg(coeff) if odd(dg * dt) else coeff)
+                out = out + (tac.projection.component(dq1 + dq2) @ plain).scale(coeff)
         return out
 
     return TensorLayout([tbc.complex, tab.complex]).map_from_entries(tac.complex, 0, entry)
@@ -299,7 +297,7 @@ def reference_differential(lay):
         rows, cols = lay.complex.dim(n + 1), lay.complex.dim(n)
         if not rows:
             continue
-        grid = [[field.zero()] * cols for _ in range(rows)]
+        grid = [[0] * cols for _ in range(rows)]
         for combo, _, _ in blocks:
             for idx in itertools.product(*[range(c.dim(d)) for c, d in zip(lay.factors, combo)]):
                 src = lay.position(combo, idx)
@@ -309,7 +307,7 @@ def reference_differential(lay):
                         continue
                     for i2, v in enumerate(factor.diff(combo[j]).column_values(idx[j])):
                         dst = lay.position(tcombo, idx[:j] + (i2,) + idx[j + 1:])
-                        grid[dst][src] = field.add(grid[dst][src], field.neg(v) if odd(*combo[:j]) else v)
+                        grid[dst][src] += -v if odd(*combo[:j]) else v
         diffs[n] = Mat(field, rows, cols, grid)
     return diffs
 

@@ -57,11 +57,11 @@ def brute_force_end_dims(t):
                     if out_dim == 0:
                         continue
                     for r in range(out_dim):
-                        row = [field.zero()] * total
+                        row = [0] * total
                         for i in range(t.at(a, a).dim(n)):
                             x = Mat.basis_column(field, t.at(a, a).dim(n), i)
                             v = t.lact[(a, a2, a)].apply(df, f, n, x)
-                            row[offs[a] + i] = field.add(row[offs[a] + i], v.entries[r][0])
+                            row[offs[a] + i] += v.entries[r][0]
                         for i in range(t.at(a2, a2).dim(n)):
                             x = Mat.basis_column(field, t.at(a2, a2).dim(n), i)
                             v = t.ract[(a2, a, a2)].apply(n, x, df, f)
@@ -69,8 +69,8 @@ def brute_force_end_dims(t):
                             if (df % 2) and (n % 2):
                                 pass
                             else:
-                                c = field.neg(c)
-                            row[offs[a2] + i] = field.add(row[offs[a2] + i], c)
+                                c = -c
+                            row[offs[a2] + i] += c
                         rows.append(row)
         if rows:
             m = Mat(field, len(rows), total, rows)
@@ -105,13 +105,12 @@ def brute_force_coend_dims(t):
                         x = Mat.basis_column(field, src.dim(dx), i)
                         fx = t.lact[(a2, a1, a1)].apply(df, f, dx, x)
                         xf = t.ract[(a2, a2, a1)].apply(dx, x, df, f)
-                        col = [field.zero()] * total
+                        col = [0] * total
                         for r, v in enumerate(fx.column_values(0)):
-                            col[offs[a1] + r] = field.add(col[offs[a1] + r], v)
+                            col[offs[a1] + r] += v
                         sign = -1 if (df % 2 and dx % 2) else 1
                         for r, v in enumerate(xf.column_values(0)):
-                            col[offs[a2] + r] = field.sub(col[offs[a2] + r],
-                                                          v if sign > 0 else field.neg(v))
+                            col[offs[a2] + r] -= v if sign > 0 else -v
                         cols.append(col)
         rel_rank = Mat.from_columns(field, total, cols).rank() if cols else 0
         dims[n] = total - rel_rank

@@ -136,7 +136,7 @@ def test_extension_adjunction_on_one_object():
     b_r = restrict_category(b_s, aug)
     # F over (a, b_R): take F(*,*) = k with eps acting by zero on both sides
     from dgkit.complexes import Complex
-    comps = {("*", "*"): Complex.one_dim(QQ)}
+    comps = {("*", "*"): Complex.concentrated(QQ, 0, 1)}
     lact = {}
     ract = {}
     lay_l = TensorLayout([a_cat.hom("*", "*"), comps[("*", "*")]])
@@ -145,9 +145,9 @@ def test_extension_adjunction_on_one_object():
         dr, _ = combo
         if dr != 0:
             return None
-        col = [QQ.zero()]
+        col = [0]
         if idx[0] == 0:
-            col[0] = QQ.one()
+            col[0] = 1
         return Mat.column(QQ, col)
 
     lact[("*", "*", "*")] = lay_l.map_from_entries(comps[("*", "*")], 0, entry_l)
@@ -157,7 +157,7 @@ def test_extension_adjunction_on_one_object():
         _, db = combo
         if db != 0:
             return None
-        return Mat.column(QQ, [QQ.one()])
+        return Mat.column(QQ, [1])
 
     ract[("*", "*", "*")] = lay_r.map_from_entries(comps[("*", "*")], 0, entry_r)
     f = Bimodule(a_cat, b_r, comps, lact, ract, name="kF")
@@ -172,7 +172,7 @@ def eps3_square():
     r2, p2 = quotient(ring3, ideal_power(aug3.kernel_ideal(), 2))
     ground = DgRing.ground_field(QQ)
     # coefficient extraction: the unit coordinate of R/I^2
-    comps = {0: Mat(QQ, 1, r2.dim(0), [[QQ.one() if j == 0 else QQ.zero() for j in range(r2.dim(0))]])}
+    comps = {0: Mat(QQ, 1, r2.dim(0), [[1 if j == 0 else 0 for j in range(r2.dim(0))]])}
     theta23 = DgRingMorphism(r2, ground, ChainMap(r2.underlying, ground.underlying, 0, comps),
                              name="aug2")
     return free_arrow_category(ring3), p2, theta23
@@ -259,8 +259,8 @@ def coextension_instance():
         dx, db = combo
         if db != 0:
             return None
-        col = [QQ.zero()] * ring.dim(dx)
-        col[idx[0]] = QQ.one()
+        col = [0] * ring.dim(dx)
+        col[idx[0]] = 1
         return Mat.column(QQ, col)
 
     ract = {("*", "*", "*"): lay.map_from_entries(ring.underlying, 0, entry)}
@@ -310,8 +310,8 @@ def test_coextension_tensor_and_cotensor():
         dx, db = combo
         if db != 0:
             return None
-        col = [QQ.zero()] * ring.dim(dx)
-        col[idx[0]] = QQ.one()
+        col = [0] * ring.dim(dx)
+        col[idx[0]] = 1
         return Mat.column(QQ, col)
 
     ract = {("*", "*", "*"): lay.map_from_entries(ring.underlying, 0, entry)}
@@ -383,8 +383,8 @@ def test_heart_coextension_dual_numbers_degree0():
         dx, db = combo
         if db != 0:
             return None
-        col = [QQ.zero()] * ring.dim(dx)
-        col[idx[0]] = QQ.one()
+        col = [0] * ring.dim(dx)
+        col[idx[0]] = 1
         return Mat.column(QQ, col)
 
     ract = {("*", "*", "*"): lay.map_from_entries(ring.underlying, 0, entry)}

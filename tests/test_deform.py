@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dgkit import changeofrings, deform
+from dgkit import changeofrings, deform, dgring
 from dgkit.fields import GF, QQ
 from dgkit.dgring import DgRingMorphism, make_dual_numbers
 from dgkit.dgcat import h0_category, one_object_category
@@ -55,6 +55,23 @@ def test_factorize_eps3_two_steps():
     assert all(v.status == CERTIFIED for v in chain.square_zero_kernels)
     # composition reproduces theta exactly (checked internally, assert flag)
     assert chain.composition_equals_theta.status == CERTIFIED
+
+
+def test_factorize_forms_each_kernel_power_once(monkeypatch):
+    # k[e]/(e^13), |e| = 0: the setup check forms I^2 .. I^13 and factorize
+    # takes its quotients by those same powers (12 products); the 12 steps'
+    # own setup checks form one product each
+    step = dgring._next_power
+    products = []
+
+    def counted(prev, ideal, k):
+        products.append(k)
+        return step(prev, ideal, k)
+
+    monkeypatch.setattr(dgring, "_next_power", counted)
+    chain = factorize(make_dual_numbers(13, 0, QQ)[1])
+    assert len(chain.steps) == 12 and passes(chain)
+    assert len(products) == 24
 
 
 def test_ideal_as_s_module_dual_numbers():
@@ -118,10 +135,10 @@ def test_h0_structure_split_algebra_detects_idempotent():
     field = QQ
     def mult2(i, j):
         if i == 0 and j == 0:
-            return {0: field.one()}
+            return {0: 1}
         if i == 0 or j == 0:
-            return {1: field.one()}
-        return {0: field.one()}
+            return {1: 1}
+        return {0: 1}
     ring2 = DgRing.from_table(field, [0, 0], ["u", "v"], 0, mult2, name="kxk")
     cat = one_object_category(ring2)
     verdict = h0_structure_verdict(h0_category(cat))
@@ -134,7 +151,7 @@ def split_algebra_category(field):
     when 2 is invertible (basis u = e1 + e2, the unit, and v = e1 - e2), the
     local ring k[v]/(v + 1)^2 over F_2."""
     def mult(i, j):
-        return {0: field.one()} if i == j else {1: field.one()}
+        return {0: 1} if i == j else {1: 1}
     return one_object_category(DgRing.from_table(field, [0, 0], ["u", "v"], 0, mult, name="kxk"))
 
 
@@ -311,11 +328,11 @@ def embed(ring, ext_ring, deg, vec):
     """R -> R[f] on basis vectors (the f-free part comes first per degree)."""
     from dgkit.matrix import Mat
     field = ring.field
-    out = [field.zero()] * ext_ring.dim(deg)
+    out = [0] * ext_ring.dim(deg)
     labels = ext_ring.underlying.spaces.labels.get(deg, ())
     base_labels = [f"r{deg}_{i}" for i in range(ring.dim(deg))]
     for i, v in enumerate(vec.column_values(0)):
-        if field.is_zero(v):
+        if not v:
             continue
         target = base_labels[i]
         pos = labels.index(target)

@@ -271,14 +271,14 @@ def test_orthogonality_from_acyclic_hom_block():
                     if a == b:
                         if df != 0:
                             return None
-                        col = [field.zero()] * homs[(a, c)].dim(dg)
-                        col[idx[0]] = field.one()
+                        col = [0] * homs[(a, c)].dim(dg)
+                        col[idx[0]] = 1
                         return Mat.column(field, col)
                     if b == c:
                         if dg != 0:
                             return None
-                        col = [field.zero()] * homs[(a, c)].dim(df)
-                        col[idx[1]] = field.one()
+                        col = [0] * homs[(a, c)].dim(df)
+                        col[idx[1]] = 1
                         return Mat.column(field, col)
                     return None
 
@@ -308,7 +308,7 @@ def evaluation_at_generators(res, mhc):
             for g, (x, n) in enumerate(res.generators):
                 phi = mhc.layouts[x].family_from_vector(m, mhc.projs[x].component(m) @ amb)
                 before = sum(cat.hom(x, y).dim(n - k) for y, k in res.generators[:g])
-                unit = [field.zero()] * res.module.at(x).dim(n)
+                unit = [0] * res.module.at(x).dim(n)
                 unit[before:before + cat.hom(x, x).dim(0)] = cat.id_vector(x).column_values(0)
                 value = phi[n] @ Mat.column(field, unit) if n in phi else Mat.zero(field, u.at(x).dim(n + m), 1)
                 out.extend((-value if m * n % 2 else value).column_values(0))

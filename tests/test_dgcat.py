@@ -50,7 +50,7 @@ def test_truncate_cat_removes_positive_part():
     field = QQ
     base = DgRing.ground_field(field)
     dims = {0: 2, 1: 1}
-    diffs = {0: Mat(field, 1, 2, [[field.zero(), field.one()]])}
+    diffs = {0: Mat(field, 1, 2, [[0, 1]])}
     end = Complex(field, dims, diffs, name="End")
     lay = TensorLayout([end, end])
 
@@ -58,12 +58,12 @@ def test_truncate_cat_removes_positive_part():
         dg, df = combo
         i, j = idx
         if dg == 0 and i == 0:
-            col = [field.zero()] * end.dim(df)
-            col[j] = field.one()
+            col = [0] * end.dim(df)
+            col[j] = 1
             return Mat.column(field, col)
         if df == 0 and j == 0:
-            col = [field.zero()] * end.dim(dg)
-            col[i] = field.one()
+            col = [0] * end.dim(dg)
+            col[i] = 1
             return Mat.column(field, col)
         return None
 

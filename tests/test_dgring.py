@@ -181,7 +181,7 @@ def test_setup_checker_identity():
 def test_setup_checker_non_surjective_inclusion_fails():
     ring, aug = make_dual_numbers(2, -1, QQ)
     ground = aug.target
-    comps = {0: Mat(QQ, ring.dim(0), 1, [[QQ.one()]])}
+    comps = {0: Mat(QQ, ring.dim(0), 1, [[1]])}
     incl = DgRingMorphism(ground, ring, ChainMap(ground.underlying, ring.underlying, 0, comps),
                           name="incl")
     report = check_setup_assumptions(incl)
@@ -201,13 +201,13 @@ def test_factorization_chain_composes_to_theta():
 def test_ring_rejects_positive_degrees():
     with pytest.raises(ValidationError):
         DgRing.from_table(QQ, [0, 1], ["1", "x"], 0,
-                          lambda i, j: {0: QQ.one()} if i == j == 0 else {})
+                          lambda i, j: {0: 1} if i == j == 0 else {})
 
 
 def test_ring_rejects_a_product_into_a_degree_with_no_basis():
     # e.e = 1 for |e| = -1 would sit in degree -2, which has no basis element
     def mult(i, j):
-        return {0: QQ.one()} if i == j == 1 else {i + j: QQ.one()}
+        return {0: 1} if i == j == 1 else {i + j: 1}
 
     with pytest.raises(ValidationError, match=r"product e\*e has wrong degree"):
         DgRing.from_table(QQ, [0, -1], ["1", "e"], 0, mult)

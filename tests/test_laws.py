@@ -103,7 +103,7 @@ def one_object(hom: Complex, comp: ChainMap, unit: Mat, base=None, action=None) 
 def test_ring_unit_law():
     with pytest.raises(ValidationError, match="unit fails"):
         DgRing.from_table(F, [0, 0], ["1", "x"], 1,
-                          lambda i, j: {} if i and j else {max(i, j): F.one()})
+                          lambda i, j: {} if i and j else {max(i, j): 1})
 
 
 def test_ring_graded_commutativity_law():
@@ -350,8 +350,8 @@ def _pair(mu: Pairing, dx: int, x: Mat, dy: int, y: Mat) -> Mat:
     out = Mat.zero(field, cm.target.dim(dx + dy + cm.degree), 1)
     for i, xv in enumerate(x.column_values(0)):
         for j, yv in enumerate(y.column_values(0)):
-            if not field.is_zero(xv) and not field.is_zero(yv):
-                out = out + comp.col(lay.position((dx, dy), (i, j))).scale(field.mul(xv, yv))
+            if xv and yv:
+                out = out + comp.col(lay.position((dx, dy), (i, j))).scale(xv * yv)
     return out
 
 
@@ -419,7 +419,7 @@ def _perturbed(cm: ChainMap, rng: random.Random) -> ChainMap:
     mat = cm.component(d)
     i, j = rng.randrange(mat.rows), rng.randrange(mat.cols)
     grid = [list(row) for row in mat.entries]
-    grid[i][j] = field.add(grid[i][j], field.parse(str(rng.randint(1, 3))))
+    grid[i][j] += field.parse(str(rng.randint(1, 3)))
     comps = dict(cm.components)
     comps[d] = Mat(field, mat.rows, mat.cols, grid)
     return ChainMap(cm.source, cm.target, cm.degree, comps, check=False)
@@ -570,8 +570,8 @@ def _paired_perturbation(ring: DgRing, rng: random.Random) -> ChainMap:
     mat = mult.component(n)
     grid = [list(row) for row in mat.entries]
     k = rng.randrange(mat.rows)
-    for pos, coeff in ((sq.position((dx, dy), (i, j)), c), (sq.position((dy, dx), (j, i)), field.mul(field.parse(str(sign)), c))):
-        grid[k][pos] = field.add(grid[k][pos], coeff)
+    for pos, coeff in ((sq.position((dx, dy), (i, j)), c), (sq.position((dy, dx), (j, i)), sign * c)):
+        grid[k][pos] += coeff
     comps = {**mult.components, n: Mat(field, mat.rows, mat.cols, grid)}
     return ChainMap(mult.source, mult.target, 0, comps, check=False)
 
@@ -608,7 +608,7 @@ def _rescaled(t: Bimodule, rng: random.Random):
         def entry(combo, idx):
             col = cm.component(sum(combo)).col(lay.position(combo, idx))
             factor = field.inv(scale[source][combo[slot]][idx[slot]])
-            return Mat.column(field, [field.mul(field.mul(v, factor), s)
+            return Mat.column(field, [v * factor * s
                                       for v, s in zip(col.column_values(0), scale[target].get(sum(combo), []))])
         return lay.map_from_entries(cm.target, 0, entry, check=False)
 
@@ -655,7 +655,7 @@ def test_ring_defect_is_named_in_degree_order():
     products = {(2, 3): {5: 1}, (4, 1): {4: 1}}
 
     def table(i, j):
-        return {j: F.one()} if i == 0 else {i: F.one()} if j == 0 else products.get((i, j), {})
+        return {j: 1} if i == 0 else {i: 1} if j == 0 else products.get((i, j), {})
 
     with pytest.raises(ValidationError, match=r"^R: graded commutativity fails on \(u1, u2\)$"):
         DgRing.from_table(F, degrees, names, 0, table, name="R")

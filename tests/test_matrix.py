@@ -13,21 +13,28 @@ from dgkit.matrix import Mat, extend_columns_to_basis, invert, kron, kron_produc
 def rand_mat(rng, field, rows, cols, density=0.7, span=5):
     def entry():
         if rng.random() > density:
-            return field.zero()
+            return 0
         return field.from_int(rng.randint(-span, span))
     return Mat(field, rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def reduced(p: int, values) -> list:
+    """The values mod p over F_p (p > 0), unchanged over Q (p = 0); the
+    references reduce each step themselves, apart from ``Mat``."""
+    return [v % p for v in values] if p else list(values)
 
 
 def oracle_rank(m: Mat) -> int:
     """Independent elimination: first-nonzero pivoting, forward-only, on a copy."""
     fld = m.field
+    p = fld.char
     rows = [list(r) for r in m.entries]
     rank = 0
     col = 0
     while rank < len(rows) and col < m.cols:
         piv = None
         for i in range(rank, len(rows)):
-            if not fld.is_zero(rows[i][col]):
+            if rows[i][col]:
                 piv = i
                 break
         if piv is None:
@@ -35,11 +42,11 @@ def oracle_rank(m: Mat) -> int:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = fld.inv(rows[rank][col])
-        rows[rank] = [fld.mul(inv, v) for v in rows[rank]]
+        rows[rank] = reduced(p, [inv * v for v in rows[rank]])
         for i in range(len(rows)):
-            if i != rank and not fld.is_zero(rows[i][col]):
+            if i != rank and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(rows[i], rows[rank])]
+                rows[i] = reduced(p, [a - f * b for a, b in zip(rows[i], rows[rank])])
         rank += 1
         col += 1
     return rank
@@ -171,12 +178,13 @@ Q_ZERO = st.sampled_from([0, Fraction(0)])
 
 
 def reference_rref(m: Mat):
-    """Elementwise Gauss-Jordan through the Field methods, with the kernel's
-    pivot rule: the first nonzero entry, over Q the first of least
-    numerator-plus-denominator bit length."""
+    """Elementwise Gauss-Jordan on native numbers, reduced mod p at each step,
+    with the kernel's pivot rule: the first nonzero entry, over Q the first of
+    least numerator-plus-denominator bit length."""
     fld = m.field
+    p = fld.char
     R = [list(row) for row in m.entries]
-    T = [[fld.one() if i == j else fld.zero() for j in range(m.rows)] for i in range(m.rows)]
+    T = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
     pivots = []
     r = 0
     def size(a):
@@ -186,36 +194,36 @@ def reference_rref(m: Mat):
     for c in range(m.cols):
         if r >= m.rows:
             break
-        candidates = [i for i in range(r, m.rows) if not fld.is_zero(R[i][c])]
+        candidates = [i for i in range(r, m.rows) if R[i][c]]
         if not candidates:
             continue
-        best = candidates[0] if fld.char else min(candidates, key=lambda i: size(R[i][c]))
+        best = candidates[0] if p else min(candidates, key=lambda i: size(R[i][c]))
         R[r], R[best], T[r], T[best] = R[best], R[r], T[best], T[r]
         pv = fld.inv(R[r][c])
-        R[r] = [fld.mul(pv, a) for a in R[r]]
-        T[r] = [fld.mul(pv, a) for a in T[r]]
+        R[r] = reduced(p, [pv * a for a in R[r]])
+        T[r] = reduced(p, [pv * a for a in T[r]])
         for i in range(m.rows):
-            if i != r and not fld.is_zero(R[i][c]):
+            if i != r and R[i][c]:
                 f = R[i][c]
-                R[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(R[i], R[r])]
-                T[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(T[i], T[r])]
+                R[i] = reduced(p, [a - f * b for a, b in zip(R[i], R[r])])
+                T[i] = reduced(p, [a - f * b for a, b in zip(T[i], T[r])])
         pivots.append((r, c))
         r += 1
     return Mat(fld, m.rows, m.cols, R), Mat(fld, m.rows, m.rows, T), tuple(pivots)
 
 
 def reference_kernel(m: Mat) -> Mat:
-    """The kernel basis read off the echelon form entry by entry through the
-    Field methods: one column per free column f, one at f and minus column f
-    of the echelon form at the pivot columns."""
+    """The kernel basis read off the echelon form entry by entry: one column
+    per free column f, one at f and minus column f of the echelon form at the
+    pivot columns."""
     fld = m.field
     R, _, pivots = reference_rref(m)
     pivot_cols = {c: r for r, c in pivots}
     cols = []
     for f in (c for c in range(m.cols) if c not in pivot_cols):
-        v = [fld.one() if c == f else fld.zero() for c in range(m.cols)]
+        v = [1 if c == f else 0 for c in range(m.cols)]
         for c, r in pivot_cols.items():
-            v[c] = fld.neg(R.entries[r][f])
+            v[c] = -R.entries[r][f]
         cols.append(v)
     return Mat.from_columns(fld, m.cols, cols)
 
