@@ -77,9 +77,6 @@ class Module:
     def total_dim(self) -> int:
         return sum(c.total_dim() for c in self.components.values())
 
-    def is_acyclic(self) -> bool:
-        return all(self.at(a).is_acyclic() for a in self.cat.objects)
-
     def _check(self):
         cat = self.cat
         for a in cat.objects:
@@ -165,17 +162,6 @@ class ModuleMap:
                                self.at(y), None) is not None:
                 raise ValidationError("module map does not respect the action")
 
-    def is_quasi_iso(self) -> bool:
-        return all(self.at(a).is_quasi_iso() for a in self.source.cat.objects)
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        comps = {a: self.at(a).compose(other.at(a)) for a in self.source.cat.objects}
-        return ModuleMap(other.source, self.target, self.degree + other.degree, comps, check=False)
-
-    @staticmethod
-    def zero(source: Module, target: Module, degree: int = 0) -> "ModuleMap":
-        return ModuleMap(source, target, degree, {}, check=False)
-
 
 def cone_module(phi: ModuleMap):
     """Componentwise cone with the diagonal action; returns
@@ -255,9 +241,6 @@ class Bimodule:
 
     def at(self, a, b) -> Complex:
         return self.components[(a, b)]
-
-    def total_dim(self) -> int:
-        return sum(c.total_dim() for c in self.components.values())
 
     def module_at(self, a) -> Module:
         """The right bcat-module T(a, -)."""
@@ -576,33 +559,20 @@ def find_quasi_representative(f: "Bimodule", a) -> Optional[QuasiRepWitness]:
 # -- restriction -------------------------------------------------------------------
 
 
-def restrict_bimodule(f: "Bimodule", along: DgFunctor, side: str = "lower") -> "Bimodule":
-    """Reindex one side along a strict dg-functor: the reindexed action is
-    the old one precomposed with kron(F, 1) or kron(1, F)."""
+def restrict_bimodule(f: "Bimodule", along: DgFunctor) -> "Bimodule":
+    """Reindex the lower side along a strict dg-functor: the reindexed action
+    is the old one precomposed with kron(F, 1)."""
     F = along.obj_map
-    if side == "lower":
-        if along.target.objects != f.acat.objects:
-            raise ValidationError("restriction functor must land in the lower category")
-        acat = along.source
-        comps = {(a, b): f.at(F[a], b) for a in acat.objects for b in f.bcat.objects}
-        lact = {(a1, a2, b): lifted_map([through(along.hom_map(a1, a2)), comps[(a1, b)]], comps[(a2, b)],
-                                        [f.lact[(F[a1], F[a2], b)].block])
-                for a1, a2, b in itertools.product(acat.objects, acat.objects, f.bcat.objects)}
-        ract = {(a, b1, b2): f.ract[(F[a], b1, b2)].map
-                for a, b1, b2 in itertools.product(acat.objects, f.bcat.objects, f.bcat.objects)}
-        return Bimodule(acat, f.bcat, comps, lact, ract, name=f"{f.name}|{along.name}")
-    if side == "upper":
-        if along.target.objects != f.bcat.objects:
-            raise ValidationError("restriction functor must land in the upper category")
-        bcat = along.source
-        comps = {(a, b): f.at(a, F[b]) for a in f.acat.objects for b in bcat.objects}
-        lact = {(a1, a2, b): f.lact[(a1, a2, F[b])].map
-                for a1, a2, b in itertools.product(f.acat.objects, f.acat.objects, bcat.objects)}
-        ract = {(a, b1, b2): lifted_map([comps[(a, b2)], through(along.hom_map(b1, b2))], comps[(a, b1)],
-                                        [f.ract[(a, F[b1], F[b2])].block])
-                for a, b1, b2 in itertools.product(f.acat.objects, bcat.objects, bcat.objects)}
-        return Bimodule(f.acat, bcat, comps, lact, ract, name=f"{f.name}|{along.name}")
-    raise ValidationError("side must be 'lower' or 'upper'")
+    if along.target.objects != f.acat.objects:
+        raise ValidationError("restriction functor must land in the lower category")
+    acat = along.source
+    comps = {(a, b): f.at(F[a], b) for a in acat.objects for b in f.bcat.objects}
+    lact = {(a1, a2, b): lifted_map([through(along.hom_map(a1, a2)), comps[(a1, b)]], comps[(a2, b)],
+                                    [f.lact[(F[a1], F[a2], b)].block])
+            for a1, a2, b in itertools.product(acat.objects, acat.objects, f.bcat.objects)}
+    ract = {(a, b1, b2): f.ract[(F[a], b1, b2)].map
+            for a, b1, b2 in itertools.product(acat.objects, f.bcat.objects, f.bcat.objects)}
+    return Bimodule(acat, f.bcat, comps, lact, ract, name=f"{f.name}|{along.name}")
 
 
 # -- hom complexes between bimodules ------------------------------------------------

@@ -216,7 +216,7 @@ def extension_adjunction_check(ext: ScalarExtension, b_s: DgCategory, f: Bimodul
     ract = {key: mu.map for key, mu in f.ract.items()}
     lf = Bimodule(ext.category, b_s, comps, lact, ract, name=f"l({f.name})")
     # r(l(F)): restrict along the unit functor; strict equality of actions
-    rlf = restrict_bimodule(lf, ext.inclusion, side="lower")
+    rlf = restrict_bimodule(lf, ext.inclusion)
     strict = all(rlf.at(a, b) == f.at(a, b) for a in a_cat.objects for b in b_s.objects)
     for key in f.lact:
         if rlf.lact[key].map != f.lact[key].map:

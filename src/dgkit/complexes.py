@@ -167,10 +167,6 @@ class Complex:
     def zero(field: Field) -> "Complex":
         return Complex(field, {}, {}, name="0")
 
-    @staticmethod
-    def concentrated(field: Field, degree: int, dim: int) -> "Complex":
-        return Complex(field, {degree: dim}, {})
-
     # -- cohomology --------------------------------------------------------
 
     def cohomology(self) -> "CohomologyReport":
@@ -318,28 +314,6 @@ class ChainMap:
                 comps[deg] = mat
         return ChainMap(other.source, self.target, self.degree + other.degree, comps, check=False)
 
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        if self.degree != other.degree:
-            raise ShapeError("cannot add chain maps of different degrees")
-        comps = {}
-        for deg in set(self.components) | set(other.components):
-            comps[deg] = self.component(deg) + other.component(deg)
-        return ChainMap(self.source, self.target, self.degree, comps, check=False)
-
-    def __sub__(self, other: "ChainMap") -> "ChainMap":
-        return self + (-other)
-
-    def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.degree,
-                        {d: -m for d, m in self.components.items()}, check=False)
-
-    def scale(self, c) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.degree,
-                        {d: m.scale(c) for d, m in self.components.items()}, check=False)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
             return NotImplemented
@@ -347,9 +321,6 @@ class ChainMap:
             return False
         degs = set(self.components) | set(other.components)
         return all(self.component(d) == other.component(d) for d in degs)
-
-    def apply(self, deg: int, vector: Mat) -> Mat:
-        return self.component(deg) @ vector
 
     # -- cohomology-level behaviour -----------------------------------------
 
@@ -1431,11 +1402,6 @@ class HomLayout:
             return self.tensor.shape.offsets[(i + n, -i)]
         except KeyError:
             raise ShapeError(f"no hom block at source degree {i}, map degree {n}") from None
-
-    def slot(self, n: int, i: int) -> Mat:
-        """The coordinate projection of degree n onto its block of source degree i."""
-        off, size = self.block_offset(n, i)
-        return Mat.identity(self.field, self.tensor.dim(n)).take_rows(range(off, off + size))
 
     @property
     def complex(self) -> Complex:

@@ -125,8 +125,10 @@ def factorize(theta: DgRingMorphism) -> FactorizationChain:
         if k == 1:
             step = iso.compose(step)
             step.name = f"theta_2,1"
-        sq_zero.append(Verdict.of(step.kernel_ideal().squares_to_zero(), "the step's kernel squares to zero"))
-        reports.append(check_setup_assumptions(step))
+        report = check_setup_assumptions(step)
+        # its first kernel power is the step's kernel
+        sq_zero.append(Verdict.of(report.kernel_powers[0].squares_to_zero(), "the step's kernel squares to zero"))
+        reports.append(report)
         steps.append(step)
     head = projections[n]
     composed = head

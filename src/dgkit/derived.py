@@ -323,11 +323,6 @@ class DerivedReport:
     resolution: WindowedResolution
     complex: Complex
 
-    def dim(self, d: int) -> int:
-        if d < self.window.lo or d > self.window.hi:
-            raise ValidationError(f"degree {d} outside the certified window")
-        return self.dims.get(d, 0)
-
     def as_dict(self):
         return {str(d): self.dims.get(d, 0) for d in self.window.degrees()}
 

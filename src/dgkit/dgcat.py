@@ -142,11 +142,11 @@ class DgCategory:
                 raise ValidationError(f"{name}: action not central (right) on hom({a},{b},{c})")
 
 
-def one_object_category(ring: DgRing, obj="*") -> DgCategory:
-    """The one-object category whose endomorphisms are the ring."""
+def one_object_category(ring: DgRing) -> DgCategory:
+    """The one-object category, its object ``*``, whose endomorphisms are the ring."""
     mult = ring.product.map
-    return DgCategory(ring, [obj], {(obj, obj): ring.underlying}, {(obj, obj, obj): mult}, {obj: ring.unit},
-                      action={(obj, obj): mult}, name=ring.name, check=False)
+    return DgCategory(ring, ["*"], {("*", "*"): ring.underlying}, {("*", "*", "*"): mult}, {"*": ring.unit},
+                      action={("*", "*"): mult}, name=ring.name, check=False)
 
 
 class DgFunctor:
@@ -154,15 +154,14 @@ class DgFunctor:
 
     def __init__(self, source: DgCategory, target: DgCategory, obj_map: Dict,
                  hom_maps: Dict, base_change: Optional[DgRingMorphism] = None,
-                 name: str = "F", check: bool = True):
+                 name: str = "F"):
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
         self.hom_maps = dict(hom_maps)
         self.base_change = base_change
         self.name = name
-        if check:
-            self._check()
+        self._check()
 
     def hom_map(self, a, b) -> ChainMap:
         return self.hom_maps[(a, b)]
@@ -188,13 +187,6 @@ class DgFunctor:
             if morphism_defect(s.action[(a, b)], t.action[(self.obj_map[a], self.obj_map[b])],
                                self.hom_map(a, b), base, self.hom_map(a, b)) is not None:
                 raise ValidationError(f"{self.name}: not linear over the base on hom({a},{b})")
-
-    @staticmethod
-    def identity(cat: DgCategory) -> "DgFunctor":
-        return DgFunctor(cat, cat, {a: a for a in cat.objects},
-                         {(a, b): ChainMap.identity(cat.hom(a, b))
-                          for a in cat.objects for b in cat.objects},
-                         name=f"id_{cat.name}", check=False)
 
 
 class H0Category:
@@ -236,9 +228,6 @@ class H0Category:
     def product(self, a, b, c) -> Mat:
         """The composition H^0(b,c) (x) H^0(a,b) -> H^0(a,c) as one matrix."""
         return self.comp[(a, b, c)].component(0)
-
-    def compose(self, a, b, c, gclass: Mat, fclass: Mat) -> Mat:
-        return kron_product(self.product(a, b, c), gclass, fclass)
 
 
 def h0_ring(ring: DgRing) -> Tuple[DgRing, DgRingMorphism]:

@@ -265,9 +265,6 @@ class DgIdeal:
     def dim(self, deg: int) -> int:
         return self.sub.dim(deg)
 
-    def total_dim(self) -> int:
-        return self.sub.total_dim()
-
     def is_zero(self) -> bool:
         return self.sub.total_dim() == 0
 

@@ -264,13 +264,13 @@ def unit_functional(cat, a) -> Mat:
     return invert(iota.hstack(section)).take_rows([0])
 
 
-def trivial_action_module(rng: random.Random, cat, pieces: int = 3):
+def trivial_action_module(rng: random.Random, cat):
     """Random complexes with the identity-character action; valid over the
     generated discrete/path categories (all non-identity products vanish or
     act by zero)."""
     from .bimodules import Module
     field = cat.field
-    comps = {a: random_complex(rng, field, lo=-3, hi=0, pieces=rng.randint(1, pieces))[0]
+    comps = {a: random_complex(rng, field, lo=-3, hi=0, pieces=rng.randint(1, 2))[0]
              for a in cat.objects}
     lams = {a: unit_functional(cat, a) for a in cat.objects}
 
@@ -301,7 +301,7 @@ def random_module(rng: random.Random, cat, allow_cone: bool = True):
                 m = shift_module(m, shift)
             choices.append(m)
         else:
-            choices.append(trivial_action_module(rng, cat, pieces=2))
+            choices.append(trivial_action_module(rng, cat))
     total = choices[0] if len(choices) == 1 else direct_sum_modules(choices)[0]
     if allow_cone and rng.random() < 0.4:
         other = Module.representable(cat, rng.choice(cat.objects))
@@ -495,13 +495,13 @@ def _cross_bimodule(acat, bcat, a0, b0, parts, name):
                            lambda b1, b2: bcat.comp[(b1, b2, b0)], 1, name=name)
 
 
-def random_acyclic_complex(rng: random.Random, field: Field, lo: int = -2,
-                           hi: int = 0, pieces: int = 2) -> Complex:
-    """Direct sum of two-term identity complexes, conjugated; always acyclic."""
+def random_acyclic_complex(rng: random.Random, field: Field, pieces: int = 2) -> Complex:
+    """Direct sum of two-term identity complexes in degrees -2..0, conjugated;
+    always acyclic."""
     dims: Dict[int, int] = {}
     ones = []
     for _ in range(pieces):
-        deg = rng.randint(lo, hi - 1)
+        deg = rng.randint(-2, -1)
         slot = dims.get(deg, 0)
         dims[deg] = slot + 1
         tgt = dims.get(deg + 1, 0)
@@ -524,8 +524,7 @@ def acyclic_trivial_bimodule(rng: random.Random, cat):
     comps = {}
     for a in cat.objects:
         for b in cat.objects:
-            comps[(a, b)] = random_acyclic_complex(rng, cat.field, lo=-2, hi=0,
-                                                   pieces=rng.randint(1, 2))
+            comps[(a, b)] = random_acyclic_complex(rng, cat.field, pieces=rng.randint(1, 2))
     return _trivial_actions_bimodule(cat, comps, "acyc")
 
 

@@ -31,10 +31,10 @@ class Verdict:
         raise TypeError("a Verdict has no truth value; read its status or use passes()")
 
     @staticmethod
-    def of(ok: bool, reason: str, witness=None) -> "Verdict":
+    def of(ok: bool, reason: str) -> "Verdict":
         """Certified when ``ok`` holds, failed otherwise; ``reason`` says what
         was checked."""
-        return Verdict(CERTIFIED if ok else FAILED, reason, witness)
+        return Verdict(CERTIFIED if ok else FAILED, reason)
 
 
 def _parts(report):

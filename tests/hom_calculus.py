@@ -44,6 +44,12 @@ def trace_row(field: Field, n: int) -> Mat:
     return Mat(field, 1, n * n, [[1 if t == u else 0 for t in range(n) for u in range(n)]])
 
 
+def slot(h: HomLayout, n: int, i: int) -> Mat:
+    """The coordinate projection of degree n onto its block of source degree i."""
+    off, size = h.block_offset(n, i)
+    return Mat.identity(h.field, h.tensor.dim(n)).take_rows(range(off, off + size))
+
+
 def evaluation_map(h: HomLayout) -> ChainMap:
     """ev: Hom(c,d) tensor c -> d, phi tensor x |-> phi(x): on the hom block
     of source degree i, vec(phi) (x) x |-> kron(1, vec(1)^t)."""
@@ -54,7 +60,7 @@ def evaluation_map(h: HomLayout) -> ChainMap:
         n, i = combo
         sdim = h.source.dim(i)
         ev = kron(Mat.identity(field, h.target.dim(n + i)), trace_row(field, sdim))
-        return kron_product(ev, h.slot(n, i), Mat.identity(field, sdim))
+        return kron_product(ev, slot(h, n, i), Mat.identity(field, sdim))
 
     return lay.map_from_blocks(h.target, 0, block)
 
@@ -77,7 +83,7 @@ def composition_map(x: Complex, y: Complex, z: Complex) -> ChainMap:
             if zdim:
                 comp = kron(Mat.identity(field, zdim),
                             kron(trace_row(field, y.dim(i + n)), Mat.identity(field, x.dim(i))))
-                terms.append(kron_product(hxz.slot(m + n, i).transpose() @ comp, hyz.slot(m, i + n), hxy.slot(n, i)))
+                terms.append(kron_product(slot(hxz, m + n, i).transpose() @ comp, slot(hyz, m, i + n), slot(hxy, n, i)))
         return reduce(Mat.__add__, terms) if terms else None
 
     return lay.map_from_blocks(hxz.complex, 0, block)

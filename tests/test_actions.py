@@ -315,7 +315,7 @@ def reference_resolution(m, floor, sequential=False):
     only the classes ``sequential_picks`` keeps."""
     cat = m.cat
     P = Module.zero(cat)
-    f = ModuleMap.zero(P, m)
+    f = ModuleMap(P, m, 0, {}, check=False)
     generators, classes = [], 0
     while True:
         coh = {z: reference_cone_complex(f.at(z)).cohomology() for z in cat.objects}
@@ -482,29 +482,19 @@ def reference_bimodule_sum(summands):
     return reference_bimodule_actions(acat, bcat, {k: v[0] for k, v in sums.items()}, left, right)
 
 
-def reference_restriction(f, along, side):
-    """The reindexed action, the functor applied to each basis element of
-    the reindexed hom."""
+def reference_restriction(f, along):
+    """The reindexed lower action, the functor applied to each basis element
+    of the reindexed hom."""
     F, field = along.obj_map, f.field
-    if side == "lower":
-        acat, bcat = along.source, f.bcat
-        comps = {(a, b): f.at(F[a], b) for a in acat.objects for b in bcat.objects}
+    acat, bcat = along.source, f.bcat
+    comps = {(a, b): f.at(F[a], b) for a in acat.objects for b in bcat.objects}
 
-        def left(a1, a2, b, dh, h, dx, i):
-            x = Mat.basis_column(field, comps[(a1, b)].dim(dx), i)
-            return reference_pair(f.lact[(F[a1], F[a2], b)],
-                                  dh, along.apply_hom(a1, a2, dh, h), dx, x)
-        lact, _ = reference_bimodule_actions(acat, bcat, comps, left, lambda *args: None)
-        return lact
-    acat, bcat = f.acat, along.source
-    comps = {(a, b): f.at(a, F[b]) for a in acat.objects for b in bcat.objects}
-
-    def right(a, b1, b2, dx, i, dh, h):
-        x = Mat.basis_column(field, comps[(a, b2)].dim(dx), i)
-        return reference_pair(f.ract[(a, F[b1], F[b2])],
-                              dx, x, dh, along.apply_hom(b1, b2, dh, h))
-    _, ract = reference_bimodule_actions(acat, bcat, comps, lambda *args: None, right)
-    return ract
+    def left(a1, a2, b, dh, h, dx, i):
+        x = Mat.basis_column(field, comps[(a1, b)].dim(dx), i)
+        return reference_pair(f.lact[(F[a1], F[a2], b)],
+                              dh, along.apply_hom(a1, a2, dh, h), dx, x)
+    lact, _ = reference_bimodule_actions(acat, bcat, comps, left, lambda *args: None)
+    return lact
 
 
 # -- instances ----------------------------------------------------------------------
@@ -781,10 +771,7 @@ def test_restrictions_match_the_basis_loops(field):
     for cat in (one_object_category(ring), exterior_one_object_category(ring)):
         ext = extend_scalars_cat(cat, aug)
         diag = Bimodule.diagonal(ext.category)
-        assert maps_of(restrict_bimodule(diag, ext.inclusion, "lower").lact) == reference_restriction(
-            diag, ext.inclusion, "lower")
-        assert maps_of(restrict_bimodule(diag, ext.inclusion, "upper").ract) == reference_restriction(
-            diag, ext.inclusion, "upper")
+        assert maps_of(restrict_bimodule(diag, ext.inclusion).lact) == reference_restriction(diag, ext.inclusion)
 
 
 # -- the subcomplex check -----------------------------------------------------------
@@ -812,7 +799,7 @@ def test_a_map_leaving_the_target_subcomplex_raises(field):
     with pytest.raises(ValidationError, match="leaves it"):
         lifted_map([target], target, [lambda flat: swap.component(flat[0])])
     # two parts, acting by the ground field in degree 0: the swap escapes
-    ground = Complex.concentrated(field, 0, 1)
+    ground = Complex(field, {0: 1}, {})
     with pytest.raises(ValidationError, match="leaves it"):
         lifted_map([target, ground], target, [lambda flat: swap.component(flat[0])])
     # where the subcomplex is zero, a nonzero plain map escapes too
@@ -847,14 +834,14 @@ def test_a_map_leaving_the_degree_0_cycles_raises(field):
     # w |-> u leaves the cycles: du = t
     with pytest.raises(ValidationError, match="leaves it"):
         lifted_map([h0], h0, [plain([0, 1, 0])])
-    ground = Complex.concentrated(field, 0, 1)
+    ground = Complex(field, {0: 1}, {})
     with pytest.raises(ValidationError, match="leaves it"):
         lifted_map([h0, ground], h0, [plain([0, 1, 1])])
     # where H^0 is zero, an image outside the cycles escapes too
     bounded = Complex(field, {-1: 1, 0: 2, 1: 1}, {-1: Mat(field, 2, 1, [[1], [0]]), 0: Mat(field, 1, 2, [[0, 1]])})
     zero = h0_retract(bounded.cohomology())
     assert zero.complex.total_dim() == 0
-    assert lifted_map([ground], zero, [lambda flat: Mat(field, 2, 1, [[1], [0]])]).is_zero()
+    assert not lifted_map([ground], zero, [lambda flat: Mat(field, 2, 1, [[1], [0]])]).components
     with pytest.raises(ValidationError, match="leaves it"):
         lifted_map([ground], zero, [lambda flat: Mat(field, 2, 1, [[0], [1]])])
 
@@ -1178,7 +1165,7 @@ def test_instance_categories_match_the_basis_loops(field):
             unit = path.base.unit.entries[0][0]
             assert mu.map == reference_map(mu.factors, mu.map.target,
                                            lambda dr, r, dx, x: x.scale(unit * r.entries[0][0]))
-        m = trivial_action_module(rng, path, pieces=2)
+        m = trivial_action_module(rng, path)
         for x, y in itertools.product(path.objects, repeat=2):
             lam = unit_functional(path, x)
             assert m.act[(x, y)].map == reference_map(m.act[(x, y)].factors, m.at(x), lambda dm, v, df, f: (

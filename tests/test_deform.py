@@ -20,6 +20,7 @@ from dgkit.deform import (
     ideal_as_S_module,
     levelwise_free_generators,
 )
+from dgkit.complexes import ChainMap
 from dgkit.derived import balanced_tensor_ring
 from dgkit.errors import ValidationError
 from dgkit.instances import (
@@ -72,6 +73,22 @@ def test_factorize_forms_each_kernel_power_once(monkeypatch):
     chain = factorize(make_dual_numbers(13, 0, QQ)[1])
     assert len(chain.steps) == 12 and passes(chain)
     assert len(products) == 24
+
+
+def test_factorize_forms_each_step_kernel_once(monkeypatch):
+    # k[e]/(e^4): theta's kernel, then one per step for its setup check, which
+    # the square-zero verdict reads too
+    kernel = dgring.DgRingMorphism.kernel_ideal
+    calls = []
+
+    def counted(self):
+        calls.append(self.name)
+        return kernel(self)
+
+    monkeypatch.setattr(dgring.DgRingMorphism, "kernel_ideal", counted)
+    chain = factorize(make_dual_numbers(4, 0, QQ)[1])
+    assert len(chain.steps) == 3 and passes(chain)
+    assert len(calls) == 4
 
 
 def test_ideal_as_s_module_dual_numbers():
@@ -163,7 +180,7 @@ def test_check_hlc_split_algebra_fails_with_idempotent_witness(field):
     assert render(verdict)["h0_karoubian"] is False
     obj, e = verdict.h0_karoubian.witness
     h0 = h0_category(cat)
-    assert h0.compose(obj, obj, obj, e, e) == e
+    assert kron_product(h0.product(obj, obj, obj), e, e) == e
     assert not e.is_zero() and e != h0.ids[obj]
 
 
@@ -283,8 +300,9 @@ def test_tensor_cancellation_check_fails_for_a_doubled_unit_on_a_square_zero_ste
         assert changeofrings.tensor_cancellation_check(outer, staged, ext.tensors[(a, b)], unit, x_by_s)
         if outer.complex.total_dim():
             nonzero += 1
-            assert not changeofrings.tensor_cancellation_check(outer, staged, ext.tensors[(a, b)],
-                                                               unit.scale(QQ.from_int(2)), x_by_s)
+            doubled = ChainMap(unit.source, unit.target, 0,
+                               {d: m.scale(QQ.from_int(2)) for d, m in unit.components.items()}, check=False)
+            assert not changeofrings.tensor_cancellation_check(outer, staged, ext.tensors[(a, b)], doubled, x_by_s)
     assert nonzero
 
 
@@ -616,4 +634,4 @@ def test_split_product_of_one_field_is_found_through_its_one_non_graph_element()
     assert verdict.h0_karoubian.status == FAILED
     obj, e = verdict.h0_karoubian.witness
     h0 = h0_category(one_object_category(ring))
-    assert h0.compose(obj, obj, obj, e, e) == e and not e.is_zero() and e != h0.ids[obj]
+    assert kron_product(h0.product(obj, obj, obj), e, e) == e and not e.is_zero() and e != h0.ids[obj]

@@ -146,13 +146,13 @@ def test_opposite_involution_strict():
 def test_tensor_with_unit_category():
     rng = random.Random(131)
     cat = random_nonpositive_category(rng, QQ, n_objects=2, flavor="path")
-    unit = one_object_category(DgRing.ground_field(QQ), obj="pt")
+    unit = one_object_category(DgRing.ground_field(QQ))
     prod = tensor_cat(cat, unit)
     assert len(prod.objects) == len(cat.objects)
     for a in cat.objects:
         for b in cat.objects:
-            assert {d: prod.hom((a, "pt"), (b, "pt")).dim(d)
-                    for d in prod.hom((a, "pt"), (b, "pt")).degrees()} == \
+            assert {d: prod.hom((a, "*"), (b, "*")).dim(d)
+                    for d in prod.hom((a, "*"), (b, "*")).degrees()} == \
                 {d: cat.hom(a, b).dim(d) for d in cat.hom(a, b).degrees()}
 
 

@@ -6,6 +6,7 @@ import importlib
 from pathlib import Path
 
 import dgkit
+import reachability
 from dgkit import matrix
 from dgkit.fields import QQ
 
@@ -174,19 +175,10 @@ def test_the_rref_memo_has_a_literal_bound_and_keeps_to_it():
 
 
 # Definitions that neither the package nor the benchmark references by name
-# stay only for a reason; an export in ``__all__`` is no reference by itself.
-# Dunder methods are called by the interpreter, and cmd_* CLI commands through
-# click's registry.  The named ones below stay for a reason; the list may
-# shrink, it must not grow.
-UNREFERENCED = {
-    ("complexes.py", "Complex.concentrated"): "builds the test instances of one-degree complexes",
-    ("changeofrings.py", "s_vs_r_module_comparison"):
-        "the paper's S-linear vs R-linear comparison, which no command or check reaches; after ROADMAP "
-        "item 3, item 10 decides whether a CLI entry, a paper check or this entry carries it",
-    ("dgcat.py", "truncate_cat"):
-        "the paper's truncation of a dg-category to degrees <= 0, which no command or check reaches; after "
-        "ROADMAP item 3, item 10 decides whether a CLI entry, a paper check or this entry carries it",
-}
+# stay only when tools/reachability.py allowlists them, which runs the commands,
+# checks and benchmark to find what never executes; an export in ``__all__`` is
+# no reference by itself.  Dunder methods are called by the interpreter, and
+# cmd_* CLI commands through click's registry.
 
 
 def interpreter_or_cli(name: str) -> bool:
@@ -206,17 +198,31 @@ def definitions(source: str):
     return found
 
 
+def class_names(sources):
+    """The names of the top-level classes of the sources."""
+    return {node.name for source in sources for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+
+
+def attribute_key(node: ast.Attribute, classes) -> str:
+    """``Class.name`` when the attribute is read on a class of ``classes``,
+    written bare or as a module attribute; the bare name otherwise."""
+    owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+    return f"{owner}.{node.attr}" if owner in classes else node.attr
+
+
 def referenced_names(package_sources, benchmark_sources):
-    """Every name loaded or read as an attribute, and every dotted identifier
-    written in a string of the benchmark, whose tracer names what it wraps
-    that way; a string of the package references nothing."""
+    """Every name loaded or read as an attribute, an attribute of a package
+    class as ``Class.name``, and every dotted identifier written in a string of
+    the benchmark, whose tracer names what it wraps that way; a string of the
+    package references nothing."""
+    classes = class_names(package_sources)
     names = set()
     for source, strings in [(s, False) for s in package_sources] + [(s, True) for s in benchmark_sources]:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                names.add(attribute_key(node, classes))
             elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.update(part for part in node.value.split(".") if part.isidentifier())
     return names
@@ -224,11 +230,16 @@ def referenced_names(package_sources, benchmark_sources):
 
 def test_definitions_and_references_are_found():
     src = ("class A:\n    def used(self):\n        return self.other()\n    def __eq__(self, o):\n        pass\n"
-           "def f():\n    return A().used(), 'x.g'\n")
-    assert definitions(src) == [("A.used", "used"), ("A.__eq__", "__eq__"), ("f", "f")]
+           "    @staticmethod\n    def make():\n        pass\n"
+           "class B:\n    @staticmethod\n    def make():\n        pass\n"
+           "def f():\n    return A().used(), A.make(), 'x.g'\n")
+    assert definitions(src) == [("A.used", "used"), ("A.__eq__", "__eq__"), ("A.make", "make"), ("B.make", "make"),
+                                ("f", "f")]
     assert {"A", "used", "other", "x", "g"} <= referenced_names([], [src])
     # in the package, 'x.g' is text, as in an error message that names a method
     assert {"A", "used", "other"} <= referenced_names([src], []) and not {"x", "g"} & referenced_names([src], [])
+    # A.make(...) reaches A's make, not B's
+    assert "A.make" in referenced_names([src], []) and not {"make", "B.make"} & referenced_names([src], [])
 
 
 def test_every_definition_is_referenced():
@@ -237,9 +248,9 @@ def test_every_definition_is_referenced():
                             [p.read_text() for p in sorted(benchmark.glob("*.py"))])
     unreferenced = {(path.name, qual) for path in sorted(PACKAGE.glob("*.py"))
                     for qual, name in definitions(path.read_text())
-                    if name not in used and not interpreter_or_cli(name)}
-    assert unreferenced - UNREFERENCED.keys() == set(), "definitions nothing calls; delete them"
-    assert UNREFERENCED.keys() - unreferenced == set(), "stale allowlist entries; delete them"
+                    if name not in used and qual not in used and not interpreter_or_cli(name)}
+    # an allowlist entry that runs is reported by the tool itself, which CI runs
+    assert unreferenced - reachability.ALLOWLIST.keys() == set(), "definitions nothing calls; delete them"
 
 
 # Every option, a defaulted parameter of a top-level function or method, is
@@ -250,7 +261,6 @@ UNSET_OPTIONS = {
     ("complexes.py", "TensorLayout.map_from_entries", "check"):
         "the tests' elementwise reference, which builds unchecked maps to compare against",
     ("derived.py", "resolve_module", "generator_cap"): "tests reach the cap error with small caps",
-    ("dgcat.py", "one_object_category", "obj"): "a test names its object 'pt'",
     ("dgring.py", "DgRing.__init__", "check"):
         "the law tests build broken rings unchecked to compare the check with an elementwise reference",
     ("dgring.py", "DgIdeal.__init__", "check"): "a test builds a span that is not an ideal to see its action raise",
@@ -283,13 +293,15 @@ def options(source: str):
     return found
 
 
-def passed_arguments(source: str):
+def passed_arguments(source: str, classes):
     """(called name, keyword) and (called name, position) for each argument
-    of each call, by its bare name, a method's or a function's."""
+    of each call, by its bare name, a method's or a function's, or as
+    ``Class.name`` when it is called on a class of ``classes``."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            func = node.func
+            name = attribute_key(func, classes) if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             found |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
             found |= {(name, i) for i, arg in enumerate(node.args) if not isinstance(arg, ast.Starred)}
     return found
@@ -298,20 +310,25 @@ def passed_arguments(source: str):
 def test_options_and_passed_arguments_are_found():
     src = ("class A:\n    def __init__(self, x, y=1):\n        pass\n    def m(self, z=2, *, w=3):\n        pass\n"
            "    @staticmethod\n    def s(v=4):\n        pass\n"
-           "def f(a, b=0):\n    return A(1, 2).m(w=5), f(a=1), A.s(7)\n")
+           "class B:\n    @staticmethod\n    def s(u, v=4):\n        pass\n"
+           "def f(a, b=0):\n    return A(1, 2).m(w=5), f(a=1), A.s(7), B.s(1, 2)\n")
     assert options(src) == [("A.__init__", "A", "y", 1), ("A.m", "m", "z", 0), ("A.m", "m", "w", None),
-                            ("A.s", "s", "v", 0), ("f", "f", "b", 1)]
-    assert passed_arguments(src) == {("A", 0), ("A", 1), ("m", "w"), ("f", "a"), ("s", 0)}
+                            ("A.s", "s", "v", 0), ("B.s", "s", "v", 1), ("f", "f", "b", 1)]
+    assert passed_arguments(src, set()) == {("A", 0), ("A", 1), ("m", "w"), ("f", "a"), ("s", 0), ("s", 1)}
+    # B.s(1, 2) sets B's v, not A's
+    assert passed_arguments(src, {"A", "B"}) == {("A", 0), ("A", 1), ("m", "w"), ("f", "a"), ("A.s", 0),
+                                                 ("B.s", 0), ("B.s", 1)}
 
 
 def test_every_option_is_set():
     benchmark = PACKAGE.parents[1] / "perfbench"
-    passed = set().union(*(passed_arguments(p.read_text())
+    classes = class_names(p.read_text() for p in sorted(PACKAGE.glob("*.py")))
+    passed = set().union(*(passed_arguments(p.read_text(), classes)
                            for p in sorted(PACKAGE.glob("*.py")) + sorted(benchmark.glob("*.py"))))
     unset = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for qual, called, param, position in options(path.read_text()):
-            if (called, param) not in passed and (called, position) not in passed:
+            if not {(called, param), (called, position), (qual, param), (qual, position)} & passed:
                 unset.setdefault((path.name, qual), []).append(param)
     found = {(name, qual, ", ".join(params)) for (name, qual), params in unset.items()}
     assert not found - UNSET_OPTIONS.keys(), f"options no caller sets; delete them: {sorted(found - UNSET_OPTIONS.keys())}"
