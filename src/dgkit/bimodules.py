@@ -24,6 +24,7 @@ from .complexes import (
     ChainMap,
     Complex,
     Equation,
+    HomSystem,
     Pairing,
     Piece,
     Retract,
@@ -38,14 +39,11 @@ from .complexes import (
     hom_complex,
     lifted_map,
     morphism_defect,
-    naturality_subcomplex,
     permutation_sign,
     postcomposition,
     quotient_by_relations,
     shift_complex,
-    slotwise,
-    sub_retract,
-    sum_retract,
+    slotwise_action,
     swapped,
     through,
     twisted_sum,
@@ -53,7 +51,7 @@ from .complexes import (
 )
 from .dgcat import DgCategory, DgFunctor, opposite
 from .errors import ValidationError
-from .matrix import Mat, concat_columns, kron
+from .matrix import Mat
 
 
 class Module:
@@ -122,12 +120,13 @@ def shift_module(m: Module, k: int) -> Module:
 def direct_sum_modules(summands: Sequence[Module]):
     """Returns (sum, injections, projections) as ModuleMaps."""
     cat = summands[0].cat
-    sums = {a: sum_retract([m.at(a) for m in summands]) for a in cat.objects}
-    total = module_on(cat, {a: s[0] for a, s in sums.items()}, summands,
-                       name="(+)".join(m.name for m in summands))
-    injections = [ModuleMap(m, total, 0, {a: s[1][i] for a, s in sums.items()}, check=False)
+    sums = {a: twisted_sum([(m.at(a), 0) for m in summands]) for a in cat.objects}
+    total = module_on(cat, sums, summands, name="(+)".join(m.name for m in summands))
+    injections = [ModuleMap(m, total, 0, {a: ChainMap(m.at(a), s.complex, 0, s.pieces[i].outward)
+                                          for a, s in sums.items()}, check=False)
                   for i, m in enumerate(summands)]
-    projections = [ModuleMap(total, m, 0, {a: s[2][i] for a, s in sums.items()}, check=False)
+    projections = [ModuleMap(total, m, 0, {a: ChainMap(s.complex, m.at(a), 0, s.pieces[i].inward)
+                                           for a, s in sums.items()}, check=False)
                    for i, m in enumerate(summands)]
     return total, injections, projections
 
@@ -180,7 +179,7 @@ def cone_module(phi: ModuleMap):
     return c, incl, proj
 
 
-class ModuleHomComplex:
+class ModuleHomComplex(HomSystem):
     """The complex of module maps M -> N, cut out of the product of the
     objectwise hom-complexes by the action-compatibility system."""
 
@@ -188,14 +187,12 @@ class ModuleHomComplex:
         self.source = source
         self.target = target
         cat = source.cat
-        self.layouts = {a: hom_complex(source.at(a), target.at(a)) for a in cat.objects}
         # phi_x o (- . f) = (- . f) o phi_y: the map never crosses f, so no sign
         equations = [Equation(source.at(y), target.at(x), (
                          Term(x, right=(df, source.act[(x, y)].at(1, df, f))),
                          Term(y, left=(df, target.act[(x, y)].at(1, df, f)), sign=-1)))
                      for x in cat.objects for y in cat.objects for df, f in cat.hom_basis(x, y)]
-        (self.ambient, self.injs, self.projs, self.complex,
-         self.inclusion) = naturality_subcomplex(self.layouts, equations, name=name)
+        super().__init__({a: hom_complex(source.at(a), target.at(a)) for a in cat.objects}, equations, name)
 
     def module_map_from_cocycle(self, degree: int, vec: Mat) -> ModuleMap:
         amb = self.inclusion.component(degree) @ vec
@@ -461,35 +458,21 @@ def dual_of(f: "Bimodule") -> "Bimodule":
     the result is a bimodule over the opposite categories.  Both actions act
     slotwise on the ambient families, psi |-> psi o (a . -) and
     psi |-> (- o b) o psi with the sign of moving the acting element past
-    psi; vec(L X R) = kron(L, R^t) vec(X) writes each slot block."""
+    psi; each flat block is one ``slotwise_action``."""
     acat_op = opposite(f.acat)
     bcat_op = acat_op if f.bcat is f.acat else opposite(f.bcat)
-    field = f.field
     modules = {a: f.module_at(a) for a in f.acat.objects}
     reps = {b: Module.representable(f.bcat, b) for b in f.bcat.objects}
     mhcs = {(a, b): ModuleHomComplex(modules[a], reps[b], name=f"dual({f.name})@({a},{b})")
             for a in f.acat.objects for b in f.bcat.objects}
-    parts = {key: sub_retract(m.complex, m.inclusion) for key, m in mhcs.items()}
+    parts = {key: m.retract() for key, m in mhcs.items()}
 
     def precomposed(a1, a2, b):
         # acat_op.hom(a1,a2) = f.acat.hom(a2,a1): an element a: A2 -> A1
-        src, tgt = mhcs[(a1, b)], mhcs[(a2, b)]
-
         def block(flat):
             da, dpsi = flat
-            n = da + dpsi
-            acts = {x: f.lact[(a2, a1, x)].block for x in f.bcat.objects}
-
-            def by(k):
-                def one(x, i):
-                    size = f.at(a2, x).dim(i)
-                    lam = acts[x]((da, i)).take_columns(range(k * size, (k + 1) * size))
-                    return kron(Mat.identity(field, reps[b].at(x).dim(i + n)), lam.transpose())
-                return one
-
-            out = concat_columns(field, tgt.ambient.dim(n),
-                                 [slotwise(src, tgt, dpsi, n, lambda i: i + da, by(k))
-                                  for k in range(f.acat.hom(a2, a1).dim(da))])
+            out = slotwise_action(mhcs[(a1, b)], mhcs[(a2, b)], f.acat.hom(a2, a1), flat, lambda i: i + da,
+                                  lambda x, i: f.lact[(a2, a1, x)].block((da, i)), False)
             return -out if permutation_sign((da, dpsi), (1, 0)) < 0 else out
         return block
 
@@ -578,7 +561,7 @@ def restrict_bimodule(f: "Bimodule", along: DgFunctor) -> "Bimodule":
 # -- hom complexes between bimodules ------------------------------------------------
 
 
-class BimoduleHomComplex:
+class BimoduleHomComplex(HomSystem):
     """Maps of bimodules F -> G: families phi_{A,B} commuting with both
     actions up to the Koszul sign of the map degree."""
 
@@ -588,7 +571,6 @@ class BimoduleHomComplex:
         acat, bcat = source.acat, source.bcat
         pairs = [(a, b) for a in acat.objects for b in bcat.objects]
         self.pairs = pairs
-        self.layouts = {p: hom_complex(source.at(*p), target.at(*p)) for p in pairs}
         # lower index: phi_{A2,B} o (f . -) = (-1)^{n|f|} (f . -) o phi_{A1,B}
         self.equations = [
             Equation(source.at(a1, b), target.at(a2, b), (
@@ -603,8 +585,8 @@ class BimoduleHomComplex:
                 Term((a, b2), left=(df, target.ract[(a, b1, b2)].at(1, df, f)), sign=-1)))
             for a in acat.objects for b1 in bcat.objects for b2 in bcat.objects
             for df, f in bcat.hom_basis(b1, b2)]
-        (self.ambient, self.injs, self.projs, self.complex,
-         self.inclusion) = naturality_subcomplex(self.layouts, self.equations, name="BimHom")
+        super().__init__({p: hom_complex(source.at(*p), target.at(*p)) for p in pairs}, self.equations,
+                         name="BimHom")
 
 
 def bimodule_hom_complex(source: "Bimodule", target: "Bimodule") -> BimoduleHomComplex:

@@ -29,6 +29,7 @@ from .complexes import (
     BalancedTensor,
     ChainMap,
     Equation,
+    HomSystem,
     TensorLayout,
     Term,
     balanced_tensor,
@@ -40,7 +41,6 @@ from .complexes import (
     koszul_swap,
     lifted_block,
     lifted_map,
-    naturality_subcomplex,
     permutation_sign,
     postcomposition,
     reorder_factors,
@@ -355,8 +355,8 @@ def coextension_adjunction_check(a_s: DgCategory, b_r: DgCategory, g: Bimodule) 
         s_act = (ds, objectwise[a].lact[(sobj, sobj, b)].at(0, ds, svec))
         s_equations.append(Equation(g.at(a, b), g.at(a, b), (
             Term((a, b), right=s_act), Term((a, b), left=s_act, sign=-1, twist=ds))))
-    *_, upper_incl = naturality_subcomplex(lower.layouts, s_equations + lower.equations, name="FunS")
-    equal = _same_span(lower.inclusion, upper_incl)
+    upper = HomSystem(lower.layouts, s_equations + lower.equations, name="FunS")
+    equal = _same_span(lower.inclusion, upper.inclusion)
     # S-linearity of the morphism action: (s . 1_a2) o f = (-1)^{|s||f|} f o (s . 1_a1) on every basis pair
     def s_linear_on(a1, a2):
         eye = Mat.identity(a_s.field, a_s.hom(a1, a2).total_dim())
@@ -404,7 +404,7 @@ def hom_bimodule_as_s_module(f: Bimodule, g: Bimodule, scat: DgCategory) -> Tupl
     hc = bimodule_hom_complex(f, g)
     ring_s = scat.hom(sobj, sobj)
     by_s = postcomposition(hc, hc, ring_s, lambda p, ds, j: g.lact[(sobj, sobj, p[1])].block((ds, j)))
-    part = sub_retract(hc.complex, hc.inclusion)
+    part = hc.retract()
     act = lifted_map([part, ring_s], part, [swapped(Action((ring_s, hc.ambient), by_s)).block])
     mod = Module(scat, {sobj: hc.complex}, {(sobj, sobj): act}, name=f"C({f.name},{g.name})")
     return mod, hc
@@ -456,7 +456,7 @@ def coextension_tensor_check(v: Module, f: Bimodule, g: Bimodule) -> bool:
     # Hom_S(V, C(F, G)) inside Hom(V, ambient of C(F, G)), through both inclusions
     into = hom_postcompose(vcx, hc.inclusion).compose(rhs.inclusion)
     try:
-        currying = lifted_map([sub_retract(lhs.complex, lhs.inclusion)], sub_retract(rhs.complex, into), [curried])
+        currying = lifted_map([lhs.retract()], sub_retract(rhs.complex, into), [curried])
     except ValidationError:
         return False
     # currying on each degree must be a bijection
@@ -471,7 +471,7 @@ def cotensor_over_s(v: Module, g: Bimodule) -> Bimodule:
     sobj = scat.objects[0]
     ring_s = scat.hom(sobj, sobj)
     mhcs = {b: module_hom_complex(v, s_module_of_component(g, b, scat)) for b in g.bcat.objects}
-    parts = {(sobj, b): sub_retract(m.complex, m.inclusion) for b, m in mhcs.items()}
+    parts = {(sobj, b): m.retract() for b, m in mhcs.items()}
 
     def by_s(b):
         return postcomposition(mhcs[b], mhcs[b], ring_s, lambda x, ds, j: g.lact[(sobj, sobj, b)].block((ds, j)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import prod
 from typing import Callable, Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -391,19 +391,11 @@ def twisted_sum(summands: Sequence[Tuple[Complex, int]], twist=None, name: Optio
     return Retract(total, tuple(Piece(c, k, proj, inj) for (c, k), (proj, inj) in zip(summands, slices)))
 
 
-def sum_retract(summands: Sequence[Complex]):
-    """The direct sum as a Retract whose piece i is summand i, with the
-    injections and projections as chain maps: (retract, injections,
-    projections)."""
-    total = twisted_sum([(c, 0) for c in summands])
-    return (total, [ChainMap(c, total.complex, 0, p.outward) for c, p in zip(summands, total.pieces)],
-            [ChainMap(total.complex, c, 0, p.inward) for c, p in zip(summands, total.pieces)])
-
-
 def direct_sum(summands: Sequence[Complex]):
     """Returns (sum, injections, projections)."""
-    total, injs, projs = sum_retract(summands)
-    return total.complex, injs, projs
+    total = twisted_sum([(c, 0) for c in summands])
+    return (total.complex, [ChainMap(c, total.complex, 0, p.outward) for c, p in zip(summands, total.pieces)],
+            [ChainMap(total.complex, c, 0, p.inward) for c, p in zip(summands, total.pieces)])
 
 
 def _cone(f: ChainMap, build):
@@ -534,8 +526,7 @@ def _family_degree(family) -> int:
     return family[0] if family is not None else 0
 
 
-def naturality_subcomplex(layouts: Dict[Hashable, HomLayout], equations: Sequence[Equation],
-                          name: str = "sub"):
+class HomSystem:
     """Families phi = (phi_slot) in the product of the slot hom-complexes, in
     the order of ``layouts``, that satisfy every equation.
 
@@ -545,51 +536,77 @@ def naturality_subcomplex(layouts: Dict[Hashable, HomLayout], equations: Sequenc
     Matrices are vectorised row-major, as in HomLayout (entry (r, t) of a
     matrix with c columns sits at r * c + t), so vec(L X R) = kron(L, R^t)
     vec(X), and each term writes that block once, straight into the degree-n
-    constraint matrix.
+    constraint matrix ``constraints[n]``.
 
-    Returns (ambient, injections, projections, sub, inclusion), with the
-    injections and projections keyed by slot.
+    ``ambient`` is the direct sum of the slot complexes (the slots start at
+    ``offsets[n]`` in degree n), ``complex`` the subcomplex of the families
+    and ``inclusion`` its inclusion; ``projs`` is built on first read.
     """
-    slots = list(layouts)
-    ambient, injs, projs = direct_sum([layouts[s].complex for s in slots])
-    field = ambient.field
-    constraints = {}
-    for n in ambient.degrees():
-        dim_n = ambient.dim(n)
-        offsets = dict(zip(slots, itertools.accumulate((layouts[s].complex.dim(n) for s in slots),
-                                                       initial=0)))
-        grid: List[List] = []
-        for eq in equations:
-            shift = n + _family_degree(eq.terms[0].left) + _family_degree(eq.terms[0].right)
-            for i in eq.domain.degrees():
-                p, q = eq.domain.dim(i), eq.codomain.dim(i + shift)
-                if q == 0:
-                    continue
-                top = len(grid)
-                grid.extend([0] * dim_n for _ in range(q * p))
-                for term in eq.terms:
-                    lay = layouts[term.slot]
-                    j = i + _family_degree(term.right)
-                    tdim = lay.target.dim(j + n)
-                    if lay.source.dim(j) == 0 or tdim == 0:
+
+    def __init__(self, layouts: Dict[Hashable, HomLayout], equations: Sequence[Equation], name: str = "sub"):
+        self.layouts = layouts
+        slots = list(layouts)
+        self.ambient = ambient = block_sum([(layouts[s].complex, 0) for s in slots])
+        field = ambient.field
+        constraints, self.offsets = {}, {}
+        for n in ambient.degrees():
+            dim_n = ambient.dim(n)
+            offsets = self.offsets[n] = dict(zip(slots, itertools.accumulate(
+                (layouts[s].complex.dim(n) for s in slots), initial=0)))
+            grid: List[List] = []
+            for eq in equations:
+                shift = n + _family_degree(eq.terms[0].left) + _family_degree(eq.terms[0].right)
+                for i in eq.domain.degrees():
+                    p, q = eq.domain.dim(i), eq.codomain.dim(i + shift)
+                    if q == 0:
                         continue
-                    right = Mat.identity(field, p) if term.right is None else term.right[1].get(i)
-                    left = Mat.identity(field, tdim) if term.left is None else term.left[1].get(j + n)
-                    if right is None or left is None:
-                        continue
-                    block = kron(left, right.transpose())
-                    if block.rows != q * p:
-                        raise ShapeError(f"{name}: a term on slot {term.slot!r} misses its codomain")
-                    col0 = offsets[term.slot] + lay.block_offset(n, j)[0]
-                    negate = (term.sign < 0) != bool(term.twist * n % 2)
-                    for out, row in zip(grid[top:], block.entries):
-                        for c, v in enumerate(row, col0):
-                            if v:
-                                out[c] = out[c] - v if negate else out[c] + v
-        if grid:
-            constraints[n] = Mat(field, len(grid), dim_n, grid)
-    sub, incl = constrained_subcomplex(ambient, constraints, name=name)
-    return ambient, dict(zip(slots, injs)), dict(zip(slots, projs)), sub, incl
+                    top = len(grid)
+                    grid.extend([0] * dim_n for _ in range(q * p))
+                    for term in eq.terms:
+                        lay = layouts[term.slot]
+                        j = i + _family_degree(term.right)
+                        tdim = lay.target.dim(j + n)
+                        if lay.source.dim(j) == 0 or tdim == 0:
+                            continue
+                        right = Mat.identity(field, p) if term.right is None else term.right[1].get(i)
+                        left = Mat.identity(field, tdim) if term.left is None else term.left[1].get(j + n)
+                        if right is None or left is None:
+                            continue
+                        block = kron(left, right.transpose())
+                        if block.rows != q * p:
+                            raise ShapeError(f"{name}: a term on slot {term.slot!r} misses its codomain")
+                        col0 = offsets[term.slot] + lay.block_offset(n, j)[0]
+                        negate = (term.sign < 0) != bool(term.twist * n % 2)
+                        for out, row in zip(grid[top:], block.entries):
+                            for c, v in enumerate(row, col0):
+                                if v:
+                                    out[c] = out[c] - v if negate else out[c] + v
+            if grid:
+                constraints[n] = Mat(field, len(grid), dim_n, grid)
+        self.constraints = constraints
+        self.complex, self.inclusion = constrained_subcomplex(ambient, constraints, name=name)
+
+    @cached_property
+    def projs(self) -> Dict[Hashable, ChainMap]:
+        """The coordinate projections of the ambient onto the slots, checked."""
+        eye = {n: Mat.identity(self.ambient.field, self.ambient.dim(n)) for n in self.offsets}
+        return {s: ChainMap(self.ambient, lay.complex, 0, {n: eye[n].take_rows(range(at[s], at[s] + lay.complex.dim(n)))
+                                                           for n, at in self.offsets.items()})
+                for s, lay in self.layouts.items()}
+
+    def retract(self) -> "Retract":
+        """The subcomplex through the ambient, read off the echelon form R of
+        each degree's constraints: in by the kernel basis, out by the
+        coordinates at the free columns, where the kernel basis is the
+        identity; a map lands in it when R kills it."""
+        outward, sub = {}, {}
+        for n in self.ambient.degrees():
+            eye = Mat.identity(self.ambient.field, self.ambient.dim(n))
+            echelon, _, pivots = self.constraints[n].rref() if n in self.constraints else (None, None, ())
+            if pivots:
+                sub[n] = echelon.take_rows(range(len(pivots)))
+            outward[n] = eye.take_rows(sorted(set(range(eye.rows)) - {c for _, c in pivots}))
+        return Retract(self.complex, (Piece(self.ambient, 0, self.inclusion.components, outward, sub),))
 
 
 def truncate_le(cx: Complex, n: int):
@@ -1445,16 +1462,22 @@ def hom_postcompose(source: Complex, f: ChainMap) -> ChainMap:
 
 # -- maps between the ambients of Hom systems ---------------------------------------
 #
-# A Hom system (a ModuleHomComplex or BimoduleHomComplex) has ``layouts``, one
-# HomLayout per slot, and ``ambient``, the direct sum of their complexes in that
-# order.  Its complex is a subcomplex of the ambient (``sub_retract``).
+# A Hom system (a HomSystem: a ModuleHomComplex or BimoduleHomComplex) has
+# ``layouts``, one HomLayout per slot, and ``ambient``, the direct sum of their
+# complexes in that order.  Its complex is a subcomplex of the ambient, which
+# ``HomSystem.retract`` reads off the echelon forms of the constraints; an action
+# on it is one ``slotwise_action`` block on the ambient per degree tuple.
 
 
-def slotwise(src, tgt, m: int, n: int, source_degree, block) -> Mat:
-    """The map from degree m of the ambient of ``src`` to degree n of that of
-    ``tgt`` that sends, in each slot x, the hom block of source degree
-    source_degree(i) to the hom block of source degree i by block(x, i),
-    and is zero elsewhere."""
+def slotwise_action(src, tgt, acting: Complex, flat, source_degree, act_block, left: bool) -> Mat:
+    """The flat block on flat = (dh, m) of h (x) phi |-> L_h o phi (``left``)
+    or phi o R_h, h in ``acting``, from degree m of the ambient of ``src`` to
+    degree m + dh of that of ``tgt``: in each slot x it sends the hom block of
+    source degree source_degree(i) to that of source degree i by kron(L_h, 1)
+    or kron(1, R_h^t), as vec(L X R) = kron(L, R^t) vec(X), where
+    act_block(x, i) holds the L_h or R_h of the basis elements h side by
+    side.  Its columns run row-major over (h, ambient), all h in one pass."""
+    (dh, m), count, field = flat, acting.dim(flat[0]), src.ambient.field
     cols, col_of = [], {}
     for x, lay in src.layouts.items():
         for j, _, size in lay.blocks(m):
@@ -1462,34 +1485,23 @@ def slotwise(src, tgt, m: int, n: int, source_degree, block) -> Mat:
             cols.append(size)
     rows, placed = [], {}
     for x, lay in tgt.layouts.items():
-        for i, _, size in lay.blocks(n):
+        for i, _, size in lay.blocks(m + dh):
             col = col_of.get((x, source_degree(i)))
             if col is not None:
-                placed[(len(rows), col)] = block(x, i)
+                lam = act_block(x, i)
+                width = lam.cols // count
+                eye = Mat.identity(field, lay.source.dim(i) if left else lay.target.dim(i + m + dh))
+                for k in range(count):
+                    part = lam.take_columns(range(k * width, (k + 1) * width))
+                    placed[(len(rows), k * len(cols) + col)] = kron(part, eye) if left else kron(eye, part.transpose())
             rows.append(size)
-    return block_matrix(src.ambient.field, rows, cols, placed)
+    return block_matrix(field, rows, cols * count, placed)
 
 
 def postcomposition(src, tgt, acting: Complex, act_block) -> Callable:
     """The flat blocks of h (x) phi |-> L_h o phi, slot by slot from the
     ambient of ``src`` to that of ``tgt``, for h in ``acting``:
     act_block(x, dh, j) is the block of h (x) y |-> L_h(y) on the degree-j
-    target of slot x, columns row-major over (h, y).  vec(L X) = kron(L, 1)
-    vec(X) writes each slot block."""
-    field = src.ambient.field
-
-    def block(flat):
-        dh, m = flat
-
-        def by(k):
-            def one(x, i):
-                lam = act_block(x, dh, i + m)
-                size = lam.cols // acting.dim(dh)
-                return kron(lam.take_columns(range(k * size, (k + 1) * size)),
-                            Mat.identity(field, src.layouts[x].source.dim(i)))
-            return one
-
-        return concat_columns(field, tgt.ambient.dim(m + dh),
-                              [slotwise(src, tgt, m, m + dh, lambda i: i, by(k)) for k in range(acting.dim(dh))])
-
-    return block
+    target of slot x, columns row-major over (h, y)."""
+    return lambda flat: slotwise_action(src, tgt, acting, flat, lambda i: i,
+                                        lambda x, i: act_block(x, flat[0], i + flat[1]), True)

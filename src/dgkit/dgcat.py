@@ -56,6 +56,7 @@ class DgCategory:
                                   f"{name}: composition {(a, b, c)}")
             for a, b, c in itertools.product(self.objects, repeat=3)}
         self.ids = dict(ids)
+        self.opposite_of: Optional[DgCategory] = None  # set by ``opposite``
         self.action: Dict[Tuple, Pairing] = {}
         for a in self.objects:
             for b in self.objects:
@@ -295,14 +296,18 @@ def truncate_cat(cat: DgCategory):
 def opposite(cat: DgCategory) -> DgCategory:
     """Opposite category; composition picks up the Koszul swap sign:
     hom_op(b,c) (x) hom_op(a,b) = hom(c,b) (x) hom(b,a) -> hom(c,a),
-    g (x) f |-> (-1)^{|g||f|} f o g."""
+    g (x) f |-> (-1)^{|g||f|} f o g.  The swap squares to the identity, so
+    the opposite of an opposite is the category it was built from."""
+    if cat.opposite_of is not None:
+        return cat.opposite_of
     homs = {(a, b): cat.hom(b, a) for a in cat.objects for b in cat.objects}
     comp = {(a, b, c): TensorLayout([cat.hom(c, b), cat.hom(b, a)]).map_from_blocks(
         cat.hom(c, a), 0, swapped(cat.comp[(c, b, a)]).block)
         for a, b, c in itertools.product(cat.objects, repeat=3)}
     action = {(a, b): cat.action[(b, a)].map for a in cat.objects for b in cat.objects}
-    return DgCategory(cat.base, cat.objects, homs, comp, cat.ids, action=action,
-                      name=f"op({cat.name})")
+    op = DgCategory(cat.base, cat.objects, homs, comp, cat.ids, action=action, name=f"op({cat.name})")
+    op.opposite_of = cat
+    return op
 
 
 def tensor_cat(x: DgCategory, y: DgCategory) -> DgCategory:

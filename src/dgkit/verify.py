@@ -38,12 +38,12 @@ from .complexes import (
     ChainMap,
     Complex,
     Equation,
+    HomSystem,
     TensorLayout,
     Term,
     cone_complex,
     hom_complex,
     lifted_map,
-    naturality_subcomplex,
     swapped,
     truncate_ge,
     truncate_le,
@@ -359,7 +359,7 @@ def _end_hom_compatibility(rng) -> bool:
                      Term(a, left=(df, t.lact[(a, a2, a)].at(0, df, f))),
                      Term(a2, left=(df, t.ract[(a2, a, a2)].at(1, df, f)), sign=-1)))
                  for a in cat.objects for a2 in cat.objects for df, f in cat.hom_basis(a, a2)]
-    *_, rhs, _ = naturality_subcomplex(homs, equations, name="endhom")
+    rhs = HomSystem(homs, equations, name="endhom").complex
     return all(lhs.dim(n) == rhs.dim(n) for n in set(lhs.degrees()) | set(rhs.degrees()))
 
 

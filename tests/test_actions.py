@@ -50,7 +50,10 @@ from dgkit.changeofrings import (
 from dgkit.complexes import (
     ChainMap,
     Complex,
+    Equation,
+    HomSystem,
     TensorLayout,
+    Term,
     cone_complex,
     cone_retract,
     direct_sum,
@@ -402,7 +405,7 @@ def reference_dual(f):
         mhc = mhcs[key]
         out = Mat.zero(field, mhc.ambient.dim(n), 1)
         for x, fam in fams.items():
-            out = out + mhc.injs[x].component(n) @ vector_from_family(mhc.layouts[x], n, fam)
+            out = out + mhc.projs[x].component(n).transpose() @ vector_from_family(mhc.layouts[x], n, fam)
         return out
 
     lact, ract = {}, {}
@@ -766,6 +769,20 @@ def test_dual_and_sum_of_bimodules_match_the_basis_loops(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_the_double_dual_matches_the_basis_loops(field):
+    """D(D(T)) is a bimodule over the categories of T themselves, since the
+    opposite of an opposite is the category it came from."""
+    rng = random.Random(23)
+    for t in square_bimodules(field, rng):
+        d = dual_of(t)
+        dd = dual_of(d)
+        assert dd.acat is t.acat and dd.bcat is t.bcat
+        lact, ract = reference_dual(d)
+        assert maps_of(dd.lact) == lact
+        assert maps_of(dd.ract) == ract
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
 def test_restrictions_match_the_basis_loops(field):
     ring, aug = make_dual_numbers(2, -1, field)
     for cat in (one_object_category(ring), exterior_one_object_category(ring)):
@@ -807,6 +824,41 @@ def test_a_map_leaving_the_target_subcomplex_raises(field):
     zero_sub, zero_incl = subcomplex(top, {})
     with pytest.raises(ValidationError, match="leaves it"):
         lifted_map([top], sub_retract(zero_sub, zero_incl), [lambda flat: Mat.identity(field, 1)])
+
+
+def hom_system_instance(field):
+    """Maps phi: V -> W with phi o A = B o phi, V = k^2 in degree 0 and W =
+    k^2 (+) k[-1], A = B = diag(1, 0) in degree 0 and B = 2 in degree 1: the
+    Hom system is the diagonal maps in degree 0 (2 of 4 dimensions) and zero
+    in degree 1, where the ambient has 2 dimensions."""
+    v = Complex(field, {0: 2}, {})
+    w = Complex(field, {0: 2, 1: 1}, {})
+    diag = Mat(field, 2, 2, [[1, 0], [0, 0]])
+    eq = Equation(v, w, (Term("phi", right=(0, {0: diag})),
+                         Term("phi", left=(0, {0: diag, 1: Mat(field, 1, 1, [[2]])}), sign=-1)))
+    return HomSystem({"phi": hom_complex(v, w)}, [eq], name="diagonal")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_a_map_leaving_a_hom_system_raises(field):
+    system = hom_system_instance(field)
+    amb, sub, incl = system.ambient, system.complex, system.inclusion
+    assert (amb.dim(0), amb.dim(1), sub.dim(0), sub.dim(1)) == (4, 2, 2, 0)
+    target = system.retract()
+    # the identity of the ambient breaks naturality in degree 0
+    with pytest.raises(ValidationError, match="a map into a subcomplex leaves it in degree 0"):
+        lifted_map([amb], target, [lambda flat: Mat.identity(field, amb.dim(flat[0]))])
+    # in degree 1 the subcomplex is zero, so any nonzero family leaves it
+    with pytest.raises(ValidationError, match="a map into a subcomplex leaves it in degree 1"):
+        lifted_map([amb], target, [lambda flat: Mat.identity(field, 2) if flat == (1,) else None])
+    # maps that land: the echelon retract gives what sub_retract gives
+    rng = random.Random(41)
+    for _ in range(4):
+        plain = incl.component(0) @ Mat(field, 2, 4, [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)])
+        # out of the ambient, and out of the subcomplex read through the retract
+        for source in (amb, target):
+            got = lifted_map([source], target, [lambda flat: plain if flat == (0,) else None])
+            assert got == lifted_map([source], sub_retract(sub, incl), [lambda flat: plain if flat == (0,) else None])
 
 
 def cycle_instance(field):
@@ -973,7 +1025,7 @@ def assemble(system, n, fams):
     """The element of degree n of a Hom system with the slot families ``fams``."""
     amb = Mat.zero(system.ambient.field, system.ambient.dim(n), 1)
     for p, fam in fams.items():
-        amb = amb + system.injs[p].component(n) @ vector_from_family(system.layouts[p], n, fam)
+        amb = amb + system.projs[p].component(n).transpose() @ vector_from_family(system.layouts[p], n, fam)
     return express(system.inclusion, n, amb)
 
 
@@ -1047,8 +1099,8 @@ def reference_tensor_check(v, f, g):
                                 (phi @ t.projection.component(dv + dx) @ Mat.basis_column(
                                     field, t.layout.complex.dim(dv + dx), t.layout.position((dv, dx), (vi, xi))))
                                 .column_values(0) for xi in range(f.at(sobj, b).dim(dx))])
-                        amb = amb + hc.injs[(sobj, b)].component(dv + n) @ vector_from_family(hc.layouts[(sobj, b)], 
-                            dv + n, inner)
+                        inj = hc.projs[(sobj, b)].component(dv + n).transpose()
+                        amb = amb + inj @ vector_from_family(hc.layouts[(sobj, b)], dv + n, inner)
                     sol = hc.inclusion.component(dv + n).solve(amb)
                     if sol is None:
                         return False

@@ -83,7 +83,7 @@ def test_module_hom_complex_identity_is_cocycle():
                                 for a in cat.objects})
     amb = Mat.zero(QQ, mhc.ambient.dim(0), 1)
     for a in cat.objects:
-        amb = amb + mhc.injs[a].component(0) @ vector_from_chainmap(mhc.layouts[a], ident.at(a))
+        amb = amb + mhc.projs[a].component(0).transpose() @ vector_from_chainmap(mhc.layouts[a], ident.at(a))
     vec = mhc.inclusion.component(0).solve(amb)
     assert vec is not None
     # identity is closed in the module hom complex

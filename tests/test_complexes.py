@@ -17,6 +17,8 @@ from dgkit.complexes import (
     ChainMap,
     Complex,
     Equation,
+    GradedSpace,
+    HomSystem,
     Pairing,
     TensorLayout,
     Term,
@@ -26,7 +28,6 @@ from dgkit.complexes import (
     flat_map,
     hom_complex,
     koszul_swap,
-    naturality_subcomplex,
     reorder_factors,
     shift_complex,
     swap_leading_factors,
@@ -50,6 +51,19 @@ def oracle_cohomology_dims(cx):
         rk_prev = cx.diff(i - 1).transpose().rank()
         dims[i] = cx.dim(i) - rk_i - rk_prev
     return {d: v for d, v in dims.items() if v}
+
+
+def test_a_negative_dimension_is_rejected():
+    with pytest.raises(ValidationError, match="negative dimension -1 in degree 2"):
+        GradedSpace({0: 1, 2: -1})
+
+
+def test_a_differential_into_a_zero_space_is_rejected():
+    # degree 1 has no basis, so a nonzero d^0 has nowhere to go
+    with pytest.raises(ValidationError, match="differential at degree 0 hits a zero space"):
+        Complex(QQ, {0: 1}, {0: Mat(QQ, 1, 1, [[1]])})
+    # a zero matrix there is the zero differential
+    assert not Complex(QQ, {0: 1}, {0: Mat.zero(QQ, 1, 1)}).d
 
 
 def test_d_squared_enforced():
@@ -481,7 +495,7 @@ def test_naturality_subcomplex_matches_sympy_solution_count(target_degree, twist
         w = Complex(QQ, {target_degree: q}, {})
         eq = Equation(v, w, (Term("phi", right=(0, {0: a})),
                              Term("phi", left=(0, {target_degree: b}), sign=-1, twist=twist)))
-        _, _, _, sub, _ = naturality_subcomplex({"phi": hom_complex(v, w)}, [eq])
+        sub = HomSystem({"phi": hom_complex(v, w)}, [eq]).complex
         phi = sympy.Matrix(q, p, sympy.symbols(f"x0:{p * q}"))
         sign = -1 if twist and target_degree % 2 else 1
         system = phi * sympy.Matrix(a.entries) - sign * sympy.Matrix(b.entries) * phi
@@ -491,7 +505,7 @@ def test_naturality_subcomplex_matches_sympy_solution_count(target_degree, twist
 
 
 def reference_constraints(layouts, equations):
-    """The degree-n constraint matrices of naturality_subcomplex written one
+    """The degree-n constraint matrices of a HomSystem written one
     entry at a time through the field's own is_zero, add and neg."""
     slots = list(layouts)
     ambient = direct_sum([layouts[s].complex for s in slots])[0]
@@ -530,7 +544,7 @@ def reference_constraints(layouts, equations):
     return out
 
 
-def test_naturality_constraints_match_the_entry_loop(field, monkeypatch):
+def test_naturality_constraints_match_the_entry_loop(field):
     """Two slots on complexes with zero differential (every solution set is
     d-stable), odd Hom degrees, and a sign-twisted term in both equations."""
     rng = random.Random(37)
@@ -555,17 +569,8 @@ def test_naturality_constraints_match_the_entry_loop(field, monkeypatch):
                         Term("psi", right=family(v, v, 1), twist=1),
                         Term("phi", right=family(v, v, 1), sign=-1))),
     ]
-    seen = {}
-    built = complexes.constrained_subcomplex
-
-    def spy(ambient, constraints, name="sub"):
-        seen.update(constraints)
-        return built(ambient, constraints, name=name)
-
-    monkeypatch.setattr(complexes, "constrained_subcomplex", spy)
-    naturality_subcomplex(layouts, equations)
     expect = reference_constraints(layouts, equations)
-    assert seen == expect
+    assert HomSystem(layouts, equations).constraints == expect
     assert [n for n in expect if n % 2 and not expect[n].is_zero()]
 
 

@@ -363,7 +363,7 @@ def test_hom_postcomposition_at_generators_is_postcomposition_of_module_maps(fie
             for a in cat.objects:
                 phi = src.layouts[a].family_from_vector(m, src.projs[a].component(m) @ amb)
                 composed = {i: counit.at(a).component(i + m) @ f for i, f in phi.items()}
-                flat = flat + tgt.injs[a].component(m) @ vector_from_family(tgt.layouts[a], m, composed)
+                flat = flat + tgt.projs[a].component(m).transpose() @ vector_from_family(tgt.layouts[a], m, composed)
             lifted = tgt.inclusion.component(m).solve(flat)
             assert ev_tgt.component(m) @ lifted == post.component(m) @ (ev_src.component(m) @ vec)
 

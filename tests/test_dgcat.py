@@ -15,7 +15,7 @@ from dgkit.dgcat import (
     tensor_cat,
     truncate_cat,
 )
-from dgkit.instances import random_nonpositive_category, small_random_category
+from dgkit.instances import exterior_one_object_category, random_nonpositive_category, small_random_category
 from dgkit.matrix import Mat
 from dgkit.complexes import Complex, TensorLayout
 from dgkit.errors import ValidationError
@@ -133,14 +133,27 @@ def test_h0_rejects_composition_not_well_defined_on_classes():
 
 
 def test_opposite_involution_strict():
-    rng = random.Random(127)
-    cat = random_nonpositive_category(rng, QQ, n_objects=2, flavor="path")
-    op2 = opposite(opposite(cat))
-    for key, mu in cat.comp.items():
-        assert op2.comp[key].map == mu.map
-    for a in cat.objects:
-        for b in cat.objects:
-            assert op2.hom(a, b) == cat.hom(a, b)
+    """opposite(opposite(C)) is C itself, and that shortcut hides nothing:
+    op(C) rebuilt as a plain category, with no record of C, has C's homs,
+    composition and action as its opposite.  The exterior category has odd
+    elements (e and f), so the two swap signs must cancel."""
+    ring, _ = make_dual_numbers(2, -1, QQ)
+    cats = [random_nonpositive_category(random.Random(127), QQ, n_objects=2, flavor="path"),
+            exterior_one_object_category(ring)]
+    assert any(d % 2 for d in cats[1].hom("*", "*").degrees())
+    for cat in cats:
+        op = opposite(cat)
+        assert opposite(op) is cat
+        plain = DgCategory(op.base, op.objects, op.homs, {key: mu.map for key, mu in op.comp.items()}, op.ids,
+                           action={key: act.map for key, act in op.action.items()}, name="plain")
+        op2 = opposite(plain)
+        assert op2 is not cat
+        for a in cat.objects:
+            for b in cat.objects:
+                assert op2.hom(a, b) == cat.hom(a, b)
+                assert op2.action[(a, b)].map == cat.action[(a, b)].map
+        for key, mu in cat.comp.items():
+            assert op2.comp[key].map == mu.map
 
 
 def test_tensor_with_unit_category():

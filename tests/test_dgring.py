@@ -198,6 +198,14 @@ def test_factorization_chain_composes_to_theta():
     assert aug_q2.surjective.status == CERTIFIED
 
 
+def test_a_ring_morphism_of_nonzero_degree_is_rejected():
+    ring, _ = make_dual_numbers(2, -1, QQ)
+    # 1 |-> e is a chain map of degree -1 (the differential is zero)
+    lower = ChainMap(ring.underlying, ring.underlying, -1, {0: Mat(QQ, ring.dim(-1), ring.dim(0), [[1]])})
+    with pytest.raises(ValidationError, match="ring morphisms have degree 0"):
+        DgRingMorphism(ring, ring, lower)
+
+
 def test_ring_rejects_positive_degrees():
     with pytest.raises(ValidationError):
         DgRing.from_table(QQ, [0, 1], ["1", "x"], 0,

@@ -139,6 +139,12 @@ def test_invert(rng):
             assert m @ invert(m) == Mat.identity(QQ, 3)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_invert_rejects_a_singular_matrix(field):
+    with pytest.raises(ShapeError, match="matrix is singular"):
+        invert(Mat(field, 2, 2, [[1, 2], [2, 4]]))
+
+
 def test_kron_row_major_vec_identity(rng):
     # vec(A X B^t) == (A kron B) vec(X) with row-major vec
     a = rand_mat(rng, QQ, 2, 3)
