@@ -324,38 +324,27 @@ def _square(t: Bimodule):
 
 
 def end_of(t: Bimodule) -> EndResult:
-    """Sign-twisted naturality kernel inside the product of diagonal components."""
+    """Sign-twisted naturality kernel inside the product of diagonal
+    components: per degree, the rows that each f: a -> a2 imposes, on all
+    ambient basis columns at once."""
     _square(t)
     cat = t.acat
-    field = t.field
     ambient, injs, projs = direct_sum([t.at(a, a) for a in cat.objects])
     projections = dict(zip(cat.objects, projs))
     constraints: Dict[int, Mat] = {}
     for n in ambient.degrees():
-        dim_n = ambient.dim(n)
-        cols: List[List] = []
-        for col in range(dim_n):
-            vec = Mat.basis_column(field, dim_n, col)
-            parts = {a: projections[a].component(n) @ vec for a in cat.objects}
-            out: List = []
-            for a in cat.objects:
-                for a2 in cat.objects:
-                    for df, f in cat.hom_basis(a, a2):
-                        tdim = t.at(a2, a).dim(n + df)
-                        if tdim == 0 and t.at(a, a).dim(n) == 0 and t.at(a2, a2).dim(n) == 0:
-                            continue
-                        lhs = t.lact[(a, a2, a)].apply(df, f, n, parts[a]) if t.at(a, a).dim(n) else \
-                            Mat.zero(field, tdim, 1)
-                        rhs = t.ract[(a2, a, a2)].apply(n, parts[a2], df, f) if t.at(a2, a2).dim(n) else \
-                            Mat.zero(field, tdim, 1)
-                        if (df % 2) and (n % 2):
-                            rhs = -rhs
-                        delta = lhs - rhs
-                        out.extend(delta.column_values(0))
-            cols.append(out)
-        if cols and cols[0]:
-            constraints[n] = Mat(field, len(cols[0]), dim_n,
-                                 [[cols[c][r] for c in range(dim_n)] for r in range(len(cols[0]))])
+        parts = {a: projections[a].component(n) for a in cat.objects}
+        rows: List[tuple] = []
+        for a in cat.objects:
+            for a2 in cat.objects:
+                for df, f in cat.hom_basis(a, a2):
+                    lhs = t.lact[(a, a2, a)].apply(df, f, n, parts[a])
+                    rhs = t.ract[(a2, a, a2)].apply(n, parts[a2], df, f)
+                    if (df % 2) and (n % 2):
+                        rhs = -rhs
+                    rows.extend((lhs - rhs).entries)
+        if rows:
+            constraints[n] = Mat._wrap(t.field, len(rows), ambient.dim(n), tuple(rows))
     sub, incl = constrained_subcomplex(ambient, constraints, name=f"end({t.name})")
     return EndResult(sub, incl, ambient, projections)
 

@@ -14,13 +14,14 @@ entry over F_p and no ``Field`` call per entry.  Results the kernel has already
 shaped and reduced are wrapped by the unchecked internal constructor
 ``Mat._wrap``.
 
-``Mat.rref`` eliminates each distinct matrix once: a module memo keyed by
-(field, column count, entries) keeps up to ``RREF_MEMO_BOUND`` (4,096)
-results, the oldest evicted first, and an equal matrix gets the same (R, T,
-pivots), immutable matrices both share.  Equal integer entries over Q and
-F_p have distinct keys; over Q an ``int`` and the equal ``Fraction`` hash
-alike and share one value-equal result.  No verdict is memoised: each check
-that reads an elimination still runs its own comparison.
+``Mat.rref`` eliminates each distinct matrix once and ``kron_product``
+multiplies each distinct operand triple once: the checks repeat equal
+operands held by different ``Mat`` objects.  One policy, ``_remember``: a
+memo keyed by the field and each operand's column count and entries keeps
+the newest ``RREF_MEMO_BOUND`` (4,096) results, and equal operands get the
+same immutable result.  Equal integer entries over Q and F_p have distinct
+keys; over Q an ``int`` and its ``Fraction`` share a value-equal result.
+No verdict is memoised: each check still runs its own comparison.
 """
 
 from __future__ import annotations
@@ -36,6 +37,18 @@ from .fields import Field, same_field
 
 RREF_MEMO_BOUND = 4096
 _rref_memo: OrderedDict = OrderedDict()
+_product_memo: OrderedDict = OrderedDict()
+
+
+def _remember(memo: OrderedDict, key, compute):
+    """``memo[key]``, else ``compute()`` stored there, the oldest result
+    evicted once the memo holds ``RREF_MEMO_BOUND``."""
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= RREF_MEMO_BOUND:
+            memo.popitem(last=False)
+        value = memo[key] = compute()
+    return value
 
 
 def _canonical(p: int, rows) -> tuple:
@@ -208,12 +221,11 @@ class Mat:
         denominator bit length), which keeps rational coefficients small.
         A matrix equal to one already eliminated gets that result.
         """
-        if self._rref is not None:
-            return self._rref
-        key = (self.field, self.cols, self.entries)
-        self._rref = _rref_memo.get(key)
-        if self._rref is not None:
-            return self._rref
+        if self._rref is None:
+            self._rref = _remember(_rref_memo, (self.field, self.cols, self.entries), self._eliminate)
+        return self._rref
+
+    def _eliminate(self):
         fld = self.field
         p = fld.char
         m = self.rows
@@ -269,12 +281,8 @@ class Mat:
                         ti[j] -= factor * a
             pivots.append((r, c))
             r += 1
-        result = (Mat._wrap(fld, m, self.cols, tuple(map(tuple, R))),
-                  Mat._wrap(fld, m, m, tuple(map(tuple, T))), tuple(pivots))
-        if len(_rref_memo) >= RREF_MEMO_BOUND:
-            _rref_memo.popitem(last=False)
-        _rref_memo[key] = self._rref = result
-        return result
+        return (Mat._wrap(fld, m, self.cols, tuple(map(tuple, R))),
+                Mat._wrap(fld, m, m, tuple(map(tuple, T))), tuple(pivots))
 
     def rank(self) -> int:
         return len(self.rref()[2])
@@ -408,15 +416,20 @@ def kron_product(a: Mat, b: Mat, c: Mat) -> Mat:
     a in column l of group i adds x * b[i][j] * c[l][m] to column (j, m) of
     the result.  Only nonzero entries are visited, the factor c[l][m] is
     dropped when c is the shared identity, and a is returned as is when b
-    and c both are."""
+    and c both are; equal operands share one result."""
     fld = same_field(a.field, b.field, c.field)
     if a.cols != b.rows * c.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by a kron of "
                          f"{b.rows}x{b.cols} and {c.rows}x{c.cols}")
-    h, width, p = c.rows, c.cols, fld.char
-    eye_c = c is Mat.identity(fld, h)
+    eye_c = c is Mat.identity(fld, c.rows)
     if eye_c and b is Mat.identity(fld, b.rows):
         return a
+    return _remember(_product_memo, (fld, a.cols, a.entries, b.cols, b.entries, c.cols, c.entries),
+                     lambda: _kron_rows(fld, a, b, c, eye_c))
+
+
+def _kron_rows(fld: Field, a: Mat, b: Mat, c: Mat, eye_c: bool) -> Mat:
+    h, width, p = c.rows, c.cols, fld.char
     c_nz = () if eye_c else [[(m, v) for m, v in enumerate(row) if v] for row in c.entries]
     coeffs = [[(j * width, v) for j, v in enumerate(row) if v] for row in b.entries]
     zero = (0,) * (b.cols * width)

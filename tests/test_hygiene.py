@@ -174,6 +174,73 @@ def test_the_rref_memo_has_a_literal_bound_and_keeps_to_it():
     assert (QQ, 3, entries(matrix.RREF_MEMO_BOUND - 1)) in matrix._rref_memo
 
 
+def test_the_product_memo_keeps_to_the_same_bound():
+    # bound + 1 products no other test forms: the first is evicted
+    b, c = matrix.Mat(QQ, 1, 1, ((7919,),)), matrix.Mat(QQ, 1, 1, ((-104729,),))
+
+    def key(n):
+        return (QQ, 1, ((n,),), 1, b.entries, 1, c.entries)
+
+    for n in range(-1, matrix.RREF_MEMO_BOUND):
+        matrix.kron_product(matrix.Mat(QQ, 1, 1, ((n,),)), b, c)
+    assert len(matrix._product_memo) <= matrix.RREF_MEMO_BOUND
+    assert key(-1) not in matrix._product_memo
+    assert matrix._product_memo[key(matrix.RREF_MEMO_BOUND - 1)].entries == \
+        (((matrix.RREF_MEMO_BOUND - 1) * 7919 * -104729,),)
+
+
+def unbounded_memos(source: str):
+    """(line, name) of each module-level ``dict`` or ``OrderedDict`` (a
+    display, a comprehension or a ``dict``, ``OrderedDict`` or
+    ``defaultdict`` call) that the module writes to by item assignment,
+    ``setdefault`` or ``update``: a memo that grows without the bound of
+    ``matrix._remember``, which takes the memo it writes as an argument."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        func = node.value.func if isinstance(node.value, ast.Call) else None
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if isinstance(node.value, (ast.Dict, ast.DictComp)) or name in ("dict", "OrderedDict", "defaultdict"):
+            bound.update({t.id: node.lineno for t in targets if isinstance(t, ast.Name)})
+    written = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            written.add(getattr(node.value, "id", None))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                node.func.attr in ("setdefault", "update"):
+            written.add(getattr(node.func.value, "id", None))
+    return sorted((line, name) for name, line in bound.items() if name in written)
+
+
+def test_unbounded_memos_are_found():
+    src = ("import collections\nfrom collections import OrderedDict\n"
+           "TABLE = {'a': 1}\n_a = {}\n_b: dict = dict()\n_c = collections.OrderedDict()\n"
+           "_d: OrderedDict = OrderedDict()\n_e = {k: k for k in 'ab'}\n"
+           "def f(k):\n    local = {}\n    local[k] = TABLE[k]\n    _a[k] = 1\n    _b.setdefault(k, 2)\n"
+           "    _c.update({k: 3})\n    _e[k] = 4\n    return _remember(_d, k, 5)\n")
+    assert unbounded_memos(src) == [(4, "_a"), (5, "_b"), (6, "_c"), (8, "_e")]
+
+
+# Module-level memos that may grow without ``matrix._remember``'s bound, with
+# the reason.
+UNBOUNDED_MEMOS = {
+    ("fields", "_gf_cache"): "interns one field per prime a run names; fields compare by identity, "
+                             "so an entry may never be evicted",
+}
+
+
+def test_package_memos_go_through_the_bounded_helper():
+    found = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             for _, name in unbounded_memos(path.read_text())}
+    assert found == UNBOUNDED_MEMOS.keys()
+
+
 # Definitions that neither the package nor the benchmark references by name
 # stay only when tools/reachability.py allowlists them, which runs the commands,
 # checks and benchmark to find what never executes; an export in ``__all__`` is

@@ -640,6 +640,62 @@ def test_bimodule_check_agrees_with_elementwise_reference_under_mutation(field):
     assert any(verdicts) and not all(verdicts)
 
 
+# -- a warm product memo answers no law check for other data ------------------------------
+#
+# The law checks share ``kron_product``'s memo with every construction before
+# them.  Each case checks a valid instance first, so the memo holds its law
+# products, then a copy with one action or composition block negated, which
+# fails with the message it fails with on a cold memo.
+
+
+def _negated(mu: Pairing, combo) -> ChainMap:
+    """The map of ``mu`` with the columns of its block ``combo`` negated."""
+    cm, n = mu.map, sum(combo)
+    off, size = mu.layout.shape.offsets[combo]
+    mat = cm.component(n)
+    grid = [[-v if off <= j < off + size else v for j, v in enumerate(row)] for row in mat.entries]
+    return ChainMap(cm.source, cm.target, 0, {**cm.components, n: Mat(mat.field, mat.rows, mat.cols, grid)},
+                    check=False)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("side, key, combo, message", [
+    ("lact", ("X", "X", "X"), (-1, 0), "diag(freearrow): left action not associative"),
+    ("lact", ("Y", "Y", "Y"), (-1, 0), "diag(freearrow): actions do not commute"),
+    ("ract", ("Y", "X", "Y"), (-1, 0), "diag(freearrow): right action not associative"),
+    ("ract", ("X", "X", "X"), (0, -1), "diag(freearrow): actions do not commute"),
+    ("ract", ("Y", "Y", "Y"), (-1, 0), "diag(freearrow): right action not unital at (Y,Y)"),
+])
+def test_a_warm_memo_still_fails_a_bimodule_with_a_negated_action_block(field, side, key, combo, message):
+    odd, _ = make_dual_numbers(2, -1, field)
+    cat = free_arrow_category(odd)
+    diag = Bimodule.diagonal(cat)
+    maps = {"lact": _maps(diag.lact), "ract": _maps(diag.ract)}
+    Bimodule(cat, cat, diag.components, maps["lact"], maps["ract"], name=diag.name)
+    maps[side][key] = _negated(getattr(diag, side)[key], combo)
+    with pytest.raises(ValidationError) as failure:
+        Bimodule(cat, cat, diag.components, maps["lact"], maps["ract"], name=diag.name)
+    assert str(failure.value) == message
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("build, table, key, combo, message", [
+    ("free_arrow", "comp", ("X", "X", "Y"), (0, -1), "freearrow: action not central (right) on hom(X,X,Y)"),
+    ("free_arrow", "action", ("Y", "Y"), (-1, 0), "freearrow: action not central (left) on hom(X,Y,Y)"),
+    ("free_arrow", "comp", ("X", "X", "X"), (-1, 0), "freearrow: right identity fails on hom(X,X)"),
+    ("exterior", "comp", ("*", "*", "*"), (-1, -1), "k[e]/(e^2)[f]: action not central (left) on hom(*,*,*)"),
+])
+def test_a_warm_memo_still_fails_a_category_with_a_negated_block(field, build, table, key, combo, message):
+    odd, _ = make_dual_numbers(2, -1, field)
+    cat = free_arrow_category(odd) if build == "free_arrow" else exterior_one_object_category(odd, -1)
+    maps = {"comp": _maps(cat.comp), "action": _maps(cat.action)}
+    DgCategory(cat.base, cat.objects, cat.homs, maps["comp"], cat.ids, action=maps["action"], name=cat.name)
+    maps[table][key] = _negated(getattr(cat, table)[key], combo)
+    with pytest.raises(ValidationError) as failure:
+        DgCategory(cat.base, cat.objects, cat.homs, maps["comp"], cat.ids, action=maps["action"], name=cat.name)
+    assert str(failure.value) == message
+
+
 # -- defects named in (degree, block, index) order ---------------------------------------
 #
 # The law checks compare whole flat matrices, whose columns run factor-major

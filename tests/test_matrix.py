@@ -441,3 +441,83 @@ def test_an_int_matrix_and_its_fraction_twin_share_a_value_equal_elimination(rng
                     [QQ.render(x) for row in b.entries for x in row]
         for m in (ints, fracs):
             assert m.rref() == reference_rref(m)
+
+
+# -- the product memo: one product per distinct operand triple -------------------
+
+def twin(m: Mat) -> Mat:
+    """An equal matrix held by a new object."""
+    return Mat(m.field, m.rows, m.cols, m.entries)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_a_product_memo_hit_returns_what_a_fresh_product_returns(rng, field):
+    def factor(kind):
+        n = rng.randint(0, 3)
+        if kind == "shared":
+            return Mat.identity(field, n)
+        if kind == "built":
+            return Mat(field, n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        return rand_mat(rng, field, n, rng.randint(0, 3), span=50)
+
+    for k in range(80):
+        b, c = factor(rng.choice(["shared", "built", "drawn"])), factor(rng.choice(["shared", "built", "drawn"]))
+        a = rand_mat(rng, field, k % 4, b.rows * c.rows, span=50)
+        first = kron_product(a, b, c)
+        hit = kron_product(twin(a), twin(b), twin(c))
+        if first is not a:
+            assert hit is first
+        for out in (first, hit):
+            assert (out.rows, out.cols) == (a.rows, b.cols * c.cols)
+            assert out == a @ kron(b, c)
+
+
+def test_zero_row_factors_of_other_widths_get_products_of_their_own_shapes(field):
+    # a zero-row matrix has the entries () whatever its width, so only the
+    # column counts in the key tell these products apart
+    c = Mat(field, 1, 2, [[1, 1]])
+    for width in (1, 3, 0, 2):
+        out = kron_product(Mat.zero(field, 2, 0), Mat.zero(field, 0, width), c)
+        assert (out.rows, out.cols) == (2, 2 * width) and out.is_zero()
+        out = kron_product(Mat.zero(field, 2, 0), c, Mat.zero(field, 0, width))
+        assert (out.rows, out.cols) == (2, 2 * width) and out.is_zero()
+        out = kron_product(Mat.zero(field, 0, 2), Mat(field, 2, width, [[1] * width] * 2), c)
+        assert (out.rows, out.cols) == (0, 2 * width)
+
+
+def test_an_int_product_and_its_fraction_twin_are_value_equal_and_render_equal(rng):
+    for k in range(30):
+        grids = [[[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+                 for rows, cols in ((3, 4), (2, 2), (2, 3))]
+        ints = [Mat(QQ, len(g), len(g[0]), g) for g in grids]
+        fracs = [Mat(QQ, len(g), len(g[0]), [[Fraction(v) for v in row] for row in g]) for g in grids]
+        results = [kron_product(*ops) for ops in ((ints, fracs) if k % 2 else (fracs, ints))]
+        assert results[0] == results[1] == ints[0] @ kron(ints[1], ints[2])
+        assert [QQ.render(x) for row in results[0].entries for x in row] == \
+            [QQ.render(x) for row in results[1].entries for x in row]
+
+
+def test_equal_integer_entries_over_q_and_f_5_get_products_apart():
+    grids = ([[3, 4]], [[2], [1]], [[4]])
+    for fields in ((QQ, GF(5)), (GF(5), QQ)):
+        results = [kron_product(*(Mat(f, len(g), len(g[0]), g) for g in grids)) for f in fields]
+        assert results[0] is not results[1]
+        for f, out in zip(fields, results):
+            assert out.field is f and out.entries == ((0 if f.char else 40,),)
+
+
+def test_mismatched_operands_raise_after_an_equal_entries_product(field):
+    b, c = Mat(field, 2, 1, [[1], [2]]), Mat(field, 2, 2, [[1, 0], [1, 1]])
+    a = Mat(field, 2, 4, [[1, 0, 2, 0], [0, 3, 0, 1]])
+    assert kron_product(a, b, c) == a @ kron(b, c)
+    other = QQ if field.char else GF(7)
+    with pytest.raises(FieldMismatchError):
+        kron_product(Mat(other, 2, 4, a.entries), b, c)
+    with pytest.raises(FieldMismatchError):
+        kron_product(a, b, Mat(other, 2, 2, c.entries))
+    # a zero-row a has the same (empty) entries at every width
+    kron_product(Mat.zero(field, 0, 4), b, c)
+    with pytest.raises(ShapeError):
+        kron_product(Mat.zero(field, 0, 5), b, c)
+    with pytest.raises(ShapeError):
+        kron_product(Mat.zero(field, 0, 4), b, Mat.zero(field, 0, 2))
