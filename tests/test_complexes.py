@@ -229,6 +229,14 @@ def test_quasi_isos_compose():
         assert i1.is_quasi_iso() and i2.is_quasi_iso() and comp.is_quasi_iso()
 
 
+def test_quasi_iso_is_asked_of_degree_0_maps_only(field):
+    # the identity of k, read as a map k -> k[-1] of degree 1: iso on cohomology,
+    # but a quasi-isomorphism is a degree-0 notion, decided by its cone
+    shifted = ChainMap(Complex(field, {0: 1}, {}), Complex(field, {1: 1}, {}), 1, {0: Mat.identity(field, 1)})
+    with pytest.raises(ValidationError, match="cone requires a degree-0 chain map"):
+        shifted.is_quasi_iso()
+
+
 def test_hom_complex_unit():
     rng = random.Random(37)
     d, _ = random_complex(rng, QQ, pieces=4)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgkit.errors import FieldMismatchError, ShapeError
 from dgkit.fields import GF, QQ, same_field
-from dgkit.matrix import Mat, extend_columns_to_basis, invert, kron, kron_product
+from dgkit.matrix import Mat, concat_columns, extend_columns_to_basis, invert, kron, kron_product, left_inverse
 
 
 def rand_mat(rng, field, rows, cols, density=0.7, span=5):
@@ -314,7 +314,69 @@ def test_kernel_matches_sympy_domain_matrix_over_gf_p(case):
     assert_matches_oracle(m, rref_ref, pivots_ref, null_ref, b, solvable)
 
 
-# -- kron_product against the formed Kronecker product ----------------------------
+# -- kron and kron_product against the entrywise Kronecker product ----------------
+
+def reference_kron(a: Mat, b: Mat) -> Mat:
+    """Entry (i*p + k, j*q + l) is a[i][j] * b[k][l], for b of shape p x q."""
+    p, q = b.rows, b.cols
+    return Mat(a.field, a.rows * p, a.cols * q,
+               [[a.entries[i][j] * b.entries[k][l] for j in range(a.cols) for l in range(q)]
+                for i in range(a.rows) for k in range(p)])
+
+
+def built_identity(field, n: int, one=1) -> Mat:
+    """An identity entered entry by entry: equal to, but not, the shared one."""
+    return Mat(field, n, n, [[one if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingFraction.products += 1
+        return super().__mul__(other)
+
+    def __rmul__(self, other):
+        CountingFraction.products += 1
+        return super().__rmul__(other)
+
+
+def identity_kind_cases(field):
+    """Factor pairs with the shared identity on the left, on the right, on
+    both sides and on neither, including 0-row and 0-column shapes."""
+    q_entry = (lambda v: Fraction(v, 3)) if not field.char else (lambda v: v)
+    drawn = [Mat(field, r, c, [[q_entry((3 * i + 2 * j) % 11 - 5) for j in range(c)] for i in range(r)])
+             for r, c in ((2, 3), (1, 1), (0, 2), (2, 0), (0, 0), (3, 2))]
+    eyes = [Mat.identity(field, n) for n in (0, 1, 2, 3)]
+    return ([(e, m) for e in eyes for m in drawn] + [(m, e) for e in eyes for m in drawn]
+            + [(e, f) for e in eyes for f in eyes] + [(m, n) for m in drawn for n in drawn]
+            + [(built_identity(field, n), m) for n in (1, 3) for m in drawn]
+            + [(m, built_identity(field, n)) for n in (1, 3) for m in drawn])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_kron_matches_the_entrywise_reference(field):
+    for a, b in identity_kind_cases(field):
+        out = kron(a, b)
+        assert out.field is field and (out.rows, out.cols) == (a.rows * b.rows, a.cols * b.cols)
+        assert len(out.entries) == out.rows and all(len(row) == out.cols for row in out.entries)
+        assert out == reference_kron(a, b)
+        if field.char:
+            assert all(0 <= v < field.char for row in out.entries for v in row)
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_kron_with_the_shared_identity_multiplies_nothing(left):
+    b = Mat(QQ, 2, 3, [[CountingFraction(v, 2) for v in row] for row in ([1, 0, -3], [5, 7, 0])])
+    for eye, placed in ((Mat.identity(QQ, 3), True), (built_identity(QQ, 3, CountingFraction(1)), False)):
+        CountingFraction.products = 0
+        out = kron(eye, b) if left else kron(b, eye)
+        # the shared identity places b; a built one takes the generic path
+        assert (CountingFraction.products == 0) == placed
+        assert out == (reference_kron(eye, b) if left else reference_kron(b, eye))
+
 
 @st.composite
 def kron_cases(draw):
@@ -348,7 +410,7 @@ def test_kron_product_matches_formed_kron(case):
     a, b, c = case
     out = kron_product(a, b, c)
     assert (out.rows, out.cols) == (a.rows, b.cols * c.cols)
-    assert out == a @ kron(b, c)
+    assert out == a @ reference_kron(b, c)
     if a.field.char:
         assert all(0 <= v < a.field.char for row in out.entries for v in row)
 
@@ -521,3 +583,92 @@ def test_mismatched_operands_raise_after_an_equal_entries_product(field):
         kron_product(Mat.zero(field, 0, 5), b, c)
     with pytest.raises(ShapeError):
         kron_product(Mat.zero(field, 0, 4), b, Mat.zero(field, 0, 2))
+
+
+# -- shape operations against per-entry references ---------------------------------
+
+INDEX_LISTS = [[2, 0, 3], [1, 1, 4, 1], [3], [], [4, 3, 2, 1, 0], range(1, 4), range(0, 5), range(2, 2),
+               range(0, 5, 2)]
+
+
+@pytest.mark.parametrize("indices", INDEX_LISTS, ids=str)
+def test_take_columns_and_rows_match_per_entry_references(rng, field, indices):
+    m = rand_mat(rng, field, 5, 5)
+    cols = m.take_columns(indices)
+    assert (cols.rows, cols.cols) == (5, len(indices))
+    assert cols.entries == tuple(tuple(m.entries[i][j] for j in indices) for i in range(5))
+    rows = m.take_rows(indices)
+    assert (rows.rows, rows.cols) == (len(indices), 5)
+    assert rows.entries == tuple(tuple(m.entries[i][j] for j in range(5)) for i in indices)
+    if len(indices) == 1:
+        assert m.col(indices[0]) == cols
+    empty = Mat.zero(field, 0, 5).take_columns(indices)
+    assert (empty.rows, empty.cols, empty.entries) == (0, len(indices), ())
+
+
+def test_hstack_and_concat_columns_match_per_entry_references(rng, field):
+    for rows in (0, 1, 3):
+        parts = [rand_mat(rng, field, rows, cols) for cols in (2, 0, 3, 1)]
+        want = tuple(tuple(v for part in parts for v in part.entries[i]) for i in range(rows))
+        joined = concat_columns(field, rows, parts)
+        assert (joined.rows, joined.cols, joined.entries) == (rows, 6, want)
+        pair = parts[0].hstack(parts[2])
+        assert (pair.rows, pair.cols) == (rows, 5)
+        assert pair.entries == tuple(parts[0].entries[i] + parts[2].entries[i] for i in range(rows))
+        assert concat_columns(field, rows, parts[2:3]) is parts[2]
+        assert concat_columns(field, rows, []) == Mat.zero(field, rows, 0)
+
+
+def test_sums_and_differences_keep_f_p_residues(rng):
+    fld = GF(7)
+    for _ in range(20):
+        a, b = rand_mat(rng, fld, 3, 4), rand_mat(rng, fld, 3, 4)
+        for out, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+            assert out.entries == tuple(tuple(op(x, y) % 7 for x, y in zip(ra, rb))
+                                        for ra, rb in zip(a.entries, b.entries))
+        assert (a - a).is_zero() and a + Mat.zero(fld, 3, 4) == a
+
+
+# -- the kernel's shape and invertibility errors ------------------------------------
+
+def test_negative_shapes_are_rejected(field):
+    with pytest.raises(ShapeError, match="negative shape -1x2"):
+        Mat(field, -1, 2, [])
+    with pytest.raises(ShapeError, match="negative shape 2x-3"):
+        Mat.zero(field, 2, -3)
+    with pytest.raises(ShapeError, match="negative shape -2x-2"):
+        Mat.identity(field, -2)
+
+
+def test_an_entry_grid_of_another_shape_is_rejected(field):
+    with pytest.raises(ShapeError, match="entry grid does not match shape 2x2"):
+        Mat(field, 2, 2, [[1, 2], [3]])
+    with pytest.raises(ShapeError, match="entry grid does not match shape 1x2"):
+        Mat(field, 1, 2, [[1, 2], [3, 4]])
+
+
+def test_operands_of_mismatched_shapes_are_rejected(field):
+    a, b = Mat.zero(field, 2, 3), Mat.zero(field, 3, 2)
+    with pytest.raises(ShapeError, match="shape mismatch 2x3 vs 3x2"):
+        a + b
+    with pytest.raises(ShapeError, match="shape mismatch 2x3 vs 3x2"):
+        a - b
+    with pytest.raises(ShapeError, match="cannot multiply 2x3 by 2x3"):
+        a @ a
+    with pytest.raises(ShapeError, match="cannot multiply 2x3 by a kron of 2x2 and 1x1"):
+        kron_product(a, Mat.identity(field, 2), Mat.identity(field, 1))
+    with pytest.raises(ShapeError, match="hstack row mismatch"):
+        a.hstack(b)
+    with pytest.raises(ShapeError, match="vstack col mismatch"):
+        a.vstack(b)
+    with pytest.raises(ShapeError, match="rhs row mismatch"):
+        a.solve(Mat.zero(field, 3, 1))
+
+
+def test_inverses_need_square_or_independent_columns(field):
+    with pytest.raises(ShapeError, match="only square matrices invert"):
+        invert(Mat.zero(field, 2, 3))
+    with pytest.raises(ShapeError, match="left inverse of dependent columns"):
+        left_inverse(Mat(field, 3, 2, [[1, 2], [2, 4], [3, 6]]))
+    tall = Mat(field, 3, 2, [[0, 1], [1, 0], [1, 1]])
+    assert left_inverse(tall) @ tall == Mat.identity(field, 2)
