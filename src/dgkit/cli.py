@@ -57,10 +57,10 @@ def _result(command: str, scn: Scenario, entry: Dict, window_override: Optional[
         except (TypeError, ValueError):
             raise ScenarioError(f"truncation degree must be an integer, got {entry.get('n')!r}",
                                 "commands") from None
-        if entry.get("kind", "le") == "le":
-            t, comparison = truncate_le(cx, n)
-        else:
-            t, comparison = truncate_ge(cx, n)
+        kind = entry.get("kind", "le")
+        if kind not in ("le", "ge"):
+            raise ScenarioError(f"truncation kind must be 'le' or 'ge', got {kind!r}", "commands")
+        t, _ = (truncate_le if kind == "le" else truncate_ge)(cx, n)
         out["dims"] = {str(d): v for d, v in t.cohomology().as_dict().items()}
         out["passed"] = True
     elif command == "cone":

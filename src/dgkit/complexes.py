@@ -28,7 +28,7 @@ from typing import Callable, Dict, FrozenSet, Hashable, List, NamedTuple, Option
 
 from .errors import DegreeCapError, ScenarioError, ShapeError, ValidationError
 from .fields import Field, same_field
-from .matrix import Mat, block_matrix, concat_columns, extend_columns_to_basis, invert, kron, kron_product, left_inverse
+from .matrix import Mat, block_matrix, concat_columns, extend_columns_to_basis, kron, kron_product
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -449,24 +449,18 @@ def quotient_complex(cx: Complex, killed: Dict[int, Mat], name: str = "quot"):
         b = killed.get(deg, Mat.zero(field, cx.dim(deg), 0))
         if b.rows != cx.dim(deg):
             raise ShapeError(f"{name}: killed columns wrong ambient dimension at degree {deg}")
-        bb = b.image_basis()
-        comp_idx = extend_columns_to_basis(bb)
+        comp_idx, T = extend_columns_to_basis(b)
         if comp_idx:
             dims[deg] = len(comp_idx)
         sect_mats[deg] = Mat.identity(field, b.rows).take_columns(comp_idx)
-        proj_mats[deg] = invert(bb.hstack(sect_mats[deg])).take_rows(range(bb.cols, b.rows))
-    diffs = {}
-    for deg in sorted(dims):
-        if dims.get(deg + 1, 0) == 0:
-            # the quotient differential must vanish; verify d maps into killed span
-            b1 = killed.get(deg + 1, Mat.zero(field, cx.dim(deg + 1), 0))
-            img = cx.diff(deg) @ sect_mats[deg]
-            if not img.is_zero() and b1.solve(img) is None:
-                raise ValidationError(f"{name}: killed span not d-stable at degree {deg}")
-            continue
-        diffs[deg] = proj_mats[deg + 1] @ cx.diff(deg) @ sect_mats[deg]
-    quot = Complex(field, dims, diffs, name=name)
-    proj = ChainMap(cx, quot, 0, {deg: proj_mats[deg] for deg in dims})
+        proj_mats[deg] = T.take_rows(range(b.rows - len(comp_idx), b.rows))
+    diffs = {deg: proj_mats[deg + 1] @ cx.diff(deg) @ sect_mats[deg] for deg in sorted(dims) if deg + 1 in dims}
+    try:
+        # d o d = 0 and the projection's commutation hold exactly when the killed span is d-stable
+        quot = Complex(field, dims, diffs, name=name)
+        proj = ChainMap(cx, quot, 0, {deg: proj_mats[deg] for deg in dims})
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: killed span not d-stable ({exc})") from None
     section = {deg: sect_mats[deg] for deg in dims}
     return quot, proj, section
 
@@ -579,18 +573,8 @@ class HomSystem:
                 for s, lay in self.layouts.items()}
 
     def retract(self) -> "Retract":
-        """The subcomplex through the ambient, read off the echelon form R of
-        each degree's constraints: in by the kernel basis, out by the
-        coordinates at the free columns, where the kernel basis is the
-        identity; a map lands in it when R kills it."""
-        outward, sub = {}, {}
-        for n in self.ambient.degrees():
-            eye = Mat.identity(self.ambient.field, self.ambient.dim(n))
-            echelon, _, pivots = self.constraints[n].rref() if n in self.constraints else (None, None, ())
-            if pivots:
-                sub[n] = echelon.take_rows(range(len(pivots)))
-            outward[n] = eye.take_rows(sorted(set(range(eye.rows)) - {c for _, c in pivots}))
-        return Retract(self.complex, (Piece(self.ambient, 0, self.inclusion.components, outward, sub),))
+        """The subcomplex through the ambient, as ``sub_retract``."""
+        return sub_retract(self.complex, self.inclusion)
 
 
 def truncate_le(cx: Complex, n: int):
@@ -1219,27 +1203,34 @@ class Retract(NamedTuple):
 
 
 def sub_retract(sub: Complex, inclusion: ChainMap) -> Retract:
-    """A subcomplex through its ambient, retracted by a left inverse of the
-    inclusion computed once per degree.  In each degree of the ambient the
-    subcomplex is the kernel of 1 - inclusion o retraction, or of 1 where it
-    is zero."""
+    """A subcomplex through its ambient, read off the elimination T @ K =
+    [1; 0] of each degree's inclusion K, whose columns are independent
+    (``subcomplex`` ran the same elimination to check that): out by the top
+    rows of T, a left inverse of K, and a map lands in the subcomplex when
+    the rows below, whose kernel is the span of K, kill it.  Where the
+    subcomplex is zero, K has no columns and T is the identity."""
     amb, incl = inclusion.target, inclusion.components
-    out = {d: left_inverse(m) for d, m in incl.items()}
-    eye = {d: Mat.identity(amb.field, amb.dim(d)) for d in amb.degrees()}
-    escape = {d: e - incl[d] @ out[d] if d in incl else e for d, e in eye.items()}
+    out, escape = {}, {}
+    for d in amb.degrees():
+        k = incl.get(d, Mat.zero(amb.field, amb.dim(d), 0))
+        T = k.rref()[1]
+        if k.cols:
+            out[d] = T.take_rows(range(k.cols))
+        escape[d] = T.take_rows(range(k.cols, k.rows))
     return Retract(sub, (Piece(amb, 0, incl, out, escape),))
 
 
 def h0_retract(report: "CohomologyReport") -> Retract:
     """H^0 of a complex in the report's representative basis, through the
     complex: in sends a class to its representative, out reads a cycle's
-    class (``class_of`` as a matrix), and a map into it must land in the
-    degree-0 cycles, the kernel of d^0."""
+    class (``class_of`` as a matrix: the top rows of the elimination of the
+    cycle basis [reps | image]), and a map into it must land in the degree-0
+    cycles, the kernel of d^0."""
     cx, reps = report.complex, report.rep(0)
     inward, outward = {}, {}
     if reps.cols:
         inward[0] = reps
-        outward[0] = left_inverse(reps.hstack(report.image(0))).take_rows(range(reps.cols))
+        outward[0] = reps.hstack(report.image(0)).rref()[1].take_rows(range(reps.cols))
     h0 = Complex(cx.field, {0: reps.cols}, {}, name=f"H0({cx.name})")
     return Retract(h0, (Piece(cx, 0, inward, outward, {0: cx.d[0]} if 0 in cx.d else None),))
 
@@ -1449,7 +1440,7 @@ def hom_postcompose(source: Complex, f: ChainMap) -> ChainMap:
 # A Hom system (a HomSystem: a ModuleHomComplex or BimoduleHomComplex) has
 # ``layouts``, one HomLayout per slot, and ``ambient``, the direct sum of their
 # complexes in that order.  Its complex is a subcomplex of the ambient, which
-# ``HomSystem.retract`` reads off the echelon forms of the constraints; an action
+# ``HomSystem.retract`` reads through as ``sub_retract`` does; an action
 # on it is one ``slotwise_action`` block on the ambient per degree tuple.
 
 

@@ -194,7 +194,7 @@ def levelwise_free_generators(cat: DgCategory):
     ring = cat.base
     field = cat.field
     # the nonunit basis directions: in degree 0, those completing the unit line to a basis
-    keep = extend_columns_to_basis(ring.unit)
+    keep, _ = extend_columns_to_basis(ring.unit)
     nonunit = [(dr, i) for dr, i in ring.basis() if dr != 0 or i in keep]
     out = {}
     for a in cat.objects:
@@ -212,7 +212,7 @@ def levelwise_free_generators(cat: DgCategory):
             gens = {}
             for deg in v.degrees():
                 span = Mat.from_columns(field, v.dim(deg), images.get(deg, []))
-                comp = extend_columns_to_basis(span.image_basis())
+                comp, _ = extend_columns_to_basis(span)
                 if comp:
                     gens[deg] = Mat.identity(field, v.dim(deg)).take_columns(comp)
             # compare graded dimensions of R (x) gens with hom

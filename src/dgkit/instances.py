@@ -258,10 +258,9 @@ def random_nonpositive_category(rng: random.Random, field: Field,
 
 
 def unit_functional(cat, a) -> Mat:
-    """Row vector on End(a)^0 sending the identity to 1 and a complement to 0."""
-    iota = cat.id_vector(a)
-    section = Mat.identity(cat.field, iota.rows).take_columns(extend_columns_to_basis(iota))
-    return invert(iota.hstack(section)).take_rows([0])
+    """Row vector on End(a)^0 sending the identity to 1 and the unit vectors
+    completing it to a basis to 0: the top row of the inverse of that basis."""
+    return extend_columns_to_basis(cat.id_vector(a))[1].take_rows([0])
 
 
 def trivial_action_module(rng: random.Random, cat):

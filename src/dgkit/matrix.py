@@ -345,14 +345,12 @@ class Mat:
 
 
 def extend_columns_to_basis(m: Mat) -> tuple:
-    """Indices of standard basis vectors completing col(m) to the full space,
-    as a tuple: [m | e_i for i in them] is invertible when the columns of m
-    are independent."""
-    fld = m.field
-    aug = m.hstack(Mat.identity(fld, m.rows))
-    pivots = aug.pivot_columns()
-    complement = [c - m.cols for c in pivots if c >= m.cols]
-    return tuple(complement)
+    """(indices, T) from one elimination of [m | 1]: the indices of the
+    standard basis vectors that complete col(m) to the full space, and T
+    with T @ [pivot columns of m | e_i for i in them] == 1, the inverse of
+    that basis."""
+    _, T, pivots = m.hstack(Mat.identity(m.field, m.rows)).rref()
+    return tuple(c - m.cols for _, c in pivots if c >= m.cols), T
 
 
 def invert(m: Mat) -> Mat:
@@ -392,22 +390,6 @@ def block_matrix(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int
             parts.append(m)
         rows.extend(concat_columns(field, r, parts).entries)
     return Mat._wrap(field, len(rows), sum(col_sizes), tuple(rows))
-
-
-def left_inverse(m: Mat) -> Mat:
-    """A left inverse of a matrix with independent columns: the inverse of
-    its first square block of independent rows, read off those rows."""
-    rows = m.transpose().pivot_columns()
-    if len(rows) != m.cols:
-        raise ShapeError("left inverse of dependent columns")
-    inv = invert(m.take_rows(rows)).entries
-    out = []
-    for line in inv:
-        row = [0] * m.rows
-        for r, v in zip(rows, line):
-            row[r] = v
-        out.append(tuple(row))
-    return Mat._wrap(m.field, m.cols, m.rows, tuple(out))
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -1,5 +1,6 @@
 """Complexes: cohomology, truncations, cones, hom/tensor calculus, signs."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -10,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from dgkit.errors import ShapeError, ValidationError
 from dgkit.fields import GF, QQ
-from dgkit.instances import random_cocycle, random_complex
+from dgkit.instances import random_cocycle, random_complex, small_random_category, unit_functional
 from dgkit import complexes
-from dgkit.matrix import Mat, kron
+from dgkit.matrix import Mat, extend_columns_to_basis, invert, kron
 from dgkit.complexes import (
     ChainMap,
     Complex,
@@ -752,3 +753,90 @@ def test_map_from_blocks_with_an_all_none_degree_matches_the_entry_loop(rng, fie
         by_blocks = lay.map_from_blocks(target, degree, blocks.get, check=False)
         assert skipped not in by_blocks.components
         assert by_blocks.components == lay.map_from_entries(target, degree, entry, check=False).components
+
+
+# -- subcomplexes and quotients, each read off one elimination --------------------------
+
+
+def test_subcomplex_rejects_dependent_or_unclosed_columns(field):
+    # e in degree 0, de = f in degree 1, g a second basis vector there
+    c = Complex(field, {0: 1, 1: 2}, {0: Mat(field, 2, 1, [[1], [0]])})
+    with pytest.raises(ValidationError, match="^gen: generating columns dependent in degree 1$"):
+        complexes.subcomplex(c, {1: Mat(field, 2, 2, [[1, 2], [0, 0]])}, name="gen")
+    # nothing spans degree 1, where de lands
+    with pytest.raises(ValidationError, match="^lone: not closed under d at degree 0$"):
+        complexes.subcomplex(c, {0: Mat(field, 1, 1, [[1]])}, name="lone")
+    # degree 1 is spanned by g, which misses de = f
+    with pytest.raises(ValidationError, match="^off: not closed under d at degree 0$"):
+        complexes.subcomplex(c, {0: Mat(field, 1, 1, [[1]]), 1: Mat(field, 2, 1, [[0], [1]])}, name="off")
+
+
+def test_quotient_complex_rejects_a_wrong_shape_or_an_unstable_span(field):
+    c = Complex(field, {0: 1, 1: 2}, {0: Mat(field, 2, 1, [[1], [0]])})
+    with pytest.raises(ShapeError, match="^q: killed columns wrong ambient dimension at degree 1$"):
+        complexes.quotient_complex(c, {1: Mat(field, 3, 1, [[1], [0], [0]])}, name="q")
+    # killing e but not de = f leaves d unable to descend
+    with pytest.raises(ValidationError, match=r"^q: killed span not d-stable \(.*at degree 0\)$"):
+        complexes.quotient_complex(c, {0: Mat(field, 1, 1, [[1]])}, name="q")
+    # killing g, which nothing maps to, is fine, and so is killing e with f
+    assert complexes.quotient_complex(c, {1: Mat(field, 2, 1, [[0], [1]])})[0].dim(1) == 1
+    quot = complexes.quotient_complex(c, {0: Mat(field, 1, 1, [[1]]), 1: Mat(field, 2, 1, [[1], [0]])})[0]
+    assert {n: quot.dim(n) for n in quot.degrees()} == {1: 1}
+
+
+def stable_span(rng, cx):
+    """A d-stable span of ``cx`` in dependent columns: random columns V^n,
+    then d V^(n-1), then the sum of the first two columns."""
+    field = cx.field
+    vs = {n: Mat(field, cx.dim(n), 2, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(cx.dim(n))])
+          for n in cx.degrees() if rng.random() < 0.7}
+    cols = {}
+    for n in cx.degrees():
+        parts = [vs[n]] if n in vs else []
+        if n - 1 in vs:
+            parts.append(cx.diff(n - 1) @ vs[n - 1])
+        if parts:
+            m = functools.reduce(Mat.hstack, parts)
+            cols[n] = m.hstack(m.col(0) + m.col(1))
+    return cols
+
+
+def reference_quotient_maps(cx, killed):
+    """The projection and section of each nonzero degree of the quotient,
+    as ``invert([image_basis | section])`` and its completing unit vectors."""
+    out = {}
+    for n in cx.degrees():
+        m = cx.dim(n)
+        basis = killed.get(n, Mat.zero(cx.field, m, 0)).image_basis()
+        section = Mat.identity(cx.field, m).take_columns(extend_columns_to_basis(basis)[0])
+        if section.cols:
+            out[n] = (invert(basis.hstack(section)).take_rows(range(basis.cols, m)), section)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_retractions_projections_and_sections_match_their_inverse_formulas(field):
+    rng = random.Random(34)
+    for _ in range(12):
+        cx, _ = random_complex(rng, field, lo=-2, hi=1, pieces=5)
+        killed = stable_span(rng, cx)
+        # the subcomplex on a basis of the span: out is a left inverse, the
+        # rows of sub kill exactly its span
+        sub, incl = complexes.subcomplex(cx, {n: m.image_basis() for n, m in killed.items()})
+        piece = complexes.sub_retract(sub, incl).pieces[0]
+        for n in cx.degrees():
+            k = incl.component(n)
+            if k.cols:
+                assert piece.outward[n] @ k == Mat.identity(field, k.cols)
+            assert (piece.sub[n] @ k).is_zero()
+            assert piece.sub[n].rows == piece.sub[n].rank() == cx.dim(n) - k.cols
+        # the quotient by the dependent columns
+        quot, proj, sections = complexes.quotient_complex(cx, killed)
+        reference = reference_quotient_maps(cx, killed)
+        assert {n: (proj.component(n), sections[n]) for n in quot.degrees()} == reference
+    for _ in range(6):
+        cat = small_random_category(rng, field, n_objects=2)
+        for a in cat.objects:
+            iota = cat.id_vector(a)
+            section = Mat.identity(field, iota.rows).take_columns(extend_columns_to_basis(iota)[0])
+            assert unit_functional(cat, a) == invert(iota.hstack(section)).take_rows([0])

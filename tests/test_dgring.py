@@ -131,6 +131,19 @@ def test_quotient_by_augmentation_ideal_is_ground_field():
     assert all(proj.surjectivity_by_degree().values())
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_quotient_by_a_span_that_is_not_an_ideal_is_rejected(field):
+    # in k[e]/e^3, |e| = 0, the span of e is a subcomplex but e.e = e^2 leaves
+    # it; the rings are graded commutative, so a checked DgIdeal is two-sided,
+    # and only an unchecked one reaches the quotient's own check
+    ring, _ = make_dual_numbers(3, 0, field)
+    _, incl = subcomplex(ring.underlying, {0: Mat(field, 3, 1, [[0], [1], [0]])})
+    with pytest.raises(ValidationError, match=r"^\(e\): not closed under multiplication by e$"):
+        DgIdeal(ring, incl, name="(e)")
+    with pytest.raises(ValidationError, match="^quotient multiplication not well defined$"):
+        quotient(ring, DgIdeal(ring, incl, name="(e)", check=False))
+
+
 def test_quotient_eps3_by_square_matches_eps2():
     ring3, aug3 = make_dual_numbers(3, -2, QQ)
     ideal = aug3.kernel_ideal()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgkit.errors import FieldMismatchError, ShapeError
 from dgkit.fields import GF, QQ, same_field
-from dgkit.matrix import Mat, concat_columns, extend_columns_to_basis, invert, kron, kron_product, left_inverse
+from dgkit.matrix import Mat, concat_columns, extend_columns_to_basis, invert, kron, kron_product
 
 
 def rand_mat(rng, field, rows, cols, density=0.7, span=5):
@@ -126,10 +126,13 @@ def test_exactness_roundtrip_through_strings(rng):
 
 def test_extend_columns_to_basis(rng):
     m = rand_mat(rng, QQ, 5, 2)
-    comp = extend_columns_to_basis(m)
-    full = m.image_basis().hstack(
-        Mat.from_columns(QQ, 5, [Mat.basis_column(QQ, 5, i).column_values(0) for i in comp]))
-    assert full.rank() == 5
+    # a dependent column changes neither the completing indices nor T
+    for cols in (m, m.hstack(m.col(0) + m.col(1))):
+        comp, T = extend_columns_to_basis(cols)
+        full = m.image_basis().hstack(
+            Mat.from_columns(QQ, 5, [Mat.basis_column(QQ, 5, i).column_values(0) for i in comp]))
+        assert full.rank() == 5
+        assert T == invert(full)
 
 
 def test_invert(rng):
@@ -665,10 +668,6 @@ def test_operands_of_mismatched_shapes_are_rejected(field):
         a.solve(Mat.zero(field, 3, 1))
 
 
-def test_inverses_need_square_or_independent_columns(field):
+def test_invert_needs_a_square_matrix(field):
     with pytest.raises(ShapeError, match="only square matrices invert"):
         invert(Mat.zero(field, 2, 3))
-    with pytest.raises(ShapeError, match="left inverse of dependent columns"):
-        left_inverse(Mat(field, 3, 2, [[1, 2], [2, 4], [3, 6]]))
-    tall = Mat(field, 3, 2, [[0, 1], [1, 0], [1, 1]])
-    assert left_inverse(tall) @ tall == Mat.identity(field, 2)

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import dgkit
+from dgkit import cli
 from dgkit.cli import main
 from dgkit.dgring import make_dual_numbers
 from dgkit.errors import ScenarioError
@@ -170,6 +171,30 @@ def test_cli_missing_command_in_scenario():
     runner = CliRunner()
     res = runner.invoke(main, ["deform", "--scenario", bundled("cohomology_basic.json")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7"])
+def test_cli_truncate_keeps_the_cohomology_on_its_side_and_rejects_an_unknown_kind(field, tmp_path):
+    # H^-2, H^0 and H^2 of dimension 1: d^-1 hits e1 in degree 0 and d^0 reads e2
+    doc = {"field": field,
+           "complexes": {"C": {"dims": {"-2": 1, "-1": 1, "0": 3, "1": 1, "2": 1},
+                               "d": {"-1": [["1"], ["0"], ["0"]], "0": [["0", "1", "0"]]}}},
+           "commands": [{"run": "truncate", "complex": "C", "n": 0, "kind": "gt"}]}
+    scn = load_scenario_dict(doc)
+    full = cli.run("cohomology", scn, {"complex": "C"})["dims"]
+    assert full == {"-2": 1, "0": 1, "2": 1}
+    for n in range(-3, 4):
+        for kind, keep in (("ge", lambda d: d >= n), ("le", lambda d: d <= n)):
+            got = cli.run("truncate", scn, {"complex": "C", "n": n, "kind": kind})
+            assert got["passed"] is True
+            assert got["dims"] == {d: v for d, v in full.items() if keep(int(d))}
+    with pytest.raises(ScenarioError, match="truncation kind must be 'le' or 'ge', got 'gt'"):
+        cli.run("truncate", scn, doc["commands"][0])
+    path = tmp_path / "truncate_gt.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["truncate", "--scenario", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: commands: truncation kind must be 'le' or 'ge', got 'gt'\n"
 
 
 def test_degree_cap_env(monkeypatch):
